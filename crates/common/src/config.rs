@@ -67,23 +67,12 @@ pub struct EngineConfig {
     /// Ring-buffer capacity of the `statements` IMA table (paper default:
     /// "up to 1000 different statements until the buffer wraps around").
     pub monitor_statement_capacity: usize,
-    /// Ring-buffer capacity of the per-execution `workload` IMA table.
-    pub monitor_workload_capacity: usize,
-    /// Ring-buffer capacity of the `statistics` IMA table (system samples).
-    pub monitor_statistics_capacity: usize,
-    /// Ring-buffer capacity of the `references` IMA table.
-    pub monitor_reference_capacity: usize,
     /// Whether the structured tracing layer (stage + per-operator spans,
     /// latency histograms) starts enabled. Tracing requires monitoring; the
     /// flag can also be flipped at runtime (`SET trace = true` or
     /// `Engine::set_tracing`). Off by default so the statement path costs
     /// exactly what the "Monitoring" setup costs.
     pub trace_enabled: bool,
-    /// Distinct statement hashes the tracer keeps aggregated operator stats
-    /// and latency histograms for (oldest hash evicted beyond this).
-    pub trace_statement_capacity: usize,
-    /// Ring-buffer capacity of recent per-statement traces.
-    pub trace_ring_capacity: usize,
     /// Main-page extent initially allocated to a HEAP table; inserts beyond
     /// its capacity go to overflow pages (the paper's ">10 % overflow pages"
     /// rule keys off this).
@@ -95,15 +84,6 @@ pub struct EngineConfig {
     /// templates. `0` disables plan caching entirely: every execution
     /// re-parses and re-optimizes, as the engine did before the cache.
     pub plan_cache_capacity: usize,
-    /// Simulated latency of one random page read, in nanoseconds, charged to
-    /// the [`crate::SimClock`] by the disk model.
-    pub disk_random_read_ns: u64,
-    /// Simulated latency of one sequential page read, in nanoseconds.
-    pub disk_seq_read_ns: u64,
-    /// Simulated latency of one page write, in nanoseconds.
-    pub disk_write_ns: u64,
-    /// Simulated CPU time to process one tuple, in nanoseconds.
-    pub cpu_tuple_ns: u64,
     /// How commits reach disk through the write-ahead log (see
     /// [`WalFsyncMode`]); `Off` is test-only.
     pub wal_fsync_mode: WalFsyncMode,
@@ -114,7 +94,7 @@ pub struct EngineConfig {
     /// Simulated latency of one WAL fsync, in microseconds, spun on the
     /// wall clock before the real fsync is issued. `0` (the default) keeps
     /// tests fast; benches set it to a device-realistic value so group
-    /// commit amortises a *visible* cost, like the disk-latency knobs above.
+    /// commit amortises a *visible* cost, like the disk model's read latencies.
     pub wal_sync_delay_us: u64,
     /// Whether the wait-event subsystem (RAII wait guards on lock queues,
     /// WAL barriers, buffer I/O, retry backoff) and the ASH sampler are
@@ -139,24 +119,10 @@ impl Default for EngineConfig {
             buffer_pool_pages: 2048,
             monitor_enabled: true,
             monitor_statement_capacity: 1000,
-            monitor_workload_capacity: 4096,
-            monitor_statistics_capacity: 4096,
-            monitor_reference_capacity: 8192,
             trace_enabled: false,
-            trace_statement_capacity: 512,
-            trace_ring_capacity: 1024,
             heap_main_pages: 8,
             lock_timeout_ms: 5_000,
             plan_cache_capacity: 256,
-            // Calibrated to a 2009-era server disk subsystem with command
-            // queueing and read-ahead: ~2 ms effective random read, ~0.2 ms
-            // per sequential page, ~0.25 ms write (a 10:1 random:sequential
-            // asymmetry — pure seek time would be worse, but real scans and
-            // probes overlap I/O).
-            disk_random_read_ns: 2_000_000,
-            disk_seq_read_ns: 200_000,
-            disk_write_ns: 250_000,
-            cpu_tuple_ns: 200,
             wal_fsync_mode: WalFsyncMode::Group,
             group_commit_window_us: 100,
             wal_sync_delay_us: 0,

@@ -771,9 +771,23 @@ pub fn write_frame(w: &mut impl Write, opcode: u8, body: &[u8]) -> Result<()> {
     w.flush().map_err(io_err)
 }
 
+/// A failed read inside [`read_frame`]. A timeout is retryable only at a
+/// frame boundary: once any byte of the frame has been consumed, those bytes
+/// are gone from the stream, and a retry would resume parsing from a
+/// desynchronised offset — so a mid-frame timeout is a protocol error that
+/// drops the peer, like any other truncation.
+fn read_err(e: std::io::Error, mid_frame: bool) -> Error {
+    match io_err(e) {
+        Error::TransientIo(_) if mid_frame => Error::protocol("read timed out mid frame"),
+        other => other,
+    }
+}
+
 /// Read one frame. `Ok(None)` is a clean end-of-stream (the peer closed at
-/// a frame boundary); a timeout surfaces as retryable [`Error::TransientIo`]
-/// and mid-frame truncation or an oversized prefix as [`Error::Protocol`].
+/// a frame boundary). A timeout before the frame's first byte surfaces as
+/// retryable [`Error::TransientIo`] — nothing was consumed, so the caller
+/// may simply call again; a timeout after it, mid-frame truncation and an
+/// oversized prefix are all non-retryable [`Error::Protocol`].
 pub fn read_frame(r: &mut impl Read, max_bytes: u32) -> Result<Option<(u8, Vec<u8>)>> {
     let mut len_buf = [0u8; 4];
     let mut got = 0usize;
@@ -783,11 +797,7 @@ pub fn read_frame(r: &mut impl Read, max_bytes: u32) -> Result<Option<(u8, Vec<u
             Ok(0) => return Err(Error::protocol("connection closed mid frame")),
             Ok(n) => got += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            // A timeout with partial length bytes still surfaces as
-            // transient; the buffered prefix is lost, so callers treat a
-            // transient error mid-frame as fatal and only retry timeouts
-            // that arrive with got == 0 (see ingot-server's read loop).
-            Err(e) => return Err(io_err(e)),
+            Err(e) => return Err(read_err(e, got > 0)),
         }
     }
     let len = u32::from_le_bytes(len_buf);
@@ -801,7 +811,7 @@ pub fn read_frame(r: &mut impl Read, max_bytes: u32) -> Result<Option<(u8, Vec<u
             Ok(0) => return Err(Error::protocol("connection closed mid frame")),
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(io_err(e)),
+            Err(e) => return Err(read_err(e, true)),
         }
     }
     let opcode = frame[0];
@@ -1041,6 +1051,50 @@ mod tests {
             read_frame(&mut r, MAX_FRAME_BYTES),
             Err(Error::Protocol(_))
         ));
+    }
+
+    /// Yields the scripted chunks in order, then times out forever — a
+    /// socket with a read timeout whose peer stalled.
+    struct Stalling(std::collections::VecDeque<Vec<u8>>);
+
+    impl Read for Stalling {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let Some(chunk) = self.0.pop_front() else {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            };
+            buf[..chunk.len()].copy_from_slice(&chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    #[test]
+    fn read_timeout_is_retryable_only_at_a_frame_boundary() {
+        let mut frame = Vec::new();
+        write_request(&mut frame, &Request::Heartbeat).unwrap();
+        // Nothing consumed yet: a tick, the caller may retry.
+        let mut idle = Stalling([].into());
+        assert!(matches!(
+            read_frame(&mut idle, MAX_FRAME_BYTES),
+            Err(Error::TransientIo(_))
+        ));
+        // Two length bytes consumed, then a stall: a retry would start
+        // parsing at byte 2, so the error must not be retryable.
+        let mut mid_prefix = Stalling([frame[..2].to_vec()].into());
+        assert!(matches!(
+            read_frame(&mut mid_prefix, MAX_FRAME_BYTES),
+            Err(Error::Protocol(_))
+        ));
+        // Likewise with the whole prefix read and the body outstanding.
+        let mut mid_body = Stalling([frame[..4].to_vec()].into());
+        assert!(matches!(
+            read_frame(&mut mid_body, MAX_FRAME_BYTES),
+            Err(Error::Protocol(_))
+        ));
+        // A frame that arrives in pieces without a stall still parses.
+        let pieces = [&frame[..2], &frame[2..4], &frame[4..]].map(<[u8]>::to_vec);
+        let mut pieces = Stalling(pieces.into());
+        let (op, body) = read_frame(&mut pieces, MAX_FRAME_BYTES).unwrap().unwrap();
+        assert_eq!(Request::decode(op, &body).unwrap(), Request::Heartbeat);
     }
 
     #[test]

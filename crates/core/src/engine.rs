@@ -13,10 +13,7 @@ use ingot_common::{
     Result, Row, Schema, SessionId, SimClock, Snapshot, StmtHash, TableId, TxnId, Value,
     WalFsyncMode,
 };
-use ingot_executor::{
-    dml::insert_one, execute_plan_snapshot, execute_plan_traced_snapshot, execute_statement_ctx,
-    execute_statement_traced_ctx, DmlCtx, DmlObserver,
-};
+use ingot_executor::{dml::insert_one, execute, DmlObserver, ExecCtx};
 use ingot_planner::{
     normalize_template, optimize, BindArtifacts, Binder, BoundStatement, CachedPlan,
     OptimizerOptions, PlanCache, PlanCacheStats, PlannedStatement,
@@ -27,8 +24,8 @@ use ingot_storage::{
     WalRecord, WalStats,
 };
 use ingot_trace::{
-    render_operator_tree, MetricKind, MetricsSnapshot, Sample, Stage, TraceBuilder, TraceConfig,
-    Tracer,
+    render_operator_tree, MetricKind, MetricsSnapshot, OperatorSpan, Sample, Stage, TraceBuilder,
+    TraceConfig, Tracer,
 };
 use ingot_txn::{AbortCause, LockManager, LockMode, Resource, TxnManager};
 use parking_lot::Mutex;
@@ -314,8 +311,7 @@ impl Engine {
                 wall,
                 &TraceConfig {
                     enabled: config.trace_enabled,
-                    statement_capacity: config.trace_statement_capacity,
-                    trace_capacity: config.trace_ring_capacity,
+                    ..TraceConfig::default()
                 },
             ))
         });
@@ -1274,7 +1270,28 @@ struct WalDmlObserver<'a> {
     txn: TxnId,
 }
 
-impl WalDmlObserver<'_> {
+impl<'a> WalDmlObserver<'a> {
+    /// The execution context of one session statement: versions marked with
+    /// the observed transaction, row locks taken in its name, every mutation
+    /// reported back here. Auto-commit statements retarget superseded rows,
+    /// explicit transactions fail them with a write conflict
+    /// (first-committer-wins).
+    fn exec_ctx(
+        &'a self,
+        snap: Snapshot,
+        auto: bool,
+        trace: Option<MonotonicClock>,
+    ) -> ExecCtx<'a> {
+        ExecCtx {
+            snap,
+            write: WriteAs::Txn(self.txn),
+            locks: Some((&self.engine.locks, self.txn)),
+            retarget: auto,
+            observer: self,
+            trace,
+        }
+    }
+
     fn table_name(&self, table: TableId) -> Result<String> {
         Ok(self.catalog.table(table)?.meta.name.clone())
     }
@@ -1351,6 +1368,44 @@ impl DmlObserver for WalDmlObserver<'_> {
         })?;
         Ok(())
     }
+}
+
+/// The two per-statement observers every step of the statement path feeds:
+/// the monitor's sensor record and, while runtime tracing is on, the stage /
+/// operator span builder. Either may be absent; the helpers are no-ops then.
+struct Probes {
+    sensor: Option<StatementSensor>,
+    trace: Option<TraceBuilder>,
+}
+
+impl Probes {
+    /// Charge monitoring bookkeeping time to the statement's `monitor_ns`.
+    fn add_self_time(&mut self, ns: u64) {
+        if let Some(s) = self.sensor.as_mut() {
+            s.add_self_time(ns);
+        }
+    }
+
+    /// Record a completed pipeline stage.
+    fn stage(&mut self, stage: Stage, elapsed_ns: u64) {
+        if let Some(tb) = self.trace.as_mut() {
+            tb.stage(stage, elapsed_ns);
+        }
+    }
+}
+
+/// What [`Session::run_planned`] does differently per path: the two facts
+/// about where its plan came from.
+#[derive(Default)]
+struct PlanOrigin {
+    /// `(opt_ns, opt_io)` when the plan was just optimized. `None` for a plan
+    /// probed out of the cache: the optimizer cost this statement nothing,
+    /// and the schema epoch is re-verified under the execution snapshot.
+    optimized: Option<(u64, u64)>,
+    /// `EXPLAIN ANALYZE`: operator spans are collected whether or not
+    /// tracing is on and rendered as the result, with the waits accrued
+    /// since these session totals (taken before planning).
+    analyze: Option<Vec<WaitTotal>>,
 }
 
 /// A connection to the engine. Statements auto-commit unless an explicit
@@ -1499,13 +1554,8 @@ impl Session {
             catalog: &catalog,
             txn,
         };
-        let ctx = DmlCtx {
-            snap: Snapshot::latest(),
-            write: WriteAs::Txn(txn),
-            locks: Some((&engine.locks, txn)),
-            retarget: auto,
-        };
-        let result = insert_one(&catalog, id, row, &ctx, &observer);
+        let ctx = observer.exec_ctx(Snapshot::latest(), auto, None);
+        let result = insert_one(&catalog, id, row, &ctx);
         drop(catalog);
         if auto {
             let fin = self.finish_auto_txn(txn, result.as_ref().err());
@@ -1516,15 +1566,17 @@ impl Session {
 
     fn execute_with_params(&self, sql: &str, params: &[Value]) -> Result<StatementResult> {
         let engine = &*self.engine;
-        // Query-interface sensor: wall-clock start + text hash.
-        let mut sensor = engine.monitor.as_ref().map(|m| m.begin_statement(sql));
-        // Structured tracing: one atomic load when disabled, a stage/span
-        // builder when enabled.
-        let mut trace = engine
-            .tracer
-            .as_ref()
-            .filter(|t| t.enabled())
-            .map(|_| TraceBuilder::new(engine.wall));
+        let mut probes = Probes {
+            // Query-interface sensor: wall-clock start + text hash.
+            sensor: engine.monitor.as_ref().map(|m| m.begin_statement(sql)),
+            // Structured tracing: one atomic load when disabled, a
+            // stage/span builder when enabled.
+            trace: engine
+                .tracer
+                .as_ref()
+                .filter(|t| t.enabled())
+                .map(|_| TraceBuilder::new(engine.wall)),
+        };
         let start_ns = engine.wall.now_nanos();
         let io_before = engine.io_stats();
 
@@ -1549,7 +1601,7 @@ impl Session {
             _ => None,
         };
 
-        let outcome = self.execute_inner(sql, params, &mut sensor, &mut trace);
+        let outcome = self.execute_inner(sql, params, &mut probes);
         engine.statements_executed.fetch_add(1, Ordering::Relaxed);
 
         if let Some(slot) = &self.ash {
@@ -1575,14 +1627,12 @@ impl Session {
                 // Hand the finished trace to the tracer before the monitor
                 // records: the tracer's bookkeeping time lands in this
                 // statement's monitor_ns (Fig 5 stays honest).
-                if let (Some(tracer), Some(tb)) = (&engine.tracer, trace.take()) {
+                if let (Some(tracer), Some(tb)) = (&engine.tracer, probes.trace.take()) {
                     let dt =
                         tracer.record_statement(tb.finish(StmtHash::of(sql), result.wallclock_ns));
-                    if let Some(s) = sensor.as_mut() {
-                        s.add_self_time(dt);
-                    }
+                    probes.add_self_time(dt);
                 }
-                if let (Some(monitor), Some(mut s)) = (&engine.monitor, sensor.take()) {
+                if let (Some(monitor), Some(mut s)) = (&engine.monitor, probes.sensor.take()) {
                     monitor.executed(&mut s, result.actual_cost.cpu as u64, io_delta.total());
                     monitor.record(s, engine.sim_clock.now_secs());
                     // Periodic statistics sampling from within the engine.
@@ -1611,8 +1661,7 @@ impl Session {
         &self,
         sql: &str,
         params: &[Value],
-        sensor: &mut Option<StatementSensor>,
-        trace: &mut Option<TraceBuilder>,
+        probes: &mut Probes,
     ) -> Result<StatementResult> {
         let engine = &*self.engine;
         // Plan-cache probe *before* parsing: a hit executes the memoized
@@ -1623,18 +1672,14 @@ impl Session {
             let template = normalize_template(sql);
             let epoch = engine.catalog.read().epoch();
             let cached = engine.plan_cache.probe(&template, epoch);
-            if let Some(s) = sensor.as_mut() {
-                s.add_self_time(engine.wall.now_nanos() - t0);
-            }
+            probes.add_self_time(engine.wall.now_nanos() - t0);
             if let Some(cached) = cached {
-                return self.run_cached(sql, &cached, params, sensor, trace);
+                return self.run_planned(sql, &cached, params, PlanOrigin::default(), probes);
             }
         }
         let parse_t0 = self.engine.wall.now_nanos();
         let stmt = parse_statement(sql)?;
-        if let Some(tb) = trace.as_mut() {
-            tb.stage(Stage::Parse, self.engine.wall.now_nanos() - parse_t0);
-        }
+        probes.stage(Stage::Parse, self.engine.wall.now_nanos() - parse_t0);
         // Every declared marker needs a bound value (the textual path binds
         // none, so a raw `$1` fails up front instead of deep in execution).
         let expected = param_count(&stmt);
@@ -1660,7 +1705,7 @@ impl Session {
             Statement::Explain {
                 analyze: true,
                 inner,
-            } => self.run_explain_analyze(sql, &inner, sensor, trace),
+            } => self.run_explain_analyze(sql, &inner, params, probes),
             Statement::CreateTable {
                 name,
                 columns,
@@ -1723,7 +1768,7 @@ impl Session {
                 }
             }
             Statement::Set { name, value } => self.set_option(&name, &value),
-            dml => self.run_dml(sql, &dml, params, sensor, trace),
+            dml => self.run_fresh(sql, &dml, params, probes),
         };
         if invalidates_plans && result.is_ok() {
             // Schema changes are redone from the log on recovery, so the
@@ -1938,160 +1983,136 @@ impl Session {
         *snap.get_or_insert_with(|| self.engine.txns.snapshot(txn))
     }
 
-    /// Bind and optimize a statement under the catalog read lock, feeding the
-    /// parse/optimizer sensors and the Bind/Optimize stage spans. Also charges
-    /// optimizer-side page reads (e.g. what-if probes into virtual indexes) to
-    /// the statement's `opt_io`. Returns the bind artifacts and the schema
-    /// epoch of the snapshot the plan was optimized under, so the caller can
-    /// memoize the plan in the shared cache.
+    /// Bind and optimize a statement under the catalog read lock, stamping
+    /// the Bind/Optimize stage spans. Returns the plan in its cacheable form
+    /// (template, bind artifacts, lock footprint, the schema epoch of the
+    /// snapshot it was optimized under) plus what the optimizer cost:
+    /// planning time and the pages read on its behalf (catalog statistics,
+    /// what-if probes into virtual indexes — the statement's `opt_io`).
     fn bind_and_optimize(
         &self,
         stmt: &Statement,
-        sensor: &mut Option<StatementSensor>,
-        trace: &mut Option<TraceBuilder>,
-    ) -> Result<(BoundStatement, PlannedStatement, BindArtifacts, u64)> {
+        param_count: usize,
+        probes: &mut Probes,
+    ) -> Result<(Arc<CachedPlan>, (u64, u64))> {
         let engine = &*self.engine;
         let catalog = engine.catalog.read();
 
         let bind_t0 = engine.wall.now_nanos();
         let (bound, artifacts) = Binder::new(&catalog).bind(stmt)?;
-        if let Some(tb) = trace.as_mut() {
-            tb.stage(Stage::Bind, engine.wall.now_nanos() - bind_t0);
-        }
-        if let (Some(monitor), Some(s)) = (&engine.monitor, sensor.as_mut()) {
-            let t0 = engine.wall.now_nanos();
-            let (tables, attributes) = snapshot_details(&catalog, &artifacts);
-            s.add_self_time(engine.wall.now_nanos() - t0);
-            monitor.parsed(s, tables, attributes);
-        }
+        probes.stage(Stage::Bind, engine.wall.now_nanos() - bind_t0);
 
         let io_before = engine.io_stats().total();
         let t0 = engine.wall.now_nanos();
         let planned = optimize(&catalog, &bound, OptimizerOptions::default())?;
         let opt_ns = engine.wall.now_nanos() - t0;
         let opt_io = engine.io_stats().total().saturating_sub(io_before);
-        if let Some(tb) = trace.as_mut() {
-            tb.stage(Stage::Optimize, opt_ns);
-        }
-        if let (Some(monitor), Some(s)) = (&engine.monitor, sensor.as_mut()) {
-            let used = planned
-                .used_indexes()
-                .iter()
-                .filter_map(|id| {
-                    catalog.index(*id).ok().map(|e| IndexDetail {
-                        id: *id,
-                        name: e.meta.name.clone(),
-                        table: e.meta.table,
-                        pages: e.pages(),
-                    })
-                })
-                .collect();
-            monitor.optimized(s, planned.estimated_cost(), used, opt_ns, opt_io);
-        }
-        Ok((bound, planned, artifacts, catalog.epoch()))
+        probes.stage(Stage::Optimize, opt_ns);
+        let plan = CachedPlan {
+            planned,
+            artifacts,
+            lock_spec: lock_spec(&bound),
+            epoch: catalog.epoch(),
+            param_count,
+        };
+        Ok((Arc::new(plan), (opt_ns, opt_io)))
     }
 
-    fn run_dml(
+    /// Plan-cache miss: bind, optimize and memoize the template, then run it
+    /// through the shared tail.
+    fn run_fresh(
         &self,
         sql: &str,
         stmt: &Statement,
         params: &[Value],
-        sensor: &mut Option<StatementSensor>,
-        trace: &mut Option<TraceBuilder>,
+        probes: &mut Probes,
     ) -> Result<StatementResult> {
         let engine = &*self.engine;
-        let (bound, planned, artifacts, epoch) = self.bind_and_optimize(stmt, sensor, trace)?;
-        let lock_spec = lock_spec(&bound);
-
+        let (plan, optimized) = self.bind_and_optimize(stmt, params.len(), probes)?;
         // Memoize the optimized template *before* parameter substitution so
         // the cached plan stays reusable for any future binding. Everything
-        // reaching run_dml is cacheable: DDL, SET and EXPLAIN dispatch
+        // reaching run_fresh is cacheable: DDL, SET and EXPLAIN dispatch
         // elsewhere, and execution plans never use virtual indexes.
         if engine.plan_cache.capacity() > 0 {
             let t0 = engine.wall.now_nanos();
-            engine.plan_cache.insert(
-                normalize_template(sql),
-                CachedPlan {
-                    planned: planned.clone(),
-                    artifacts,
-                    lock_spec: lock_spec.clone(),
-                    epoch,
-                    param_count: params.len(),
-                },
-            );
-            if let Some(s) = sensor.as_mut() {
-                s.add_self_time(engine.wall.now_nanos() - t0);
-            }
+            engine
+                .plan_cache
+                .insert(normalize_template(sql), Arc::clone(&plan));
+            probes.add_self_time(engine.wall.now_nanos() - t0);
         }
-        let planned = if params.is_empty() {
-            planned
-        } else {
-            planned.substitute_params(params)?
+        let origin = PlanOrigin {
+            optimized: Some(optimized),
+            analyze: None,
         };
-
-        // ---- lock acquisition ----
-        let (txn, auto) = self.current_txn();
-        if let Err(e) = self.acquire_locks(txn, &lock_spec) {
-            if auto {
-                self.abort_auto_txn(txn, &e);
-            }
-            return Err(e);
-        }
-
-        // ---- execute + execution sensor + operator spans ----
-        //
-        // Execution runs against a snapshot taken *after* lock acquisition:
-        // the schema of every locked table is stable (DDL takes the same
-        // table locks), so the statement sees current indexes and structure
-        // without ever holding an engine-wide lock. Other sessions execute
-        // concurrently against their own snapshots.
-        let exec_t0 = engine.wall.now_nanos();
-        let catalog = engine.catalog.read();
-        let exec_result = self.execute_planned(&catalog, &planned, txn, auto, trace);
-        drop(catalog);
-        if let Some(tb) = trace.as_mut() {
-            tb.stage(Stage::Execute, engine.wall.now_nanos() - exec_t0);
-        }
-        if auto {
-            let fin = self.finish_auto_txn(txn, exec_result.as_ref().err());
-            return exec_result.and_then(|r| fin.map(|()| r));
-        }
-        exec_result
+        self.run_planned(sql, &plan, params, origin, probes)
     }
 
-    /// Execute a plan-cache hit: substitute the bound values into the cached
-    /// template, lock its recorded footprint, and re-verify the schema epoch
-    /// under the execution snapshot. A mismatch (DDL raced in between probe
-    /// and locks) falls back to the full parse/bind/optimize path — a stale
-    /// plan is never executed.
-    fn run_cached(
+    /// `EXPLAIN ANALYZE <stmt>`: plan the inner statement (never memoized)
+    /// and run it through the shared tail, which collects operator spans
+    /// regardless of runtime tracing and renders them in place of the
+    /// statement's own rows.
+    fn run_explain_analyze(
         &self,
         sql: &str,
-        cached: &CachedPlan,
+        inner: &Statement,
         params: &[Value],
-        sensor: &mut Option<StatementSensor>,
-        trace: &mut Option<TraceBuilder>,
+        probes: &mut Probes,
+    ) -> Result<StatementResult> {
+        if matches!(inner, Statement::Explain { .. }) {
+            return Err(Error::parse("EXPLAIN cannot be nested"));
+        }
+        // Wait baseline: everything this statement loses from here on —
+        // lock acquisition included — shows up in the "Waits:" line.
+        let waits_before = self.wait_totals();
+        let (plan, optimized) = self.bind_and_optimize(inner, params.len(), probes)?;
+        let origin = PlanOrigin {
+            optimized: Some(optimized),
+            analyze: Some(waits_before),
+        };
+        self.run_planned(sql, &plan, params, origin, probes)
+    }
+
+    /// The one tail every planned statement runs through — cache hit, miss
+    /// or `EXPLAIN ANALYZE`: substitute the bound values, lock the recorded
+    /// footprint, snapshot the catalog, feed the monitor's parse/optimize
+    /// sensors from the bind artifacts, execute, stamp `Stage::Execute` and
+    /// finish the auto-commit transaction.
+    ///
+    /// The catalog snapshot is taken *after* lock acquisition: the schema of
+    /// every locked table is stable (DDL takes the same table locks), so the
+    /// statement sees current indexes and structure without ever holding an
+    /// engine-wide lock. A cached plan re-verifies its schema epoch under
+    /// that snapshot; on a mismatch (DDL raced in between probe and locks)
+    /// it falls back to the full parse path — a stale plan never executes.
+    fn run_planned(
+        &self,
+        sql: &str,
+        plan: &CachedPlan,
+        params: &[Value],
+        origin: PlanOrigin,
+        probes: &mut Probes,
     ) -> Result<StatementResult> {
         let engine = &*self.engine;
-        if params.len() != cached.param_count {
-            return Err(Error::param_arity(cached.param_count, params.len()));
+        if params.len() != plan.param_count {
+            return Err(Error::param_arity(plan.param_count, params.len()));
         }
+        let substituted;
         let planned = if params.is_empty() {
-            cached.planned.clone()
+            &plan.planned
         } else {
-            cached.planned.substitute_params(params)?
+            substituted = plan.planned.substitute_params(params)?;
+            &substituted
         };
 
         let (txn, auto) = self.current_txn();
-        if let Err(e) = self.acquire_locks(txn, &cached.lock_spec) {
+        if let Err(e) = self.acquire_locks(txn, &plan.lock_spec) {
             if auto {
                 self.abort_auto_txn(txn, &e);
             }
             return Err(e);
         }
-        let exec_t0 = engine.wall.now_nanos();
         let catalog = engine.catalog.read();
-        if catalog.epoch() != cached.epoch {
+        if origin.optimized.is_none() && catalog.epoch() != plan.epoch {
             // The schema moved after the probe; nothing ran yet, so release
             // the speculative locks (auto-commit scope) and replan fresh.
             // The next probe of this template drops the stale entry.
@@ -2100,14 +2121,15 @@ impl Session {
                 self.finish_auto_txn(txn, None)?;
             }
             let stmt = parse_statement(sql)?;
-            return self.run_dml(sql, &stmt, params, sensor, trace);
+            return self.run_fresh(sql, &stmt, params, probes);
         }
 
-        // The parse/optimize stages were skipped; feed the monitor from the
-        // cached artifacts so the statement record stays complete.
-        if let (Some(monitor), Some(s)) = (&engine.monitor, sensor.as_mut()) {
+        // Parse and optimizer sensors, fed once per statement from the bind
+        // artifacts under the already-held catalog guard; a cache hit spent
+        // nothing in the optimizer.
+        if let (Some(monitor), Some(s)) = (&engine.monitor, probes.sensor.as_mut()) {
             let t0 = engine.wall.now_nanos();
-            let (tables, attributes) = snapshot_details(&catalog, &cached.artifacts);
+            let (tables, attributes) = snapshot_details(&catalog, &plan.artifacts);
             s.add_self_time(engine.wall.now_nanos() - t0);
             monitor.parsed(s, tables, attributes);
             let used = planned
@@ -2122,207 +2144,108 @@ impl Session {
                     })
                 })
                 .collect();
-            monitor.optimized(s, planned.estimated_cost(), used, 0, 0);
+            let (opt_ns, opt_io) = origin.optimized.unwrap_or((0, 0));
+            monitor.optimized(s, planned.estimated_cost(), used, opt_ns, opt_io);
         }
 
-        let exec_result = self.execute_planned(&catalog, &planned, txn, auto, trace);
-        drop(catalog);
-        if let Some(tb) = trace.as_mut() {
-            tb.stage(Stage::Execute, engine.wall.now_nanos() - exec_t0);
-        }
-        if auto {
-            let fin = self.finish_auto_txn(txn, exec_result.as_ref().err());
-            return exec_result.and_then(|r| fin.map(|()| r));
-        }
-        exec_result
-    }
-
-    /// The shared execution tail of the fresh and cached plan paths: run the
-    /// (fully substituted) plan against `catalog` under the statement's MVCC
-    /// snapshot, collecting operator spans when tracing. DML versions are
-    /// marked with `txn` and observed by its WAL/undo recorder; auto-commit
-    /// statements retarget superseded rows, explicit transactions fail them
-    /// with a write conflict (first-committer-wins).
-    fn execute_planned(
-        &self,
-        catalog: &Catalog,
-        planned: &PlannedStatement,
-        txn: TxnId,
-        auto: bool,
-        trace: &mut Option<TraceBuilder>,
-    ) -> Result<StatementResult> {
-        let engine = &*self.engine;
-        let snap = self.statement_snapshot(txn, auto);
-        match planned {
-            PlannedStatement::Query(q) => {
-                let traced = if let Some(tb) = trace.as_mut() {
-                    execute_plan_traced_snapshot(catalog, &q.root, engine.wall, &snap).map(
-                        |(r, spans)| {
-                            tb.set_ops(spans);
-                            r
-                        },
-                    )
-                } else {
-                    execute_plan_snapshot(catalog, &q.root, &snap)
-                };
-                traced.map(|r| StatementResult {
-                    columns: q.output_names.clone(),
-                    est_cost: q.est,
-                    actual_cost: Cost::cpu(r.tuples as f64),
-                    rows: r.rows,
-                    ..Default::default()
-                })
-            }
-            dml => {
-                let observer = WalDmlObserver {
-                    engine,
-                    catalog,
-                    txn,
-                };
-                let ctx = DmlCtx {
-                    snap,
-                    write: WriteAs::Txn(txn),
-                    locks: Some((&engine.locks, txn)),
-                    retarget: auto,
-                };
-                let traced = if let Some(tb) = trace.as_mut() {
-                    execute_statement_traced_ctx(catalog, dml, engine.wall, &ctx, &observer).map(
-                        |(o, spans)| {
-                            tb.set_ops(spans);
-                            o
-                        },
-                    )
-                } else {
-                    execute_statement_ctx(catalog, dml, &ctx, &observer)
-                };
-                traced.map(|o| StatementResult {
-                    rows: o.rows,
-                    columns: Vec::new(),
-                    affected: o.affected,
-                    est_cost: planned.estimated_cost(),
-                    actual_cost: Cost::cpu(o.tuples as f64),
-                    ..Default::default()
-                })
-            }
-        }
-    }
-
-    /// `EXPLAIN ANALYZE <stmt>`: execute the statement with per-operator span
-    /// collection and render the annotated operator tree. The spans also feed
-    /// the tracer's aggregates (keyed by the *outer* statement text, so they
-    /// join against `ima$statements`), even when runtime tracing is off.
-    fn run_explain_analyze(
-        &self,
-        sql: &str,
-        inner: &Statement,
-        sensor: &mut Option<StatementSensor>,
-        trace: &mut Option<TraceBuilder>,
-    ) -> Result<StatementResult> {
-        if matches!(inner, Statement::Explain { .. }) {
-            return Err(Error::parse("EXPLAIN cannot be nested"));
-        }
-        let engine = &*self.engine;
-        // Wait baseline: everything this statement loses from here on —
-        // lock acquisition included — shows up as the "Waits:" line below.
-        let wait_snap0 = self.ash.as_ref().map(|s| s.waits().counters().snapshot());
-        let (bound, planned, _, _) = self.bind_and_optimize(inner, sensor, trace)?;
-
-        let (txn, auto) = self.current_txn();
-        if let Err(e) = self.acquire_locks(txn, &lock_spec(&bound)) {
-            if auto {
-                self.abort_auto_txn(txn, &e);
-            }
-            return Err(e);
-        }
-
-        let exec_t0 = engine.wall.now_nanos();
-        // Same discipline as `run_dml`: snapshot after locks, no engine lock
-        // held across execution. EXPLAIN ANALYZE executes DML for real, so
-        // its mutations are WAL-observed like any other statement.
-        let catalog = engine.catalog.read();
-        let snap = self.statement_snapshot(txn, auto);
-        let exec_result = match &planned {
-            PlannedStatement::Query(q) => {
-                execute_plan_traced_snapshot(&catalog, &q.root, engine.wall, &snap)
-                    .map(|(r, spans)| (r.tuples, 0u64, spans))
-            }
-            dml => {
-                let observer = WalDmlObserver {
-                    engine,
-                    catalog: &catalog,
-                    txn,
-                };
-                let ctx = DmlCtx {
-                    snap,
-                    write: WriteAs::Txn(txn),
-                    locks: Some((&engine.locks, txn)),
-                    retarget: auto,
-                };
-                execute_statement_traced_ctx(&catalog, dml, engine.wall, &ctx, &observer)
-                    .map(|(o, spans)| (o.tuples, o.affected, spans))
-            }
+        // DML versions are marked with `txn` and observed by its WAL/undo
+        // recorder; EXPLAIN ANALYZE executes DML for real, so its mutations
+        // are observed like any other statement's.
+        let observer = WalDmlObserver {
+            engine,
+            catalog: &catalog,
+            txn,
         };
+        let ctx = observer.exec_ctx(
+            self.statement_snapshot(txn, auto),
+            auto,
+            (origin.analyze.is_some() || probes.trace.is_some()).then_some(engine.wall),
+        );
+        let exec_t0 = engine.wall.now_nanos();
+        let exec_result = execute(&catalog, planned, &ctx);
+        let exec_ns = engine.wall.now_nanos() - exec_t0;
         drop(catalog);
-        if let Some(tb) = trace.as_mut() {
-            tb.stage(Stage::Execute, engine.wall.now_nanos() - exec_t0);
-        }
-        if auto {
+        probes.stage(Stage::Execute, exec_ns);
+        let exec_result = if auto {
             let fin = self.finish_auto_txn(txn, exec_result.as_ref().err());
-            if exec_result.is_ok() {
-                fin?;
-            }
-        }
-        let (tuples, affected, spans) = exec_result?;
+            exec_result.and_then(|r| fin.map(|()| r))
+        } else {
+            exec_result
+        };
+        let (outcome, spans) = exec_result?;
 
-        // Feed the aggregates. With tracing on, the spans ride the statement
-        // trace recorded by `execute`; otherwise merge them directly.
-        let hash = StmtHash::of(sql);
-        if let Some(tb) = trace.as_mut() {
-            tb.set_ops(spans.clone());
-        } else if let Some(tracer) = &engine.tracer {
-            let dt = tracer.record_operators(hash, &spans);
-            if let Some(s) = sensor.as_mut() {
-                s.add_self_time(dt);
+        let mut result = StatementResult {
+            rows: outcome.rows,
+            affected: outcome.affected,
+            est_cost: planned.estimated_cost(),
+            actual_cost: Cost::cpu(outcome.tuples as f64),
+            ..Default::default()
+        };
+        if let Some(waits_before) = origin.analyze {
+            let text = self.render_analysis(
+                &spans,
+                outcome.tuples,
+                outcome.affected,
+                exec_ns,
+                &waits_before,
+            );
+            result.rows = text
+                .lines()
+                .map(|l| Row::new(vec![Value::Str(l.to_owned())]))
+                .collect();
+            result.columns = vec!["query plan".to_owned()];
+            // With tracing on, the spans ride the statement trace recorded
+            // by `execute_with_params`; otherwise merge them into the
+            // aggregates directly (keyed by the *outer* statement text, so
+            // they join against `ima$statements`).
+            if let (None, Some(tracer)) = (&probes.trace, &engine.tracer) {
+                let dt = tracer.record_operators(StmtHash::of(sql), &spans);
+                probes.add_self_time(dt);
             }
+        } else if let PlannedStatement::Query(q) = planned {
+            result.columns = q.output_names.clone();
         }
+        if let Some(tb) = probes.trace.as_mut() {
+            tb.set_ops(spans);
+        }
+        Ok(result)
+    }
 
-        let mut text = render_operator_tree(&spans);
+    /// The `EXPLAIN ANALYZE` text: the annotated operator tree, the
+    /// execution summary and — when the wait subsystem is on and the
+    /// statement lost any time — the per-event wait breakdown.
+    fn render_analysis(
+        &self,
+        spans: &[OperatorSpan],
+        tuples: u64,
+        affected: u64,
+        exec_ns: u64,
+        waits_before: &[WaitTotal],
+    ) -> String {
+        let mut text = render_operator_tree(spans);
         text.push_str(&format!(
             "Execution: {} tuple(s) processed, {} row(s) affected, {:.3} ms\n",
             tuples,
             affected,
-            (engine.wall.now_nanos() - exec_t0) as f64 / 1e6
+            exec_ns as f64 / 1e6
         ));
-        if let (Some(slot), Some(before)) = (&self.ash, wait_snap0) {
-            let after = slot.waits().counters().snapshot();
-            let mut parts = Vec::new();
-            let mut total_ns = 0u64;
-            for (b, a) in before.iter().zip(after.iter()) {
-                let dns = a.total_ns.saturating_sub(b.total_ns);
-                if dns > 0 {
-                    total_ns = total_ns.saturating_add(dns);
-                    parts.push(format!("{} {:.3} ms", a.event, dns as f64 / 1e6));
-                }
-            }
-            if total_ns > 0 {
-                text.push_str(&format!(
-                    "Waits: {:.3} ms total ({})\n",
-                    total_ns as f64 / 1e6,
-                    parts.join(", ")
-                ));
+        let mut parts = Vec::new();
+        let mut total_ns = 0u64;
+        for (b, a) in waits_before.iter().zip(self.wait_totals()) {
+            let dns = a.total_ns.saturating_sub(b.total_ns);
+            if dns > 0 {
+                total_ns = total_ns.saturating_add(dns);
+                parts.push(format!("{} {:.3} ms", a.event, dns as f64 / 1e6));
             }
         }
-        Ok(StatementResult {
-            rows: text
-                .lines()
-                .map(|l| Row::new(vec![Value::Str(l.to_owned())]))
-                .collect(),
-            columns: vec!["query plan".to_owned()],
-            est_cost: planned.estimated_cost(),
-            actual_cost: Cost::cpu(tuples as f64),
-            affected,
-            ..Default::default()
-        })
+        if total_ns > 0 {
+            text.push_str(&format!(
+                "Waits: {:.3} ms total ({})\n",
+                total_ns as f64 / 1e6,
+                parts.join(", ")
+            ));
+        }
+        text
     }
 
     fn acquire_locks(&self, txn: TxnId, spec: &[(TableId, bool)]) -> Result<()> {
@@ -2338,27 +2261,24 @@ impl Session {
     }
 }
 
-/// The table-lock footprint of a bound statement: `(table, exclusive)` in
-/// deterministic order (prevents intra-statement lock-order cycles). Stored
-/// verbatim in cached plans so a hit locks exactly what a fresh plan would.
+/// The table-lock footprint of a bound statement, `(table, exclusive)`.
+/// Stored verbatim in cached plans so a hit locks exactly what a fresh plan
+/// would.
 ///
 /// Under row-level MVCC (PR 8) this footprint is deliberately thin: queries
 /// take *no* locks at all (they read a registered snapshot), and DML takes
-/// only a table-**shared** lock — a DDL fence, compatible with every other
-/// reader and writer. Actual write-write isolation comes from the
-/// row-exclusive chain-root locks the executor takes per target row; table
-/// exclusive locks remain the preserve of DDL
+/// only a table-**shared** lock on its one target — a DDL fence, compatible
+/// with every other reader and writer. Actual write-write isolation comes
+/// from the row-exclusive chain-root locks the executor takes per target
+/// row; table exclusive locks remain the preserve of DDL
 /// ([`Session::with_table_lock_by_name`]).
 fn lock_spec(bound: &BoundStatement) -> Vec<(TableId, bool)> {
-    let mut wanted: Vec<(TableId, bool)> = match bound {
+    match bound {
         BoundStatement::Select(_) => Vec::new(),
         BoundStatement::Insert { table, .. }
         | BoundStatement::Update { table, .. }
         | BoundStatement::Delete { table, .. } => vec![(*table, false)],
-    };
-    wanted.sort_by_key(|(t, _)| *t);
-    wanted.dedup_by_key(|(t, _)| *t);
-    wanted
+    }
 }
 
 /// A prepared statement: the text is validated once by [`Session::prepare`],

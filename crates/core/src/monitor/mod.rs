@@ -141,6 +141,13 @@ pub struct MonitorHealth {
     pub statistics_total: u64,
 }
 
+/// Ring-buffer capacity of the per-execution `workload` IMA table.
+const WORKLOAD_CAPACITY: usize = 4096;
+/// Ring-buffer capacity of the `references` IMA table.
+const REFERENCE_CAPACITY: usize = 8192;
+/// Ring-buffer capacity of the `statistics` IMA table (system samples).
+const STATISTICS_CAPACITY: usize = 4096;
+
 /// The monitor. One per engine instance (when enabled).
 pub struct Monitor {
     clock: MonotonicClock,
@@ -163,12 +170,12 @@ impl Monitor {
             state: Mutex::new(MonitorState {
                 statements: HashMap::with_capacity(config.monitor_statement_capacity.min(4096)),
                 statement_order: VecDeque::new(),
-                workload: RingBuffer::new(config.monitor_workload_capacity),
-                references: RingBuffer::new(config.monitor_reference_capacity),
+                workload: RingBuffer::new(WORKLOAD_CAPACITY),
+                references: RingBuffer::new(REFERENCE_CAPACITY),
                 tables: HashMap::new(),
                 indexes: HashMap::new(),
                 attributes: HashMap::new(),
-                statistics: RingBuffer::new(config.monitor_statistics_capacity),
+                statistics: RingBuffer::new(STATISTICS_CAPACITY),
                 statement_evictions: 0,
             }),
             self_time_ns: AtomicU64::new(0),

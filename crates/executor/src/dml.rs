@@ -9,7 +9,7 @@
 //! snapshot, then each target's version chain is locked at its *root* (a
 //! row-exclusive lock — writers never lock the table exclusively) and the
 //! write applies to the chain head. When the head moved past the snapshot,
-//! [`DmlCtx::retarget`] decides between first-committer-wins abort (explicit
+//! [`ExecCtx::retarget`] decides between first-committer-wins abort (explicit
 //! transactions) and re-evaluating the statement against the new head
 //! (auto-commit, which preserves the no-lost-updates behaviour of the old
 //! table-lock protocol).
@@ -23,7 +23,7 @@ use ingot_storage::RowId;
 use ingot_trace::OperatorSpan;
 use ingot_txn::{LockManager, LockMode, Resource};
 
-use crate::exec::{execute_plan_snapshot, execute_plan_traced_snapshot, QueryResult};
+use crate::exec::{run_query, QueryResult};
 
 /// The outcome of executing any statement.
 #[derive(Debug, Clone, Default)]
@@ -36,9 +36,10 @@ pub struct ExecOutcome {
     pub tuples: u64,
 }
 
-/// Everything a statement needs to read and write consistently under MVCC.
+/// Everything a statement needs to read, write and be observed consistently
+/// under MVCC — the one context every execution path runs under.
 #[derive(Clone, Copy)]
-pub struct DmlCtx<'a> {
+pub struct ExecCtx<'a> {
     /// The visibility snapshot: queries and DML target resolution read it.
     pub snap: Snapshot,
     /// How new versions are stamped (transaction marker or final timestamp).
@@ -52,17 +53,25 @@ pub struct DmlCtx<'a> {
     /// statement with [`Error::WriteConflict`] (explicit transactions,
     /// first-committer-wins).
     pub retarget: bool,
+    /// Receives every row mutation (the engine's WAL/undo recorder).
+    pub observer: &'a dyn DmlObserver,
+    /// Span collection: with a clock, [`execute`] returns operator spans
+    /// timed on it; with `None` no collector is built and no span allocated.
+    pub trace: Option<MonotonicClock>,
 }
 
-impl DmlCtx<'static> {
-    /// Unlocked, latest-snapshot, committed-at-0 context: the behaviour of
-    /// the pre-MVCC direct write path. Single-threaded callers only.
+impl ExecCtx<'static> {
+    /// Unlocked, latest-snapshot, committed-at-0, unobserved, untraced
+    /// context: the behaviour of the pre-MVCC direct write path.
+    /// Single-threaded callers only.
     pub fn direct() -> Self {
-        DmlCtx {
+        ExecCtx {
             snap: Snapshot::latest(),
             write: WriteAs::Committed(0),
             locks: None,
             retarget: false,
+            observer: &NoopObserver,
+            trace: None,
         }
     }
 }
@@ -141,44 +150,78 @@ impl DmlObserver for NoopObserver {
     }
 }
 
-/// Execute a planned statement in direct mode (see [`DmlCtx::direct`]).
-pub fn execute_statement(catalog: &Catalog, planned: &PlannedStatement) -> Result<ExecOutcome> {
-    execute_statement_ctx(catalog, planned, &DmlCtx::direct(), &NoopObserver)
-}
-
-/// [`execute_statement`] with a [`DmlObserver`] receiving every row mutation.
-pub fn execute_statement_observed(
+/// Execute a planned statement under `ctx`: queries read the context's
+/// snapshot (lock-free), DML locks row chains, stamps versions per the
+/// context's write mode and reports each mutation to its observer.
+///
+/// With `ctx.trace` set, queries return a full per-operator span tree and
+/// writing DML one synthetic span covering the whole statement (the write
+/// paths have no operator tree to decompose); otherwise the span vector is
+/// empty.
+pub fn execute(
     catalog: &Catalog,
     planned: &PlannedStatement,
-    observer: &dyn DmlObserver,
-) -> Result<ExecOutcome> {
-    execute_statement_ctx(catalog, planned, &DmlCtx::direct(), observer)
+    ctx: &ExecCtx<'_>,
+) -> Result<(ExecOutcome, Vec<OperatorSpan>)> {
+    let (op, table) = match planned {
+        PlannedStatement::Query(q) => {
+            let (QueryResult { rows, tuples }, spans) =
+                run_query(catalog, &q.root, &ctx.snap, ctx.trace)?;
+            let outcome = ExecOutcome {
+                rows,
+                affected: 0,
+                tuples,
+            };
+            return Ok((outcome, spans));
+        }
+        PlannedStatement::Insert { table, .. } => ("Insert", *table),
+        PlannedStatement::Update { table, .. } => ("Update", *table),
+        PlannedStatement::Delete { table, .. } => ("Delete", *table),
+    };
+    let Some(clock) = ctx.trace else {
+        return Ok((execute_dml(catalog, planned, ctx)?, Vec::new()));
+    };
+    let detail = match catalog.table(table) {
+        Ok(entry) => format!(" on {}", entry.meta.name),
+        Err(_) => String::new(),
+    };
+    let est = planned.estimated_cost();
+    let io_before = catalog.pool().io_stats().total();
+    let start_ns = clock.now_nanos();
+    let outcome = execute_dml(catalog, planned, ctx)?;
+    let elapsed_ns = clock.now_nanos().saturating_sub(start_ns);
+    let pages = catalog.pool().io_stats().total().saturating_sub(io_before);
+    let span = OperatorSpan {
+        op_id: 0,
+        parent: None,
+        depth: 0,
+        op: op.to_string(),
+        detail,
+        est_rows: est.cpu,
+        est_cost: est.total(),
+        rows_in: 0,
+        rows_out: outcome.affected,
+        tuples: outcome.tuples,
+        pages,
+        elapsed_ns,
+    };
+    Ok((outcome, vec![span]))
 }
 
-/// Execute a planned statement under an explicit [`DmlCtx`]: queries read
-/// the context's snapshot (lock-free), DML locks row chains and stamps
-/// versions per the context's write mode.
-pub fn execute_statement_ctx(
+/// The writing statements: INSERT, UPDATE, DELETE.
+fn execute_dml(
     catalog: &Catalog,
     planned: &PlannedStatement,
-    ctx: &DmlCtx<'_>,
-    observer: &dyn DmlObserver,
+    ctx: &ExecCtx<'_>,
 ) -> Result<ExecOutcome> {
     match planned {
-        PlannedStatement::Query(q) => {
-            let QueryResult { rows, tuples } = execute_plan_snapshot(catalog, &q.root, &ctx.snap)?;
-            Ok(ExecOutcome {
-                affected: 0,
-                tuples: tuples + rows.len() as u64,
-                rows,
-            })
-        }
+        PlannedStatement::Query(_) => Err(Error::execution("execute_dml given a query plan")),
         PlannedStatement::Insert { table, rows, .. } => {
             let mut n = 0u64;
             match rows {
                 InsertRows::Const(rows) => {
                     for row in rows {
-                        insert_one(catalog, *table, row, ctx, observer)?;
+                        insert_one(catalog, *table, row, ctx)?;
                         n += 1;
                     }
                 }
@@ -193,7 +236,7 @@ pub fn execute_statement_ctx(
                             .map(|e| e.eval(&empty))
                             .collect::<Result<_>>()?;
                         let row = schema.check_row(&Row::new(values))?;
-                        insert_one(catalog, *table, &row, ctx, observer)?;
+                        insert_one(catalog, *table, &row, ctx)?;
                         n += 1;
                     }
                 }
@@ -235,7 +278,8 @@ pub fn execute_statement_ctx(
                         VersionChange::Delete { .. } => None,
                     })
                     .unwrap_or(head);
-                observer.on_update(*table, head, new_rid, &head_row, &new_row, &changes)?;
+                ctx.observer
+                    .on_update(*table, head, new_rid, &head_row, &new_row, &changes)?;
                 affected += 1;
             }
             Ok(ExecOutcome {
@@ -255,7 +299,7 @@ pub fn execute_statement_ctx(
                     continue;
                 };
                 let change = catalog.delete_row_v(*table, head, ctx.write)?;
-                observer.on_delete(*table, head, &head_row, &change)?;
+                ctx.observer.on_delete(*table, head, &head_row, &change)?;
                 affected += 1;
             }
             Ok(ExecOutcome {
@@ -267,71 +311,6 @@ pub fn execute_statement_ctx(
     }
 }
 
-/// Execute a planned statement with span collection. Queries get a full
-/// per-operator span tree; writing DML gets one synthetic span covering the
-/// whole statement (the write paths have no operator tree to decompose).
-pub fn execute_statement_traced(
-    catalog: &Catalog,
-    planned: &PlannedStatement,
-    clock: MonotonicClock,
-) -> Result<(ExecOutcome, Vec<OperatorSpan>)> {
-    execute_statement_traced_ctx(catalog, planned, clock, &DmlCtx::direct(), &NoopObserver)
-}
-
-/// [`execute_statement_traced`] under an explicit [`DmlCtx`] with a
-/// [`DmlObserver`] receiving every row mutation.
-pub fn execute_statement_traced_ctx(
-    catalog: &Catalog,
-    planned: &PlannedStatement,
-    clock: MonotonicClock,
-    ctx: &DmlCtx<'_>,
-    observer: &dyn DmlObserver,
-) -> Result<(ExecOutcome, Vec<OperatorSpan>)> {
-    if let PlannedStatement::Query(q) = planned {
-        let (QueryResult { rows, tuples }, spans) =
-            execute_plan_traced_snapshot(catalog, &q.root, clock, &ctx.snap)?;
-        return Ok((
-            ExecOutcome {
-                affected: 0,
-                tuples: tuples + rows.len() as u64,
-                rows,
-            },
-            spans,
-        ));
-    }
-    let (op, table) = match planned {
-        PlannedStatement::Query(_) => unreachable!(),
-        PlannedStatement::Insert { table, .. } => ("Insert", *table),
-        PlannedStatement::Update { table, .. } => ("Update", *table),
-        PlannedStatement::Delete { table, .. } => ("Delete", *table),
-    };
-    let detail = match catalog.table(table) {
-        Ok(entry) => format!(" on {}", entry.meta.name),
-        Err(_) => String::new(),
-    };
-    let est = planned.estimated_cost();
-    let io_before = catalog.pool().io_stats().total();
-    let start_ns = clock.now_nanos();
-    let outcome = execute_statement_ctx(catalog, planned, ctx, observer)?;
-    let elapsed_ns = clock.now_nanos().saturating_sub(start_ns);
-    let pages = catalog.pool().io_stats().total().saturating_sub(io_before);
-    let span = OperatorSpan {
-        op_id: 0,
-        parent: None,
-        depth: 0,
-        op: op.to_string(),
-        detail,
-        est_rows: est.cpu,
-        est_cost: est.total(),
-        rows_in: 0,
-        rows_out: outcome.affected,
-        tuples: outcome.tuples,
-        pages,
-        elapsed_ns,
-    };
-    Ok((outcome, vec![span]))
-}
-
 /// Insert one row through the full MVCC write path: constraint-key row
 /// locks, a versioned catalog insert, and the observer callback. Shared by
 /// the INSERT statement path and the engine's parse-free bulk-load entry.
@@ -339,8 +318,7 @@ pub fn insert_one(
     catalog: &Catalog,
     table: TableId,
     row: &Row,
-    ctx: &DmlCtx<'_>,
-    observer: &dyn DmlObserver,
+    ctx: &ExecCtx<'_>,
 ) -> Result<RowId> {
     let entry = catalog.table(table)?;
     lock_constraint_keys(catalog, entry, table, row, ctx)?;
@@ -348,7 +326,7 @@ pub fn insert_one(
     let VersionChange::Insert { new, .. } = &change else {
         return Err(Error::execution("insert produced a non-insert change"));
     };
-    observer.on_insert(table, *new, row, &change)?;
+    ctx.observer.on_insert(table, *new, row, &change)?;
     Ok(*new)
 }
 
@@ -363,7 +341,7 @@ fn lock_constraint_keys(
     entry: &TableEntry,
     table: TableId,
     row: &Row,
-    ctx: &DmlCtx<'_>,
+    ctx: &ExecCtx<'_>,
 ) -> Result<()> {
     let Some((mgr, txn)) = ctx.locks else {
         return Ok(());
@@ -407,7 +385,7 @@ fn resolve_for_write(
     visible: RowId,
     visible_row: Row,
     filter: Option<&PhysExpr>,
-    ctx: &DmlCtx<'_>,
+    ctx: &ExecCtx<'_>,
 ) -> Result<Option<(RowId, Row)>> {
     let meta = entry.heap.meta(visible)?;
     if let Some((mgr, txn)) = ctx.locks {
@@ -598,7 +576,7 @@ mod tests {
 
     fn exec(c: &mut Catalog, sql: &str) -> ExecOutcome {
         let planned = plan(c, sql);
-        execute_statement(c, &planned).unwrap()
+        execute(c, &planned, &ExecCtx::direct()).unwrap().0
     }
 
     #[test]
@@ -610,8 +588,16 @@ mod tests {
         assert_eq!(out.affected, 1);
         let r = exec(&mut c, "select v from t where id = 2");
         assert_eq!(r.rows[0].get(0), &Value::Int(25));
-        let out = exec(&mut c, "delete from t where v > 20");
+        // Traced, the same write reports one synthetic span and no other
+        // difference in outcome.
+        let traced = ExecCtx {
+            trace: Some(MonotonicClock::new()),
+            ..ExecCtx::direct()
+        };
+        let (out, spans) = execute(&c, &plan(&c, "delete from t where v > 20"), &traced).unwrap();
         assert_eq!(out.affected, 2); // 25 and 30
+        assert_eq!(spans.len(), 1);
+        assert_eq!((spans[0].op.as_str(), spans[0].rows_out), ("Delete", 2));
         let r = exec(&mut c, "select count(*) from t");
         assert_eq!(r.rows[0].get(0), &Value::Int(1));
     }
@@ -663,33 +649,32 @@ mod tests {
         let mut c = setup();
         exec(&mut c, "insert into t values (1, 10)");
         let txn = TxnId(3);
-        let ctx = DmlCtx {
+        let ctx = ExecCtx {
             snap: Snapshot { ts: 5, txn },
             write: WriteAs::Txn(txn),
-            locks: None,
-            retarget: false,
+            ..ExecCtx::direct()
         };
         let planned = plan(&c, "update t set v = 99 where id = 1");
-        let out = execute_statement_ctx(&c, &planned, &ctx, &NoopObserver).unwrap();
+        let out = execute(&c, &planned, &ctx).unwrap().0;
         assert_eq!(out.affected, 1);
 
         // A foreign snapshot still reads the original value...
         let select = plan(&c, "select v from t where id = 1");
-        let foreign = DmlCtx {
+        let foreign = ExecCtx {
             snap: Snapshot {
                 ts: 5,
                 txn: TxnId(8),
             },
-            ..DmlCtx::direct()
+            ..ExecCtx::direct()
         };
-        let r = execute_statement_ctx(&c, &select, &foreign, &NoopObserver).unwrap();
+        let r = execute(&c, &select, &foreign).unwrap().0;
         assert_eq!(r.rows[0].get(0), &Value::Int(10));
         // ...while the writer sees its own uncommitted version.
-        let own = DmlCtx {
+        let own = ExecCtx {
             snap: Snapshot { ts: 5, txn },
-            ..DmlCtx::direct()
+            ..ExecCtx::direct()
         };
-        let r = execute_statement_ctx(&c, &select, &own, &NoopObserver).unwrap();
+        let r = execute(&c, &select, &own).unwrap().0;
         assert_eq!(r.rows[0].get(0), &Value::Int(99));
     }
 
@@ -699,33 +684,31 @@ mod tests {
         exec(&mut c, "insert into t values (1, 10)");
         // A commits an update at ts 4.
         let upd = plan(&c, "update t set v = 20 where id = 1");
-        let a = DmlCtx {
+        let a = ExecCtx {
             snap: Snapshot::latest(),
             write: WriteAs::Committed(4),
-            locks: None,
-            retarget: false,
+            ..ExecCtx::direct()
         };
-        execute_statement_ctx(&c, &upd, &a, &NoopObserver).unwrap();
+        execute(&c, &upd, &a).unwrap();
         // B, whose snapshot predates A's commit, must lose.
         let upd_b = plan(&c, "update t set v = 30 where id = 1");
-        let b = DmlCtx {
+        let b = ExecCtx {
             snap: Snapshot {
                 ts: 3,
                 txn: TxnId(7),
             },
             write: WriteAs::Txn(TxnId(7)),
-            locks: None,
-            retarget: false,
+            ..ExecCtx::direct()
         };
-        let err = execute_statement_ctx(&c, &upd_b, &b, &NoopObserver).unwrap_err();
+        let err = execute(&c, &upd_b, &b).unwrap_err();
         assert!(matches!(err, Error::WriteConflict(_)), "got {err:?}");
         // With retargeting (auto-commit) the same statement lands on the
         // new head instead.
-        let b_auto = DmlCtx {
+        let b_auto = ExecCtx {
             retarget: true,
             ..b
         };
-        let out = execute_statement_ctx(&c, &upd_b, &b_auto, &NoopObserver).unwrap();
+        let out = execute(&c, &upd_b, &b_auto).unwrap().0;
         assert_eq!(out.affected, 1);
     }
 }

@@ -24,11 +24,6 @@ pub struct QueryResult {
     pub tuples: u64,
 }
 
-/// Execute a query plan against the catalog at the latest snapshot.
-pub fn execute_plan(catalog: &Catalog, plan: &PlanNode) -> Result<QueryResult> {
-    execute_plan_snapshot(catalog, plan, &Snapshot::latest())
-}
-
 /// Execute a query plan with every base-table access filtered through
 /// `snap`: sequential scans and index probes evaluate per-version
 /// visibility, clustered lookups walk version chains backwards from the
@@ -38,33 +33,25 @@ pub fn execute_plan_snapshot(
     plan: &PlanNode,
     snap: &Snapshot,
 ) -> Result<QueryResult> {
-    let mut tuples = 0u64;
-    let rows = run(catalog, plan, snap, &mut tuples, None)?;
-    Ok(QueryResult { rows, tuples })
+    run_query(catalog, plan, snap, None).map(|(result, _)| result)
 }
 
-/// Execute a query plan with per-operator span collection: every plan node
-/// gets an [`OperatorSpan`] carrying rows-out, tuple work, pages touched and
-/// elapsed time next to the optimizer's estimates for the same node.
-pub fn execute_plan_traced(
+/// Run a query plan, collecting per-operator spans when `trace` carries a
+/// clock: every plan node then gets an [`OperatorSpan`] with rows-out, tuple
+/// work, pages touched and elapsed time next to the optimizer's estimates
+/// for the same node. Without a clock no collector exists and the returned
+/// span vector is empty (and unallocated).
+pub(crate) fn run_query(
     catalog: &Catalog,
     plan: &PlanNode,
-    clock: MonotonicClock,
-) -> Result<(QueryResult, Vec<OperatorSpan>)> {
-    execute_plan_traced_snapshot(catalog, plan, clock, &Snapshot::latest())
-}
-
-/// [`execute_plan_traced`] against an explicit snapshot.
-pub fn execute_plan_traced_snapshot(
-    catalog: &Catalog,
-    plan: &PlanNode,
-    clock: MonotonicClock,
     snap: &Snapshot,
+    trace: Option<MonotonicClock>,
 ) -> Result<(QueryResult, Vec<OperatorSpan>)> {
-    let mut collector = SpanCollector::new(clock);
+    let mut collector = trace.map(SpanCollector::new);
     let mut tuples = 0u64;
-    let rows = run(catalog, plan, snap, &mut tuples, Some(&mut collector))?;
-    Ok((QueryResult { rows, tuples }, collector.finish()))
+    let rows = run(catalog, plan, snap, &mut tuples, collector.as_mut())?;
+    let spans = collector.map(SpanCollector::finish).unwrap_or_default();
+    Ok((QueryResult { rows, tuples }, spans))
 }
 
 /// Normalise a hash/group key so values that compare equal hash equally
@@ -447,6 +434,7 @@ pub fn format_rows(names: &[String], rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{execute, ExecCtx, ExecOutcome};
     use ingot_common::{Column, DataType, EngineConfig, Schema, SimClock};
     use ingot_planner::{optimize, Binder, BoundStatement, OptimizerOptions, PlannedStatement};
     use ingot_sql::parse_statement;
@@ -494,16 +482,14 @@ mod tests {
         c
     }
 
-    fn query(c: &Catalog, sql: &str) -> QueryResult {
+    fn plan(c: &Catalog, sql: &str) -> PlannedStatement {
         let (bound, _) = Binder::new(c).bind(&parse_statement(sql).unwrap()).unwrap();
-        let BoundStatement::Select(_) = &bound else {
-            panic!()
-        };
-        let PlannedStatement::Query(q) = optimize(c, &bound, OptimizerOptions::default()).unwrap()
-        else {
-            panic!()
-        };
-        execute_plan(c, &q.root).unwrap()
+        assert!(matches!(bound, BoundStatement::Select(_)));
+        optimize(c, &bound, OptimizerOptions::default()).unwrap()
+    }
+
+    fn query(c: &Catalog, sql: &str) -> ExecOutcome {
+        execute(c, &plan(c, sql), &ExecCtx::direct()).unwrap().0
     }
 
     #[test]
@@ -518,15 +504,28 @@ mod tests {
     #[test]
     fn join_matches_fk() {
         let c = setup();
-        let r = query(
-            &c,
-            "select p.name, o.taxon_id from protein p \
-             join organism o on p.nref_id = o.nref_id where p.nref_id < 10",
-        );
+        let sql = "select p.name, o.taxon_id from protein p \
+                   join organism o on p.nref_id = o.nref_id where p.nref_id < 10";
+        let r = query(&c, sql);
         assert_eq!(r.rows.len(), 10);
         for row in &r.rows {
             assert_eq!(row.len(), 2);
         }
+        // Span collection changes nothing but the spans; the snapshot-only
+        // entry the benchmark replays through agrees with both.
+        let planned = plan(&c, sql);
+        let traced = ExecCtx {
+            trace: Some(MonotonicClock::new()),
+            ..ExecCtx::direct()
+        };
+        let (t, spans) = execute(&c, &planned, &traced).unwrap();
+        assert_eq!((&t.rows, t.tuples), (&r.rows, r.tuples));
+        assert!(spans.len() >= 3, "join + two inputs, got {spans:?}");
+        let PlannedStatement::Query(q) = &planned else {
+            panic!()
+        };
+        let bare = execute_plan_snapshot(&c, &q.root, &Snapshot::latest()).unwrap();
+        assert_eq!((bare.rows, bare.tuples), (r.rows, r.tuples));
     }
 
     #[test]

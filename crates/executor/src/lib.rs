@@ -11,11 +11,5 @@ pub mod aggregate;
 pub mod dml;
 pub mod exec;
 
-pub use dml::{
-    execute_statement, execute_statement_ctx, execute_statement_observed, execute_statement_traced,
-    execute_statement_traced_ctx, DmlCtx, DmlObserver, ExecOutcome, NoopObserver,
-};
-pub use exec::{
-    execute_plan, execute_plan_snapshot, execute_plan_traced, execute_plan_traced_snapshot,
-    QueryResult,
-};
+pub use dml::{execute, DmlObserver, ExecCtx, ExecOutcome, NoopObserver};
+pub use exec::{execute_plan_snapshot, QueryResult};

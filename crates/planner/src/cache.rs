@@ -138,8 +138,10 @@ impl PlanCache {
     }
 
     /// Insert a freshly optimized template, evicting the least recently used
-    /// entry when full. No-op when caching is disabled.
-    pub fn insert(&self, template: String, plan: CachedPlan) {
+    /// entry when full. No-op when caching is disabled. Takes the plan by
+    /// value or already shared: the engine keeps executing the `Arc` it
+    /// inserts instead of cloning the template.
+    pub fn insert(&self, template: String, plan: impl Into<Arc<CachedPlan>>) {
         if self.capacity == 0 {
             return;
         }
@@ -149,7 +151,7 @@ impl PlanCache {
         inner.map.insert(
             template,
             Slot {
-                plan: Arc::new(plan),
+                plan: plan.into(),
                 stamp,
             },
         );

@@ -371,10 +371,11 @@ fn read_or_tick(
         }
         match wire::read_frame(stream, ctx.max_frame) {
             Ok(frame) => return Ok(frame),
-            // Read timeout: no bytes in READ_POLL_MS. Loop to re-check
-            // flags. (A timeout *mid-frame* would lose sync, but the next
-            // decode then fails and closes the connection — acceptable for
-            // a peer that stalls mid-frame for 200 ms.)
+            // Read timeout with no byte of the next frame consumed: loop to
+            // re-check flags. A peer that stalls *mid-frame* past
+            // READ_POLL_MS surfaces as `Error::Protocol` instead and is
+            // dropped — `read_frame` never reports a retryable error once
+            // the stream position is inside a frame.
             Err(Error::TransientIo(_)) => continue,
             Err(e) => return Err(e),
         }

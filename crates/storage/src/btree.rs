@@ -669,13 +669,12 @@ mod tests {
     use super::*;
     use crate::disk::MemoryBackend;
     use crate::model::DiskModel;
-    use ingot_common::{EngineConfig, SimClock};
+    use ingot_common::SimClock;
 
     fn tree() -> BTreeFile {
-        let cfg = EngineConfig::default();
         let pool = Arc::new(BufferPool::new(
             Box::new(MemoryBackend::new()),
-            DiskModel::new(&cfg, SimClock::new()),
+            DiskModel::new(SimClock::new()),
             512,
         ));
         BTreeFile::create(pool).unwrap()
@@ -785,10 +784,9 @@ mod tests {
 
     #[test]
     fn reopen_preserves_tree() {
-        let cfg = EngineConfig::default();
         let pool = Arc::new(BufferPool::new(
             Box::new(MemoryBackend::new()),
-            DiskModel::new(&cfg, SimClock::new()),
+            DiskModel::new(SimClock::new()),
             512,
         ));
         let t = BTreeFile::create(Arc::clone(&pool)).unwrap();

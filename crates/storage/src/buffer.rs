@@ -357,13 +357,12 @@ impl BufferPool {
 mod tests {
     use super::*;
     use crate::disk::MemoryBackend;
-    use ingot_common::{EngineConfig, SimClock};
+    use ingot_common::SimClock;
 
     fn pool(capacity: usize) -> BufferPool {
-        let cfg = EngineConfig::default();
         BufferPool::new(
             Box::new(MemoryBackend::new()),
-            DiskModel::new(&cfg, SimClock::new()),
+            DiskModel::new(SimClock::new()),
             capacity,
         )
     }
@@ -448,14 +447,13 @@ mod tests {
     #[test]
     fn flush_write_failure_keeps_dirty_pages() {
         use crate::fault::{FaultInjectingBackend, FaultPlan};
-        let cfg = EngineConfig::default();
         let fb = Arc::new(
             FaultInjectingBackend::from_script(Box::new(MemoryBackend::new()), "write#*=transient")
                 .unwrap(),
         );
         let p = BufferPool::new(
             Box::new(Arc::clone(&fb)),
-            DiskModel::new(&cfg, SimClock::new()),
+            DiskModel::new(SimClock::new()),
             8,
         );
         let f = p.create_file().unwrap();

@@ -501,13 +501,12 @@ mod tests {
     use super::*;
     use crate::disk::MemoryBackend;
     use crate::model::DiskModel;
-    use ingot_common::{EngineConfig, SimClock, Value};
+    use ingot_common::{SimClock, Value};
 
     fn pool() -> Arc<BufferPool> {
-        let cfg = EngineConfig::default();
         Arc::new(BufferPool::new(
             Box::new(MemoryBackend::new()),
-            DiskModel::new(&cfg, SimClock::new()),
+            DiskModel::new(SimClock::new()),
             256,
         ))
     }

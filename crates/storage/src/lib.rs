@@ -54,7 +54,7 @@ impl StorageEngine {
     /// Create a storage engine with an in-memory backend (default for tests
     /// and simulation-driven experiments).
     pub fn in_memory(config: &EngineConfig, clock: SimClock) -> Self {
-        let model = DiskModel::new(config, clock);
+        let model = DiskModel::new(clock);
         let backend: Box<dyn DiskBackend> = Box::new(MemoryBackend::new());
         StorageEngine {
             pool: Arc::new(BufferPool::new(backend, model, config.buffer_pool_pages)),
@@ -79,7 +79,7 @@ impl StorageEngine {
         config: &EngineConfig,
         clock: SimClock,
     ) -> Self {
-        let model = DiskModel::new(config, clock);
+        let model = DiskModel::new(clock);
         StorageEngine {
             pool: Arc::new(BufferPool::new(backend, model, config.buffer_pool_pages)),
         }

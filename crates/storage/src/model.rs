@@ -11,7 +11,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ingot_common::{EngineConfig, SimClock};
+use ingot_common::SimClock;
 use parking_lot::Mutex;
 
 use crate::disk::FileId;
@@ -51,6 +51,19 @@ impl IoStats {
     }
 }
 
+// Simulated device latencies, calibrated to a 2009-era server disk subsystem
+// with command queueing and read-ahead: ~2 ms effective random read, ~0.2 ms
+// per sequential page, ~0.25 ms write (a 10:1 random:sequential asymmetry —
+// pure seek time would be worse, but real scans and probes overlap I/O).
+// Every experiment prices I/O with these; they were never set otherwise.
+
+/// Simulated latency of one random page read, in nanoseconds.
+const RANDOM_READ_NS: u64 = 2_000_000;
+/// Simulated latency of one sequential page read, in nanoseconds.
+const SEQ_READ_NS: u64 = 200_000;
+/// Simulated latency of one page write, in nanoseconds.
+const WRITE_NS: u64 = 250_000;
+
 /// Prices physical I/O and advances the simulated clock.
 pub struct DiskModel {
     clock: SimClock,
@@ -58,25 +71,19 @@ pub struct DiskModel {
     rand_reads: AtomicU64,
     writes: AtomicU64,
     sim_latency_ns: AtomicU64,
-    random_read_ns: u64,
-    seq_read_ns: u64,
-    write_ns: u64,
     /// Last page read per file, to classify sequential access.
     last_read: Mutex<std::collections::HashMap<FileId, u64>>,
 }
 
 impl DiskModel {
-    /// Build a model from the engine configuration.
-    pub fn new(config: &EngineConfig, clock: SimClock) -> Self {
+    /// Build a model charging `clock`.
+    pub fn new(clock: SimClock) -> Self {
         DiskModel {
             clock,
             seq_reads: AtomicU64::new(0),
             rand_reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             sim_latency_ns: AtomicU64::new(0),
-            random_read_ns: config.disk_random_read_ns,
-            seq_read_ns: config.disk_seq_read_ns,
-            write_ns: config.disk_write_ns,
             last_read: Mutex::new(std::collections::HashMap::new()),
         }
     }
@@ -97,10 +104,10 @@ impl DiskModel {
         };
         let latency = if sequential {
             self.seq_reads.fetch_add(1, Ordering::Relaxed);
-            self.seq_read_ns
+            SEQ_READ_NS
         } else {
             self.rand_reads.fetch_add(1, Ordering::Relaxed);
-            self.random_read_ns
+            RANDOM_READ_NS
         };
         self.sim_latency_ns.fetch_add(latency, Ordering::Relaxed);
         self.clock.advance_nanos(latency);
@@ -109,9 +116,8 @@ impl DiskModel {
     /// Record a physical page write.
     pub fn record_write(&self) {
         self.writes.fetch_add(1, Ordering::Relaxed);
-        self.sim_latency_ns
-            .fetch_add(self.write_ns, Ordering::Relaxed);
-        self.clock.advance_nanos(self.write_ns);
+        self.sim_latency_ns.fetch_add(WRITE_NS, Ordering::Relaxed);
+        self.clock.advance_nanos(WRITE_NS);
     }
 
     /// Current counter snapshot.
@@ -130,7 +136,7 @@ mod tests {
     use super::*;
 
     fn model() -> DiskModel {
-        DiskModel::new(&EngineConfig::default(), SimClock::new())
+        DiskModel::new(SimClock::new())
     }
 
     #[test]

@@ -4,17 +4,16 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ingot_common::{EngineConfig, Row, SimClock, Value};
+use ingot_common::{Row, SimClock, Value};
 use ingot_storage::{
     decode_row, encode_key, encode_row, BTreeFile, BufferPool, DiskModel, HeapFile, MemoryBackend,
 };
 use proptest::prelude::*;
 
 fn pool() -> Arc<BufferPool> {
-    let cfg = EngineConfig::default();
     Arc::new(BufferPool::new(
         Box::new(MemoryBackend::new()),
-        DiskModel::new(&cfg, SimClock::new()),
+        DiskModel::new(SimClock::new()),
         256,
     ))
 }

@@ -17,9 +17,9 @@ use parking_lot::Mutex;
 use crate::histogram::LatencyHistogram;
 use crate::span::{OperatorSpan, Stage, StageSpan, StatementTrace};
 
-/// Runtime configuration of the tracer (mirrors the `trace_*` knobs of
-/// `EngineConfig`, restated here so the crate stays below `ingot-common`'s
-/// consumers in the dependency order without importing the full config).
+/// Runtime configuration of the tracer. The engine sets only `enabled`
+/// (from `EngineConfig::trace_enabled`); the capacities are the defaults
+/// below everywhere outside this crate's eviction tests.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Start enabled?

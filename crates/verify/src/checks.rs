@@ -1,8 +1,11 @@
-//! The seven invariant checks.
+//! The token-level checks (2 panic, 3 clock, 4 ima, 5 error-type, 7 waits,
+//! 13 wire-compat) and the [`Violation`] type every check reports in; the
+//! path-sensitive checks live in [`crate::flow`].
 
 use std::fmt;
 use std::path::Path;
 
+use crate::dataflow::tseq;
 use crate::policy;
 use crate::scan::SourceFile;
 
@@ -55,113 +58,6 @@ fn func_of(file: &SourceFile, idx: usize) -> String {
         .unwrap_or_else(|| "<toplevel>".to_owned())
 }
 
-/// Does the token window starting at `i` match `pat` exactly?
-fn seq(file: &SourceFile, i: usize, pat: &[&str]) -> bool {
-    file.tokens.len() >= i + pat.len()
-        && pat
-            .iter()
-            .enumerate()
-            .all(|(j, p)| file.tokens[i + j].text == *p)
-}
-
-// ---------------------------------------------------------------------------
-// Check 1: lock-order discipline.
-// ---------------------------------------------------------------------------
-
-/// `catalog.write()` only in the DDL allowlist; no lock acquisition while a
-/// catalog write guard is (lexically) live.
-pub fn check_lock_order(files: &[SourceFile]) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for file in files {
-        let scanned = file
-            .crate_name
-            .as_deref()
-            .is_some_and(|c| policy::LOCK_ORDER_CRATES.contains(&c))
-            && !file.in_tests_dir;
-        if !scanned {
-            continue;
-        }
-        for i in 0..file.tokens.len() {
-            let t = &file.tokens[i];
-            if t.in_test || t.text != "catalog" {
-                continue;
-            }
-            let direct = seq(file, i, &["catalog", ".", "write", "(", ")"]);
-            let via_accessor = seq(file, i, &["catalog", "(", ")", ".", "write", "(", ")"]);
-            if !direct && !via_accessor {
-                continue;
-            }
-            let func = func_of(file, i);
-            let allowed = policy::DDL_WRITERS
-                .iter()
-                .any(|(f, fun)| file.rel_path.ends_with(f) && func == *fun);
-            if !allowed {
-                out.push(Violation {
-                    check: "lock-order",
-                    category: "ddl-write".into(),
-                    file: file.rel_path.clone(),
-                    line: t.line,
-                    func: func.clone(),
-                    ordinal: 0,
-                    message: format!(
-                        "catalog.write() in `{func}` — the DDL guard may only be taken by \
-                         the allowlisted DDL handlers (see verify policy); DML/executor \
-                         paths must use catalog.read() snapshots"
-                    ),
-                });
-            }
-            // Guard bound to a local ⇒ lexically live until the end of the
-            // enclosing block; any lock acquisition in that span inverts the
-            // lock order.
-            let mut j = i;
-            let bound = loop {
-                if j == 0 {
-                    break false;
-                }
-                j -= 1;
-                match file.tokens[j].text.as_str() {
-                    ";" | "{" | "}" => break false,
-                    "let" => break true,
-                    _ => {}
-                }
-            };
-            if bound {
-                let mut k = i + if direct { 5 } else { 7 };
-                let mut depth = 0i32;
-                while k < file.tokens.len() && depth >= 0 {
-                    let tk = &file.tokens[k];
-                    match tk.text.as_str() {
-                        "{" => depth += 1,
-                        "}" => depth -= 1,
-                        _ => {}
-                    }
-                    let acquires = seq(file, k, &["locks", ".", "lock", "("])
-                        || seq(file, k, &["locks", "(", ")", ".", "lock", "("])
-                        || (tk.text == "with_table_lock_by_name" && seq(file, k + 1, &["("]));
-                    if acquires {
-                        out.push(Violation {
-                            check: "lock-order",
-                            category: "lock-under-guard".into(),
-                            file: file.rel_path.clone(),
-                            line: tk.line,
-                            func: func.clone(),
-                            ordinal: 0,
-                            message: format!(
-                                "lock acquisition in `{func}` after binding a catalog write \
-                                 guard on line {} — table locks must be taken before the DDL \
-                                 guard, never under it",
-                                t.line
-                            ),
-                        });
-                    }
-                    k += 1;
-                }
-            }
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Check 2: panic-freedom budget.
 // ---------------------------------------------------------------------------
@@ -180,18 +76,10 @@ pub(crate) fn is_hot_path(file: &SourceFile) -> bool {
 
 /// `.unwrap()` / `.expect(…)` / direct indexing in hot-path modules. Every
 /// occurrence must be on the checked-in allowlist; the list only shrinks.
-pub fn check_panic_freedom(files: &[SourceFile]) -> Vec<Violation> {
-    check_panic_freedom_filtered(files, &std::collections::HashSet::new())
-}
-
-/// Panic-freedom scan with a set of discharged sites — `(file index, token
-/// index)` pairs the flow engine's guarded-index prover has shown cannot
-/// panic. Skipped sites do not advance ordinal counters, so the allowlist
-/// keys stay stable as long as bless and check run under the same engine.
-pub fn check_panic_freedom_filtered(
-    files: &[SourceFile],
-    proven: &std::collections::HashSet<(usize, usize)>,
-) -> Vec<Violation> {
+/// Index sites the guarded-index prover shows cannot panic are skipped and
+/// do not advance ordinal counters, so the allowlist keys stay stable.
+pub fn check_panic_budget(files: &[SourceFile]) -> Vec<Violation> {
+    let proven = crate::flow::guarded_index_filter(files);
     let mut out = Vec::new();
     for (file_idx, file) in files.iter().enumerate() {
         if !is_hot_path(file) {
@@ -205,9 +93,9 @@ pub fn check_panic_freedom_filtered(
             if t.in_test {
                 continue;
             }
-            let category: &'static str = if seq(file, i, &[".", "unwrap", "(", ")"]) {
+            let category: &'static str = if tseq(&file.tokens, i, &[".", "unwrap", "(", ")"]) {
                 "unwrap"
-            } else if seq(file, i, &[".", "expect", "("]) {
+            } else if tseq(&file.tokens, i, &[".", "expect", "("]) {
                 "expect"
             } else if t.text == "[" && i > 0 && is_index_head(&file.tokens[i - 1].text) {
                 if proven.contains(&(file_idx, i)) {
@@ -279,7 +167,7 @@ pub fn check_clock_hygiene(files: &[SourceFile]) -> Vec<Violation> {
                 continue;
             }
             for src in ["Instant", "SystemTime"] {
-                if t.text == src && seq(file, i, &[src, ":", ":", "now"]) {
+                if t.text == src && tseq(&file.tokens, i, &[src, ":", ":", "now"]) {
                     let func = func_of(file, i);
                     out.push(Violation {
                         check: "clock",
@@ -389,7 +277,7 @@ fn wait_event_variants(files: &[SourceFile]) -> Vec<(String, usize)> {
             continue;
         }
         for i in 0..file.tokens.len() {
-            if !seq(file, i, &["enum", "WaitEvent", "{"]) {
+            if !tseq(&file.tokens, i, &["enum", "WaitEvent", "{"]) {
                 continue;
             }
             let mut depth = 1i32;
@@ -479,8 +367,8 @@ pub fn check_wait_events(root: &Path, files: &[SourceFile]) -> Vec<Violation> {
             if t.in_test || t.text != "WaitGuard" {
                 continue;
             }
-            let begin = seq(file, i, &["WaitGuard", ":", ":", "begin"]);
-            let ambient = seq(file, i, &["WaitGuard", ":", ":", "ambient"]);
+            let begin = tseq(&file.tokens, i, &["WaitGuard", ":", ":", "begin"]);
+            let ambient = tseq(&file.tokens, i, &["WaitGuard", ":", ":", "ambient"]);
             if !begin && !ambient {
                 continue;
             }
@@ -519,7 +407,7 @@ pub fn check_error_discipline(files: &[SourceFile]) -> Vec<Violation> {
         let toks = &file.tokens;
         let mut i = 0usize;
         while i < toks.len() {
-            if toks[i].in_test || !seq(file, i, &["pub", "fn"]) {
+            if toks[i].in_test || !tseq(&file.tokens, i, &["pub", "fn"]) {
                 i += 1;
                 continue;
             }
@@ -583,90 +471,6 @@ pub fn check_error_discipline(files: &[SourceFile]) -> Vec<Violation> {
 }
 
 // ---------------------------------------------------------------------------
-// Check 6: commit-acknowledgement discipline.
-// ---------------------------------------------------------------------------
-
-/// A commit is acknowledged by `txns.commit(…)` — the moment the transaction
-/// manager counts it committed and its effects become irrevocable. That call
-/// may appear only in the allowlisted engine commit path, and there only
-/// lexically after the WAL durability barrier (`commit_barrier`) in the same
-/// function, so no code path can report success for a commit that would not
-/// survive a crash. The check is lexical, not path-sensitive: a barrier
-/// anywhere earlier in the function satisfies it, which matches the engine's
-/// shape (barrier guarded by "did this txn log anything", ack at the end).
-pub fn check_wal_ack(files: &[SourceFile]) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for file in files {
-        let scanned = file
-            .crate_name
-            .as_deref()
-            .is_some_and(|c| policy::WAL_ACK_CRATES.contains(&c))
-            && !file.in_tests_dir;
-        if !scanned {
-            continue;
-        }
-        for i in 0..file.tokens.len() {
-            let t = &file.tokens[i];
-            if t.in_test || t.text != "txns" {
-                continue;
-            }
-            let direct = seq(file, i, &["txns", ".", "commit", "("]);
-            let via_accessor = seq(file, i, &["txns", "(", ")", ".", "commit", "("]);
-            // The read-only acknowledgement owes no barrier (empty write set)
-            // but is still restricted to the engine commit path.
-            let read_only = seq(file, i, &["txns", ".", "commit_read_only", "("])
-                || seq(file, i, &["txns", "(", ")", ".", "commit_read_only", "("]);
-            if !direct && !via_accessor && !read_only {
-                continue;
-            }
-            let func = func_of(file, i);
-            let allowed = policy::WAL_COMMIT_FNS
-                .iter()
-                .any(|(f, fun)| file.rel_path.ends_with(f) && func == *fun);
-            if !allowed {
-                out.push(Violation {
-                    check: "wal-ack",
-                    category: "ack-outside-commit-path".into(),
-                    file: file.rel_path.clone(),
-                    line: t.line,
-                    func: func.clone(),
-                    ordinal: 0,
-                    message: format!(
-                        "txns.commit() in `{func}` — commits may be acknowledged only by \
-                         the engine commit path (see verify policy), which makes the WAL \
-                         record durable first"
-                    ),
-                });
-                continue;
-            }
-            if read_only {
-                continue; // empty write set: no barrier owed
-            }
-            let barrier_before = (0..i)
-                .rev()
-                .take_while(|&j| func_of(file, j) == func)
-                .any(|j| file.tokens[j].text == "commit_barrier");
-            if !barrier_before {
-                out.push(Violation {
-                    check: "wal-ack",
-                    category: "ack-before-barrier".into(),
-                    file: file.rel_path.clone(),
-                    line: t.line,
-                    func: func.clone(),
-                    ordinal: 0,
-                    message: format!(
-                        "txns.commit() in `{func}` precedes the WAL durability barrier — \
-                         append the Commit record and wait on commit_barrier before \
-                         acknowledging"
-                    ),
-                });
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Check 13: wire compatibility.
 // ---------------------------------------------------------------------------
 
@@ -688,7 +492,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 fn enum_variants(file: &SourceFile, enum_name: &str) -> Vec<(String, usize)> {
     let mut variants = Vec::new();
     for i in 0..file.tokens.len() {
-        if !seq(file, i, &["enum", enum_name, "{"]) {
+        if !tseq(&file.tokens, i, &["enum", enum_name, "{"]) {
             continue;
         }
         let mut brace = 1i32;
@@ -755,7 +559,7 @@ fn wire_table_entries(file: &SourceFile) -> Vec<WireTableEntry> {
             }
             _ => {}
         }
-        if seq(file, i, &["variant", ":"]) {
+        if tseq(&file.tokens, i, &["variant", ":"]) {
             let line = file.tokens[i].line;
             let variant = file
                 .strings
@@ -763,7 +567,7 @@ fn wire_table_entries(file: &SourceFile) -> Vec<WireTableEntry> {
                 .find(|(l, _)| *l >= line)
                 .map(|(_, s)| s.clone());
             let code = (i..file.tokens.len())
-                .find(|&j| seq(file, j, &["code", ":"]))
+                .find(|&j| tseq(&file.tokens, j, &["code", ":"]))
                 .and_then(|j| file.tokens.get(j + 2))
                 .and_then(|t| t.text.parse::<u64>().ok());
             if let (Some(variant), Some(code)) = (variant, code) {
@@ -782,7 +586,7 @@ fn wire_table_entries(file: &SourceFile) -> Vec<WireTableEntry> {
 /// The integer assigned to `const PROTOCOL_VERSION`, if declared.
 fn protocol_version(file: &SourceFile) -> Option<(u64, usize)> {
     for i in 0..file.tokens.len() {
-        if seq(file, i, &["PROTOCOL_VERSION", ":", "u16", "="]) {
+        if tseq(&file.tokens, i, &["PROTOCOL_VERSION", ":", "u16", "="]) {
             return file
                 .tokens
                 .get(i + 4)
@@ -956,105 +760,6 @@ pub fn check_wire_compat(root: &Path, files: &[SourceFile]) -> Vec<Violation> {
              without appending a `version N hash <fnv1a64>` line"
                 .into(),
         ));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Check 8: MVCC locking discipline.
-// ---------------------------------------------------------------------------
-
-/// Does any of the `n` tokens starting at `i` equal `text`?
-fn window_has(file: &SourceFile, i: usize, n: usize, text: &str) -> bool {
-    file.tokens[i..file.tokens.len().min(i + n)]
-        .iter()
-        .any(|t| t.text == text)
-}
-
-/// Row-level MVCC discipline (PR 8), two invariants:
-///
-/// * **table-x-outside-ddl** — a table-exclusive lock (a literal
-///   `LockMode::Exclusive` paired with `Resource::Table`, or an exclusive
-///   `with_table_lock_by_name`) may be taken only by the DDL handlers in
-///   [`policy::TABLE_X_LOCK_FNS`]. DML must use the shared DDL fence plus
-///   row-exclusive chain-root locks; a table-X on a write path would revive
-///   the pre-MVCC readers-block-writers behaviour.
-/// * **commit-without-validation** — inside the sanctioned commit path
-///   ([`policy::WAL_COMMIT_FNS`]), every `txns.commit(…)` acknowledgement
-///   must be lexically preceded by `validate_write_set` (first-committer-
-///   wins): no transaction may become visible without conflict validation.
-pub fn check_mvcc_locks(files: &[SourceFile]) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for file in files {
-        let scanned = file
-            .crate_name
-            .as_deref()
-            .is_some_and(|c| policy::MVCC_LOCK_CRATES.contains(&c))
-            && !file.in_tests_dir;
-        if !scanned {
-            continue;
-        }
-        for i in 0..file.tokens.len() {
-            let t = &file.tokens[i];
-            if t.in_test {
-                continue;
-            }
-            let table_x = (seq(file, i, &["Resource", ":", ":", "Table"])
-                || (t.text == "with_table_lock_by_name" && seq(file, i + 1, &["("])))
-                && window_has(file, i, 12, "Exclusive");
-            if table_x {
-                let func = func_of(file, i);
-                let allowed = policy::TABLE_X_LOCK_FNS
-                    .iter()
-                    .any(|(f, fun)| file.rel_path.ends_with(f) && func == *fun);
-                if !allowed {
-                    out.push(Violation {
-                        check: "mvcc-locks",
-                        category: "table-x-outside-ddl".into(),
-                        file: file.rel_path.clone(),
-                        line: t.line,
-                        func: func.clone(),
-                        ordinal: 0,
-                        message: format!(
-                            "table-exclusive lock in `{func}` — only DDL may exclude a \
-                             table (see verify policy); DML takes the shared fence plus \
-                             row-exclusive chain-root locks"
-                        ),
-                    });
-                }
-            }
-            if t.text == "txns"
-                && (seq(file, i, &["txns", ".", "commit", "("])
-                    || seq(file, i, &["txns", "(", ")", ".", "commit", "("]))
-            {
-                let func = func_of(file, i);
-                let in_commit_path = policy::WAL_COMMIT_FNS
-                    .iter()
-                    .any(|(f, fun)| file.rel_path.ends_with(f) && func == *fun);
-                if !in_commit_path {
-                    continue; // rogue acks are already wal-ack violations
-                }
-                let validated_before = (0..i)
-                    .rev()
-                    .take_while(|&j| func_of(file, j) == func)
-                    .any(|j| file.tokens[j].text == "validate_write_set");
-                if !validated_before {
-                    out.push(Violation {
-                        check: "mvcc-locks",
-                        category: "commit-without-validation".into(),
-                        file: file.rel_path.clone(),
-                        line: t.line,
-                        func: func.clone(),
-                        ordinal: 0,
-                        message: format!(
-                            "txns.commit() in `{func}` without a preceding \
-                             validate_write_set — first-committer-wins validation must \
-                             run before a commit becomes visible"
-                        ),
-                    });
-                }
-            }
-        }
     }
     out
 }

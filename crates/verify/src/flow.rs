@@ -1,10 +1,10 @@
 //! Flow-sensitive checks over the CFG/dataflow engine.
 //!
-//! Checks 1 (lock-order), 6 (wal-ack) and 8 (mvcc-locks) are ported here
-//! from their lexical forms: "lexically preceding" becomes a genuine
-//! dominance query (the fact holds on **every** CFG path into the site), so
-//! the discipline survives early returns, `?` edges and helper extraction.
-//! Four checks exist only in this engine:
+//! Checks 1 (lock-order), 6 (wal-ack) and 8 (mvcc-locks) state "X
+//! precedes Y" as a genuine dominance query (the fact holds on **every**
+//! CFG path into the site), so the discipline survives early returns, `?`
+//! edges and helper extraction. Four more checks need path-sensitivity
+//! outright:
 //!
 //! * **9 wal-order** — commit stamping (`apply_version_commit`) is dominated
 //!   by the WAL durability barrier on all paths (replay counts: the record
@@ -18,7 +18,7 @@
 //!   (`start_commit`) and never follows publish/watermark release on any
 //!   path.
 //!
-//! The panic-freedom ratchet also gains a prover here: an indexing site
+//! The panic-freedom ratchet's prover lives here too: an indexing site
 //! dominated by its own bounds check (`i < v.len()`) or bounded by a
 //! dominating `…min(v.len())` binding is discharged instead of allowlisted.
 
@@ -687,7 +687,7 @@ fn prove_sites(
     }
 }
 
-/// Entry point used by the panic check in flow mode.
+/// Entry point used by the panic check: the provably in-bounds index sites.
 pub fn guarded_index_filter(files: &[SourceFile]) -> HashSet<(usize, usize)> {
     let program = Program::build(files);
     proven_guarded_indexes(files, &program)

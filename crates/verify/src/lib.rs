@@ -50,11 +50,10 @@
 //!     its hash matching the frames section — so any layout change forces
 //!     a version bump plus a ledger entry.
 //!
-//! Checks 1, 6 and 8 run on a per-function control-flow graph with a
+//! Checks 1, 6 and 8–12 run on a per-function control-flow graph with a
 //! forward dataflow pass (see [`syntax`], [`cfg`], [`dataflow`],
-//! [`callgraph`], [`flow`]); `--lexical` selects the original
-//! token-proximity implementations as a fallback. Checks 9–12 exist only in
-//! the flow engine; check 13 has no flow component and runs in both modes.
+//! [`callgraph`], [`flow`]), which also discharges bounds-checked indexing
+//! for check 2; the remaining checks are token-level (see [`checks`]).
 //!
 //! `syn` is deliberately not used: the checks operate on a comment- and
 //! literal-stripped token stream (see [`lexer`]), which keeps the tool
@@ -75,19 +74,6 @@ use std::path::Path;
 
 pub use checks::Violation;
 
-/// Which engine runs the flow-portable checks.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Mode {
-    /// CFG + dataflow engine: checks 1/6/8 flow-sensitively, plus 9–12 and
-    /// the guarded-index prover for the panic ratchet.
-    #[default]
-    Flow,
-    /// Original token-proximity implementations of checks 1/6/8 only; no
-    /// flow-only checks, no prover. Kept as a fallback and as the baseline
-    /// for the differential fixture tests.
-    Lexical,
-}
-
 /// Aggregate result of a verification run.
 pub struct Report {
     /// Violations that fail the run (not allowlisted).
@@ -107,29 +93,17 @@ impl Report {
 
 /// Run every check over the workspace at `root`. The panic-freedom check is
 /// filtered through the allowlist at `allowlist_path` when given.
-pub fn run(root: &Path, allowlist_path: Option<&Path>, mode: Mode) -> std::io::Result<Report> {
+pub fn run(root: &Path, allowlist_path: Option<&Path>) -> std::io::Result<Report> {
     let files = scan::scan_workspace(root)?;
 
-    // Checks with no flow component run identically in both modes.
     let mut violations = checks::check_clock_hygiene(&files);
     violations.extend(checks::check_ima_completeness(root, &files));
     violations.extend(checks::check_error_discipline(&files));
     violations.extend(checks::check_wait_events(root, &files));
     violations.extend(checks::check_wire_compat(root, &files));
+    violations.extend(flow::run_flow_checks(&files));
 
-    let panic_violations = match mode {
-        Mode::Flow => {
-            violations.extend(flow::run_flow_checks(&files));
-            let proven = flow::guarded_index_filter(&files);
-            checks::check_panic_freedom_filtered(&files, &proven)
-        }
-        Mode::Lexical => {
-            violations.extend(checks::check_lock_order(&files));
-            violations.extend(checks::check_wal_ack(&files));
-            violations.extend(checks::check_mvcc_locks(&files));
-            checks::check_panic_freedom(&files)
-        }
-    };
+    let panic_violations = checks::check_panic_budget(&files);
     let (fresh, allowlisted, stale) = match allowlist_path {
         Some(p) if p.is_file() => {
             let allow = allowlist::load(p)?;
@@ -146,15 +120,8 @@ pub fn run(root: &Path, allowlist_path: Option<&Path>, mode: Mode) -> std::io::R
     })
 }
 
-/// Raw panic-freedom scan (no allowlist) — used by `--bless`. Runs the
-/// guarded-index prover in flow mode so blessed ordinals match [`run`].
-pub fn panic_scan(root: &Path, mode: Mode) -> std::io::Result<Vec<Violation>> {
-    let files = scan::scan_workspace(root)?;
-    Ok(match mode {
-        Mode::Flow => {
-            let proven = flow::guarded_index_filter(&files);
-            checks::check_panic_freedom_filtered(&files, &proven)
-        }
-        Mode::Lexical => checks::check_panic_freedom(&files),
-    })
+/// Raw panic-freedom scan (no allowlist) — used by `--bless`, which must see
+/// exactly the sites (and ordinals) [`run`] does.
+pub fn panic_scan(root: &Path) -> std::io::Result<Vec<Violation>> {
+    Ok(checks::check_panic_budget(&scan::scan_workspace(root)?))
 }

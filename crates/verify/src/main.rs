@@ -1,5 +1,5 @@
 #![forbid(unsafe_code)]
-//! CLI: `cargo run -p ingot-verify [-- --root PATH] [--bless] [--lexical] [--github]`.
+//! CLI: `cargo run -p ingot-verify [-- --root PATH] [--bless] [--github]`.
 //!
 //! Exit status 0 when the workspace satisfies every invariant (modulo the
 //! checked-in allowlist), 1 otherwise, 2 on usage/IO errors.
@@ -7,31 +7,24 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ingot_verify::Mode;
-
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut bless = false;
     let mut github = false;
-    let mut mode = Mode::Flow;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
             "--bless" => bless = true,
-            "--lexical" => mode = Mode::Lexical,
             "--github" => github = true,
             "--help" | "-h" => {
                 eprintln!(
                     "ingot-verify: Ingot invariant checks\n\
                      \n\
-                     USAGE: cargo run -p ingot-verify [-- --root PATH] [--bless] [--lexical] \
-                     [--github]\n\
+                     USAGE: cargo run -p ingot-verify [-- --root PATH] [--bless] [--github]\n\
                      \n\
                      --root PATH   workspace root (default: nearest ancestor with crates/)\n\
                      --bless       rewrite crates/verify/allowlist.txt from the current scan\n\
-                     --lexical     run the token-proximity fallback engine (checks 1/6/8 \
-                     only; no flow checks 9-12, no guarded-index prover)\n\
                      --github      emit violations as GitHub workflow annotations"
                 );
                 return ExitCode::SUCCESS;
@@ -57,7 +50,7 @@ fn main() -> ExitCode {
     let allowlist_path = root.join("crates/verify/allowlist.txt");
 
     if bless {
-        let scan = match ingot_verify::panic_scan(&root, mode) {
+        let scan = match ingot_verify::panic_scan(&root) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("ingot-verify: scan failed: {e}");
@@ -80,7 +73,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let report = match ingot_verify::run(&root, Some(&allowlist_path), mode) {
+    let report = match ingot_verify::run(&root, Some(&allowlist_path)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("ingot-verify: scan failed: {e}");

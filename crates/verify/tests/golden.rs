@@ -1,9 +1,7 @@
 //! Golden tests: each fixture tree under `fixtures/` produces exactly the
-//! expected diagnostics, the CLI exits non-zero on every fixture, the flow
-//! engine reports a superset of the lexical fallback's findings, and the
+//! expected diagnostics, the CLI exits non-zero on every fixture, and the
 //! real workspace passes clean (modulo the checked-in allowlist).
 
-use ingot_verify::Mode;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -34,13 +32,8 @@ fn summarize(report: &ingot_verify::Report) -> Vec<(String, String, String, usiz
         .collect()
 }
 
-fn run_mode(name: &str, mode: Mode) -> ingot_verify::Report {
-    ingot_verify::run(&fixture(name), None, mode).expect("fixture scan")
-}
-
-/// Default engine (flow-sensitive CFG + dataflow).
 fn run(name: &str) -> ingot_verify::Report {
-    run_mode(name, Mode::Flow)
+    ingot_verify::run(&fixture(name), None).expect("fixture scan")
 }
 
 fn s(x: &str) -> String {
@@ -369,29 +362,6 @@ fn stamp_order_fixture_diagnostics() {
     );
 }
 
-/// The CFG engine must find everything the lexical fallback finds on the
-/// fixtures for the ported checks (1, 6, 7, 8) — flow-sensitivity may only
-/// *add* precision (fewer false positives on the real tree, extra checks),
-/// never lose a lexical finding.
-#[test]
-fn flow_findings_are_a_superset_of_lexical() {
-    for case in ["lock_order", "wal_ack", "mvcc_locks", "waits"] {
-        let flow: std::collections::BTreeSet<_> =
-            summarize(&run_mode(case, Mode::Flow)).into_iter().collect();
-        let lexical = summarize(&run_mode(case, Mode::Lexical));
-        assert!(
-            !lexical.is_empty(),
-            "fixture {case} must produce lexical findings"
-        );
-        for finding in lexical {
-            assert!(
-                flow.contains(&finding),
-                "fixture {case}: lexical finding {finding:?} missing from flow report"
-            );
-        }
-    }
-}
-
 #[test]
 fn display_format_is_stable() {
     let r = run("clock");
@@ -404,61 +374,57 @@ fn display_format_is_stable() {
 
 #[test]
 fn wire_compat_fixture_diagnostics() {
-    // The check is mode-independent: both engines must report the same six
-    // findings — an unmapped Error variant, a PROTOCOL_VERSION the ledger
+    // Six findings: an unmapped Error variant, a PROTOCOL_VERSION the ledger
     // has no entry for, a duplicated code, a table entry naming a vanished
     // variant, a stale section hash, and non-increasing ledger versions.
-    for mode in [Mode::Flow, Mode::Lexical] {
-        let r = run_mode("wire_compat", mode);
-        assert_eq!(
-            summarize(&r),
-            vec![
-                (
-                    s("wire-compat"),
-                    s("missing-code"),
-                    s("crates/common/src/error.rs"),
-                    7,
-                    s("<wire>"),
-                ),
-                (
-                    s("wire-compat"),
-                    s("version-mismatch"),
-                    s("crates/common/src/wire.rs"),
-                    4,
-                    s("<wire>"),
-                ),
-                (
-                    s("wire-compat"),
-                    s("duplicate-code"),
-                    s("crates/common/src/wire.rs"),
-                    15,
-                    s("<wire>"),
-                ),
-                (
-                    s("wire-compat"),
-                    s("unknown-variant"),
-                    s("crates/common/src/wire.rs"),
-                    16,
-                    s("<wire>"),
-                ),
-                (
-                    s("wire-compat"),
-                    s("ledger-stale"),
-                    s("crates/common/wire_layout.txt"),
-                    0,
-                    s("<wire>"),
-                ),
-                (
-                    s("wire-compat"),
-                    s("version-order"),
-                    s("crates/common/wire_layout.txt"),
-                    0,
-                    s("<wire>"),
-                ),
-            ],
-            "mode {mode:?}"
-        );
-    }
+    let r = run("wire_compat");
+    assert_eq!(
+        summarize(&r),
+        vec![
+            (
+                s("wire-compat"),
+                s("missing-code"),
+                s("crates/common/src/error.rs"),
+                7,
+                s("<wire>"),
+            ),
+            (
+                s("wire-compat"),
+                s("version-mismatch"),
+                s("crates/common/src/wire.rs"),
+                4,
+                s("<wire>"),
+            ),
+            (
+                s("wire-compat"),
+                s("duplicate-code"),
+                s("crates/common/src/wire.rs"),
+                15,
+                s("<wire>"),
+            ),
+            (
+                s("wire-compat"),
+                s("unknown-variant"),
+                s("crates/common/src/wire.rs"),
+                16,
+                s("<wire>"),
+            ),
+            (
+                s("wire-compat"),
+                s("ledger-stale"),
+                s("crates/common/wire_layout.txt"),
+                0,
+                s("<wire>"),
+            ),
+            (
+                s("wire-compat"),
+                s("version-order"),
+                s("crates/common/wire_layout.txt"),
+                0,
+                s("<wire>"),
+            ),
+        ]
+    );
 }
 
 #[test]
@@ -487,7 +453,7 @@ fn allowlist_grandfathers_and_ratchets() {
          unwrap\tcrates/storage/src/hot.rs\tgone_fn\t1\n",
     )
     .unwrap();
-    let r = ingot_verify::run(&fixture("panic"), Some(&allow), Mode::Flow).expect("scan");
+    let r = ingot_verify::run(&fixture("panic"), Some(&allow)).expect("scan");
     assert_eq!(r.allowlisted, 1);
     assert_eq!(r.violations.len(), 2);
     assert_eq!(
@@ -498,8 +464,7 @@ fn allowlist_grandfathers_and_ratchets() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Fixtures with findings in both engines.
-const SHARED_FIXTURES: &[&str] = &[
+const FIXTURES: &[&str] = &[
     "lock_order",
     "panic",
     "clock",
@@ -509,53 +474,34 @@ const SHARED_FIXTURES: &[&str] = &[
     "mvcc_locks",
     "waits",
     "wire_compat",
+    "wal_order",
+    "wait_coverage",
+    "swallowed",
+    "stamp_order",
 ];
-
-/// Fixtures exercising the flow-only checks (9–12): the lexical fallback
-/// has no corresponding pass and must report them clean.
-const FLOW_ONLY_FIXTURES: &[&str] = &["wal_order", "wait_coverage", "swallowed", "stamp_order"];
 
 #[test]
 fn cli_exits_nonzero_on_every_fixture() {
     let bin = env!("CARGO_BIN_EXE_ingot-verify");
-    for case in SHARED_FIXTURES {
-        for extra in [None, Some("--lexical")] {
-            let mut cmd = Command::new(bin);
-            if let Some(flag) = extra {
-                cmd.arg(flag);
-            }
-            let out = cmd
-                .args(["--root"])
-                .arg(fixture(case))
-                .output()
-                .expect("spawn ingot-verify");
-            assert_eq!(
-                out.status.code(),
-                Some(1),
-                "fixture {case} must fail ({})",
-                extra.unwrap_or("flow")
-            );
-        }
-    }
-    for case in FLOW_ONLY_FIXTURES {
+    for case in FIXTURES {
         let out = Command::new(bin)
             .args(["--root"])
             .arg(fixture(case))
             .output()
             .expect("spawn ingot-verify");
         assert_eq!(out.status.code(), Some(1), "fixture {case} must fail");
-        // The lexical fallback has no flow checks: these trees pass it.
-        let out = Command::new(bin)
-            .args(["--lexical", "--root"])
-            .arg(fixture(case))
-            .output()
-            .expect("spawn ingot-verify");
-        assert_eq!(
-            out.status.code(),
-            Some(0),
-            "fixture {case} must pass the lexical fallback"
-        );
     }
+    // The removed `--lexical` engine switch is now just an unknown argument.
+    let out = Command::new(bin)
+        .args(["--lexical", "--root"])
+        .arg(fixture("clock"))
+        .output()
+        .expect("spawn ingot-verify");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "--lexical must be a usage error"
+    );
 }
 
 #[test]

@@ -1,0 +1,347 @@
+//! Differential oracle over the statement path: one seeded statement stream
+//! runs on four engines — plan cache {on, capacity 0} × runtime tracing
+//! {on, off} — and every observable the paths must agree on is compared:
+//! result rows, `affected`, actual CPU cost, estimated cost, error variants,
+//! and what the monitor recorded (`ima$workload` rows, per-statement
+//! references, table / index / attribute usage).
+//!
+//! A plan-cache hit reports the estimate its template was priced with when
+//! first planned, a miss prices now. The stream keeps both tables inside
+//! their preallocated heap extent, so the page counts the optimizer prices
+//! from never move and the two estimates are comparable at every step.
+
+use ingot::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+const SEED: u64 = 2009;
+const ITEMS: i64 = 120;
+const GROUPS: i64 = 8;
+
+/// One step of the stream. `a` is the session under test; `b` is a second
+/// session on the same engine whose only job is to commit under `a`'s feet.
+#[derive(Debug, Clone)]
+enum Step {
+    Sql(String),
+    Prepared(&'static str, Vec<Value>),
+    OtherSession(String),
+    Begin,
+    Commit,
+    Rollback,
+}
+
+/// What one step produced, reduced to what every path must agree on.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Done {
+        /// Sorted: hash joins and aggregates promise a multiset, not an order.
+        rows: Vec<Row>,
+        affected: u64,
+        actual_cpu: f64,
+        est: (f64, f64),
+    },
+    /// The error's variant (messages may name transaction ids).
+    Failed(std::mem::Discriminant<Error>),
+}
+
+const INSERT_ITEM: &str = "insert into item values ($1, $2, $3, $4)";
+const POINT: &str = "select name, qty from item where id = $1";
+const RANGE: &str = "select id, qty from item where id >= $1 and id < $2";
+const BY_GROUP: &str = "select id from item where grp = $1";
+const GROUP_LABEL: &str = "select label from grp where grp = $1";
+const RESTOCK: &str = "update item set qty = qty + $1 where id = $2";
+
+fn stream() -> Vec<Step> {
+    use Step::*;
+    let mut rng = SmallRng::seed_from_u64(SEED);
+    let mut steps = vec![
+        Sql("create table item (id int not null primary key, grp int, name text, qty int)".into()),
+        Sql("create table grp (grp int not null primary key, label text)".into()),
+    ];
+    for g in 0..GROUPS {
+        steps.push(Sql(format!("insert into grp values ({g}, 'g{g}')")));
+    }
+    for id in 0..ITEMS {
+        let row = vec![
+            Value::Int(id),
+            Value::Int(id % GROUPS),
+            Value::Str(format!("item{id}")),
+            Value::Int(rng.gen_range(0..50)),
+        ];
+        steps.push(Prepared(INSERT_ITEM, row));
+    }
+    steps.push(Sql("modify grp to btree".into()));
+    steps.push(Sql("create index item_name on item (name)".into()));
+    steps.push(Sql("create statistics on item".into()));
+
+    // Reads: every shape, prepared and textual, each template several times
+    // so the cached engines serve most of them from a hit.
+    for _ in 0..40 {
+        let id = rng.gen_range(0..ITEMS);
+        let lo = rng.gen_range(0..ITEMS - 10);
+        let g = rng.gen_range(0..GROUPS);
+        steps.push(Prepared(POINT, vec![Value::Int(id)]));
+        steps.push(Sql(format!("select name from item where id = {}", id % 5)));
+        steps.push(Prepared(RANGE, vec![Value::Int(lo), Value::Int(lo + 10)]));
+        steps.push(Prepared(BY_GROUP, vec![Value::Int(g)]));
+        steps.push(Prepared(GROUP_LABEL, vec![Value::Int(g)]));
+        steps.push(Sql(format!(
+            "select id from item where name = 'item{}'",
+            id % 4
+        )));
+        steps.push(Sql(format!(
+            "select i.name, g.label from item i join grp g on i.grp = g.grp where i.id < {}",
+            5 + id % 3
+        )));
+        steps.push(Sql(
+            "select grp, count(*), sum(qty) from item group by grp order by grp".into(),
+        ));
+    }
+    steps.push(Sql(
+        "explain analyze select i.name, g.label from item i join grp g on i.grp = g.grp \
+         where g.grp = 3"
+            .into(),
+    ));
+
+    // Writes, auto-commit: prepared and textual updates, deletes of distinct
+    // rows, a duplicate key, an unknown table, a wrong parameter count.
+    for n in 0..30 {
+        let id = rng.gen_range(0..ITEMS - 20);
+        steps.push(Prepared(RESTOCK, vec![Value::Int(n), Value::Int(id)]));
+        steps.push(Sql(format!(
+            "update item set qty = {n} where grp = {}",
+            n % GROUPS
+        )));
+        steps.push(Prepared(POINT, vec![Value::Int(id)]));
+    }
+    for id in ITEMS - 20..ITEMS - 10 {
+        steps.push(Sql(format!("delete from item where id = {id}")));
+    }
+    steps.push(Sql(
+        "explain analyze update item set qty = qty + 1 where grp = 2".into(),
+    ));
+    steps.push(Sql("explain analyze delete from item where id = 0".into()));
+    steps.push(Sql("insert into grp values (1, 'again')".into()));
+    steps.push(Sql("select * from nowhere".into()));
+    steps.push(Prepared(POINT, vec![]));
+
+    // Explicit transactions: one that commits, one that rolls back, and one
+    // that loses first-committer-wins to the other session.
+    steps.extend([
+        Begin,
+        Prepared(
+            INSERT_ITEM,
+            vec![
+                Value::Int(500),
+                Value::Int(0),
+                Value::Str("t".into()),
+                Value::Int(1),
+            ],
+        ),
+        Prepared(RESTOCK, vec![Value::Int(7), Value::Int(500)]),
+        Prepared(POINT, vec![Value::Int(500)]),
+        Commit,
+        Begin,
+        Sql("delete from item where grp = 1".into()),
+        Sql("select count(*) from item".into()),
+        Rollback,
+        Sql("select count(*) from item".into()),
+        Begin,
+        Prepared(POINT, vec![Value::Int(2)]),
+        OtherSession("update item set qty = 1000 where id = 2".into()),
+        Prepared(RESTOCK, vec![Value::Int(1), Value::Int(2)]),
+        // The conflict aborted the transaction: nothing left to commit.
+        Commit,
+        Prepared(POINT, vec![Value::Int(2)]),
+    ]);
+    steps
+}
+
+/// `EXPLAIN ANALYZE` text with the run-dependent parts (pages touched,
+/// timings, waits) cut away: operator, estimates and actual counts remain.
+fn stable_plan_text(rows: Vec<Row>) -> Vec<Row> {
+    rows.into_iter()
+        .filter_map(|row| {
+            let line = row.get(0).as_str()?.to_owned();
+            if line.starts_with("Waits:") {
+                return None;
+            }
+            let cut = line
+                .find(", pages=")
+                .or_else(|| line.rfind(", "))
+                .unwrap_or(line.len());
+            Some(Row::new(vec![Value::Str(line[..cut].to_owned())]))
+        })
+        .collect()
+}
+
+fn outcome(result: Result<StatementResult>, is_plan_text: bool) -> Outcome {
+    match result {
+        Ok(r) => {
+            let mut rows = if is_plan_text {
+                stable_plan_text(r.rows)
+            } else {
+                r.rows
+            };
+            rows.sort();
+            Outcome::Done {
+                rows,
+                affected: r.affected,
+                actual_cpu: r.actual_cost.cpu,
+                est: (r.est_cost.cpu, r.est_cost.io),
+            }
+        }
+        Err(e) => Outcome::Failed(std::mem::discriminant(&e)),
+    }
+}
+
+/// Everything the monitor holds that must not depend on the path taken.
+#[derive(Debug, PartialEq)]
+struct Recorded {
+    /// `ima$workload`: statement hash, tuples processed, estimate.
+    workload: Vec<(String, u64, f64, f64)>,
+    /// `ima$references`: statement → table / attribute / index.
+    references: Vec<(String, &'static str, u64, u32)>,
+    tables: Vec<(u32, String, u64, String, u64)>,
+    indexes: Vec<(String, u64)>,
+    attributes: Vec<(u32, usize, u64, bool)>,
+}
+
+fn recorded(engine: &Engine) -> Recorded {
+    let m = engine.monitor().expect("monitoring on");
+    let mut references: Vec<_> = m
+        .references()
+        .into_iter()
+        .map(|r| {
+            (
+                r.hash.to_string(),
+                r.object.tag(),
+                r.object_id,
+                r.table.raw(),
+            )
+        })
+        .collect();
+    references.sort();
+    let mut tables: Vec<_> = m
+        .tables()
+        .into_iter()
+        .map(|t| (t.id.raw(), t.name, t.frequency, t.storage, t.rows))
+        .collect();
+    tables.sort();
+    let mut indexes: Vec<_> = m
+        .indexes()
+        .into_iter()
+        .map(|i| (i.name, i.frequency))
+        .collect();
+    indexes.sort();
+    let mut attributes: Vec<_> = m
+        .attributes()
+        .into_iter()
+        .map(|a| (a.table.raw(), a.column, a.frequency, a.has_histogram))
+        .collect();
+    attributes.sort();
+    Recorded {
+        workload: m
+            .workload()
+            .into_iter()
+            .map(|w| (w.hash.to_string(), w.exec_cpu, w.est.cpu, w.est.io))
+            .collect(),
+        references,
+        tables,
+        indexes,
+        attributes,
+    }
+}
+
+struct Run {
+    outcomes: Vec<Outcome>,
+    recorded: Recorded,
+    cache_hits: u64,
+    traced_statements: u64,
+}
+
+fn run(steps: &[Step], cache_capacity: usize, trace: bool) -> Run {
+    let engine = Engine::builder()
+        .config(EngineConfig::monitoring())
+        .plan_cache_capacity(cache_capacity)
+        .build()
+        .unwrap();
+    let a = engine.open_session();
+    let b = engine.open_session();
+    // Both spellings are one recorded statement, so the four workload
+    // tables stay row-for-row aligned (the row itself is skipped below).
+    let switch = if trace {
+        "set trace = on"
+    } else {
+        "set trace = off"
+    };
+    a.execute(switch).unwrap();
+
+    let unit = |r: Result<()>| outcome(r.map(|()| StatementResult::default()), false);
+    let outcomes = steps
+        .iter()
+        .map(|step| match step {
+            Step::Sql(sql) => outcome(a.execute(sql), sql.starts_with("explain")),
+            Step::Prepared(sql, params) => {
+                outcome(a.prepare(sql).and_then(|p| p.execute(params)), false)
+            }
+            Step::OtherSession(sql) => outcome(b.execute(sql), false),
+            Step::Begin => unit(a.begin()),
+            Step::Commit => unit(a.commit()),
+            Step::Rollback => unit(a.rollback()),
+        })
+        .collect();
+
+    let mut recorded = recorded(&engine);
+    recorded.workload.remove(0);
+    let traced_statements = engine
+        .tracer()
+        .map_or(0, |t| t.histograms().iter().map(|(_, h)| h.total()).sum());
+    Run {
+        outcomes,
+        recorded,
+        cache_hits: engine.plan_cache_stats().hits,
+        traced_statements,
+    }
+}
+
+#[test]
+fn every_statement_path_agrees() {
+    let steps = stream();
+    let reference = run(&steps, 256, false);
+
+    // Premises: the stream exercises what it claims to.
+    let failed = |v: Error| Outcome::Failed(std::mem::discriminant(&v));
+    for expected in [
+        failed(Error::WriteConflict(String::new())),
+        failed(Error::Constraint(String::new())),
+        failed(Error::param_arity(1, 0)),
+    ] {
+        assert!(
+            reference.outcomes.contains(&expected),
+            "the stream must produce {expected:?}"
+        );
+    }
+    assert!(reference.cache_hits > 300, "hits: {}", reference.cache_hits);
+    assert_eq!(reference.traced_statements, 0);
+    assert!(
+        reference.recorded.references.iter().any(|r| r.1 == "index"),
+        "some statement must use an index"
+    );
+
+    for (capacity, trace) in [(256, true), (0, false), (0, true)] {
+        let other = run(&steps, capacity, trace);
+        let label = format!("plan cache {capacity}, trace {trace}");
+        assert_eq!(other.cache_hits > 0, capacity > 0, "{label}");
+        assert_eq!(other.traced_statements > 0, trace, "{label}");
+        for (i, (want, got)) in reference.outcomes.iter().zip(&other.outcomes).enumerate() {
+            assert_eq!(want, got, "{label}: step {i} {:?}", steps[i]);
+        }
+        assert_eq!(
+            reference.recorded.workload.len(),
+            other.recorded.workload.len(),
+            "{label}: ima$workload row count"
+        );
+        assert_eq!(reference.recorded, other.recorded, "{label}");
+    }
+}
