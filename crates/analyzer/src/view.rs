@@ -270,12 +270,13 @@ impl WorkloadView {
                 .collect();
         }
         if let Some(sampler) = engine.ash_sampler() {
-            view.ash = fold_ash(
-                sampler
-                    .history()
-                    .into_iter()
-                    .map(|s| (s.hash.to_string(), s.template, s.event.to_owned())),
-            );
+            view.ash = fold_ash(sampler.history().into_iter().map(|s| {
+                (
+                    s.hash.to_string(),
+                    s.template.to_string(),
+                    s.event.to_owned(),
+                )
+            }));
         }
         view
     }

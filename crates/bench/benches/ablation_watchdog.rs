@@ -4,21 +4,23 @@
 //! a watchdog-style design that ships the same per-statement record over a
 //! channel to a separate consumer thread.
 
+use std::sync::Arc;
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use crossbeam::channel;
-use ingot_common::{Cost, EngineConfig, MonotonicClock, TableId};
-use ingot_core::monitor::{Monitor, TableDetail};
+use ingot_common::{Cost, EngineConfig, MonotonicClock, StmtHash, TableId};
+use ingot_core::monitor::{Footprint, Monitor, TableRef};
 
 const TEXT: &str = "select p.nref_id from protein p where p.nref_id = 'NF00000001'";
 
-fn table_detail() -> TableDetail {
-    TableDetail {
+fn table_ref() -> TableRef {
+    TableRef {
         id: TableId(1),
         name: "protein".into(),
-        storage: "HEAP".into(),
-        data_pages: 100,
-        overflow_pages: 10,
-        rows: 10_000,
+        storage: "HEAP",
+        data_pages: 100.into(),
+        overflow_pages: 10.into(),
+        rows: 10_000.into(),
     }
 }
 
@@ -26,7 +28,7 @@ fn table_detail() -> TableDetail {
 #[allow(dead_code)]
 struct WatchdogRecord {
     text: String,
-    tables: Vec<TableDetail>,
+    tables: Vec<TableRef>,
     est: Cost,
     exec_cpu: u64,
     exec_io: u64,
@@ -34,14 +36,20 @@ struct WatchdogRecord {
 }
 
 fn bench_inline_sensors(c: &mut Criterion) {
-    let monitor = Monitor::new(&EngineConfig::default(), MonotonicClock::new());
+    let clock = MonotonicClock::new();
+    let monitor = Monitor::new(&EngineConfig::default(), clock);
+    let footprint = Arc::new(Footprint {
+        tables: vec![table_ref()],
+        ..Footprint::default()
+    });
     c.bench_function("ablation_inline_sensors", |b| {
         b.iter(|| {
-            let mut s = monitor.begin_statement(black_box(TEXT));
-            monitor.parsed(&mut s, vec![table_detail()], vec![]);
-            monitor.optimized(&mut s, Cost::new(100.0, 3.0), vec![], 1_000, 3);
-            monitor.executed(&mut s, 1, 0);
-            monitor.record(s, 0);
+            let text = black_box(TEXT);
+            let mut s = monitor.begin_statement(StmtHash::of(text), text, clock.now_nanos());
+            s.parsed(Arc::clone(&footprint));
+            s.optimized(Cost::new(100.0, 3.0), 1_000, 3);
+            s.executed(1, 0);
+            monitor.record(s, clock.now_nanos(), 0);
         })
     });
 }
@@ -62,7 +70,7 @@ fn bench_watchdog_channel(c: &mut Criterion) {
             let t0 = clock.now_nanos();
             let rec = WatchdogRecord {
                 text: TEXT.to_owned(),
-                tables: vec![table_detail()],
+                tables: vec![table_ref()],
                 est: Cost::new(100.0, 3.0),
                 exec_cpu: 1,
                 exec_io: 0,

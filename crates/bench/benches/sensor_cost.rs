@@ -3,9 +3,11 @@
 //! and adds 30–70 µs per statement. These benches measure our equivalents.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::sync::Arc;
+
 use ingot_common::TableId;
 use ingot_common::{fnv1a64, Cost, EngineConfig, MonotonicClock, StmtHash};
-use ingot_core::monitor::{Monitor, RingBuffer, TableDetail};
+use ingot_core::monitor::{Footprint, Monitor, RingBuffer, TableRef};
 
 fn bench_hashing(c: &mut Criterion) {
     let text = "select p.nref_id, sequence, ordinal from protein p \
@@ -28,31 +30,35 @@ fn bench_ring(c: &mut Criterion) {
 }
 
 fn bench_sensor_pipeline(c: &mut Criterion) {
-    let monitor = Monitor::new(&EngineConfig::default(), MonotonicClock::new());
+    let clock = MonotonicClock::new();
+    let monitor = Monitor::new(&EngineConfig::default(), clock);
     let text = "select p.nref_id from protein p where p.nref_id = 'NF00000001'";
+    // Interned once per template, as the engine does when it plans one.
+    let footprint = Arc::new(Footprint {
+        tables: vec![TableRef {
+            id: TableId(1),
+            name: "protein".into(),
+            storage: "HEAP",
+            data_pages: 100.into(),
+            overflow_pages: 10.into(),
+            rows: 10_000.into(),
+        }],
+        ..Footprint::default()
+    });
     c.bench_function("full_sensor_pipeline_per_statement", |b| {
         b.iter(|| {
-            let mut s = monitor.begin_statement(black_box(text));
-            monitor.parsed(
-                &mut s,
-                vec![TableDetail {
-                    id: TableId(1),
-                    name: "protein".into(),
-                    storage: "HEAP".into(),
-                    data_pages: 100,
-                    overflow_pages: 10,
-                    rows: 10_000,
-                }],
-                vec![],
-            );
-            monitor.optimized(&mut s, Cost::new(100.0, 3.0), vec![], 1_000, 3);
-            monitor.executed(&mut s, 1, 0);
-            monitor.record(s, 0);
+            let text = black_box(text);
+            let mut s = monitor.begin_statement(StmtHash::of(text), text, clock.now_nanos());
+            s.parsed(Arc::clone(&footprint));
+            s.optimized(Cost::new(100.0, 3.0), 1_000, 3);
+            s.executed(1, 0);
+            monitor.record(s, clock.now_nanos(), 0);
         })
     });
     c.bench_function("begin_statement_only", |b| {
         b.iter(|| {
-            let s = monitor.begin_statement(black_box(text));
+            let text = black_box(text);
+            let s = monitor.begin_statement(StmtHash::of(text), text, clock.now_nanos());
             black_box(&s);
         })
     });

@@ -26,12 +26,19 @@ pub enum StorageStructure {
     BTree,
 }
 
+impl StorageStructure {
+    /// The tag `MODIFY … TO` spells and the IMA tables report.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            StorageStructure::Heap => "HEAP",
+            StorageStructure::BTree => "BTREE",
+        }
+    }
+}
+
 impl fmt::Display for StorageStructure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StorageStructure::Heap => write!(f, "HEAP"),
-            StorageStructure::BTree => write!(f, "BTREE"),
-        }
+        f.write_str(self.as_str())
     }
 }
 

@@ -98,8 +98,8 @@ pub struct EngineConfig {
     pub wal_sync_delay_us: u64,
     /// Whether the wait-event subsystem (RAII wait guards on lock queues,
     /// WAL barriers, buffer I/O, retry backoff) and the ASH sampler are
-    /// wired in. Requires `monitor_enabled`; the `ash_overhead` bench flips
-    /// this off to isolate the subsystem's cost.
+    /// wired in. Requires `monitor_enabled`; flipping it off isolates the
+    /// subsystem's cost.
     pub wait_events_enabled: bool,
     /// Active Session History sampling interval in milliseconds. The
     /// sampler is cooperative — it fires from statement begin/end and the

@@ -20,8 +20,8 @@
 //! everything here so observability consumers keep a single import surface.
 //!
 //! Attribution uses an ambient thread-local binding ([`bind_session`]):
-//! the engine binds the executing session's [`SessionWaits`] (plus the
-//! engine's registry) for the duration of one statement, and any guard
+//! the engine binds the executing session's [`SessionWaits`] (which knows
+//! the engine's registry) for the duration of one statement, and any guard
 //! created further down the stack — the lock manager, the WAL, the buffer
 //! pool, the retry loop — charges that session without threading handles
 //! through every call signature. Code without an engine (unit tests, loom
@@ -290,8 +290,8 @@ impl WaitRegistry {
     /// bound to the calling thread, if any, is charged too.
     pub fn charge(&self, event: WaitEvent, ns: u64) {
         let start = self.clock.now_nanos().saturating_sub(ns);
-        let session = AMBIENT.with(|a| a.borrow().session.clone());
-        self.commit_wait(event, start, ns, session.as_ref());
+        let session = AMBIENT.with(|a| a.borrow().clone());
+        self.commit_wait(event, start, ns, session.as_deref());
     }
 
     fn commit_wait(
@@ -299,11 +299,11 @@ impl WaitRegistry {
         event: WaitEvent,
         start_ns: u64,
         duration_ns: u64,
-        session: Option<&(u64, Arc<SessionWaits>)>,
+        session: Option<&SessionWaits>,
     ) {
         let record = WaitRecord {
             event,
-            session: session.map(|(id, _)| *id),
+            session: session.map(|s| s.session_id),
             start_ns,
             duration_ns,
         };
@@ -316,7 +316,7 @@ impl WaitRegistry {
                 poisoned.into_inner().push(record);
             }
         }
-        if let Some((_, waits)) = session {
+        if let Some(waits) = session {
             waits.record(record);
         }
     }
@@ -324,10 +324,17 @@ impl WaitRegistry {
 
 /// Per-session wait accounting: cumulative counters, a small recent-wait
 /// ring, and the session's *current* wait state — the field the ASH sampler
-/// reads from another thread, hence the atomics.
+/// reads from another thread, hence the atomics. It also names the session
+/// and the engine registry its waits are charged to as well, so one handle
+/// is all [`bind_session`] installs.
 #[derive(Debug)]
 pub struct SessionWaits {
+    session_id: u64,
+    registry: Option<Arc<WaitRegistry>>,
     counters: WaitCounters,
+    /// Nanoseconds lost across every event: the statement path reads it
+    /// before and after a statement instead of summing the per-event array.
+    total_ns: AtomicU64,
     /// `0` = on CPU; otherwise `event.index() + 1`.
     current: AtomicUsize,
     /// When the current wait began (registry-clock nanoseconds).
@@ -336,19 +343,38 @@ pub struct SessionWaits {
 }
 
 impl SessionWaits {
-    /// Session accounting with a recent-ring of `recent_capacity`.
-    pub fn new(recent_capacity: usize) -> Self {
+    /// Accounting for session `session_id` with a recent-ring of
+    /// `recent_capacity`. Guards begun while it is bound charge `registry`
+    /// too; without one only guards handed a registry of their own measure.
+    pub fn new(
+        session_id: u64,
+        registry: Option<Arc<WaitRegistry>>,
+        recent_capacity: usize,
+    ) -> Self {
         SessionWaits {
+            session_id,
+            registry,
             counters: WaitCounters::new(),
+            total_ns: AtomicU64::new(0),
             current: AtomicUsize::new(0),
             current_since_ns: AtomicU64::new(0),
             recent: Mutex::new(RingBuffer::new(recent_capacity)),
         }
     }
 
+    /// The session these waits belong to.
+    pub fn session_id(&self) -> u64 {
+        self.session_id
+    }
+
     /// This session's cumulative counters.
     pub fn counters(&self) -> &WaitCounters {
         &self.counters
+    }
+
+    /// Nanoseconds this session lost across every event so far.
+    pub fn total_ns(&self) -> u64 {
+        self.total_ns.load(Ordering::Relaxed)
     }
 
     /// The wait the session is inside right now, with its start timestamp —
@@ -397,6 +423,8 @@ impl SessionWaits {
     /// restores it on drop instead.
     fn record(&self, record: WaitRecord) {
         self.counters.charge(record.event, record.duration_ns);
+        self.total_ns
+            .fetch_add(record.duration_ns, Ordering::Relaxed);
         match self.recent.lock() {
             Ok(mut ring) => {
                 ring.push(record);
@@ -408,49 +436,30 @@ impl SessionWaits {
     }
 }
 
-#[derive(Clone, Default)]
-struct Ambient {
-    session: Option<(u64, Arc<SessionWaits>)>,
-    registry: Option<Arc<WaitRegistry>>,
-}
-
 thread_local! {
-    static AMBIENT: RefCell<Ambient> = RefCell::new(Ambient::default());
+    static AMBIENT: RefCell<Option<Arc<SessionWaits>>> = const { RefCell::new(None) };
 }
 
 /// RAII restore of the previous ambient binding (see [`bind_session`]).
 pub struct SessionBinding {
-    prev: Option<Ambient>,
+    prev: Option<Arc<SessionWaits>>,
 }
 
 impl Drop for SessionBinding {
     fn drop(&mut self) {
-        if let Some(prev) = self.prev.take() {
-            AMBIENT.with(|a| *a.borrow_mut() = prev);
-        }
+        AMBIENT.with(|a| *a.borrow_mut() = self.prev.take());
     }
 }
 
-/// Bind `session` (identified by `session_id`) and `registry` to the calling
-/// thread for the lifetime of the returned guard. Every wait begun on this
-/// thread — however deep in the stack — is then charged to both. The engine
-/// installs this around each statement execution; nesting restores the
-/// previous binding on drop.
-pub fn bind_session(
-    session_id: u64,
-    session: Arc<SessionWaits>,
-    registry: Arc<WaitRegistry>,
-) -> SessionBinding {
-    let prev = AMBIENT.with(|a| {
-        let mut a = a.borrow_mut();
-        let prev = a.clone();
-        *a = Ambient {
-            session: Some((session_id, session)),
-            registry: Some(registry),
-        };
-        prev
-    });
-    SessionBinding { prev: Some(prev) }
+/// Bind `session` to the calling thread for the lifetime of the returned
+/// guard. Every wait begun on this thread — however deep in the stack — is
+/// then charged to it and to its registry. The engine installs this around
+/// each statement execution (one reference-count round trip); nesting
+/// restores the previous binding on drop.
+pub fn bind_session(session: Arc<SessionWaits>) -> SessionBinding {
+    SessionBinding {
+        prev: AMBIENT.with(|a| a.borrow_mut().replace(session)),
+    }
 }
 
 /// Charge a completed wait of known duration to the thread's ambient
@@ -459,8 +468,8 @@ pub fn bind_session(
 /// declared rather than measured — the retry loop charges its backoff delay
 /// here so simulated-clock waits are accounted at their scheduled length.
 pub fn charge_ambient(event: WaitEvent, ns: u64) {
-    let registry = AMBIENT.with(|a| a.borrow().registry.clone());
-    if let Some(registry) = registry {
+    let session = AMBIENT.with(|a| a.borrow().clone());
+    if let Some(registry) = session.as_ref().and_then(|s| s.registry.as_ref()) {
         registry.charge(event, ns);
     }
 }
@@ -469,7 +478,7 @@ struct GuardInner {
     event: WaitEvent,
     start_ns: u64,
     registry: Arc<WaitRegistry>,
-    session: Option<(u64, Arc<SessionWaits>)>,
+    session: Option<Arc<SessionWaits>>,
     /// The session's current-wait state when this guard began, restored on
     /// drop (meaningful only when `session` is `Some`).
     prev_wait: (usize, u64),
@@ -495,17 +504,16 @@ impl WaitGuard {
     /// injected handle; when `None`, the thread's ambient registry (bound by
     /// the engine around statement execution) is used instead.
     pub fn begin(registry: Option<&Arc<WaitRegistry>>, event: WaitEvent) -> WaitGuard {
-        let (registry, session) = AMBIENT.with(|a| {
-            let a = a.borrow();
-            let reg = registry.cloned().or_else(|| a.registry.clone());
-            (reg, a.session.clone())
-        });
+        let session = AMBIENT.with(|a| a.borrow().clone());
+        let registry = registry
+            .or_else(|| session.as_ref().and_then(|s| s.registry.as_ref()))
+            .cloned();
         let Some(registry) = registry else {
             return WaitGuard { inner: None };
         };
         let start_ns = registry.clock().now_nanos();
         let prev_wait = match &session {
-            Some((_, waits)) => waits.enter(event, start_ns),
+            Some(waits) => waits.enter(event, start_ns),
             None => (0, 0),
         };
         WaitGuard {
@@ -544,9 +552,9 @@ impl Drop for WaitGuard {
                 inner.event,
                 inner.start_ns,
                 duration,
-                inner.session.as_ref(),
+                inner.session.as_deref(),
             );
-            if let Some((_, waits)) = &inner.session {
+            if let Some(waits) = &inner.session {
                 waits.restore(inner.prev_wait);
             }
         }
@@ -637,8 +645,8 @@ mod tests {
     #[test]
     fn guard_charges_registry_and_bound_session() {
         let registry = Arc::new(WaitRegistry::new(16));
-        let session = Arc::new(SessionWaits::new(16));
-        let bound = bind_session(7, Arc::clone(&session), Arc::clone(&registry));
+        let session = Arc::new(SessionWaits::new(7, Some(Arc::clone(&registry)), 16));
+        let bound = bind_session(Arc::clone(&session));
         {
             let guard = WaitGuard::begin(Some(&registry), WaitEvent::LockWaitX);
             assert!(guard.is_active());
@@ -649,6 +657,11 @@ mod tests {
         drop(bound);
         assert_eq!(registry.counters().count(WaitEvent::LockWaitX), 1);
         assert_eq!(session.counters().count(WaitEvent::LockWaitX), 1);
+        assert_eq!(
+            session.total_ns(),
+            session.counters().total_ns(),
+            "the running total is the sum over events"
+        );
         assert!(session.current_wait().is_none(), "back on CPU");
         let recent = registry.recent();
         assert_eq!(recent.len(), 1);
@@ -670,8 +683,8 @@ mod tests {
         // Nothing bound: silently dropped.
         charge_ambient(WaitEvent::RetryBackoff, 1_000);
         let registry = Arc::new(WaitRegistry::new(4));
-        let session = Arc::new(SessionWaits::new(4));
-        let bound = bind_session(3, Arc::clone(&session), Arc::clone(&registry));
+        let session = Arc::new(SessionWaits::new(3, Some(Arc::clone(&registry)), 4));
+        let bound = bind_session(Arc::clone(&session));
         charge_ambient(WaitEvent::RetryBackoff, 2_500);
         drop(bound);
         // Unbound again after the RAII restore.
@@ -679,6 +692,7 @@ mod tests {
         assert_eq!(registry.counters().count(WaitEvent::RetryBackoff), 1);
         assert_eq!(registry.counters().nanos(WaitEvent::RetryBackoff), 2_500);
         assert_eq!(session.counters().nanos(WaitEvent::RetryBackoff), 2_500);
+        assert_eq!(session.total_ns(), 2_500);
     }
 
     #[test]
@@ -709,8 +723,8 @@ mod tests {
         // the ASH sampler would otherwise see the rest of the outer wait as
         // on-CPU (regression: SessionWaits::record stored 0 into current).
         let registry = Arc::new(WaitRegistry::new(8));
-        let session = Arc::new(SessionWaits::new(8));
-        let bound = bind_session(5, Arc::clone(&session), Arc::clone(&registry));
+        let session = Arc::new(SessionWaits::new(5, Some(Arc::clone(&registry)), 8));
+        let bound = bind_session(Arc::clone(&session));
         {
             let _outer = WaitGuard::begin(Some(&registry), WaitEvent::WalFsync);
             charge_ambient(WaitEvent::RetryBackoff, 1_000);
@@ -729,8 +743,8 @@ mod tests {
         // double-charge the overlap), but if they ever do, the inner guard's
         // drop restores the outer wait's state rather than clearing it.
         let registry = Arc::new(WaitRegistry::new(8));
-        let session = Arc::new(SessionWaits::new(8));
-        let bound = bind_session(6, Arc::clone(&session), Arc::clone(&registry));
+        let session = Arc::new(SessionWaits::new(6, Some(Arc::clone(&registry)), 8));
+        let bound = bind_session(Arc::clone(&session));
         {
             let _outer = WaitGuard::begin(Some(&registry), WaitEvent::LockWaitX);
             let (_, outer_since) = session.current_wait().expect("outer waiting");
@@ -750,12 +764,12 @@ mod tests {
     #[test]
     fn nested_bindings_restore() {
         let r1 = Arc::new(WaitRegistry::new(4));
-        let s1 = Arc::new(SessionWaits::new(4));
+        let s1 = Arc::new(SessionWaits::new(1, Some(Arc::clone(&r1)), 4));
         let r2 = Arc::new(WaitRegistry::new(4));
-        let s2 = Arc::new(SessionWaits::new(4));
-        let outer = bind_session(1, Arc::clone(&s1), Arc::clone(&r1));
+        let s2 = Arc::new(SessionWaits::new(2, Some(Arc::clone(&r2)), 4));
+        let outer = bind_session(Arc::clone(&s1));
         {
-            let _inner = bind_session(2, Arc::clone(&s2), Arc::clone(&r2));
+            let _inner = bind_session(Arc::clone(&s2));
             charge_ambient(WaitEvent::DaemonCatchup, 10);
         }
         charge_ambient(WaitEvent::DaemonCatchup, 5);

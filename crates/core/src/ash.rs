@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ingot_common::waits::SessionWaits;
+use ingot_common::waits::{SessionWaits, WaitRegistry, WaitRegistryHandle};
 use ingot_common::{MonotonicClock, RingBuffer, StmtHash};
 use parking_lot::Mutex;
 
@@ -32,8 +32,9 @@ use parking_lot::Mutex;
 pub struct CurrentStatement {
     /// Statement hash (of the raw text, matching `ima$statements`).
     pub hash: StmtHash,
-    /// Whitespace-normalized template (matching the plan cache key).
-    pub template: String,
+    /// Whitespace-normalized template (matching the plan cache key), shared
+    /// with the statement's identity rather than copied per execution.
+    pub template: Arc<str>,
     /// When execution began, wall-clock nanoseconds.
     pub start_ns: u64,
 }
@@ -43,23 +44,21 @@ pub struct CurrentStatement {
 /// at statement end.
 #[derive(Debug)]
 pub struct ActiveSession {
-    session_id: u64,
     waits: Arc<SessionWaits>,
     current: Mutex<Option<CurrentStatement>>,
 }
 
 impl ActiveSession {
-    fn new(session_id: u64, recent_waits: usize) -> Self {
+    fn new(session_id: u64, registry: Option<Arc<WaitRegistry>>, recent_waits: usize) -> Self {
         ActiveSession {
-            session_id,
-            waits: Arc::new(SessionWaits::new(recent_waits)),
+            waits: Arc::new(SessionWaits::new(session_id, registry, recent_waits)),
             current: Mutex::new(None),
         }
     }
 
     /// The session this slot belongs to.
     pub fn session_id(&self) -> u64 {
-        self.session_id
+        self.waits.session_id()
     }
 
     /// The session's wait-accounting sink (bound to the executing thread
@@ -69,7 +68,7 @@ impl ActiveSession {
     }
 
     /// Publish the statement this session is now executing.
-    pub fn begin_statement(&self, hash: StmtHash, template: String, start_ns: u64) {
+    pub fn begin_statement(&self, hash: StmtHash, template: Arc<str>, start_ns: u64) {
         *self.current.lock() = Some(CurrentStatement {
             hash,
             template,
@@ -98,7 +97,7 @@ pub struct AshSample {
     /// Hash of the running statement.
     pub hash: StmtHash,
     /// Template of the running statement.
-    pub template: String,
+    pub template: Arc<str>,
     /// How long the statement had been running at sample time.
     pub elapsed_ns: u64,
     /// Name of the wait event the session was inside, or [`ON_CPU`].
@@ -119,6 +118,8 @@ pub struct AshSampler {
     interval_ns: u64,
     last_sample_ns: AtomicU64,
     samples_taken: AtomicU64,
+    /// The registry the registered sessions' waits are charged to as well.
+    waits: WaitRegistryHandle,
     sessions: Mutex<HashMap<u64, Arc<ActiveSession>>>,
     ring: Mutex<RingBuffer<AshSample>>,
 }
@@ -132,9 +133,16 @@ impl AshSampler {
             interval_ns: interval_ns.max(1),
             last_sample_ns: AtomicU64::new(0),
             samples_taken: AtomicU64::new(0),
+            waits: WaitRegistryHandle::new(),
             sessions: Mutex::new(HashMap::new()),
             ring: Mutex::new(RingBuffer::new(ring_capacity)),
         }
+    }
+
+    /// Charge the waits of sessions registered from now on to `registry`
+    /// too. Called once by the engine during wiring.
+    pub fn set_wait_registry(&self, registry: Arc<WaitRegistry>) {
+        self.waits.set(registry);
     }
 
     /// The configured minimum spacing between samples, nanoseconds.
@@ -156,7 +164,11 @@ impl AshSampler {
     /// Register `session_id` and return its slot. Called by
     /// `Engine::open_session`.
     pub fn register_session(&self, session_id: u64) -> Arc<ActiveSession> {
-        let slot = Arc::new(ActiveSession::new(session_id, SESSION_RECENT_WAITS));
+        let slot = Arc::new(ActiveSession::new(
+            session_id,
+            self.waits.get().cloned(),
+            SESSION_RECENT_WAITS,
+        ));
         self.sessions.lock().insert(session_id, Arc::clone(&slot));
         slot
     }
@@ -272,6 +284,7 @@ mod tests {
     #[test]
     fn active_statement_is_sampled_with_wait_state() {
         let s = sampler(10, 16);
+        s.set_wait_registry(Arc::new(WaitRegistry::new(4)));
         let slot = s.register_session(5);
         slot.begin_statement(StmtHash::of("select 1"), "select 1".into(), 1_000);
         s.sample_now(3_000);
@@ -280,11 +293,9 @@ mod tests {
         assert_eq!(h[0].session_id, 5);
         assert_eq!(h[0].event, ON_CPU);
         assert_eq!(h[0].elapsed_ns, 2_000);
-        assert_eq!(h[0].template, "select 1");
+        assert_eq!(&*h[0].template, "select 1");
         // Mid-wait the sample records the event name.
-        slot.waits().counters(); // touch
-        let registry = Arc::new(ingot_common::waits::WaitRegistry::new(4));
-        let bound = ingot_common::waits::bind_session(5, Arc::clone(slot.waits()), registry);
+        let bound = ingot_common::waits::bind_session(Arc::clone(slot.waits()));
         let guard = ingot_common::waits::WaitGuard::begin(None, WaitEvent::LockWaitX);
         s.sample_now(4_000);
         drop(guard);

@@ -36,7 +36,7 @@ use crate::ima::{
     register_plan_cache_table, register_trace_tables, register_wait_tables, register_wal_table,
 };
 use crate::monitor::{
-    AttributeDetail, IndexDetail, Monitor, StatSample, StatementSensor, TableDetail,
+    AttributeRef, Footprint, IndexRef, Monitor, StatSample, StatementSensor, TableRef,
 };
 
 /// Capacity of the engine-global recent-wait ring behind `ima$wait_events`'
@@ -335,13 +335,14 @@ impl Engine {
                 config.ash_sample_interval_ms.saturating_mul(1_000_000),
                 config.ash_ring_capacity,
             ));
+            sampler.set_wait_registry(Arc::clone(&registry));
             (Some(registry), Some(sampler))
         } else {
             (None, None)
         };
-        if let Some(m) = &monitor {
+        if let (Some(m), Some(t)) = (&monitor, &tracer) {
             register_ima_tables(&mut catalog, m)?;
-            register_monitor_health_table(&mut catalog, m)?;
+            register_monitor_health_table(&mut catalog, m, t, ash.as_ref())?;
             register_concurrency_tables(&mut catalog, &locks, &txns, &sessions)?;
             register_plan_cache_table(&mut catalog, &plan_cache)?;
             register_wal_table(&mut catalog, &wal)?;
@@ -1373,12 +1374,12 @@ impl DmlObserver for WalDmlObserver<'_> {
 /// The two per-statement observers every step of the statement path feeds:
 /// the monitor's sensor record and, while runtime tracing is on, the stage /
 /// operator span builder. Either may be absent; the helpers are no-ops then.
-struct Probes {
-    sensor: Option<StatementSensor>,
+struct Probes<'a> {
+    sensor: Option<StatementSensor<'a>>,
     trace: Option<TraceBuilder>,
 }
 
-impl Probes {
+impl Probes<'_> {
     /// Charge monitoring bookkeeping time to the statement's `monitor_ns`.
     fn add_self_time(&mut self, ns: u64) {
         if let Some(s) = self.sensor.as_mut() {
@@ -1406,6 +1407,17 @@ struct PlanOrigin {
     /// tracing is on and rendered as the result, with the waits accrued
     /// since these session totals (taken before planning).
     analyze: Option<Vec<WaitTotal>>,
+}
+
+/// A statement's identity, computed once per text (by [`Session::prepare`]
+/// for a handle, at [`Session::execute`] for plain text) and handed to every
+/// party that keys on it: monitor sensor, ASH slot, tracer and plan cache.
+struct StmtIdentity {
+    /// Hash of the raw text — the key of `ima$statements`. Only observers
+    /// read it, so the bare engine does not compute it.
+    hash: StmtHash,
+    /// Whitespace-normalized text — the plan-cache key and the ASH template.
+    template: Arc<str>,
 }
 
 /// A connection to the engine. Statements auto-commit unless an explicit
@@ -1514,7 +1526,17 @@ impl Session {
     /// parameters: the same plan-cache probe, sensors and locking as
     /// [`Prepared::execute`], so repeated texts skip parse/bind/optimize.
     pub fn execute(&self, sql: &str) -> Result<StatementResult> {
-        self.execute_with_params(sql, &[])
+        self.execute_with_params(sql, &self.identify(sql), &[])
+    }
+
+    fn identify(&self, sql: &str) -> StmtIdentity {
+        StmtIdentity {
+            hash: match self.engine.monitor {
+                Some(_) => StmtHash::of(sql),
+                None => StmtHash(0),
+            },
+            template: normalize_template(sql).into(),
+        }
     }
 
     /// Validate `sql` once and return a reusable handle that executes it
@@ -1524,6 +1546,7 @@ impl Session {
         Ok(Prepared {
             session: self,
             text: sql.to_owned(),
+            identity: self.identify(sql),
             param_count: param_count(&stmt),
         })
     }
@@ -1564,11 +1587,22 @@ impl Session {
         result
     }
 
-    fn execute_with_params(&self, sql: &str, params: &[Value]) -> Result<StatementResult> {
+    fn execute_with_params(
+        &self,
+        sql: &str,
+        id: &StmtIdentity,
+        params: &[Value],
+    ) -> Result<StatementResult> {
         let engine = &*self.engine;
+        // The statement's own start stamp; it also opens the observers'
+        // begin region.
+        let start_ns = engine.wall.now_nanos();
         let mut probes = Probes {
             // Query-interface sensor: wall-clock start + text hash.
-            sensor: engine.monitor.as_ref().map(|m| m.begin_statement(sql)),
+            sensor: engine
+                .monitor
+                .as_ref()
+                .map(|m| m.begin_statement(id.hash, sql, start_ns)),
             // Structured tracing: one atomic load when disabled, a
             // stage/span builder when enabled.
             trace: engine
@@ -1577,64 +1611,57 @@ impl Session {
                 .filter(|t| t.enabled())
                 .map(|_| TraceBuilder::new(engine.wall)),
         };
-        let start_ns = engine.wall.now_nanos();
-        let io_before = engine.io_stats();
 
         // Wait-event accounting: publish this statement to the session's
         // ASH slot, give the cooperative sampler its tick, and bind the
         // session's wait sink to this thread so guards anywhere down the
         // stack (locks, WAL, buffer pool, retry) charge it.
         let mut wait_before = 0u64;
-        let _wait_binding = match (&engine.waits, &self.ash) {
-            (Some(registry), Some(slot)) => {
-                wait_before = slot.waits().counters().total_ns();
-                slot.begin_statement(StmtHash::of(sql), normalize_template(sql), start_ns);
-                if let Some(sampler) = &engine.ash {
-                    sampler.sample_if_due(start_ns);
-                }
-                Some(bind_session(
-                    self.id.raw(),
-                    Arc::clone(slot.waits()),
-                    Arc::clone(registry),
-                ))
+        let _wait_binding = self.ash.as_ref().map(|slot| {
+            wait_before = slot.waits().total_ns();
+            slot.begin_statement(id.hash, Arc::clone(&id.template), start_ns);
+            if let Some(sampler) = &engine.ash {
+                sampler.sample_if_due(start_ns);
             }
-            _ => None,
-        };
+            bind_session(Arc::clone(slot.waits()))
+        });
+        if let Some(s) = probes.sensor.as_mut() {
+            s.add_self_time(engine.wall.now_nanos() - start_ns);
+        }
 
-        let outcome = self.execute_inner(sql, params, &mut probes);
+        let io_before = engine.io_stats();
+        let outcome = self.execute_inner(sql, id, params, &mut probes);
+        let io_pages = engine.io_stats().delta_since(&io_before).total();
         engine.statements_executed.fetch_add(1, Ordering::Relaxed);
+        // The statement's own end stamp. Everything below is observer work,
+        // charged to `monitor_ns` as one region that `Monitor::record`
+        // closes with its single clock read.
+        let end_ns = engine.wall.now_nanos();
 
         if let Some(slot) = &self.ash {
             if let Some(sampler) = &engine.ash {
-                sampler.sample_if_due(engine.wall.now_nanos());
+                sampler.sample_if_due(end_ns);
             }
             slot.end_statement();
         }
 
         match outcome {
             Ok(mut result) => {
-                let io_after = engine.io_stats();
-                let io_delta = io_after.delta_since(&io_before);
-                result.actual_cost.io = io_delta.total() as f64;
-                result.wallclock_ns = engine.wall.now_nanos() - start_ns;
+                result.actual_cost.io = io_pages as f64;
+                result.wallclock_ns = end_ns - start_ns;
                 if let Some(slot) = &self.ash {
-                    result.wait_ns = slot
-                        .waits()
-                        .counters()
-                        .total_ns()
-                        .saturating_sub(wait_before);
+                    result.wait_ns = slot.waits().total_ns().saturating_sub(wait_before);
                 }
                 // Hand the finished trace to the tracer before the monitor
-                // records: the tracer's bookkeeping time lands in this
-                // statement's monitor_ns (Fig 5 stays honest).
+                // records: the tracer's bookkeeping falls inside the record
+                // region, so it lands in this statement's monitor_ns (Fig 5
+                // stays honest).
                 if let (Some(tracer), Some(tb)) = (&engine.tracer, probes.trace.take()) {
-                    let dt =
-                        tracer.record_statement(tb.finish(StmtHash::of(sql), result.wallclock_ns));
-                    probes.add_self_time(dt);
+                    tracer.record_statement(tb.finish(id.hash, result.wallclock_ns));
                 }
                 if let (Some(monitor), Some(mut s)) = (&engine.monitor, probes.sensor.take()) {
-                    monitor.executed(&mut s, result.actual_cost.cpu as u64, io_delta.total());
-                    monitor.record(s, engine.sim_clock.now_secs());
+                    s.executed(result.actual_cost.cpu as u64, io_pages);
+                    monitor.record(s, end_ns, engine.sim_clock.now_secs());
                     // Periodic statistics sampling from within the engine.
                     if engine.statements_executed().is_multiple_of(64) {
                         engine.sample_statistics();
@@ -1660,21 +1687,18 @@ impl Session {
     fn execute_inner(
         &self,
         sql: &str,
+        id: &StmtIdentity,
         params: &[Value],
         probes: &mut Probes,
     ) -> Result<StatementResult> {
         let engine = &*self.engine;
         // Plan-cache probe *before* parsing: a hit executes the memoized
-        // template without touching parser, binder or optimizer. Probe time
-        // is monitoring overhead, charged to the statement's monitor_ns.
+        // template without touching parser, binder or optimizer. The bare
+        // engine probes too, so this is statement time, not monitor_ns.
         if engine.plan_cache.capacity() > 0 {
-            let t0 = engine.wall.now_nanos();
-            let template = normalize_template(sql);
             let epoch = engine.catalog.read().epoch();
-            let cached = engine.plan_cache.probe(&template, epoch);
-            probes.add_self_time(engine.wall.now_nanos() - t0);
-            if let Some(cached) = cached {
-                return self.run_planned(sql, &cached, params, PlanOrigin::default(), probes);
+            if let Some(cached) = engine.plan_cache.probe(&id.template, epoch) {
+                return self.run_planned(sql, id, &cached, params, PlanOrigin::default(), probes);
             }
         }
         let parse_t0 = self.engine.wall.now_nanos();
@@ -1705,7 +1729,7 @@ impl Session {
             Statement::Explain {
                 analyze: true,
                 inner,
-            } => self.run_explain_analyze(sql, &inner, params, probes),
+            } => self.run_explain_analyze(sql, id, &inner, params, probes),
             Statement::CreateTable {
                 name,
                 columns,
@@ -1768,7 +1792,7 @@ impl Session {
                 }
             }
             Statement::Set { name, value } => self.set_option(&name, &value),
-            dml => self.run_fresh(sql, &dml, params, probes),
+            dml => self.run_fresh(sql, id, &dml, params, probes),
         };
         if invalidates_plans && result.is_ok() {
             // Schema changes are redone from the log on recovery, so the
@@ -1999,7 +2023,7 @@ impl Session {
         let catalog = engine.catalog.read();
 
         let bind_t0 = engine.wall.now_nanos();
-        let (bound, artifacts) = Binder::new(&catalog).bind(stmt)?;
+        let (bound, mut artifacts) = Binder::new(&catalog).bind(stmt)?;
         probes.stage(Stage::Bind, engine.wall.now_nanos() - bind_t0);
 
         let io_before = engine.io_stats().total();
@@ -2008,6 +2032,10 @@ impl Session {
         let opt_ns = engine.wall.now_nanos() - t0;
         let opt_io = engine.io_stats().total().saturating_sub(io_before);
         probes.stage(Stage::Optimize, opt_ns);
+        if engine.monitor.is_some() {
+            let footprint = intern_footprint(&catalog, &artifacts, planned.used_indexes());
+            artifacts.footprint = Some(Arc::new(footprint));
+        }
         let plan = CachedPlan {
             planned,
             artifacts,
@@ -2023,6 +2051,7 @@ impl Session {
     fn run_fresh(
         &self,
         sql: &str,
+        id: &StmtIdentity,
         stmt: &Statement,
         params: &[Value],
         probes: &mut Probes,
@@ -2033,18 +2062,14 @@ impl Session {
         // the cached plan stays reusable for any future binding. Everything
         // reaching run_fresh is cacheable: DDL, SET and EXPLAIN dispatch
         // elsewhere, and execution plans never use virtual indexes.
-        if engine.plan_cache.capacity() > 0 {
-            let t0 = engine.wall.now_nanos();
-            engine
-                .plan_cache
-                .insert(normalize_template(sql), Arc::clone(&plan));
-            probes.add_self_time(engine.wall.now_nanos() - t0);
-        }
+        engine
+            .plan_cache
+            .insert(Arc::clone(&id.template), Arc::clone(&plan));
         let origin = PlanOrigin {
             optimized: Some(optimized),
             analyze: None,
         };
-        self.run_planned(sql, &plan, params, origin, probes)
+        self.run_planned(sql, id, &plan, params, origin, probes)
     }
 
     /// `EXPLAIN ANALYZE <stmt>`: plan the inner statement (never memoized)
@@ -2054,6 +2079,7 @@ impl Session {
     fn run_explain_analyze(
         &self,
         sql: &str,
+        id: &StmtIdentity,
         inner: &Statement,
         params: &[Value],
         probes: &mut Probes,
@@ -2069,7 +2095,7 @@ impl Session {
             optimized: Some(optimized),
             analyze: Some(waits_before),
         };
-        self.run_planned(sql, &plan, params, origin, probes)
+        self.run_planned(sql, id, &plan, params, origin, probes)
     }
 
     /// The one tail every planned statement runs through — cache hit, miss
@@ -2087,6 +2113,7 @@ impl Session {
     fn run_planned(
         &self,
         sql: &str,
+        id: &StmtIdentity,
         plan: &CachedPlan,
         params: &[Value],
         origin: PlanOrigin,
@@ -2121,31 +2148,22 @@ impl Session {
                 self.finish_auto_txn(txn, None)?;
             }
             let stmt = parse_statement(sql)?;
-            return self.run_fresh(sql, &stmt, params, probes);
+            return self.run_fresh(sql, id, &stmt, params, probes);
         }
 
-        // Parse and optimizer sensors, fed once per statement from the bind
-        // artifacts under the already-held catalog guard; a cache hit spent
-        // nothing in the optimizer.
-        if let (Some(monitor), Some(s)) = (&engine.monitor, probes.sensor.as_mut()) {
-            let t0 = engine.wall.now_nanos();
-            let (tables, attributes) = snapshot_details(&catalog, &plan.artifacts);
-            s.add_self_time(engine.wall.now_nanos() - t0);
-            monitor.parsed(s, tables, attributes);
-            let used = planned
-                .used_indexes()
-                .iter()
-                .filter_map(|id| {
-                    catalog.index(*id).ok().map(|e| IndexDetail {
-                        id: *id,
-                        name: e.meta.name.clone(),
-                        table: e.meta.table,
-                        pages: e.pages(),
-                    })
-                })
-                .collect();
+        // Parse and optimizer sensors, fed once per statement under the
+        // already-held catalog guard: the live numbers go into the cells of
+        // the template's interned footprint, the sensor takes a reference
+        // to it. A cache hit spent nothing in the optimizer.
+        if let Some(s) = probes.sensor.as_mut() {
+            let feed_ns = engine.wall.now_nanos();
+            if let Some(footprint) = &plan.artifacts.footprint {
+                store_live_numbers(&catalog, footprint);
+                s.parsed(Arc::clone(footprint));
+            }
             let (opt_ns, opt_io) = origin.optimized.unwrap_or((0, 0));
-            monitor.optimized(s, planned.estimated_cost(), used, opt_ns, opt_io);
+            s.optimized(planned.estimated_cost(), opt_ns, opt_io);
+            s.add_self_time(engine.wall.now_nanos() - feed_ns);
         }
 
         // DML versions are marked with `txn` and observed by its WAL/undo
@@ -2199,7 +2217,7 @@ impl Session {
             // aggregates directly (keyed by the *outer* statement text, so
             // they join against `ima$statements`).
             if let (None, Some(tracer)) = (&probes.trace, &engine.tracer) {
-                let dt = tracer.record_operators(StmtHash::of(sql), &spans);
+                let dt = tracer.record_operators(id.hash, &spans);
                 probes.add_self_time(dt);
             }
         } else if let PlannedStatement::Query(q) = planned {
@@ -2304,6 +2322,7 @@ fn lock_spec(bound: &BoundStatement) -> Vec<(TableId, bool)> {
 pub struct Prepared<'a> {
     session: &'a Session,
     text: String,
+    identity: StmtIdentity,
     param_count: usize,
 }
 
@@ -2324,7 +2343,8 @@ impl Prepared<'_> {
         if params.len() != self.param_count {
             return Err(Error::param_arity(self.param_count, params.len()));
         }
-        self.session.execute_with_params(&self.text, params)
+        self.session
+            .execute_with_params(&self.text, &self.identity, params)
     }
 }
 
@@ -2368,37 +2388,69 @@ impl PreparedStatement for Prepared<'_> {
     }
 }
 
-/// Snapshot the bind artifacts into monitor detail records. All data comes
-/// from the already-held catalog guard ("no further access to the catalogs
-/// is required for the monitoring").
-fn snapshot_details(
-    catalog: &Catalog,
-    artifacts: &BindArtifacts,
-) -> (Vec<TableDetail>, Vec<AttributeDetail>) {
-    let mut tables = Vec::with_capacity(artifacts.tables.len());
-    for (id, name) in &artifacts.tables {
-        if let Ok(entry) = catalog.table(*id) {
-            let hs = entry.heap.stats();
-            tables.push(TableDetail {
-                id: *id,
+/// Intern a freshly planned template's reference footprint for the monitor:
+/// ids, names, storage tags and histogram flags of what the binder resolved
+/// plus the indexes the chosen plan uses. All data comes from the
+/// already-held catalog guard ("no further access to the catalogs is
+/// required for the monitoring"); provider-backed tables have no storage to
+/// report and contribute their attributes only.
+fn intern_footprint(catalog: &Catalog, artifacts: &BindArtifacts, used: &[IndexId]) -> Footprint {
+    Footprint {
+        tables: artifacts
+            .tables
+            .iter()
+            .filter_map(|(id, name)| {
+                catalog.table(*id).ok().map(|entry| TableRef {
+                    id: *id,
+                    name: name.clone(),
+                    storage: entry.meta.storage.as_str(),
+                    data_pages: AtomicU64::new(0),
+                    overflow_pages: AtomicU64::new(0),
+                    rows: AtomicU64::new(0),
+                })
+            })
+            .collect(),
+        attributes: artifacts
+            .attributes
+            .iter()
+            .map(|(table, column, name)| AttributeRef {
+                table: *table,
+                column: *column,
                 name: name.clone(),
-                storage: entry.meta.storage.to_string(),
-                data_pages: hs.main_pages,
-                overflow_pages: hs.overflow_pages,
-                rows: hs.rows,
-            });
+                has_histogram: artifacts.histograms.contains(&(*table, *column)),
+            })
+            .collect(),
+        used_indexes: used
+            .iter()
+            .filter_map(|id| {
+                catalog.index(*id).ok().map(|e| IndexRef {
+                    id: *id,
+                    name: e.meta.name.clone(),
+                    table: e.meta.table,
+                    pages: AtomicU64::new(0),
+                })
+            })
+            .collect(),
+    }
+}
+
+/// The per-execution half of the parse/optimize sensor feed: the numbers
+/// that move between executions of one template, read off the objects the
+/// statement is about to touch ("logged right at its source").
+fn store_live_numbers(catalog: &Catalog, footprint: &Footprint) {
+    for t in &footprint.tables {
+        if let Ok(entry) = catalog.table(t.id) {
+            let hs = entry.heap.stats();
+            t.data_pages.store(hs.main_pages, Ordering::Relaxed);
+            t.overflow_pages.store(hs.overflow_pages, Ordering::Relaxed);
+            t.rows.store(hs.rows, Ordering::Relaxed);
         }
     }
-    let mut attributes = Vec::with_capacity(artifacts.attributes.len());
-    for (table, col, name) in &artifacts.attributes {
-        attributes.push(AttributeDetail {
-            table: *table,
-            column: *col,
-            name: name.clone(),
-            has_histogram: artifacts.histograms.contains(&(*table, *col)),
-        });
+    for i in &footprint.used_indexes {
+        if let Ok(entry) = catalog.index(i.id) {
+            i.pages.store(entry.pages(), Ordering::Relaxed);
+        }
     }
-    (tables, attributes)
 }
 
 #[cfg(test)]

@@ -256,10 +256,19 @@ pub fn register_ima_tables(catalog: &mut Catalog, monitor: &Arc<Monitor>) -> Res
 }
 
 /// Register `ima$monitor_health`: a single-row self-observation of the
-/// monitor itself (the "who watches the watchers" table, mirroring
-/// `ima$daemon_health` for the in-process side).
-pub fn register_monitor_health_table(catalog: &mut Catalog, monitor: &Arc<Monitor>) -> Result<()> {
+/// observers themselves (the "who watches the watchers" table, mirroring
+/// `ima$daemon_health` for the in-process side): the monitor's self-cost and
+/// ring state, the tracer's trace ring, and — NULL when the wait subsystem
+/// is off — the ASH sampler's tick and ring counters.
+pub fn register_monitor_health_table(
+    catalog: &mut Catalog,
+    monitor: &Arc<Monitor>,
+    tracer: &Arc<Tracer>,
+    sampler: Option<&Arc<AshSampler>>,
+) -> Result<()> {
     let m = Arc::clone(monitor);
+    let t = Arc::clone(tracer);
+    let ash = sampler.cloned();
     catalog.register_virtual_table(
         "ima$monitor_health",
         Schema::new(vec![
@@ -278,6 +287,9 @@ pub fn register_monitor_health_table(catalog: &mut Catalog, monitor: &Arc<Monito
             Column::new("statistics_len", DataType::Int),
             Column::new("statistics_capacity", DataType::Int),
             Column::new("statistics_wrapped", DataType::Int),
+            Column::new("ash_samples_taken", DataType::Int),
+            Column::new("ash_wrapped", DataType::Int),
+            Column::new("trace_wrapped", DataType::Int),
         ]),
         Arc::new(move || {
             let h = m.health();
@@ -297,6 +309,13 @@ pub fn register_monitor_health_table(catalog: &mut Catalog, monitor: &Arc<Monito
                 v_int(h.statistics_len as u64),
                 v_int(h.statistics_capacity as u64),
                 v_int(h.statistics_total.saturating_sub(h.statistics_len as u64)),
+                ash.as_ref()
+                    .map_or(Value::Null, |a| v_int(a.samples_taken())),
+                // The ring never shrinks, so it holds min(total, capacity).
+                ash.as_ref().map_or(Value::Null, |a| {
+                    v_int(a.total_recorded().saturating_sub(a.ring_capacity() as u64))
+                }),
+                v_int(t.traces_wrapped()),
             ])]
         }),
     )?;
@@ -639,7 +658,7 @@ pub fn register_wait_tables(
             v_int(s.at_ns),
             v_int(s.session_id),
             Value::Str(s.hash.to_string()),
-            Value::Str(s.template),
+            Value::Str(s.template.to_string()),
             v_int(s.elapsed_ns),
             Value::Str(s.event.to_owned()),
         ])

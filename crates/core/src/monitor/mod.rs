@@ -7,94 +7,86 @@
 //! hand (text, bind artifacts, estimated costs, actual costs). No extra
 //! thread, no extra catalog or disk access.
 //!
-//! Every sensor call times itself against a monotonic clock, so the share of
-//! monitoring time per statement (Fig 5) falls out of the recorded data
-//! without external profiling.
+//! The monitor times itself against the statement's own clock (Fig 5 falls
+//! out of the recorded data without external profiling), by region rather
+//! than by call: the engine charges the begin and feed regions through
+//! [`StatementSensor::add_self_time`], and [`Monitor::record`] charges
+//! everything from the statement's end stamp to its own single clock read.
+//!
+//! The per-statement budget: no allocation once a statement and the objects
+//! it references have been seen, at most four clock reads the bare engine
+//! would not make (end of begin, both ends of the feed, the one in
+//! `record`), and one acquisition of the monitor lock.
 
 pub mod records;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use ingot_common::{Cost, EngineConfig, IndexId, MonotonicClock, StmtHash, TableId};
 use parking_lot::Mutex;
 
 pub use ingot_common::RingBuffer;
+pub use ingot_planner::{AttributeRef, Footprint, IndexRef, TableRef};
 pub use records::{
     AttributeUsage, IndexUsage, RefObject, ReferenceRecord, StatSample, StatementInfo, TableUsage,
     WorkloadRecord,
 };
 
-/// Per-table detail the engine snapshots at bind time (it holds the catalog
-/// lock anyway — "this data is logged right at its source").
-#[derive(Debug, Clone)]
-pub struct TableDetail {
-    /// Table id.
-    pub id: TableId,
-    /// Name.
-    pub name: String,
-    /// Storage structure tag.
-    pub storage: String,
-    /// Main pages.
-    pub data_pages: u64,
-    /// Overflow pages.
-    pub overflow_pages: u64,
-    /// Live rows.
-    pub rows: u64,
-}
-
-/// Per-attribute detail snapshotted at bind time.
-#[derive(Debug, Clone)]
-pub struct AttributeDetail {
-    /// Owning table.
-    pub table: TableId,
-    /// Column position.
-    pub column: usize,
-    /// Column name.
-    pub name: String,
-    /// Histogram present?
-    pub has_histogram: bool,
-}
-
-/// Per-index detail snapshotted at optimize time.
-#[derive(Debug, Clone)]
-pub struct IndexDetail {
-    /// Index id.
-    pub id: IndexId,
-    /// Name.
-    pub name: String,
-    /// Owning table.
-    pub table: TableId,
-    /// Pages.
-    pub pages: u64,
-}
-
-/// The in-flight sensor state of one statement.
+/// The in-flight sensor state of one statement. It borrows the statement
+/// text (copied into the `statements` buffer on first sight only) and shares
+/// the template's interned [`Footprint`].
 #[derive(Debug)]
-pub struct StatementSensor {
+pub struct StatementSensor<'a> {
     start_ns: u64,
     hash: StmtHash,
-    text: String,
-    tables: Vec<TableDetail>,
-    attributes: Vec<AttributeDetail>,
-    used_indexes: Vec<IndexDetail>,
+    text: &'a str,
+    footprint: Option<Arc<Footprint>>,
     est: Cost,
     opt_time_ns: u64,
     opt_io: u64,
     exec_cpu: u64,
     exec_io: u64,
-    /// Nanoseconds spent inside sensor code so far.
+    /// Nanoseconds spent inside observer code so far.
     self_ns: u64,
 }
 
-impl StatementSensor {
-    /// Attribute externally measured monitoring work (e.g. the engine's
-    /// catalog-detail snapshotting done on the monitor's behalf) to this
-    /// statement's self-time.
+impl StatementSensor<'_> {
+    /// Attribute a measured region of observer work (the engine's begin and
+    /// feed regions, a tracer merge) to this statement's self-time.
     pub fn add_self_time(&mut self, ns: u64) {
         self.self_ns += ns;
     }
+
+    /// Parser/binder sensor: the referenced tables and attributes, with
+    /// their live numbers already stored into the footprint's cells.
+    #[inline]
+    pub fn parsed(&mut self, footprint: Arc<Footprint>) {
+        self.footprint = Some(footprint);
+    }
+
+    /// Optimiser sensor: estimated costs, planning time, and pages read on
+    /// the optimizer's behalf (catalog statistics, virtual what-if probes).
+    /// The used indexes ride the footprint.
+    #[inline]
+    pub fn optimized(&mut self, est: Cost, opt_time_ns: u64, opt_io: u64) {
+        self.est = est;
+        self.opt_time_ns = opt_time_ns;
+        self.opt_io = opt_io;
+    }
+
+    /// Execution sensor: actual costs (tuples processed, physical I/O).
+    #[inline]
+    pub fn executed(&mut self, cpu_tuples: u64, io_pages: u64) {
+        self.exec_cpu = cpu_tuples;
+        self.exec_io = io_pages;
+    }
 }
+
+/// Sensor calls one recorded statement stands for: query interface, parser,
+/// optimizer, execution, result.
+const SENSORS_PER_STATEMENT: u64 = 5;
 
 /// Interior state guarded by one mutex — a statement record touches several
 /// structures and single-lock recording keeps the hot path to one
@@ -105,9 +97,9 @@ struct MonitorState {
     statement_order: VecDeque<StmtHash>,
     workload: RingBuffer<WorkloadRecord>,
     references: RingBuffer<ReferenceRecord>,
-    tables: HashMap<TableId, TableUsage>,
-    indexes: HashMap<IndexId, IndexUsage>,
-    attributes: HashMap<(TableId, usize), AttributeUsage>,
+    tables: BTreeMap<TableId, TableUsage>,
+    indexes: BTreeMap<IndexId, IndexUsage>,
+    attributes: BTreeMap<(TableId, usize), AttributeUsage>,
     statistics: RingBuffer<StatSample>,
     /// Statement hashes evicted because the statement ring reached capacity.
     statement_evictions: u64,
@@ -172,9 +164,9 @@ impl Monitor {
                 statement_order: VecDeque::new(),
                 workload: RingBuffer::new(WORKLOAD_CAPACITY),
                 references: RingBuffer::new(REFERENCE_CAPACITY),
-                tables: HashMap::new(),
-                indexes: HashMap::new(),
-                attributes: HashMap::new(),
+                tables: BTreeMap::new(),
+                indexes: BTreeMap::new(),
+                attributes: BTreeMap::new(),
                 statistics: RingBuffer::new(STATISTICS_CAPACITY),
                 statement_evictions: 0,
             }),
@@ -191,90 +183,49 @@ impl Monitor {
 
     // ---- sensors -----------------------------------------------------------
 
-    /// Query-interface sensor: wall-clock start + statement text hash.
+    /// Query-interface sensor: the statement's identity and its own start
+    /// stamp (read by the engine for the bare statement anyway).
     #[inline]
-    pub fn begin_statement(&self, text: &str) -> StatementSensor {
-        let t0 = self.clock.now_nanos();
-        let hash = StmtHash::of(text);
-        let sensor = StatementSensor {
-            start_ns: t0,
+    pub fn begin_statement<'a>(
+        &self,
+        hash: StmtHash,
+        text: &'a str,
+        start_ns: u64,
+    ) -> StatementSensor<'a> {
+        StatementSensor {
+            start_ns,
             hash,
-            text: text.to_owned(),
-            tables: Vec::new(),
-            attributes: Vec::new(),
-            used_indexes: Vec::new(),
+            text,
+            footprint: None,
             est: Cost::ZERO,
             opt_time_ns: 0,
             opt_io: 0,
             exec_cpu: 0,
             exec_io: 0,
             self_ns: 0,
-        };
-        self.sensor_calls.fetch_add(1, Ordering::Relaxed);
-        let mut sensor = sensor;
-        sensor.self_ns += self.clock.now_nanos() - t0;
-        sensor
+        }
     }
 
-    /// Parser/binder sensor: referenced tables and attributes (with their
-    /// catalog details, already known to the binder).
-    #[inline]
-    pub fn parsed(
-        &self,
-        sensor: &mut StatementSensor,
-        tables: Vec<TableDetail>,
-        attributes: Vec<AttributeDetail>,
-    ) {
-        let t0 = self.clock.now_nanos();
-        sensor.tables = tables;
-        sensor.attributes = attributes;
-        self.sensor_calls.fetch_add(1, Ordering::Relaxed);
-        sensor.self_ns += self.clock.now_nanos() - t0;
-    }
-
-    /// Optimiser sensor: estimated costs, used indexes, planning time, and
-    /// pages read on the optimizer's behalf (catalog statistics, virtual
-    /// what-if probes).
-    #[inline]
-    pub fn optimized(
-        &self,
-        sensor: &mut StatementSensor,
-        est: Cost,
-        used_indexes: Vec<IndexDetail>,
-        opt_time_ns: u64,
-        opt_io: u64,
-    ) {
-        let t0 = self.clock.now_nanos();
-        sensor.est = est;
-        sensor.used_indexes = used_indexes;
-        sensor.opt_time_ns = opt_time_ns;
-        sensor.opt_io = opt_io;
-        self.sensor_calls.fetch_add(1, Ordering::Relaxed);
-        sensor.self_ns += self.clock.now_nanos() - t0;
-    }
-
-    /// Execution sensor: actual costs (tuples processed, physical I/O).
-    #[inline]
-    pub fn executed(&self, sensor: &mut StatementSensor, cpu_tuples: u64, io_pages: u64) {
-        let t0 = self.clock.now_nanos();
-        sensor.exec_cpu = cpu_tuples;
-        sensor.exec_io = io_pages;
-        self.sensor_calls.fetch_add(1, Ordering::Relaxed);
-        sensor.self_ns += self.clock.now_nanos() - t0;
-    }
-
-    /// Result sensor: wall-clock stop; writes the statement into the ring
-    /// buffers.
-    pub fn record(&self, mut sensor: StatementSensor, sim_secs: u64) {
-        let t0 = self.clock.now_nanos();
-        self.sensor_calls.fetch_add(1, Ordering::Relaxed);
+    /// Result sensor: writes the statement into the ring buffers. `end_ns`
+    /// is the statement's own end stamp; what the observers did since then
+    /// (ASH hand-back, tracer merge, this call) is charged up to the one
+    /// clock read below, which is also the record's wall-clock stop.
+    pub fn record(&self, sensor: StatementSensor<'_>, end_ns: u64, sim_secs: u64) {
+        self.sensor_calls
+            .fetch_add(SENSORS_PER_STATEMENT, Ordering::Relaxed);
         self.statements_recorded.fetch_add(1, Ordering::Relaxed);
+        // A statement that referenced nothing (or was never fed) records an
+        // empty footprint.
+        let unfed = Footprint::default();
+        let f = sensor.footprint.as_deref().unwrap_or(&unfed);
         let mut st = self.state.lock();
         let state = &mut *st;
 
-        // statements table (+ references on first sight).
-        let is_new = !state.statements.contains_key(&sensor.hash);
-        if is_new {
+        // statements table (+ text and references on first sight).
+        if let Some(info) = state.statements.get_mut(&sensor.hash) {
+            info.frequency += 1;
+            info.last_seen_ns = sensor.start_ns;
+        } else {
             if state.statement_order.len() == self.statement_capacity {
                 if let Some(evict) = state.statement_order.pop_front() {
                     state.statements.remove(&evict);
@@ -286,59 +237,57 @@ impl Monitor {
                 sensor.hash,
                 StatementInfo {
                     hash: sensor.hash,
-                    text: std::mem::take(&mut sensor.text),
+                    text: sensor.text.to_owned(),
                     frequency: 1,
                     first_seen_ns: sensor.start_ns,
                     last_seen_ns: sensor.start_ns,
                 },
             );
-            for t in &sensor.tables {
-                state.references.push(ReferenceRecord {
-                    hash: sensor.hash,
-                    object: RefObject::Table,
-                    object_id: u64::from(t.id.raw()),
-                    table: t.id,
-                });
+            let reference = |object, object_id, table| ReferenceRecord {
+                hash: sensor.hash,
+                object,
+                object_id,
+                table,
+            };
+            for t in &f.tables {
+                let id = u64::from(t.id.raw());
+                state.references.push(reference(RefObject::Table, id, t.id));
             }
-            for a in &sensor.attributes {
-                state.references.push(ReferenceRecord {
-                    hash: sensor.hash,
-                    object: RefObject::Attribute,
-                    object_id: a.column as u64,
-                    table: a.table,
-                });
+            for a in &f.attributes {
+                let col = a.column as u64;
+                state
+                    .references
+                    .push(reference(RefObject::Attribute, col, a.table));
             }
-            for i in &sensor.used_indexes {
-                state.references.push(ReferenceRecord {
-                    hash: sensor.hash,
-                    object: RefObject::Index,
-                    object_id: u64::from(i.id.raw()),
-                    table: i.table,
-                });
+            for i in &f.used_indexes {
+                let id = u64::from(i.id.raw());
+                state
+                    .references
+                    .push(reference(RefObject::Index, id, i.table));
             }
-        } else if let Some(info) = state.statements.get_mut(&sensor.hash) {
-            info.frequency += 1;
-            info.last_seen_ns = sensor.start_ns;
         }
 
-        // Object usage tables.
-        for t in &sensor.tables {
+        // Object usage tables: names are copied when an object is first
+        // seen, the storage tag when it changes; the rest are numbers.
+        for t in &f.tables {
             let u = state.tables.entry(t.id).or_insert_with(|| TableUsage {
                 id: t.id,
                 name: t.name.clone(),
                 frequency: 0,
-                storage: t.storage.clone(),
+                storage: String::new(),
                 data_pages: 0,
                 overflow_pages: 0,
                 rows: 0,
             });
             u.frequency += 1;
-            u.storage.clone_from(&t.storage);
-            u.data_pages = t.data_pages;
-            u.overflow_pages = t.overflow_pages;
-            u.rows = t.rows;
+            if u.storage != t.storage {
+                u.storage = t.storage.to_owned();
+            }
+            u.data_pages = t.data_pages.load(Ordering::Relaxed);
+            u.overflow_pages = t.overflow_pages.load(Ordering::Relaxed);
+            u.rows = t.rows.load(Ordering::Relaxed);
         }
-        for a in &sensor.attributes {
+        for a in &f.attributes {
             let u = state
                 .attributes
                 .entry((a.table, a.column))
@@ -352,7 +301,7 @@ impl Monitor {
             u.frequency += 1;
             u.has_histogram = a.has_histogram;
         }
-        for i in &sensor.used_indexes {
+        for i in &f.used_indexes {
             let u = state.indexes.entry(i.id).or_insert_with(|| IndexUsage {
                 id: i.id,
                 name: i.name.clone(),
@@ -361,12 +310,12 @@ impl Monitor {
                 pages: 0,
             });
             u.frequency += 1;
-            u.pages = i.pages;
+            u.pages = i.pages.load(Ordering::Relaxed);
         }
 
         // workload table: wall-clock stop is the record instant.
         let now = self.clock.now_nanos();
-        let monitor_ns = sensor.self_ns + (now - t0);
+        let monitor_ns = sensor.self_ns + now.saturating_sub(end_ns);
         let seq = state.workload.total_pushed();
         state.workload.push(WorkloadRecord {
             hash: sensor.hash,
@@ -415,25 +364,19 @@ impl Monitor {
         self.state.lock().references.iter().cloned().collect()
     }
 
-    /// Snapshot of table usage.
+    /// Snapshot of table usage, by id.
     pub fn tables(&self) -> Vec<TableUsage> {
-        let mut v: Vec<TableUsage> = self.state.lock().tables.values().cloned().collect();
-        v.sort_by_key(|t| t.id);
-        v
+        self.state.lock().tables.values().cloned().collect()
     }
 
-    /// Snapshot of index usage.
+    /// Snapshot of index usage, by id.
     pub fn indexes(&self) -> Vec<IndexUsage> {
-        let mut v: Vec<IndexUsage> = self.state.lock().indexes.values().cloned().collect();
-        v.sort_by_key(|i| i.id);
-        v
+        self.state.lock().indexes.values().cloned().collect()
     }
 
-    /// Snapshot of attribute usage.
+    /// Snapshot of attribute usage, by `(table, column)`.
     pub fn attributes(&self) -> Vec<AttributeUsage> {
-        let mut v: Vec<AttributeUsage> = self.state.lock().attributes.values().cloned().collect();
-        v.sort_by_key(|a| (a.table, a.column));
-        v
+        self.state.lock().attributes.values().cloned().collect()
     }
 
     /// Snapshot of the `statistics` buffer.
@@ -490,27 +433,28 @@ mod tests {
     }
 
     fn run_statement(m: &Monitor, text: &str) {
-        let mut s = m.begin_statement(text);
-        m.parsed(
-            &mut s,
-            vec![TableDetail {
+        let start_ns = m.clock().now_nanos();
+        let mut s = m.begin_statement(StmtHash::of(text), text, start_ns);
+        s.parsed(Arc::new(Footprint {
+            tables: vec![TableRef {
                 id: TableId(1),
                 name: "protein".into(),
-                storage: "HEAP".into(),
-                data_pages: 8,
-                overflow_pages: 3,
-                rows: 100,
+                storage: "HEAP",
+                data_pages: 8.into(),
+                overflow_pages: 3.into(),
+                rows: 100.into(),
             }],
-            vec![AttributeDetail {
+            attributes: vec![AttributeRef {
                 table: TableId(1),
                 column: 0,
                 name: "nref_id".into(),
                 has_histogram: false,
             }],
-        );
-        m.optimized(&mut s, Cost::new(10.0, 2.0), vec![], 1000, 3);
-        m.executed(&mut s, 100, 5);
-        m.record(s, 0);
+            used_indexes: vec![],
+        }));
+        s.optimized(Cost::new(10.0, 2.0), 1000, 3);
+        s.executed(100, 5);
+        m.record(s, m.clock().now_nanos(), 0);
     }
 
     #[test]
@@ -544,6 +488,27 @@ mod tests {
         assert_eq!(h.statement_evictions, 3);
         assert_eq!(h.workload_total, 8);
         assert_eq!(h.references_len, h.references_total as usize);
+    }
+
+    #[test]
+    fn evicted_statement_re_enters_as_new() {
+        let m = monitor(2);
+        run_statement(&m, "select 0");
+        run_statement(&m, "select 0");
+        let refs_per_statement = m.references().len();
+        run_statement(&m, "select 1");
+        run_statement(&m, "select 2");
+        assert!(m.statements().iter().all(|s| s.text != "select 0"));
+        // Back after the wrap: the text is captured again, the frequency
+        // restarts and the references are pushed anew.
+        run_statement(&m, "select 0");
+        let stmts = m.statements();
+        let back = stmts.last().expect("statements held");
+        assert_eq!(back.text, "select 0");
+        assert_eq!(back.hash, StmtHash::of("select 0"));
+        assert_eq!(back.frequency, 1);
+        assert_eq!(m.references().len(), 4 * refs_per_statement);
+        assert_eq!(m.health().statement_evictions, 2);
     }
 
     #[test]
@@ -598,7 +563,8 @@ mod tests {
     fn self_time_accumulates() {
         let m = monitor(10);
         run_statement(&m, "select 1");
+        run_statement(&m, "select 2");
         assert!(m.self_time_ns() > 0);
-        assert!(m.sensor_calls() >= 5);
+        assert_eq!(m.sensor_calls(), 5 * m.statements_recorded());
     }
 }

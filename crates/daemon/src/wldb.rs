@@ -496,7 +496,7 @@ impl WorkloadDb {
                         Value::Int(sample.at_ns as i64),
                         Value::Int(sample.session_id as i64),
                         Value::Str(sample.hash.to_string()),
-                        Value::Str(sample.template.clone()),
+                        Value::Str(sample.template.to_string()),
                         Value::Int(sample.elapsed_ns as i64),
                         Value::Str(sample.event.to_owned()),
                         ts.clone(),

@@ -7,6 +7,9 @@
 //! resolution and is returned as [`BindArtifacts`] so the engine can hand it
 //! to the monitor without a second catalog pass.
 
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
+
 use ingot_catalog::Catalog;
 use ingot_common::{Error, IndexId, Result, Row, Schema, TableId, Value};
 use ingot_sql::{Expr, OrderItem, SelectItem, SelectStmt, Statement};
@@ -15,7 +18,7 @@ use crate::expr::{AggFunc, AggSpec, PhysExpr};
 
 /// What the parse/bind sensors log (Fig 2: "Tables, Attributes, Histograms,
 /// Available Indexes").
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct BindArtifacts {
     /// Referenced tables `(id, name)`.
     pub tables: Vec<(TableId, String)>,
@@ -26,6 +29,70 @@ pub struct BindArtifacts {
     /// Indexes available on the referenced tables (including virtual ones
     /// during what-if runs).
     pub indexes: Vec<IndexId>,
+    /// The same references in the form the monitor's sensors consume,
+    /// interned by a monitored engine once the template is optimized (the
+    /// binder leaves it empty). It lives as long as the plan does: a DDL
+    /// publish or `CREATE STATISTICS` bumps the schema epoch, the cached
+    /// plan is dropped, and re-planning interns a fresh one.
+    pub footprint: Option<Arc<Footprint>>,
+}
+
+/// A planned template's reference footprint: ids, names and the facts that
+/// only DDL changes, copied out of the catalog once per template, plus one
+/// cell per number that moves between executions. Each execution stores the
+/// live numbers under the catalog guard it already holds and hands the
+/// monitor an `Arc` of this; nothing is copied per statement.
+#[derive(Debug, Default)]
+pub struct Footprint {
+    /// Referenced base tables.
+    pub tables: Vec<TableRef>,
+    /// Referenced attributes.
+    pub attributes: Vec<AttributeRef>,
+    /// Indexes the chosen plan uses.
+    pub used_indexes: Vec<IndexRef>,
+}
+
+/// One referenced table of a [`Footprint`].
+#[derive(Debug)]
+pub struct TableRef {
+    /// Table id.
+    pub id: TableId,
+    /// Name.
+    pub name: String,
+    /// Storage structure tag.
+    pub storage: &'static str,
+    /// Main pages at the latest execution.
+    pub data_pages: AtomicU64,
+    /// Overflow pages at the latest execution.
+    pub overflow_pages: AtomicU64,
+    /// Live rows at the latest execution.
+    pub rows: AtomicU64,
+}
+
+/// One referenced attribute of a [`Footprint`].
+#[derive(Debug)]
+pub struct AttributeRef {
+    /// Owning table.
+    pub table: TableId,
+    /// Column position.
+    pub column: usize,
+    /// Column name.
+    pub name: String,
+    /// Histogram present?
+    pub has_histogram: bool,
+}
+
+/// One used index of a [`Footprint`].
+#[derive(Debug)]
+pub struct IndexRef {
+    /// Index id.
+    pub id: IndexId,
+    /// Name.
+    pub name: String,
+    /// Owning table.
+    pub table: TableId,
+    /// Pages at the latest execution.
+    pub pages: AtomicU64,
 }
 
 /// One base table occurrence in `FROM` (aliases make occurrences distinct).

@@ -67,7 +67,7 @@ struct Slot {
 
 #[derive(Default)]
 struct Inner {
-    map: HashMap<String, Slot>,
+    map: HashMap<Arc<str>, Slot>,
     next_stamp: u64,
 }
 
@@ -138,10 +138,11 @@ impl PlanCache {
     }
 
     /// Insert a freshly optimized template, evicting the least recently used
-    /// entry when full. No-op when caching is disabled. Takes the plan by
-    /// value or already shared: the engine keeps executing the `Arc` it
-    /// inserts instead of cloning the template.
-    pub fn insert(&self, template: String, plan: impl Into<Arc<CachedPlan>>) {
+    /// entry when full. No-op when caching is disabled. Takes key and plan
+    /// by value or already shared: the engine keys the entry with the
+    /// `Arc<str>` it normalized once for the statement, and keeps executing
+    /// the `Arc` it inserts instead of cloning the template.
+    pub fn insert(&self, template: impl Into<Arc<str>>, plan: impl Into<Arc<CachedPlan>>) {
         if self.capacity == 0 {
             return;
         }
@@ -149,7 +150,7 @@ impl PlanCache {
         inner.next_stamp += 1;
         let stamp = inner.next_stamp;
         inner.map.insert(
-            template,
+            template.into(),
             Slot {
                 plan: plan.into(),
                 stamp,
@@ -263,7 +264,7 @@ mod tests {
     fn hit_after_insert_and_miss_after_epoch_bump() {
         let cache = PlanCache::new(4);
         assert!(cache.probe("delete from t", 1).is_none());
-        cache.insert("delete from t".into(), plan(1));
+        cache.insert("delete from t", plan(1));
         let hit = cache.probe("delete from t", 1).expect("hit");
         assert_eq!(hit.epoch, 1);
         // Epoch moved on: entry is dropped, probe misses, and the drop is
@@ -280,11 +281,11 @@ mod tests {
     #[test]
     fn lru_eviction_prefers_stale_entries() {
         let cache = PlanCache::new(2);
-        cache.insert("a".into(), plan(1));
-        cache.insert("b".into(), plan(1));
+        cache.insert("a", plan(1));
+        cache.insert("b", plan(1));
         // Touch "a" so "b" is the LRU victim.
         assert!(cache.probe("a", 1).is_some());
-        cache.insert("c".into(), plan(1));
+        cache.insert("c", plan(1));
         assert_eq!(cache.len(), 2);
         assert!(cache.probe("a", 1).is_some());
         assert!(cache.probe("b", 1).is_none());
@@ -295,8 +296,8 @@ mod tests {
     #[test]
     fn invalidate_all_counts_dropped_entries() {
         let cache = PlanCache::new(8);
-        cache.insert("a".into(), plan(1));
-        cache.insert("b".into(), plan(1));
+        cache.insert("a", plan(1));
+        cache.insert("b", plan(1));
         cache.invalidate_all();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().invalidations, 2);
@@ -308,7 +309,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let cache = PlanCache::new(0);
-        cache.insert("a".into(), plan(1));
+        cache.insert("a", plan(1));
         assert!(cache.probe("a", 1).is_none());
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats().capacity, 0);

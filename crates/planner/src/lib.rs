@@ -21,7 +21,10 @@ pub mod expr;
 pub mod optimizer;
 pub mod physical;
 
-pub use binder::{BindArtifacts, Binder, BoundSelect, BoundStatement, BoundTable, InsertRows};
+pub use binder::{
+    AttributeRef, BindArtifacts, Binder, BoundSelect, BoundStatement, BoundTable, Footprint,
+    IndexRef, InsertRows, TableRef,
+};
 pub use cache::{normalize_template, CachedPlan, PlanCache, PlanCacheStats};
 pub use expr::{AggFunc, AggSpec, PhysExpr};
 pub use optimizer::{optimize, optimize_select, OptimizerOptions, PlannedStatement};

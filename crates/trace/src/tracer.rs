@@ -255,6 +255,15 @@ impl Tracer {
         state.traces.iter().cloned().collect()
     }
 
+    /// Statement traces the recent-traces ring has dropped to stay bounded.
+    pub fn traces_wrapped(&self) -> u64 {
+        let state = self.state.lock();
+        state
+            .traces
+            .total_pushed()
+            .saturating_sub(state.traces.len() as u64)
+    }
+
     /// Hashes currently aggregated / capacity / evictions so far.
     pub fn occupancy(&self) -> (usize, usize, u64) {
         let state = self.state.lock();
@@ -390,7 +399,7 @@ mod tests {
         let cfg = TraceConfig {
             enabled: true,
             statement_capacity: 2,
-            trace_capacity: 8,
+            trace_capacity: 2,
         };
         let t = Tracer::new(MonotonicClock::new(), &cfg);
         for i in 0..3 {
@@ -401,6 +410,8 @@ mod tests {
         assert_eq!(len, 2);
         assert_eq!(cap, 2);
         assert_eq!(evictions, 1);
+        assert_eq!(t.recent_traces().len(), 2);
+        assert_eq!(t.traces_wrapped(), 1);
         let hists = t.histograms();
         assert!(!hists.iter().any(|(h, _)| *h == StmtHash::of("q0")));
     }

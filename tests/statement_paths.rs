@@ -10,6 +10,7 @@
 //! their preallocated heap extent, so the page counts the optimizer prices
 //! from never move and the two estimates are comparable at every step.
 
+use ingot::common::StmtHash;
 use ingot::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -46,6 +47,9 @@ enum Outcome {
 
 const INSERT_ITEM: &str = "insert into item values ($1, $2, $3, $4)";
 const POINT: &str = "select name, qty from item where id = $1";
+/// `POINT` spelled with other whitespace: the same plan-cache template, a
+/// statement of its own to the monitor (the hash is of the raw text).
+const POINT_SPACED: &str = "select name,  qty\n from item where id = $1";
 const RANGE: &str = "select id, qty from item where id >= $1 and id < $2";
 const BY_GROUP: &str = "select id from item where grp = $1";
 const GROUP_LABEL: &str = "select label from grp where grp = $1";
@@ -81,6 +85,8 @@ fn stream() -> Vec<Step> {
         let lo = rng.gen_range(0..ITEMS - 10);
         let g = rng.gen_range(0..GROUPS);
         steps.push(Prepared(POINT, vec![Value::Int(id)]));
+        steps.push(Prepared(POINT_SPACED, vec![Value::Int(id)]));
+        steps.push(Sql("select count(*) from grp".into()));
         steps.push(Sql(format!("select name from item where id = {}", id % 5)));
         steps.push(Prepared(RANGE, vec![Value::Int(lo), Value::Int(lo + 10)]));
         steps.push(Prepared(BY_GROUP, vec![Value::Int(g)]));
@@ -294,6 +300,26 @@ fn run(steps: &[Step], cache_capacity: usize, trace: bool) -> Run {
 
     let mut recorded = recorded(&engine);
     recorded.workload.remove(0);
+
+    // One identity per statement, whoever asks: a statement that looks
+    // itself up in `ima$active_sessions` finds its own normalised template
+    // and the hash `ima$statements` files its raw text under.
+    let own = "select hash,  statement\n from ima$active_sessions";
+    let seen = a.execute(own).unwrap().rows;
+    let hash = StmtHash::of(own).to_string();
+    let expected = [
+        Value::Str(hash.clone()),
+        Value::Str("select hash, statement from ima$active_sessions".into()),
+    ];
+    assert_eq!(seen, vec![Row::new(expected.to_vec())]);
+    let filed = a
+        .execute(&format!(
+            "select query_text from ima$statements where hash = '{hash}'"
+        ))
+        .unwrap()
+        .rows;
+    assert_eq!(filed, vec![Row::new(vec![Value::Str(own.into())])]);
+
     let traced_statements = engine
         .tracer()
         .map_or(0, |t| t.histograms().iter().map(|(_, h)| h.total()).sum());

@@ -179,6 +179,20 @@ fn monitor_health_mirrors_daemon_health() {
     assert!(row.get(3).as_int().unwrap() <= row.get(4).as_int().unwrap());
     // Default workload capacity (4096) has not wrapped yet.
     assert_eq!(row.get(5).as_int(), Some(0));
+
+    // The other observers report on themselves in the same row: the
+    // cooperative sampler's ticks so far, and what the ASH and trace rings
+    // (4096 samples, 1024 traces) have dropped — nothing at this size.
+    s.execute("set trace = on").unwrap();
+    s.execute("select count(*) from organism").unwrap();
+    e.ash_sampler().unwrap().sample_now(1);
+    let r = s
+        .execute("select ash_samples_taken, ash_wrapped, trace_wrapped from ima$monitor_health")
+        .unwrap();
+    let row = &r.rows[0];
+    assert!(row.get(0).as_int().unwrap() >= 1, "ash_samples_taken");
+    assert_eq!(row.get(1).as_int(), Some(0), "ash_wrapped");
+    assert_eq!(row.get(2).as_int(), Some(0), "trace_wrapped");
 }
 
 #[test]
