@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ingot_common::{Error, IndexId, Result, Row, Schema, TableId, Value};
+use ingot_common::{ColumnSet, Error, IndexId, Result, Row, Schema, TableId, Value};
 use ingot_storage::{BTreeFile, BufferPool, HeapFile, RowId};
 
 use crate::histogram::{Histogram, DEFAULT_BUCKETS};
@@ -701,7 +701,7 @@ impl Catalog {
         let entry = self.table(table)?;
         let latest = ingot_common::Snapshot::latest();
         let rows: Vec<Row> = entry
-            .scan_visible(&latest)
+            .scan_visible(&latest, ColumnSet::all())
             .map(|r| r.map(|(_, row)| row))
             .collect::<Result<_>>()?;
         // Size the new main extent to hold all rows without overflow. Each
@@ -806,7 +806,7 @@ impl Catalog {
         };
         let mut per_col: Vec<Vec<Value>> = vec![Vec::new(); cols.len()];
         let mut rows = 0u64;
-        for item in entry.scan_visible(snap) {
+        for item in entry.scan_visible(snap, ColumnSet::all()) {
             let (_, row) = item?;
             rows += 1;
             for (slot, &c) in cols.iter().enumerate() {

@@ -475,7 +475,7 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::table::StorageStructure;
-    use ingot_common::{Column, DataType, EngineConfig, Schema, SimClock, Snapshot};
+    use ingot_common::{Column, ColumnSet, DataType, EngineConfig, Schema, SimClock, Snapshot};
     use ingot_storage::StorageEngine;
     use std::sync::Arc;
 
@@ -512,6 +512,64 @@ mod tests {
     }
 
     #[test]
+    fn visibility_is_decided_on_the_header_before_the_row_is_decoded() {
+        let mut c = catalog();
+        let text = Schema::new(vec![
+            Column::not_null("id", DataType::Int),
+            Column::new("name", DataType::Str),
+        ]);
+        let t = c.create_table("s", text, vec![]).unwrap();
+        let named = |name: &str| Row::new(vec![Value::Int(1), Value::Str(name.into())]);
+        let VersionChange::Insert { new: old, .. } = c
+            .insert_row_v(t, &named("ok"), WriteAs::Committed(3))
+            .unwrap()
+        else {
+            panic!()
+        };
+        let changes = c
+            .update_row_v(t, old, &named("@@corrupt@@"), WriteAs::Committed(9))
+            .unwrap();
+        let VersionChange::Update { new: head, .. } = changes[0] else {
+            panic!()
+        };
+        // Break the newer version's payload (its header stays intact).
+        let entry = c.table(t).unwrap();
+        let page = c.pool().fetch(entry.heap.file_id(), head.page_no).unwrap();
+        {
+            let mut guard = page.write();
+            let bytes = guard.bytes_mut();
+            let at = bytes.windows(11).position(|w| w == b"@@corrupt@@").unwrap();
+            bytes[at] = 0xFF;
+        }
+
+        // A snapshot that cannot see the broken version never decodes it.
+        let before = snap_at(5);
+        let scanned: Vec<(RowId, Row)> = entry
+            .scan_visible(&before, ColumnSet::all())
+            .collect::<Result<_>>()
+            .unwrap();
+        assert_eq!(scanned, vec![(old, named("ok"))]);
+        let walked = entry.fetch_visible(head, &before, ColumnSet::all());
+        assert_eq!(walked.unwrap(), Some((old, named("ok"))));
+        let exact = entry.version_visible(head, &before, ColumnSet::all());
+        assert_eq!(exact.unwrap(), None);
+        // One that sees it trips over it — unless it does not read `name`.
+        let after = snap_at(9);
+        assert!(entry
+            .scan_visible(&after, ColumnSet::all())
+            .any(|r| r.is_err()));
+        assert!(entry.fetch_visible(head, &after, ColumnSet::all()).is_err());
+        assert!(entry
+            .version_visible(head, &after, ColumnSet::all())
+            .is_err());
+        let mut id_only = ColumnSet::none();
+        id_only.insert(0);
+        let pruned = Row::new(vec![Value::Int(1), Value::Null]);
+        let exact = entry.version_visible(head, &after, id_only);
+        assert_eq!(exact.unwrap(), Some(pruned));
+    }
+
+    #[test]
     fn txn_update_is_invisible_until_stamped() {
         let mut c = catalog();
         let t = btree_table(&mut c, 3);
@@ -526,19 +584,31 @@ mod tests {
         // Another session's snapshot still sees the old version.
         let entry = c.table(t).unwrap();
         let new_head = entry.pk_lookup(&[Value::Int(1)]).unwrap().unwrap();
-        let (_, seen) = entry.fetch_visible(new_head, &snap_at(5)).unwrap().unwrap();
+        let (_, seen) = entry
+            .fetch_visible(new_head, &snap_at(5), ColumnSet::all())
+            .unwrap()
+            .unwrap();
         assert_eq!(seen, row(1, 10));
         // The owner sees its own uncommitted write.
         let own = Snapshot { ts: 5, txn };
-        let (_, mine) = entry.fetch_visible(new_head, &own).unwrap().unwrap();
+        let (_, mine) = entry
+            .fetch_visible(new_head, &own, ColumnSet::all())
+            .unwrap()
+            .unwrap();
         assert_eq!(mine, row(1, 777));
 
         // Stamp at cts 7: snapshots at >= 7 see it, snapshots below don't.
         c.apply_version_commit(&changes[0], 7).unwrap();
         let entry = c.table(t).unwrap();
-        let (_, after) = entry.fetch_visible(new_head, &snap_at(7)).unwrap().unwrap();
+        let (_, after) = entry
+            .fetch_visible(new_head, &snap_at(7), ColumnSet::all())
+            .unwrap()
+            .unwrap();
         assert_eq!(after, row(1, 777));
-        let (_, before) = entry.fetch_visible(new_head, &snap_at(6)).unwrap().unwrap();
+        let (_, before) = entry
+            .fetch_visible(new_head, &snap_at(6), ColumnSet::all())
+            .unwrap()
+            .unwrap();
         assert_eq!(before, row(1, 10));
     }
 
@@ -574,7 +644,7 @@ mod tests {
         assert_eq!(entry.heap.row_count(), rows_before);
         let head = entry.pk_lookup(&[Value::Int(0)]).unwrap().unwrap();
         let (_, r) = entry
-            .fetch_visible(head, &Snapshot::latest())
+            .fetch_visible(head, &Snapshot::latest(), ColumnSet::all())
             .unwrap()
             .unwrap();
         assert_eq!(r, row(0, 0));
@@ -610,7 +680,10 @@ mod tests {
         ));
         let entry = c.table(t).unwrap();
         let head = entry.pk_lookup(&[Value::Int(0)]).unwrap().unwrap();
-        let (_, r) = entry.fetch_visible(head, &snap_at(4)).unwrap().unwrap();
+        let (_, r) = entry
+            .fetch_visible(head, &snap_at(4), ColumnSet::all())
+            .unwrap()
+            .unwrap();
         assert_eq!(r, row(0, 9));
     }
 
@@ -644,10 +717,13 @@ mod tests {
         assert_eq!(removed, 2);
         let entry = c.table(t).unwrap();
         assert_eq!(entry.heap.version_count(), 3);
-        let (_, r) = entry.fetch_visible(h, &snap_at(2)).unwrap().unwrap();
+        let (_, r) = entry
+            .fetch_visible(h, &snap_at(2), ColumnSet::all())
+            .unwrap()
+            .unwrap();
         assert_eq!(r, row(0, 2));
         let (_, latest) = entry
-            .fetch_visible(h, &Snapshot::latest())
+            .fetch_visible(h, &Snapshot::latest(), ColumnSet::all())
             .unwrap()
             .unwrap();
         assert_eq!(latest, row(0, 3));
@@ -679,13 +755,22 @@ mod tests {
         assert!(matches!(changes[1], VersionChange::Insert { .. }));
         let entry = c.table(t).unwrap();
         let head7 = entry.pk_lookup(&[Value::Int(7)]).unwrap().unwrap();
-        let (_, r) = entry.fetch_visible(head7, &snap_at(2)).unwrap().unwrap();
+        let (_, r) = entry
+            .fetch_visible(head7, &snap_at(2), ColumnSet::all())
+            .unwrap()
+            .unwrap();
         assert_eq!(r, row(7, 70));
         // The old key still resolves for older snapshots.
         let head0 = entry.pk_lookup(&[Value::Int(0)]).unwrap().unwrap();
-        let (_, old) = entry.fetch_visible(head0, &snap_at(1)).unwrap().unwrap();
+        let (_, old) = entry
+            .fetch_visible(head0, &snap_at(1), ColumnSet::all())
+            .unwrap()
+            .unwrap();
         assert_eq!(old, row(0, 0));
-        assert!(entry.fetch_visible(head0, &snap_at(2)).unwrap().is_none());
+        assert!(entry
+            .fetch_visible(head0, &snap_at(2), ColumnSet::all())
+            .unwrap()
+            .is_none());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use ingot_common::mvcc::TS_INF;
 use ingot_common::{
-    Error, IndexId, Result, Row, Schema, Snapshot, TableId, Value, WaitEvent, WaitGuard,
+    ColumnSet, Error, IndexId, Result, Row, Schema, Snapshot, TableId, Value, WaitEvent, WaitGuard,
 };
 use ingot_storage::{BTreeFile, HeapFile, RowId};
 
@@ -133,12 +133,23 @@ impl TableEntry {
     /// common case (latest snapshot, short chains) and costs no walk; every
     /// step beyond it is charged to the [`WaitEvent::VersionChainWalk`] wait
     /// event — long walks mean the GC watermark is lagging behind readers.
-    pub fn fetch_visible(&self, head: RowId, snap: &Snapshot) -> Result<Option<(RowId, Row)>> {
+    ///
+    /// Visibility is tested on the version header; only the visible version
+    /// is decoded, and of it only the `needed` columns (the rest read as
+    /// `Null`).
+    pub fn fetch_visible(
+        &self,
+        head: RowId,
+        snap: &Snapshot,
+        needed: ColumnSet,
+    ) -> Result<Option<(RowId, Row)>> {
         let mut rid = head;
         let mut walk: Option<WaitGuard> = None;
         loop {
-            let (meta, row) = self.heap.get_version(rid)?;
-            if snap.sees(meta.begin, meta.end) {
+            let (meta, row) = self
+                .heap
+                .get_version_if(rid, needed, |m| snap.sees(m.begin, m.end))?;
+            if let Some(row) = row {
                 return Ok(Some((rid, row)));
             }
             if meta.prev == TS_INF {
@@ -151,28 +162,34 @@ impl TableEntry {
         }
     }
 
-    /// Fetch one exact version (no chain walk) if it is visible under
-    /// `snap`. Secondary indexes store one entry per version, so probes
-    /// already land on the right physical record and only need a
-    /// visibility filter.
-    pub fn version_visible(&self, rid: RowId, snap: &Snapshot) -> Result<Option<Row>> {
-        let (meta, row) = self.heap.get_version(rid)?;
-        Ok(snap.sees(meta.begin, meta.end).then_some(row))
+    /// Fetch the `needed` columns of one exact version (no chain walk) if
+    /// its header is visible under `snap`. Secondary indexes store one entry
+    /// per version, so probes already land on the right physical record and
+    /// only need a visibility filter.
+    pub fn version_visible(
+        &self,
+        rid: RowId,
+        snap: &Snapshot,
+        needed: ColumnSet,
+    ) -> Result<Option<Row>> {
+        let (_, row) = self
+            .heap
+            .get_version_if(rid, needed, |m| snap.sees(m.begin, m.end))?;
+        Ok(row)
     }
 
-    /// Scan the heap returning only the versions visible under `snap`.
-    /// Needs no chain walks: visibility is evaluated per physical version,
-    /// and at most one version per chain passes.
+    /// Scan the heap returning the `needed` columns of only the versions
+    /// visible under `snap`; invisible ones are skipped on their header,
+    /// undecoded. Needs no chain walks: visibility is evaluated per physical
+    /// version, and at most one version per chain passes.
     pub fn scan_visible<'a>(
         &'a self,
         snap: &'a Snapshot,
+        needed: ColumnSet,
     ) -> impl Iterator<Item = Result<(RowId, Row)>> + 'a {
         self.heap
-            .scan_versions()
-            .filter_map(move |item| match item {
-                Ok((rid, meta, row)) => snap.sees(meta.begin, meta.end).then_some(Ok((rid, row))),
-                Err(e) => Some(Err(e)),
-            })
+            .scan_where(needed, move |m| snap.sees(m.begin, m.end))
+            .map(|item| item.map(|(rid, _, row)| (rid, row)))
     }
 
     /// Pages currently used by the table (heap + primary tree).

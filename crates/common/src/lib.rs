@@ -39,7 +39,7 @@ pub use mvcc::Snapshot;
 pub use net::{SocketSpec, Stream};
 pub use retry::{RetryPolicy, SplitMix64};
 pub use ring::RingBuffer;
-pub use row::{Column, Row, Schema};
+pub use row::{Column, ColumnSet, Row, Schema};
 pub use value::{DataType, Value};
 pub use waits::{
     bind_session, charge_ambient, SessionBinding, SessionWaits, WaitCounters, WaitEvent, WaitGuard,

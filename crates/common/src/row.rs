@@ -120,6 +120,60 @@ impl Schema {
     }
 }
 
+/// The columns of a row layout that somebody reads — the set a base-table
+/// access node hands to the row decoder so that unread `text` values are
+/// skipped rather than copied.
+///
+/// A 64-bit mask: layouts wider than that keep working because a position
+/// past the mask always counts as a member (never pruned).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColumnSet(u64);
+
+impl ColumnSet {
+    const BITS: usize = u64::BITS as usize;
+
+    /// Every column.
+    pub const fn all() -> Self {
+        ColumnSet(u64::MAX)
+    }
+
+    /// No column (of the first 64).
+    pub const fn none() -> Self {
+        ColumnSet(0)
+    }
+
+    /// Add position `col`.
+    pub fn insert(&mut self, col: usize) {
+        if col < Self::BITS {
+            self.0 |= 1 << col;
+        }
+    }
+
+    /// Is position `col` a member?
+    pub fn contains(self, col: usize) -> bool {
+        col >= Self::BITS || (self.0 >> col) & 1 == 1
+    }
+
+    /// Members among the first `width` positions.
+    pub fn count(self, width: usize) -> usize {
+        (0..width).filter(|&c| self.contains(c)).count()
+    }
+
+    /// Split a set over a concatenated layout (`left ‖ right`, the left
+    /// side `at` columns wide) into one set per side. Ones are shifted into
+    /// the right side's top, so a right-hand column whose concatenated
+    /// position lay past the mask stays a member.
+    pub fn split_at(self, at: usize) -> (ColumnSet, ColumnSet) {
+        if at >= Self::BITS {
+            return (self, ColumnSet::all());
+        }
+        (
+            ColumnSet(self.0 & ((1 << at) - 1)),
+            ColumnSet(!(!self.0 >> at)),
+        )
+    }
+}
+
 /// A tuple of values. The engine passes rows by value between operators; the
 /// inner `Vec` is reused where possible to limit allocation in hot paths.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -231,6 +285,25 @@ mod tests {
             .check_row(&Row::new(vec![Value::Null, Value::Null]))
             .is_err());
         assert!(s.check_row(&Row::new(vec![Value::Int(1)])).is_err());
+    }
+
+    #[test]
+    fn column_set_membership_and_split() {
+        let mut set = ColumnSet::none();
+        for c in [1, 4, 5, 70] {
+            set.insert(c);
+        }
+        assert!(set.contains(1) && set.contains(5) && !set.contains(0) && !set.contains(63));
+        assert!(set.contains(64), "positions past the mask are never pruned");
+        assert_eq!(set.count(6), 3);
+        assert_eq!(ColumnSet::all().count(9), 9);
+        // Layout: 3 columns on the left, the rest on the right.
+        let (l, r) = set.split_at(3);
+        assert_eq!((l.count(3), l.contains(1), l.contains(4)), (1, true, false));
+        assert!(r.contains(1) && r.contains(2) && !r.contains(0) && !r.contains(3));
+        // Right-hand column 61 sat at concatenated position 64: kept.
+        assert!(!r.contains(60) && r.contains(61) && r.contains(63));
+        assert_eq!(set.split_at(64), (set, ColumnSet::all()));
     }
 
     #[test]

@@ -9,9 +9,9 @@ use std::time::Duration;
 use ingot_catalog::{Catalog, SharedCatalog, StorageStructure, VersionChange, WriteAs};
 use ingot_common::waits::{bind_session, WaitRegistry, WaitTotal};
 use ingot_common::{
-    Column, Connection, Cost, EngineConfig, Error, IndexId, MonotonicClock, PreparedStatement,
-    Result, Row, Schema, SessionId, SimClock, Snapshot, StmtHash, TableId, TxnId, Value,
-    WalFsyncMode,
+    Column, ColumnSet, Connection, Cost, EngineConfig, Error, IndexId, MonotonicClock,
+    PreparedStatement, Result, Row, Schema, SessionId, SimClock, Snapshot, StmtHash, TableId,
+    TxnId, Value, WalFsyncMode,
 };
 use ingot_executor::{dml::insert_one, execute, DmlObserver, ExecCtx};
 use ingot_planner::{
@@ -1248,7 +1248,7 @@ impl Engine {
 /// surface, not be papered over.
 fn find_row_by_image(catalog: &Catalog, table: TableId, image: &Row) -> Result<RowId> {
     let entry = catalog.table(table)?;
-    for item in entry.scan_visible(&Snapshot::latest()) {
+    for item in entry.scan_visible(&Snapshot::latest(), ColumnSet::all()) {
         let (rid, row) = item?;
         if row == *image {
             return Ok(rid);

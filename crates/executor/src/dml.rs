@@ -16,7 +16,9 @@
 
 use ingot_catalog::{Catalog, TableEntry, VersionChange, WriteAs};
 use ingot_common::mvcc::{is_txn_mark, mark_owner, TS_INF};
-use ingot_common::{fnv1a64, Error, MonotonicClock, Result, Row, Snapshot, TableId, TxnId, Value};
+use ingot_common::{
+    fnv1a64, ColumnSet, Error, MonotonicClock, Result, Row, Snapshot, TableId, TxnId, Value,
+};
 use ingot_planner::{InsertRows, PhysExpr, PlannedStatement};
 use ingot_sql::BinOp;
 use ingot_storage::RowId;
@@ -465,7 +467,7 @@ fn target_rows(
                 let mut out = Vec::new();
                 if let Some(head) = entry.pk_lookup(&key)? {
                     scanned += 1;
-                    if let Some((rid, row)) = entry.fetch_visible(head, snap)? {
+                    if let Some((rid, row)) = entry.fetch_visible(head, snap, ColumnSet::all())? {
                         if f.eval_predicate(&row)? {
                             out.push((rid, row));
                         }
@@ -487,7 +489,7 @@ fn target_rows(
                 let mut out = Vec::new();
                 for rid in rids {
                     scanned += 1;
-                    if let Some(row) = entry.version_visible(rid, snap)? {
+                    if let Some(row) = entry.version_visible(rid, snap, ColumnSet::all())? {
                         if f.eval_predicate(&row)? {
                             out.push((rid, row));
                         }
@@ -500,7 +502,7 @@ fn target_rows(
 
     // Path 3: full scan.
     let mut out = Vec::new();
-    for item in entry.scan_visible(snap) {
+    for item in entry.scan_visible(snap, ColumnSet::all()) {
         let (rid, row) = item?;
         scanned += 1;
         let keep = match filter {

@@ -116,10 +116,15 @@ fn run_node(
             Ok(out)
         }
 
-        PhysPlan::SeqScan { table, filter, .. } => {
+        PhysPlan::SeqScan {
+            table,
+            filter,
+            needed,
+            ..
+        } => {
             let entry = catalog.table(*table)?;
             let mut out = Vec::new();
-            for item in entry.scan_visible(snap) {
+            for item in entry.scan_visible(snap, *needed) {
                 let (_, row) = item?;
                 *tuples += 1;
                 if eval_filter(filter, &row)? {
@@ -134,6 +139,7 @@ fn run_node(
             index,
             probe,
             filter,
+            needed,
             ..
         } => {
             let entry = catalog.table(*table)?;
@@ -158,7 +164,7 @@ fn run_node(
             let mut out = Vec::with_capacity(rids.len());
             for rid in rids {
                 *tuples += 1;
-                if let Some(row) = entry.version_visible(rid, snap)? {
+                if let Some(row) = entry.version_visible(rid, snap, *needed)? {
                     if eval_filter(filter, &row)? {
                         out.push(row);
                     }
@@ -168,7 +174,11 @@ fn run_node(
         }
 
         PhysPlan::PkLookup {
-            table, key, filter, ..
+            table,
+            key,
+            filter,
+            needed,
+            ..
         } => {
             let entry = catalog.table(*table)?;
             let empty = Row::default();
@@ -183,7 +193,7 @@ fn run_node(
             let mut out = Vec::with_capacity(rids.len());
             for rid in rids {
                 *tuples += 1;
-                if let Some((_, row)) = entry.fetch_visible(rid, snap)? {
+                if let Some((_, row)) = entry.fetch_visible(rid, snap, *needed)? {
                     if eval_filter(filter, &row)? {
                         out.push(row);
                     }
@@ -198,6 +208,7 @@ fn run_node(
             left_key,
             source,
             filter,
+            needed,
             ..
         } => {
             let outer = run(catalog, left, snap, tuples, trace.as_deref_mut())?;
@@ -212,7 +223,7 @@ fn run_node(
                     ProbeSource::PrimaryTree => {
                         for rid in entry.pk_prefix_probe(std::slice::from_ref(&key))? {
                             *tuples += 1;
-                            if let Some((_, rrow)) = entry.fetch_visible(rid, snap)? {
+                            if let Some((_, rrow)) = entry.fetch_visible(rid, snap, *needed)? {
                                 let joined = lrow.concat(&rrow);
                                 if eval_filter(filter, &joined)? {
                                     out.push(joined);
@@ -223,7 +234,7 @@ fn run_node(
                     ProbeSource::Index(id, _) => {
                         for rid in catalog.index(*id)?.probe_eq(std::slice::from_ref(&key))? {
                             *tuples += 1;
-                            if let Some(rrow) = entry.version_visible(rid, snap)? {
+                            if let Some(rrow) = entry.version_visible(rid, snap, *needed)? {
                                 let joined = lrow.concat(&rrow);
                                 if eval_filter(filter, &joined)? {
                                     out.push(joined);

@@ -247,30 +247,35 @@ impl PhysExpr {
 
     /// Collect all column offsets referenced.
     pub fn columns(&self, out: &mut Vec<usize>) {
+        self.for_each_column(&mut |c| out.push(c));
+    }
+
+    /// Call `f` with every column offset referenced (repeats included).
+    pub fn for_each_column(&self, f: &mut impl FnMut(usize)) {
         match self {
             PhysExpr::Literal(_) | PhysExpr::Param(_) => {}
-            PhysExpr::Col(i) => out.push(*i),
+            PhysExpr::Col(i) => f(*i),
             PhysExpr::Binary { left, right, .. } => {
-                left.columns(out);
-                right.columns(out);
+                left.for_each_column(f);
+                right.for_each_column(f);
             }
-            PhysExpr::Unary { expr, .. } => expr.columns(out),
-            PhysExpr::IsNull { expr, .. } => expr.columns(out),
+            PhysExpr::Unary { expr, .. }
+            | PhysExpr::IsNull { expr, .. }
+            | PhysExpr::Like { expr, .. } => expr.for_each_column(f),
             PhysExpr::Between { expr, lo, hi, .. } => {
-                expr.columns(out);
-                lo.columns(out);
-                hi.columns(out);
+                expr.for_each_column(f);
+                lo.for_each_column(f);
+                hi.for_each_column(f);
             }
             PhysExpr::InList { expr, list, .. } => {
-                expr.columns(out);
+                expr.for_each_column(f);
                 for e in list {
-                    e.columns(out);
+                    e.for_each_column(f);
                 }
             }
-            PhysExpr::Like { expr, .. } => expr.columns(out),
             PhysExpr::Call { args, .. } => {
                 for a in args {
-                    a.columns(out);
+                    a.for_each_column(f);
                 }
             }
         }

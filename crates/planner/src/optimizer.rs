@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use ingot_catalog::{Catalog, IndexEntry, TableEntry};
-use ingot_common::{Cost, Error, IndexId, Result, TableId, Value};
+use ingot_common::{ColumnSet, Cost, Error, IndexId, Result, TableId, Value};
 use ingot_sql::BinOp;
 
 use crate::binder::{table_offset, BoundSelect, BoundStatement, BoundTable, Conjunct, InsertRows};
@@ -316,6 +316,9 @@ pub fn optimize_select(
         };
     }
 
+    // 8. Column pruning. Runs after costing and touches no estimate.
+    prune_columns(&mut node, ColumnSet::all());
+
     let mut used_indexes = Vec::new();
     node.collect_indexes(&mut used_indexes);
     let uses_virtual = used_indexes.iter().any(|id| {
@@ -336,6 +339,88 @@ pub fn optimize_select(
         used_indexes,
         uses_virtual,
     })
+}
+
+/// Give every base-table access node below `node` its `needed` set: the
+/// columns its own filter reads plus the columns any ancestor reads from it.
+/// `required` is what the parent reads of `node`'s output layout — all of it
+/// at the root. Pruned positions are emitted as `Null`, never removed, so no
+/// expression offset moves.
+fn prune_columns(node: &mut PlanNode, required: ColumnSet) {
+    fn add(set: &mut ColumnSet, e: &PhysExpr) {
+        e.for_each_column(&mut |c| set.insert(c));
+    }
+    let mut req = required;
+    match &mut node.op {
+        PhysPlan::DualScan | PhysPlan::VirtualScan { .. } => {}
+        PhysPlan::SeqScan { filter, needed, .. }
+        | PhysPlan::IndexScan { filter, needed, .. }
+        | PhysPlan::PkLookup { filter, needed, .. } => {
+            filter.iter().for_each(|f| add(&mut req, f));
+            *needed = req;
+        }
+        PhysPlan::ProbeJoin {
+            left,
+            left_key,
+            filter,
+            needed,
+            ..
+        } => {
+            filter.iter().for_each(|f| add(&mut req, f));
+            let (mut outer, inner) = req.split_at(left.width());
+            outer.insert(*left_key);
+            *needed = inner;
+            prune_columns(left, outer);
+        }
+        PhysPlan::NestedLoopJoin { left, right, on } => {
+            on.iter().for_each(|f| add(&mut req, f));
+            let (l, r) = req.split_at(left.width());
+            prune_columns(left, l);
+            prune_columns(right, r);
+        }
+        PhysPlan::HashJoin {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            filter,
+        } => {
+            filter.iter().for_each(|f| add(&mut req, f));
+            let (mut l, mut r) = req.split_at(left.width());
+            left_keys.iter().for_each(|&k| l.insert(k));
+            right_keys.iter().for_each(|&k| r.insert(k));
+            prune_columns(left, l);
+            prune_columns(right, r);
+        }
+        PhysPlan::Filter { input, pred } => {
+            add(&mut req, pred);
+            prune_columns(input, req);
+        }
+        // A projection or aggregate evaluates all of its expressions, asked
+        // for or not, and reads nothing else of its input.
+        PhysPlan::Project { input, exprs } => {
+            let mut req = ColumnSet::none();
+            exprs.iter().for_each(|e| add(&mut req, e));
+            prune_columns(input, req);
+        }
+        PhysPlan::Aggregate {
+            input,
+            group_by,
+            aggs,
+            ..
+        } => {
+            let mut req = ColumnSet::none();
+            let inputs = aggs.iter().filter_map(|a| a.input.as_ref());
+            group_by.iter().chain(inputs).for_each(|e| add(&mut req, e));
+            prune_columns(input, req);
+        }
+        // Both compare whole rows (Sort as its tie-break), so every input
+        // column is read.
+        PhysPlan::Sort { input, .. } | PhysPlan::Distinct { input } => {
+            prune_columns(input, ColumnSet::all());
+        }
+        PhysPlan::Limit { input, .. } => prune_columns(input, req),
+    }
 }
 
 fn wrap_filter(node: PlanNode, pred: PhysExpr, sel: f64) -> PlanNode {
@@ -546,6 +631,7 @@ fn choose_access_path(
             table_name: entry.meta.name.clone(),
             width,
             filter: filter.clone(),
+            needed: ColumnSet::all(),
         },
         est_rows: out_rows,
         est_cost: seq_scan_cost(entry),
@@ -592,6 +678,7 @@ fn choose_access_path(
                         width,
                         key,
                         filter: filter.clone(),
+                        needed: ColumnSet::all(),
                     },
                     est_rows: (rows * sel).max(1.0).min(rows),
                     est_cost: cost,
@@ -688,6 +775,7 @@ fn index_candidate(
             width,
             probe,
             filter,
+            needed: ColumnSet::all(),
         },
         est_rows: (card * total_sel).max(1.0),
         est_cost: index_probe_cost(entry, matching),
@@ -999,6 +1087,7 @@ fn build_probe_join(
             left_key: left_keys[0],
             source,
             filter: combine(&filter_parts),
+            needed: ColumnSet::all(),
         },
         est_rows: out_rows,
         est_cost,
@@ -1287,6 +1376,41 @@ mod tests {
         let (lo, hi) = extract_range(&[between], 0);
         assert_eq!(lo, Some(PhysExpr::Param(2)));
         assert_eq!(hi, Some(PhysExpr::Param(3)));
+    }
+
+    #[test]
+    fn base_table_accesses_are_told_which_columns_are_read() {
+        let c = setup();
+        let shape = |sql: &str| plan(&c, sql, OptimizerOptions::default()).root.to_string();
+        // Filter column ∪ projected column; the root asks for all it emits.
+        let s = shape("select name from protein where len > 3");
+        assert!(
+            s.contains("SeqScan on protein [filtered] [2/3 cols]"),
+            "{s}"
+        );
+        let s = shape("select * from protein");
+        assert!(!s.contains("cols]"), "{s}");
+        // An aggregate reads its keys and inputs only; COUNT(*) reads none.
+        let s = shape("select count(*) from protein");
+        assert!(s.contains("SeqScan on protein [0/3 cols]"), "{s}");
+        // Join keys count as read on both sides.
+        let s = shape(
+            "select p.name from protein p join organism o on p.nref_id = o.nref_id \
+             where o.taxon_id = 3",
+        );
+        assert!(s.contains("on protein [2/3 cols]"), "{s}");
+        assert!(!s.contains("organism [filtered] ["), "{s}");
+        // DISTINCT and ORDER BY compare the rows the projection built, not
+        // the scan's: pruning below the projection stays.
+        let s = shape("select distinct len from protein order by len");
+        assert!(s.contains("SeqScan on protein [1/3 cols]"), "{s}");
+        // Pruning touches no estimate.
+        let q = plan(
+            &c,
+            "select name from protein where len > 3",
+            OptimizerOptions::default(),
+        );
+        assert_eq!(q.est, q.root.est_cost);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use ingot_common::{Cost, IndexId, Result, TableId, Value};
+use ingot_common::{ColumnSet, Cost, IndexId, Result, TableId, Value};
 
 use crate::expr::{AggSpec, PhysExpr};
 
@@ -60,6 +60,9 @@ pub enum PhysPlan {
         width: usize,
         /// Pushed-down predicate over the table's own layout.
         filter: Option<PhysExpr>,
+        /// Columns the filter or any ancestor reads; the rest are emitted
+        /// as `Null` placeholders (see `optimizer::prune_columns`).
+        needed: ColumnSet,
     },
     /// Secondary-index probe followed by heap fetches.
     IndexScan {
@@ -77,6 +80,8 @@ pub enum PhysPlan {
         probe: ProbeSpec,
         /// Residual predicate over the table's own layout.
         filter: Option<PhysExpr>,
+        /// Columns read, as for [`PhysPlan::SeqScan`].
+        needed: ColumnSet,
     },
     /// Clustered primary-key lookup (BTree storage structure).
     PkLookup {
@@ -92,6 +97,8 @@ pub enum PhysPlan {
         key: Vec<PhysExpr>,
         /// Residual predicate.
         filter: Option<PhysExpr>,
+        /// Columns read, as for [`PhysPlan::SeqScan`].
+        needed: ColumnSet,
     },
     /// Index nested-loop join: for each outer row, probe the inner table
     /// through its clustered primary tree or a secondary index on the join
@@ -111,6 +118,8 @@ pub enum PhysPlan {
         source: ProbeSource,
         /// Residual predicate over the concatenated layout (outer ‖ inner).
         filter: Option<PhysExpr>,
+        /// Inner-table columns read, as for [`PhysPlan::SeqScan`].
+        needed: ColumnSet,
     },
     /// Nested-loop join (inner side re-scanned per outer row).
     NestedLoopJoin {
@@ -182,6 +191,17 @@ pub enum PhysPlan {
     },
 }
 
+/// ` [k/n cols]` when a base-table access reads only `k` of its `n` columns;
+/// empty when it reads them all, so unpruned nodes render as they always did.
+fn cols_read(needed: ColumnSet, width: usize) -> String {
+    let k = needed.count(width);
+    if k < width {
+        format!(" [{k}/{width} cols]")
+    } else {
+        String::new()
+    }
+}
+
 /// A plan node annotated with the optimizer's estimates.
 #[derive(Debug, Clone)]
 pub struct PlanNode {
@@ -246,32 +266,51 @@ impl PlanNode {
             | PhysPlan::Distinct { .. } => String::new(),
             PhysPlan::VirtualScan { table_name, .. } => format!(" on {table_name}"),
             PhysPlan::SeqScan {
-                table_name, filter, ..
+                table_name,
+                width,
+                filter,
+                needed,
+                ..
             } => format!(
-                " on {table_name}{}",
-                if filter.is_some() { " [filtered]" } else { "" }
+                " on {table_name}{}{}",
+                if filter.is_some() { " [filtered]" } else { "" },
+                cols_read(*needed, *width)
             ),
             PhysPlan::IndexScan {
                 table_name,
                 index_name,
+                width,
                 probe,
+                needed,
                 ..
             } => {
                 let p = match probe {
                     ProbeSpec::Eq(v) => format!("eq({})", v.len()),
                     ProbeSpec::Range { .. } => "range".to_owned(),
                 };
-                format!(" on {table_name} via {index_name} {p}")
+                format!(
+                    " on {table_name} via {index_name} {p}{}",
+                    cols_read(*needed, *width)
+                )
             }
-            PhysPlan::PkLookup { table_name, .. } => format!(" on {table_name}"),
+            PhysPlan::PkLookup {
+                table_name,
+                width,
+                needed,
+                ..
+            } => format!(" on {table_name}{}", cols_read(*needed, *width)),
             PhysPlan::ProbeJoin {
-                table_name, source, ..
+                table_name,
+                width,
+                source,
+                needed,
+                ..
             } => {
                 let via = match source {
                     ProbeSource::PrimaryTree => "primary tree".to_owned(),
                     ProbeSource::Index(_, name) => format!("index {name}"),
                 };
-                format!(" into {table_name} via {via}")
+                format!(" into {table_name} via {via}{}", cols_read(*needed, *width))
             }
             PhysPlan::HashJoin { left_keys, .. } => format!(" on {} key(s)", left_keys.len()),
             PhysPlan::Project { exprs, .. } => format!(" [{} col(s)]", exprs.len()),
@@ -375,11 +414,13 @@ impl PlanNode {
                 table_name,
                 width,
                 filter,
+                needed,
             } => PhysPlan::SeqScan {
                 table: *table,
                 table_name: table_name.clone(),
                 width: *width,
                 filter: sub_opt(filter)?,
+                needed: *needed,
             },
             PhysPlan::IndexScan {
                 table,
@@ -389,6 +430,7 @@ impl PlanNode {
                 width,
                 probe,
                 filter,
+                needed,
             } => PhysPlan::IndexScan {
                 table: *table,
                 table_name: table_name.clone(),
@@ -405,6 +447,7 @@ impl PlanNode {
                     },
                 },
                 filter: sub_opt(filter)?,
+                needed: *needed,
             },
             PhysPlan::PkLookup {
                 table,
@@ -412,12 +455,14 @@ impl PlanNode {
                 width,
                 key,
                 filter,
+                needed,
             } => PhysPlan::PkLookup {
                 table: *table,
                 table_name: table_name.clone(),
                 width: *width,
                 key: key.iter().map(sub).collect::<Result<_>>()?,
                 filter: sub_opt(filter)?,
+                needed: *needed,
             },
             PhysPlan::ProbeJoin {
                 left,
@@ -427,6 +472,7 @@ impl PlanNode {
                 left_key,
                 source,
                 filter,
+                needed,
             } => PhysPlan::ProbeJoin {
                 left: Box::new(left.substitute_params(params)?),
                 table: *table,
@@ -435,6 +481,7 @@ impl PlanNode {
                 left_key: *left_key,
                 source: source.clone(),
                 filter: sub_opt(filter)?,
+                needed: *needed,
             },
             PhysPlan::NestedLoopJoin { left, right, on } => PhysPlan::NestedLoopJoin {
                 left: Box::new(left.substitute_params(params)?),
@@ -524,6 +571,7 @@ mod tests {
                 table_name: "protein".into(),
                 width: 3,
                 filter: None,
+                needed: ColumnSet::all(),
             },
             est_rows: 100.0,
             est_cost: Cost::new(100.0, 10.0),
@@ -585,6 +633,7 @@ mod tests {
                 width: 1,
                 probe: ProbeSpec::Eq(vec![PhysExpr::Literal(Value::Int(1))]),
                 filter: None,
+                needed: ColumnSet::all(),
             },
             est_rows: 1.0,
             est_cost: Cost::ZERO,
@@ -614,6 +663,7 @@ mod tests {
                         width: 2,
                         key: vec![PhysExpr::Param(0)],
                         filter: None,
+                        needed: ColumnSet::all(),
                     },
                     est_rows: 1.0,
                     est_cost: Cost::new(1.0, 1.0),

@@ -84,7 +84,7 @@ pub struct BufferPool {
     evictions: AtomicU64,
     write_failures: AtomicU64,
     /// Wait-event sink, injected by the engine after construction. Unset
-    /// (unit tests) the miss and eviction paths charge nothing.
+    /// (unit tests) the miss path charges nothing.
     waits: WaitRegistryHandle,
 }
 
@@ -109,8 +109,7 @@ impl BufferPool {
     }
 
     /// Route physical-I/O wait accounting to `registry` (`BufferRead` for
-    /// misses, `BufferEvict` for the over-capacity sweep). Called once by
-    /// the engine during wiring.
+    /// misses). Called once by the engine during wiring.
     pub fn set_wait_registry(&self, registry: Arc<WaitRegistry>) {
         self.waits.set(registry);
     }
@@ -143,12 +142,9 @@ impl BufferPool {
     }
 
     fn evict_if_needed(&self, inner: &mut PoolInner) -> Result<()> {
-        if inner.frames.len() <= self.capacity {
-            return Ok(());
-        }
-        // Over capacity: the sweep below is time the requesting statement
-        // spends making room rather than doing work.
-        let _wait = WaitGuard::begin(self.waits.get(), WaitEvent::BufferEvict);
+        // No wait guard: the pool is no-steal, so the sweep drops clean
+        // frames and never does I/O. `WaitEvent::BufferEvict` stays reserved
+        // for a steal policy that would write a dirty victim back here.
         while inner.frames.len() > self.capacity {
             // Find the least-recently-used unpinned frame. The scan is
             // bounded so that a fully-pinned pool terminates (pinned frames

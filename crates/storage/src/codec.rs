@@ -9,7 +9,7 @@
 //!   B-Tree nodes compare raw bytes only, which keeps comparisons in the hot
 //!   path allocation- and branch-light (per the Rust performance guide).
 
-use ingot_common::{Error, Result, Row, Value};
+use ingot_common::{ColumnSet, Error, Result, Row, Value};
 
 // ---- row codec --------------------------------------------------------------
 
@@ -64,6 +64,14 @@ fn arr<const N: usize>(s: &[u8]) -> Result<[u8; N]> {
 
 /// Deserialise a row previously produced by [`encode_row`].
 pub fn decode_row(bytes: &[u8]) -> Result<Row> {
+    decode_row_cols(bytes, ColumnSet::all())
+}
+
+/// Deserialise the `needed` columns of a row. Every other position holds
+/// [`Value::Null`], so the row keeps its width and column offsets; a skipped
+/// string is stepped over (its length still bounds-checked) without UTF-8
+/// validation or a copy.
+pub fn decode_row_cols(bytes: &[u8], needed: ColumnSet) -> Result<Row> {
     let mut pos = 0usize;
     let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
         match bytes.get(*pos..(*pos).saturating_add(n)) {
@@ -76,7 +84,8 @@ pub fn decode_row(bytes: &[u8]) -> Result<Row> {
     };
     let n = u16::from_le_bytes(arr(take(&mut pos, 2)?)?) as usize;
     let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
+    for col in 0..n {
+        let keep = needed.contains(col);
         let tag = match take(&mut pos, 1)? {
             &[t] => t,
             _ => return Err(Error::storage("truncated row record")),
@@ -88,17 +97,21 @@ pub fn decode_row(bytes: &[u8]) -> Result<Row> {
             TAG_STR => {
                 let len = u32::from_le_bytes(arr(take(&mut pos, 4)?)?) as usize;
                 let raw = take(&mut pos, len)?;
-                Value::Str(
-                    std::str::from_utf8(raw)
-                        .map_err(|_| Error::storage("invalid utf8 in row record"))?
-                        .to_owned(),
-                )
+                if keep {
+                    Value::Str(
+                        std::str::from_utf8(raw)
+                            .map_err(|_| Error::storage("invalid utf8 in row record"))?
+                            .to_owned(),
+                    )
+                } else {
+                    Value::Null
+                }
             }
             TAG_BOOL_FALSE => Value::Bool(false),
             TAG_BOOL_TRUE => Value::Bool(true),
             t => return Err(Error::storage(format!("unknown value tag {t}"))),
         };
-        values.push(v);
+        values.push(if keep { v } else { Value::Null });
     }
     Ok(Row::new(values))
 }

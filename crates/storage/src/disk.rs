@@ -9,6 +9,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -273,21 +274,21 @@ impl DiskBackend for FileBackend {
     }
 
     fn read_page(&self, file: FileId, page_no: u64) -> Result<Page> {
-        let mut files = self.files.lock();
+        let files = self.files.lock();
         let entry = files
-            .get_mut(file.0 as usize)
+            .get(file.0 as usize)
             .ok_or_else(|| Error::storage(format!("unknown file {file}")))?;
         if page_no >= entry.pages {
             return Err(Error::storage(format!(
                 "page {page_no} out of range in {file}"
             )));
         }
-        let mut buf = [0u8; PAGE_SIZE];
+        // One positional read straight into the page's own buffer.
+        let mut page = Page::new();
         entry
             .handle
-            .seek(SeekFrom::Start(page_no * PAGE_SIZE as u64))?;
-        entry.handle.read_exact(&mut buf)?;
-        Ok(Page::from_bytes(buf))
+            .read_exact_at(page.bytes_mut(), page_no * PAGE_SIZE as u64)?;
+        Ok(page)
     }
 
     fn write_page(&self, file: FileId, page_no: u64, page: &Page) -> Result<()> {

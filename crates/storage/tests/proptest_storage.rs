@@ -4,9 +4,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ingot_common::{Row, SimClock, Value};
+use ingot_common::{ColumnSet, Row, SimClock, Value};
 use ingot_storage::{
-    decode_row, encode_key, encode_row, BTreeFile, BufferPool, DiskModel, HeapFile, MemoryBackend,
+    decode_row, decode_row_cols, encode_key, encode_row, BTreeFile, BufferPool, DiskModel,
+    HeapFile, MemoryBackend,
 };
 use proptest::prelude::*;
 
@@ -33,6 +34,15 @@ fn arb_row() -> impl Strategy<Value = Row> {
     prop::collection::vec(arb_value(), 0..8).prop_map(Row::new)
 }
 
+/// A column set from the low bits of `mask` (rows here have < 8 columns).
+fn column_set(mask: u8) -> ColumnSet {
+    let mut set = ColumnSet::none();
+    (0..8)
+        .filter(|c| mask >> c & 1 == 1)
+        .for_each(|c| set.insert(c));
+    set
+}
+
 /// Comparable values for key-order testing (no NULL-vs-NULL subtleties,
 /// single type class per comparison).
 fn arb_ordkey() -> impl Strategy<Value = Value> {
@@ -51,6 +61,30 @@ proptest! {
         let encoded = encode_row(&row);
         let decoded = decode_row(&encoded).unwrap();
         prop_assert_eq!(decoded, row);
+    }
+
+    #[test]
+    fn masked_decode_keeps_the_kept_and_nulls_the_rest(row in arb_row(), mask in any::<u8>()) {
+        let encoded = encode_row(&row);
+        let needed = column_set(mask);
+        let decoded = decode_row_cols(&encoded, needed).unwrap();
+        prop_assert_eq!(decoded.len(), row.len());
+        for (c, v) in row.values().iter().enumerate() {
+            let want = if needed.contains(c) { v } else { &Value::Null };
+            prop_assert_eq!(decoded.get(c), want, "column {}", c);
+        }
+        // "All" is `decode_row`, value for value.
+        prop_assert_eq!(decode_row_cols(&encoded, ColumnSet::all()).unwrap(), row);
+    }
+
+    #[test]
+    fn every_truncation_errors_under_every_mask(row in arb_row(), mask in any::<u8>()) {
+        // A skipped string still has its length bounds-checked.
+        let encoded = encode_row(&row);
+        for cut in 0..encoded.len() {
+            prop_assert!(decode_row_cols(&encoded[..cut], column_set(mask)).is_err(), "cut {}", cut);
+            prop_assert!(decode_row(&encoded[..cut]).is_err(), "cut {}", cut);
+        }
     }
 
     #[test]

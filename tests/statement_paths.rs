@@ -5,13 +5,21 @@
 //! and what the monitor recorded (`ima$workload` rows, per-statement
 //! references, table / index / attribute usage).
 //!
+//! A second oracle rides the same stream on all four engines: every query is
+//! also planned by hand, and the plan is executed next to a clone of itself
+//! whose base-table accesses read every column — column pruning must change
+//! no row, no tuple count and no page read.
+//!
 //! A plan-cache hit reports the estimate its template was priced with when
 //! first planned, a miss prices now. The stream keeps both tables inside
 //! their preallocated heap extent, so the page counts the optimizer prices
 //! from never move and the two estimates are comparable at every step.
 
-use ingot::common::StmtHash;
+use ingot::common::{ColumnSet, Snapshot, StmtHash};
+use ingot::executor::execute_plan_snapshot;
+use ingot::planner::{optimize, Binder, OptimizerOptions, PhysPlan, PlanNode, PlannedStatement};
 use ingot::prelude::*;
+use ingot::sql::{parse_statement, Statement};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -109,6 +117,27 @@ fn stream() -> Vec<Step> {
             .into(),
     ));
 
+    // Shapes column pruning could get wrong: everything projected; a filter,
+    // a sort key and a group key that are not projected; whole-row DISTINCT;
+    // join residuals that read both sides (probe join into the clustered
+    // `grp`, hash join of `item` with itself); an index probe with a
+    // residual filter.
+    for sql in [
+        "select * from item where id < 5",
+        "select name from item where qty > 10",
+        "select name from item order by qty desc, id limit 7",
+        "select distinct grp from item",
+        "select distinct g.label, i.qty from item i join grp g on i.grp = g.grp",
+        "select name, count(*) from item group by name",
+        "select i.id from item i join grp g on i.grp = g.grp \
+         where length(i.name) + i.qty > length(g.label) + 25",
+        "select i.id, j.id from item i join item j on i.qty = j.qty \
+         where i.name < j.name and i.id < 5",
+        "select id from item where name = 'item7' and qty >= 0",
+    ] {
+        steps.push(Sql(sql.into()));
+    }
+
     // Writes, auto-commit: prepared and textual updates, deletes of distinct
     // rows, a duplicate key, an unknown table, a wrong parameter count.
     for n in 0..30 {
@@ -159,8 +188,73 @@ fn stream() -> Vec<Step> {
         // The conflict aborted the transaction: nothing left to commit.
         Commit,
         Prepared(POINT, vec![Value::Int(2)]),
+        // UPDATE and DELETE filtered on one column of a heap rewrote and
+        // kept whole rows: no column they did not read came back NULL.
+        Sql(WHOLE_ROWS.into()),
     ]);
     steps
+}
+
+const WHOLE_ROWS: &str =
+    "select count(*) from item where id is null or grp is null or name is null or qty is null";
+
+/// Make every base-table access of the plan read every column again.
+fn unprune(node: &mut PlanNode) {
+    match &mut node.op {
+        PhysPlan::DualScan | PhysPlan::VirtualScan { .. } => {}
+        PhysPlan::SeqScan { needed, .. }
+        | PhysPlan::IndexScan { needed, .. }
+        | PhysPlan::PkLookup { needed, .. } => *needed = ColumnSet::all(),
+        PhysPlan::ProbeJoin { left, needed, .. } => {
+            *needed = ColumnSet::all();
+            unprune(left);
+        }
+        PhysPlan::NestedLoopJoin { left, right, .. } | PhysPlan::HashJoin { left, right, .. } => {
+            unprune(left);
+            unprune(right);
+        }
+        PhysPlan::Filter { input, .. }
+        | PhysPlan::Project { input, .. }
+        | PhysPlan::Aggregate { input, .. }
+        | PhysPlan::Sort { input, .. }
+        | PhysPlan::Distinct { input }
+        | PhysPlan::Limit { input, .. } => unprune(input),
+    }
+}
+
+/// Pruned ≡ unpruned. Plans `sql` the way the engine does and, when it is a
+/// query, executes the optimizer's plan and its unpruned clone under one
+/// snapshot. Returns whether the optimizer pruned anything.
+fn pruning_is_invisible(engine: &Engine, sql: &str, params: &[Value]) -> bool {
+    let Ok(stmt @ Statement::Select(_)) = parse_statement(sql) else {
+        return false;
+    };
+    let catalog = engine.catalog().read();
+    let planned = Binder::new(&catalog)
+        .bind(&stmt)
+        .and_then(|(bound, _)| optimize(&catalog, &bound, OptimizerOptions::default()))
+        .and_then(|planned| planned.substitute_params(params));
+    // Binder and arity errors are the main oracle's business.
+    let Ok(PlannedStatement::Query(q)) = planned else {
+        return false;
+    };
+    let mut full = q.root.clone();
+    unprune(&mut full);
+    let snap = Snapshot::latest();
+    let run = |plan: &PlanNode| {
+        let before = engine.io_stats().total();
+        let mut result = execute_plan_snapshot(&catalog, plan, &snap).unwrap();
+        result.rows.sort(); // hash operators promise a multiset
+        let pages = engine.io_stats().total() - before;
+        (result.rows, result.tuples, pages)
+    };
+    assert_eq!(
+        run(&q.root),
+        run(&full),
+        "pruned vs unpruned: {sql}\n{}",
+        q.root
+    );
+    q.root.to_string() != full.to_string()
 }
 
 /// `EXPLAIN ANALYZE` text with the run-dependent parts (pages touched,
@@ -264,6 +358,8 @@ struct Run {
     recorded: Recorded,
     cache_hits: u64,
     traced_statements: u64,
+    /// Queries whose plan reads fewer columns than its tables have.
+    pruned_plans: usize,
 }
 
 fn run(steps: &[Step], cache_capacity: usize, trace: bool) -> Run {
@@ -284,11 +380,16 @@ fn run(steps: &[Step], cache_capacity: usize, trace: bool) -> Run {
     a.execute(switch).unwrap();
 
     let unit = |r: Result<()>| outcome(r.map(|()| StatementResult::default()), false);
+    let mut pruned_plans = 0;
     let outcomes = steps
         .iter()
         .map(|step| match step {
-            Step::Sql(sql) => outcome(a.execute(sql), sql.starts_with("explain")),
+            Step::Sql(sql) => {
+                pruned_plans += usize::from(pruning_is_invisible(&engine, sql, &[]));
+                outcome(a.execute(sql), sql.starts_with("explain"))
+            }
             Step::Prepared(sql, params) => {
+                pruned_plans += usize::from(pruning_is_invisible(&engine, sql, params));
                 outcome(a.prepare(sql).and_then(|p| p.execute(params)), false)
             }
             Step::OtherSession(sql) => outcome(b.execute(sql), false),
@@ -328,6 +429,7 @@ fn run(steps: &[Step], cache_capacity: usize, trace: bool) -> Run {
         recorded,
         cache_hits: engine.plan_cache_stats().hits,
         traced_statements,
+        pruned_plans,
     }
 }
 
@@ -354,12 +456,22 @@ fn every_statement_path_agrees() {
         reference.recorded.references.iter().any(|r| r.1 == "index"),
         "some statement must use an index"
     );
+    assert!(reference.pruned_plans > 300, "{}", reference.pruned_plans);
+    let whole = steps
+        .iter()
+        .position(|s| matches!(s, Step::Sql(q) if q == WHOLE_ROWS));
+    assert!(
+        matches!(&reference.outcomes[whole.unwrap()], Outcome::Done { rows, .. }
+            if rows == &[Row::new(vec![Value::Int(0)])]),
+        "DML over a heap must read and write whole rows"
+    );
 
     for (capacity, trace) in [(256, true), (0, false), (0, true)] {
         let other = run(&steps, capacity, trace);
         let label = format!("plan cache {capacity}, trace {trace}");
         assert_eq!(other.cache_hits > 0, capacity > 0, "{label}");
         assert_eq!(other.traced_statements > 0, trace, "{label}");
+        assert_eq!(other.pruned_plans, reference.pruned_plans, "{label}");
         for (i, (want, got)) in reference.outcomes.iter().zip(&other.outcomes).enumerate() {
             assert_eq!(want, got, "{label}: step {i} {:?}", steps[i]);
         }

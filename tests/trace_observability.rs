@@ -69,6 +69,15 @@ fn explain_analyze_annotates_every_operator_of_a_join() {
         assert!(l.contains("pages="), "{l}");
         assert!(l.contains("time="), "{l}");
     }
+    // The plan says what it reads: `protein.nref_id` is used by nobody, so
+    // that scan is marked; `organism` is read whole and renders as ever.
+    let scan_of = |t: &str| ops.iter().find(|l| l.contains(&format!("SeqScan on {t} ")));
+    let protein = scan_of("protein").expect("protein is scanned");
+    assert!(protein.contains("[filtered] [2/3 cols]  ("), "{lines:#?}");
+    assert!(
+        !scan_of("organism").unwrap().contains("cols]"),
+        "{lines:#?}"
+    );
     // Children are indented under the root.
     assert!(ops[1].starts_with("  "), "{lines:#?}");
     assert!(summary[0].starts_with("Execution:"), "{lines:#?}");
@@ -103,6 +112,19 @@ fn operator_stats_are_queryable_and_consistent_with_the_rendering() {
         assert_eq!(row.get(0).as_int(), Some(i as i64));
         assert_eq!(row.get(5).as_int(), Some(1), "one execution so far");
     }
+    // The operator's detail carries the columns-read mark too.
+    let details = s
+        .execute(&format!(
+            "select detail from ima$operator_stats where hash = '{hash}' and op = 'SeqScan'"
+        ))
+        .unwrap()
+        .rows;
+    assert!(
+        details.contains(&Row::new(vec![Value::Str(
+            " on protein [filtered] [2/3 cols]".into()
+        )])),
+        "{details:?}"
+    );
     // Re-running the same statement accumulates into the same plan rows.
     s.execute(sql).unwrap();
     let execs = s
