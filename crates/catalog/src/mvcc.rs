@@ -26,7 +26,7 @@ use ingot_common::{Error, Result, Row, TableId, TxnId, Value};
 use ingot_storage::{RowId, VersionMeta};
 
 use crate::catalog::Catalog;
-use crate::table::{IndexEntry, TableEntry};
+use crate::table::{CheckedRow, IndexEntry, TableEntry};
 
 /// How a version write is stamped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,38 +138,47 @@ impl Catalog {
     /// Insert a row as a new single-version chain, maintaining the clustered
     /// tree and all secondary indexes.
     pub fn insert_row_v(&self, table: TableId, row: &Row, write: WriteAs) -> Result<VersionChange> {
+        let checked = self.table(table)?.check_row(row)?;
+        self.insert_checked_v(table, &checked, write)
+    }
+
+    /// [`Catalog::insert_row_v`] for a row `table` has already checked
+    /// ([`TableEntry::check_row`]) — the statement path checks once and
+    /// reuses the row and its key for locking and logging.
+    pub fn insert_checked_v(
+        &self,
+        table: TableId,
+        checked: &CheckedRow,
+        write: WriteAs,
+    ) -> Result<VersionChange> {
         let entry = self.table(table)?;
-        let row = entry.meta.schema.check_row(row)?;
+        let row = checked.row();
         for idx in self.indexes_of(table) {
             if idx.meta.unique && !idx.meta.is_virtual {
-                let vals = col_values(&row, &idx.meta.columns);
+                let vals = col_values(row, &idx.meta.columns);
                 self.check_unique(entry, idx, &vals, None, write.owner())?;
             }
         }
-        let pk_key = match &entry.primary {
-            Some(primary) => {
-                let key = ingot_storage::encode_key(&entry.pk_values(&row));
-                if let Some(v) = primary.get(&key)? {
-                    let head = entry.heap.meta(decode_rid(&v))?;
-                    if blocks_duplicate(head.end, write.owner()) {
-                        return Err(Error::constraint(format!(
-                            "duplicate primary key in '{}'",
-                            entry.meta.name
-                        )));
-                    }
+        let primary = entry.primary.as_ref().zip(checked.pk_key());
+        if let Some((primary, key)) = primary {
+            if let Some(v) = primary.get(key)? {
+                let head = entry.heap.meta(decode_rid(&v))?;
+                if blocks_duplicate(head.end, write.owner()) {
+                    return Err(Error::constraint(format!(
+                        "duplicate primary key in '{}'",
+                        entry.meta.name
+                    )));
                 }
-                Some(key)
             }
-            None => None,
-        };
+        }
         let rid = entry
             .heap
-            .insert_version(&row, VersionMeta::base(write.stamp()))?;
+            .insert_version(row, VersionMeta::base(write.stamp()))?;
         let mut displaced = None;
-        if let (Some(primary), Some(key)) = (&entry.primary, &pk_key) {
+        if let Some((primary, key)) = primary {
             displaced = primary.insert(key, &rid.pack().to_le_bytes())?;
         }
-        self.index_insert_all(table, &row, rid)?;
+        self.index_insert_all(table, row, rid)?;
         entry.heap.adjust_rows(1);
         Ok(VersionChange::Insert {
             table,

@@ -86,7 +86,40 @@ pub struct TableEntry {
     pub stats: Option<TableStatistics>,
 }
 
+/// A row that passed its table's schema check ([`TableEntry::check_row`]),
+/// together with the clustered-tree key it encodes to — the per-row work of
+/// an insert, done once and shared by the constraint-key locks, the catalog
+/// insert and the WAL image.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CheckedRow {
+    row: Row,
+    pk_key: Option<Vec<u8>>,
+}
+
+impl CheckedRow {
+    /// The schema-coerced row: exactly the image the heap stores.
+    pub fn row(&self) -> &Row {
+        &self.row
+    }
+
+    /// The encoded primary key; `None` when the table has no clustered tree.
+    pub fn pk_key(&self) -> Option<&[u8]> {
+        self.pk_key.as_deref()
+    }
+}
+
 impl TableEntry {
+    /// Validate and coerce `row` against the schema and encode its primary
+    /// key.
+    pub fn check_row(&self, row: &Row) -> Result<CheckedRow> {
+        let row = self.meta.schema.check_row(row)?;
+        let pk_key = self
+            .primary
+            .as_ref()
+            .map(|_| ingot_storage::encode_key(&self.pk_values(&row)));
+        Ok(CheckedRow { row, pk_key })
+    }
+
     /// Extract the primary-key values of `row`.
     pub fn pk_values(&self, row: &Row) -> Vec<Value> {
         self.meta

@@ -1,6 +1,7 @@
 //! The engine facade: sessions, the sensor-instrumented statement path, and
 //! the administration surface used by the daemon and analyzer.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -1261,10 +1262,11 @@ fn find_row_by_image(catalog: &Catalog, table: TableId, image: &Row) -> Result<R
 }
 
 /// Observes each applied DML mutation on behalf of one transaction: pushes
-/// its logical undo and appends the matching WAL record. Inserted/updated
-/// images are re-read from the heap so the log carries exactly the stored
-/// (schema-coerced) representation; pre-images arrive already canonical
-/// because the executor read them from the heap.
+/// its logical undo and appends the matching WAL record. The log carries
+/// exactly the stored (schema-coerced) representation: an insert hands over
+/// the checked row the heap just encoded, an update's new image is re-read
+/// from the heap, and pre-images arrive already canonical because the
+/// executor read them from the heap.
 struct WalDmlObserver<'a> {
     engine: &'a Engine,
     catalog: &'a Catalog,
@@ -1293,8 +1295,8 @@ impl<'a> WalDmlObserver<'a> {
         }
     }
 
-    fn table_name(&self, table: TableId) -> Result<String> {
-        Ok(self.catalog.table(table)?.meta.name.clone())
+    fn table_name(&self, table: TableId) -> Result<Cow<'a, str>> {
+        Ok(Cow::Borrowed(&self.catalog.table(table)?.meta.name))
     }
 
     fn stored_image(&self, table: TableId, rid: RowId) -> Result<Row> {
@@ -1306,14 +1308,13 @@ impl DmlObserver for WalDmlObserver<'_> {
     fn on_insert(
         &self,
         table: TableId,
-        rid: RowId,
-        _row: &Row,
+        _rid: RowId,
+        row: &Row,
         change: &VersionChange,
     ) -> Result<()> {
         if self.engine.wal.is_replaying() {
             return Ok(());
         }
-        let image = self.stored_image(table, rid)?;
         // Undo info is recorded before the fallible WAL append: if the
         // append fails mid-statement, the abort path still knows how to
         // reverse this already-applied version.
@@ -1321,7 +1322,7 @@ impl DmlObserver for WalDmlObserver<'_> {
         self.engine.wal.append(&WalRecord::Insert {
             txn: self.txn,
             table: self.table_name(table)?,
-            row: encode_row(&image),
+            row: encode_row(row),
         })?;
         Ok(())
     }

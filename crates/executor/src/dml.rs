@@ -14,7 +14,7 @@
 //! (auto-commit, which preserves the no-lost-updates behaviour of the old
 //! table-lock protocol).
 
-use ingot_catalog::{Catalog, TableEntry, VersionChange, WriteAs};
+use ingot_catalog::{Catalog, CheckedRow, TableEntry, VersionChange, WriteAs};
 use ingot_common::mvcc::{is_txn_mark, mark_owner, TS_INF};
 use ingot_common::{
     fnv1a64, ColumnSet, Error, MonotonicClock, Result, Row, Snapshot, TableId, TxnId, Value,
@@ -87,7 +87,8 @@ impl ExecCtx<'static> {
 /// [`VersionChange`]s *before* its fallible part runs, so the undo list is
 /// always complete).
 pub trait DmlObserver {
-    /// `row` was inserted into `table` at `rid`.
+    /// `row` — the schema-coerced image, as stored — was inserted into
+    /// `table` at `rid`.
     fn on_insert(
         &self,
         table: TableId,
@@ -230,15 +231,13 @@ fn execute_dml(
                 // Parameterised templates: values were unknown at bind time,
                 // so evaluate and constraint-check each row here.
                 InsertRows::Dynamic(exprs) => {
-                    let schema = catalog.table(*table)?.meta.schema.clone();
                     let empty = Row::default();
                     for row_exprs in exprs {
                         let values: Vec<Value> = row_exprs
                             .iter()
                             .map(|e| e.eval(&empty))
                             .collect::<Result<_>>()?;
-                        let row = schema.check_row(&Row::new(values))?;
-                        insert_one(catalog, *table, &row, ctx)?;
+                        insert_one(catalog, *table, &Row::new(values), ctx)?;
                         n += 1;
                     }
                 }
@@ -268,7 +267,7 @@ fn execute_dml(
                 for (col, expr) in sets {
                     new_row.set(*col, expr.eval(&head_row)?);
                 }
-                lock_constraint_keys(catalog, entry, *table, &new_row, ctx)?;
+                lock_constraint_keys(catalog, *table, &entry.check_row(&new_row)?, ctx)?;
                 let changes = catalog.update_row_v(*table, head, &new_row, ctx.write)?;
                 let new_rid = changes
                     .iter()
@@ -313,22 +312,25 @@ fn execute_dml(
     }
 }
 
-/// Insert one row through the full MVCC write path: constraint-key row
-/// locks, a versioned catalog insert, and the observer callback. Shared by
-/// the INSERT statement path and the engine's parse-free bulk-load entry.
+/// Insert one row through the full MVCC write path: the schema check (once:
+/// the checked row and its encoded key serve every later step),
+/// constraint-key row locks, a versioned catalog insert, and the observer
+/// callback. Shared by the INSERT statement path and the engine's
+/// parse-free bulk-load entry.
 pub fn insert_one(
     catalog: &Catalog,
     table: TableId,
     row: &Row,
     ctx: &ExecCtx<'_>,
 ) -> Result<RowId> {
-    let entry = catalog.table(table)?;
-    lock_constraint_keys(catalog, entry, table, row, ctx)?;
-    let change = catalog.insert_row_v(table, row, ctx.write)?;
+    let checked = catalog.table(table)?.check_row(row)?;
+    lock_constraint_keys(catalog, table, &checked, ctx)?;
+    let change = catalog.insert_checked_v(table, &checked, ctx.write)?;
     let VersionChange::Insert { new, .. } = &change else {
         return Err(Error::execution("insert produced a non-insert change"));
     };
-    ctx.observer.on_insert(table, *new, row, &change)?;
+    ctx.observer
+        .on_insert(table, *new, checked.row(), &change)?;
     Ok(*new)
 }
 
@@ -340,22 +342,16 @@ pub fn insert_one(
 /// over-serialise; they cannot break correctness.
 fn lock_constraint_keys(
     catalog: &Catalog,
-    entry: &TableEntry,
     table: TableId,
-    row: &Row,
+    checked: &CheckedRow,
     ctx: &ExecCtx<'_>,
 ) -> Result<()> {
     let Some((mgr, txn)) = ctx.locks else {
         return Ok(());
     };
-    let row = entry.meta.schema.check_row(row)?;
-    if entry.primary.is_some() {
-        let key = ingot_storage::encode_key(&entry.pk_values(&row));
-        mgr.lock(
-            txn,
-            Resource::Row(table, fnv1a64(&key)),
-            LockMode::Exclusive,
-        )?;
+    let row = checked.row();
+    if let Some(key) = checked.pk_key() {
+        mgr.lock(txn, Resource::Row(table, fnv1a64(key)), LockMode::Exclusive)?;
     }
     for idx in catalog.indexes_of(table) {
         if idx.meta.unique && !idx.meta.is_virtual {

@@ -13,36 +13,41 @@
 //! node search is raw `memcmp`. Deletion is lazy (no rebalancing); pages the
 //! tree abandons are reclaimed only on a rebuild (`MODIFY`), matching the
 //! maintenance model of the paper's DBMS.
+//!
+//! A node has one representation — its page — for reads and writes alike:
+//!
+//! ```text
+//! 0      1          3           11     16
+//! | type | count:u16 | link:u64 | zero | entries …            | zero tail |
+//! leaf entry      [klen:u16][key][vlen:u16][value]   link = right sibling
+//! internal entry  [klen:u16][key][child:u64]         link = first child
+//! ```
+//!
+//! An internal entry's key is the smallest key reachable under its child.
+//! Every byte after the last entry is zero (the **zero-tail invariant**), so
+//! a page's image depends only on the entries it holds, never on the edits
+//! that produced them.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use ingot_common::{Error, Result};
 use parking_lot::RwLock;
 
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, PageRef};
 use crate::disk::FileId;
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::PAGE_SIZE;
 
 const META_MAGIC: u32 = 0xB7EE_0001;
 const NODE_LEAF: u8 = 1;
 const NODE_INTERNAL: u8 = 2;
-/// Split a node when its encoding would exceed this many bytes.
+/// Offset of a node's first entry.
+const HEADER: usize = 16;
+/// Split a node when its entries would end past this many bytes.
 const NODE_CAPACITY: usize = PAGE_SIZE - 64;
-
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        next: u64,
-        entries: Vec<(Vec<u8>, Vec<u8>)>,
-    },
-    Internal {
-        /// `children.len() == keys.len() + 1`; `keys[i]` is the smallest key
-        /// reachable under `children[i + 1]`.
-        keys: Vec<Vec<u8>>,
-        children: Vec<u64>,
-    },
-}
-
+/// An internal node splits one child pointer early (the split rule has
+/// always priced the first child twice; tree shapes depend on it).
+const INTERNAL_CAPACITY: usize = NODE_CAPACITY - 8;
 const NO_LEAF: u64 = u64::MAX;
 
 fn corrupt(what: &str) -> Error {
@@ -81,112 +86,177 @@ fn put(bytes: &mut [u8], off: usize, src: &[u8]) -> Result<()> {
     }
 }
 
-fn node_type(bytes: &[u8]) -> u8 {
-    bytes.first().copied().unwrap_or(0)
+fn len_u16(n: usize) -> Result<u16> {
+    u16::try_from(n).map_err(|_| corrupt("count or length exceeds u16"))
 }
 
-impl Node {
-    fn encoded_size(&self) -> usize {
-        match self {
-            Node::Leaf { entries, .. } => {
-                16 + entries
-                    .iter()
-                    .map(|(k, v)| 4 + k.len() + v.len())
-                    .sum::<usize>()
-            }
-            Node::Internal { keys, .. } => {
-                16 + 8 + keys.iter().map(|k| 10 + k.len()).sum::<usize>()
-            }
-        }
+/// In-place walk over a run of node entries. `payload` is a leaf entry's
+/// value or the eight bytes of an internal entry's child pointer.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    leaf: bool,
+    /// Entries not yet yielded.
+    left: usize,
+    /// Offset of the next entry; the end of the run once `left` is 0.
+    off: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// Cursor over the entries of the node stored in `bytes`.
+    fn node(bytes: &'a [u8]) -> Result<Self> {
+        let leaf = match bytes.first().copied().unwrap_or(0) {
+            NODE_LEAF => true,
+            NODE_INTERNAL => false,
+            t => return Err(Error::storage(format!("invalid btree node type {t}"))),
+        };
+        Ok(Cursor {
+            bytes,
+            leaf,
+            left: u16_le(bytes, 1)? as usize,
+            off: HEADER,
+        })
     }
 
-    fn encode(&self, page: &mut Page) -> Result<()> {
-        let bytes = page.bytes_mut();
-        bytes.fill(0);
-        match self {
-            Node::Leaf { next, entries } => {
-                put(bytes, 0, &[NODE_LEAF])?;
-                put(bytes, 1, &(entries.len() as u16).to_le_bytes())?;
-                put(bytes, 3, &next.to_le_bytes())?;
-                let mut off = 16;
-                for (k, v) in entries {
-                    put(bytes, off, &(k.len() as u16).to_le_bytes())?;
-                    off += 2;
-                    put(bytes, off, k)?;
-                    off += k.len();
-                    put(bytes, off, &(v.len() as u16).to_le_bytes())?;
-                    off += 2;
-                    put(bytes, off, v)?;
-                    off += v.len();
-                }
-            }
-            Node::Internal { keys, children } => {
-                put(bytes, 0, &[NODE_INTERNAL])?;
-                put(bytes, 1, &(keys.len() as u16).to_le_bytes())?;
-                let first = children
-                    .first()
-                    .ok_or_else(|| corrupt("internal node without children"))?;
-                put(bytes, 3, &first.to_le_bytes())?;
-                let mut off = 16;
-                for (k, child) in keys.iter().zip(children.iter().skip(1)) {
-                    put(bytes, off, &(k.len() as u16).to_le_bytes())?;
-                    off += 2;
-                    put(bytes, off, k)?;
-                    off += k.len();
-                    put(bytes, off, &child.to_le_bytes())?;
-                    off += 8;
-                }
-            }
-        }
-        Ok(())
+    /// The node's link field: right sibling of a leaf, first child of an
+    /// internal node.
+    fn link(&self) -> Result<u64> {
+        u64_le(self.bytes, 3)
     }
 
-    fn decode(page: &Page) -> Result<Node> {
-        let bytes = page.bytes();
-        let n = u16_le(bytes, 1)? as usize;
-        match node_type(bytes) {
-            NODE_LEAF => {
-                let next = u64_le(bytes, 3)?;
-                let mut entries = Vec::with_capacity(n);
-                let mut off = 16;
-                for _ in 0..n {
-                    let klen = u16_le(bytes, off)? as usize;
-                    off += 2;
-                    let k = take(bytes, off, klen)?.to_vec();
-                    off += klen;
-                    let vlen = u16_le(bytes, off)? as usize;
-                    off += 2;
-                    let v = take(bytes, off, vlen)?.to_vec();
-                    off += vlen;
-                    entries.push((k, v));
-                }
-                Ok(Node::Leaf { next, entries })
+    // The inner loop of every probe: left out of line it cost `get` 15–25 %.
+    #[inline(always)]
+    fn next(&mut self) -> Result<Option<(&'a [u8], &'a [u8])>> {
+        if self.left == 0 {
+            return Ok(None);
+        }
+        let klen = u16_le(self.bytes, self.off)? as usize;
+        let key = take(self.bytes, self.off + 2, klen)?;
+        let mut off = self.off + 2 + klen;
+        let plen = if self.leaf {
+            off += 2;
+            u16_le(self.bytes, off - 2)? as usize
+        } else {
+            8
+        };
+        let payload = take(self.bytes, off, plen)?;
+        self.off = off + plen;
+        self.left -= 1;
+        Ok(Some((key, payload)))
+    }
+
+    /// Skip the entries whose keys sort below `key`. Returns the offset at
+    /// which `key`'s entry belongs and, when it is present, its payload (the
+    /// cursor then stands just behind it).
+    fn seek(&mut self, key: &[u8]) -> Result<(usize, Option<&'a [u8]>)> {
+        loop {
+            let at = self.off;
+            let Some((k, payload)) = self.next()? else {
+                return Ok((at, None));
+            };
+            match k.cmp(key) {
+                Ordering::Less => {}
+                Ordering::Equal => return Ok((at, Some(payload))),
+                Ordering::Greater => return Ok((at, None)),
             }
-            NODE_INTERNAL => {
-                let mut children = Vec::with_capacity(n + 1);
-                children.push(u64_le(bytes, 3)?);
-                let mut keys = Vec::with_capacity(n);
-                let mut off = 16;
-                for _ in 0..n {
-                    let klen = u16_le(bytes, off)? as usize;
-                    off += 2;
-                    keys.push(take(bytes, off, klen)?.to_vec());
-                    off += klen;
-                    children.push(u64_le(bytes, off)?);
-                    off += 8;
-                }
-                Ok(Node::Internal { keys, children })
-            }
-            t => Err(Error::storage(format!("invalid btree node type {t}"))),
         }
     }
+}
+
+fn entry_len(leaf: bool, key: &[u8], payload: &[u8]) -> usize {
+    2 + key.len() + if leaf { 2 } else { 0 } + payload.len()
+}
+
+fn write_entry(bytes: &mut [u8], at: usize, leaf: bool, key: &[u8], payload: &[u8]) -> Result<()> {
+    put(bytes, at, &len_u16(key.len())?.to_le_bytes())?;
+    put(bytes, at + 2, key)?;
+    let mut off = at + 2 + key.len();
+    if leaf {
+        put(bytes, off, &len_u16(payload.len())?.to_le_bytes())?;
+        off += 2;
+    }
+    put(bytes, off, payload)
+}
+
+/// Format `bytes` as a node holding the `n` already-encoded `entries`.
+fn write_node(bytes: &mut [u8], leaf: bool, n: usize, link: u64, entries: &[u8]) -> Result<()> {
+    bytes.fill(0);
+    put(bytes, 0, &[if leaf { NODE_LEAF } else { NODE_INTERNAL }])?;
+    put(bytes, 1, &len_u16(n)?.to_le_bytes())?;
+    put(bytes, 3, &link.to_le_bytes())?;
+    put(bytes, HEADER, entries)
+}
+
+/// `(separator, new right sibling)` of a node that split.
+type Split = Option<(Vec<u8>, u64)>;
+
+/// A node whose edited entries no longer fit: the whole edited run laid out
+/// flat, for [`BTreeFile::put`] to cut in two.
+struct Overflow {
+    entries: Vec<u8>,
+    n: usize,
+    link: u64,
+}
+
+/// The one node edit: make `key` carry `payload` in the node stored in
+/// `bytes` (`None` removes it), shifting the entries behind it and zeroing
+/// whatever the run vacates. Returns the payload `key` carried before and,
+/// when the result would not fit, the edited run instead of an edited page.
+fn edit_node(
+    bytes: &mut [u8],
+    leaf: bool,
+    key: &[u8],
+    payload: Option<&[u8]>,
+) -> Result<(Option<Vec<u8>>, Option<Overflow>)> {
+    let mut cur = Cursor::node(bytes)?;
+    if cur.leaf != leaf {
+        return Err(corrupt("node kind does not match its level"));
+    }
+    let (n, link) = (cur.left, cur.link()?);
+    let (at, old) = cur.seek(key)?;
+    let old_end = if old.is_some() { cur.off } else { at };
+    let old = old.map(<[u8]>::to_vec);
+    while cur.next()?.is_some() {}
+    let end = cur.off;
+
+    let new_len = payload.map_or(0, |p| entry_len(leaf, key, p));
+    let new_end = end - (old_end - at) + new_len;
+    let n = n + usize::from(payload.is_some()) - usize::from(old.is_some());
+    let capacity = if leaf {
+        NODE_CAPACITY
+    } else {
+        INTERNAL_CAPACITY
+    };
+    if let Some(payload) = payload.filter(|_| new_end > capacity) {
+        let mut entries = Vec::with_capacity(new_end - HEADER);
+        entries.extend_from_slice(take(bytes, HEADER, at - HEADER)?);
+        entries.resize(entries.len() + new_len, 0);
+        write_entry(&mut entries, at - HEADER, leaf, key, payload)?;
+        entries.extend_from_slice(take(bytes, old_end, end - old_end)?);
+        return Ok((old, Some(Overflow { entries, n, link })));
+    }
+    if payload.is_some() || old.is_some() {
+        // `at ≤ old_end ≤ end ≤ bytes.len()` by the walk above.
+        if new_end > bytes.len() {
+            return Err(corrupt("edit past the end of the page"));
+        }
+        bytes.copy_within(old_end..end, at + new_len);
+        if let Some(vacated) = bytes.get_mut(new_end..end) {
+            vacated.fill(0);
+        }
+        if let Some(payload) = payload {
+            write_entry(bytes, at, leaf, key, payload)?;
+        }
+        put(bytes, 1, &len_u16(n)?.to_le_bytes())?;
+    }
+    Ok((old, None))
 }
 
 /// A B+Tree over memcomparable keys.
 pub struct BTreeFile {
     pool: Arc<BufferPool>,
     file: FileId,
-    /// Structure latch: one writer or many readers per operation.
+    /// Structure latch: one writer or many readers per operation. Page
+    /// latches are never held across a call into the pool.
     latch: RwLock<()>,
 }
 
@@ -196,29 +266,15 @@ impl BTreeFile {
         let file = pool.create_file()?;
         let (meta_no, meta) = pool.allocate(file)?;
         debug_assert_eq!(meta_no, 0);
-        let (root_no, root) = pool.allocate(file)?;
-        {
-            let mut guard = root.write();
-            Node::Leaf {
-                next: NO_LEAF,
-                entries: Vec::new(),
-            }
-            .encode(&mut guard)?;
-        }
-        pool.mark_dirty(file, root_no);
-        {
-            let mut guard = meta.write();
-            guard.set_u32(0, META_MAGIC);
-            guard.set_u64(8, root_no);
-            guard.set_u32(16, 1); // height
-            guard.set_u64(24, 0); // entries
-        }
-        pool.mark_dirty(file, meta_no);
-        Ok(BTreeFile {
+        meta.write().set_u32(0, META_MAGIC);
+        let tree = BTreeFile {
             pool,
             file,
             latch: RwLock::new(()),
-        })
+        };
+        let root_no = tree.alloc_node(true, 0, NO_LEAF, &[])?;
+        tree.set_meta(root_no, 1, 0)?;
+        Ok(tree)
     }
 
     /// Re-attach an existing tree.
@@ -240,6 +296,7 @@ impl BTreeFile {
         self.file
     }
 
+    /// `(root page, height, entries)`.
     fn meta(&self) -> Result<(u64, u32, u64)> {
         let meta = self.pool.fetch(self.file, 0)?;
         let guard = meta.read();
@@ -274,189 +331,131 @@ impl BTreeFile {
         self.pool.file_pages(self.file)
     }
 
-    fn read_node(&self, page_no: u64) -> Result<Node> {
-        let page = self.pool.fetch(self.file, page_no)?;
-        let guard = page.read();
-        Node::decode(&guard)
-    }
-
-    fn write_node(&self, page_no: u64, node: &Node) -> Result<()> {
-        let page = self.pool.fetch(self.file, page_no)?;
-        node.encode(&mut page.write())?;
-        self.pool.mark_dirty(self.file, page_no);
-        Ok(())
-    }
-
-    fn alloc_node(&self, node: &Node) -> Result<u64> {
+    fn alloc_node(&self, leaf: bool, n: usize, link: u64, entries: &[u8]) -> Result<u64> {
         let (no, page) = self.pool.allocate(self.file)?;
-        node.encode(&mut page.write())?;
-        self.pool.mark_dirty(self.file, no);
+        write_node(page.write().bytes_mut(), leaf, n, link, entries)?;
         Ok(no)
     }
 
-    /// Find the leaf page that would contain `key`, returning its page
-    /// number and decoded node.
-    fn descend(&self, key: &[u8]) -> Result<(u64, Node)> {
-        let (mut page_no, _, _) = self.meta()?;
+    /// Follow `key` down from `root` through at most `levels` internal
+    /// nodes, stopping early at a leaf. Returns the node reached — its page
+    /// number and the page itself, pinned once — and the number of levels
+    /// passed; allocation-free.
+    fn descend(&self, root: u64, key: &[u8], levels: u32) -> Result<(u64, PageRef, u32)> {
+        let (mut page_no, mut level) = (root, 0);
         loop {
-            let node = self.read_node(page_no)?;
-            match node {
-                Node::Leaf { .. } => return Ok((page_no, node)),
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| k.as_slice() <= key);
-                    page_no = children
-                        .get(idx)
-                        .copied()
-                        .ok_or_else(|| corrupt("child index out of range"))?;
+            let page = self.pool.fetch(self.file, page_no)?;
+            let child = {
+                let guard = page.read();
+                let mut cur = Cursor::node(guard.bytes())?;
+                if cur.leaf || level == levels {
+                    None
+                } else {
+                    let mut child = cur.link()?;
+                    while let Some((sep, payload)) = cur.next()? {
+                        if sep > key {
+                            break;
+                        }
+                        child = u64_le(payload, 0)?;
+                    }
+                    Some(child)
                 }
+            };
+            match child {
+                Some(child) => page_no = child,
+                None => return Ok((page_no, page, level)),
             }
+            level += 1;
         }
+    }
+
+    /// The leaf `key` belongs to. Bounded by the recorded height, so a
+    /// corrupt child pointer cannot send a lookup round in circles.
+    fn leaf_for(&self, key: &[u8]) -> Result<PageRef> {
+        let (root, height, _) = self.meta()?;
+        Ok(self.descend(root, key, height.saturating_sub(1))?.1)
+    }
+
+    /// Put `key → payload` into the node `page` (number `page_no`), editing
+    /// the page in place. When the node overflows it is cut at the entry-count median:
+    /// the upper half moves to a fresh page and `(separator, new page)` is
+    /// returned for the caller to put into the parent.
+    fn put(
+        &self,
+        (page_no, page): (u64, &PageRef),
+        leaf: bool,
+        key: &[u8],
+        payload: &[u8],
+    ) -> Result<(Option<Vec<u8>>, Split)> {
+        let (old, overflow) = edit_node(page.write().bytes_mut(), leaf, key, Some(payload))?;
+        let Some(Overflow { entries, n, link }) = overflow else {
+            self.pool.mark_dirty(self.file, page_no);
+            return Ok((old, None));
+        };
+        let mid = n / 2;
+        let mut cur = Cursor {
+            bytes: &entries,
+            leaf,
+            left: mid + 1,
+            off: 0,
+        };
+        for _ in 0..mid {
+            cur.next()?;
+        }
+        let cut = cur.off;
+        let (sep, child) = cur
+            .next()?
+            .ok_or_else(|| corrupt("split of an empty node"))?;
+        // A leaf keeps the median as the right half's first entry; an
+        // internal node moves it up, its child becoming the right half's
+        // first child.
+        let (right_from, right_n, right_link) = if leaf {
+            (cut, n - mid, link)
+        } else {
+            (cur.off, n - mid - 1, u64_le(child, 0)?)
+        };
+        let right = take(&entries, right_from, entries.len() - right_from)?;
+        let right_no = self.alloc_node(leaf, right_n, right_link, right)?;
+        let left_link = if leaf { right_no } else { link };
+        write_node(
+            page.write().bytes_mut(),
+            leaf,
+            mid,
+            left_link,
+            take(&entries, 0, cut)?,
+        )?;
+        self.pool.mark_dirty(self.file, page_no);
+        Ok((old, Some((sep.to_vec(), right_no))))
     }
 
     /// Upsert. Returns the previous value when `key` was present.
+    ///
+    /// Without a split this allocates nothing and dirties two pages, the
+    /// leaf and the meta page. A split walks back up: the parent of a split
+    /// node is found by descending for `key` again, one level short.
     pub fn insert(&self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>> {
-        if 4 + key.len() + value.len() > NODE_CAPACITY - 16 {
+        if entry_len(true, key, value) > NODE_CAPACITY - HEADER {
             return Err(Error::storage("btree entry exceeds node capacity"));
         }
         let _w = self.latch.write();
-        let (root, height, entries) = self.meta()?;
-        let (old, split) = self.insert_rec(root, key, value)?;
-        if let Some((sep, new_child)) = split {
-            let new_root = self.alloc_node(&Node::Internal {
-                keys: vec![sep],
-                children: vec![root, new_child],
-            })?;
-            self.set_meta(new_root, height + 1, entries + u64::from(old.is_none()))?;
-        } else {
-            self.set_meta(root, height, entries + u64::from(old.is_none()))?;
+        let (mut root, mut height, entries) = self.meta()?;
+        let (leaf_no, leaf, mut level) = self.descend(root, key, height.saturating_sub(1))?;
+        let (old, mut split) = self.put((leaf_no, &leaf), true, key, value)?;
+        while let Some((sep, right_no)) = split.take() {
+            let child = right_no.to_le_bytes();
+            if level == 0 {
+                let mut entry = vec![0; entry_len(false, &sep, &child)];
+                write_entry(&mut entry, 0, false, &sep, &child)?;
+                root = self.alloc_node(false, 1, root, &entry)?;
+                height += 1;
+            } else {
+                level -= 1;
+                let (parent_no, parent, _) = self.descend(root, key, level)?;
+                split = self.put((parent_no, &parent), false, &sep, &child)?.1;
+            }
         }
+        self.set_meta(root, height, entries + u64::from(old.is_none()))?;
         Ok(old)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn insert_rec(
-        &self,
-        page_no: u64,
-        key: &[u8],
-        value: &[u8],
-    ) -> Result<(Option<Vec<u8>>, Option<(Vec<u8>, u64)>)> {
-        let node = self.read_node(page_no)?;
-        match node {
-            Node::Leaf { next, mut entries } => {
-                let old = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        let e = entries
-                            .get_mut(i)
-                            .ok_or_else(|| corrupt("leaf entry index out of range"))?;
-                        Some(std::mem::replace(&mut e.1, value.to_vec()))
-                    }
-                    Err(i) => {
-                        entries.insert(i, (key.to_vec(), value.to_vec()));
-                        None
-                    }
-                };
-                let node = Node::Leaf { next, entries };
-                if node.encoded_size() <= NODE_CAPACITY {
-                    self.write_node(page_no, &node)?;
-                    return Ok((old, None));
-                }
-                // Split the leaf.
-                let Node::Leaf { next, mut entries } = node else {
-                    unreachable!()
-                };
-                let mid = entries.len() / 2;
-                let right_entries = entries.split_off(mid);
-                let sep = right_entries
-                    .first()
-                    .map(|(k, _)| k.clone())
-                    .ok_or_else(|| corrupt("split produced an empty right leaf"))?;
-                let right_no = self.alloc_node(&Node::Leaf {
-                    next,
-                    entries: right_entries,
-                })?;
-                self.write_node(
-                    page_no,
-                    &Node::Leaf {
-                        next: right_no,
-                        entries,
-                    },
-                )?;
-                Ok((old, Some((sep, right_no))))
-            }
-            Node::Internal {
-                mut keys,
-                mut children,
-            } => {
-                let idx = keys.partition_point(|k| k.as_slice() <= key);
-                let child = children
-                    .get(idx)
-                    .copied()
-                    .ok_or_else(|| corrupt("child index out of range"))?;
-                let (old, split) = self.insert_rec(child, key, value)?;
-                if let Some((sep, new_child)) = split {
-                    keys.insert(idx, sep);
-                    children.insert(idx + 1, new_child);
-                }
-                let node = Node::Internal { keys, children };
-                if node.encoded_size() <= NODE_CAPACITY {
-                    self.write_node(page_no, &node)?;
-                    return Ok((old, None));
-                }
-                // Split the internal node: the median key moves up.
-                let Node::Internal {
-                    mut keys,
-                    mut children,
-                } = node
-                else {
-                    unreachable!()
-                };
-                let mid = keys.len() / 2;
-                let sep = keys
-                    .get(mid)
-                    .cloned()
-                    .ok_or_else(|| corrupt("split median out of range"))?;
-                let right_keys = keys.split_off(mid + 1);
-                keys.pop(); // the median
-                let right_children = children.split_off(mid + 1);
-                let right_no = self.alloc_node(&Node::Internal {
-                    keys: right_keys,
-                    children: right_children,
-                })?;
-                self.write_node(page_no, &Node::Internal { keys, children })?;
-                Ok((old, Some((sep, right_no))))
-            }
-        }
-    }
-
-    /// In-place descent: find the leaf page number for `key` without
-    /// decoding nodes (probe hot path — zero allocation until the match).
-    fn descend_raw(&self, key: &[u8]) -> Result<u64> {
-        let (mut page_no, _, _) = self.meta()?;
-        loop {
-            let page = self.pool.fetch(self.file, page_no)?;
-            let guard = page.read();
-            let bytes = guard.bytes();
-            if node_type(bytes) == NODE_LEAF {
-                return Ok(page_no);
-            }
-            let n = u16_le(bytes, 1)? as usize;
-            let mut child = u64_le(bytes, 3)?;
-            let mut off = 16usize;
-            for _ in 0..n {
-                let klen = u16_le(bytes, off)? as usize;
-                off += 2;
-                let sep = take(bytes, off, klen)?;
-                off += klen;
-                let next_child = u64_le(bytes, off)?;
-                off += 8;
-                if sep <= key {
-                    child = next_child;
-                } else {
-                    break;
-                }
-            }
-            page_no = child;
-        }
     }
 
     /// Walk leaf entries in `[lo, hi]` (inclusive, either bound optional)
@@ -469,198 +468,54 @@ impl BTreeFile {
         mut f: impl FnMut(&[u8], &[u8]),
     ) -> Result<()> {
         let _r = self.latch.read();
-        let mut page_no = self.descend_raw(lo.unwrap_or(&[]))?;
+        let mut page = self.leaf_for(lo.unwrap_or(&[]))?;
         loop {
-            let page = self.pool.fetch(self.file, page_no)?;
             let guard = page.read();
-            let bytes = guard.bytes();
-            if node_type(bytes) != NODE_LEAF {
+            let mut cur = Cursor::node(guard.bytes())?;
+            if !cur.leaf {
                 return Err(Error::storage("leaf chain hit internal node"));
             }
-            let n = u16_le(bytes, 1)? as usize;
-            let next = u64_le(bytes, 3)?;
-            let mut off = 16usize;
-            for _ in 0..n {
-                let klen = u16_le(bytes, off)? as usize;
-                off += 2;
-                let k = take(bytes, off, klen)?;
-                off += klen;
-                let vlen = u16_le(bytes, off)? as usize;
-                off += 2;
-                let v = take(bytes, off, vlen)?;
-                off += vlen;
-                if let Some(lo) = lo {
-                    if k < lo {
-                        continue;
-                    }
+            while let Some((k, v)) = cur.next()? {
+                if lo.is_some_and(|lo| k < lo) {
+                    continue;
                 }
-                if let Some(hi) = hi {
-                    if k > hi {
-                        return Ok(());
-                    }
+                if hi.is_some_and(|hi| k > hi) {
+                    return Ok(());
                 }
                 f(k, v);
             }
+            let next = cur.link()?;
             if next == NO_LEAF {
                 return Ok(());
             }
-            page_no = next;
+            drop(guard);
+            page = self.pool.fetch(self.file, next)?;
         }
     }
 
-    /// Exact-match lookup (allocation-free descent).
+    /// Exact-match lookup (allocation-free until the match).
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let _r = self.latch.read();
-        let page_no = self.descend_raw(key)?;
-        let page = self.pool.fetch(self.file, page_no)?;
+        let page = self.leaf_for(key)?;
         let guard = page.read();
-        let bytes = guard.bytes();
-        let n = u16_le(bytes, 1)? as usize;
-        let mut off = 16usize;
-        for _ in 0..n {
-            let klen = u16_le(bytes, off)? as usize;
-            off += 2;
-            let k = take(bytes, off, klen)?;
-            off += klen;
-            let vlen = u16_le(bytes, off)? as usize;
-            off += 2;
-            match k.cmp(key) {
-                std::cmp::Ordering::Less => off += vlen,
-                std::cmp::Ordering::Equal => return Ok(Some(take(bytes, off, vlen)?.to_vec())),
-                std::cmp::Ordering::Greater => return Ok(None),
-            }
+        let mut cur = Cursor::node(guard.bytes())?;
+        if !cur.leaf {
+            return Err(corrupt("lookup ended on an internal node"));
         }
-        Ok(None)
+        Ok(cur.seek(key)?.1.map(<[u8]>::to_vec))
     }
 
     /// Remove `key`, returning its value when present. Lazy: no rebalancing.
     pub fn delete(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let _w = self.latch.write();
-        let (page_no, node) = self.descend(key)?;
-        let Node::Leaf { next, mut entries } = node else {
-            unreachable!()
-        };
-        match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-            Ok(i) => {
-                let (_, v) = entries.remove(i);
-                self.write_node(page_no, &Node::Leaf { next, entries })?;
-                let (root, height, n) = self.meta()?;
-                self.set_meta(root, height, n.saturating_sub(1))?;
-                Ok(Some(v))
-            }
-            Err(_) => Ok(None),
+        let (root, height, entries) = self.meta()?;
+        let (leaf_no, leaf, _) = self.descend(root, key, height.saturating_sub(1))?;
+        let (old, _) = edit_node(leaf.write().bytes_mut(), true, key, None)?;
+        if old.is_some() {
+            self.pool.mark_dirty(self.file, leaf_no);
+            self.set_meta(root, height, entries.saturating_sub(1))?;
         }
-    }
-
-    /// Range scan: all entries with `lo ≤ key ≤ hi` (bounds optional). The
-    /// result is materialised leaf-by-leaf; mutations during iteration are
-    /// not supported (the executor materialises index probes first anyway).
-    pub fn range(&self, lo: Option<&[u8]>, hi: Option<&[u8]>) -> BTreeRange<'_> {
-        BTreeRange {
-            tree: self,
-            state: RangeState::NotStarted {
-                lo: lo.map(<[u8]>::to_vec),
-            },
-            hi: hi.map(<[u8]>::to_vec),
-        }
-    }
-
-    /// All entries with key starting with `prefix` (used by composite-key
-    /// index probes on a leading-column equality).
-    pub fn prefix(&self, prefix: &[u8]) -> impl Iterator<Item = Result<(Vec<u8>, Vec<u8>)>> + '_ {
-        let p = prefix.to_vec();
-        self.range(Some(prefix), None).take_while(move |r| match r {
-            Ok((k, _)) => k.starts_with(&p),
-            Err(_) => true,
-        })
-    }
-}
-
-enum RangeState {
-    NotStarted {
-        lo: Option<Vec<u8>>,
-    },
-    InLeaf {
-        entries: Vec<(Vec<u8>, Vec<u8>)>,
-        idx: usize,
-        next: u64,
-    },
-    Done,
-}
-
-/// Iterator over a key range of a [`BTreeFile`].
-pub struct BTreeRange<'a> {
-    tree: &'a BTreeFile,
-    state: RangeState,
-    hi: Option<Vec<u8>>,
-}
-
-impl Iterator for BTreeRange<'_> {
-    type Item = Result<(Vec<u8>, Vec<u8>)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            match &mut self.state {
-                RangeState::NotStarted { lo } => {
-                    let lo = lo.take();
-                    let _r = self.tree.latch.read();
-                    let start_key = lo.clone().unwrap_or_default();
-                    let (page_no, node) = match self.tree.descend(&start_key) {
-                        Ok(x) => x,
-                        Err(e) => {
-                            self.state = RangeState::Done;
-                            return Some(Err(e));
-                        }
-                    };
-                    let _ = page_no;
-                    let Node::Leaf { next, entries } = node else {
-                        unreachable!()
-                    };
-                    let idx = match &lo {
-                        Some(lo) => entries.partition_point(|(k, _)| k.as_slice() < lo.as_slice()),
-                        None => 0,
-                    };
-                    self.state = RangeState::InLeaf { entries, idx, next };
-                }
-                RangeState::InLeaf { entries, idx, next } => {
-                    if let Some(entry) = entries.get(*idx) {
-                        let (k, v) = entry.clone();
-                        *idx += 1;
-                        if let Some(hi) = &self.hi {
-                            if k.as_slice() > hi.as_slice() {
-                                self.state = RangeState::Done;
-                                return None;
-                            }
-                        }
-                        return Some(Ok((k, v)));
-                    }
-                    if *next == NO_LEAF {
-                        self.state = RangeState::Done;
-                        return None;
-                    }
-                    let next_no = *next;
-                    let _r = self.tree.latch.read();
-                    match self.tree.read_node(next_no) {
-                        Ok(Node::Leaf { next, entries }) => {
-                            self.state = RangeState::InLeaf {
-                                entries,
-                                idx: 0,
-                                next,
-                            };
-                        }
-                        Ok(_) => {
-                            self.state = RangeState::Done;
-                            return Some(Err(Error::storage("leaf chain hit internal node")));
-                        }
-                        Err(e) => {
-                            self.state = RangeState::Done;
-                            return Some(Err(e));
-                        }
-                    }
-                }
-                RangeState::Done => return None,
-            }
-        }
+        Ok(old)
     }
 }
 
@@ -682,6 +537,23 @@ mod tests {
 
     fn k(i: u64) -> Vec<u8> {
         i.to_be_bytes().to_vec()
+    }
+
+    fn keys_in(t: &BTreeFile, lo: Option<u64>, hi: Option<u64>) -> Vec<u64> {
+        let (lo, hi) = (lo.map(k), hi.map(k));
+        let mut got = Vec::new();
+        t.for_each_in_range(lo.as_deref(), hi.as_deref(), |key, _| {
+            got.push(u64::from_be_bytes(key.try_into().unwrap()));
+        })
+        .unwrap();
+        got
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
     }
 
     #[test]
@@ -713,11 +585,7 @@ mod tests {
         let mut order: Vec<u64> = (0..n).collect();
         let mut state = 88172645463325252u64;
         for i in (1..order.len()).rev() {
-            // xorshift shuffle
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            order.swap(i, (state % (i as u64 + 1)) as usize);
+            order.swap(i, (xorshift(&mut state) % (i as u64 + 1)) as usize);
         }
         for &i in &order {
             t.insert(&k(i), &i.to_le_bytes()).unwrap();
@@ -725,17 +593,7 @@ mod tests {
         assert!(t.height() > 1, "20k entries must split the root");
         assert_eq!(t.entry_count(), n);
         // Full scan is sorted and complete.
-        let mut prev: Option<Vec<u8>> = None;
-        let mut count = 0u64;
-        for item in t.range(None, None) {
-            let (key, _) = item.unwrap();
-            if let Some(p) = &prev {
-                assert!(p < &key);
-            }
-            prev = Some(key);
-            count += 1;
-        }
-        assert_eq!(count, n);
+        assert_eq!(keys_in(&t, None, None), (0..n).collect::<Vec<_>>());
         // Point lookups all succeed.
         for i in (0..n).step_by(997) {
             assert_eq!(t.get(&k(i)).unwrap().unwrap(), i.to_le_bytes());
@@ -748,16 +606,11 @@ mod tests {
         for i in 0..100 {
             t.insert(&k(i), b"x").unwrap();
         }
-        let got: Vec<u64> = t
-            .range(Some(&k(10)), Some(&k(15)))
-            .map(|r| u64::from_be_bytes(r.unwrap().0.try_into().unwrap()))
-            .collect();
-        assert_eq!(got, vec![10, 11, 12, 13, 14, 15]);
-        let from: Vec<u64> = t
-            .range(Some(&k(97)), None)
-            .map(|r| u64::from_be_bytes(r.unwrap().0.try_into().unwrap()))
-            .collect();
-        assert_eq!(from, vec![97, 98, 99]);
+        assert_eq!(
+            keys_in(&t, Some(10), Some(15)),
+            vec![10, 11, 12, 13, 14, 15]
+        );
+        assert_eq!(keys_in(&t, Some(97), None), vec![97, 98, 99]);
     }
 
     #[test]
@@ -770,16 +623,6 @@ mod tests {
         assert!(t.get(&k(500)).unwrap().is_none());
         assert!(t.delete(&k(500)).unwrap().is_none());
         assert_eq!(t.entry_count(), 999);
-    }
-
-    #[test]
-    fn prefix_scan() {
-        let t = tree();
-        t.insert(b"aa-1", b"1").unwrap();
-        t.insert(b"aa-2", b"2").unwrap();
-        t.insert(b"ab-1", b"3").unwrap();
-        let got: Vec<Vec<u8>> = t.prefix(b"aa").map(|r| r.unwrap().0).collect();
-        assert_eq!(got, vec![b"aa-1".to_vec(), b"aa-2".to_vec()]);
     }
 
     #[test]
@@ -824,7 +667,7 @@ mod tests {
             }
         }
         assert!(t.get(b"k").is_err());
-        assert!(t.range(None, None).next().unwrap().is_err());
+        assert!(t.insert(b"k", b"v").is_err());
         let mut hits = 0;
         assert!(t.for_each_in_range(None, None, |_, _| hits += 1).is_err());
         assert_eq!(hits, 0);
@@ -837,5 +680,37 @@ mod tests {
         }
         assert!(t.insert(b"k2", b"v2").is_err());
         assert!(t.delete(b"k").is_err());
+    }
+
+    /// An edit of arbitrary bytes is an error or an in-bounds edit that keeps
+    /// the bytes walkable — never a panic or a `copy_within` out of range.
+    #[test]
+    fn edits_of_garbage_never_panic() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for round in 0..4000 {
+            let mut page = [0u8; PAGE_SIZE];
+            // Sparse garbage keeps many length fields small enough to walk.
+            for _ in 0..xorshift(&mut state) % 64 {
+                let at = xorshift(&mut state) as usize % PAGE_SIZE;
+                page[at] = xorshift(&mut state) as u8;
+            }
+            let leaf = round % 2 == 0;
+            page[0] = if leaf { NODE_LEAF } else { NODE_INTERNAL };
+            page[1..3].copy_from_slice(&(xorshift(&mut state) as u16 % 600).to_le_bytes());
+            let key = vec![xorshift(&mut state) as u8; xorshift(&mut state) as usize % 40];
+            let value = vec![
+                7u8;
+                if leaf {
+                    xorshift(&mut state) as usize % 4000
+                } else {
+                    8
+                }
+            ];
+            let payload = (round % 3 != 0).then_some(value.as_slice());
+            if let Ok((_, None)) = edit_node(&mut page, leaf, &key, payload) {
+                let mut cur = Cursor::node(&page).unwrap();
+                while cur.next().unwrap().is_some() {}
+            }
+        }
     }
 }

@@ -43,8 +43,10 @@
 //! that wakes to `syncing == false` with its LSN still undurable simply
 //! becomes the next leader.
 
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -84,9 +86,10 @@ const FRAME_HEADER: usize = 4 + 8;
 /// One logical WAL record. Row images are stored pre-encoded (the
 /// [`crate::codec`] row codec) so the log is self-contained at the storage
 /// layer; tables are named by string because table *ids* may be reassigned
-/// when DDL is replayed.
+/// when DDL is replayed — and borrowed where the appender has the name at
+/// hand (`'a`), owned (`'static`) when decoded from the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalRecord {
+pub enum WalRecord<'a> {
     /// Transaction `txn` performed its first mutation.
     Begin {
         /// The transaction id.
@@ -97,7 +100,7 @@ pub enum WalRecord {
         /// The mutating transaction.
         txn: TxnId,
         /// Target table name.
-        table: String,
+        table: Cow<'a, str>,
         /// Encoded row image.
         row: Vec<u8>,
     },
@@ -106,7 +109,7 @@ pub enum WalRecord {
         /// The mutating transaction.
         txn: TxnId,
         /// Target table name.
-        table: String,
+        table: Cow<'a, str>,
         /// Encoded image of the deleted row.
         old: Vec<u8>,
     },
@@ -115,7 +118,7 @@ pub enum WalRecord {
         /// The mutating transaction.
         txn: TxnId,
         /// Target table name.
-        table: String,
+        table: Cow<'a, str>,
         /// Encoded pre-image.
         old: Vec<u8>,
         /// Encoded post-image.
@@ -155,7 +158,7 @@ pub struct WalEntry {
     /// The record's log sequence number.
     pub lsn: Lsn,
     /// The decoded record.
-    pub record: WalRecord,
+    pub record: WalRecord<'static>,
 }
 
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
@@ -174,7 +177,7 @@ fn arr<const N: usize>(s: &[u8]) -> Result<[u8; N]> {
         .map_err(|_| Error::storage("truncated wal record"))
 }
 
-impl WalRecord {
+impl WalRecord<'_> {
     /// Encode a full frame (header + payload) for this record at `lsn`.
     fn encode_frame(&self, lsn: Lsn) -> Vec<u8> {
         let mut payload = Vec::with_capacity(32);
@@ -274,17 +277,17 @@ impl WalRecord {
             },
             KIND_INSERT => WalRecord::Insert {
                 txn: TxnId(take_u64(&mut pos)?),
-                table: take_str(&mut pos)?,
+                table: take_str(&mut pos)?.into(),
                 row: take_blob(&mut pos)?,
             },
             KIND_DELETE => WalRecord::Delete {
                 txn: TxnId(take_u64(&mut pos)?),
-                table: take_str(&mut pos)?,
+                table: take_str(&mut pos)?.into(),
                 old: take_blob(&mut pos)?,
             },
             KIND_UPDATE => WalRecord::Update {
                 txn: TxnId(take_u64(&mut pos)?),
-                table: take_str(&mut pos)?,
+                table: take_str(&mut pos)?.into(),
                 old: take_blob(&mut pos)?,
                 new: take_blob(&mut pos)?,
             },
@@ -343,13 +346,9 @@ impl WalState {
                 v.truncate(self.len as usize);
                 v.extend_from_slice(buf);
             }
-            Sink::File(file) => {
-                let mut f: &File = file;
-                f.seek(SeekFrom::Start(self.len))
-                    .map_err(|e| Error::Io(format!("wal seek: {e}")))?;
-                f.write_all(buf)
-                    .map_err(|e| Error::Io(format!("wal write: {e}")))?;
-            }
+            Sink::File(file) => file
+                .write_all_at(buf, self.len)
+                .map_err(|e| Error::Io(format!("wal write: {e}")))?,
         }
         self.len += buf.len() as u64;
         Ok(())
@@ -727,7 +726,7 @@ impl Wal {
 
     /// Append one record, assigning it the next LSN. The record reaches
     /// the OS but is *not* durable until a barrier covers its LSN.
-    pub fn append(&self, record: &WalRecord) -> Result<Lsn> {
+    pub fn append(&self, record: &WalRecord<'_>) -> Result<Lsn> {
         let mut st = self.state.lock();
         if self.is_crashed() {
             return Err(Self::dead());
@@ -1062,7 +1061,7 @@ mod tests {
         d
     }
 
-    fn sample_records() -> Vec<WalRecord> {
+    fn sample_records() -> Vec<WalRecord<'static>> {
         vec![
             WalRecord::Begin { txn: TxnId(7) },
             WalRecord::Insert {

@@ -1,13 +1,17 @@
-//! Property-based tests of the storage layer: the B+Tree against a model,
-//! codec round trips, memcomparable key ordering, and heap behaviour.
+//! Property-based tests of the storage layer: the B+Tree against a model
+//! and, page for page, against the retired decode/encode write path; codec
+//! round trips, memcomparable key ordering, and heap behaviour.
+
+mod btree_oracle;
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ingot_common::{ColumnSet, Row, SimClock, Value};
+use btree_oracle::OracleTree;
+use ingot_common::{ColumnSet, Error, Row, SimClock, Value};
 use ingot_storage::{
-    decode_row, decode_row_cols, encode_key, encode_row, BTreeFile, BufferPool, DiskModel,
-    HeapFile, MemoryBackend,
+    decode_row, decode_row_cols, encode_key, encode_row, BTreeFile, BufferPool, DiskModel, FileId,
+    HeapFile, MemoryBackend, PAGE_SIZE,
 };
 use proptest::prelude::*;
 
@@ -17,6 +21,14 @@ fn pool() -> Arc<BufferPool> {
         DiskModel::new(SimClock::new()),
         256,
     ))
+}
+
+/// Every `(key, value)` of `tree` within the bounds, in leaf order.
+fn entries_in(tree: &BTreeFile, lo: Option<&[u8]>, hi: Option<&[u8]>) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut got = Vec::new();
+    tree.for_each_in_range(lo, hi, |k, v| got.push((k.to_vec(), v.to_vec())))
+        .unwrap();
+    got
 }
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -51,6 +63,308 @@ fn arb_ordkey() -> impl Strategy<Value = Value> {
         (-1.0e12f64..1.0e12).prop_map(Value::Float),
         "[a-z]{0,12}".prop_map(Value::Str),
     ]
+}
+
+// ---------------------------------------------------------------------------
+// The in-place B-Tree against the retired decode/encode write path.
+// ---------------------------------------------------------------------------
+
+/// Largest entry (`4 + key + value` bytes) a tree accepts.
+const MAX_ENTRY: usize = PAGE_SIZE - 64 - 16;
+
+struct XorShift(u64);
+
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// Uniform-ish in `lo..=hi`.
+    fn between(&mut self, lo: usize, hi: usize) -> usize {
+        lo + (self.next() % (hi - lo + 1) as u64) as usize
+    }
+}
+
+/// Entry-size regimes of the differential stream. Splits cut at the entry
+/// *count* median, so a node mixing tiny and huge entries can produce a half
+/// that fits no page (both trees then fail the insert, but leave different
+/// garbage in the orphaned page); within one regime that cannot happen.
+#[derive(Clone, Copy, Debug)]
+enum Regime {
+    /// 4–12-byte keys, 0–40-byte values: hundreds of entries per node.
+    Narrow,
+    /// 900–1 099-byte keys, 0–300-byte values: ≤ 8 entries per node, so 700
+    /// keys force splits on three levels.
+    Wide,
+    /// 4 000–7 999-byte keys, values up to the entry limit: one entry per
+    /// leaf, one or two keys per internal node.
+    Giant,
+}
+
+impl Regime {
+    /// `(ascending, descending, scattered, mixed)` op counts.
+    fn phases(self) -> [usize; 4] {
+        match self {
+            Regime::Narrow => [400, 400, 1200, 1000],
+            Regime::Wide => [150, 150, 450, 400],
+            Regime::Giant => [15, 15, 40, 80],
+        }
+    }
+
+    /// The key of `id`: its big-endian bytes (so ids order keys) padded to a
+    /// length that depends on the id alone (so a re-insert hits the same key).
+    fn key(self, id: u32) -> Vec<u8> {
+        let h = (id.wrapping_mul(2_654_435_761) >> 7) as usize;
+        let len = match self {
+            Regime::Narrow => 4 + h % 9,
+            Regime::Wide => 900 + h % 200,
+            Regime::Giant => 4000 + h % 4000,
+        };
+        let mut key = id.to_be_bytes().to_vec();
+        key.resize(len, id as u8);
+        key
+    }
+
+    fn max_value(self, key: &[u8]) -> usize {
+        match self {
+            Regime::Narrow => 40,
+            Regime::Wide => 300,
+            Regime::Giant => MAX_ENTRY - 4 - key.len(),
+        }
+    }
+}
+
+/// The in-place tree, the retired write path and a map, fed the same ops.
+struct Trio {
+    tree: BTreeFile,
+    tree_pool: Arc<BufferPool>,
+    oracle: OracleTree,
+    oracle_pool: Arc<BufferPool>,
+    model: BTreeMap<Vec<u8>, Vec<u8>>,
+}
+
+impl Trio {
+    fn new() -> Self {
+        let (tree_pool, oracle_pool) = (pool(), pool());
+        Trio {
+            tree: BTreeFile::create(Arc::clone(&tree_pool)).unwrap(),
+            tree_pool,
+            oracle: OracleTree::create(Arc::clone(&oracle_pool)).unwrap(),
+            oracle_pool,
+            model: BTreeMap::new(),
+        }
+    }
+
+    fn insert(&mut self, key: &[u8], value: &[u8]) {
+        let old = self.tree.insert(key, value).unwrap();
+        assert_eq!(old, self.oracle.insert(key, value).unwrap());
+        assert_eq!(old, self.model.insert(key.to_vec(), value.to_vec()));
+    }
+
+    fn delete(&mut self, key: &[u8]) {
+        let old = self.tree.delete(key).unwrap();
+        assert_eq!(old, self.oracle.delete(key).unwrap());
+        assert_eq!(old, self.model.remove(key));
+    }
+
+    /// Same shape, same bytes: the page images of the two files are equal.
+    fn assert_identical(&self) {
+        assert_eq!(self.tree.pages(), self.oracle.pages());
+        assert_eq!(self.tree.height(), self.oracle.height());
+        assert_eq!(self.tree.entry_count(), self.oracle.entry_count());
+        assert_eq!(self.tree.entry_count(), self.model.len() as u64);
+        for page_no in 0..self.tree.pages() {
+            let ours = self.tree_pool.fetch(self.tree.file_id(), page_no).unwrap();
+            let theirs = self
+                .oracle_pool
+                .fetch(self.oracle.file_id(), page_no)
+                .unwrap();
+            assert!(
+                ours.read().bytes() == theirs.read().bytes(),
+                "page {page_no} differs from the decode/encode image"
+            );
+        }
+    }
+}
+
+fn value_of(rng: &mut XorShift, len: usize) -> Vec<u8> {
+    let fill = rng.next() as u8;
+    vec![fill; len]
+}
+
+fn differential_stream(regime: Regime, seed: u64) {
+    let mut rng = XorShift(seed | 1);
+    let mut trio = Trio::new();
+    let [ascending, descending, scattered, mixed] = regime.phases();
+    let mut live: Vec<u32> = Vec::new();
+    let mut dead: Vec<u32> = Vec::new();
+    let fresh_insert = |trio: &mut Trio, rng: &mut XorShift, id: u32| {
+        let key = regime.key(id);
+        let len = rng.between(0, regime.max_value(&key));
+        trio.insert(&key, &value_of(rng, len));
+    };
+
+    // Rightmost, leftmost, then middle inserts; ids are distinct by range.
+    for i in 0..ascending as u32 {
+        fresh_insert(&mut trio, &mut rng, 3_000_000 + i);
+        live.push(3_000_000 + i);
+    }
+    for i in 0..descending as u32 {
+        fresh_insert(&mut trio, &mut rng, 999_999 - i);
+        live.push(999_999 - i);
+    }
+    trio.assert_identical();
+    let mut next_middle = 1_000_000u32;
+    let mut middle_id = |rng: &mut XorShift| {
+        // Scattered over the gap between the two runs, never repeating.
+        next_middle += 1 + (rng.next() % 7) as u32;
+        let id = next_middle;
+        if rng.next() & 1 == 0 {
+            id
+        } else {
+            2_999_999 - (id - 1_000_000)
+        }
+    };
+    for i in 0..scattered {
+        let id = middle_id(&mut rng);
+        fresh_insert(&mut trio, &mut rng, id);
+        live.push(id);
+        if i % 128 == 0 {
+            trio.assert_identical();
+        }
+    }
+    trio.assert_identical();
+    if matches!(regime, Regime::Wide) {
+        assert!(trio.tree.height() >= 4, "splits on three levels");
+    }
+
+    for i in 0..mixed {
+        let pick = rng.next() as usize;
+        match rng.next() % 9 {
+            // Upsert: growing, shrinking, same length.
+            op @ 0..=2 if !live.is_empty() => {
+                let key = regime.key(live[pick % live.len()]);
+                let cur = trio.model[&key].len();
+                let len = match op {
+                    0 => rng.between(cur, regime.max_value(&key)),
+                    1 => rng.between(0, cur),
+                    _ => cur,
+                };
+                trio.insert(&key, &value_of(&mut rng, len));
+            }
+            3 if !live.is_empty() => {
+                let id = live.swap_remove(pick % live.len());
+                trio.delete(&regime.key(id));
+                dead.push(id);
+            }
+            // Delete-then-reinsert of the same key.
+            4 if !dead.is_empty() => {
+                let id = dead.swap_remove(pick % dead.len());
+                fresh_insert(&mut trio, &mut rng, id);
+                live.push(id);
+            }
+            5 => trio.delete(&regime.key(5_000_000 + pick as u32 % 1000)),
+            6 => {
+                let key = regime.key(match live.is_empty() {
+                    true => 7,
+                    false => live[pick % live.len()],
+                });
+                assert_eq!(trio.tree.get(&key).unwrap().as_ref(), trio.model.get(&key));
+            }
+            // The oversized entry is rejected by both and changes nothing;
+            // the largest legal one is not (its regime only: see `Regime`).
+            7 => {
+                let key = regime.key(4_000_000 + i as u32);
+                let too_long = vec![0xEE; MAX_ENTRY - 4 - key.len() + 1 + pick % 64];
+                assert!(matches!(
+                    trio.tree.insert(&key, &too_long),
+                    Err(Error::Storage(_))
+                ));
+                assert!(trio.oracle.insert(&key, &too_long).is_err());
+                if matches!(regime, Regime::Giant) {
+                    trio.insert(&key, &too_long[..MAX_ENTRY - 4 - key.len()]);
+                    live.push(4_000_000 + i as u32);
+                }
+            }
+            _ => {
+                let id = middle_id(&mut rng);
+                fresh_insert(&mut trio, &mut rng, id);
+                live.push(id);
+            }
+        }
+        if i % 64 == 0 {
+            trio.assert_identical();
+        }
+    }
+    trio.assert_identical();
+    let expected: Vec<(Vec<u8>, Vec<u8>)> = trio.model.clone().into_iter().collect();
+    assert_eq!(entries_in(&trio.tree, None, None), expected);
+}
+
+/// Scribble on the counts and lengths of one node of a small tree, then run
+/// every operation over it: whatever comes back is a value or
+/// `Error::Storage` — no panic, no out-of-bounds `copy_within`.
+fn corrupt_counts_and_lengths(seed: u64) {
+    let mut rng = XorShift(seed | 1);
+    let pool = pool();
+    let tree = BTreeFile::create(Arc::clone(&pool)).unwrap();
+    let regime = Regime::Narrow;
+    let ids: Vec<u32> = (0..900).map(|i| i * 5).collect();
+    for &id in &ids {
+        let key = regime.key(id);
+        tree.insert(&key, &value_of(&mut rng, id as usize % 30))
+            .unwrap();
+    }
+    assert!(tree.height() >= 2 && tree.pages() >= 4);
+    // Page 0 is the meta page; any other is a node.
+    let victim = rng.between(1, tree.pages() as usize - 1) as u64;
+    let page = pool.fetch(FileId(0), victim).unwrap();
+    {
+        let mut guard = page.write();
+        let bytes = guard.bytes_mut();
+        match rng.next() % 4 {
+            // The entry count: random, or just past what the page can hold.
+            0 => bytes[1..3].copy_from_slice(&(rng.next() as u16).to_le_bytes()),
+            1 => bytes[1..3].copy_from_slice(&(PAGE_SIZE as u16 / 4).to_le_bytes()),
+            // Length fields (and whatever else the offsets hit) in the entry
+            // area; the link field at 3..11 stays, so walks cannot cycle.
+            _ => {
+                for _ in 0..rng.between(1, 6) {
+                    let at = rng.between(16, PAGE_SIZE - 1);
+                    bytes[at] = match rng.next() % 3 {
+                        0 => 0xFF,
+                        1 => 0,
+                        _ => rng.next() as u8,
+                    };
+                }
+            }
+        }
+    }
+    pool.mark_dirty(FileId(0), victim);
+    drop(page);
+    let storage_or_ok = |r: Result<(), Error>| match r {
+        Ok(()) | Err(Error::Storage(_)) => {}
+        Err(e) => panic!("not a storage error: {e:?}"),
+    };
+    for round in 0..200u32 {
+        let key = regime.key(match round % 3 {
+            0 => ids[rng.between(0, ids.len() - 1)],
+            1 => ids[rng.between(0, ids.len() - 1)] + 1,
+            _ => rng.next() as u32,
+        });
+        match round % 4 {
+            0 => storage_or_ok(tree.get(&key).map(drop)),
+            1 => {
+                let len = rng.between(0, 40);
+                storage_or_ok(tree.insert(&key, &value_of(&mut rng, len)).map(drop));
+            }
+            2 => storage_or_ok(tree.delete(&key).map(drop)),
+            _ => storage_or_ok(tree.for_each_in_range(Some(&key), None, |_, _| {})),
+        }
+    }
 }
 
 proptest! {
@@ -139,8 +453,7 @@ proptest! {
             prop_assert_eq!(tree.entry_count(), model.len() as u64);
         }
         // Full scan agrees with the model, in order.
-        let scanned: Vec<(Vec<u8>, Vec<u8>)> =
-            tree.range(None, None).map(|r| r.unwrap()).collect();
+        let scanned = entries_in(&tree, None, None);
         let expected: Vec<(Vec<u8>, Vec<u8>)> =
             model.into_iter().collect();
         prop_assert_eq!(scanned, expected);
@@ -157,12 +470,29 @@ proptest! {
             tree.insert(&k.to_be_bytes(), b"v").unwrap();
         }
         let hi = lo.saturating_add(span);
-        let got: Vec<u32> = tree
-            .range(Some(&lo.to_be_bytes()), Some(&hi.to_be_bytes()))
-            .map(|r| u32::from_be_bytes(r.unwrap().0.try_into().unwrap()))
+        let got: Vec<u32> = entries_in(&tree, Some(&lo.to_be_bytes()), Some(&hi.to_be_bytes()))
+            .into_iter()
+            .map(|(k, _)| u32::from_be_bytes(k.try_into().unwrap()))
             .collect();
         let expected: Vec<u32> = keys.iter().copied().filter(|&k| k >= lo && k <= hi).collect();
         prop_assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn btree_pages_match_decode_encode_oracle(regime in 0u8..3, seed in any::<u64>()) {
+        differential_stream(
+            match regime {
+                0 => Regime::Narrow,
+                1 => Regime::Wide,
+                _ => Regime::Giant,
+            },
+            seed,
+        );
+    }
+
+    #[test]
+    fn btree_corrupt_counts_and_lengths_are_storage_errors(seed in any::<u64>()) {
+        corrupt_counts_and_lengths(seed);
     }
 
     #[test]

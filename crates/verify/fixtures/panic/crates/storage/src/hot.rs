@@ -12,6 +12,11 @@ pub fn must_msg(v: Option<u8>) -> u8 {
     v.expect("present")
 }
 
+/// A lifetime before a slice type is not an index expression.
+pub struct View<'a> {
+    pub bytes: &'a [u8],
+}
+
 #[cfg(test)]
 mod tests {
     pub fn fine(v: Option<u8>) -> u8 {

@@ -98,6 +98,11 @@ pub fn check_panic_budget(files: &[SourceFile]) -> Vec<Violation> {
             } else if tseq(&file.tokens, i, &[".", "expect", "("]) {
                 "expect"
             } else if t.text == "[" && i > 0 && is_index_head(&file.tokens[i - 1].text) {
+                // `&'a [u8]`: the identifier is a lifetime, the bracket a
+                // slice type.
+                if i > 1 && file.tokens[i - 2].text == "'" {
+                    continue;
+                }
                 if proven.contains(&(file_idx, i)) {
                     continue;
                 }

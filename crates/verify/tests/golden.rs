@@ -93,7 +93,7 @@ fn panic_fixture_diagnostics() {
                 s("must_msg"),
             ),
         ],
-        "the #[cfg(test)] unwrap must not be flagged"
+        "neither the #[cfg(test)] unwrap nor the `&'a [u8]` slice type may be flagged"
     );
     // Stable ratchet keys.
     let keys: Vec<String> = r.violations.iter().map(|v| v.key()).collect();

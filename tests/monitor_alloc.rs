@@ -6,30 +6,10 @@
 //! One test function on purpose: the counter is process-wide, and a second
 //! test on another harness thread would be counted too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod counting_alloc;
 
+use counting_alloc::allocations;
 use ingot::prelude::*;
-
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 const WARM_UP: i64 = 1_000;
 const MEASURED: i64 = 10_000;
@@ -55,11 +35,11 @@ fn allocations_per_statement(config: EngineConfig, sql: &str, param: Param) -> f
     for i in 0..WARM_UP {
         prepared.execute(&param(i)).unwrap();
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in WARM_UP..WARM_UP + MEASURED {
         prepared.execute(&param(i)).unwrap();
     }
-    (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / MEASURED as f64
+    (allocations() - before) as f64 / MEASURED as f64
 }
 
 /// What the observers add per statement: default configuration minus bare.
