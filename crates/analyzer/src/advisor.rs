@@ -187,7 +187,7 @@ fn generate_candidates(engine: &Arc<Engine>, view: &WorkloadView) -> Vec<IndexCa
         }
         let cand = IndexCandidate {
             table: attr.table,
-            table_name: entry.meta.name.clone(),
+            table_name: entry.meta.name.to_string(),
             column_names: vec![attr.name.clone()],
         };
         if !out.contains(&cand) {

@@ -1,6 +1,7 @@
 //! The catalog: object registry plus the central row-mutation path that
 //! keeps heap, clustered tree and every secondary index consistent.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -55,12 +56,23 @@ pub type VirtualProvider = std::sync::Arc<dyn Fn() -> Vec<Row> + Send + Sync>;
 pub struct VirtualTableDef {
     /// Stable id (shares the table-id space).
     pub id: TableId,
-    /// Lower-cased name (conventionally `ima$…`).
-    pub name: String,
+    /// Lower-cased name (conventionally `ima$…`), shared with the plans
+    /// that scan the table.
+    pub name: Arc<str>,
     /// Row shape.
     pub schema: Schema,
     /// Row source.
     pub provider: VirtualProvider,
+}
+
+/// `name` in the case names are stored in. The parser lower-cases every
+/// identifier, so the common lookup borrows.
+fn lower(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
 }
 
 /// Either kind of relation a name can resolve to.
@@ -138,7 +150,7 @@ impl Catalog {
         let entry = TableEntry {
             meta: TableMeta {
                 id,
-                name: name.clone(),
+                name: name.as_str().into(),
                 schema,
                 primary_key,
                 storage: StorageStructure::Heap,
@@ -164,18 +176,18 @@ impl Catalog {
             .collect();
         for iid in index_ids {
             if let Some(e) = self.indexes.remove(&iid) {
-                self.index_names.remove(&e.meta.name);
+                self.index_names.remove(&*e.meta.name);
             }
         }
         let entry = self.tables.remove(&id).expect("resolved table");
-        self.table_names.remove(&entry.meta.name);
+        self.table_names.remove(&*entry.meta.name);
         Ok(())
     }
 
     /// Look up a table id by name.
     pub fn resolve_table(&self, name: &str) -> Result<TableId> {
         self.table_names
-            .get(&name.to_ascii_lowercase())
+            .get(&*lower(name))
             .copied()
             .ok_or_else(|| Error::binder(format!("unknown table '{name}'")))
     }
@@ -198,7 +210,7 @@ impl Catalog {
             id,
             VirtualTableDef {
                 id,
-                name: name.clone(),
+                name: name.as_str().into(),
                 schema,
                 provider,
             },
@@ -209,11 +221,11 @@ impl Catalog {
 
     /// Resolve a name to a base or virtual relation.
     pub fn resolve_relation(&self, name: &str) -> Result<Relation<'_>> {
-        let lower = name.to_ascii_lowercase();
-        if let Some(id) = self.table_names.get(&lower) {
+        let lower = lower(name);
+        if let Some(id) = self.table_names.get(&*lower) {
             return Ok(Relation::Base(self.table(*id)?));
         }
-        if let Some(id) = self.virtual_names.get(&lower) {
+        if let Some(id) = self.virtual_names.get(&*lower) {
             return Ok(Relation::Virtual(&self.virtual_tables[id]));
         }
         Err(Error::binder(format!("unknown table '{name}'")))
@@ -309,7 +321,7 @@ impl Catalog {
         let idx = IndexEntry {
             meta: IndexMeta {
                 id,
-                name: name.clone(),
+                name: name.as_str().into(),
                 table,
                 columns,
                 unique,
@@ -331,14 +343,13 @@ impl Catalog {
                 return Err(Error::catalog(format!("index column {c} out of range")));
             }
         }
-        let table_name = entry.meta.name.clone();
         let id = IndexId(self.next_index);
+        let name = format!("$virtual_{}_{}", entry.meta.name, id.raw());
         self.next_index += 1;
-        let name = format!("$virtual_{}_{}", table_name, id.raw());
         let idx = IndexEntry {
             meta: IndexMeta {
                 id,
-                name: name.clone(),
+                name: name.as_str().into(),
                 table,
                 columns,
                 unique: false,
@@ -361,7 +372,7 @@ impl Catalog {
             .collect();
         for id in ids {
             if let Some(e) = self.indexes.remove(&id) {
-                self.index_names.remove(&e.meta.name);
+                self.index_names.remove(&*e.meta.name);
             }
         }
     }
@@ -388,7 +399,7 @@ impl Catalog {
     pub fn index_by_name(&self, name: &str) -> Result<&IndexEntry> {
         let id = self
             .index_names
-            .get(&name.to_ascii_lowercase())
+            .get(&*lower(name))
             .ok_or_else(|| Error::catalog(format!("unknown index '{name}'")))?;
         self.index(*id)
     }
@@ -422,7 +433,7 @@ impl Catalog {
         let tables = table_entries
             .iter()
             .map(|e| crate::persist::TableDump {
-                name: e.meta.name.clone(),
+                name: e.meta.name.to_string(),
                 schema: e.meta.schema.clone(),
                 primary_key: e.meta.primary_key.clone(),
                 storage: e.meta.storage,
@@ -440,11 +451,11 @@ impl Catalog {
         let indexes = index_entries
             .iter()
             .map(|e| crate::persist::IndexDump {
-                name: e.meta.name.clone(),
+                name: e.meta.name.to_string(),
                 table: self
                     .tables
                     .get(&e.meta.table)
-                    .map(|t| t.meta.name.clone())
+                    .map(|t| t.meta.name.to_string())
                     .unwrap_or_default(),
                 columns: e.meta.columns.clone(),
                 unique: e.meta.unique,
@@ -495,7 +506,7 @@ impl Catalog {
             let entry = TableEntry {
                 meta: TableMeta {
                     id,
-                    name: t.name.clone(),
+                    name: t.name.as_str().into(),
                     schema: t.schema.clone(),
                     primary_key: t.primary_key.clone(),
                     storage: t.storage,
@@ -536,7 +547,7 @@ impl Catalog {
             let idx = IndexEntry {
                 meta: IndexMeta {
                     id,
-                    name: i.name.clone(),
+                    name: i.name.as_str().into(),
                     table,
                     columns: i.columns.clone(),
                     unique: i.unique,

@@ -58,8 +58,8 @@ impl FromStr for StorageStructure {
 pub struct TableMeta {
     /// Stable id.
     pub id: TableId,
-    /// Lower-cased name.
-    pub name: String,
+    /// Lower-cased name, shared with the plans that read the table.
+    pub name: Arc<str>,
     /// Column definitions.
     pub schema: Schema,
     /// Positions of the primary-key columns (may be empty).
@@ -246,8 +246,8 @@ fn prefix_upper_bound(prefix: &[u8]) -> Vec<u8> {
 pub struct IndexMeta {
     /// Stable id.
     pub id: IndexId,
-    /// Lower-cased name.
-    pub name: String,
+    /// Lower-cased name, shared with the plans that probe the index.
+    pub name: Arc<str>,
     /// The indexed table.
     pub table: TableId,
     /// Positions of the indexed columns within the table schema.

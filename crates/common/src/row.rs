@@ -75,8 +75,9 @@ impl Schema {
 
     /// Position of a column by (case-insensitive) name.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        let lower = name.to_ascii_lowercase();
-        self.columns.iter().position(|c| c.name == lower)
+        self.columns
+            .iter()
+            .position(|c| c.name.eq_ignore_ascii_case(name))
     }
 
     /// The column at `idx`.

@@ -16,8 +16,8 @@ use ingot_common::{
 };
 use ingot_executor::{dml::insert_one, execute, DmlObserver, ExecCtx};
 use ingot_planner::{
-    normalize_template, optimize, BindArtifacts, Binder, BoundStatement, CachedPlan,
-    OptimizerOptions, PlanCache, PlanCacheStats, PlannedStatement,
+    optimize, template_key, BindArtifacts, Binder, BoundStatement, CachedPlan, OptimizerOptions,
+    PlanCache, PlanCacheStats, PlannedStatement,
 };
 use ingot_sql::{param_count, parse_statement, ColumnDef, Statement};
 use ingot_storage::{
@@ -1536,7 +1536,7 @@ impl Session {
                 Some(_) => StmtHash::of(sql),
                 None => StmtHash(0),
             },
-            template: normalize_template(sql).into(),
+            template: template_key(sql),
         }
     }
 
@@ -2403,7 +2403,7 @@ fn intern_footprint(catalog: &Catalog, artifacts: &BindArtifacts, used: &[IndexI
             .filter_map(|(id, name)| {
                 catalog.table(*id).ok().map(|entry| TableRef {
                     id: *id,
-                    name: name.clone(),
+                    name: Arc::clone(name),
                     storage: entry.meta.storage.as_str(),
                     data_pages: AtomicU64::new(0),
                     overflow_pages: AtomicU64::new(0),
@@ -2414,11 +2414,17 @@ fn intern_footprint(catalog: &Catalog, artifacts: &BindArtifacts, used: &[IndexI
         attributes: artifacts
             .attributes
             .iter()
-            .map(|(table, column, name)| AttributeRef {
-                table: *table,
-                column: *column,
-                name: name.clone(),
-                has_histogram: artifacts.histograms.contains(&(*table, *column)),
+            .filter_map(|&(table, column)| {
+                let schema = match catalog.table(table) {
+                    Ok(entry) => &entry.meta.schema,
+                    Err(_) => &catalog.virtual_table(table)?.schema,
+                };
+                Some(AttributeRef {
+                    table,
+                    column,
+                    schema: schema.clone(),
+                    has_histogram: artifacts.histograms.contains(&(table, column)),
+                })
             })
             .collect(),
         used_indexes: used
@@ -2426,7 +2432,7 @@ fn intern_footprint(catalog: &Catalog, artifacts: &BindArtifacts, used: &[IndexI
             .filter_map(|id| {
                 catalog.index(*id).ok().map(|e| IndexRef {
                     id: *id,
-                    name: e.meta.name.clone(),
+                    name: Arc::clone(&e.meta.name),
                     table: e.meta.table,
                     pages: AtomicU64::new(0),
                 })

@@ -272,7 +272,7 @@ impl Monitor {
         for t in &f.tables {
             let u = state.tables.entry(t.id).or_insert_with(|| TableUsage {
                 id: t.id,
-                name: t.name.clone(),
+                name: t.name.to_string(),
                 frequency: 0,
                 storage: String::new(),
                 data_pages: 0,
@@ -294,7 +294,7 @@ impl Monitor {
                 .or_insert_with(|| AttributeUsage {
                     table: a.table,
                     column: a.column,
-                    name: a.name.clone(),
+                    name: a.name().to_owned(),
                     frequency: 0,
                     has_histogram: false,
                 });
@@ -304,7 +304,7 @@ impl Monitor {
         for i in &f.used_indexes {
             let u = state.indexes.entry(i.id).or_insert_with(|| IndexUsage {
                 id: i.id,
-                name: i.name.clone(),
+                name: i.name.to_string(),
                 table: i.table,
                 frequency: 0,
                 pages: 0,
@@ -426,6 +426,7 @@ impl Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ingot_common::{Column, DataType, Schema};
 
     fn monitor(stmt_cap: usize) -> Monitor {
         let cfg = EngineConfig::default().with_statement_capacity(stmt_cap);
@@ -447,7 +448,7 @@ mod tests {
             attributes: vec![AttributeRef {
                 table: TableId(1),
                 column: 0,
-                name: "nref_id".into(),
+                schema: Schema::new(vec![Column::new("nref_id", DataType::Str)]),
                 has_histogram: false,
             }],
             used_indexes: vec![],

@@ -20,10 +20,10 @@ use crate::expr::{AggFunc, AggSpec, PhysExpr};
 /// Available Indexes").
 #[derive(Debug, Clone, Default)]
 pub struct BindArtifacts {
-    /// Referenced tables `(id, name)`.
-    pub tables: Vec<(TableId, String)>,
-    /// Referenced attributes `(table, column position, column name)`.
-    pub attributes: Vec<(TableId, usize, String)>,
+    /// Referenced tables `(id, name)`; the name is the catalog's, shared.
+    pub tables: Vec<(TableId, Arc<str>)>,
+    /// Referenced attributes `(table, column position)`.
+    pub attributes: Vec<(TableId, usize)>,
     /// Attributes among the referenced ones that have histograms.
     pub histograms: Vec<(TableId, usize)>,
     /// Indexes available on the referenced tables (including virtual ones
@@ -58,7 +58,7 @@ pub struct TableRef {
     /// Table id.
     pub id: TableId,
     /// Name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Storage structure tag.
     pub storage: &'static str,
     /// Main pages at the latest execution.
@@ -76,10 +76,18 @@ pub struct AttributeRef {
     pub table: TableId,
     /// Column position.
     pub column: usize,
-    /// Column name.
-    pub name: String,
+    /// The owning table's schema (shared, not copied): where the column's
+    /// name is, for the one time the monitor needs it.
+    pub schema: Schema,
     /// Histogram present?
     pub has_histogram: bool,
+}
+
+impl AttributeRef {
+    /// Column name.
+    pub fn name(&self) -> &str {
+        &self.schema.column(self.column).name
+    }
 }
 
 /// One used index of a [`Footprint`].
@@ -88,7 +96,7 @@ pub struct IndexRef {
     /// Index id.
     pub id: IndexId,
     /// Name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Owning table.
     pub table: TableId,
     /// Pages at the latest execution.
@@ -248,9 +256,9 @@ impl<'a> Binder<'a> {
         Ok((bound, self.artifacts))
     }
 
-    fn note_table(&mut self, id: TableId, name: &str) {
+    fn note_table(&mut self, id: TableId, name: &Arc<str>) {
         if !self.artifacts.tables.iter().any(|(t, _)| *t == id) {
-            self.artifacts.tables.push((id, name.to_owned()));
+            self.artifacts.tables.push((id, Arc::clone(name)));
             // All indexes on a referenced table are "available indexes".
             for idx in self.catalog.indexes_of(id) {
                 if !self.artifacts.indexes.contains(&idx.meta.id) {
@@ -260,14 +268,9 @@ impl<'a> Binder<'a> {
         }
     }
 
-    fn note_attribute(&mut self, id: TableId, col: usize, name: &str) {
-        if !self
-            .artifacts
-            .attributes
-            .iter()
-            .any(|(t, c, _)| *t == id && *c == col)
-        {
-            self.artifacts.attributes.push((id, col, name.to_owned()));
+    fn note_attribute(&mut self, id: TableId, col: usize) {
+        if !self.artifacts.attributes.contains(&(id, col)) {
+            self.artifacts.attributes.push((id, col));
             if let Ok(entry) = self.catalog.table(id) {
                 if entry.stats.as_ref().is_some_and(|s| s.has_histogram(col)) {
                     self.artifacts.histograms.push((id, col));
@@ -281,12 +284,10 @@ impl<'a> Binder<'a> {
     fn bind_select(&mut self, s: &SelectStmt) -> Result<BoundSelect> {
         // 1. Collect FROM tables (comma list + join chains, flattened).
         let mut tables: Vec<BoundTable> = Vec::new();
-        let mut join_preds: Vec<&Expr> = Vec::new();
         for tref in &s.from {
             self.push_table(&mut tables, &tref.name, tref.alias.as_deref())?;
             for j in &tref.joins {
                 self.push_table(&mut tables, &j.name, j.alias.as_deref())?;
-                join_preds.push(&j.on);
             }
         }
         if tables.is_empty() {
@@ -296,15 +297,9 @@ impl<'a> Binder<'a> {
 
         // 2. Conjuncts from JOIN ON and WHERE.
         let mut conjuncts = Vec::new();
-        for on in join_preds {
-            for c in on.conjuncts() {
-                conjuncts.push(self.bind_conjunct(c, &tables)?);
-            }
-        }
-        if let Some(f) = &s.filter {
-            for c in f.conjuncts() {
-                conjuncts.push(self.bind_conjunct(c, &tables)?);
-            }
+        let join_preds = s.from.iter().flat_map(|t| &t.joins).map(|j| &j.on);
+        for pred in join_preds.chain(&s.filter) {
+            self.bind_conjuncts(pred, &tables, &mut conjuncts)?;
         }
         // Transitive closure over equalities: `a.x = b.y AND a.x = 5`
         // implies `b.y = 5`, which turns the inner side of a join into a
@@ -326,11 +321,13 @@ impl<'a> Binder<'a> {
         }
 
         let mut aggregates: Vec<AggSpec> = Vec::new();
-        let mut agg_keys: Vec<Expr> = Vec::new(); // AST of each registered agg
+        let mut agg_keys: Vec<&Expr> = Vec::new(); // AST of each registered agg
 
         // 4. Projections.
         let mut projections: Vec<(PhysExpr, String)> = Vec::new();
-        let mut proj_asts: Vec<Option<Expr>> = Vec::new(); // for ORDER BY matching
+        // The AST behind each projection, for ORDER BY to match against.
+        let mut proj_asts: Vec<Option<&Expr>> = Vec::new();
+        let ordered = !s.order_by.is_empty();
         for item in &s.items {
             match item {
                 SelectItem::Wildcard => {
@@ -341,8 +338,7 @@ impl<'a> Binder<'a> {
                     for t in &tables {
                         for (ci, col) in t.schema.columns().iter().enumerate() {
                             projections.push((PhysExpr::Col(off + ci), col.name.clone()));
-                            proj_asts.push(None);
-                            self.note_attribute(t.table, ci, &col.name);
+                            self.note_attribute(t.table, ci);
                         }
                         off += t.schema.len();
                     }
@@ -357,8 +353,7 @@ impl<'a> Binder<'a> {
                         if t.alias == *q {
                             for (ci, col) in t.schema.columns().iter().enumerate() {
                                 projections.push((PhysExpr::Col(off + ci), col.name.clone()));
-                                proj_asts.push(None);
-                                self.note_attribute(t.table, ci, &col.name);
+                                self.note_attribute(t.table, ci);
                             }
                             found = true;
                         }
@@ -383,10 +378,14 @@ impl<'a> Binder<'a> {
                     };
                     let name = alias.clone().unwrap_or_else(|| display_name(expr));
                     projections.push((phys, name));
-                    proj_asts.push(Some(expr.clone()));
+                    if ordered {
+                        proj_asts.resize(projections.len() - 1, None);
+                        proj_asts.push(Some(expr));
+                    }
                 }
             }
         }
+        let visible = projections.len();
 
         // 5. HAVING (aggregate output layout).
         let having = match &s.having {
@@ -410,6 +409,7 @@ impl<'a> Binder<'a> {
             let pos = self.resolve_order_target(
                 expr,
                 &mut projections,
+                visible,
                 &proj_asts,
                 &tables,
                 has_agg,
@@ -468,23 +468,24 @@ impl<'a> Binder<'a> {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn resolve_order_target(
+    fn resolve_order_target<'e>(
         &mut self,
-        expr: &Expr,
+        expr: &'e Expr,
         projections: &mut Vec<(PhysExpr, String)>,
-        proj_asts: &[Option<Expr>],
+        visible: usize,
+        proj_asts: &[Option<&Expr>],
         tables: &[BoundTable],
         has_agg: bool,
         group_asts: &[Expr],
         group_by: &[PhysExpr],
         aggregates: &mut Vec<AggSpec>,
-        agg_keys: &mut Vec<Expr>,
+        agg_keys: &mut Vec<&'e Expr>,
         hidden: &mut usize,
     ) -> Result<usize> {
         // Ordinal: ORDER BY 2.
         if let Expr::Literal(Value::Int(n)) = expr {
             let n = *n;
-            if n >= 1 && (n as usize) <= proj_asts.len() {
+            if n >= 1 && (n as usize) <= visible {
                 return Ok(n as usize - 1);
             }
             return Err(Error::binder(format!("ORDER BY position {n} out of range")));
@@ -495,7 +496,7 @@ impl<'a> Binder<'a> {
                 return Ok(pos);
             }
         }
-        if let Some(pos) = proj_asts.iter().position(|a| a.as_ref() == Some(expr)) {
+        if let Some(pos) = proj_asts.iter().position(|a| *a == Some(expr)) {
             return Ok(pos);
         }
         // Bind as a hidden column.
@@ -542,18 +543,27 @@ impl<'a> Binder<'a> {
         Ok(())
     }
 
-    fn bind_conjunct(&mut self, e: &Expr, tables: &[BoundTable]) -> Result<Conjunct> {
-        let phys = self.bind_expr(e, tables)?;
-        let mut cols = Vec::new();
-        phys.columns(&mut cols);
-        let mut mask = 0u64;
-        for c in cols {
-            mask |= 1 << table_of_offset(tables, c);
+    /// Bind each AND-ed factor of `e` as a conjunct of its own.
+    fn bind_conjuncts(
+        &mut self,
+        e: &Expr,
+        tables: &[BoundTable],
+        out: &mut Vec<Conjunct>,
+    ) -> Result<()> {
+        if let Expr::Binary {
+            op: ingot_sql::BinOp::And,
+            left,
+            right,
+        } = e
+        {
+            self.bind_conjuncts(left, tables, out)?;
+            return self.bind_conjuncts(right, tables, out);
         }
-        Ok(Conjunct {
-            expr: phys,
-            tables: mask,
-        })
+        let expr = self.bind_expr(e, tables)?;
+        let mut mask = 0u64;
+        expr.for_each_column(&mut |c| mask |= 1 << table_of_offset(tables, c));
+        out.push(Conjunct { expr, tables: mask });
+        Ok(())
     }
 
     /// Resolve a column reference to `(table index, column index, offset)`.
@@ -572,7 +582,7 @@ impl<'a> Binder<'a> {
                         return Err(Error::binder(format!("ambiguous column '{name}'")));
                     }
                     hit = Some(off + ci);
-                    self.note_attribute(t.table, ci, name);
+                    self.note_attribute(t.table, ci);
                 }
             }
             off += t.schema.len();
@@ -657,14 +667,14 @@ impl<'a> Binder<'a> {
 
     /// Bind an expression in aggregate context: output layout is
     /// `[group keys ‖ aggregate results]`.
-    fn bind_agg_expr(
+    fn bind_agg_expr<'e>(
         &mut self,
-        e: &Expr,
+        e: &'e Expr,
         tables: &[BoundTable],
         group_asts: &[Expr],
         group_by: &[PhysExpr],
         aggregates: &mut Vec<AggSpec>,
-        agg_keys: &mut Vec<Expr>,
+        agg_keys: &mut Vec<&'e Expr>,
     ) -> Result<PhysExpr> {
         // A group-key expression maps to its key slot.
         if let Some(gidx) = group_asts.iter().position(|g| g == e) {
@@ -753,7 +763,7 @@ impl<'a> Binder<'a> {
                     let pos = schema
                         .index_of(c)
                         .ok_or_else(|| Error::binder(format!("unknown column '{c}'")))?;
-                    self.note_attribute(id, pos, c);
+                    self.note_attribute(id, pos);
                     Ok(pos)
                 })
                 .collect::<Result<_>>()?,
@@ -809,7 +819,7 @@ impl<'a> Binder<'a> {
         self.note_table(id, &entry.meta.name);
         let bt = [BoundTable {
             table: id,
-            alias: entry.meta.name.clone(),
+            alias: entry.meta.name.to_string(),
             schema: entry.meta.schema.clone(),
             is_virtual: false,
         }];
@@ -819,7 +829,7 @@ impl<'a> Binder<'a> {
                 .schema
                 .index_of(col)
                 .ok_or_else(|| Error::binder(format!("unknown column '{col}'")))?;
-            self.note_attribute(id, pos, col);
+            self.note_attribute(id, pos);
             bound_sets.push((pos, self.bind_expr(e, &bt)?));
         }
         let filter = filter.map(|f| self.bind_expr(f, &bt)).transpose()?;
@@ -836,7 +846,7 @@ impl<'a> Binder<'a> {
         self.note_table(id, &entry.meta.name);
         let bt = [BoundTable {
             table: id,
-            alias: entry.meta.name.clone(),
+            alias: entry.meta.name.to_string(),
             schema: entry.meta.schema.clone(),
             is_virtual: false,
         }];
@@ -863,7 +873,7 @@ fn saturate_equalities(conjuncts: &mut Vec<Conjunct>, tables: &[BoundTable]) {
     // Constants to propagate: literals and parameter markers alike — a
     // prepared `p.id = $1` seeds the same probe opportunities a literal
     // would.
-    let mut constants: Vec<(usize, PhysExpr)> = Vec::new();
+    let mut constants: Vec<(usize, &PhysExpr)> = Vec::new();
     for c in conjuncts.iter() {
         if let PhysExpr::Binary {
             op: BinOp::Eq,
@@ -878,27 +888,17 @@ fn saturate_equalities(conjuncts: &mut Vec<Conjunct>, tables: &[BoundTable]) {
                 }
                 (PhysExpr::Col(a), e @ (PhysExpr::Literal(_) | PhysExpr::Param(_)))
                 | (e @ (PhysExpr::Literal(_) | PhysExpr::Param(_)), PhysExpr::Col(a)) => {
-                    constants.push((*a, e.clone()));
+                    constants.push((*a, e));
                 }
                 _ => {}
             }
         }
     }
-    if constants.is_empty() {
-        return;
-    }
-    let existing: std::collections::HashSet<(usize, String)> = constants
-        .iter()
-        .map(|(c, v)| (*c, format!("{v:?}")))
-        .collect();
     let mut derived = Vec::new();
-    for (col, v) in &constants {
-        let root = find(&mut parent, *col);
+    for &(col, v) in &constants {
+        let root = find(&mut parent, col);
         for other in 0..width {
-            if other == *col || find(&mut parent, other) != root {
-                continue;
-            }
-            if existing.contains(&(other, format!("{v:?}"))) {
+            if other == col || find(&mut parent, other) != root || constants.contains(&(other, v)) {
                 continue;
             }
             derived.push(Conjunct {
@@ -931,15 +931,15 @@ pub fn table_offset(tables: &[BoundTable], idx: usize) -> usize {
     tables[..idx].iter().map(|t| t.schema.len()).sum()
 }
 
-fn register_agg(
-    ast: &Expr,
+fn register_agg<'e>(
+    ast: &'e Expr,
     func: AggFunc,
     input: Option<PhysExpr>,
     distinct: bool,
     aggregates: &mut Vec<AggSpec>,
-    agg_keys: &mut Vec<Expr>,
+    agg_keys: &mut Vec<&'e Expr>,
 ) -> usize {
-    if let Some(pos) = agg_keys.iter().position(|k| k == ast) {
+    if let Some(pos) = agg_keys.iter().position(|k| *k == ast) {
         return pos;
     }
     aggregates.push(AggSpec {
@@ -947,7 +947,7 @@ fn register_agg(
         input,
         distinct,
     });
-    agg_keys.push(ast.clone());
+    agg_keys.push(ast);
     aggregates.len() - 1
 }
 

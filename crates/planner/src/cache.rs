@@ -13,7 +13,15 @@
 //! the map (probes copy an `Arc` out and release it immediately), and the
 //! hit/miss/eviction/invalidation counters are lock-free atomics so the
 //! monitoring layer can read them without touching the map.
+//!
+//! Replacement is CLOCK, the one-bit approximation of LRU: a hit stores a
+//! flag, and an insert into a full cache sweeps a hand over the slots,
+//! clearing flags until it meets an entry not hit since the hand last
+//! passed. A stream of never-repeated texts therefore evicts itself in
+//! constant time per statement and leaves the templates that do get hits
+//! alone.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,19 +68,26 @@ pub struct PlanCacheStats {
 }
 
 struct Slot {
+    key: Arc<str>,
     plan: Arc<CachedPlan>,
-    /// Recency stamp; smallest = least recently used.
-    stamp: u64,
+    /// Hit since the clock hand last passed.
+    referenced: bool,
 }
 
 #[derive(Default)]
 struct Inner {
-    map: HashMap<Arc<str>, Slot>,
-    next_stamp: u64,
+    /// Template → its slot.
+    map: HashMap<Arc<str>, usize>,
+    /// At most `capacity` slots; `None` where a stale entry was dropped.
+    slots: Vec<Option<Slot>>,
+    /// The vacated slots.
+    free: Vec<usize>,
+    /// Where the next eviction sweep starts.
+    hand: usize,
 }
 
-/// An LRU cache of optimized plan templates keyed by
-/// `(normalized SQL, schema epoch)`.
+/// A cache of optimized plan templates keyed by
+/// `(normalized SQL, schema epoch)`, least recently used out first (CLOCK).
 pub struct PlanCache {
     capacity: usize,
     inner: Mutex<Inner>,
@@ -111,30 +126,26 @@ impl PlanCache {
             return None;
         }
         let mut inner = self.inner.lock();
-        match inner.map.get(template) {
-            Some(slot) if slot.plan.epoch == epoch => {
-                inner.next_stamp += 1;
-                let stamp = inner.next_stamp;
-                let slot = inner.map.get_mut(template).expect("entry just seen");
-                slot.stamp = stamp;
-                let plan = Arc::clone(&slot.plan);
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(plan)
-            }
-            Some(_) => {
-                inner.map.remove(template);
-                drop(inner);
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                drop(inner);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let found = inner.map.get(template).copied();
+        let hit = found.and_then(|i| {
+            let slot = inner.slots[i].as_mut().filter(|s| s.plan.epoch == epoch)?;
+            slot.referenced = true;
+            Some(Arc::clone(&slot.plan))
+        });
+        if let (Some(i), None) = (found, &hit) {
+            inner.map.remove(template);
+            inner.slots[i] = None;
+            inner.free.push(i);
+            self.invalidations.fetch_add(1, Ordering::Relaxed);
         }
+        drop(inner);
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
     /// Insert a freshly optimized template, evicting the least recently used
@@ -146,31 +157,42 @@ impl PlanCache {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = self.inner.lock();
-        inner.next_stamp += 1;
-        let stamp = inner.next_stamp;
-        inner.map.insert(
-            template.into(),
-            Slot {
-                plan: plan.into(),
-                stamp,
-            },
-        );
-        let mut evicted = 0u64;
-        while inner.map.len() > self.capacity {
-            let lru = inner
-                .map
-                .iter()
-                .min_by_key(|(_, s)| s.stamp)
-                .map(|(k, _)| k.clone())
-                .expect("map is non-empty");
-            inner.map.remove(&lru);
-            evicted += 1;
+        let key: Arc<str> = template.into();
+        // A new entry has not been hit: it goes before any that has.
+        let slot = Some(Slot {
+            key: Arc::clone(&key),
+            plan: plan.into(),
+            referenced: false,
+        });
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        if let Some(&i) = inner.map.get(&key) {
+            inner.slots[i] = slot;
+            return;
         }
-        drop(inner);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
+        let i = if let Some(i) = inner.free.pop() {
+            inner.slots[i] = slot;
+            i
+        } else if inner.slots.len() < self.capacity {
+            inner.slots.push(slot);
+            inner.slots.len() - 1
+        } else {
+            // Full, and every slot is occupied: sweep for a victim.
+            let victim = loop {
+                let i = inner.hand;
+                inner.hand = (i + 1) % self.capacity;
+                match &mut inner.slots[i] {
+                    Some(s) if s.referenced => s.referenced = false,
+                    _ => break i,
+                }
+            };
+            if let Some(old) = std::mem::replace(&mut inner.slots[victim], slot) {
+                inner.map.remove(&old.key);
+            }
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            victim
+        };
+        inner.map.insert(key, i);
     }
 
     /// Drop every entry (DDL publish, `CREATE STATISTICS`, virtual-index
@@ -178,7 +200,7 @@ impl PlanCache {
     pub fn invalidate_all(&self) {
         let mut inner = self.inner.lock();
         let dropped = inner.map.len() as u64;
-        inner.map.clear();
+        *inner = Inner::default();
         drop(inner);
         if dropped > 0 {
             self.invalidations.fetch_add(dropped, Ordering::Relaxed);
@@ -208,37 +230,101 @@ impl PlanCache {
     }
 }
 
-/// Normalize a statement's text into its cache key: surrounding whitespace
-/// trimmed and interior whitespace runs collapsed to one space, except
-/// inside string literals. `SELECT  x` and `select x` stay distinct keys —
-/// keyword case rarely varies within one application, and conflating
-/// templates only costs a duplicate cache entry, never a wrong plan.
+/// Normalize a statement's text into its cache key: blanks and comments
+/// outside quotes read as one space between what they separate and as
+/// nothing at either end; string literals and quoted identifiers are kept
+/// verbatim. What is a blank, a comment or a quote is decided exactly as the
+/// lexer decides it, and text the lexer rejects (an unterminated quote or
+/// block comment, a non-ASCII blank) is kept as written, so two texts share a
+/// key only if they lex to the same tokens. `SELECT x` and `select x` stay
+/// distinct keys — keyword case rarely varies within one application, and
+/// telling templates apart only costs a duplicate cache entry, never a wrong
+/// plan.
 pub fn normalize_template(sql: &str) -> String {
-    let mut out = String::with_capacity(sql.len());
-    let mut in_str = false;
-    let mut pending_space = false;
-    for ch in sql.trim().chars() {
-        if in_str {
-            out.push(ch);
-            if ch == '\'' {
-                in_str = false;
-            }
-            continue;
+    normalize(sql).into_owned()
+}
+
+/// [`normalize_template`] as the shared key a statement probes and inserts
+/// with. Text that is already normal — what applications mostly send — is
+/// copied once, into the key.
+pub fn template_key(sql: &str) -> Arc<str> {
+    Arc::from(&*normalize(sql))
+}
+
+/// A template under construction: the input's own prefix for as long as
+/// every piece pushed is the input continued, a copy from the first piece
+/// that is not.
+struct Template<'a> {
+    sql: &'a str,
+    written: usize,
+    copy: Option<String>,
+}
+
+impl Template<'_> {
+    /// Append `piece`, which is `sql[from..]`'s start if `from` is given.
+    fn push(&mut self, from: Option<usize>, piece: &str) {
+        match &mut self.copy {
+            None if from == Some(self.written) => self.written += piece.len(),
+            None => self.copy = Some([&self.sql[..self.written], piece].concat()),
+            Some(copy) => copy.push_str(piece),
         }
-        if ch.is_whitespace() {
-            pending_space = true;
-            continue;
-        }
-        if pending_space {
-            out.push(' ');
-            pending_space = false;
-        }
-        if ch == '\'' {
-            in_str = true;
-        }
-        out.push(ch);
     }
-    out
+}
+
+fn normalize(sql: &str) -> Cow<'_, str> {
+    let bytes = sql.as_bytes();
+    let find = |from: usize, what: &[u8]| {
+        let rest = bytes.get(from..)?;
+        Some(from + rest.windows(what.len()).position(|w| w == what)?)
+    };
+    let mut out = Template {
+        sql,
+        written: 0,
+        copy: None,
+    };
+    // Blanks or comments have been skipped since the last piece; and where,
+    // if all of them was one space, which can then stand for itself.
+    let (mut gap, mut lone_space) = (false, None);
+    let mut i = 0;
+    while i < bytes.len() {
+        let comment = |open: &[u8]| bytes[i..].starts_with(open);
+        let skip_to = match bytes[i] {
+            b if b.is_ascii_whitespace() => {
+                let run = bytes[i..].iter().take_while(|b| b.is_ascii_whitespace());
+                Some(i + run.count())
+            }
+            b'-' if comment(b"--") => Some(find(i, b"\n").map_or(bytes.len(), |nl| nl + 1)),
+            b'/' if comment(b"/*") => find(i + 2, b"*/").map(|close| close + 2),
+            _ => None,
+        };
+        if let Some(end) = skip_to {
+            lone_space = (!gap && end == i + 1 && bytes[i] == b' ').then_some(i);
+            gap = true;
+            i = end;
+            continue;
+        }
+        // A piece to keep as written: a quoted run, an unterminated block
+        // comment to the end, or ordinary text up to the next byte that
+        // could open one of the above.
+        let end = match bytes[i] {
+            quote @ (b'\'' | b'"') => find(i + 1, &[quote]).map_or(bytes.len(), |q| q + 1),
+            b'/' if comment(b"/*") => bytes.len(),
+            _ => {
+                let ordinary = |b: &u8| !b.is_ascii_whitespace() && !b"'\"-/".contains(b);
+                i + 1 + bytes[i + 1..].iter().take_while(|b| ordinary(b)).count()
+            }
+        };
+        if gap && (out.written > 0 || out.copy.is_some()) {
+            out.push(lone_space, " ");
+        }
+        gap = false;
+        out.push(Some(i), &sql[i..end]);
+        i = end;
+    }
+    match out.copy {
+        Some(copy) => Cow::Owned(copy),
+        None => Cow::Borrowed(&sql[..out.written]),
+    }
 }
 
 #[cfg(test)]
@@ -316,6 +402,31 @@ mod tests {
     }
 
     #[test]
+    fn a_stream_of_unseen_templates_evicts_itself() {
+        let cache = PlanCache::new(4);
+        cache.insert("hot", plan(1));
+        for i in 0..100 {
+            assert!(cache.probe("hot", 1).is_some());
+            cache.insert(format!("adhoc {i}"), plan(1));
+        }
+        // The one template that gets hits outlives a hundred that do not,
+        // and each of those cost exactly one eviction.
+        assert!(cache.probe("hot", 1).is_some());
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.stats().evictions, 97);
+        // A slot vacated by a stale probe is refilled before anything is
+        // evicted.
+        assert!(cache.probe("adhoc 99", 2).is_none());
+        cache.insert("adhoc 100", plan(2));
+        assert_eq!(cache.stats().evictions, 97);
+        assert_eq!(cache.len(), 4);
+        // Re-inserting a cached template replaces it in place.
+        cache.insert("adhoc 100", plan(3));
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.probe("adhoc 100", 3).map(|p| p.epoch), Some(3));
+    }
+
+    #[test]
     fn normalization_collapses_whitespace_outside_strings() {
         assert_eq!(
             normalize_template("  select   x\n from\tt  where s = 'a  b' "),
@@ -330,5 +441,53 @@ mod tests {
             normalize_template("SELECT 1"),
             normalize_template("select 1")
         );
+        // Already normal text is its own key, trailing blanks or not.
+        for sql in [
+            "select x from t where s = 'a  b'",
+            "select 1 ",
+            "select 1 -- c",
+        ] {
+            assert!(matches!(normalize(sql), Cow::Borrowed(_)), "{sql}");
+        }
+        assert_eq!(&*template_key("select 1 -- c"), "select 1");
+    }
+
+    #[test]
+    fn normalization_tells_apart_what_the_lexer_tells_apart() {
+        // Quoted identifiers are names: their blanks are theirs.
+        assert_ne!(
+            normalize_template("select \"x  y\" from q"),
+            normalize_template("select \"x y\" from q")
+        );
+        // A line comment ends at its newline; fold the newline and what
+        // follows becomes comment.
+        assert_eq!(
+            normalize_template("select 1 -- c\n from t"),
+            "select 1 from t"
+        );
+        assert_eq!(normalize_template("select 1 -- c from t"), "select 1");
+        // Comments separate tokens like a blank does, and never show.
+        assert_eq!(normalize_template("select/* a */1/**/+ 2"), "select 1 + 2");
+        assert_eq!(normalize_template("/* lead */ select 1"), "select 1");
+        // Comment openers inside quotes are text.
+        assert_eq!(
+            normalize_template("select '--' ,  \"/*\" from t"),
+            "select '--' , \"/*\" from t"
+        );
+        assert_eq!(
+            normalize_template("select 'it''s  --'  from t"),
+            "select 'it''s  --' from t"
+        );
+        // What the lexer rejects stays as written, so it cannot borrow the
+        // plan of a valid text: an open comment or quote, a blank that is
+        // not ASCII.
+        assert_eq!(normalize_template("select 1 /* x  y"), "select 1 /* x  y");
+        assert_eq!(normalize_template("select 'a  b"), "select 'a  b");
+        assert_ne!(
+            normalize_template("select\u{a0}1"),
+            normalize_template("select 1")
+        );
+        // Minus and slash on their own are operators.
+        assert_eq!(normalize_template("select 4 - -2 / 2"), "select 4 - -2 / 2");
     }
 }

@@ -67,32 +67,10 @@ pub fn column_ndv(entry: &TableEntry, col: usize) -> f64 {
 pub fn conjunct_selectivity(entry: &TableEntry, expr: &PhysExpr) -> f64 {
     match expr {
         PhysExpr::Binary { op, left, right } if op.is_comparison() => {
-            // Normalise to (column, op, literal). A parameter marker has no
-            // value at plan time, but the *shape* of the predicate is known:
-            // an equality against an unknown value matches rows/ndv rows on
-            // average, so prepared templates keep selective access paths.
-            let (col, op, lit) = match (&**left, &**right) {
-                (PhysExpr::Col(c), PhysExpr::Literal(v)) => (*c, *op, v),
-                (PhysExpr::Literal(v), PhysExpr::Col(c)) => (*c, flip(*op), v),
-                (PhysExpr::Col(c), PhysExpr::Param(_)) => {
-                    return param_comparison_selectivity(entry, *c, *op)
-                }
-                (PhysExpr::Param(_), PhysExpr::Col(c)) => {
-                    return param_comparison_selectivity(entry, *c, flip(*op))
-                }
-                _ => return DEFAULT_MISC_SEL,
-            };
-            let hist = entry.stats.as_ref().and_then(|s| s.histogram(col));
-            match (op, hist) {
-                (BinOp::Eq, Some(h)) => h.selectivity_eq(lit),
-                (BinOp::Eq, None) => DEFAULT_EQ_SEL,
-                (BinOp::Neq, Some(h)) => (1.0 - h.selectivity_eq(lit)).max(0.0),
-                (BinOp::Neq, None) => 1.0 - DEFAULT_EQ_SEL,
-                (BinOp::Lt, Some(h)) => h.selectivity_lt(lit),
-                (BinOp::Le, Some(h)) => h.selectivity_le(lit),
-                (BinOp::Gt, Some(h)) => (1.0 - h.selectivity_le(lit)).max(0.0),
-                (BinOp::Ge, Some(h)) => (1.0 - h.selectivity_lt(lit)).max(0.0),
-                (_, None) => DEFAULT_RANGE_SEL,
+            // Normalise to (column, op, constant).
+            match (&**left, &**right) {
+                (PhysExpr::Col(c), rhs) => comparison_selectivity(entry, *c, *op, rhs),
+                (lhs, PhysExpr::Col(c)) => comparison_selectivity(entry, *c, flip(*op), lhs),
                 _ => DEFAULT_MISC_SEL,
             }
         }
@@ -102,13 +80,8 @@ pub fn conjunct_selectivity(entry: &TableEntry, expr: &PhysExpr) -> f64 {
             hi,
             negated,
         } => {
-            let sel = match (&**expr, lo.as_literal(), hi.as_literal()) {
-                (PhysExpr::Col(c), Some(lo), Some(hi)) => {
-                    match entry.stats.as_ref().and_then(|s| s.histogram(*c)) {
-                        Some(h) => h.selectivity_between(lo, hi),
-                        None => DEFAULT_BETWEEN_SEL,
-                    }
-                }
+            let sel = match &**expr {
+                PhysExpr::Col(c) => between_selectivity(entry, *c, lo, hi),
                 _ => DEFAULT_BETWEEN_SEL,
             };
             if *negated {
@@ -185,6 +158,49 @@ pub fn conjunct_selectivity(entry: &TableEntry, expr: &PhysExpr) -> f64 {
     }
 }
 
+/// Selectivity of `col <op> constant` over a single table — the comparison
+/// arm of [`conjunct_selectivity`], callable without building the predicate.
+/// A parameter marker has no value at plan time, but the *shape* of the
+/// predicate is known: an equality against an unknown value matches
+/// rows/ndv rows on average, so prepared templates keep selective access
+/// paths.
+pub fn comparison_selectivity(
+    entry: &TableEntry,
+    col: usize,
+    op: BinOp,
+    constant: &PhysExpr,
+) -> f64 {
+    let lit = match constant {
+        PhysExpr::Literal(v) => v,
+        PhysExpr::Param(_) => return param_comparison_selectivity(entry, col, op),
+        _ => return DEFAULT_MISC_SEL,
+    };
+    let hist = entry.stats.as_ref().and_then(|s| s.histogram(col));
+    match (op, hist) {
+        (BinOp::Eq, Some(h)) => h.selectivity_eq(lit),
+        (BinOp::Eq, None) => DEFAULT_EQ_SEL,
+        (BinOp::Neq, Some(h)) => (1.0 - h.selectivity_eq(lit)).max(0.0),
+        (BinOp::Neq, None) => 1.0 - DEFAULT_EQ_SEL,
+        (BinOp::Lt, Some(h)) => h.selectivity_lt(lit),
+        (BinOp::Le, Some(h)) => h.selectivity_le(lit),
+        (BinOp::Gt, Some(h)) => (1.0 - h.selectivity_le(lit)).max(0.0),
+        (BinOp::Ge, Some(h)) => (1.0 - h.selectivity_lt(lit)).max(0.0),
+        (_, None) => DEFAULT_RANGE_SEL,
+        _ => DEFAULT_MISC_SEL,
+    }
+}
+
+/// Selectivity of `col BETWEEN lo AND hi` over a single table.
+pub fn between_selectivity(entry: &TableEntry, col: usize, lo: &PhysExpr, hi: &PhysExpr) -> f64 {
+    match (lo.as_literal(), hi.as_literal()) {
+        (Some(lo), Some(hi)) => match entry.stats.as_ref().and_then(|s| s.histogram(col)) {
+            Some(h) => h.selectivity_between(lo, hi),
+            None => DEFAULT_BETWEEN_SEL,
+        },
+        _ => DEFAULT_BETWEEN_SEL,
+    }
+}
+
 /// Selectivity of `col <op> $n`: the bound value is unknown at plan time,
 /// so equality averages over the column's distinct values (a unique column
 /// yields one row for *any* binding) and range shapes take the same default
@@ -199,7 +215,8 @@ fn param_comparison_selectivity(entry: &TableEntry, col: usize, op: BinOp) -> f6
     }
 }
 
-fn flip(op: BinOp) -> BinOp {
+/// `op` with its operands swapped: `a < b` is `b > a`.
+pub(crate) fn flip(op: BinOp) -> BinOp {
     match op {
         BinOp::Lt => BinOp::Gt,
         BinOp::Le => BinOp::Ge,

@@ -25,7 +25,7 @@ pub use binder::{
     AttributeRef, BindArtifacts, Binder, BoundSelect, BoundStatement, BoundTable, Footprint,
     IndexRef, InsertRows, TableRef,
 };
-pub use cache::{normalize_template, CachedPlan, PlanCache, PlanCacheStats};
+pub use cache::{normalize_template, template_key, CachedPlan, PlanCache, PlanCacheStats};
 pub use expr::{AggFunc, AggSpec, PhysExpr};
 pub use optimizer::{optimize, optimize_select, OptimizerOptions, PlannedStatement};
 pub use physical::{PhysPlan, PlanNode, ProbeSource, ProbeSpec};

@@ -8,19 +8,20 @@
 //! `uses_virtual` and cannot be executed, but its estimated cost is exactly
 //! what the paper's analyzer uses to value an index recommendation.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use ingot_catalog::{Catalog, IndexEntry, TableEntry};
 use ingot_common::{ColumnSet, Cost, Error, IndexId, Result, TableId, Value};
 use ingot_sql::BinOp;
 
-use crate::binder::{table_offset, BoundSelect, BoundStatement, BoundTable, Conjunct, InsertRows};
+use crate::binder::{table_offset, BoundSelect, BoundStatement, BoundTable, InsertRows};
 use crate::cost::{
-    column_ndv, conjunct_selectivity, equi_join_cardinality, index_probe_cost, pk_lookup_cost,
-    seq_scan_cost, table_cardinality,
+    between_selectivity, column_ndv, comparison_selectivity, conjunct_selectivity,
+    equi_join_cardinality, flip, index_probe_cost, pk_lookup_cost, seq_scan_cost,
+    table_cardinality,
 };
 use crate::expr::PhysExpr;
-use crate::physical::{PhysPlan, PlanNode, ProbeSpec};
+use crate::physical::{PhysPlan, PlanNode, ProbeSource, ProbeSpec};
 
 /// Optimizer switches.
 #[derive(Debug, Clone, Copy, Default)]
@@ -204,7 +205,8 @@ pub fn optimize_select(
     opts: OptimizerOptions,
 ) -> Result<PlannedQuery> {
     let mut node;
-    let mut global_map: HashMap<usize, usize> = HashMap::new();
+    // Global (FROM-order) offset → offset in the join tree's output.
+    let mut layout: Vec<usize> = Vec::new();
 
     if s.tables.is_empty() {
         node = PlanNode {
@@ -222,13 +224,10 @@ pub fn optimize_select(
             rels.push(choose_access_path(catalog, s, i, bt, opts)?);
         }
         // 2. Left-deep DP join ordering.
-        let (plan, map) = join_order(catalog, s, rels, opts)?;
-        node = plan;
-        global_map = map;
+        (node, layout) = join_order(catalog, s, rels, opts)?;
     }
 
-    let remap =
-        |e: &PhysExpr| -> PhysExpr { e.remap(&|off| *global_map.get(&off).unwrap_or(&off)) };
+    let remap = |e: &PhysExpr| e.remap(&|off| layout.get(off).copied().unwrap_or(off));
 
     // 3. Aggregation.
     if s.is_aggregate() {
@@ -447,40 +446,61 @@ fn wrap_project(node: PlanNode, exprs: Vec<PhysExpr>) -> PlanNode {
     }
 }
 
-/// A table with its chosen access path.
-struct Rel {
-    plan: PlanNode,
-}
-
 /// Extract `(local column, constant expression)` equalities from local
 /// conjuncts. Literals and parameter markers both qualify — a prepared
 /// `id = $1` earns the same keyed access path as `id = 42`; the marker is
-/// substituted with its bound value before execution.
-fn extract_eq(conjuncts: &[PhysExpr]) -> HashMap<usize, PhysExpr> {
-    let mut out = HashMap::new();
+/// substituted with its bound value before execution. A handful of entries
+/// at most, so a vector searched by column.
+fn extract_eq(conjuncts: &[PhysExpr]) -> Vec<(usize, &PhysExpr)> {
+    let mut out: Vec<(usize, &PhysExpr)> = Vec::new();
     for c in conjuncts {
-        if let PhysExpr::Binary {
+        let PhysExpr::Binary {
             op: BinOp::Eq,
             left,
             right,
         } = c
-        {
-            match (&**left, &**right) {
-                (PhysExpr::Col(c), v @ (PhysExpr::Literal(_) | PhysExpr::Param(_)))
-                | (v @ (PhysExpr::Literal(_) | PhysExpr::Param(_)), PhysExpr::Col(c)) => {
-                    // Prefer a literal over a parameter when both equate the
-                    // same column: the literal sharpens selectivity via the
-                    // histogram.
-                    let e = out.entry(*c).or_insert_with(|| v.clone());
-                    if matches!(e, PhysExpr::Param(_)) && matches!(v, PhysExpr::Literal(_)) {
-                        *e = v.clone();
-                    }
+        else {
+            continue;
+        };
+        let (col, v) = match (&**left, &**right) {
+            (PhysExpr::Col(c), v @ (PhysExpr::Literal(_) | PhysExpr::Param(_)))
+            | (v @ (PhysExpr::Literal(_) | PhysExpr::Param(_)), PhysExpr::Col(c)) => (*c, v),
+            _ => continue,
+        };
+        match out.iter_mut().find(|(c, _)| *c == col) {
+            None => out.push((col, v)),
+            // Prefer a literal over a parameter when both equate the same
+            // column: the literal sharpens selectivity via the histogram.
+            Some((_, e)) => {
+                if matches!(e, PhysExpr::Param(_)) && matches!(v, PhysExpr::Literal(_)) {
+                    *e = v;
                 }
-                _ => {}
             }
         }
     }
     out
+}
+
+/// The constants equated with the longest prefix of `columns` that has one
+/// each, in column order.
+fn eq_prefix<'e>(
+    eqs: &'e [(usize, &'e PhysExpr)],
+    columns: &'e [usize],
+) -> impl Iterator<Item = (usize, &'e PhysExpr)> {
+    columns.iter().map_while(move |col| {
+        let (_, v) = eqs.iter().find(|(c, _)| c == col)?;
+        Some((*col, *v))
+    })
+}
+
+/// Selectivity of equating each `(column, constant)` pair.
+fn eq_selectivity<'e>(
+    entry: &TableEntry,
+    pairs: impl Iterator<Item = (usize, &'e PhysExpr)>,
+) -> f64 {
+    pairs
+        .map(|(c, v)| comparison_selectivity(entry, c, BinOp::Eq, v))
+        .product()
 }
 
 /// Extract `[lo, hi]` range bounds on `col` from local conjuncts.
@@ -489,88 +509,93 @@ fn extract_eq(conjuncts: &[PhysExpr]) -> HashMap<usize, PhysExpr> {
 /// plan time) only fills an otherwise-empty slot: the probe may then read a
 /// superset of the matching entries, which stays correct because the scan's
 /// residual filter re-checks every conjunct.
-fn extract_range(conjuncts: &[PhysExpr], col: usize) -> (Option<PhysExpr>, Option<PhysExpr>) {
-    let mut lo_lit: Option<Value> = None;
-    let mut hi_lit: Option<Value> = None;
-    let mut lo_param: Option<PhysExpr> = None;
-    let mut hi_param: Option<PhysExpr> = None;
-    let mut tighten_lo = |v: &Value| {
-        if lo_lit.as_ref().is_none_or(|cur| v > cur) {
-            lo_lit = Some(v.clone());
+fn extract_range(conjuncts: &[PhysExpr], col: usize) -> (Option<&PhysExpr>, Option<&PhysExpr>) {
+    /// `[lo, hi]`, literal and parameter bounds apart.
+    #[derive(Default)]
+    struct Bounds<'a> {
+        lit: [Option<&'a PhysExpr>; 2],
+        param: [Option<&'a PhysExpr>; 2],
+    }
+    impl<'a> Bounds<'a> {
+        fn offer(&mut self, hi: bool, e: &'a PhysExpr) {
+            let slot = usize::from(hi);
+            match e {
+                PhysExpr::Literal(v) => {
+                    let cur = self.lit[slot].and_then(PhysExpr::as_literal);
+                    if cur.is_none_or(|cur| if hi { v < cur } else { v > cur }) {
+                        self.lit[slot] = Some(e);
+                    }
+                }
+                PhysExpr::Param(_) => {
+                    self.param[slot].get_or_insert(e);
+                }
+                _ => {}
+            }
         }
-    };
-    let mut tighten_hi = |v: &Value| {
-        if hi_lit.as_ref().is_none_or(|cur| v < cur) {
-            hi_lit = Some(v.clone());
-        }
-    };
+    }
+    let mut bounds = Bounds::default();
     for c in conjuncts {
         match c {
             PhysExpr::Binary { op, left, right } if op.is_comparison() => {
                 let (c2, op, v) = match (&**left, &**right) {
-                    (PhysExpr::Col(c2), v @ (PhysExpr::Literal(_) | PhysExpr::Param(_))) => {
-                        (*c2, *op, v)
-                    }
-                    (v @ (PhysExpr::Literal(_) | PhysExpr::Param(_)), PhysExpr::Col(c2)) => (
-                        *c2,
-                        match op {
-                            BinOp::Lt => BinOp::Gt,
-                            BinOp::Le => BinOp::Ge,
-                            BinOp::Gt => BinOp::Lt,
-                            BinOp::Ge => BinOp::Le,
-                            o => *o,
-                        },
-                        v,
-                    ),
+                    (PhysExpr::Col(c2), v) => (*c2, *op, v),
+                    (v, PhysExpr::Col(c2)) => (*c2, flip(*op), v),
                     _ => continue,
                 };
                 if c2 != col {
                     continue;
                 }
-                match (op, v) {
-                    (BinOp::Gt | BinOp::Ge, PhysExpr::Literal(v)) => tighten_lo(v),
-                    (BinOp::Lt | BinOp::Le, PhysExpr::Literal(v)) => tighten_hi(v),
-                    (BinOp::Gt | BinOp::Ge, p @ PhysExpr::Param(_)) => {
-                        lo_param.get_or_insert_with(|| p.clone());
-                    }
-                    (BinOp::Lt | BinOp::Le, p @ PhysExpr::Param(_)) => {
-                        hi_param.get_or_insert_with(|| p.clone());
-                    }
+                match op {
+                    BinOp::Gt | BinOp::Ge => bounds.offer(false, v),
+                    BinOp::Lt | BinOp::Le => bounds.offer(true, v),
                     _ => {}
                 }
             }
             PhysExpr::Between {
                 expr,
-                lo: l,
-                hi: h,
+                lo,
+                hi,
                 negated: false,
-            } => {
-                let PhysExpr::Col(c2) = &**expr else { continue };
-                if *c2 != col {
-                    continue;
-                }
-                match &**l {
-                    PhysExpr::Literal(v) => tighten_lo(v),
-                    p @ PhysExpr::Param(_) => {
-                        lo_param.get_or_insert_with(|| p.clone());
-                    }
-                    _ => {}
-                }
-                match &**h {
-                    PhysExpr::Literal(v) => tighten_hi(v),
-                    p @ PhysExpr::Param(_) => {
-                        hi_param.get_or_insert_with(|| p.clone());
-                    }
-                    _ => {}
-                }
+            } if **expr == PhysExpr::Col(col) => {
+                bounds.offer(false, lo);
+                bounds.offer(true, hi);
             }
             _ => {}
         }
     }
-    (
-        lo_lit.map(PhysExpr::Literal).or(lo_param),
-        hi_lit.map(PhysExpr::Literal).or(hi_param),
-    )
+    let Bounds { lit, param } = bounds;
+    (lit[0].or(param[0]), lit[1].or(param[1]))
+}
+
+/// Table `i`'s own conjuncts, remapped to its local offsets. Constant
+/// conjuncts (mask 0) are attached to the first table.
+fn local_conjuncts(s: &BoundSelect, i: usize, base: usize) -> Vec<PhysExpr> {
+    s.conjuncts
+        .iter()
+        .filter(|c| c.tables == 1 << i || (c.tables == 0 && i == 0))
+        .map(|c| c.expr.remap(&|off| off - base))
+        .collect()
+}
+
+/// One way to read a base table, costed but not built: the candidates are
+/// compared as numbers and only the winner becomes a plan node.
+enum Access<'a> {
+    SeqScan,
+    /// Clustered probe on this many leading primary-key columns.
+    PkLookup(usize),
+    Index(&'a IndexEntry, Probe<'a>),
+}
+
+enum Probe<'a> {
+    /// Equality on this many leading index columns.
+    Eq(usize),
+    /// `[lo, hi]` on the first index column.
+    Range(Option<&'a PhysExpr>, Option<&'a PhysExpr>),
+}
+
+/// The winner's probe keys, copied out of the conjuncts they were found in.
+fn probe_keys(eqs: &[(usize, &PhysExpr)], prefix: &[usize]) -> Vec<PhysExpr> {
+    eq_prefix(eqs, prefix).map(|(_, v)| v.clone()).collect()
 }
 
 fn choose_access_path(
@@ -579,112 +604,56 @@ fn choose_access_path(
     i: usize,
     bt: &BoundTable,
     opts: OptimizerOptions,
-) -> Result<Rel> {
-    let base = table_offset(&s.tables, i);
+) -> Result<PlanNode> {
+    let local = local_conjuncts(s, i, table_offset(&s.tables, i));
     let width = bt.schema.len();
     if bt.is_virtual {
         // IMA virtual table: memory-only scan, unknown but small cardinality.
-        let local: Vec<PhysExpr> = s
-            .conjuncts
-            .iter()
-            .filter(|c| c.tables == 1 << i || (c.tables == 0 && i == 0))
-            .map(|c| c.expr.remap(&|off| off - base))
-            .collect();
-        let name = catalog
-            .virtual_table(bt.table)
-            .map(|d| d.name.clone())
-            .unwrap_or_else(|| bt.alias.clone());
-        return Ok(Rel {
-            plan: PlanNode {
-                op: PhysPlan::VirtualScan {
-                    table: bt.table,
-                    table_name: name,
-                    width,
-                    filter: combine(&local),
-                },
-                est_rows: 1000.0,
-                est_cost: Cost::cpu(1000.0),
+        let table_name = match catalog.virtual_table(bt.table) {
+            Some(d) => Arc::clone(&d.name),
+            None => bt.alias.as_str().into(),
+        };
+        return Ok(PlanNode {
+            op: PhysPlan::VirtualScan {
+                table: bt.table,
+                table_name,
+                width,
+                filter: combine(local),
             },
+            est_rows: 1000.0,
+            est_cost: Cost::cpu(1000.0),
         });
     }
     let entry = catalog.table(bt.table)?;
-    // Single-table conjuncts, remapped to local offsets. Constant conjuncts
-    // (mask 0) are attached to the first table.
-    let local: Vec<PhysExpr> = s
-        .conjuncts
-        .iter()
-        .filter(|c| c.tables == 1 << i || (c.tables == 0 && i == 0))
-        .map(|c| c.expr.remap(&|off| off - base))
-        .collect();
     let card = table_cardinality(entry);
     let sel: f64 = local
         .iter()
         .map(|e| conjunct_selectivity(entry, e))
         .product();
     let out_rows = (card * sel).max(1.0);
-    let filter = combine(&local);
+    let eqs = extract_eq(&local);
 
     // Candidate 1: sequential scan.
-    let mut best = PlanNode {
-        op: PhysPlan::SeqScan {
-            table: bt.table,
-            table_name: entry.meta.name.clone(),
-            width,
-            filter: filter.clone(),
-            needed: ColumnSet::all(),
-        },
-        est_rows: out_rows,
-        est_cost: seq_scan_cost(entry),
-    };
+    let mut best = (seq_scan_cost(entry), out_rows, Access::SeqScan);
     let mut best_virtual = false;
-
-    let eqs = extract_eq(&local);
 
     // Candidate 2: clustered primary-key probe (full key or any leading
     // prefix of it — the tree serves both).
-    if entry.primary.is_some() && !entry.meta.primary_key.is_empty() {
-        let mut key: Vec<PhysExpr> = Vec::new();
-        for c in &entry.meta.primary_key {
-            match eqs.get(c) {
-                Some(v) => key.push(v.clone()),
-                None => break,
-            }
-        }
-        if !key.is_empty() {
-            let full = key.len() == entry.meta.primary_key.len();
-            let (cost, rows) = if full {
-                (pk_lookup_cost(entry), 1.0)
-            } else {
-                let prefix_sel: f64 = entry.meta.primary_key[..key.len()]
-                    .iter()
-                    .zip(&key)
-                    .map(|(c, v)| {
-                        let pred = PhysExpr::Binary {
-                            op: BinOp::Eq,
-                            left: Box::new(PhysExpr::Col(*c)),
-                            right: Box::new(v.clone()),
-                        };
-                        conjunct_selectivity(entry, &pred)
-                    })
-                    .product();
-                let matching = (card * prefix_sel).max(1.0);
-                (index_probe_cost(entry, matching), matching)
-            };
-            if cost.cheaper_than(&best.est_cost) {
-                best = PlanNode {
-                    op: PhysPlan::PkLookup {
-                        table: bt.table,
-                        table_name: entry.meta.name.clone(),
-                        width,
-                        key,
-                        filter: filter.clone(),
-                        needed: ColumnSet::all(),
-                    },
-                    est_rows: (rows * sel).max(1.0).min(rows),
-                    est_cost: cost,
-                };
-                best_virtual = false;
-            }
+    let pk = &entry.meta.primary_key;
+    let key_len = eq_prefix(&eqs, pk).count();
+    if entry.primary.is_some() && key_len > 0 {
+        let (cost, rows) = if key_len == pk.len() {
+            (pk_lookup_cost(entry), 1.0)
+        } else {
+            let matching = (card * eq_selectivity(entry, eq_prefix(&eqs, pk))).max(1.0);
+            (index_probe_cost(entry, matching), matching)
+        };
+        if cost.cheaper_than(&best.0) {
+            best = (
+                cost,
+                (rows * sel).max(1.0).min(rows),
+                Access::PkLookup(key_len),
+            );
         }
     }
 
@@ -693,423 +662,434 @@ fn choose_access_path(
         if idx.meta.is_virtual && !opts.include_virtual {
             continue;
         }
-        let candidate = index_candidate(entry, idx, &local, &eqs, card, filter.clone(), width, bt);
-        if let Some(cand) = candidate {
-            let better = cand.est_cost.cheaper_than(&best.est_cost)
-                // Tie-break: prefer a real index over a virtual one.
-                || (cand.est_cost == best.est_cost && best_virtual && !idx.meta.is_virtual);
-            if better {
-                best_virtual = idx.meta.is_virtual;
-                best = cand;
-            }
-        }
-    }
-
-    Ok(Rel { plan: best })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn index_candidate(
-    entry: &TableEntry,
-    idx: &IndexEntry,
-    local: &[PhysExpr],
-    eqs: &HashMap<usize, PhysExpr>,
-    card: f64,
-    filter: Option<PhysExpr>,
-    width: usize,
-    bt: &BoundTable,
-) -> Option<PlanNode> {
-    // Longest equality prefix over the index columns.
-    let mut prefix: Vec<PhysExpr> = Vec::new();
-    for col in &idx.meta.columns {
-        match eqs.get(col) {
-            Some(v) => prefix.push(v.clone()),
-            None => break,
-        }
-    }
-    let (probe, matching) = if !prefix.is_empty() {
-        // Selectivity of the consumed equalities.
-        let sel: f64 = idx.meta.columns[..prefix.len()]
-            .iter()
-            .zip(&prefix)
-            .map(|(c, v)| {
-                let pred = PhysExpr::Binary {
-                    op: BinOp::Eq,
-                    left: Box::new(PhysExpr::Col(*c)),
-                    right: Box::new(v.clone()),
-                };
-                conjunct_selectivity(entry, &pred)
-            })
-            .product();
-        (ProbeSpec::Eq(prefix), (card * sel).max(1.0))
-    } else {
-        // Range on the first index column.
-        let first = idx.meta.columns[0];
-        let (lo, hi) = extract_range(local, first);
-        if lo.is_none() && hi.is_none() {
-            return None;
-        }
-        let pred = PhysExpr::Between {
-            expr: Box::new(PhysExpr::Col(first)),
-            lo: Box::new(lo.clone().unwrap_or(PhysExpr::Literal(Value::Null))),
-            hi: Box::new(hi.clone().unwrap_or(PhysExpr::Literal(Value::Null))),
-            negated: false,
-        };
-        let sel = if lo.is_some() && hi.is_some() {
-            conjunct_selectivity(entry, &pred)
+        // Longest equality prefix over the index columns, else a range on
+        // the first of them.
+        let prefix_len = eq_prefix(&eqs, &idx.meta.columns).count();
+        let (probe, probe_sel) = if prefix_len > 0 {
+            let prefix = eq_prefix(&eqs, &idx.meta.columns);
+            (Probe::Eq(prefix_len), eq_selectivity(entry, prefix))
         } else {
-            crate::cost::DEFAULT_RANGE_SEL
+            let first = idx.meta.columns[0];
+            let (lo, hi) = extract_range(&local, first);
+            let probe_sel = match (lo, hi) {
+                (None, None) => continue,
+                (Some(lo), Some(hi)) => between_selectivity(entry, first, lo, hi),
+                _ => crate::cost::DEFAULT_RANGE_SEL,
+            };
+            (Probe::Range(lo, hi), probe_sel)
         };
-        (ProbeSpec::Range { lo, hi }, (card * sel).max(1.0))
-    };
-    let total_sel: f64 = local
-        .iter()
-        .map(|e| conjunct_selectivity(entry, e))
-        .product();
-    Some(PlanNode {
-        op: PhysPlan::IndexScan {
-            table: bt.table,
-            table_name: entry.meta.name.clone(),
-            index: idx.meta.id,
-            index_name: idx.meta.name.clone(),
+        let cost = index_probe_cost(entry, (card * probe_sel).max(1.0));
+        let better = cost.cheaper_than(&best.0)
+            // Tie-break: prefer a real index over a virtual one.
+            || (cost == best.0 && best_virtual && !idx.meta.is_virtual);
+        if better {
+            best_virtual = idx.meta.is_virtual;
+            best = (cost, out_rows, Access::Index(idx, probe));
+        }
+    }
+
+    // Build the winner. Its probe keys are copied out of the conjuncts; the
+    // conjuncts themselves then move into the filter.
+    let (est_cost, est_rows, access) = best;
+    let (table, table_name) = (bt.table, Arc::clone(&entry.meta.name));
+    let needed = ColumnSet::all();
+    let mut op = match access {
+        Access::SeqScan => PhysPlan::SeqScan {
+            table,
+            table_name,
             width,
-            probe,
-            filter,
-            needed: ColumnSet::all(),
+            filter: None,
+            needed,
         },
-        est_rows: (card * total_sel).max(1.0),
-        est_cost: index_probe_cost(entry, matching),
+        Access::PkLookup(n) => PhysPlan::PkLookup {
+            table,
+            table_name,
+            width,
+            key: probe_keys(&eqs, &pk[..n]),
+            filter: None,
+            needed,
+        },
+        Access::Index(idx, probe) => PhysPlan::IndexScan {
+            table,
+            table_name,
+            index: idx.meta.id,
+            index_name: Arc::clone(&idx.meta.name),
+            width,
+            probe: match probe {
+                Probe::Eq(n) => ProbeSpec::Eq(probe_keys(&eqs, &idx.meta.columns[..n])),
+                Probe::Range(lo, hi) => ProbeSpec::Range {
+                    lo: lo.cloned(),
+                    hi: hi.cloned(),
+                },
+            },
+            filter: None,
+            needed,
+        },
+    };
+    if let PhysPlan::SeqScan { filter, .. }
+    | PhysPlan::PkLookup { filter, .. }
+    | PhysPlan::IndexScan { filter, .. } = &mut op
+    {
+        *filter = combine(local);
+    }
+    Ok(PlanNode {
+        op,
+        est_rows,
+        est_cost,
     })
 }
 
-fn combine(conjuncts: &[PhysExpr]) -> Option<PhysExpr> {
-    let mut it = conjuncts.iter().cloned();
-    let first = it.next()?;
-    Some(it.fold(first, |acc, e| PhysExpr::Binary {
+fn combine(conjuncts: Vec<PhysExpr>) -> Option<PhysExpr> {
+    conjuncts.into_iter().reduce(|acc, e| PhysExpr::Binary {
         op: BinOp::And,
         left: Box::new(acc),
         right: Box::new(e),
-    }))
+    })
 }
 
-struct DpState {
-    plan: PlanNode,
-    /// global offset → offset in this state's layout.
-    map: HashMap<usize, usize>,
+/// How a join step reaches the table it adds.
+#[derive(Clone, Copy)]
+enum JoinMethod<'a> {
+    Hash,
+    NestedLoop,
+    /// Index nested loop through the inner table's clustered tree (`None`)
+    /// or a secondary index.
+    Probe(Option<&'a IndexEntry>),
 }
 
-/// Conjuncts applied once `mask` is covered (multi-table only).
-fn applied(conjuncts: &[Conjunct], mask: u64) -> Vec<usize> {
-    conjuncts
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.tables.count_ones() >= 2 && c.tables & !mask == 0)
-        .map(|(i, _)| i)
-        .collect()
+/// The cheapest known way to produce one subset of the FROM tables, as
+/// numbers and a recipe. No plan node exists for a subset until the full
+/// set's winner is known; then the one chain of recipes is built.
+#[derive(Clone, Copy)]
+struct DpState<'a> {
+    cost: Cost,
+    rows: f64,
+    /// `None`: a single table's access path. Otherwise the subset this one
+    /// extends, the table it adds and how.
+    step: Option<(u64, usize, JoinMethod<'a>)>,
+}
+
+/// What the conjuncts that become applicable at one join step amount to:
+/// equi-key offsets (left: in the outer layout, right: in the added table),
+/// the conjuncts left over as residual predicates, and the selectivity of
+/// them all. Reused across steps, so costing a step allocates nothing.
+#[derive(Default)]
+struct JoinKeys {
+    left: Vec<usize>,
+    right: Vec<usize>,
+    residual: Vec<usize>,
+    sel: f64,
+}
+
+/// Left-deep dynamic programming over table subsets.
+struct JoinOrder<'a> {
+    catalog: &'a Catalog,
+    s: &'a BoundSelect,
+    opts: OptimizerOptions,
+    /// Per table: its chosen access path, until the build moves it out.
+    rels: Vec<PlanNode>,
+    /// Per table: where it starts in the global (FROM-order) layout.
+    bases: Vec<usize>,
+    /// Per global offset: the table that owns it.
+    owner: Vec<usize>,
+    /// Per subset mask: the best state found so far.
+    best: Vec<Option<DpState<'a>>>,
 }
 
 fn join_order(
     catalog: &Catalog,
     s: &BoundSelect,
-    rels: Vec<Rel>,
+    rels: Vec<PlanNode>,
     opts: OptimizerOptions,
-) -> Result<(PlanNode, HashMap<usize, usize>)> {
+) -> Result<(PlanNode, Vec<usize>)> {
     let n = s.tables.len();
     if n > 16 {
         return Err(Error::plan(format!("too many joined tables ({n} > 16)")));
     }
-    let full: u64 = if n == 64 { u64::MAX } else { (1 << n) - 1 };
-    let mut best: HashMap<u64, DpState> = HashMap::new();
-
-    for (i, rel) in rels.iter().enumerate() {
-        let base = table_offset(&s.tables, i);
-        let mut map = HashMap::new();
-        for j in 0..s.tables[i].schema.len() {
-            map.insert(base + j, j);
-        }
-        best.insert(
-            1 << i,
-            DpState {
-                plan: rel.plan.clone(),
-                map,
-            },
-        );
-    }
-
-    // Enumerate masks by population count.
-    for size in 1..n {
-        let masks: Vec<u64> = best
-            .keys()
-            .copied()
-            .filter(|m| m.count_ones() as usize == size)
-            .collect();
-        for mask in masks {
-            for j in 0..n {
-                if mask & (1 << j) != 0 {
-                    continue;
-                }
-                let new_mask = mask | (1 << j);
-                let cand = {
-                    let state = best.get(&mask).expect("state exists");
-                    extend_state(catalog, s, &rels, state, mask, j, opts)?
-                };
-                let replace = match best.get(&new_mask) {
-                    Some(existing) => cand.plan.est_cost.cheaper_than(&existing.plan.est_cost),
-                    None => true,
-                };
-                if replace {
-                    best.insert(new_mask, cand);
-                }
-            }
-        }
-    }
-
-    let final_state = best
-        .remove(&full)
-        .ok_or_else(|| Error::plan("join enumeration failed"))?;
-    Ok((final_state.plan, final_state.map))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn extend_state(
-    catalog: &Catalog,
-    s: &BoundSelect,
-    rels: &[Rel],
-    state: &DpState,
-    mask: u64,
-    j: usize,
-    opts: OptimizerOptions,
-) -> Result<DpState> {
-    let new_mask = mask | (1 << j);
-    let left_width = state.plan.width();
-    let right = &rels[j].plan;
-    let base_j = table_offset(&s.tables, j);
-
-    // New layout map: left's entries + table j appended.
-    let mut map = state.map.clone();
-    for k in 0..s.tables[j].schema.len() {
-        map.insert(base_j + k, left_width + k);
-    }
-
-    // Conjuncts that become applicable at this join.
-    let before = applied(&s.conjuncts, mask);
-    let now = applied(&s.conjuncts, new_mask);
-    let fresh: Vec<&Conjunct> = now
-        .iter()
-        .filter(|i| !before.contains(i))
-        .map(|&i| &s.conjuncts[i])
-        .collect();
-
-    // Partition into hash-join equi keys and residual predicates.
-    let mut left_keys = Vec::new();
-    let mut right_keys = Vec::new();
-    let mut residual = Vec::new();
-    let mut join_sel = 1.0f64;
-    for c in &fresh {
-        let mut consumed = false;
-        if let PhysExpr::Binary {
-            op: BinOp::Eq,
-            left: cl,
-            right: cr,
-        } = &c.expr
-        {
-            if let (PhysExpr::Col(a), PhysExpr::Col(b)) = (&**cl, &**cr) {
-                let (a, b) = (*a, *b);
-                let a_side = side_of(s, a);
-                let b_side = side_of(s, b);
-                let (l_off, r_off) = if a_side == j && b_side != j {
-                    (b, a)
-                } else if b_side == j && a_side != j {
-                    (a, b)
-                } else {
-                    (usize::MAX, usize::MAX)
-                };
-                if l_off != usize::MAX && state.map.contains_key(&l_off) {
-                    left_keys.push(state.map[&l_off]);
-                    right_keys.push(r_off - base_j);
-                    // Join selectivity from NDVs.
-                    let (lt, lc) = table_col_of(s, l_off);
-                    let (rt, rc) = table_col_of(s, r_off);
-                    let l_rows = state.plan.est_rows;
-                    let r_rows = right.est_rows;
-                    let l_ndv = catalog
-                        .table(s.tables[lt].table)
-                        .map(|e| column_ndv(e, lc))
-                        .unwrap_or(100.0);
-                    let r_ndv = catalog
-                        .table(s.tables[rt].table)
-                        .map(|e| column_ndv(e, rc))
-                        .unwrap_or(100.0);
-                    let out = equi_join_cardinality(l_rows, r_rows, l_ndv, r_ndv);
-                    join_sel *= out / (l_rows * r_rows).max(1.0);
-                    consumed = true;
-                }
-            }
-        }
-        if !consumed {
-            residual.push(c.expr.remap(&|off| map[&off]));
-            join_sel *= 0.5;
-        }
-    }
-
-    let out_rows = (state.plan.est_rows * right.est_rows * join_sel).max(1.0);
-    // Candidate: index nested-loop ("probe") join — valid when the first
-    // equi-key column has a keyed structure on table j.
-    let probe_candidate = if left_keys.is_empty() || s.tables[j].is_virtual {
-        None
-    } else {
-        build_probe_join(
-            catalog,
-            s,
-            state,
-            j,
-            &left_keys,
-            &right_keys,
-            out_rows,
-            opts,
-        )?
+    let full: u64 = (1 << n) - 1;
+    let mut dp = JoinOrder {
+        catalog,
+        s,
+        opts,
+        bases: (0..n).map(|i| table_offset(&s.tables, i)).collect(),
+        owner: (0..n)
+            .flat_map(|i| std::iter::repeat_n(i, s.tables[i].schema.len()))
+            .collect(),
+        best: vec![None; 1 << n],
+        rels,
     };
-    let plan = if !left_keys.is_empty() {
-        let est_cost = state.plan.est_cost
-            + right.est_cost
-            + Cost::cpu(state.plan.est_rows + right.est_rows + out_rows);
-        PlanNode {
-            op: PhysPlan::HashJoin {
-                left: Box::new(state.plan.clone()),
-                right: Box::new(right.clone()),
-                left_keys,
-                right_keys,
-                filter: combine(&residual),
-            },
-            est_rows: out_rows,
-            est_cost,
-        }
-    } else {
-        // Nested loop: the inner is re-evaluated per outer row.
-        let rescans = state.plan.est_rows.max(1.0);
-        let inner = Cost::new(right.est_cost.cpu * rescans, right.est_cost.io * rescans);
-        let est_cost = state.plan.est_cost + inner + Cost::cpu(out_rows);
-        PlanNode {
-            op: PhysPlan::NestedLoopJoin {
-                left: Box::new(state.plan.clone()),
-                right: Box::new(right.clone()),
-                on: combine(&residual),
-            },
-            est_rows: out_rows,
-            est_cost,
-        }
-    };
-    let plan = match probe_candidate {
-        Some(p) if p.est_cost.cheaper_than(&plan.est_cost) => p,
-        _ => plan,
-    };
-    Ok(DpState { plan, map })
-}
-
-/// Build the probe-join candidate for joining `state` with table `j` on the
-/// first equi-key pair. Returns `None` when no keyed structure serves the
-/// join column.
-#[allow(clippy::too_many_arguments)]
-fn build_probe_join(
-    catalog: &Catalog,
-    s: &BoundSelect,
-    state: &DpState,
-    j: usize,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    out_rows: f64,
-    opts: OptimizerOptions,
-) -> Result<Option<PlanNode>> {
-    use crate::physical::ProbeSource;
-    let entry = catalog.table(s.tables[j].table)?;
-    let join_col = right_keys[0];
-    // Locate a probe source: clustered tree or an index leading with the
-    // join column.
-    let mut source = None;
-    if entry.primary.is_some() && entry.meta.primary_key.first() == Some(&join_col) {
-        source = Some(ProbeSource::PrimaryTree);
-    } else {
-        for idx in catalog.indexes_of(s.tables[j].table) {
-            if idx.meta.is_virtual && !opts.include_virtual {
-                continue;
-            }
-            if idx.meta.columns.first() == Some(&join_col) {
-                source = Some(ProbeSource::Index(idx.meta.id, idx.meta.name.clone()));
-                break;
-            }
-        }
-    }
-    let Some(source) = source else {
-        return Ok(None);
-    };
-
-    let left_width = state.plan.width();
-    let base_j = table_offset(&s.tables, j);
-    let width = s.tables[j].schema.len();
-    // Residual filter: table j's own conjuncts + remaining equi pairs, over
-    // the concatenated layout.
-    let mut filter_parts: Vec<PhysExpr> = s
-        .conjuncts
-        .iter()
-        .filter(|c| c.tables == 1 << j)
-        .map(|c| c.expr.remap(&|off| left_width + (off - base_j)))
-        .collect();
-    for (l, r) in left_keys.iter().zip(right_keys.iter()).skip(1) {
-        filter_parts.push(PhysExpr::Binary {
-            op: BinOp::Eq,
-            left: Box::new(PhysExpr::Col(*l)),
-            right: Box::new(PhysExpr::Col(left_width + *r)),
+    let mut keys = JoinKeys::default();
+    for (i, rel) in dp.rels.iter().enumerate() {
+        dp.best[1 << i] = Some(DpState {
+            cost: rel.est_cost,
+            rows: rel.est_rows,
+            step: None,
         });
     }
-
-    // Cost: per outer row, one tree descent plus one heap fetch per match.
-    let card_j = table_cardinality(entry);
-    let matches_per_probe = (card_j / column_ndv(entry, join_col)).max(1.0);
-    let height = (card_j.max(2.0).log(crate::cost::INDEX_ENTRIES_PER_LEAF))
-        .ceil()
-        .max(1.0);
-    let probes = state.plan.est_rows.max(1.0);
-    // Per-probe CPU: a tree descent walks ~height node pages linearly, which
-    // costs real work even when allocation-free (≈ a handful of tuple units
-    // per level), plus one unit per fetched match.
-    let est_cost = state.plan.est_cost
-        + Cost::new(
-            probes * (8.0 * height + matches_per_probe),
-            probes * (height * 0.2 + crate::cost::RANDOM_IO_WEIGHT * matches_per_probe),
-        );
-    Ok(Some(PlanNode {
-        op: PhysPlan::ProbeJoin {
-            left: Box::new(state.plan.clone()),
-            table: s.tables[j].table,
-            table_name: entry.meta.name.clone(),
-            width,
-            // `left_keys` already holds state-local offsets.
-            left_key: left_keys[0],
-            source,
-            filter: combine(&filter_parts),
-            needed: ColumnSet::all(),
-        },
-        est_rows: out_rows,
-        est_cost,
-    }))
-}
-
-/// Which FROM-table owns global offset `off`.
-fn side_of(s: &BoundSelect, off: usize) -> usize {
-    let mut acc = 0;
-    for (i, t) in s.tables.iter().enumerate() {
-        acc += t.schema.len();
-        if off < acc {
-            return i;
+    // Every strict subset of a mask is a smaller number, so by the time a
+    // mask is extended its own state is final. Of equally cheap candidates
+    // for one subset the first found stays: ascending outer mask, then
+    // ascending added table.
+    for mask in 1..full {
+        for j in (0..n).filter(|j| mask & (1 << j) == 0) {
+            let cand = dp.extend(mask, j, &mut keys)?;
+            let slot = &mut dp.best[(mask | 1 << j) as usize];
+            if (*slot).is_none_or(|existing| cand.cost.cheaper_than(&existing.cost)) {
+                *slot = Some(cand);
+            }
         }
     }
-    s.tables.len() - 1
+    let plan = dp.build(full, &mut keys)?;
+    let layout = (0..dp.owner.len())
+        .map(|off| dp.local_offset(full, off))
+        .collect();
+    Ok((plan, layout))
 }
 
-/// `(table index, local column)` of global offset `off`.
-fn table_col_of(s: &BoundSelect, off: usize) -> (usize, usize) {
-    let t = side_of(s, off);
-    (t, off - table_offset(&s.tables, t))
+impl<'a> JoinOrder<'a> {
+    fn state(&self, mask: u64) -> Result<DpState<'a>> {
+        self.best[mask as usize].ok_or_else(|| Error::plan("join enumeration failed"))
+    }
+
+    /// Columns the tables of `mask` have between them.
+    fn width(&self, mask: u64) -> usize {
+        let tables = self.s.tables.iter().enumerate();
+        tables
+            .filter(|(i, _)| mask & (1 << i) != 0)
+            .map(|(_, t)| t.schema.len())
+            .sum()
+    }
+
+    /// Where global offset `off` sits in the output layout of `mask`'s best
+    /// state: tables are laid out in the order the recipe chain joined them,
+    /// so walk back to the step that added the owner.
+    fn local_offset(&self, mut mask: u64, off: usize) -> usize {
+        let t = self.owner[off];
+        while let Some(Some((left, j, _))) = self.best[mask as usize].map(|st| st.step) {
+            if j == t {
+                return self.width(left) + off - self.bases[t];
+            }
+            mask = left;
+        }
+        off - self.bases[t]
+    }
+
+    /// Sort the conjuncts that become applicable when `j` joins `mask` into
+    /// `keys`.
+    fn join_keys(&self, mask: u64, j: usize, keys: &mut JoinKeys) -> Result<()> {
+        let (s, new_mask) = (self.s, mask | 1 << j);
+        let outer = self.state(mask)?;
+        let right_rows = self.rels[j].est_rows;
+        keys.left.clear();
+        keys.right.clear();
+        keys.residual.clear();
+        keys.sel = 1.0;
+        let fresh = s.conjuncts.iter().enumerate().filter(|(_, c)| {
+            c.tables.count_ones() >= 2 && c.tables & !new_mask == 0 && c.tables & !mask != 0
+        });
+        for (ci, c) in fresh {
+            // An equality between a column of `j` and one of the outer side
+            // is a hash/probe key; anything else is a residual predicate.
+            let pair = match &c.expr {
+                PhysExpr::Binary {
+                    op: BinOp::Eq,
+                    left,
+                    right,
+                } => match (&**left, &**right) {
+                    (PhysExpr::Col(a), PhysExpr::Col(b)) => {
+                        match (self.owner[*a] == j, self.owner[*b] == j) {
+                            (true, false) => Some((*b, *a)),
+                            (false, true) => Some((*a, *b)),
+                            _ => None,
+                        }
+                    }
+                    _ => None,
+                },
+                _ => None,
+            };
+            let Some((l_off, r_off)) = pair else {
+                keys.residual.push(ci);
+                keys.sel *= 0.5;
+                continue;
+            };
+            keys.left.push(self.local_offset(mask, l_off));
+            keys.right.push(r_off - self.bases[j]);
+            // Join selectivity from NDVs.
+            let ndv = |off: usize| {
+                let t = self.owner[off];
+                self.catalog
+                    .table(s.tables[t].table)
+                    .map(|e| column_ndv(e, off - self.bases[t]))
+                    .unwrap_or(100.0)
+            };
+            let out = equi_join_cardinality(outer.rows, right_rows, ndv(l_off), ndv(r_off));
+            keys.sel *= out / (outer.rows * right_rows).max(1.0);
+        }
+        Ok(())
+    }
+
+    /// Cost joining table `j` to the best state of `mask`.
+    fn extend(&self, mask: u64, j: usize, keys: &mut JoinKeys) -> Result<DpState<'a>> {
+        self.join_keys(mask, j, keys)?;
+        let outer = self.state(mask)?;
+        let right = &self.rels[j];
+        let out_rows = (outer.rows * right.est_rows * keys.sel).max(1.0);
+        let (mut cost, mut method) = if keys.left.is_empty() {
+            // Nested loop: the inner is re-evaluated per outer row.
+            let rescans = outer.rows.max(1.0);
+            let inner = Cost::new(right.est_cost.cpu * rescans, right.est_cost.io * rescans);
+            (
+                outer.cost + inner + Cost::cpu(out_rows),
+                JoinMethod::NestedLoop,
+            )
+        } else {
+            let cpu = Cost::cpu(outer.rows + right.est_rows + out_rows);
+            (outer.cost + right.est_cost + cpu, JoinMethod::Hash)
+        };
+        // Candidate: index nested-loop ("probe") join — valid when the first
+        // equi-key column has a keyed structure on table j.
+        if let (Some(&join_col), false) = (keys.right.first(), self.s.tables[j].is_virtual) {
+            if let Some((probe_cost, via)) = self.probe_join(outer, j, join_col)? {
+                if probe_cost.cheaper_than(&cost) {
+                    (cost, method) = (probe_cost, JoinMethod::Probe(via));
+                }
+            }
+        }
+        Ok(DpState {
+            cost,
+            rows: out_rows,
+            step: Some((mask, j, method)),
+        })
+    }
+
+    /// Cost probing table `j` once per row of `outer` on `join_col`: through
+    /// the clustered tree or the first index leading with the join column.
+    /// `None` when no keyed structure serves it.
+    fn probe_join(
+        &self,
+        outer: DpState<'a>,
+        j: usize,
+        join_col: usize,
+    ) -> Result<Option<(Cost, Option<&'a IndexEntry>)>> {
+        let table = self.s.tables[j].table;
+        let entry = self.catalog.table(table)?;
+        let via = if entry.primary.is_some() && entry.meta.primary_key.first() == Some(&join_col) {
+            None
+        } else {
+            let serves = |idx: &&IndexEntry| {
+                (!idx.meta.is_virtual || self.opts.include_virtual)
+                    && idx.meta.columns.first() == Some(&join_col)
+            };
+            match self.catalog.indexes_of(table).into_iter().find(serves) {
+                Some(idx) => Some(idx),
+                None => return Ok(None),
+            }
+        };
+        // Cost: per outer row, one tree descent plus one heap fetch per match.
+        let card_j = table_cardinality(entry);
+        let matches_per_probe = (card_j / column_ndv(entry, join_col)).max(1.0);
+        let height = (card_j.max(2.0).log(crate::cost::INDEX_ENTRIES_PER_LEAF))
+            .ceil()
+            .max(1.0);
+        let probes = outer.rows.max(1.0);
+        // Per-probe CPU: a tree descent walks ~height node pages linearly, which
+        // costs real work even when allocation-free (≈ a handful of tuple units
+        // per level), plus one unit per fetched match.
+        let cost = outer.cost
+            + Cost::new(
+                probes * (8.0 * height + matches_per_probe),
+                probes * (height * 0.2 + crate::cost::RANDOM_IO_WEIGHT * matches_per_probe),
+            );
+        Ok(Some((cost, via)))
+    }
+
+    /// Build the plan of `mask`'s best state: its recipe chain, innermost
+    /// first. Every table's access path is used at most once, so it moves.
+    fn build(&mut self, mask: u64, keys: &mut JoinKeys) -> Result<PlanNode> {
+        let state = self.state(mask)?;
+        let Some((left_mask, j, method)) = state.step else {
+            let i = mask.trailing_zeros() as usize;
+            return Ok(self.take_rel(i));
+        };
+        let left = Box::new(self.build(left_mask, keys)?);
+        let left_width = self.width(left_mask);
+        let base_j = self.bases[j];
+        self.join_keys(left_mask, j, keys)?;
+        let (left_keys, right_keys) = (
+            std::mem::take(&mut keys.left),
+            std::mem::take(&mut keys.right),
+        );
+        // The join's output layout: the outer side's, then table j.
+        let place = |off: usize| {
+            if self.owner[off] == j {
+                left_width + off - base_j
+            } else {
+                self.local_offset(left_mask, off)
+            }
+        };
+        let residual = keys.residual.iter();
+        let mut filter: Vec<PhysExpr> = residual
+            .map(|&ci| self.s.conjuncts[ci].expr.remap(&place))
+            .collect();
+        let op = match method {
+            JoinMethod::Hash => PhysPlan::HashJoin {
+                left,
+                right: Box::new(self.take_rel(j)),
+                left_keys,
+                right_keys,
+                filter: combine(filter),
+            },
+            JoinMethod::NestedLoop => PhysPlan::NestedLoopJoin {
+                left,
+                right: Box::new(self.take_rel(j)),
+                on: combine(filter),
+            },
+            JoinMethod::Probe(via) => {
+                // The probe replaces table j's access path, so its residual
+                // filter re-checks table j's own conjuncts, then the equi
+                // pairs the probe key does not cover, then the rest.
+                let own = self.s.conjuncts.iter().filter(|c| c.tables == 1 << j);
+                let mut parts: Vec<PhysExpr> = own.map(|c| c.expr.remap(&place)).collect();
+                for (l, r) in left_keys.iter().zip(&right_keys).skip(1) {
+                    parts.push(PhysExpr::Binary {
+                        op: BinOp::Eq,
+                        left: Box::new(PhysExpr::Col(*l)),
+                        right: Box::new(PhysExpr::Col(left_width + *r)),
+                    });
+                }
+                parts.append(&mut filter);
+                let entry = self.catalog.table(self.s.tables[j].table)?;
+                PhysPlan::ProbeJoin {
+                    left,
+                    table: entry.meta.id,
+                    table_name: Arc::clone(&entry.meta.name),
+                    width: self.s.tables[j].schema.len(),
+                    // `left_keys` already holds outer-layout offsets.
+                    left_key: left_keys[0],
+                    source: match via {
+                        None => ProbeSource::PrimaryTree,
+                        Some(idx) => ProbeSource::Index(idx.meta.id, Arc::clone(&idx.meta.name)),
+                    },
+                    filter: combine(parts),
+                    needed: ColumnSet::all(),
+                }
+            }
+        };
+        Ok(PlanNode {
+            op,
+            est_rows: state.rows,
+            est_cost: state.cost,
+        })
+    }
+
+    fn take_rel(&mut self, i: usize) -> PlanNode {
+        let spent = PlanNode {
+            op: PhysPlan::DualScan,
+            est_rows: 0.0,
+            est_cost: Cost::ZERO,
+        };
+        std::mem::replace(&mut self.rels[i], spent)
+    }
 }
 
 #[cfg(test)]
@@ -1352,30 +1332,29 @@ mod tests {
             right: Box::new(rhs),
         };
         // Pure param bounds fill both slots.
-        let (lo, hi) = extract_range(&[col_gt(PhysExpr::Param(0)), col_lt(PhysExpr::Param(1))], 0);
-        assert_eq!(lo, Some(PhysExpr::Param(0)));
-        assert_eq!(hi, Some(PhysExpr::Param(1)));
+        let conjuncts = [col_gt(PhysExpr::Param(0)), col_lt(PhysExpr::Param(1))];
+        let (lo, hi) = extract_range(&conjuncts, 0);
+        assert_eq!(lo, Some(&PhysExpr::Param(0)));
+        assert_eq!(hi, Some(&PhysExpr::Param(1)));
         // A literal bound wins the slot; the param conjunct stays in the
         // residual filter (the probe may over-read, never under-read).
-        let (lo, hi) = extract_range(
-            &[
-                col_gt(PhysExpr::Param(0)),
-                col_gt(PhysExpr::Literal(Value::Int(5))),
-            ],
-            0,
-        );
-        assert_eq!(lo, Some(PhysExpr::Literal(Value::Int(5))));
+        let conjuncts = [
+            col_gt(PhysExpr::Param(0)),
+            col_gt(PhysExpr::Literal(Value::Int(5))),
+        ];
+        let (lo, hi) = extract_range(&conjuncts, 0);
+        assert_eq!(lo, Some(&PhysExpr::Literal(Value::Int(5))));
         assert_eq!(hi, None);
         // BETWEEN with param bounds contributes both slots.
-        let between = PhysExpr::Between {
+        let between = [PhysExpr::Between {
             expr: Box::new(PhysExpr::Col(0)),
             lo: Box::new(PhysExpr::Param(2)),
             hi: Box::new(PhysExpr::Param(3)),
             negated: false,
-        };
-        let (lo, hi) = extract_range(&[between], 0);
-        assert_eq!(lo, Some(PhysExpr::Param(2)));
-        assert_eq!(hi, Some(PhysExpr::Param(3)));
+        }];
+        let (lo, hi) = extract_range(&between, 0);
+        assert_eq!(lo, Some(&PhysExpr::Param(2)));
+        assert_eq!(hi, Some(&PhysExpr::Param(3)));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Physical plans.
 
 use std::fmt;
+use std::sync::Arc;
 
 use ingot_common::{ColumnSet, Cost, IndexId, Result, TableId, Value};
 
@@ -31,7 +32,7 @@ pub enum ProbeSource {
     /// Clustered primary tree, key prefix = the join column.
     PrimaryTree,
     /// A secondary index whose leading column is the join column.
-    Index(IndexId, String),
+    Index(IndexId, Arc<str>),
 }
 
 /// A plan operator with its children.
@@ -43,8 +44,8 @@ pub enum PhysPlan {
     VirtualScan {
         /// The virtual table.
         table: TableId,
-        /// For display.
-        table_name: String,
+        /// For display; the catalog's own name, shared.
+        table_name: Arc<str>,
         /// Row width.
         width: usize,
         /// Pushed-down predicate.
@@ -55,7 +56,7 @@ pub enum PhysPlan {
         /// Scanned table.
         table: TableId,
         /// For display.
-        table_name: String,
+        table_name: Arc<str>,
         /// Width of the emitted rows.
         width: usize,
         /// Pushed-down predicate over the table's own layout.
@@ -69,11 +70,11 @@ pub enum PhysPlan {
         /// Base table.
         table: TableId,
         /// For display.
-        table_name: String,
+        table_name: Arc<str>,
         /// The probing index.
         index: IndexId,
         /// For display.
-        index_name: String,
+        index_name: Arc<str>,
         /// Row width.
         width: usize,
         /// Probe specification.
@@ -88,7 +89,7 @@ pub enum PhysPlan {
         /// Base table.
         table: TableId,
         /// For display.
-        table_name: String,
+        table_name: Arc<str>,
         /// Row width.
         width: usize,
         /// Primary-key expressions (row-free; see [`ProbeSpec`]): the full
@@ -109,7 +110,7 @@ pub enum PhysPlan {
         /// Inner table.
         table: TableId,
         /// For display.
-        table_name: String,
+        table_name: Arc<str>,
         /// Inner row width.
         width: usize,
         /// Offset of the join key in the outer row.

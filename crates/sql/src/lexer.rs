@@ -1,9 +1,10 @@
 //! The SQL lexer.
 //!
 //! Hand-rolled and allocation-light: identifiers and string literals are the
-//! only tokens that allocate. Keywords are recognised case-insensitively but
-//! kept as plain uppercase strings in [`Token::Keyword`] so the parser can
-//! match on them without a large enum.
+//! only tokens that allocate, once each, for the text the AST will own.
+//! Keywords are recognised case-insensitively but kept as plain uppercase
+//! strings in [`Token::Keyword`] so the parser can match on them without a
+//! large enum.
 
 use ingot_common::{Error, Result};
 
@@ -109,6 +110,7 @@ const KEYWORDS: &[&str] = &[
 
 /// Tokenises an input string.
 pub struct Lexer<'a> {
+    sql: &'a str,
     src: &'a [u8],
     pos: usize,
     /// Count of `?` markers seen so far (each becomes the next `$n`).
@@ -119,6 +121,7 @@ impl<'a> Lexer<'a> {
     /// A lexer over `src`.
     pub fn new(src: &'a str) -> Self {
         Lexer {
+            sql: src,
             src: src.as_bytes(),
             pos: 0,
             anon_params: 0,
@@ -144,6 +147,12 @@ impl<'a> Lexer<'a> {
         } else {
             0
         }
+    }
+
+    /// The source from byte `from` up to the cursor. Both ends sit next to
+    /// ASCII bytes the lexer has just matched, so on character boundaries.
+    fn text(&self, from: usize) -> &'a str {
+        &self.sql[from..self.pos]
     }
 
     fn bump(&mut self) -> u8 {
@@ -238,43 +247,44 @@ impl<'a> Lexer<'a> {
                 Token::Param(self.anon_params)
             }
             b'\'' => {
-                let mut s = String::new();
+                // Up to the closing quote; `''` inside is an escaped quote.
+                let mut escaped = false;
                 loop {
-                    if self.pos >= self.src.len() {
-                        return Err(Error::parse(format!(
-                            "unterminated string literal at byte {start}"
-                        )));
-                    }
-                    let ch = self.bump();
-                    if ch == b'\'' {
-                        if self.peek() == b'\'' {
-                            self.pos += 1;
-                            s.push('\'');
-                        } else {
-                            break;
+                    match self.src.get(self.pos) {
+                        None => {
+                            return Err(Error::parse(format!(
+                                "unterminated string literal at byte {start}"
+                            )))
                         }
-                    } else {
-                        s.push(ch as char);
+                        Some(b'\'') if self.src.get(self.pos + 1) == Some(&b'\'') => {
+                            escaped = true;
+                            self.pos += 2;
+                        }
+                        Some(b'\'') => break,
+                        Some(_) => self.pos += 1,
                     }
                 }
-                Token::Str(s)
+                let body = self.text(start + 1);
+                self.pos += 1;
+                Token::Str(if escaped {
+                    body.replace("''", "'")
+                } else {
+                    body.to_owned()
+                })
             }
             b'"' => {
                 // Double-quoted identifier.
-                let mut s = String::new();
-                loop {
+                while self.peek() != b'"' {
                     if self.pos >= self.src.len() {
                         return Err(Error::parse(format!(
                             "unterminated quoted identifier at byte {start}"
                         )));
                     }
-                    let ch = self.bump();
-                    if ch == b'"' {
-                        break;
-                    }
-                    s.push(ch as char);
+                    self.pos += 1;
                 }
-                Token::Ident(s.to_ascii_lowercase())
+                let body = self.text(start + 1);
+                self.pos += 1;
+                Token::Ident(body.to_ascii_lowercase())
             }
             b'0'..=b'9' => {
                 while self.peek().is_ascii_digit() {
@@ -304,7 +314,7 @@ impl<'a> Lexer<'a> {
                         self.pos = save;
                     }
                 }
-                let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
+                let text = self.text(start);
                 if is_float {
                     Token::Float(
                         text.parse()
@@ -325,7 +335,7 @@ impl<'a> Lexer<'a> {
                 while self.peek().is_ascii_digit() {
                     self.pos += 1;
                 }
-                let text = std::str::from_utf8(&self.src[num_start..self.pos]).unwrap();
+                let text = self.text(num_start);
                 let n: u32 = text
                     .parse()
                     .map_err(|_| Error::parse(format!("bad parameter marker '${text}'")))?;
@@ -338,9 +348,8 @@ impl<'a> Lexer<'a> {
                 while matches!(self.peek(), b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_' | b'$') {
                     self.pos += 1;
                 }
-                let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
-                let upper = text.to_ascii_uppercase();
-                match KEYWORDS.iter().find(|&&k| k == upper) {
+                let text = self.text(start);
+                match KEYWORDS.iter().find(|k| k.eq_ignore_ascii_case(text)) {
                     Some(&k) => Token::Keyword(k),
                     None => Token::Ident(text.to_ascii_lowercase()),
                 }

@@ -55,8 +55,11 @@ impl Parser {
         &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)]
     }
 
+    /// Consume the current token, moving it out: the parser never looks
+    /// back, and an identifier's text goes into the AST as lexed.
     fn bump(&mut self) -> Token {
-        let t = self.peek().clone();
+        let last = self.tokens.len() - 1;
+        let t = std::mem::replace(&mut self.tokens[self.pos.min(last)], Token::Eof);
         self.pos += 1;
         t
     }
@@ -135,15 +138,19 @@ impl Parser {
 
     /// Parse one statement.
     pub fn parse_stmt(&mut self) -> Result<Statement> {
-        match self.peek().clone() {
-            Token::Keyword("SELECT") => Ok(Statement::Select(self.parse_select()?)),
-            Token::Keyword("INSERT") => self.parse_insert(),
-            Token::Keyword("UPDATE") => self.parse_update(),
-            Token::Keyword("DELETE") => self.parse_delete(),
-            Token::Keyword("CREATE") => self.parse_create(),
-            Token::Keyword("DROP") => self.parse_drop(),
-            Token::Keyword("MODIFY") => self.parse_modify(),
-            Token::Keyword("EXPLAIN") => {
+        let unexpected = |t: &Token| Error::parse(format!("unexpected token {t:?}"));
+        let Token::Keyword(kw) = *self.peek() else {
+            return Err(unexpected(self.peek()));
+        };
+        match kw {
+            "SELECT" => Ok(Statement::Select(self.parse_select()?)),
+            "INSERT" => self.parse_insert(),
+            "UPDATE" => self.parse_update(),
+            "DELETE" => self.parse_delete(),
+            "CREATE" => self.parse_create(),
+            "DROP" => self.parse_drop(),
+            "MODIFY" => self.parse_modify(),
+            "EXPLAIN" => {
                 self.bump();
                 let analyze = self.eat_kw("ANALYZE");
                 Ok(Statement::Explain {
@@ -151,8 +158,8 @@ impl Parser {
                     inner: Box::new(self.parse_stmt()?),
                 })
             }
-            Token::Keyword("SET") => self.parse_set(),
-            other => Err(Error::parse(format!("unexpected token {other:?}"))),
+            "SET" => self.parse_set(),
+            _ => Err(unexpected(self.peek())),
         }
     }
 
@@ -161,7 +168,10 @@ impl Parser {
     fn parse_select(&mut self) -> Result<SelectStmt> {
         self.expect_kw("SELECT")?;
         let distinct = self.eat_kw("DISTINCT");
-        let mut items = vec![self.parse_select_item()?];
+        // Room for a typical select list at once; `vec![first]` would start
+        // at capacity one and regrow on the second item.
+        let mut items = Vec::with_capacity(4);
+        items.push(self.parse_select_item()?);
         while self.eat(&Token::Comma) {
             items.push(self.parse_select_item()?);
         }
@@ -245,11 +255,13 @@ impl Parser {
             return Ok(SelectItem::Wildcard);
         }
         // `t.*`
-        if let (Token::Ident(t), Token::Dot) = (self.peek().clone(), self.peek2().clone()) {
-            if self.tokens.get(self.pos + 2) == Some(&Token::Star) {
-                self.pos += 3;
-                return Ok(SelectItem::QualifiedWildcard(t));
-            }
+        if matches!(self.peek(), Token::Ident(_))
+            && self.peek2() == &Token::Dot
+            && self.tokens.get(self.pos + 2) == Some(&Token::Star)
+        {
+            let t = self.ident()?;
+            self.pos += 2;
+            return Ok(SelectItem::QualifiedWildcard(t));
         }
         let expr = self.parse_expr()?;
         let alias = if self.eat_kw("AS") {

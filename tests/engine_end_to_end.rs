@@ -248,3 +248,38 @@ fn errors_are_clean_and_engine_survives() {
     let r = s.execute("select count(*) from t").unwrap();
     assert_eq!(r.rows[0].get(0).as_int().unwrap(), 1);
 }
+
+#[test]
+fn probe_join_checks_predicates_over_both_sides() {
+    let e = engine();
+    let s = e.open_session();
+    s.execute("create table part (id int not null primary key, qty int)")
+        .unwrap();
+    s.execute(
+        "create table bin (id int not null, slot int not null, cap int, primary key (id, slot))",
+    )
+    .unwrap();
+    for batch in 0..40 {
+        let ids = batch * 100..(batch + 1) * 100;
+        let parts: Vec<String> = ids.clone().map(|id| format!("({id}, {id})")).collect();
+        let bins: Vec<String> = ids.map(|id| format!("({id}, 0, {id} + 1)")).collect();
+        s.execute(&format!("insert into part values {}", parts.join(", ")))
+            .unwrap();
+        s.execute(&format!("insert into bin values {}", bins.join(", ")))
+            .unwrap();
+    }
+    for t in ["part", "bin"] {
+        s.execute(&format!("create statistics on {t}")).unwrap();
+        s.execute(&format!("modify {t} to btree")).unwrap();
+    }
+    // One outer row probing a keyed inner table: the index nested-loop join
+    // wins, and it owns the predicate neither side can check alone.
+    let join = "select p.id from part p join bin b on p.id = b.id where p.id = 7";
+    let plan = s.execute(&format!("explain {join} and p.qty > b.cap"));
+    let plan = format!("{:?}", plan.unwrap().rows);
+    assert!(plan.contains("ProbeJoin into bin"), "{plan}");
+    let r = s.execute(&format!("{join} and p.qty > b.cap")).unwrap();
+    assert_eq!(ints(&r, 0), Vec::<i64>::new());
+    let r = s.execute(&format!("{join} and p.qty < b.cap")).unwrap();
+    assert_eq!(ints(&r, 0), vec![7]);
+}

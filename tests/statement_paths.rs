@@ -69,6 +69,8 @@ fn stream() -> Vec<Step> {
     let mut steps = vec![
         Sql("create table item (id int not null primary key, grp int, name text, qty int)".into()),
         Sql("create table grp (grp int not null primary key, label text)".into()),
+        Sql("create table q (\"x  y\" int, \"x y\" int)".into()),
+        Sql("insert into q values (1, 2)".into()),
     ];
     for g in 0..GROUPS {
         steps.push(Sql(format!("insert into grp values ({g}, 'g{g}')")));
@@ -134,6 +136,18 @@ fn stream() -> Vec<Step> {
         "select i.id, j.id from item i join item j on i.qty = j.qty \
          where i.name < j.name and i.id < 5",
         "select id from item where name = 'item7' and qty >= 0",
+    ] {
+        steps.push(Sql(sql.into()));
+    }
+
+    // Texts one blank apart that mean different things — a column name with
+    // two spaces or one, a comment that ends at its newline or runs on over
+    // the FROM clause — each sent after the other has been cached.
+    for sql in [
+        "select \"x  y\" from q",
+        "select \"x y\" from q",
+        "select 1 -- c\n from grp",
+        "select 1 -- c from grp",
     ] {
         steps.push(Sql(sql.into()));
     }
@@ -451,6 +465,20 @@ fn every_statement_path_agrees() {
         );
     }
     assert!(reference.cache_hits > 300, "hits: {}", reference.cache_hits);
+    let rows_of = |sql: &str| {
+        let at = steps
+            .iter()
+            .position(|s| matches!(s, Step::Sql(q) if q == sql));
+        match &reference.outcomes[at.unwrap()] {
+            Outcome::Done { rows, .. } => rows.clone(),
+            failed => panic!("{sql}: {failed:?}"),
+        }
+    };
+    let one = |v: i64| Row::new(vec![Value::Int(v)]);
+    assert_eq!(rows_of("select \"x  y\" from q"), [one(1)]);
+    assert_eq!(rows_of("select \"x y\" from q"), [one(2)]);
+    assert_eq!(rows_of("select 1 -- c\n from grp").len(), GROUPS as usize);
+    assert_eq!(rows_of("select 1 -- c from grp"), [one(1)]);
     assert_eq!(reference.traced_statements, 0);
     assert!(
         reference.recorded.references.iter().any(|r| r.1 == "index"),
