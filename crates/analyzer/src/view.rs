@@ -2,14 +2,19 @@
 //! buildable from the live monitor (short-term) or the workload database
 //! (long-term trend analysis).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use ingot_common::{Cost, Result, TableId};
-use ingot_core::{Engine, Monitor};
+use ingot_common::waits::WaitTotal;
+use ingot_common::{Cost, Error, Result, TableId};
+use ingot_core::monitor::{
+    AttributeUsage, RefObject, ReferenceRecord, StatSample, StatementInfo, TableUsage,
+    WorkloadRecord,
+};
+use ingot_core::{AshSample, Engine, Monitor, Record};
 use ingot_daemon::WorkloadDb;
 
 /// Per-statement aggregate.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StmtAgg {
     /// Statement hash (hex).
     pub hash: String,
@@ -43,7 +48,7 @@ impl StmtAgg {
 }
 
 /// Per-table aggregate (latest snapshot).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableAgg {
     /// Table id.
     pub id: TableId,
@@ -73,7 +78,7 @@ impl TableAgg {
 }
 
 /// Per-attribute aggregate (latest snapshot).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttrAgg {
     /// Owning table.
     pub table: TableId,
@@ -90,7 +95,7 @@ pub struct AttrAgg {
 }
 
 /// One statistics point (locks diagram input).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatPoint {
     /// Simulated seconds.
     pub at_secs: u64,
@@ -105,7 +110,7 @@ pub struct StatPoint {
 }
 
 /// Cumulative time lost to one wait event (system-wide).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WaitAgg {
     /// Wait-event name (`LockWaitX`, `WalFsync`, …).
     pub event: String,
@@ -117,7 +122,7 @@ pub struct WaitAgg {
 
 /// ASH samples grouped by (statement, event): one template's wait profile,
 /// one row per event observed while the template was running.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AshAgg {
     /// Statement hash (hex) — joins to [`StmtAgg::hash`].
     pub hash: String,
@@ -130,7 +135,7 @@ pub struct AshAgg {
 }
 
 /// The normalised workload view.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkloadView {
     /// Statement aggregates, most expensive (total actual) first.
     pub statements: Vec<StmtAgg>,
@@ -147,39 +152,113 @@ pub struct WorkloadView {
     pub ash: Vec<AshAgg>,
 }
 
+/// The monitoring records a view aggregates, oldest first: snapshots of the
+/// live rings, or every `wl_` row the daemon has filed.
+#[derive(Default)]
+struct Source {
+    statements: Vec<StatementInfo>,
+    workload: Vec<WorkloadRecord>,
+    references: Vec<ReferenceRecord>,
+    tables: Vec<TableUsage>,
+    attributes: Vec<AttributeUsage>,
+    statistics: Vec<StatSample>,
+    waits: Vec<WaitTotal>,
+    ash: Vec<AshSample>,
+}
+
+impl Source {
+    fn live(monitor: &Monitor) -> Source {
+        Source {
+            statements: monitor.statements(),
+            workload: monitor.workload(),
+            references: monitor.references(),
+            tables: monitor.tables(),
+            attributes: monitor.attributes(),
+            statistics: monitor.statistics(),
+            // The monitor's rings do not carry wait data; `from_engine`
+            // adds the wait registry's and the ASH sampler's.
+            ..Source::default()
+        }
+    }
+}
+
+/// Every row of `R`'s workload-DB table in filing order, read back through
+/// the definition that wrote it.
+fn filed<R: Record>(db: &WorkloadDb) -> Result<Vec<R>> {
+    db.query(&format!("select * from {} order by ts", R::WL))?
+        .iter()
+        .map(|row| {
+            R::decode(&mut row.values().iter())
+                .ok_or_else(|| Error::daemon(format!("{} row is not a {} row", R::WL, R::IMA)))
+        })
+        .collect()
+}
+
 impl WorkloadView {
     /// Build from the live monitor's ring buffers.
     pub fn from_monitor(monitor: &Monitor) -> WorkloadView {
-        let stmts = monitor.statements();
-        let workload = monitor.workload();
-        let refs = monitor.references();
+        WorkloadView::build(Source::live(monitor))
+    }
 
-        let mut agg: HashMap<String, StmtAgg> = HashMap::with_capacity(stmts.len());
-        for s in &stmts {
-            agg.insert(
-                s.hash.to_string(),
-                StmtAgg {
-                    hash: s.hash.to_string(),
-                    text: s.text.clone(),
-                    executions: 0,
-                    actual: Cost::ZERO,
-                    est: Cost::ZERO,
-                    wallclock_ns: 0,
-                    tables: Vec::new(),
-                },
-            );
+    /// Build from a live engine: the monitor view plus the wait-event and
+    /// ASH aggregates the monitor alone cannot provide. Engines without
+    /// monitoring yield an empty view; engines without the wait subsystem
+    /// yield empty wait profiles.
+    pub fn from_engine(engine: &Engine) -> WorkloadView {
+        let mut source = engine
+            .monitor()
+            .map(|m| Source::live(m))
+            .unwrap_or_default();
+        if let Some(registry) = engine.wait_registry() {
+            source.waits = registry.snapshot();
         }
-        for w in &workload {
-            if let Some(a) = agg.get_mut(&w.hash.to_string()) {
+        if let Some(sampler) = engine.ash_sampler() {
+            source.ash = sampler.history();
+        }
+        WorkloadView::build(source)
+    }
+
+    /// Build from the persistent workload database (standard SQL reads, as
+    /// the paper intends external analyzers to do).
+    pub fn from_workload_db(db: &WorkloadDb) -> Result<WorkloadView> {
+        Ok(WorkloadView::build(Source {
+            statements: filed(db)?,
+            workload: filed(db)?,
+            references: filed(db)?,
+            tables: filed(db)?,
+            attributes: filed(db)?,
+            statistics: filed(db)?,
+            waits: filed(db)?,
+            ash: filed(db)?,
+        }))
+    }
+
+    /// The one aggregation. Snapshot-style records (tables, attributes, wait
+    /// totals) repeat per poll in the workload DB; the newest wins.
+    fn build(source: Source) -> WorkloadView {
+        let mut agg: HashMap<_, StmtAgg> = HashMap::with_capacity(source.statements.len());
+        for s in source.statements {
+            agg.entry(s.hash).or_insert_with(|| StmtAgg {
+                hash: s.hash.to_string(),
+                text: s.text,
+                executions: 0,
+                actual: Cost::ZERO,
+                est: Cost::ZERO,
+                wallclock_ns: 0,
+                tables: Vec::new(),
+            });
+        }
+        for w in &source.workload {
+            if let Some(a) = agg.get_mut(&w.hash) {
                 a.executions += 1;
                 a.actual += Cost::new(w.exec_cpu as f64, w.exec_io as f64);
                 a.est += w.est;
                 a.wallclock_ns += w.wallclock_ns;
             }
         }
-        for r in &refs {
-            if r.object == ingot_core::monitor::RefObject::Table {
-                if let Some(a) = agg.get_mut(&r.hash.to_string()) {
+        for r in &source.references {
+            if r.object == RefObject::Table {
+                if let Some(a) = agg.get_mut(&r.hash) {
                     if !a.tables.contains(&r.table) {
                         a.tables.push(r.table);
                     }
@@ -190,14 +269,13 @@ impl WorkloadView {
         statements.sort_by(|a, b| {
             b.actual
                 .total()
-                .partial_cmp(&a.actual.total())
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .total_cmp(&a.actual.total())
+                .then_with(|| a.hash.cmp(&b.hash))
         });
 
-        let tables = monitor
-            .tables()
-            .into_iter()
-            .map(|t| TableAgg {
+        let mut tables = BTreeMap::new();
+        for t in source.tables {
+            let agg = TableAgg {
                 id: t.id,
                 name: t.name,
                 frequency: t.frequency,
@@ -205,254 +283,68 @@ impl WorkloadView {
                 data_pages: t.data_pages,
                 overflow_pages: t.overflow_pages,
                 rows: t.rows,
-            })
-            .collect();
-        let table_names: HashMap<TableId, String> = monitor
-            .tables()
-            .into_iter()
-            .map(|t| (t.id, t.name))
-            .collect();
-        let attributes = monitor
-            .attributes()
-            .into_iter()
-            .map(|a| AttrAgg {
+            };
+            tables.insert(t.id, agg);
+        }
+        let mut attributes = BTreeMap::new();
+        for a in source.attributes {
+            let agg = AttrAgg {
                 table: a.table,
-                table_name: table_names.get(&a.table).cloned().unwrap_or_default(),
+                table_name: tables
+                    .get(&a.table)
+                    .map_or_else(String::new, |t| t.name.clone()),
                 column: a.column,
                 name: a.name,
                 frequency: a.frequency,
                 has_histogram: a.has_histogram,
-            })
-            .collect();
-        let statistics = monitor
-            .statistics()
+            };
+            attributes.insert((a.table, a.column), agg);
+        }
+        let statistics = source.statistics.iter().map(|s| StatPoint {
+            at_secs: s.at_sim_secs,
+            locks_held: s.locks_held,
+            lock_waiting: s.lock_waiting,
+            lock_waits_total: s.lock_waits_total,
+            deadlocks_total: s.deadlocks_total,
+        });
+        // Wait totals are cumulative, so per event the newest row carries
+        // the whole story.
+        let waits: BTreeMap<usize, WaitTotal> = source
+            .waits
             .into_iter()
-            .map(|s| StatPoint {
-                at_secs: s.at_sim_secs,
-                locks_held: s.locks_held,
-                lock_waiting: s.lock_waiting,
-                lock_waits_total: s.lock_waits_total,
-                deadlocks_total: s.deadlocks_total,
-            })
+            .map(|t| (t.event.index(), t))
             .collect();
+        let waits = waits
+            .into_values()
+            .filter(|t| t.count > 0)
+            .map(|t| WaitAgg {
+                event: t.event.name().to_owned(),
+                count: t.count,
+                total_ns: t.total_ns,
+            });
+
         WorkloadView {
             statements,
-            tables,
-            attributes,
-            statistics,
-            // The monitor's rings do not carry wait data; `from_engine`
-            // fills these from the wait registry and the ASH sampler.
-            waits: Vec::new(),
-            ash: Vec::new(),
+            tables: tables.into_values().collect(),
+            attributes: attributes.into_values().collect(),
+            statistics: statistics.collect(),
+            waits: waits.collect(),
+            ash: fold_ash(source.ash),
         }
-    }
-
-    /// Build from a live engine: the monitor view plus the wait-event and
-    /// ASH aggregates the monitor alone cannot provide. Engines without
-    /// monitoring yield an empty view; engines without the wait subsystem
-    /// yield empty wait profiles.
-    pub fn from_engine(engine: &Engine) -> WorkloadView {
-        let mut view = engine
-            .monitor()
-            .map(|m| WorkloadView::from_monitor(m))
-            .unwrap_or_default();
-        if let Some(registry) = engine.wait_registry() {
-            view.waits = registry
-                .counters()
-                .snapshot()
-                .iter()
-                .filter(|t| t.count > 0)
-                .map(|t| WaitAgg {
-                    event: t.event.name().to_owned(),
-                    count: t.count,
-                    total_ns: t.total_ns,
-                })
-                .collect();
-        }
-        if let Some(sampler) = engine.ash_sampler() {
-            view.ash = fold_ash(sampler.history().into_iter().map(|s| {
-                (
-                    s.hash.to_string(),
-                    s.template.to_string(),
-                    s.event.to_owned(),
-                )
-            }));
-        }
-        view
-    }
-
-    /// Build from the persistent workload database (standard SQL reads, as
-    /// the paper intends external analyzers to do).
-    pub fn from_workload_db(db: &WorkloadDb) -> Result<WorkloadView> {
-        // Statements: latest frequency per hash + text.
-        let mut agg: HashMap<String, StmtAgg> = HashMap::new();
-        for row in db.query("select hash, query_text from wl_statements")? {
-            let hash = row.get(0).as_str().unwrap_or_default().to_owned();
-            let text = row.get(1).as_str().unwrap_or_default().to_owned();
-            agg.entry(hash.clone()).or_insert(StmtAgg {
-                hash,
-                text: String::new(),
-                executions: 0,
-                actual: Cost::ZERO,
-                est: Cost::ZERO,
-                wallclock_ns: 0,
-                tables: Vec::new(),
-            });
-            // Rows arrive in append order; the last text wins (identical
-            // anyway — the hash pins the text).
-            if let Some(a) = agg.get_mut(row.get(0).as_str().unwrap_or_default()) {
-                a.text = text;
-            }
-        }
-        for row in db.query(
-            "select hash, exec_cpu, exec_dio, est_cpu, est_dio, wallclock_ns from wl_workload",
-        )? {
-            let hash = row.get(0).as_str().unwrap_or_default();
-            if let Some(a) = agg.get_mut(hash) {
-                a.executions += 1;
-                a.actual += Cost::new(
-                    row.get(1).as_f64().unwrap_or(0.0),
-                    row.get(2).as_f64().unwrap_or(0.0),
-                );
-                a.est += Cost::new(
-                    row.get(3).as_f64().unwrap_or(0.0),
-                    row.get(4).as_f64().unwrap_or(0.0),
-                );
-                a.wallclock_ns += row.get(5).as_int().unwrap_or(0) as u64;
-            }
-        }
-        for row in
-            db.query("select hash, table_id from wl_references where object_type = 'table'")?
-        {
-            let hash = row.get(0).as_str().unwrap_or_default();
-            let table = TableId(row.get(1).as_int().unwrap_or(0) as u32);
-            if let Some(a) = agg.get_mut(hash) {
-                if !a.tables.contains(&table) {
-                    a.tables.push(table);
-                }
-            }
-        }
-        let mut statements: Vec<StmtAgg> = agg.into_values().filter(|a| a.executions > 0).collect();
-        statements.sort_by(|a, b| {
-            b.actual
-                .total()
-                .partial_cmp(&a.actual.total())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-
-        // Tables / attributes: latest snapshot per object.
-        let mut tables: HashMap<TableId, TableAgg> = HashMap::new();
-        for row in db.query(
-            "select table_id, table_name, frequency, storage, data_pages, overflow_pages, \
-             row_count, ts from wl_tables order by ts",
-        )? {
-            let id = TableId(row.get(0).as_int().unwrap_or(0) as u32);
-            tables.insert(
-                id,
-                TableAgg {
-                    id,
-                    name: row.get(1).as_str().unwrap_or_default().to_owned(),
-                    frequency: row.get(2).as_int().unwrap_or(0) as u64,
-                    storage: row.get(3).as_str().unwrap_or_default().to_owned(),
-                    data_pages: row.get(4).as_int().unwrap_or(0) as u64,
-                    overflow_pages: row.get(5).as_int().unwrap_or(0) as u64,
-                    rows: row.get(6).as_int().unwrap_or(0) as u64,
-                },
-            );
-        }
-        let table_names: HashMap<TableId, String> =
-            tables.values().map(|t| (t.id, t.name.clone())).collect();
-        let mut attributes: HashMap<(TableId, usize), AttrAgg> = HashMap::new();
-        for row in db.query(
-            "select table_id, attr_id, attr_name, frequency, has_histogram, ts \
-             from wl_attributes order by ts",
-        )? {
-            let table = TableId(row.get(0).as_int().unwrap_or(0) as u32);
-            let column = row.get(1).as_int().unwrap_or(0) as usize;
-            attributes.insert(
-                (table, column),
-                AttrAgg {
-                    table,
-                    table_name: table_names.get(&table).cloned().unwrap_or_default(),
-                    column,
-                    name: row.get(2).as_str().unwrap_or_default().to_owned(),
-                    frequency: row.get(3).as_int().unwrap_or(0) as u64,
-                    has_histogram: row.get(4).as_bool().unwrap_or(false),
-                },
-            );
-        }
-        let statistics = db
-            .query(
-                "select at_secs, locks_held, lock_waiting, lock_waits_total, deadlocks_total \
-                 from wl_statistics order by at_ns",
-            )?
-            .into_iter()
-            .map(|row| StatPoint {
-                at_secs: row.get(0).as_int().unwrap_or(0) as u64,
-                locks_held: row.get(1).as_int().unwrap_or(0) as u64,
-                lock_waiting: row.get(2).as_int().unwrap_or(0) as u64,
-                lock_waits_total: row.get(3).as_int().unwrap_or(0) as u64,
-                deadlocks_total: row.get(4).as_int().unwrap_or(0) as u64,
-            })
-            .collect();
-
-        // Wait totals: the rows are cumulative snapshots, so per event the
-        // newest row carries the whole story.
-        let mut waits: HashMap<String, WaitAgg> = HashMap::new();
-        for row in db.query("select event, count, total_ns from wl_waits order by ts")? {
-            let event = row.get(0).as_str().unwrap_or_default().to_owned();
-            waits.insert(
-                event.clone(),
-                WaitAgg {
-                    event,
-                    count: row.get(1).as_int().unwrap_or(0) as u64,
-                    total_ns: row.get(2).as_int().unwrap_or(0) as u64,
-                },
-            );
-        }
-        let mut waits: Vec<WaitAgg> = waits.into_values().filter(|w| w.count > 0).collect();
-        waits.sort_by(|a, b| a.event.cmp(&b.event));
-
-        let ash = fold_ash(
-            db.query("select hash, statement, event from wl_ash")?
-                .into_iter()
-                .map(|row| {
-                    (
-                        row.get(0).as_str().unwrap_or_default().to_owned(),
-                        row.get(1).as_str().unwrap_or_default().to_owned(),
-                        row.get(2).as_str().unwrap_or_default().to_owned(),
-                    )
-                }),
-        );
-
-        let mut tables: Vec<TableAgg> = tables.into_values().collect();
-        tables.sort_by_key(|t| t.id);
-        let mut attributes: Vec<AttrAgg> = attributes.into_values().collect();
-        attributes.sort_by_key(|a| (a.table, a.column));
-        Ok(WorkloadView {
-            statements,
-            tables,
-            attributes,
-            statistics,
-            waits,
-            ash,
-        })
     }
 }
 
-/// Group `(hash, template, event)` sample triples into [`AshAgg`] rows,
-/// sorted busiest profile first.
-fn fold_ash(samples: impl Iterator<Item = (String, String, String)>) -> Vec<AshAgg> {
-    let mut agg: HashMap<(String, String), AshAgg> = HashMap::new();
-    for (hash, template, event) in samples {
-        let entry = agg
-            .entry((hash.clone(), event.clone()))
-            .or_insert_with(|| AshAgg {
-                hash,
-                template,
-                event,
-                samples: 0,
-            });
+/// Group samples by `(statement, event)` into [`AshAgg`] rows, sorted
+/// busiest profile first.
+fn fold_ash(samples: Vec<AshSample>) -> Vec<AshAgg> {
+    let mut agg: HashMap<_, AshAgg> = HashMap::new();
+    for s in samples {
+        let entry = agg.entry((s.hash, s.event)).or_insert_with(|| AshAgg {
+            hash: s.hash.to_string(),
+            template: s.template.to_string(),
+            event: s.event.to_owned(),
+            samples: 0,
+        });
         entry.samples += 1;
     }
     let mut out: Vec<AshAgg> = agg.into_values().collect();
@@ -504,17 +396,62 @@ mod tests {
 
     #[test]
     fn wldb_view_matches_monitor_view() {
-        let engine = engine_with_workload();
-        let db = ingot_daemon::WorkloadDb::in_memory(engine.sim_clock().clone()).unwrap();
-        db.append_from(engine.monitor().unwrap(), 10).unwrap();
-        let mv = WorkloadView::from_monitor(engine.monitor().unwrap());
-        let dv = WorkloadView::from_workload_db(&db).unwrap();
-        assert_eq!(mv.statements.len(), dv.statements.len());
-        let m_sel = mv.statements.iter().find(|s| s.is_query()).unwrap();
-        let d_sel = dv.statements.iter().find(|s| s.is_query()).unwrap();
-        assert_eq!(m_sel.executions, d_sel.executions);
-        assert_eq!(m_sel.tables, d_sel.tables);
-        assert_eq!(mv.tables.len(), dv.tables.len());
-        assert_eq!(mv.tables[0].rows, dv.tables[0].rows);
+        let engine = Engine::builder()
+            .config(EngineConfig {
+                lock_timeout_ms: 5_000,
+                ..EngineConfig::monitoring()
+            })
+            .build()
+            .unwrap();
+        let db = std::sync::Arc::new(WorkloadDb::in_memory(engine.sim_clock().clone()).unwrap());
+        let daemon = ingot_daemon::StorageDaemon::new(
+            std::sync::Arc::clone(&engine),
+            std::sync::Arc::clone(&db),
+            ingot_daemon::DaemonConfig::default(),
+        );
+        let s = engine.open_session();
+        s.execute("create table t (a int, b int)").unwrap();
+        s.execute("create index t_b on t (b)").unwrap();
+        for chunk in 0..4 {
+            let rows: Vec<String> = (chunk * 500..(chunk + 1) * 500)
+                .map(|i| format!("({i}, {i})"))
+                .collect();
+            s.execute(&format!("insert into t values {}", rows.join(", ")))
+                .unwrap();
+        }
+        s.execute("create statistics on t").unwrap();
+        s.execute("select a from t where b = 55").unwrap();
+        daemon.poll_once().unwrap();
+
+        // A second interval, so every snapshot table holds an older and a
+        // newer row per object: more of the same statements, and a writer
+        // that blocks on a row lock until the ASH sampler has seen it wait.
+        engine.sim_clock().advance_secs(30);
+        s.execute("select a from t where b = 55").unwrap();
+        s.begin().unwrap();
+        s.execute("update t set a = 0 where b = 7").unwrap();
+        let blocked = std::thread::spawn({
+            let engine = std::sync::Arc::clone(&engine);
+            move || {
+                let s = engine.open_session();
+                s.execute("update t set a = 1 where b = 7").unwrap();
+            }
+        });
+        while engine.locks().stats().waiting == 0 {
+            std::thread::yield_now();
+        }
+        let sampler = engine.ash_sampler().unwrap();
+        sampler.sample_now(engine.wall_clock().now_nanos());
+        s.commit().unwrap();
+        blocked.join().unwrap();
+        daemon.poll_once().unwrap();
+
+        let live = WorkloadView::from_engine(&engine);
+        assert!(!live.tables.is_empty() && !live.attributes.is_empty());
+        assert!(live.statistics.len() >= 2, "one sample per poll");
+        assert!(live.waits.iter().any(|w| w.event.starts_with("LockWait")));
+        assert!(live.ash.iter().any(|a| a.event.starts_with("LockWait")));
+        assert_eq!(engine.monitor().unwrap().indexes().len(), 1, "t_b was used");
+        assert_eq!(WorkloadView::from_workload_db(&db).unwrap(), live);
     }
 }

@@ -43,7 +43,7 @@ pub use row::{Column, ColumnSet, Row, Schema};
 pub use value::{DataType, Value};
 pub use waits::{
     bind_session, charge_ambient, SessionBinding, SessionWaits, WaitCounters, WaitEvent, WaitGuard,
-    WaitRecord, WaitRegistry, WaitRegistryHandle, WaitTotal, WAIT_EVENT_COUNT,
+    WaitRegistry, WaitRegistryHandle, WaitTotal, WAIT_EVENT_COUNT,
 };
 pub use wire::{
     Request, Response, WireCodeEntry, WireError, MAX_FRAME_BYTES, PROTOCOL_VERSION, WIRE_CODE_TABLE,

@@ -8,8 +8,7 @@
 //! nanoseconds twice:
 //!
 //! * **globally**, to the engine's [`WaitRegistry`] (cumulative counters per
-//!   event plus a ring of recent [`WaitRecord`]s — the `ima$wait_events`
-//!   source), and
+//!   event — the `ima$wait_events` source), and
 //! * **per session**, to the [`SessionWaits`] bound to the executing thread
 //!   (the ASH sampler reads the session's *current* wait from here).
 //!
@@ -34,10 +33,9 @@
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use crate::clock::MonotonicClock;
-use crate::ring::RingBuffer;
 
 /// Number of wait-event kinds (array sizing for [`WaitCounters`]).
 pub const WAIT_EVENT_COUNT: usize = 11;
@@ -159,21 +157,6 @@ pub struct WaitTotal {
     pub total_ns: u64,
 }
 
-/// One completed wait, as kept in the registry's (and each session's)
-/// recent-history ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitRecord {
-    /// What was waited on.
-    pub event: WaitEvent,
-    /// Session the wait was charged to (`None` for engine-internal waits
-    /// with no bound session, e.g. the daemon's catch-up replay).
-    pub session: Option<u64>,
-    /// Wall-clock start, nanoseconds on the registry's clock.
-    pub start_ns: u64,
-    /// How long the wait lasted.
-    pub duration_ns: u64,
-}
-
 /// Lock-free per-event counters: one `(count, nanos)` pair per
 /// [`WaitEvent`], charged with relaxed atomics so the hot paths never
 /// serialize on the accounting.
@@ -228,30 +211,28 @@ impl WaitCounters {
     }
 }
 
-/// Engine-global wait accounting: cumulative [`WaitCounters`] plus a
-/// bounded ring of recent [`WaitRecord`]s. One registry per engine instance
-/// — deliberately *not* a process global, so concurrently running engines
+/// Engine-global wait accounting: the cumulative [`WaitCounters`] and the
+/// clock waits are timed on. One registry per engine instance —
+/// deliberately *not* a process global, so concurrently running engines
 /// (tests spin up dozens) never cross-contaminate each other's profiles.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WaitRegistry {
     clock: MonotonicClock,
     counters: WaitCounters,
-    recent: Mutex<RingBuffer<WaitRecord>>,
 }
 
 impl WaitRegistry {
-    /// A registry with its own clock and a recent-ring of `recent_capacity`.
-    pub fn new(recent_capacity: usize) -> Self {
-        Self::with_clock(MonotonicClock::new(), recent_capacity)
+    /// A registry with its own clock.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// A registry timing waits on `clock` (the engine passes its wall clock
     /// so wait timestamps align with sensor timestamps).
-    pub fn with_clock(clock: MonotonicClock, recent_capacity: usize) -> Self {
+    pub fn with_clock(clock: MonotonicClock) -> Self {
         WaitRegistry {
             clock,
             counters: WaitCounters::new(),
-            recent: Mutex::new(RingBuffer::new(recent_capacity)),
         }
     }
 
@@ -270,61 +251,24 @@ impl WaitRegistry {
         self.counters.snapshot()
     }
 
-    /// The most recent completed waits, oldest first.
-    pub fn recent(&self) -> Vec<WaitRecord> {
-        match self.recent.lock() {
-            Ok(ring) => ring.iter().copied().collect(),
-            Err(poisoned) => poisoned.into_inner().iter().copied().collect(),
-        }
-    }
-
-    /// Begin a wait on this registry: returns the RAII guard that charges
-    /// the elapsed nanoseconds on drop. Used by instrumented code that holds
-    /// a registry handle directly (the storage daemon's catch-up loop); the
-    /// lock/WAL/buffer paths go through [`WaitGuard::begin`] instead.
-    pub fn begin(self: &Arc<Self>, event: WaitEvent) -> WaitGuard {
-        WaitGuard::begin(Some(self), event)
-    }
-
     /// Charge a completed wait of known duration (no guard). The session
     /// bound to the calling thread, if any, is charged too.
     pub fn charge(&self, event: WaitEvent, ns: u64) {
-        let start = self.clock.now_nanos().saturating_sub(ns);
         let session = AMBIENT.with(|a| a.borrow().clone());
-        self.commit_wait(event, start, ns, session.as_deref());
+        self.commit_wait(event, ns, session.as_deref());
     }
 
-    fn commit_wait(
-        &self,
-        event: WaitEvent,
-        start_ns: u64,
-        duration_ns: u64,
-        session: Option<&SessionWaits>,
-    ) {
-        let record = WaitRecord {
-            event,
-            session: session.map(|s| s.session_id),
-            start_ns,
-            duration_ns,
-        };
+    fn commit_wait(&self, event: WaitEvent, duration_ns: u64, session: Option<&SessionWaits>) {
         self.counters.charge(event, duration_ns);
-        match self.recent.lock() {
-            Ok(mut ring) => {
-                ring.push(record);
-            }
-            Err(poisoned) => {
-                poisoned.into_inner().push(record);
-            }
-        }
         if let Some(waits) = session {
-            waits.record(record);
+            waits.record(event, duration_ns);
         }
     }
 }
 
-/// Per-session wait accounting: cumulative counters, a small recent-wait
-/// ring, and the session's *current* wait state — the field the ASH sampler
-/// reads from another thread, hence the atomics. It also names the session
+/// Per-session wait accounting: cumulative counters and the session's
+/// *current* wait state — the field the ASH sampler reads from another
+/// thread, hence the atomics. It also names the session
 /// and the engine registry its waits are charged to as well, so one handle
 /// is all [`bind_session`] installs.
 #[derive(Debug)]
@@ -339,18 +283,13 @@ pub struct SessionWaits {
     current: AtomicUsize,
     /// When the current wait began (registry-clock nanoseconds).
     current_since_ns: AtomicU64,
-    recent: Mutex<RingBuffer<WaitRecord>>,
 }
 
 impl SessionWaits {
-    /// Accounting for session `session_id` with a recent-ring of
-    /// `recent_capacity`. Guards begun while it is bound charge `registry`
-    /// too; without one only guards handed a registry of their own measure.
-    pub fn new(
-        session_id: u64,
-        registry: Option<Arc<WaitRegistry>>,
-        recent_capacity: usize,
-    ) -> Self {
+    /// Accounting for session `session_id`. Guards begun while it is bound
+    /// charge `registry` too; without one only guards handed a registry of
+    /// their own measure.
+    pub fn new(session_id: u64, registry: Option<Arc<WaitRegistry>>) -> Self {
         SessionWaits {
             session_id,
             registry,
@@ -358,7 +297,6 @@ impl SessionWaits {
             total_ns: AtomicU64::new(0),
             current: AtomicUsize::new(0),
             current_since_ns: AtomicU64::new(0),
-            recent: Mutex::new(RingBuffer::new(recent_capacity)),
         }
     }
 
@@ -383,14 +321,6 @@ impl SessionWaits {
         let cur = self.current.load(Ordering::Acquire);
         let event = WaitEvent::from_index(cur.checked_sub(1)?)?;
         Some((event, self.current_since_ns.load(Ordering::Relaxed)))
-    }
-
-    /// This session's most recent completed waits, oldest first.
-    pub fn recent(&self) -> Vec<WaitRecord> {
-        match self.recent.lock() {
-            Ok(ring) => ring.iter().copied().collect(),
-            Err(poisoned) => poisoned.into_inner().iter().copied().collect(),
-        }
     }
 
     /// Mark `event` as the session's current wait, returning the previous
@@ -421,18 +351,9 @@ impl SessionWaits {
     /// active, and clearing `current` here would make the ASH sampler see
     /// the rest of that outer wait as on-CPU. The guard that set the state
     /// restores it on drop instead.
-    fn record(&self, record: WaitRecord) {
-        self.counters.charge(record.event, record.duration_ns);
-        self.total_ns
-            .fetch_add(record.duration_ns, Ordering::Relaxed);
-        match self.recent.lock() {
-            Ok(mut ring) => {
-                ring.push(record);
-            }
-            Err(poisoned) => {
-                poisoned.into_inner().push(record);
-            }
-        }
+    fn record(&self, event: WaitEvent, duration_ns: u64) {
+        self.counters.charge(event, duration_ns);
+        self.total_ns.fetch_add(duration_ns, Ordering::Relaxed);
     }
 }
 
@@ -548,12 +469,9 @@ impl Drop for WaitGuard {
         if let Some(inner) = self.inner.take() {
             let now = inner.registry.clock().now_nanos();
             let duration = now.saturating_sub(inner.start_ns);
-            inner.registry.commit_wait(
-                inner.event,
-                inner.start_ns,
-                duration,
-                inner.session.as_deref(),
-            );
+            inner
+                .registry
+                .commit_wait(inner.event, duration, inner.session.as_deref());
             if let Some(waits) = &inner.session {
                 waits.restore(inner.prev_wait);
             }
@@ -644,8 +562,8 @@ mod tests {
 
     #[test]
     fn guard_charges_registry_and_bound_session() {
-        let registry = Arc::new(WaitRegistry::new(16));
-        let session = Arc::new(SessionWaits::new(7, Some(Arc::clone(&registry)), 16));
+        let registry = Arc::new(WaitRegistry::new());
+        let session = Arc::new(SessionWaits::new(7, Some(Arc::clone(&registry))));
         let bound = bind_session(Arc::clone(&session));
         {
             let guard = WaitGuard::begin(Some(&registry), WaitEvent::LockWaitX);
@@ -663,11 +581,6 @@ mod tests {
             "the running total is the sum over events"
         );
         assert!(session.current_wait().is_none(), "back on CPU");
-        let recent = registry.recent();
-        assert_eq!(recent.len(), 1);
-        assert_eq!(recent[0].session, Some(7));
-        assert_eq!(recent[0].event, WaitEvent::LockWaitX);
-        assert_eq!(session.recent().len(), 1);
     }
 
     #[test]
@@ -682,8 +595,8 @@ mod tests {
     fn charge_ambient_uses_thread_binding() {
         // Nothing bound: silently dropped.
         charge_ambient(WaitEvent::RetryBackoff, 1_000);
-        let registry = Arc::new(WaitRegistry::new(4));
-        let session = Arc::new(SessionWaits::new(3, Some(Arc::clone(&registry)), 4));
+        let registry = Arc::new(WaitRegistry::new());
+        let session = Arc::new(SessionWaits::new(3, Some(Arc::clone(&registry))));
         let bound = bind_session(Arc::clone(&session));
         charge_ambient(WaitEvent::RetryBackoff, 2_500);
         drop(bound);
@@ -699,21 +612,11 @@ mod tests {
     fn registry_handle_sets_once() {
         let handle = WaitRegistryHandle::new();
         assert!(handle.get().is_none());
-        let a = Arc::new(WaitRegistry::new(4));
-        let b = Arc::new(WaitRegistry::new(4));
+        let a = Arc::new(WaitRegistry::new());
+        let b = Arc::new(WaitRegistry::new());
         handle.set(Arc::clone(&a));
         handle.set(b);
         assert!(Arc::ptr_eq(handle.get().expect("set"), &a));
-    }
-
-    #[test]
-    fn recent_ring_is_bounded() {
-        let registry = Arc::new(WaitRegistry::new(4));
-        for _ in 0..10 {
-            drop(registry.begin(WaitEvent::BufferEvict));
-        }
-        assert_eq!(registry.recent().len(), 4);
-        assert_eq!(registry.counters().count(WaitEvent::BufferEvict), 10);
     }
 
     #[test]
@@ -722,8 +625,8 @@ mod tests {
         // the retry loop) must not clear the session's current-wait state —
         // the ASH sampler would otherwise see the rest of the outer wait as
         // on-CPU (regression: SessionWaits::record stored 0 into current).
-        let registry = Arc::new(WaitRegistry::new(8));
-        let session = Arc::new(SessionWaits::new(5, Some(Arc::clone(&registry)), 8));
+        let registry = Arc::new(WaitRegistry::new());
+        let session = Arc::new(SessionWaits::new(5, Some(Arc::clone(&registry))));
         let bound = bind_session(Arc::clone(&session));
         {
             let _outer = WaitGuard::begin(Some(&registry), WaitEvent::WalFsync);
@@ -742,8 +645,8 @@ mod tests {
         // Instrumented paths should not nest guards (the counters would
         // double-charge the overlap), but if they ever do, the inner guard's
         // drop restores the outer wait's state rather than clearing it.
-        let registry = Arc::new(WaitRegistry::new(8));
-        let session = Arc::new(SessionWaits::new(6, Some(Arc::clone(&registry)), 8));
+        let registry = Arc::new(WaitRegistry::new());
+        let session = Arc::new(SessionWaits::new(6, Some(Arc::clone(&registry))));
         let bound = bind_session(Arc::clone(&session));
         {
             let _outer = WaitGuard::begin(Some(&registry), WaitEvent::LockWaitX);
@@ -763,10 +666,10 @@ mod tests {
 
     #[test]
     fn nested_bindings_restore() {
-        let r1 = Arc::new(WaitRegistry::new(4));
-        let s1 = Arc::new(SessionWaits::new(1, Some(Arc::clone(&r1)), 4));
-        let r2 = Arc::new(WaitRegistry::new(4));
-        let s2 = Arc::new(SessionWaits::new(2, Some(Arc::clone(&r2)), 4));
+        let r1 = Arc::new(WaitRegistry::new());
+        let s1 = Arc::new(SessionWaits::new(1, Some(Arc::clone(&r1))));
+        let r2 = Arc::new(WaitRegistry::new());
+        let s2 = Arc::new(SessionWaits::new(2, Some(Arc::clone(&r2))));
         let outer = bind_session(Arc::clone(&s1));
         {
             let _inner = bind_session(Arc::clone(&s2));

@@ -23,9 +23,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ingot_common::waits::{SessionWaits, WaitRegistry, WaitRegistryHandle};
-use ingot_common::{MonotonicClock, RingBuffer, StmtHash};
+use ingot_common::waits::{SessionWaits, WaitEvent, WaitRegistry, WaitRegistryHandle};
+use ingot_common::{DataType, MonotonicClock, RingBuffer, StmtHash, Value};
 use parking_lot::Mutex;
+
+use crate::monitor::records::{hash, int, record, text, v_int, Cells, Record};
 
 /// What a session is currently executing (live state read by the sampler).
 #[derive(Debug, Clone)]
@@ -49,9 +51,9 @@ pub struct ActiveSession {
 }
 
 impl ActiveSession {
-    fn new(session_id: u64, registry: Option<Arc<WaitRegistry>>, recent_waits: usize) -> Self {
+    fn new(session_id: u64, registry: Option<Arc<WaitRegistry>>) -> Self {
         ActiveSession {
-            waits: Arc::new(SessionWaits::new(session_id, registry, recent_waits)),
+            waits: Arc::new(SessionWaits::new(session_id, registry)),
             current: Mutex::new(None),
         }
     }
@@ -107,8 +109,23 @@ pub struct AshSample {
 /// The event name recorded when a sampled session is not inside any wait.
 pub const ON_CPU: &str = "OnCpu";
 
-/// Recent-wait ring capacity given to each session slot.
-const SESSION_RECENT_WAITS: usize = 64;
+// `ima$active_sessions` serves the same shape live.
+record!(AshSample, "ima$ash", "wl_ash", |s, c| {
+    "at_ns": Int = v_int(s.at_ns) => at_ns: int(c)?,
+    "session": Int = v_int(s.session_id) => session_id: int(c)?,
+    "hash": Str = s.hash.to_string() => hash: hash(c)?,
+    "statement": Str = s.template.to_string() => template: text(c)?.into(),
+    "elapsed_ns": Int = v_int(s.elapsed_ns) => elapsed_ns: int(c)?,
+    "event": Str = s.event => event: event_name(text(c)?)?,
+});
+
+/// The `&'static` spelling of a stored event name.
+fn event_name(name: &str) -> Option<&'static str> {
+    if name == ON_CPU {
+        return Some(ON_CPU);
+    }
+    WaitEvent::from_name(name).map(WaitEvent::name)
+}
 
 /// The cooperative ASH sampler: a registry of live sessions plus the
 /// bounded sample ring behind `ima$ash`.
@@ -164,11 +181,7 @@ impl AshSampler {
     /// Register `session_id` and return its slot. Called by
     /// `Engine::open_session`.
     pub fn register_session(&self, session_id: u64) -> Arc<ActiveSession> {
-        let slot = Arc::new(ActiveSession::new(
-            session_id,
-            self.waits.get().cloned(),
-            SESSION_RECENT_WAITS,
-        ));
+        let slot = Arc::new(ActiveSession::new(session_id, self.waits.get().cloned()));
         self.sessions.lock().insert(session_id, Arc::clone(&slot));
         slot
     }
@@ -267,7 +280,6 @@ impl AshSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ingot_common::waits::WaitEvent;
 
     fn sampler(interval_ns: u64, cap: usize) -> AshSampler {
         AshSampler::new(MonotonicClock::new(), interval_ns, cap)
@@ -284,7 +296,7 @@ mod tests {
     #[test]
     fn active_statement_is_sampled_with_wait_state() {
         let s = sampler(10, 16);
-        s.set_wait_registry(Arc::new(WaitRegistry::new(4)));
+        s.set_wait_registry(Arc::new(WaitRegistry::new()));
         let slot = s.register_session(5);
         slot.begin_statement(StmtHash::of("select 1"), "select 1".into(), 1_000);
         s.sample_now(3_000);

@@ -40,10 +40,6 @@ use crate::monitor::{
     AttributeRef, Footprint, IndexRef, Monitor, StatSample, StatementSensor, TableRef,
 };
 
-/// Capacity of the engine-global recent-wait ring behind `ima$wait_events`'
-/// sibling history (`WaitRegistry::recent`).
-const WAIT_RECENT_CAPACITY: usize = 1024;
-
 /// Concurrent-session counters ("Current sessions, Maximum sessions" in the
 /// Fig 3 statistics table).
 #[derive(Debug, Default)]
@@ -326,7 +322,7 @@ impl Engine {
         // "Original" setup never constructs a registry and every guard on
         // the instrumented paths stays a no-op.
         let (waits, ash) = if monitor.is_some() && config.wait_events_enabled {
-            let registry = Arc::new(WaitRegistry::with_clock(wall, WAIT_RECENT_CAPACITY));
+            let registry = Arc::new(WaitRegistry::with_clock(wall));
             locks.set_wait_registry(Arc::clone(&registry));
             wal.set_wait_registry(Arc::clone(&registry));
             storage.pool().set_wait_registry(Arc::clone(&registry));

@@ -11,248 +11,50 @@
 use std::sync::Arc;
 
 use ingot_catalog::Catalog;
+use ingot_common::waits::{WaitRegistry, WaitTotal};
 use ingot_common::{Column, DataType, Result, Row, Schema, Value};
 use ingot_planner::PlanCache;
 use ingot_storage::Wal;
 use ingot_trace::Tracer;
 use ingot_txn::{AbortCause, LockManager, LockMode, Resource, TxnManager};
 
-use ingot_common::waits::WaitRegistry;
-
 use crate::ash::{AshSample, AshSampler};
 use crate::engine::SessionCounters;
+use crate::monitor::records::{
+    v_int, AttributeUsage, IndexUsage, Record, ReferenceRecord, StatSample, StatementInfo,
+    TableUsage, WorkloadRecord,
+};
 use crate::monitor::Monitor;
 
-fn v_int(v: u64) -> Value {
-    Value::Int(v as i64)
+/// Register `name` as a virtual table of `R` records: the record's schema
+/// over whatever `rows` snapshots at scan time.
+fn register<R: Record>(
+    catalog: &mut Catalog,
+    name: &str,
+    rows: impl Fn() -> Vec<R> + Send + Sync + 'static,
+) -> Result<()> {
+    let provider = move || rows().into_iter().map(|r| Row::new(r.encode())).collect();
+    catalog.register_virtual_table(name, R::schema(), Arc::new(provider))?;
+    Ok(())
 }
 
-/// Register all `ima$…` virtual tables for `monitor` into `catalog`.
+/// Register the seven Fig 3 `ima$…` virtual tables for `monitor` into
+/// `catalog`.
 pub fn register_ima_tables(catalog: &mut Catalog, monitor: &Arc<Monitor>) -> Result<()> {
-    // ima$statements
     let m = Arc::clone(monitor);
-    catalog.register_virtual_table(
-        "ima$statements",
-        Schema::new(vec![
-            Column::not_null("hash", DataType::Str),
-            Column::new("query_text", DataType::Str),
-            Column::new("frequency", DataType::Int),
-            Column::new("first_seen_ns", DataType::Int),
-            Column::new("last_seen_ns", DataType::Int),
-        ]),
-        Arc::new(move || {
-            m.statements()
-                .into_iter()
-                .map(|s| {
-                    Row::new(vec![
-                        Value::Str(s.hash.to_string()),
-                        Value::Str(s.text),
-                        v_int(s.frequency),
-                        v_int(s.first_seen_ns),
-                        v_int(s.last_seen_ns),
-                    ])
-                })
-                .collect()
-        }),
-    )?;
-
-    // ima$workload
+    register(catalog, StatementInfo::IMA, move || m.statements())?;
     let m = Arc::clone(monitor);
-    catalog.register_virtual_table(
-        "ima$workload",
-        Schema::new(vec![
-            Column::not_null("hash", DataType::Str),
-            Column::new("seq", DataType::Int),
-            Column::new("opt_cpu_ns", DataType::Int),
-            Column::new("opt_dio", DataType::Int),
-            Column::new("exec_cpu", DataType::Int),
-            Column::new("exec_dio", DataType::Int),
-            Column::new("est_cpu", DataType::Float),
-            Column::new("est_dio", DataType::Float),
-            Column::new("wallclock_ns", DataType::Int),
-            Column::new("monitor_ns", DataType::Int),
-            Column::new("at_ns", DataType::Int),
-            Column::new("at_secs", DataType::Int),
-        ]),
-        Arc::new(move || {
-            m.workload()
-                .into_iter()
-                .map(|w| {
-                    Row::new(vec![
-                        Value::Str(w.hash.to_string()),
-                        v_int(w.seq),
-                        v_int(w.opt_time_ns),
-                        v_int(w.opt_io),
-                        v_int(w.exec_cpu),
-                        v_int(w.exec_io),
-                        Value::Float(w.est.cpu),
-                        Value::Float(w.est.io),
-                        v_int(w.wallclock_ns),
-                        v_int(w.monitor_ns),
-                        v_int(w.at_ns),
-                        v_int(w.at_sim_secs),
-                    ])
-                })
-                .collect()
-        }),
-    )?;
-
-    // ima$references
+    register(catalog, WorkloadRecord::IMA, move || m.workload())?;
     let m = Arc::clone(monitor);
-    catalog.register_virtual_table(
-        "ima$references",
-        Schema::new(vec![
-            Column::not_null("hash", DataType::Str),
-            Column::new("object_type", DataType::Str),
-            Column::new("object_id", DataType::Int),
-            Column::new("table_id", DataType::Int),
-        ]),
-        Arc::new(move || {
-            m.references()
-                .into_iter()
-                .map(|r| {
-                    Row::new(vec![
-                        Value::Str(r.hash.to_string()),
-                        Value::Str(r.object.tag().to_owned()),
-                        v_int(r.object_id),
-                        v_int(u64::from(r.table.raw())),
-                    ])
-                })
-                .collect()
-        }),
-    )?;
-
-    // ima$tables
+    register(catalog, ReferenceRecord::IMA, move || m.references())?;
     let m = Arc::clone(monitor);
-    catalog.register_virtual_table(
-        "ima$tables",
-        Schema::new(vec![
-            Column::not_null("table_id", DataType::Int),
-            Column::new("table_name", DataType::Str),
-            Column::new("frequency", DataType::Int),
-            Column::new("storage", DataType::Str),
-            Column::new("data_pages", DataType::Int),
-            Column::new("overflow_pages", DataType::Int),
-            Column::new("row_count", DataType::Int),
-        ]),
-        Arc::new(move || {
-            m.tables()
-                .into_iter()
-                .map(|t| {
-                    Row::new(vec![
-                        v_int(u64::from(t.id.raw())),
-                        Value::Str(t.name),
-                        v_int(t.frequency),
-                        Value::Str(t.storage),
-                        v_int(t.data_pages),
-                        v_int(t.overflow_pages),
-                        v_int(t.rows),
-                    ])
-                })
-                .collect()
-        }),
-    )?;
-
-    // ima$indexes
+    register(catalog, TableUsage::IMA, move || m.tables())?;
     let m = Arc::clone(monitor);
-    catalog.register_virtual_table(
-        "ima$indexes",
-        Schema::new(vec![
-            Column::not_null("index_id", DataType::Int),
-            Column::new("index_name", DataType::Str),
-            Column::new("table_id", DataType::Int),
-            Column::new("frequency", DataType::Int),
-            Column::new("pages", DataType::Int),
-        ]),
-        Arc::new(move || {
-            m.indexes()
-                .into_iter()
-                .map(|i| {
-                    Row::new(vec![
-                        v_int(u64::from(i.id.raw())),
-                        Value::Str(i.name),
-                        v_int(u64::from(i.table.raw())),
-                        v_int(i.frequency),
-                        v_int(i.pages),
-                    ])
-                })
-                .collect()
-        }),
-    )?;
-
-    // ima$attributes
+    register(catalog, IndexUsage::IMA, move || m.indexes())?;
     let m = Arc::clone(monitor);
-    catalog.register_virtual_table(
-        "ima$attributes",
-        Schema::new(vec![
-            Column::not_null("table_id", DataType::Int),
-            Column::new("attr_id", DataType::Int),
-            Column::new("attr_name", DataType::Str),
-            Column::new("frequency", DataType::Int),
-            Column::new("has_histogram", DataType::Bool),
-        ]),
-        Arc::new(move || {
-            m.attributes()
-                .into_iter()
-                .map(|a| {
-                    Row::new(vec![
-                        v_int(u64::from(a.table.raw())),
-                        v_int(a.column as u64),
-                        Value::Str(a.name),
-                        v_int(a.frequency),
-                        Value::Bool(a.has_histogram),
-                    ])
-                })
-                .collect()
-        }),
-    )?;
-
-    // ima$statistics
+    register(catalog, AttributeUsage::IMA, move || m.attributes())?;
     let m = Arc::clone(monitor);
-    catalog.register_virtual_table(
-        "ima$statistics",
-        Schema::new(vec![
-            Column::not_null("at_ns", DataType::Int),
-            Column::new("at_secs", DataType::Int),
-            Column::new("sessions", DataType::Int),
-            Column::new("max_sessions", DataType::Int),
-            Column::new("locks_held", DataType::Int),
-            Column::new("lock_waiting", DataType::Int),
-            Column::new("lock_waits_total", DataType::Int),
-            Column::new("deadlocks_total", DataType::Int),
-            Column::new("active_txns", DataType::Int),
-            Column::new("cache_hits", DataType::Int),
-            Column::new("cache_misses", DataType::Int),
-            Column::new("physical_reads", DataType::Int),
-            Column::new("physical_writes", DataType::Int),
-            Column::new("statements_executed", DataType::Int),
-        ]),
-        Arc::new(move || {
-            m.statistics()
-                .into_iter()
-                .map(|s| {
-                    Row::new(vec![
-                        v_int(s.at_ns),
-                        v_int(s.at_sim_secs),
-                        v_int(s.sessions),
-                        v_int(s.max_sessions),
-                        v_int(s.locks_held),
-                        v_int(s.lock_waiting),
-                        v_int(s.lock_waits_total),
-                        v_int(s.deadlocks_total),
-                        v_int(s.active_txns),
-                        v_int(s.cache_hits),
-                        v_int(s.cache_misses),
-                        v_int(s.physical_reads),
-                        v_int(s.physical_writes),
-                        v_int(s.statements_executed),
-                    ])
-                })
-                .collect()
-        }),
-    )?;
-
-    Ok(())
+    register(catalog, StatSample::IMA, move || m.statistics())
 }
 
 /// Register `ima$monitor_health`: a single-row self-observation of the
@@ -632,62 +434,11 @@ pub fn register_wait_tables(
     sampler: &Arc<AshSampler>,
 ) -> Result<()> {
     let r = Arc::clone(registry);
-    catalog.register_virtual_table(
-        "ima$wait_events",
-        Schema::new(vec![
-            Column::not_null("event", DataType::Str),
-            Column::new("count", DataType::Int),
-            Column::new("total_ns", DataType::Int),
-        ]),
-        Arc::new(move || {
-            r.snapshot()
-                .into_iter()
-                .map(|t| {
-                    Row::new(vec![
-                        Value::Str(t.event.name().to_owned()),
-                        v_int(t.count),
-                        v_int(t.total_ns),
-                    ])
-                })
-                .collect()
-        }),
-    )?;
-
-    let ash_row = |s: AshSample| {
-        Row::new(vec![
-            v_int(s.at_ns),
-            v_int(s.session_id),
-            Value::Str(s.hash.to_string()),
-            Value::Str(s.template.to_string()),
-            v_int(s.elapsed_ns),
-            Value::Str(s.event.to_owned()),
-        ])
-    };
-    let ash_schema = || {
-        Schema::new(vec![
-            Column::not_null("at_ns", DataType::Int),
-            Column::new("session", DataType::Int),
-            Column::new("hash", DataType::Str),
-            Column::new("statement", DataType::Str),
-            Column::new("elapsed_ns", DataType::Int),
-            Column::new("event", DataType::Str),
-        ])
-    };
-
+    register(catalog, WaitTotal::IMA, move || r.snapshot())?;
     let s = Arc::clone(sampler);
-    catalog.register_virtual_table(
-        "ima$active_sessions",
-        ash_schema(),
-        Arc::new(move || s.active_snapshot().into_iter().map(ash_row).collect()),
-    )?;
-
+    register(catalog, "ima$active_sessions", move || s.active_snapshot())?;
     let s = Arc::clone(sampler);
-    catalog.register_virtual_table(
-        "ima$ash",
-        ash_schema(),
-        Arc::new(move || s.history().into_iter().map(ash_row).collect()),
-    )?;
-    Ok(())
+    register(catalog, AshSample::IMA, move || s.history())
 }
 
 /// Name of the storage-daemon health table (registered only while a daemon
@@ -759,6 +510,38 @@ pub fn connections_schema() -> Schema {
         Column::new("txn_age_ms", DataType::Int),
     ])
 }
+
+/// One [`Record`]'s names and schema as plain data, for code that walks
+/// every copied table without naming the record types.
+pub struct TableShape {
+    /// The live `ima$…` table.
+    pub ima: &'static str,
+    /// Its `wl_…` copy in the workload database: the same columns plus `ts`.
+    pub wl: &'static str,
+    /// The columns both share.
+    pub schema: fn() -> Schema,
+}
+
+const fn shape<R: Record>() -> TableShape {
+    TableShape {
+        ima: R::IMA,
+        wl: R::WL,
+        schema: R::schema,
+    }
+}
+
+/// The tables the storage daemon copies into the workload database.
+pub const COPIED_TABLES: [TableShape; 9] = [
+    shape::<StatementInfo>(),
+    shape::<WorkloadRecord>(),
+    shape::<ReferenceRecord>(),
+    shape::<TableUsage>(),
+    shape::<IndexUsage>(),
+    shape::<AttributeUsage>(),
+    shape::<StatSample>(),
+    shape::<WaitTotal>(),
+    shape::<AshSample>(),
+];
 
 /// The names of all IMA virtual tables, in registration order, under the
 /// *full* monitoring configuration (`monitor_enabled` plus
@@ -832,5 +615,52 @@ mod tests {
         }
 
         assert!(ima_table_names(&EngineConfig::original()).is_empty());
+    }
+
+    /// `decode` inverts `encode`, and every value is of its column's type.
+    fn round_trip<R: Record + Clone>(records: Vec<R>) {
+        assert!(!records.is_empty(), "{} needs a row to test", R::IMA);
+        for record in records {
+            let row = record.encode();
+            let types: Vec<_> = row.iter().map(|v| v.data_type()).collect();
+            let declared: Vec<_> = R::COLUMNS.iter().map(|&(_, ty)| Some(ty)).collect();
+            assert_eq!(types, declared, "{}", R::IMA);
+            let mut cells = row.iter();
+            let back = R::decode(&mut cells).expect(R::IMA);
+            assert!(cells.next().is_none(), "{} decode left a cell", R::IMA);
+            assert_eq!(back.encode(), row, "{}", R::IMA);
+        }
+    }
+
+    #[test]
+    fn records_round_trip_through_their_definition() {
+        let engine = crate::Engine::builder()
+            .config(EngineConfig::monitoring())
+            .build()
+            .unwrap();
+        let s = engine.open_session();
+        s.execute("create table t (a int, b int)").unwrap();
+        s.execute("create index t_b on t (b)").unwrap();
+        let rows: Vec<String> = (0..2000).map(|i| format!("({i}, {i})")).collect();
+        s.execute(&format!("insert into t values {}", rows.join(", ")))
+            .unwrap();
+        s.execute("create statistics on t").unwrap();
+        s.execute("select a from t where b = 55").unwrap();
+        engine.sample_statistics();
+        let sampler = engine.ash_sampler().unwrap();
+        let slot = sampler.register_session(99);
+        slot.begin_statement(ingot_common::StmtHash::of("q"), "q".into(), 0);
+        sampler.sample_now(2);
+
+        let m = engine.monitor().unwrap();
+        round_trip(m.statements());
+        round_trip(m.workload());
+        round_trip(m.references());
+        round_trip(m.tables());
+        round_trip(m.indexes());
+        round_trip(m.attributes());
+        round_trip(m.statistics());
+        round_trip(engine.wait_registry().unwrap().snapshot());
+        round_trip(sampler.history());
     }
 }

@@ -34,9 +34,9 @@ pub use engine::{Engine, EngineBuilder, Prepared, Session, StatementResult};
 pub use ima::{
     connections_schema, daemon_health_schema, ima_table_names, register_concurrency_tables,
     register_connections_table, register_daemon_health_table, register_monitor_health_table,
-    register_plan_cache_table, register_trace_tables, register_wait_tables, IMA_CONNECTIONS,
-    IMA_DAEMON_HEALTH, IMA_TABLE_NAMES, IMA_WAIT_TABLE_NAMES,
+    register_plan_cache_table, register_trace_tables, register_wait_tables, TableShape,
+    COPIED_TABLES, IMA_CONNECTIONS, IMA_DAEMON_HEALTH, IMA_TABLE_NAMES, IMA_WAIT_TABLE_NAMES,
 };
 pub use ingot_planner::{PlanCache, PlanCacheStats};
 pub use ingot_trace::{MetricsSnapshot, Tracer};
-pub use monitor::{Monitor, MonitorHealth, StatementSensor};
+pub use monitor::{Monitor, MonitorHealth, Record, StatementSensor};

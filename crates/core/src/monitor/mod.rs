@@ -30,8 +30,8 @@ use parking_lot::Mutex;
 pub use ingot_common::RingBuffer;
 pub use ingot_planner::{AttributeRef, Footprint, IndexRef, TableRef};
 pub use records::{
-    AttributeUsage, IndexUsage, RefObject, ReferenceRecord, StatSample, StatementInfo, TableUsage,
-    WorkloadRecord,
+    AttributeUsage, Cells, IndexUsage, Record, RefObject, ReferenceRecord, StatSample,
+    StatementInfo, TableUsage, WorkloadRecord,
 };
 
 /// The in-flight sensor state of one statement. It borrows the statement

@@ -1,6 +1,101 @@
-//! The records held in the monitor's ring buffers — the Fig 3 schema.
+//! The records held in the monitor's ring buffers — the Fig 3 schema — and
+//! the one definition of each monitoring table's shape.
 
-use ingot_common::{Cost, IndexId, StmtHash, TableId};
+use ingot_common::waits::{WaitEvent, WaitTotal};
+use ingot_common::{Column, Cost, DataType, IndexId, Schema, StmtHash, TableId, Value};
+
+/// The shape of one monitoring table, defined once beside its record.
+///
+/// "The workload database … contains the same table schema as the one used
+/// in IMA" (§IV-B) because both sides take it from here: `ima.rs` registers
+/// [`IMA`](Self::IMA) with [`schema`](Self::schema) and encodes provider
+/// rows with [`encode`](Self::encode); the storage daemon creates
+/// [`WL`](Self::WL) as the same columns plus `ts` and appends the same
+/// encoding plus the poll's timestamp; the analyzer reads `wl_` rows back
+/// with [`decode`](Self::decode). Implemented through `record!`, one line
+/// per column.
+pub trait Record: Sized {
+    /// The live virtual table serving these records.
+    const IMA: &'static str;
+    /// The workload-DB table keeping them.
+    const WL: &'static str;
+    /// Ordered `(name, type)` columns. The first is the key and NOT NULL,
+    /// the rest are nullable.
+    const COLUMNS: &'static [(&'static str, DataType)];
+
+    /// One value per column.
+    fn encode(self) -> Vec<Value>;
+
+    /// Inverse of [`encode`](Self::encode): reads one value per column off
+    /// `cells` and leaves what follows (the daemon's `ts`) unread. `None`
+    /// when a value is missing or not of the column's type.
+    fn decode(cells: &mut Cells<'_>) -> Option<Self>;
+
+    /// The columns as a catalog schema.
+    fn schema() -> Schema {
+        let mut columns: Vec<Column> = Self::COLUMNS
+            .iter()
+            .map(|&(name, ty)| Column::new(name, ty))
+            .collect();
+        if let Some(key) = columns.first_mut() {
+            key.nullable = false;
+        }
+        Schema::new(columns)
+    }
+}
+
+/// A row's values, read left to right by [`Record::decode`].
+pub type Cells<'a> = std::slice::Iter<'a, Value>;
+
+/// Implement [`Record`] for `$rec` from one line per column:
+/// `"column": Type = <value of the record $r> => field: <read off cells $c>`.
+/// A field spanning two columns is read on the first of them.
+macro_rules! record {
+    ($rec:ident, $ima:literal, $wl:literal, |$r:ident, $c:ident| {
+        $($col:literal: $ty:ident = $enc:expr $(=> $field:ident: $dec:expr)?,)*
+    }) => {
+        impl Record for $rec {
+            const IMA: &'static str = $ima;
+            const WL: &'static str = $wl;
+            const COLUMNS: &'static [(&'static str, DataType)] = &[$(($col, DataType::$ty)),*];
+
+            fn encode(self) -> Vec<Value> {
+                let $r = self;
+                vec![$($enc.into()),*]
+            }
+
+            fn decode($c: &mut Cells<'_>) -> Option<Self> {
+                Some($rec { $($($field: $dec,)?)* })
+            }
+        }
+    };
+}
+pub(crate) use record;
+
+pub(crate) fn v_int(v: u64) -> Value {
+    Value::Int(v as i64)
+}
+
+pub(crate) fn int(cells: &mut Cells<'_>) -> Option<u64> {
+    cells.next()?.as_int().map(|n| n as u64)
+}
+
+fn float(cells: &mut Cells<'_>) -> Option<f64> {
+    cells.next()?.as_f64()
+}
+
+pub(crate) fn text<'a>(cells: &mut Cells<'a>) -> Option<&'a str> {
+    cells.next()?.as_str()
+}
+
+/// A statement hash, stored as the 16 hex digits it displays as.
+pub(crate) fn hash(cells: &mut Cells<'_>) -> Option<StmtHash> {
+    u64::from_str_radix(text(cells)?, 16).ok().map(StmtHash)
+}
+
+fn table_id(cells: &mut Cells<'_>) -> Option<TableId> {
+    int(cells).map(|id| TableId(id as u32))
+}
 
 /// One unique statement (`statements` table of Fig 3).
 #[derive(Debug, Clone)]
@@ -16,6 +111,14 @@ pub struct StatementInfo {
     /// Monotonic nanos of latest execution.
     pub last_seen_ns: u64,
 }
+
+record!(StatementInfo, "ima$statements", "wl_statements", |s, c| {
+    "hash": Str = s.hash.to_string() => hash: hash(c)?,
+    "query_text": Str = s.text => text: text(c)?.to_owned(),
+    "frequency": Int = v_int(s.frequency) => frequency: int(c)?,
+    "first_seen_ns": Int = v_int(s.first_seen_ns) => first_seen_ns: int(c)?,
+    "last_seen_ns": Int = v_int(s.last_seen_ns) => last_seen_ns: int(c)?,
+});
 
 /// One execution (`workload` table of Fig 3).
 #[derive(Debug, Clone)]
@@ -46,6 +149,21 @@ pub struct WorkloadRecord {
     pub at_sim_secs: u64,
 }
 
+record!(WorkloadRecord, "ima$workload", "wl_workload", |w, c| {
+    "hash": Str = w.hash.to_string() => hash: hash(c)?,
+    "seq": Int = v_int(w.seq) => seq: int(c)?,
+    "opt_cpu_ns": Int = v_int(w.opt_time_ns) => opt_time_ns: int(c)?,
+    "opt_dio": Int = v_int(w.opt_io) => opt_io: int(c)?,
+    "exec_cpu": Int = v_int(w.exec_cpu) => exec_cpu: int(c)?,
+    "exec_dio": Int = v_int(w.exec_io) => exec_io: int(c)?,
+    "est_cpu": Float = w.est.cpu => est: Cost::new(float(c)?, float(c)?),
+    "est_dio": Float = w.est.io,
+    "wallclock_ns": Int = v_int(w.wallclock_ns) => wallclock_ns: int(c)?,
+    "monitor_ns": Int = v_int(w.monitor_ns) => monitor_ns: int(c)?,
+    "at_ns": Int = v_int(w.at_ns) => at_ns: int(c)?,
+    "at_secs": Int = v_int(w.at_sim_secs) => at_sim_secs: int(c)?,
+});
+
 /// What kind of object a `references` row points at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefObject {
@@ -66,6 +184,13 @@ impl RefObject {
             RefObject::Index => "index",
         }
     }
+
+    /// Inverse of [`tag`](Self::tag).
+    pub fn from_tag(tag: &str) -> Option<RefObject> {
+        [RefObject::Table, RefObject::Attribute, RefObject::Index]
+            .into_iter()
+            .find(|o| o.tag() == tag)
+    }
 }
 
 /// One object reference of a statement (`references` table of Fig 3).
@@ -80,6 +205,13 @@ pub struct ReferenceRecord {
     /// Owning table.
     pub table: TableId,
 }
+
+record!(ReferenceRecord, "ima$references", "wl_references", |r, c| {
+    "hash": Str = r.hash.to_string() => hash: hash(c)?,
+    "object_type": Str = r.object.tag() => object: RefObject::from_tag(text(c)?)?,
+    "object_id": Int = v_int(r.object_id) => object_id: int(c)?,
+    "table_id": Int = v_int(r.table.raw().into()) => table: table_id(c)?,
+});
 
 /// Frequency and storage info of a referenced table (`tables` of Fig 3).
 #[derive(Debug, Clone)]
@@ -100,6 +232,16 @@ pub struct TableUsage {
     pub rows: u64,
 }
 
+record!(TableUsage, "ima$tables", "wl_tables", |t, c| {
+    "table_id": Int = v_int(t.id.raw().into()) => id: table_id(c)?,
+    "table_name": Str = t.name => name: text(c)?.to_owned(),
+    "frequency": Int = v_int(t.frequency) => frequency: int(c)?,
+    "storage": Str = t.storage => storage: text(c)?.to_owned(),
+    "data_pages": Int = v_int(t.data_pages) => data_pages: int(c)?,
+    "overflow_pages": Int = v_int(t.overflow_pages) => overflow_pages: int(c)?,
+    "row_count": Int = v_int(t.rows) => rows: int(c)?,
+});
+
 /// Frequency info of a referenced index (`indexes` of Fig 3).
 #[derive(Debug, Clone)]
 pub struct IndexUsage {
@@ -115,6 +257,14 @@ pub struct IndexUsage {
     pub pages: u64,
 }
 
+record!(IndexUsage, "ima$indexes", "wl_indexes", |i, c| {
+    "index_id": Int = v_int(i.id.raw().into()) => id: IndexId(int(c)? as u32),
+    "index_name": Str = i.name => name: text(c)?.to_owned(),
+    "table_id": Int = v_int(i.table.raw().into()) => table: table_id(c)?,
+    "frequency": Int = v_int(i.frequency) => frequency: int(c)?,
+    "pages": Int = v_int(i.pages) => pages: int(c)?,
+});
+
 /// Frequency info of a referenced attribute (`attributes` of Fig 3).
 #[derive(Debug, Clone)]
 pub struct AttributeUsage {
@@ -129,6 +279,14 @@ pub struct AttributeUsage {
     /// Whether a histogram existed at last reference.
     pub has_histogram: bool,
 }
+
+record!(AttributeUsage, "ima$attributes", "wl_attributes", |a, c| {
+    "table_id": Int = v_int(a.table.raw().into()) => table: table_id(c)?,
+    "attr_id": Int = v_int(a.column as u64) => column: int(c)? as usize,
+    "attr_name": Str = a.name => name: text(c)?.to_owned(),
+    "frequency": Int = v_int(a.frequency) => frequency: int(c)?,
+    "has_histogram": Bool = a.has_histogram => has_histogram: c.next()?.as_bool()?,
+});
 
 /// One system-wide statistics sample (`statistics` of Fig 3).
 #[derive(Debug, Clone, Default)]
@@ -162,3 +320,28 @@ pub struct StatSample {
     /// Statements executed so far.
     pub statements_executed: u64,
 }
+
+record!(StatSample, "ima$statistics", "wl_statistics", |s, c| {
+    "at_ns": Int = v_int(s.at_ns) => at_ns: int(c)?,
+    "at_secs": Int = v_int(s.at_sim_secs) => at_sim_secs: int(c)?,
+    "sessions": Int = v_int(s.sessions) => sessions: int(c)?,
+    "max_sessions": Int = v_int(s.max_sessions) => max_sessions: int(c)?,
+    "locks_held": Int = v_int(s.locks_held) => locks_held: int(c)?,
+    "lock_waiting": Int = v_int(s.lock_waiting) => lock_waiting: int(c)?,
+    "lock_waits_total": Int = v_int(s.lock_waits_total) => lock_waits_total: int(c)?,
+    "deadlocks_total": Int = v_int(s.deadlocks_total) => deadlocks_total: int(c)?,
+    "active_txns": Int = v_int(s.active_txns) => active_txns: int(c)?,
+    "cache_hits": Int = v_int(s.cache_hits) => cache_hits: int(c)?,
+    "cache_misses": Int = v_int(s.cache_misses) => cache_misses: int(c)?,
+    "physical_reads": Int = v_int(s.physical_reads) => physical_reads: int(c)?,
+    "physical_writes": Int = v_int(s.physical_writes) => physical_writes: int(c)?,
+    "statements_executed": Int = v_int(s.statements_executed) => statements_executed: int(c)?,
+});
+
+// Cumulative wait totals: the record lives in `ingot-common`, below this
+// trait, so its shape is defined here.
+record!(WaitTotal, "ima$wait_events", "wl_waits", |t, c| {
+    "event": Str = t.event.name() => event: WaitEvent::from_name(text(c)?)?,
+    "count": Int = v_int(t.count) => count: int(c)?,
+    "total_ns": Int = v_int(t.total_ns) => total_ns: int(c)?,
+});

@@ -10,65 +10,60 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use ingot_common::{EngineConfig, Error, Result, Row, SimClock, StmtHash, Value};
-use ingot_core::{Engine, Monitor, Session};
+use ingot_core::{Engine, Monitor, Record, Session, TableShape, COPIED_TABLES};
 use parking_lot::Mutex;
 
 use crate::growth::GrowthStats;
 
-/// DDL creating the workload-DB schema (Fig 3 + `ts` snapshot columns).
-const SCHEMA: &str = "
-create table wl_statements (hash text not null, query_text text, frequency int,
-    first_seen_ns int, last_seen_ns int, ts int);
-create table wl_workload (hash text not null, seq int, opt_cpu_ns int, opt_dio int,
-    exec_cpu int, exec_dio int, est_cpu float, est_dio float, wallclock_ns int,
-    monitor_ns int, at_ns int, at_secs int, ts int);
-create table wl_references (hash text not null, object_type text, object_id int,
-    table_id int, ts int);
-create table wl_tables (table_id int not null, table_name text, frequency int,
-    storage text, data_pages int, overflow_pages int, row_count int, ts int);
-create table wl_indexes (index_id int not null, index_name text, table_id int,
-    frequency int, pages int, ts int);
-create table wl_attributes (table_id int not null, attr_id int, attr_name text,
-    frequency int, has_histogram bool, ts int);
-create table wl_statistics (at_ns int not null, at_secs int, sessions int,
-    max_sessions int, locks_held int, lock_waiting int, lock_waits_total int,
-    deadlocks_total int, active_txns int, cache_hits int, cache_misses int,
-    physical_reads int, physical_writes int, statements_executed int, ts int);
-create table wl_metrics (name text not null, labels text, value float, ts int);
-create table wl_waits (event text not null, count int, total_ns int, ts int);
-create table wl_ash (at_ns int not null, session int, hash text, statement text,
-    elapsed_ns int, event text, ts int);
-";
+/// The one workload-DB table with no `ima$` original: flattened engine
+/// metrics, one row per sample per poll.
+const METRICS_TABLE: &str = "wl_metrics";
+const METRICS_DDL: &str =
+    "create table wl_metrics (name text not null, labels text, value float, ts int)";
 
-/// All workload-DB table names.
-pub const WL_TABLES: &[&str] = &[
-    "wl_statements",
-    "wl_workload",
-    "wl_references",
-    "wl_tables",
-    "wl_indexes",
-    "wl_attributes",
-    "wl_statistics",
-    "wl_metrics",
-    "wl_waits",
-    "wl_ash",
-];
+/// All workload-DB table names: the copy of every [`COPIED_TABLES`] entry,
+/// then `wl_metrics`.
+pub const WL_TABLES: &[&str] = &{
+    let mut names = [METRICS_TABLE; COPIED_TABLES.len() + 1];
+    let mut i = 0;
+    while i < COPIED_TABLES.len() {
+        names[i] = COPIED_TABLES[i].wl;
+        i += 1;
+    }
+    names
+};
 
-/// Append cursor: what has already been copied out of the monitor.
+/// `create table wl_x (…)`: the columns of `ima$x`, then the poll timestamp.
+fn create_ddl(shape: &TableShape) -> String {
+    let mut ddl = format!("create table {} (", shape.wl);
+    for c in (shape.schema)().columns() {
+        let not_null = if c.nullable { "" } else { " not null" };
+        ddl.push_str(&format!("{} {}{not_null}, ", c.name, c.ty));
+    }
+    ddl + "ts int)"
+}
+
+/// Append cursor: what has already been copied out of the monitor — with
+/// [`WaitCursor`], the daemon's own part of each copied table beside `ts`.
 ///
 /// Each poll's batch runs inside one workload-DB transaction, so it is
 /// all-or-nothing: a mid-batch failure (I/O fault, crash) rolls the rows
 /// back, the cursors stay unpublished, and the daemon's retry re-enters
 /// [`WorkloadDb::append_from`] to append the whole batch again — no
-/// duplicates, no gaps. (The pre-WAL positional mid-batch cursor is gone:
-/// transactional rollback plus log replay made it redundant.)
-#[derive(Clone, Default)]
-struct AppendState {
+/// duplicates, no gaps.
+#[derive(Default)]
+struct MonitorCursor {
     last_workload_seq: Option<u64>,
-    /// Last appended frequency per statement hash.
+    /// Last appended frequency per statement the monitor still holds.
     stmt_freq: HashMap<StmtHash, u64>,
+    /// References the monitor still holds that are already copied.
     refs_seen: HashSet<(StmtHash, &'static str, u64)>,
     last_stat_ns: u64,
+}
+
+/// What [`WorkloadDb::append_waits`] has already copied.
+#[derive(Clone, Copy, Default)]
+struct WaitCursor {
     /// Newest ASH sample timestamp already copied into `wl_ash`.
     last_ash_ns: u64,
     /// Cumulative wait nanoseconds at the last `wl_waits` snapshot — polls
@@ -76,10 +71,38 @@ struct AppendState {
     last_wait_ns: u64,
 }
 
+/// One open append transaction and what it has written so far.
+struct Batch<'a> {
+    session: &'a Session,
+    ts: Value,
+    rows: u64,
+    bytes: u64,
+}
+
+impl Batch<'_> {
+    /// One row into `table` through the engine's locked, WAL-observed insert
+    /// path ([`Session::insert_direct`]) — every append is redo-logged like
+    /// any other DML.
+    fn insert(&mut self, table: &str, mut values: Vec<Value>) -> Result<()> {
+        values.push(self.ts.clone());
+        let row = Row::new(values);
+        self.session.insert_direct(table, &row)?;
+        self.bytes += row.byte_size() as u64;
+        self.rows += 1;
+        Ok(())
+    }
+
+    /// `record` into its `wl_` table: the `ima$` row plus `ts`.
+    fn put<R: Record>(&mut self, record: R) -> Result<()> {
+        self.insert(R::WL, record.encode())
+    }
+}
+
 /// The workload database. Wraps a dedicated (non-monitored) engine instance.
 pub struct WorkloadDb {
     engine: Arc<Engine>,
-    state: Mutex<AppendState>,
+    cursor: Mutex<MonitorCursor>,
+    wait_cursor: Mutex<WaitCursor>,
     growth: GrowthStats,
 }
 
@@ -87,7 +110,7 @@ impl WorkloadDb {
     /// In-memory workload DB (unit tests, simulation-only experiments).
     pub fn in_memory(clock: SimClock) -> Result<Self> {
         let engine = Engine::builder()
-            .config(Self::db_config())
+            .config(Self::default_config())
             .clock(clock)
             .build()?;
         Self::init(engine)
@@ -97,7 +120,7 @@ impl WorkloadDb {
     /// appends are real disk writes.
     pub fn file_backed(dir: impl Into<std::path::PathBuf>, clock: SimClock) -> Result<Self> {
         let engine = Engine::builder()
-            .config(Self::db_config())
+            .config(Self::default_config())
             .clock(clock)
             .path(dir)
             .build()?;
@@ -111,7 +134,7 @@ impl WorkloadDb {
         clock: SimClock,
     ) -> Result<Self> {
         let engine = Engine::builder()
-            .config(Self::db_config())
+            .config(Self::default_config())
             .clock(clock)
             .backend(backend)
             .build()?;
@@ -125,9 +148,16 @@ impl WorkloadDb {
         Self::init(engine)
     }
 
-    /// The engine configuration the standard constructors use.
+    /// The engine configuration the standard constructors use: the workload
+    /// DB is not itself monitored, and it gets a modest cache so appends
+    /// spill to the backend regularly.
     pub fn default_config() -> EngineConfig {
-        Self::db_config()
+        EngineConfig {
+            monitor_enabled: false,
+            buffer_pool_pages: 256,
+            heap_main_pages: 4,
+            ..EngineConfig::default()
+        }
     }
 
     /// Inspect and repair a file-backed workload DB directory after a
@@ -140,39 +170,26 @@ impl WorkloadDb {
         ingot_storage::recover(dir.as_ref())
     }
 
-    fn db_config() -> EngineConfig {
-        // The workload DB is not itself monitored, and it gets a modest
-        // cache so appends spill to the backend regularly.
-        EngineConfig {
-            monitor_enabled: false,
-            buffer_pool_pages: 256,
-            heap_main_pages: 4,
-            ..EngineConfig::default()
-        }
-    }
-
     fn init(engine: Arc<Engine>) -> Result<Self> {
         {
             // After a crash the schema may already be back: the checkpoint
             // manifest carries it and WAL replay redoes any later DDL. Only
-            // the tables still missing are created. SCHEMA lists one CREATE
-            // per entry of WL_TABLES, in the same order.
-            let stmts: Vec<&str> = SCHEMA
-                .split(';')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .collect();
-            debug_assert_eq!(stmts.len(), WL_TABLES.len());
+            // the tables still missing are created.
             let session = engine.open_session();
-            for (table, stmt) in WL_TABLES.iter().zip(&stmts) {
-                if engine.catalog().read().resolve_table(table).is_err() {
-                    session.execute(stmt)?;
+            let missing = |table: &str| engine.catalog().read().resolve_table(table).is_err();
+            for shape in &COPIED_TABLES {
+                if missing(shape.wl) {
+                    session.execute(&create_ddl(shape))?;
                 }
+            }
+            if missing(METRICS_TABLE) {
+                session.execute(METRICS_DDL)?;
             }
         }
         Ok(WorkloadDb {
             engine,
-            state: Mutex::new(AppendState::default()),
+            cursor: Mutex::default(),
+            wait_cursor: Mutex::default(),
             growth: GrowthStats::default(),
         })
     }
@@ -193,13 +210,32 @@ impl WorkloadDb {
         &self.growth
     }
 
-    /// One row into `table` through the engine's locked, WAL-observed insert
-    /// path ([`Session::insert_direct`]) — every append is redo-logged like
-    /// any other DML. Returns the row's byte size for growth accounting.
-    fn insert(&self, session: &Session, table: &str, row: Row) -> Result<u64> {
-        let bytes = row.byte_size() as u64;
-        session.insert_direct(table, &row)?;
-        Ok(bytes)
+    /// Run `fill` as one workload-DB transaction stamping rows with
+    /// `now_secs`. `fill` reads `cursor` and returns the cursor to publish,
+    /// which happens only after the commit: on error the session drops with
+    /// its transaction open, which aborts it (a failed commit already rolled
+    /// back), `cursor` is unchanged and the caller's retry appends the
+    /// batch in full.
+    fn batch<C>(
+        &self,
+        cursor: &mut C,
+        now_secs: u64,
+        fill: impl FnOnce(&mut Batch<'_>, &C) -> Result<C>,
+    ) -> Result<()> {
+        let session = self.engine.open_session();
+        session.begin()?;
+        let mut batch = Batch {
+            session: &session,
+            ts: Value::Int(now_secs as i64),
+            rows: 0,
+            bytes: 0,
+        };
+        let next = fill(&mut batch, cursor)?;
+        session.commit()?;
+        *cursor = next;
+        self.growth
+            .record_append(batch.rows, batch.bytes, self.engine.sim_clock().now_secs());
+        Ok(())
     }
 
     /// Copy everything new in `monitor` into the workload DB, stamping rows
@@ -208,189 +244,65 @@ impl WorkloadDb {
     /// and a failure anywhere rolls the batch back so the daemon's retry
     /// appends it in full.
     pub fn append_from(&self, monitor: &Monitor, now_secs: u64) -> Result<()> {
-        let mut state = self.state.lock();
-        // Cursors advance on a scratch copy and publish only after the
-        // transaction commits: an aborted batch must be retried in full.
-        let mut scratch = state.clone();
-        let session = self.engine.open_session();
-        session.begin()?;
-        let appended = self
-            .append_batch(&session, monitor, now_secs, &mut scratch)
-            .and_then(|totals| session.commit().map(|()| totals));
-        // On error the session drops with its transaction open, which aborts
-        // it (a failed commit already rolled back); `state` stays unchanged.
-        let (rows, bytes) = appended?;
-        *state = scratch;
-        self.growth
-            .record_append(rows, bytes, self.engine.sim_clock().now_secs());
-        Ok(())
-    }
-
-    fn append_batch(
-        &self,
-        session: &Session,
-        monitor: &Monitor,
-        now_secs: u64,
-        state: &mut AppendState,
-    ) -> Result<(u64, u64)> {
-        let ts = Value::Int(now_secs as i64);
-        let mut rows = 0u64;
-        let mut bytes = 0u64;
-
-        // Statements whose frequency changed since the last poll.
-        for s in monitor.statements() {
-            let prev = state.stmt_freq.get(&s.hash).copied().unwrap_or(0);
-            if s.frequency != prev {
-                let n = self.insert(
-                    session,
-                    "wl_statements",
-                    Row::new(vec![
-                        Value::Str(s.hash.to_string()),
-                        Value::Str(s.text.clone()),
-                        Value::Int(s.frequency as i64),
-                        Value::Int(s.first_seen_ns as i64),
-                        Value::Int(s.last_seen_ns as i64),
-                        ts.clone(),
-                    ]),
-                )?;
-                bytes += n;
-                rows += 1;
-                state.stmt_freq.insert(s.hash, s.frequency);
+        self.batch(&mut *self.cursor.lock(), now_secs, |batch, cursor| {
+            // Statements whose frequency changed since the last poll. The
+            // next cursor keeps only what the monitor still holds, so it is
+            // bounded by the statement ring and a statement that was evicted
+            // and came back is filed again, as `ima$statements` does.
+            let mut stmt_freq = HashMap::new();
+            for s in monitor.statements() {
+                stmt_freq.insert(s.hash, s.frequency);
+                if cursor.stmt_freq.get(&s.hash) != Some(&s.frequency) {
+                    batch.put(s)?;
+                }
             }
-        }
 
-        // Workload executions beyond the last copied sequence number.
-        for w in monitor.workload() {
-            if state.last_workload_seq.is_some_and(|last| w.seq <= last) {
-                continue;
+            // Workload executions beyond the last copied sequence number.
+            let mut last_workload_seq = cursor.last_workload_seq;
+            for w in monitor.workload() {
+                if last_workload_seq.is_none_or(|last| w.seq > last) {
+                    last_workload_seq = Some(w.seq);
+                    batch.put(w)?;
+                }
             }
-            bytes += self.insert(
-                session,
-                "wl_workload",
-                Row::new(vec![
-                    Value::Str(w.hash.to_string()),
-                    Value::Int(w.seq as i64),
-                    Value::Int(w.opt_time_ns as i64),
-                    Value::Int(w.opt_io as i64),
-                    Value::Int(w.exec_cpu as i64),
-                    Value::Int(w.exec_io as i64),
-                    Value::Float(w.est.cpu),
-                    Value::Float(w.est.io),
-                    Value::Int(w.wallclock_ns as i64),
-                    Value::Int(w.monitor_ns as i64),
-                    Value::Int(w.at_ns as i64),
-                    Value::Int(w.at_sim_secs as i64),
-                    ts.clone(),
-                ]),
-            )?;
-            rows += 1;
-            state.last_workload_seq = Some(w.seq);
-        }
 
-        // New object references.
-        for r in monitor.references() {
-            let key = (r.hash, r.object.tag(), r.object_id);
-            if state.refs_seen.contains(&key) {
-                continue;
+            // Object references not yet copied; bounded like `stmt_freq`.
+            let mut refs_seen = HashSet::new();
+            for r in monitor.references() {
+                let key = (r.hash, r.object.tag(), r.object_id);
+                if refs_seen.insert(key) && !cursor.refs_seen.contains(&key) {
+                    batch.put(r)?;
+                }
             }
-            bytes += self.insert(
-                session,
-                "wl_references",
-                Row::new(vec![
-                    Value::Str(r.hash.to_string()),
-                    Value::Str(r.object.tag().to_owned()),
-                    Value::Int(r.object_id as i64),
-                    Value::Int(i64::from(r.table.raw())),
-                    ts.clone(),
-                ]),
-            )?;
-            rows += 1;
-            state.refs_seen.insert(key);
-        }
 
-        // Object-usage snapshots: appended every poll for trend analysis.
-        // No cursor needed — the enclosing transaction makes the snapshot
-        // all-or-nothing, so a faulted batch leaves no partial snapshot for
-        // the retry to complete.
-        for t in monitor.tables() {
-            bytes += self.insert(
-                session,
-                "wl_tables",
-                Row::new(vec![
-                    Value::Int(i64::from(t.id.raw())),
-                    Value::Str(t.name.clone()),
-                    Value::Int(t.frequency as i64),
-                    Value::Str(t.storage.clone()),
-                    Value::Int(t.data_pages as i64),
-                    Value::Int(t.overflow_pages as i64),
-                    Value::Int(t.rows as i64),
-                    ts.clone(),
-                ]),
-            )?;
-            rows += 1;
-        }
-        for i in monitor.indexes() {
-            bytes += self.insert(
-                session,
-                "wl_indexes",
-                Row::new(vec![
-                    Value::Int(i64::from(i.id.raw())),
-                    Value::Str(i.name.clone()),
-                    Value::Int(i64::from(i.table.raw())),
-                    Value::Int(i.frequency as i64),
-                    Value::Int(i.pages as i64),
-                    ts.clone(),
-                ]),
-            )?;
-            rows += 1;
-        }
-        for a in monitor.attributes() {
-            bytes += self.insert(
-                session,
-                "wl_attributes",
-                Row::new(vec![
-                    Value::Int(i64::from(a.table.raw())),
-                    Value::Int(a.column as i64),
-                    Value::Str(a.name.clone()),
-                    Value::Int(a.frequency as i64),
-                    Value::Bool(a.has_histogram),
-                    ts.clone(),
-                ]),
-            )?;
-            rows += 1;
-        }
-
-        // New statistics samples.
-        for s in monitor.statistics() {
-            if s.at_ns <= state.last_stat_ns {
-                continue;
+            // Object-usage snapshots: appended every poll for trend
+            // analysis. No cursor needed — the enclosing transaction makes
+            // the snapshot all-or-nothing.
+            for t in monitor.tables() {
+                batch.put(t)?;
             }
-            bytes += self.insert(
-                session,
-                "wl_statistics",
-                Row::new(vec![
-                    Value::Int(s.at_ns as i64),
-                    Value::Int(s.at_sim_secs as i64),
-                    Value::Int(s.sessions as i64),
-                    Value::Int(s.max_sessions as i64),
-                    Value::Int(s.locks_held as i64),
-                    Value::Int(s.lock_waiting as i64),
-                    Value::Int(s.lock_waits_total as i64),
-                    Value::Int(s.deadlocks_total as i64),
-                    Value::Int(s.active_txns as i64),
-                    Value::Int(s.cache_hits as i64),
-                    Value::Int(s.cache_misses as i64),
-                    Value::Int(s.physical_reads as i64),
-                    Value::Int(s.physical_writes as i64),
-                    Value::Int(s.statements_executed as i64),
-                    ts.clone(),
-                ]),
-            )?;
-            rows += 1;
-            state.last_stat_ns = s.at_ns;
-        }
+            for i in monitor.indexes() {
+                batch.put(i)?;
+            }
+            for a in monitor.attributes() {
+                batch.put(a)?;
+            }
 
-        Ok((rows, bytes))
+            // Statistics samples newer than the last copied one.
+            let mut last_stat_ns = cursor.last_stat_ns;
+            for s in monitor.statistics() {
+                if s.at_ns > last_stat_ns {
+                    last_stat_ns = s.at_ns;
+                    batch.put(s)?;
+                }
+            }
+            Ok(MonitorCursor {
+                last_workload_seq,
+                stmt_freq,
+                refs_seen,
+                last_stat_ns,
+            })
+        })
     }
 
     /// Append a flattened [`MetricsSnapshot`] — every sample becomes one
@@ -404,28 +316,15 @@ impl WorkloadDb {
         snapshot: &ingot_core::MetricsSnapshot,
         now_secs: u64,
     ) -> Result<()> {
-        let ts = Value::Int(now_secs as i64);
-        let session = self.engine.open_session();
-        session.begin()?;
-        let mut rows = 0u64;
-        let mut bytes = 0u64;
-        for (name, labels, value) in snapshot.flatten() {
-            bytes += self.insert(
-                &session,
-                "wl_metrics",
-                Row::new(vec![
-                    Value::Str(name),
-                    Value::Str(labels),
-                    Value::Float(value),
-                    ts.clone(),
-                ]),
-            )?;
-            rows += 1;
-        }
-        session.commit()?;
-        self.growth
-            .record_append(rows, bytes, self.engine.sim_clock().now_secs());
-        Ok(())
+        self.batch(&mut (), now_secs, |batch, _| {
+            for (name, labels, value) in snapshot.flatten() {
+                batch.insert(
+                    METRICS_TABLE,
+                    vec![name.into(), labels.into(), value.into()],
+                )?;
+            }
+            Ok(())
+        })
     }
 
     /// Roll the monitored engine's wait-event counters and new ASH samples
@@ -438,81 +337,40 @@ impl WorkloadDb {
         let (Some(registry), Some(sampler)) = (source.wait_registry(), source.ash_sampler()) else {
             return Ok(());
         };
-        let mut state = self.state.lock();
+        let mut cursor = self.wait_cursor.lock();
         // Idle fast path: nothing charged and nothing recorded since the
         // last poll means no transaction at all — an idle engine's polls
-        // read one counter snapshot and one ring high-water mark.
-        let grand_total: u64 = registry
-            .counters()
-            .snapshot()
-            .iter()
-            .map(|t| t.total_ns)
-            .sum();
-        if grand_total <= state.last_wait_ns && sampler.latest_recorded_ns() <= state.last_ash_ns {
+        // read one counter total and one ring high-water mark.
+        if registry.counters().total_ns() <= cursor.last_wait_ns
+            && sampler.latest_recorded_ns() <= cursor.last_ash_ns
+        {
             return Ok(());
         }
-        let mut scratch = state.clone();
-        let ts = Value::Int(now_secs as i64);
-        let session = self.engine.open_session();
-        session.begin()?;
-        let appended = (|| {
-            let mut rows = 0u64;
-            let mut bytes = 0u64;
+        self.batch(&mut *cursor, now_secs, |batch, cursor| {
+            let mut next = *cursor;
             // Cumulative per-event totals, snapshot-style like wl_tables —
             // but only when some wait has been charged since the last poll,
-            // so an idle interval appends nothing.
-            let totals = registry.counters().snapshot();
+            // and only for events that have occurred.
+            let totals = registry.snapshot();
             let grand_total: u64 = totals.iter().map(|t| t.total_ns).sum();
-            if grand_total > scratch.last_wait_ns {
-                for t in totals.iter().filter(|t| t.count > 0) {
-                    bytes += self.insert(
-                        &session,
-                        "wl_waits",
-                        Row::new(vec![
-                            Value::Str(t.event.name().to_owned()),
-                            Value::Int(t.count as i64),
-                            Value::Int(t.total_ns as i64),
-                            ts.clone(),
-                        ]),
-                    )?;
-                    rows += 1;
+            if grand_total > cursor.last_wait_ns {
+                next.last_wait_ns = grand_total;
+                for t in totals.into_iter().filter(|t| t.count > 0) {
+                    batch.put(t)?;
                 }
-                scratch.last_wait_ns = grand_total;
             }
             // ASH samples newer than the cursor. Every session row from one
-            // sampler tick carries the same `at_ns`, so the cutoff must be
-            // snapshotted before the loop and the cursor advanced only after
-            // it — bumping the cursor row-by-row would drop all but the
-            // first session of each tick.
-            let cutoff = scratch.last_ash_ns;
+            // sampler tick carries the same `at_ns`, so each is compared
+            // with the cursor as the poll found it — against the advancing
+            // one, all but the first session of a tick would be dropped.
             for sample in sampler.history() {
-                if sample.at_ns <= cutoff {
-                    continue;
+                if sample.at_ns > cursor.last_ash_ns {
+                    next.last_ash_ns = next.last_ash_ns.max(sample.at_ns);
+                    batch.put(sample)?;
                 }
-                bytes += self.insert(
-                    &session,
-                    "wl_ash",
-                    Row::new(vec![
-                        Value::Int(sample.at_ns as i64),
-                        Value::Int(sample.session_id as i64),
-                        Value::Str(sample.hash.to_string()),
-                        Value::Str(sample.template.to_string()),
-                        Value::Int(sample.elapsed_ns as i64),
-                        Value::Str(sample.event.to_owned()),
-                        ts.clone(),
-                    ]),
-                )?;
-                rows += 1;
-                scratch.last_ash_ns = scratch.last_ash_ns.max(sample.at_ns);
             }
-            Ok((rows, bytes))
-        })()
-        .and_then(|totals| session.commit().map(|()| totals));
-        let (rows, bytes) = appended?;
-        *state = scratch;
-        self.growth
-            .record_append(rows, bytes, self.engine.sim_clock().now_secs());
-        Ok(())
+            Ok(next)
+        })
     }
 
     /// Delete rows older than `cutoff_secs` from every workload table (the
@@ -562,7 +420,142 @@ impl WorkloadDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ingot_common::EngineConfig;
+    use ingot_catalog::Relation;
+    use ingot_common::{Column, DataType, EngineConfig};
+
+    /// A monitored engine whose nine copied tables all hold rows: a
+    /// statement that used a secondary index, a charged wait and one ASH
+    /// sample of a session mid-statement.
+    fn engine_with_every_table_filled() -> Arc<Engine> {
+        let engine = Engine::builder()
+            .config(EngineConfig::monitoring())
+            .build()
+            .unwrap();
+        let s = engine.open_session();
+        s.execute("create table t (a int, b int)").unwrap();
+        s.execute("create index t_b on t (b)").unwrap();
+        for chunk in 0..4 {
+            let rows: Vec<String> = (chunk * 500..(chunk + 1) * 500)
+                .map(|i| format!("({i}, {i})"))
+                .collect();
+            s.execute(&format!("insert into t values {}", rows.join(", ")))
+                .unwrap();
+        }
+        s.execute("create statistics on t").unwrap();
+        s.execute("select a from t where b = 55").unwrap();
+        engine
+            .wait_registry()
+            .unwrap()
+            .charge(ingot_common::WaitEvent::LockWaitX, 1_000);
+        let sampler = engine.ash_sampler().unwrap();
+        let slot = sampler.register_session(99);
+        slot.begin_statement(StmtHash::of("select 1"), "select 1".into(), 0);
+        sampler.sample_now(10);
+        engine
+    }
+
+    #[test]
+    fn every_copy_has_its_ima_columns_plus_ts() {
+        let engine = Engine::builder()
+            .config(EngineConfig::monitoring())
+            .build()
+            .unwrap();
+        let db = WorkloadDb::in_memory(engine.sim_clock().clone()).unwrap();
+        for shape in &COPIED_TABLES {
+            let mut expected = match engine.catalog().read().resolve_relation(shape.ima) {
+                Ok(Relation::Virtual(live)) => live.schema.columns().to_vec(),
+                _ => panic!("{} is not a registered virtual table", shape.ima),
+            };
+            expected.push(Column::new("ts", DataType::Int));
+            match db.engine().catalog().read().resolve_relation(shape.wl) {
+                Ok(Relation::Base(copy)) => {
+                    assert_eq!(copy.meta.schema.columns(), expected, "{}", shape.wl)
+                }
+                _ => panic!("{} is not a workload-DB table", shape.wl),
+            };
+            assert!(WL_TABLES.contains(&shape.wl));
+        }
+        assert_eq!(WL_TABLES.len(), COPIED_TABLES.len() + 1);
+    }
+
+    #[test]
+    fn one_poll_copies_every_provider_row() {
+        let engine = engine_with_every_table_filled();
+        let db = Arc::new(WorkloadDb::in_memory(engine.sim_clock().clone()).unwrap());
+        let daemon = crate::StorageDaemon::new(
+            Arc::clone(&engine),
+            Arc::clone(&db),
+            crate::DaemonConfig::default(),
+        );
+        daemon.poll_once().unwrap();
+        for shape in &COPIED_TABLES {
+            // Through the provider, not a monitored session: the read must
+            // not add rows to what it reads.
+            let mut live = match engine.catalog().read().resolve_relation(shape.ima) {
+                Ok(Relation::Virtual(table)) => (table.provider)(),
+                _ => panic!("{} is not a registered virtual table", shape.ima),
+            };
+            if shape.wl == "wl_waits" {
+                live.retain(|row| row.get(1).as_int() > Some(0));
+            }
+            assert!(!live.is_empty(), "{} must have rows to compare", shape.ima);
+            let copied: Vec<Row> = db
+                .query(&format!("select * from {}", shape.wl))
+                .unwrap()
+                .into_iter()
+                .map(|row| {
+                    let mut values = row.into_values();
+                    assert_eq!(values.pop(), Some(Value::Int(0)), "ts closes the row");
+                    Row::new(values)
+                })
+                .collect();
+            assert_eq!(copied, live, "{} vs {}", shape.wl, shape.ima);
+        }
+    }
+
+    #[test]
+    fn append_cursor_stays_within_the_monitor_rings() {
+        let engine = Engine::builder()
+            .config(EngineConfig::monitoring())
+            .build()
+            .unwrap();
+        let monitor = engine.monitor().unwrap();
+        let capacity = monitor.health().statements_capacity;
+        let s = engine.open_session();
+        s.execute("create table t (a int, b int)").unwrap();
+        let db = WorkloadDb::in_memory(engine.sim_clock().clone()).unwrap();
+        // The paper's never-repeating regime: every statement text is new.
+        for i in 0..5 * capacity {
+            s.execute(&format!("select a from t where a = {i} and b = {i}"))
+                .unwrap();
+            if i % (capacity / 2) == 0 {
+                db.append_from(monitor, i as u64).unwrap();
+            }
+        }
+        db.append_from(monitor, 5 * capacity as u64).unwrap();
+        let health = monitor.health();
+        assert!(
+            health.references_total > health.references_capacity as u64,
+            "the references ring must have wrapped for its bound to mean anything"
+        );
+        {
+            let cursor = db.cursor.lock();
+            assert!(cursor.stmt_freq.len() <= capacity);
+            assert!(cursor.refs_seen.len() <= health.references_capacity);
+        }
+        // Pruning the cursor loses and repeats nothing: one row per
+        // execution, each `(hash, seq)` once.
+        let executions = monitor.statements_recorded();
+        assert_eq!(db.row_count("wl_workload").unwrap(), executions);
+        let keys: HashSet<(String, i64)> = db
+            .query("select hash, seq from wl_workload")
+            .unwrap()
+            .iter()
+            .map(|r| (r.get(0).to_string(), r.get(1).as_int().unwrap()))
+            .collect();
+        assert_eq!(keys.len() as u64, executions);
+        assert_eq!(db.row_count("wl_statements").unwrap(), executions);
+    }
 
     #[test]
     fn schema_is_created() {

@@ -49,5 +49,5 @@ pub use tracer::{OperatorStats, TraceBuilder, TraceConfig, Tracer};
 
 pub use ingot_common::waits::{
     bind_session, charge_ambient, SessionBinding, SessionWaits, WaitCounters, WaitEvent, WaitGuard,
-    WaitRecord, WaitRegistry, WaitRegistryHandle, WaitTotal, WAIT_EVENT_COUNT,
+    WaitRegistry, WaitRegistryHandle, WaitTotal, WAIT_EVENT_COUNT,
 };

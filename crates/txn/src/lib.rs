@@ -618,7 +618,7 @@ mod tests {
     #[test]
     fn timed_out_quiesce_charges_txn_quiesce() {
         let m = TxnManager::new();
-        let registry = Arc::new(WaitRegistry::new(8));
+        let registry = Arc::new(WaitRegistry::new());
         m.set_wait_registry(Arc::clone(&registry));
         let active = m.begin();
         // The drain parks on the gate for the (tiny) timeout, charging
@@ -634,7 +634,7 @@ mod tests {
     #[test]
     fn out_of_order_publish_charges_commit_publish() {
         let m = TxnManager::new();
-        let registry = Arc::new(WaitRegistry::new(8));
+        let registry = Arc::new(WaitRegistry::new());
         m.set_wait_registry(Arc::clone(&registry));
         let first = m.start_commit();
         let second = m.start_commit();

@@ -542,3 +542,18 @@ fn real_workspace_is_clean() {
     );
     assert!(stdout.contains("workspace clean"), "{stdout}");
 }
+
+/// Check 4 finds the registry by scanning literals; if they moved out of the
+/// scanned file it would pass with nothing to check.
+#[test]
+fn ima_check_scans_the_whole_registry() {
+    let files = ingot_verify::scan::scan_workspace(&workspace_root()).expect("scan workspace");
+    let mut expected: Vec<String> = ingot_core::IMA_TABLE_NAMES
+        .iter()
+        .chain([&ingot_core::IMA_DAEMON_HEALTH, &ingot_core::IMA_CONNECTIONS])
+        .map(|name| name.to_string())
+        .collect();
+    expected.sort();
+    assert_eq!(expected.len(), 20);
+    assert_eq!(ingot_verify::checks::ima_registry(&files), expected);
+}
