@@ -713,7 +713,7 @@ impl Catalog {
         let latest = ingot_common::Snapshot::latest();
         let rows: Vec<Row> = entry
             .scan_visible(&latest, ColumnSet::all())
-            .map(|r| r.map(|(_, row)| row))
+            .map(|r| r.map(|(_, _, row)| row))
             .collect::<Result<_>>()?;
         // Size the new main extent to hold all rows without overflow. Each
         // record also costs its version header plus a 4-byte slot entry;
@@ -818,7 +818,7 @@ impl Catalog {
         let mut per_col: Vec<Vec<Value>> = vec![Vec::new(); cols.len()];
         let mut rows = 0u64;
         for item in entry.scan_visible(snap, ColumnSet::all()) {
-            let (_, row) = item?;
+            let (_, _, row) = item?;
             rows += 1;
             for (slot, &c) in cols.iter().enumerate() {
                 per_col[slot].push(row.get(c).clone());

@@ -555,6 +555,7 @@ mod tests {
         let before = snap_at(5);
         let scanned: Vec<(RowId, Row)> = entry
             .scan_visible(&before, ColumnSet::all())
+            .map(|r| r.map(|(rid, _, row)| (rid, row)))
             .collect::<Result<_>>()
             .unwrap();
         assert_eq!(scanned, vec![(old, named("ok"))]);

@@ -8,7 +8,8 @@ use ingot_common::mvcc::TS_INF;
 use ingot_common::{
     ColumnSet, Error, IndexId, Result, Row, Schema, Snapshot, TableId, Value, WaitEvent, WaitGuard,
 };
-use ingot_storage::{BTreeFile, HeapFile, RowId};
+use ingot_storage::heap::HeapScan;
+use ingot_storage::{BTreeFile, HeapFile, RowId, VersionMeta};
 
 use crate::stats::TableStatistics;
 
@@ -219,10 +220,9 @@ impl TableEntry {
         &'a self,
         snap: &'a Snapshot,
         needed: ColumnSet,
-    ) -> impl Iterator<Item = Result<(RowId, Row)>> + 'a {
+    ) -> HeapScan<'a, impl Fn(&VersionMeta) -> bool + 'a> {
         self.heap
             .scan_where(needed, move |m| snap.sees(m.begin, m.end))
-            .map(|item| item.map(|(rid, _, row)| (rid, row)))
     }
 
     /// Pages currently used by the table (heap + primary tree).

@@ -42,12 +42,14 @@ pub fn txn_mark(txn: TxnId) -> u64 {
 }
 
 /// Is `ts` a transaction marker (and not the infinity sentinel)?
+#[inline]
 pub fn is_txn_mark(ts: u64) -> bool {
     ts != TS_INF && ts & TXN_MARK != 0
 }
 
 /// The transaction id inside a marker. Only meaningful when
 /// [`is_txn_mark`] holds.
+#[inline]
 pub fn mark_owner(ts: u64) -> TxnId {
     TxnId(ts & !TXN_MARK)
 }
@@ -84,6 +86,7 @@ impl Snapshot {
     ///
     /// `begin == end` (a zero-length lifetime) is never visible: it marks a
     /// version superseded within its own creating transaction.
+    #[inline]
     pub fn sees(&self, begin: u64, end: u64) -> bool {
         if begin == end {
             return false;

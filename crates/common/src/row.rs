@@ -151,6 +151,7 @@ impl ColumnSet {
     }
 
     /// Is position `col` a member?
+    #[inline]
     pub fn contains(self, col: usize) -> bool {
         col >= Self::BITS || (self.0 >> col) & 1 == 1
     }
@@ -216,6 +217,11 @@ impl Row {
     /// Mutable access (used by UPDATE).
     pub fn set(&mut self, idx: usize, v: Value) {
         self.values[idx] = v;
+    }
+
+    /// The value vector itself, for a decoder that refills one row in place.
+    pub fn values_mut(&mut self) -> &mut Vec<Value> {
+        &mut self.values
     }
 
     /// Concatenate two rows (join output).

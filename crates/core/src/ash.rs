@@ -27,7 +27,7 @@ use ingot_common::waits::{SessionWaits, WaitEvent, WaitRegistry, WaitRegistryHan
 use ingot_common::{DataType, MonotonicClock, RingBuffer, StmtHash, Value};
 use parking_lot::Mutex;
 
-use crate::monitor::records::{hash, int, record, text, v_int, Cells, Record};
+use crate::monitor::records::{filed_text, hash, int, record, text, v_int, Cells, Record};
 
 /// What a session is currently executing (live state read by the sampler).
 #[derive(Debug, Clone)]
@@ -266,7 +266,10 @@ impl AshSampler {
                     at_ns: now_ns,
                     session_id: slot.session_id(),
                     hash: current.hash,
-                    template: current.template,
+                    template: match filed_text(&current.template) {
+                        cut if cut.len() < current.template.len() => cut.into(),
+                        _ => current.template,
+                    },
                     elapsed_ns: now_ns.saturating_sub(current.start_ns),
                     event,
                 })

@@ -1246,7 +1246,7 @@ impl Engine {
 fn find_row_by_image(catalog: &Catalog, table: TableId, image: &Row) -> Result<RowId> {
     let entry = catalog.table(table)?;
     for item in entry.scan_visible(&Snapshot::latest(), ColumnSet::all()) {
-        let (rid, row) = item?;
+        let (rid, _, row) = item?;
         if row == *image {
             return Ok(rid);
         }

@@ -237,7 +237,7 @@ impl Monitor {
                 sensor.hash,
                 StatementInfo {
                     hash: sensor.hash,
-                    text: sensor.text.to_owned(),
+                    text: records::filed_text(sensor.text).to_owned(),
                     frequency: 1,
                     first_seen_ns: sensor.start_ns,
                     last_seen_ns: sensor.start_ns,

@@ -88,6 +88,19 @@ pub(crate) fn text<'a>(cells: &mut Cells<'a>) -> Option<&'a str> {
     cells.next()?.as_str()
 }
 
+/// Longest statement text (or template) the monitor files, in bytes: a
+/// `wl_statements` / `wl_ash` row has to fit one workload-DB heap page.
+pub const FILED_TEXT_MAX: usize = 4096;
+
+/// `text` cut to at most [`FILED_TEXT_MAX`] bytes, on a char boundary.
+pub(crate) fn filed_text(text: &str) -> &str {
+    let mut end = text.len().min(FILED_TEXT_MAX);
+    while !text.is_char_boundary(end) {
+        end -= 1;
+    }
+    &text[..end]
+}
+
 /// A statement hash, stored as the 16 hex digits it displays as.
 pub(crate) fn hash(cells: &mut Cells<'_>) -> Option<StmtHash> {
     u64::from_str_radix(text(cells)?, 16).ok().map(StmtHash)

@@ -1,4 +1,5 @@
-//! Hash aggregation.
+//! Hash aggregation, streamed: one row in at a time, the groups out at the
+//! end.
 
 use std::collections::{HashMap, HashSet};
 
@@ -138,36 +139,34 @@ struct Group {
     distinct_seen: Vec<Option<HashSet<Value>>>,
 }
 
-/// Run hash aggregation. Output rows: `[group keys ‖ aggregate values]`,
-/// filtered by HAVING (which is bound over that output layout).
-pub fn run_aggregate(
-    rows: &[Row],
-    group_by: &[PhysExpr],
-    aggs: &[AggSpec],
-    having: Option<&PhysExpr>,
-) -> Result<Vec<Row>> {
-    let mut groups: HashMap<Vec<Value>, Group> = HashMap::new();
-    // A global aggregate (no GROUP BY) over zero rows must still produce one
-    // output group.
-    if group_by.is_empty() {
-        groups.insert(Vec::new(), new_group(aggs));
+impl Group {
+    fn new(aggs: &[AggSpec]) -> Group {
+        Group {
+            states: aggs.iter().map(|a| AggState::new(a.func)).collect(),
+            distinct_seen: aggs.iter().map(|a| a.distinct.then(HashSet::new)).collect(),
+        }
     }
-    for row in rows {
-        let key: Vec<Value> = group_by
-            .iter()
-            .map(|e| e.eval(row).map(|v| normalize_key(&v)))
-            .collect::<Result<_>>()?;
-        let group = groups.entry(key).or_insert_with(|| new_group(aggs));
-        let slots = group.states.iter_mut().zip(group.distinct_seen.iter_mut());
+
+    fn update(&mut self, aggs: &[AggSpec], row: &Row) -> Result<()> {
+        let slots = self.states.iter_mut().zip(self.distinct_seen.iter_mut());
         for (spec, (state, seen)) in aggs.iter().zip(slots) {
-            let input = spec.input.as_ref().map(|e| e.eval(row)).transpose()?;
+            let evaluated;
+            let input = match &spec.input {
+                None => None,
+                // A bare column is read in place, not cloned per row.
+                Some(PhysExpr::Col(c)) if *c < row.len() => Some(row.get(*c)),
+                Some(e) => {
+                    evaluated = e.eval(row)?;
+                    Some(&evaluated)
+                }
+            };
             if spec.distinct {
-                if let Some(v) = &input {
+                if let Some(v) = input {
                     if v.is_null() {
                         continue;
                     }
-                    // `new_group` allocates the set iff the spec is distinct,
-                    // so the slot is always `Some` on this branch.
+                    // `Group::new` allocates the set iff the spec is
+                    // distinct, so the slot is always `Some` on this branch.
                     if let Some(set) = seen.as_mut() {
                         if !set.insert(normalize_key(v)) {
                             continue;
@@ -175,36 +174,91 @@ pub fn run_aggregate(
                     }
                 }
             }
-            state.update(input.as_ref())?;
+            state.update(input)?;
         }
+        Ok(())
     }
-    let mut out = Vec::with_capacity(groups.len());
-    for (key, group) in groups {
-        let mut vals = key;
-        for st in group.states {
-            vals.push(st.finish());
-        }
-        let row = Row::new(vals);
-        if let Some(h) = having {
-            if !h.eval_predicate(&row)? {
-                continue;
-            }
-        }
-        out.push(row);
-    }
-    Ok(out)
 }
 
-fn new_group(aggs: &[AggSpec]) -> Group {
-    Group {
-        states: aggs.iter().map(|a| AggState::new(a.func)).collect(),
-        distinct_seen: aggs.iter().map(|a| a.distinct.then(HashSet::new)).collect(),
+/// Streaming hash aggregation: rows are [`push`](Aggregator::push)ed one at
+/// a time (the executor hands over the scan's reused row) and
+/// [`finish`](Aggregator::finish) emits `[group keys ‖ aggregate values]`
+/// rows filtered by HAVING (which is bound over that output layout).
+pub struct Aggregator<'p> {
+    group_by: &'p [PhysExpr],
+    aggs: &'p [AggSpec],
+    /// The one group of a global aggregate (no GROUP BY): it exists even
+    /// over zero rows, and needs no key or hash per row.
+    global: Option<Group>,
+    groups: HashMap<Vec<Value>, Group>,
+}
+
+impl<'p> Aggregator<'p> {
+    /// An aggregator with no rows yet.
+    pub fn new(group_by: &'p [PhysExpr], aggs: &'p [AggSpec]) -> Self {
+        Aggregator {
+            group_by,
+            aggs,
+            global: group_by.is_empty().then(|| Group::new(aggs)),
+            groups: HashMap::new(),
+        }
+    }
+
+    /// Fold one input row into its group.
+    #[inline]
+    pub fn push(&mut self, row: &Row) -> Result<()> {
+        let aggs = self.aggs;
+        let group = match &mut self.global {
+            Some(group) => group,
+            None => {
+                let key: Vec<Value> = self
+                    .group_by
+                    .iter()
+                    .map(|e| e.eval(row).map(|v| normalize_key(&v)))
+                    .collect::<Result<_>>()?;
+                self.groups.entry(key).or_insert_with(|| Group::new(aggs))
+            }
+        };
+        group.update(aggs, row)
+    }
+
+    /// The output rows, one per group that HAVING keeps.
+    pub fn finish(self, having: Option<&PhysExpr>) -> Result<Vec<Row>> {
+        let global = self.global.map(|group| (Vec::new(), group));
+        let mut out = Vec::with_capacity(self.groups.len() + usize::from(global.is_some()));
+        for (key, group) in global.into_iter().chain(self.groups) {
+            let mut vals = key;
+            for st in group.states {
+                vals.push(st.finish());
+            }
+            let row = Row::new(vals);
+            if let Some(h) = having {
+                if !h.eval_predicate(&row)? {
+                    continue;
+                }
+            }
+            out.push(row);
+        }
+        Ok(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run_aggregate(
+        rows: &[Row],
+        group_by: &[PhysExpr],
+        aggs: &[AggSpec],
+        having: Option<&PhysExpr>,
+    ) -> Result<Vec<Row>> {
+        let mut agg = Aggregator::new(group_by, aggs);
+        for row in rows {
+            agg.push(row)?;
+        }
+        agg.finish(having)
+    }
 
     fn rows() -> Vec<Row> {
         // (grp, val)

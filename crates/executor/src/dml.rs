@@ -499,7 +499,7 @@ fn target_rows(
     // Path 3: full scan.
     let mut out = Vec::new();
     for item in entry.scan_visible(snap, ColumnSet::all()) {
-        let (rid, row) = item?;
+        let (rid, _, row) = item?;
         scanned += 1;
         let keep = match filter {
             Some(f) => f.eval_predicate(&row)?,

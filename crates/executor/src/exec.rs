@@ -1,10 +1,19 @@
 //! Plan interpretation.
 //!
-//! A materialising executor: each operator consumes its children's row
-//! vectors and produces its own. At the scale the benchmarks run (and with
-//! `LIMIT` applied eagerly where safe) this keeps the code obviously correct;
-//! the per-tuple work is still counted exactly, which is what the actual-cost
-//! sensor needs.
+//! Mostly a materialising executor: each operator consumes its children's
+//! row vectors and produces its own. At the scale the benchmarks run this
+//! keeps the code obviously correct; the per-tuple work is still counted
+//! exactly, which is what the actual-cost sensor needs.
+//!
+//! It streams where the rows are many and cheap — out of a base-table scan.
+//! A `SeqScan` runs as one loop ([`crate::scan`]) that tests its filter on
+//! the encoded bytes and decodes survivors into one reused row; a `Filter`,
+//! `Project` or `Aggregate` directly above it consumes that row inside the
+//! same loop ([`for_each_row`]), so a range aggregate never materialises its
+//! input. Spans, tuple counts and page counts are those of the operators
+//! run one after the other; elapsed time is not split the same way: the
+//! consumer's per-row work runs inside the `SeqScan`'s span, so that span's
+//! time includes it (the consumer's inclusive time is unchanged).
 
 use std::collections::HashMap;
 
@@ -13,7 +22,8 @@ use ingot_common::{Error, MonotonicClock, Result, Row, Snapshot, Value};
 use ingot_planner::{PhysPlan, PlanNode, ProbeSource, ProbeSpec};
 use ingot_trace::{OperatorSpan, SpanCollector};
 
-use crate::aggregate::run_aggregate;
+use crate::aggregate::Aggregator;
+use crate::scan::seq_scan;
 
 /// The result of a query plan.
 #[derive(Debug, Clone, Default)]
@@ -63,9 +73,7 @@ pub fn normalize_key(v: &Value) -> Value {
     }
 }
 
-/// Run one node, opening/closing a span around it when tracing. The span's
-/// tuple and page counts are measured inclusively (subtree totals);
-/// `SpanCollector::finish` converts tuples to exclusive self-work.
+/// Run one node, inside its span when tracing.
 fn run(
     catalog: &Catalog,
     node: &PlanNode,
@@ -73,23 +81,91 @@ fn run(
     tuples: &mut u64,
     trace: Option<&mut SpanCollector>,
 ) -> Result<Vec<Row>> {
-    match trace {
-        None => run_node(catalog, node, snap, tuples, None),
-        Some(collector) => {
-            let io_before = catalog.pool().io_stats().total();
-            let tuples_before = *tuples;
-            let frame = collector.enter(
-                node.op_name(),
-                node.op_detail(),
-                node.est_rows,
-                node.est_cost.total(),
-            );
-            let rows = run_node(catalog, node, snap, tuples, Some(collector))?;
-            let pages = catalog.pool().io_stats().total().saturating_sub(io_before);
-            collector.exit(frame, rows.len() as u64, *tuples - tuples_before, pages);
-            Ok(rows)
+    in_span(
+        catalog,
+        node,
+        tuples,
+        trace,
+        |tuples, trace| run_node(catalog, node, snap, tuples, trace),
+        |rows| rows.len() as u64,
+    )
+}
+
+/// Run `body` for `node`, opening/closing the node's span around it when
+/// tracing; `rows_out` reads the node's output row count off the result.
+/// The span's tuple and page counts are measured inclusively (subtree
+/// totals); `SpanCollector::finish` converts tuples to exclusive self-work.
+fn in_span<T>(
+    catalog: &Catalog,
+    node: &PlanNode,
+    tuples: &mut u64,
+    trace: Option<&mut SpanCollector>,
+    body: impl FnOnce(&mut u64, Option<&mut SpanCollector>) -> Result<T>,
+    rows_out: impl FnOnce(&T) -> u64,
+) -> Result<T> {
+    let Some(collector) = trace else {
+        return body(tuples, None);
+    };
+    let io_before = catalog.pool().io_stats().total();
+    let tuples_before = *tuples;
+    let frame = collector.enter(
+        node.op_name(),
+        node.op_detail(),
+        node.est_rows,
+        node.est_cost.total(),
+    );
+    let out = body(tuples, Some(&mut *collector))?;
+    let pages = catalog.pool().io_stats().total().saturating_sub(io_before);
+    collector.exit(frame, rows_out(&out), *tuples - tuples_before, pages);
+    Ok(out)
+}
+
+/// Run `input` and hand each of its rows to `each` (which may take it),
+/// pushing onto `out` the rows `each` returns; returns how many rows it
+/// handed. A `SeqScan` input runs in the same loop as `each`, through one
+/// reused row; any other input is materialised first, and `out` is sized to
+/// it at the first row kept, as the materialising arms sized theirs.
+fn for_each_row(
+    catalog: &Catalog,
+    input: &PlanNode,
+    snap: &Snapshot,
+    tuples: &mut u64,
+    trace: Option<&mut SpanCollector>,
+    out: &mut Vec<Row>,
+    mut each: impl FnMut(&mut Row) -> Result<Option<Row>>,
+) -> Result<u64> {
+    if let PhysPlan::SeqScan {
+        table,
+        filter,
+        needed,
+        ..
+    } = &input.op
+    {
+        let entry = catalog.table(*table)?;
+        let each = |row: &mut Row| {
+            if let Some(kept) = each(row)? {
+                out.push(kept);
+            }
+            Ok(())
+        };
+        return in_span(
+            catalog,
+            input,
+            tuples,
+            trace,
+            |tuples, _| seq_scan(entry, filter.as_ref(), *needed, snap, tuples, each),
+            |&survivors| survivors,
+        );
+    }
+    let rows = run(catalog, input, snap, tuples, trace)?;
+    let n = rows.len();
+    for (i, mut row) in rows.into_iter().enumerate() {
+        if let Some(kept) = each(&mut row)? {
+            out.reserve_exact(n - i); // a no-op after the first
+            out.push(kept);
         }
     }
+    Ok(n as u64)
 }
 
 fn run_node(
@@ -124,13 +200,10 @@ fn run_node(
         } => {
             let entry = catalog.table(*table)?;
             let mut out = Vec::new();
-            for item in entry.scan_visible(snap, *needed) {
-                let (_, row) = item?;
-                *tuples += 1;
-                if eval_filter(filter, &row)? {
-                    out.push(row);
-                }
-            }
+            seq_scan(entry, filter.as_ref(), *needed, snap, tuples, |row| {
+                out.push(std::mem::take(row));
+                Ok(())
+            })?;
             Ok(out)
         }
 
@@ -308,29 +381,24 @@ fn run_node(
             Ok(out)
         }
 
+        // The three streaming consumers: one tuple per input row each.
         PhysPlan::Filter { input, pred } => {
-            let rows = run(catalog, input, snap, tuples, trace.as_deref_mut())?;
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                *tuples += 1;
-                if pred.eval_predicate(&row)? {
-                    out.push(row);
-                }
-            }
+            let mut out = Vec::new();
+            *tuples += for_each_row(catalog, input, snap, tuples, trace, &mut out, |row| {
+                Ok(pred.eval_predicate(row)?.then(|| std::mem::take(row)))
+            })?;
             Ok(out)
         }
 
         PhysPlan::Project { input, exprs } => {
-            let rows = run(catalog, input, snap, tuples, trace.as_deref_mut())?;
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                *tuples += 1;
+            let mut out = Vec::new();
+            *tuples += for_each_row(catalog, input, snap, tuples, trace, &mut out, |row| {
                 let mut vals = Vec::with_capacity(exprs.len());
                 for e in exprs {
-                    vals.push(e.eval(&row)?);
+                    vals.push(e.eval(row)?);
                 }
-                out.push(Row::new(vals));
-            }
+                Ok(Some(Row::new(vals)))
+            })?;
             Ok(out)
         }
 
@@ -340,9 +408,17 @@ fn run_node(
             aggs,
             having,
         } => {
-            let rows = run(catalog, input, snap, tuples, trace.as_deref_mut())?;
-            *tuples += rows.len() as u64;
-            run_aggregate(&rows, group_by, aggs, having.as_ref())
+            let mut agg = Aggregator::new(group_by, aggs);
+            *tuples += for_each_row(
+                catalog,
+                input,
+                snap,
+                tuples,
+                trace,
+                &mut Vec::new(),
+                |row| agg.push(row).map(|()| None),
+            )?;
+            agg.finish(having.as_ref())
         }
 
         PhysPlan::Sort { input, keys } => {

@@ -10,6 +10,7 @@
 pub mod aggregate;
 pub mod dml;
 pub mod exec;
+mod scan;
 
 pub use dml::{execute, DmlObserver, ExecCtx, ExecOutcome, NoopObserver};
 pub use exec::{execute_plan_snapshot, QueryResult};

@@ -55,13 +55,6 @@ pub fn encode_row(row: &Row) -> Vec<u8> {
     out
 }
 
-/// Checked fixed-size copy used by the decoder: a slice of the wrong length
-/// becomes an error where `try_into().unwrap()` would panic.
-fn arr<const N: usize>(s: &[u8]) -> Result<[u8; N]> {
-    s.try_into()
-        .map_err(|_| Error::storage("truncated row record"))
-}
-
 /// Deserialise a row previously produced by [`encode_row`].
 pub fn decode_row(bytes: &[u8]) -> Result<Row> {
     decode_row_cols(bytes, ColumnSet::all())
@@ -72,48 +65,147 @@ pub fn decode_row(bytes: &[u8]) -> Result<Row> {
 /// string is stepped over (its length still bounds-checked) without UTF-8
 /// validation or a copy.
 pub fn decode_row_cols(bytes: &[u8], needed: ColumnSet) -> Result<Row> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-        match bytes.get(*pos..(*pos).saturating_add(n)) {
-            Some(s) => {
-                *pos += n;
-                Ok(s)
-            }
-            None => Err(Error::storage("truncated row record")),
+    let mut values = Vec::new();
+    decode_row_cols_into(bytes, needed, &mut values)?;
+    Ok(Row::new(values))
+}
+
+/// [`decode_row_cols`] into a caller-owned vector (cleared first), so a scan
+/// can refill one row per version instead of allocating one.
+pub fn decode_row_cols_into(bytes: &[u8], needed: ColumnSet, out: &mut Vec<Value>) -> Result<()> {
+    out.clear();
+    let cells = RowCells::new(bytes, needed)?;
+    out.reserve(cells.width());
+    for cell in cells {
+        out.push(cell?.to_value());
+    }
+    Ok(())
+}
+
+/// One encoded value, read in place: what the decoder turns into a
+/// [`Value`], and what a scan's byte-level conjuncts compare without one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cell<'a> {
+    /// NULL, or a column outside the cursor's `needed` set.
+    Null,
+    /// An integer.
+    Int(i64),
+    /// A float.
+    Float(f64),
+    /// A string, UTF-8 validated, borrowed from the record.
+    Str(&'a str),
+    /// A boolean.
+    Bool(bool),
+}
+
+impl Cell<'_> {
+    /// The owned value.
+    #[inline]
+    pub fn to_value(self) -> Value {
+        match self {
+            Cell::Null => Value::Null,
+            Cell::Int(i) => Value::Int(i),
+            Cell::Float(f) => Value::Float(f),
+            Cell::Str(s) => Value::Str(s.to_owned()),
+            Cell::Bool(b) => Value::Bool(b),
         }
-    };
-    let n = u16::from_le_bytes(arr(take(&mut pos, 2)?)?) as usize;
-    let mut values = Vec::with_capacity(n);
-    for col in 0..n {
-        let keep = needed.contains(col);
-        let tag = match take(&mut pos, 1)? {
-            &[t] => t,
-            _ => return Err(Error::storage("truncated row record")),
+    }
+}
+
+/// Steps through an encoded row one column at a time: the codec's one
+/// tag/length routine, which the decoder and the scan's byte tests both read
+/// through — so the two fail on exactly the same records.
+///
+/// A column outside `needed` reads as [`Cell::Null`]; a string there is
+/// stepped over (its length still bounds-checked) without UTF-8 validation.
+/// The first error ends the walk.
+#[derive(Debug, Clone)]
+pub struct RowCells<'a> {
+    /// The record from the next column on.
+    rest: &'a [u8],
+    col: usize,
+    width: usize,
+    needed: ColumnSet,
+}
+
+impl<'a> RowCells<'a> {
+    /// A cursor before the first column of the record `bytes`.
+    #[inline]
+    pub fn new(bytes: &'a [u8], needed: ColumnSet) -> Result<Self> {
+        let mut cells = RowCells {
+            rest: bytes,
+            col: 0,
+            width: 0,
+            needed,
         };
-        let v = match tag {
-            TAG_NULL => Value::Null,
-            TAG_INT => Value::Int(i64::from_le_bytes(arr(take(&mut pos, 8)?)?)),
-            TAG_FLOAT => Value::Float(f64::from_le_bytes(arr(take(&mut pos, 8)?)?)),
+        cells.width = u16::from_le_bytes(cells.fixed()?) as usize;
+        Ok(cells)
+    }
+
+    /// Columns the record holds.
+    #[inline]
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    // `fixed`, `step` and `next` are always inlined: the executor's scan
+    // loop steps every column of every row through them, and as calls
+    // across the crate boundary they cost that loop about half its speed.
+    #[inline(always)]
+    fn fixed<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let (head, rest) = self.rest.split_first_chunk().ok_or_else(truncated)?;
+        self.rest = rest;
+        Ok(*head)
+    }
+
+    #[inline(always)]
+    fn step(&mut self) -> Result<Cell<'a>> {
+        let keep = self.needed.contains(self.col);
+        self.col += 1;
+        let [tag] = self.fixed()?;
+        let cell = match tag {
+            TAG_NULL => Cell::Null,
+            TAG_INT => Cell::Int(i64::from_le_bytes(self.fixed()?)),
+            TAG_FLOAT => Cell::Float(f64::from_le_bytes(self.fixed()?)),
             TAG_STR => {
-                let len = u32::from_le_bytes(arr(take(&mut pos, 4)?)?) as usize;
-                let raw = take(&mut pos, len)?;
-                if keep {
-                    Value::Str(
-                        std::str::from_utf8(raw)
-                            .map_err(|_| Error::storage("invalid utf8 in row record"))?
-                            .to_owned(),
-                    )
-                } else {
-                    Value::Null
+                let len = u32::from_le_bytes(self.fixed()?) as usize;
+                let (raw, rest) = self.rest.split_at_checked(len).ok_or_else(truncated)?;
+                self.rest = rest;
+                if !keep {
+                    return Ok(Cell::Null);
                 }
+                Cell::Str(
+                    std::str::from_utf8(raw)
+                        .map_err(|_| Error::storage("invalid utf8 in row record"))?,
+                )
             }
-            TAG_BOOL_FALSE => Value::Bool(false),
-            TAG_BOOL_TRUE => Value::Bool(true),
+            TAG_BOOL_FALSE => Cell::Bool(false),
+            TAG_BOOL_TRUE => Cell::Bool(true),
             t => return Err(Error::storage(format!("unknown value tag {t}"))),
         };
-        values.push(if keep { v } else { Value::Null });
+        Ok(if keep { cell } else { Cell::Null })
     }
-    Ok(Row::new(values))
+}
+
+#[cold]
+fn truncated() -> Error {
+    Error::storage("truncated row record")
+}
+
+impl<'a> Iterator for RowCells<'a> {
+    type Item = Result<Cell<'a>>;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.col >= self.width {
+            return None;
+        }
+        let cell = self.step();
+        if cell.is_err() {
+            self.col = self.width;
+        }
+        Some(cell)
+    }
 }
 
 // ---- memcomparable key codec -------------------------------------------------

@@ -19,6 +19,7 @@
 //! means a header rewrite ([`HeapFile::set_meta`]) is always an in-place
 //! same-length page update, so commit stamping never moves a record.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -29,7 +30,7 @@ use parking_lot::Mutex;
 use crate::buffer::BufferPool;
 use crate::codec::{decode_row_cols, encode_row_into};
 use crate::disk::FileId;
-use crate::page::Page;
+use crate::page::{Page, MAX_RECORD};
 
 /// Size of the per-record version header, in bytes.
 pub const VERSION_HEADER: usize = 40;
@@ -91,6 +92,7 @@ impl VersionMeta {
         }
     }
 
+    #[inline]
     fn decode(rec: &[u8]) -> Result<VersionMeta> {
         if rec.len() < VERSION_HEADER {
             return Err(Error::storage(format!(
@@ -293,11 +295,7 @@ impl HeapFile {
     /// physical version count — the caller owns the logical live count
     /// ([`HeapFile::adjust_rows`]).
     pub fn insert_version(&self, row: &Row, meta: VersionMeta) -> Result<RowId> {
-        let mut buf = Vec::with_capacity(VERSION_HEADER + 64);
-        meta.encode_into(&mut buf);
-        let mut body = Vec::new();
-        encode_row_into(row, &mut body);
-        buf.extend_from_slice(&body);
+        let buf = version_record(meta, &encode_body(row)?);
         let mut cursor = self.insert_cursor.lock();
         loop {
             let page_no = *cursor;
@@ -406,12 +404,9 @@ impl HeapFile {
     /// row's (possibly new) address: when the new encoding does not fit its
     /// page, the row moves.
     pub fn update(&self, id: RowId, row: &Row) -> Result<RowId> {
+        let body = encode_body(row)?;
         let meta = self.meta(id)?;
-        let mut buf = Vec::with_capacity(VERSION_HEADER + 64);
-        meta.encode_into(&mut buf);
-        let mut body = Vec::new();
-        encode_row_into(row, &mut body);
-        buf.extend_from_slice(&body);
+        let buf = version_record(meta, &body);
         self.pool.check_page(self.file, id.page_no)?;
         let page = self.pool.fetch(self.file, id.page_no)?;
         let updated = page.write().update_record(id.slot, &buf)?;
@@ -490,22 +485,54 @@ impl HeapFile {
     }
 }
 
-/// The row after a record's version header. [`VersionMeta::decode`] has
-/// already verified `rec.len() >= VERSION_HEADER` wherever this is called.
-fn decode_payload(rec: &[u8], needed: ColumnSet) -> Result<Row> {
-    decode_row_cols(rec.get(VERSION_HEADER..).unwrap_or(&[]), needed)
+/// Encode `row` as a record body, refusing one that no page could hold
+/// behind a version header — before any page is fetched, so neither an
+/// insert (which would allocate pages forever looking for room) nor an
+/// update's move (which would already have removed the old version) starts.
+fn encode_body(row: &Row) -> Result<Vec<u8>> {
+    let mut body = Vec::new();
+    encode_row_into(row, &mut body);
+    if VERSION_HEADER + body.len() > MAX_RECORD {
+        return Err(Error::storage(format!(
+            "row of {} bytes does not fit a page ({} bytes at most)",
+            body.len(),
+            MAX_RECORD - VERSION_HEADER
+        )));
+    }
+    Ok(body)
 }
 
-/// Iterator over `(RowId, VersionMeta, Row)` triples of a heap file.
+/// A heap record: version header, then the encoded row.
+fn version_record(meta: VersionMeta, body: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(VERSION_HEADER + body.len());
+    meta.encode_into(&mut buf);
+    buf.extend_from_slice(body);
+    buf
+}
+
+/// The row after a record's version header. [`VersionMeta::decode`] has
+/// already verified `rec.len() >= VERSION_HEADER` wherever this is called.
+fn payload(rec: &[u8]) -> &[u8] {
+    rec.get(VERSION_HEADER..).unwrap_or(&[])
+}
+
+fn decode_payload(rec: &[u8], needed: ColumnSet) -> Result<Row> {
+    decode_row_cols(payload(rec), needed)
+}
+
+/// A cursor over the versions of a heap file; as an iterator it yields
+/// `(RowId, VersionMeta, Row)` triples.
 ///
 /// Works a page at a time: one [`BufferPool::fetch`] and one read latch per
 /// page, under which the page is copied into the scan's own buffer; latch and
 /// pin are released before anything is yielded, so the caller never runs
-/// under a page latch. Versions are decoded from the copy one at a time, as
+/// under a page latch. Versions are read from the copy one at a time, as
 /// they are asked for: decoding the whole page ahead into a batch of rows
 /// keeps some fifty rows' strings alive at once, which on a scan that reads
 /// every column measured slower than the per-row `fetch` it replaced
-/// (EXPERIMENTS.md, Fig 4).
+/// (EXPERIMENTS.md, Fig 4). [`HeapScan::next_record`] hands out the encoded
+/// row itself, so a caller can test it on its bytes and decode only what it
+/// keeps, into a row it reuses.
 pub struct HeapScan<'a, F = fn(&VersionMeta) -> bool> {
     heap: &'a HeapFile,
     /// The next page to copy.
@@ -518,39 +545,70 @@ pub struct HeapScan<'a, F = fn(&VersionMeta) -> bool> {
     slot: u16,
 }
 
-impl<F: Fn(&VersionMeta) -> bool> Iterator for HeapScan<'_, F> {
-    type Item = Result<(RowId, VersionMeta, Row)>;
+impl<F: Fn(&VersionMeta) -> bool> HeapScan<'_, F> {
+    /// Step to the next version whose header `keep` accepts and return its
+    /// address, header and encoded row (see [`crate::codec::RowCells`]),
+    /// borrowed from the scan's page copy. Nothing is decoded.
+    #[inline(always)]
+    pub fn next_record(&mut self) -> Option<Result<(RowId, VersionMeta, &[u8])>> {
+        let (slot, meta, at) = match self.advance()? {
+            Ok(found) => found,
+            Err(e) => return Some(Err(e)),
+        };
+        let rec = self.page.bytes().get(at).map_or(&[] as &[u8], payload);
+        Some(Ok((RowId::new(self.page_no - 1, slot), meta, rec)))
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
+    /// The scan's one page/slot loop: the slot, header and record bytes of
+    /// the next accepted version, refilling the page copy as pages run out.
+    /// Always inlined, like `next_record`, into the caller's per-row loop;
+    /// the page refill stays a call.
+    #[inline(always)]
+    fn advance(&mut self) -> Option<Result<(u16, VersionMeta, Range<usize>)>> {
         loop {
             while self.slot < self.page.slot_count() {
                 let slot = self.slot;
                 self.slot += 1;
-                let Some(rec) = self.page.record(slot) else {
+                let Some(at) = self.page.record_range(slot) else {
                     continue;
                 };
-                let id = RowId::new(self.page_no - 1, slot);
+                let rec = self.page.bytes().get(at.clone()).unwrap_or_default();
                 return Some(match VersionMeta::decode(rec) {
                     Ok(meta) if !(self.keep)(&meta) => continue,
-                    Ok(meta) => decode_payload(rec, self.needed).map(|row| (id, meta, row)),
+                    Ok(meta) => Ok((slot, meta, at)),
                     Err(e) => Err(e),
                 });
             }
-            if self.page_no >= self.total_pages {
-                return None;
-            }
-            let fetched = self.heap.pool.fetch(self.heap.file, self.page_no);
-            self.page_no += 1;
-            match fetched {
-                Ok(page) => {
-                    *self.page.bytes_mut() = *page.read().bytes();
-                    self.slot = 0;
-                }
-                // The stale copy stays exhausted: the scan reports the page
-                // and moves on to the next.
-                Err(e) => return Some(Err(e)),
+            if let Err(e) = self.refill()? {
+                return Some(Err(e));
             }
         }
+    }
+
+    /// Copy the next page into the scan's buffer: one fetch and one read
+    /// latch, both released on return. `None` past the last page; after an
+    /// error the stale copy stays exhausted and the scan moves on.
+    #[inline(never)]
+    fn refill(&mut self) -> Option<Result<()>> {
+        if self.page_no >= self.total_pages {
+            return None;
+        }
+        let fetched = self.heap.pool.fetch(self.heap.file, self.page_no);
+        self.page_no += 1;
+        Some(fetched.map(|page| {
+            self.page.bytes_mut().copy_from_slice(page.read().bytes());
+            self.slot = 0;
+        }))
+    }
+}
+
+impl<F: Fn(&VersionMeta) -> bool> Iterator for HeapScan<'_, F> {
+    type Item = Result<(RowId, VersionMeta, Row)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let needed = self.needed;
+        let item = self.next_record()?;
+        Some(item.and_then(|(id, meta, rec)| Ok((id, meta, decode_row_cols(rec, needed)?))))
     }
 }
 

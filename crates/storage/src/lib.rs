@@ -25,7 +25,9 @@ pub mod wal;
 
 pub use btree::BTreeFile;
 pub use buffer::{BufferPool, BufferStats};
-pub use codec::{decode_row, decode_row_cols, encode_key, encode_row};
+pub use codec::{
+    decode_row, decode_row_cols, decode_row_cols_into, encode_key, encode_row, Cell, RowCells,
+};
 pub use disk::{DiskBackend, FileBackend, FileId, MemoryBackend};
 pub use fault::{FaultEffect, FaultInjectingBackend, FaultOp, FaultPlan, FaultRule, FaultStats};
 pub use heap::{HeapFile, HeapStats, RowId, VersionMeta, VERSION_HEADER};

@@ -10,6 +10,8 @@ pub const PAGE_SIZE: usize = 8192;
 pub(crate) const HEADER_SIZE: usize = 16;
 /// Bytes per slot entry: offset (u16) + length (u16).
 pub(crate) const SLOT_SIZE: usize = 4;
+/// Largest record an empty page accepts.
+pub(crate) const MAX_RECORD: usize = PAGE_SIZE - HEADER_SIZE - SLOT_SIZE;
 
 // Header layout:
 //   [0..2)   slot_count   u16
@@ -126,6 +128,7 @@ impl Page {
     // ---- slotted-page header ----------------------------------------------
 
     /// Number of slots (including tombstones).
+    #[inline]
     pub fn slot_count(&self) -> u16 {
         self.u16_at(0)
     }
@@ -156,6 +159,7 @@ impl Page {
         HEADER_SIZE + slot as usize * SLOT_SIZE
     }
 
+    #[inline]
     fn slot(&self, slot: u16) -> (u16, u16) {
         let off = Self::slot_off(slot);
         (self.u16_at(off), self.u16_at(off + 2))
@@ -186,7 +190,7 @@ impl Page {
     /// fit. Tombstoned slots are reused when the record fits their region or
     /// fresh space is available.
     pub fn insert_record(&mut self, rec: &[u8]) -> Option<u16> {
-        if rec.len() > PAGE_SIZE - HEADER_SIZE - SLOT_SIZE {
+        if rec.len() > MAX_RECORD {
             return None;
         }
         if !self.fits(rec.len()) {
@@ -210,17 +214,23 @@ impl Page {
     }
 
     /// Read the record in `slot`, or `None` for tombstones / out-of-range.
+    #[inline]
     pub fn record(&self, slot: u16) -> Option<&[u8]> {
+        self.record_range(slot).and_then(|at| self.data.get(at))
+    }
+
+    /// Where the record in `slot` lies in [`Page::bytes`], or `None` for
+    /// tombstones / out-of-range.
+    #[inline]
+    pub(crate) fn record_range(&self, slot: u16) -> Option<std::ops::Range<usize>> {
         if slot >= self.slot_count() {
             return None;
         }
         let (off, len) = self.slot(slot);
-        if len == 0 {
-            return None;
-        }
+        let at = off as usize..off as usize + len as usize;
         // Checked: a corrupt slot entry reads as a tombstone, not a panic
         // (also avoids the u16 overflow `off + len` could hit).
-        self.data.get(off as usize..off as usize + len as usize)
+        (len != 0 && at.end <= PAGE_SIZE).then_some(at)
     }
 
     /// Tombstone the record in `slot`. The data region is not compacted; the

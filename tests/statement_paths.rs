@@ -8,14 +8,21 @@
 //! A second oracle rides the same stream on all four engines: every query is
 //! also planned by hand, and the plan is executed next to a clone of itself
 //! whose base-table accesses read every column — column pruning must change
-//! no row, no tuple count and no page read.
+//! no row, no tuple count and no page read — and next to the row-at-a-time
+//! executor this stream's scans used to run on (`row_at_a_time`), under the
+//! statement's snapshot and under an older one: the fused scan loop, its
+//! byte-level conjuncts and the streaming aggregate must change none of
+//! them either. Generated predicates over a table of NULLs, ints, floats
+//! and prefix-sharing strings aim at exactly that loop.
 //!
 //! A plan-cache hit reports the estimate its template was priced with when
 //! first planned, a miss prices now. The stream keeps both tables inside
 //! their preallocated heap extent, so the page counts the optimizer prices
 //! from never move and the two estimates are comparable at every step.
 
-use ingot::common::{ColumnSet, Snapshot, StmtHash};
+mod row_at_a_time;
+
+use ingot::common::{ColumnSet, Snapshot, StmtHash, TxnId};
 use ingot::executor::execute_plan_snapshot;
 use ingot::planner::{optimize, Binder, OptimizerOptions, PhysPlan, PlanNode, PlannedStatement};
 use ingot::prelude::*;
@@ -140,6 +147,32 @@ fn stream() -> Vec<Step> {
         steps.push(Sql(sql.into()));
     }
 
+    // Predicates for the fused scan: before and after updates that leave
+    // versions the oracle's older snapshot still sees.
+    steps.push(Sql(
+        "create table pred (i int, f float, s text, g int)".into()
+    ));
+    for k in 0..48 {
+        let or_null = |null: bool, v: String| if null { "null".to_owned() } else { v };
+        steps.push(Sql(format!(
+            "insert into pred values ({}, {}, {}, {})",
+            or_null(k % 7 == 0, format!("{}", k % 6 - 2)),
+            or_null(k % 5 == 0, format!("{:.1}", (k % 4) as f64 * 0.5)),
+            or_null(k % 9 == 0, format!("'{}'", STRS[k as usize % STRS.len()])),
+            k % 3
+        )));
+    }
+    for round in 0..2 {
+        for _ in 0..PREDICATE_QUERIES {
+            steps.push(Sql(predicate_query(&mut rng)));
+        }
+        if round == 0 {
+            steps.push(Sql("update pred set i = i + 1 where g = 1".into()));
+            steps.push(Sql("update pred set s = s + 'a' where g = 2".into()));
+            steps.push(Sql("delete from pred where i = 0".into()));
+        }
+    }
+
     // Texts one blank apart that mean different things — a column name with
     // two spaces or one, a comment that ends at its newline or runs on over
     // the FROM clause — each sent after the other has been cached.
@@ -212,6 +245,63 @@ fn stream() -> Vec<Step> {
 const WHOLE_ROWS: &str =
     "select count(*) from item where id is null or grp is null or name is null or qty is null";
 
+/// Generated queries over `pred`, per round.
+const PREDICATE_QUERIES: usize = 40;
+/// `pred.s` values: shared prefixes and the empty string.
+const STRS: [&str; 6] = ["", "a", "ab", "abc", "b", "ba"];
+
+/// One conjunct of the shapes the scan tests on bytes (and some it does
+/// not: float and int against each other, `NOT`).
+fn predicate_atom(rng: &mut SmallRng) -> String {
+    const OPS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
+    let op = OPS[rng.gen_range(0..OPS.len())];
+    let int = rng.gen_range(-3i64..4);
+    let (a, b) = (
+        STRS[rng.gen_range(0..STRS.len())],
+        STRS[rng.gen_range(0..STRS.len())],
+    );
+    match rng.gen_range(0..12) {
+        0 => format!("i {op} {int}"),
+        1 => format!("{int} {op} i"),
+        2 => format!("i {op} {}.5", int),
+        3 => format!("f {op} {int}"),
+        4 => format!("s {op} '{a}'"),
+        5 => format!("s between '{a}' and '{b}'"),
+        6 => format!("s not between '{a}' and '{b}'"),
+        7 => format!("i between {int} and {}", int + 2),
+        8 => format!("i not between {int} and {}", int + 1),
+        9 => format!("not (i {op} {int})"),
+        10 => format!("s is {}null", ["", "not "][rng.gen_range(0..2usize)]),
+        _ => format!("{} is not null", ["i", "f", "g"][rng.gen_range(0..3usize)]),
+    }
+}
+
+/// A query whose plan is a scan of `pred` under a filter, an aggregate or
+/// a projection.
+fn predicate_query(rng: &mut SmallRng) -> String {
+    let (a, b, c) = (
+        predicate_atom(rng),
+        predicate_atom(rng),
+        predicate_atom(rng),
+    );
+    let pred = match rng.gen_range(0..4) {
+        0 => a,
+        1 => format!("{a} and {b}"),
+        2 => format!("{a} or {b}"),
+        _ => format!("{a} and ({b} or {c})"),
+    };
+    match rng.gen_range(0..5) {
+        0 => format!("select count(*), sum(i) from pred where {pred}"),
+        1 => format!("select i, s from pred where {pred}"),
+        2 => format!("select * from pred where {pred}"),
+        3 => format!(
+            "select g, count(*), min(s), max(f), avg(i), count(distinct s) from pred \
+             where {pred} group by g having count(*) > 1"
+        ),
+        _ => format!("select count(*) from pred where {pred} and i > 100"),
+    }
+}
+
 /// Make every base-table access of the plan read every column again.
 fn unprune(node: &mut PlanNode) {
     match &mut node.op {
@@ -236,10 +326,12 @@ fn unprune(node: &mut PlanNode) {
     }
 }
 
-/// Pruned ≡ unpruned. Plans `sql` the way the engine does and, when it is a
-/// query, executes the optimizer's plan and its unpruned clone under one
-/// snapshot. Returns whether the optimizer pruned anything.
-fn pruning_is_invisible(engine: &Engine, sql: &str, params: &[Value]) -> bool {
+/// Pruned ≡ unpruned ≡ row-at-a-time. Plans `sql` the way the engine does
+/// and, when it is a query, executes the optimizer's plan, its unpruned
+/// clone and the plan on the row-at-a-time oracle, under the latest
+/// snapshot and under one a few commits older. Returns whether the optimizer
+/// pruned anything.
+fn plans_agree(engine: &Engine, sql: &str, params: &[Value]) -> bool {
     let Ok(stmt @ Statement::Select(_)) = parse_statement(sql) else {
         return false;
     };
@@ -254,20 +346,27 @@ fn pruning_is_invisible(engine: &Engine, sql: &str, params: &[Value]) -> bool {
     };
     let mut full = q.root.clone();
     unprune(&mut full);
-    let snap = Snapshot::latest();
-    let run = |plan: &PlanNode| {
-        let before = engine.io_stats().total();
-        let mut result = execute_plan_snapshot(&catalog, plan, &snap).unwrap();
-        result.rows.sort(); // hash operators promise a multiset
-        let pages = engine.io_stats().total() - before;
-        (result.rows, result.tuples, pages)
+    let older = Snapshot {
+        ts: engine.txns().read_ts().saturating_sub(5),
+        txn: TxnId(0),
     };
-    assert_eq!(
-        run(&q.root),
-        run(&full),
-        "pruned vs unpruned: {sql}\n{}",
-        q.root
-    );
+    for snap in [Snapshot::latest(), older] {
+        // Rows as a multiset (hash operators promise no order), tuples,
+        // pages read.
+        let measured = |run: &dyn Fn() -> Result<(Vec<Row>, u64)>| {
+            let before = engine.io_stats().total();
+            let (mut rows, tuples) = run().unwrap();
+            rows.sort();
+            (rows, tuples, engine.io_stats().total() - before)
+        };
+        let fused = |plan: &PlanNode| {
+            measured(&|| execute_plan_snapshot(&catalog, plan, &snap).map(|r| (r.rows, r.tuples)))
+        };
+        let want = fused(&q.root);
+        assert_eq!(want, fused(&full), "pruned vs unpruned: {sql}\n{}", q.root);
+        let oracle = measured(&|| row_at_a_time::execute(&catalog, &q.root, &snap));
+        assert_eq!(want, oracle, "fused vs row-at-a-time: {sql}\n{}", q.root);
+    }
     q.root.to_string() != full.to_string()
 }
 
@@ -399,11 +498,11 @@ fn run(steps: &[Step], cache_capacity: usize, trace: bool) -> Run {
         .iter()
         .map(|step| match step {
             Step::Sql(sql) => {
-                pruned_plans += usize::from(pruning_is_invisible(&engine, sql, &[]));
+                pruned_plans += usize::from(plans_agree(&engine, sql, &[]));
                 outcome(a.execute(sql), sql.starts_with("explain"))
             }
             Step::Prepared(sql, params) => {
-                pruned_plans += usize::from(pruning_is_invisible(&engine, sql, params));
+                pruned_plans += usize::from(plans_agree(&engine, sql, params));
                 outcome(a.prepare(sql).and_then(|p| p.execute(params)), false)
             }
             Step::OtherSession(sql) => outcome(b.execute(sql), false),
@@ -485,6 +584,22 @@ fn every_statement_path_agrees() {
         "some statement must use an index"
     );
     assert!(reference.pruned_plans > 300, "{}", reference.pruned_plans);
+    // Every generated predicate binds and runs; some select rows, some none.
+    let generated: Vec<&Outcome> = steps
+        .iter()
+        .zip(&reference.outcomes)
+        .filter(|(s, _)| matches!(s, Step::Sql(q) if q.starts_with("select") && q.contains(" from pred where ")))
+        .map(|(_, o)| o)
+        .collect();
+    assert_eq!(generated.len(), 2 * PREDICATE_QUERIES);
+    let selected = |o: &Outcome| matches!(o, Outcome::Done { rows, .. } if !rows.is_empty());
+    assert!(
+        generated.iter().all(|o| matches!(o, Outcome::Done { .. })),
+        "{generated:?}"
+    );
+    let selecting = generated.iter().filter(|o| selected(o)).count();
+    assert!(selecting > PREDICATE_QUERIES / 2, "{selecting}");
+    assert!(selecting < generated.len(), "{selecting}");
     let whole = steps
         .iter()
         .position(|s| matches!(s, Step::Sql(q) if q == WHOLE_ROWS));

@@ -136,6 +136,65 @@ fn operator_stats_are_queryable_and_consistent_with_the_rendering() {
 }
 
 #[test]
+fn a_filtered_range_aggregate_reports_each_operator_it_fuses() {
+    let e = engine();
+    let s = e.open_session();
+    load(&s);
+    // `protein` is a heap: the plan is Project > Aggregate > SeqScan with the
+    // range pushed into the scan, which runs scan, byte-level filter and
+    // aggregate as one loop. Each still gets its span, with the counts of
+    // the operators run one after the other: the scan reads 200 rows and
+    // passes 50, the aggregate folds 50 into 1.
+    let query = "select count(*), sum(org_id) from protein where nref_id between 20 and 69";
+    let r = s.execute(query).unwrap();
+    assert_eq!(
+        r.rows,
+        vec![Row::new(vec![Value::Int(50), Value::Int(5 * 45)])]
+    );
+    assert_eq!(
+        r.actual_cost.cpu, 251.0,
+        "200 scanned + 50 aggregated + 1 projected"
+    );
+
+    let sql = format!("explain analyze {query}");
+    let lines = plan_lines(&s.execute(&sql).unwrap());
+    let ops: Vec<&str> = lines[..lines.len() - 1].iter().map(|l| l.trim()).collect();
+    assert_eq!(ops.len(), 3, "{lines:#?}");
+    let want = [
+        ("Project", "act rows=1, tuples=1,"),
+        ("Aggregate", "act rows=1, tuples=50,"),
+        ("SeqScan on protein [filtered]", "act rows=50, tuples=200,"),
+    ];
+    for ((op, counts), got) in want.iter().zip(&ops) {
+        assert!(got.starts_with(op) && got.contains(counts), "{got}");
+    }
+    let rows = s
+        .execute(&format!(
+            "select op, rows_in, rows_out, tuples from ima$operator_stats \
+             where hash = '{}' order by op_id",
+            StmtHash::of(&sql)
+        ))
+        .unwrap()
+        .rows;
+    let row = |op: &str, rows_in: i64, rows_out: i64, tuples: i64| {
+        Row::new(vec![
+            Value::Str(op.into()),
+            Value::Int(rows_in),
+            Value::Int(rows_out),
+            Value::Int(tuples),
+        ])
+    };
+    assert_eq!(
+        rows,
+        vec![
+            row("Project", 1, 1, 1),
+            row("Aggregate", 50, 1, 50),
+            row("SeqScan", 0, 50, 200),
+        ]
+    );
+}
+
+#[test]
 fn latency_histogram_counts_match_statement_frequency() {
     let e = engine();
     let s = e.open_session();
