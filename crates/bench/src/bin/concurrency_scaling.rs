@@ -4,17 +4,150 @@
 //! each of three statement mixes (read-only, 90-10 mixed, write-heavy on
 //! disjoint tables), reports aggregate statements/second and the speedup
 //! over a single session, and writes the numbers as JSON to
-//! `results/concurrency_scaling.json` (override the directory with
-//! `INGOT_RESULTS_DIR`).
+//! `results/concurrency_scaling.json`.
 //!
 //! This is the proof-of-scaling experiment for the snapshot-catalog
 //! architecture: statement execution takes no engine-wide lock, so sessions
 //! overlap up to the compatibility of their table locks.
+//!
+//! Each simulated client executes statements with a fixed *think time*
+//! between them (the classic closed-loop model). Aggregate throughput then
+//! scales with the number of sessions exactly as far as the engine lets the
+//! sessions overlap: an engine-wide statement lock caps the curve at 1×,
+//! table-granular locking over catalog snapshots keeps it climbing. Think
+//! time (rather than CPU-bound spinning) is what makes the scaling
+//! observable on small machines — a single core cannot parallelise compute,
+//! but it can overlap waiting.
 
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
-use ingot_bench::concurrency::{build_engine, run_batch, Workload, SESSION_COUNTS};
-use ingot_bench::{best_of, header, Scale};
+use ingot_bench::{best_of, header, pace, write_results, Field, Fields, Scale};
+use ingot_common::EngineConfig;
+use ingot_core::Engine;
+
+/// Session counts measured, in order.
+const SESSION_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Rows in each table.
+const TABLE_ROWS: u64 = 256;
+
+/// The three statement mixes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Workload {
+    /// Point selects on one shared table (S locks — fully compatible).
+    ReadOnly,
+    /// 90 % point selects, 10 % updates, all on one shared table (the
+    /// updates take X table locks and briefly serialise).
+    Mixed9010,
+    /// Updates only, each session on its own table (disjoint X locks — the
+    /// case an engine-wide lock would serialise for no reason).
+    WriteHeavy,
+}
+
+impl Workload {
+    /// All mixes, in report order.
+    const ALL: [Workload; 3] = [
+        Workload::ReadOnly,
+        Workload::Mixed9010,
+        Workload::WriteHeavy,
+    ];
+
+    /// Identifier used in reports and JSON.
+    fn label(self) -> &'static str {
+        match self {
+            Workload::ReadOnly => "read_only",
+            Workload::Mixed9010 => "mixed_90_10",
+            Workload::WriteHeavy => "write_heavy",
+        }
+    }
+}
+
+/// Build the engine for one statement mix: one shared keyed table (`acct`)
+/// plus one keyed table per potential session (`acct_w0` …), all with
+/// statistics so point statements plan to primary-key lookups.
+fn build_engine() -> Arc<Engine> {
+    let engine = Engine::builder()
+        .config(EngineConfig {
+            lock_timeout_ms: 10_000,
+            ..EngineConfig::monitoring()
+        })
+        .build()
+        .unwrap();
+    let s = engine.open_session();
+    let mut tables = vec!["acct".to_string()];
+    tables.extend((0..SESSION_COUNTS[SESSION_COUNTS.len() - 1]).map(|i| format!("acct_w{i}")));
+    for t in &tables {
+        s.execute(&format!(
+            "create table {t} (id int not null primary key, v int)"
+        ))
+        .expect("create");
+        for id in 0..TABLE_ROWS {
+            s.execute(&format!("insert into {t} values ({id}, 0)"))
+                .expect("insert");
+        }
+        s.execute(&format!("create statistics on {t}"))
+            .expect("stats");
+        s.execute(&format!("modify {t} to btree")).expect("modify");
+    }
+    engine
+}
+
+/// The `i`-th statement of session `session` under `workload`.
+fn statement(workload: Workload, session: usize, i: u64) -> String {
+    // Per-session stride through the key space, decorrelated across sessions.
+    let key = (session as u64 * 31 + i * 7) % TABLE_ROWS;
+    match workload {
+        Workload::ReadOnly => format!("select v from acct where id = {key}"),
+        Workload::Mixed9010 => {
+            if i.is_multiple_of(10) {
+                format!("update acct set v = v + 1 where id = {key}")
+            } else {
+                format!("select v from acct where id = {key}")
+            }
+        }
+        Workload::WriteHeavy => {
+            format!("update acct_w{session} set v = v + 1 where id = {key}")
+        }
+    }
+}
+
+/// Run `sessions` concurrent closed-loop clients, each executing
+/// `per_session` statements with `think` sleep between them. Returns the
+/// wall-clock duration from the synchronised start to the last client's
+/// finish. Panics on any statement error (the workload is conflict-free by
+/// construction; with a 10 s lock timeout nothing should fail).
+fn run_batch(
+    engine: &Arc<Engine>,
+    workload: Workload,
+    sessions: usize,
+    per_session: u64,
+    think: Duration,
+) -> Duration {
+    let barrier = Arc::new(Barrier::new(sessions + 1));
+    let mut handles = Vec::with_capacity(sessions);
+    for sid in 0..sessions {
+        let engine = Arc::clone(engine);
+        let barrier = Arc::clone(&barrier);
+        handles.push(std::thread::spawn(move || {
+            let s = engine.open_session();
+            barrier.wait();
+            for i in 0..per_session {
+                s.execute(&statement(workload, sid, i))
+                    .unwrap_or_else(|e| panic!("session {sid} stmt {i}: {e}"));
+                if !think.is_zero() {
+                    pace(think);
+                }
+            }
+        }));
+    }
+    barrier.wait();
+    let t0 = Instant::now();
+    for h in handles {
+        h.join().expect("client session");
+    }
+    t0.elapsed()
+}
 
 struct Cell {
     workload: &'static str,
@@ -23,6 +156,19 @@ struct Cell {
     elapsed_ms: f64,
     stmts_per_sec: f64,
     speedup_vs_1: f64,
+}
+
+impl Cell {
+    fn fields(&self) -> Fields {
+        vec![
+            ("workload", Field::Text(self.workload)),
+            ("sessions", Field::Int(self.sessions as u64)),
+            ("total_statements", Field::Int(self.total_statements)),
+            ("elapsed_ms", Field::Num(self.elapsed_ms)),
+            ("stmts_per_sec", Field::Num(self.stmts_per_sec)),
+            ("speedup_vs_1", Field::Num(self.speedup_vs_1)),
+        ]
+    }
 }
 
 fn main() {
@@ -52,8 +198,11 @@ fn main() {
         );
         let mut base_tput = 0.0;
         for sessions in SESSION_COUNTS {
-            let elapsed = best_of(scale.repeats, || {
-                run_batch(&engine, workload, sessions, per_session, think)
+            let (elapsed, ()) = best_of(scale.repeats, || {
+                (
+                    run_batch(&engine, workload, sessions, per_session, think),
+                    (),
+                )
             });
             let total = per_session * sessions as u64;
             let tput = total as f64 / elapsed.as_secs_f64();
@@ -80,12 +229,17 @@ fn main() {
         }
     }
 
-    let json = render_json(&scale, per_session, think, &cells);
-    let dir = std::env::var("INGOT_RESULTS_DIR")
-        .unwrap_or_else(|_| format!("{}/../../results", env!("CARGO_MANIFEST_DIR")));
-    let path = format!("{dir}/concurrency_scaling.json");
-    std::fs::write(&path, json).expect("write results JSON");
-    println!("\nwrote {path}");
+    write_results(
+        "concurrency_scaling.json",
+        "concurrency_scaling",
+        &scale,
+        &[
+            ("statements_per_session", Field::Int(per_session)),
+            ("think_time_ms", Field::Num(think.as_secs_f64() * 1e3)),
+            ("model", Field::Text("closed-loop clients with think time")),
+        ],
+        &cells.iter().map(Cell::fields).collect::<Vec<_>>(),
+    );
 
     let mixed8 = cells
         .iter()
@@ -97,35 +251,4 @@ fn main() {
          (got {:.2}x)",
         mixed8.speedup_vs_1
     );
-}
-
-/// Hand-rolled JSON (the workspace deliberately has no serde dependency).
-fn render_json(scale: &Scale, per_session: u64, think: Duration, cells: &[Cell]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"concurrency_scaling\",\n");
-    out.push_str(&format!("  \"scale\": \"{}\",\n", scale.name));
-    out.push_str(&format!("  \"repeats\": {},\n", scale.repeats));
-    out.push_str(&format!("  \"statements_per_session\": {per_session},\n"));
-    out.push_str(&format!(
-        "  \"think_time_ms\": {},\n",
-        think.as_secs_f64() * 1e3
-    ));
-    out.push_str("  \"model\": \"closed-loop clients with think time\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"sessions\": {}, \
-             \"total_statements\": {}, \"elapsed_ms\": {:.2}, \
-             \"stmts_per_sec\": {:.1}, \"speedup_vs_1\": {:.3}}}{}\n",
-            c.workload,
-            c.sessions,
-            c.total_statements,
-            c.elapsed_ms,
-            c.stmts_per_sec,
-            c.speedup_vs_1,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }

@@ -5,15 +5,12 @@
 //! statistics sensor, and renders the analyzer's locks diagram: locks in use
 //! over time with lock-wait (`W`) and deadlock (`D`) indicators.
 
-// Bench pacing: sleeps model client think-time and sampling cadence.
-#![allow(clippy::disallowed_methods)]
-
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use ingot_analyzer::{report::build_locks_diagram, WorkloadView};
-use ingot_bench::{header, Scale};
+use ingot_bench::{header, pace, Scale};
 use ingot_common::EngineConfig;
 use ingot_core::Engine;
 
@@ -66,7 +63,7 @@ fn main() {
                     continue;
                 }
                 let a = session.execute(&format!("update {first} set v = v + 1 where id = {id}"));
-                std::thread::sleep(Duration::from_millis(2));
+                pace(Duration::from_millis(2));
                 let b = session.execute(&format!("update {second} set v = v + 1 where id = {id}"));
                 match (a, b) {
                     (Ok(_), Ok(_)) => {
@@ -77,7 +74,7 @@ fn main() {
                         // The deadlock victim's transaction was aborted by
                         // the engine; a leftover open txn is rolled back.
                         let _ = session.rollback();
-                        std::thread::sleep(Duration::from_millis(1));
+                        pace(Duration::from_millis(1));
                     }
                 }
             }
@@ -89,7 +86,7 @@ fn main() {
     // simulated clock so the diagram has a time axis.
     let samples = 40;
     for _ in 0..samples {
-        std::thread::sleep(Duration::from_millis(50));
+        pace(Duration::from_millis(50));
         engine.sim_clock().advance_secs(30); // one "daemon interval" per tick
         engine.sample_statistics();
     }

@@ -17,15 +17,13 @@
 //! writer's critical section is dominated by durable-commit latency, as it
 //! is on real hardware. The headline claim checked at the bottom: **at 8
 //! reader sessions MVCC sustains at least 4x the table-lock read
-//! throughput**. Numbers land in `results/mvcc_hot_row.json` (override the
-//! directory with `INGOT_RESULTS_DIR`).
+//! throughput**. Numbers land in `results/mvcc_hot_row.json`.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ingot_bench::{header, Scale};
+use ingot_bench::{best_of, header, pace, write_results, Field, Fields, Scale, ScratchDir};
 use ingot_common::{EngineConfig, WalFsyncMode};
 use ingot_common::{TableId, TxnId};
 use ingot_core::Engine;
@@ -46,8 +44,6 @@ const WRITER_PAUSE_US: u64 = 20;
 /// the daemon's poll-cadence GC so chains stay short in both arms.
 const GC_EVERY: u64 = 64;
 
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
 #[derive(Clone, Copy, PartialEq)]
 enum Arm {
     TableLock,
@@ -66,28 +62,37 @@ struct Cell {
     mvcc_writes: u64,
 }
 
-fn scratch_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "ingot-mvccbench-{}-{}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+impl Cell {
+    fn fields(&self) -> Fields {
+        vec![
+            ("readers", Field::Int(self.readers as u64)),
+            ("reads_per_reader", Field::Int(self.reads as u64)),
+            ("table_lock_ms", Field::Num(self.lock_ms)),
+            ("mvcc_ms", Field::Num(self.mvcc_ms)),
+            (
+                "table_lock_reads_per_sec",
+                Field::Num(self.lock_reads_per_sec),
+            ),
+            ("mvcc_reads_per_sec", Field::Num(self.mvcc_reads_per_sec)),
+            ("speedup", Field::Num(self.speedup)),
+            ("table_lock_writes", Field::Int(self.lock_writes)),
+            ("mvcc_writes", Field::Int(self.mvcc_writes)),
+        ]
+    }
 }
 
-/// One storm: `readers` threads x `reads` point-selects of the hot row,
-/// racing one update-loop writer. Returns (reader elapsed, writer commits).
+/// One storm on a fresh engine and directory: `readers` threads x `reads`
+/// point-selects of the hot row, racing one update-loop writer. Returns
+/// (reader elapsed, writer commits).
 fn run_storm(arm: Arm, readers: usize, reads: usize) -> (Duration, u64) {
-    let dir = scratch_dir();
+    let dir = ScratchDir::new("mvcc");
     let engine = Engine::builder()
         .config(
             EngineConfig::default()
                 .with_wal_fsync_mode(WalFsyncMode::Always)
                 .with_wal_sync_delay_us(SYNC_DELAY_US),
         )
-        .path(dir.clone())
+        .path(dir.path())
         .build()
         .expect("file-backed engine");
     {
@@ -127,9 +132,8 @@ fn run_storm(arm: Arm, readers: usize, reads: usize) -> (Duration, u64) {
                 if n.is_multiple_of(GC_EVERY) {
                     let _ = engine.mvcc_gc();
                 }
-                // Bench think-time between statements, outside any lock.
-                #[allow(clippy::disallowed_methods)]
-                std::thread::sleep(Duration::from_micros(WRITER_PAUSE_US));
+                // Think time between statements, outside any lock.
+                pace(Duration::from_micros(WRITER_PAUSE_US));
             }
         })
     };
@@ -162,22 +166,7 @@ fn run_storm(arm: Arm, readers: usize, reads: usize) -> (Duration, u64) {
     let elapsed = start.elapsed();
     stop.store(true, Ordering::Relaxed);
     writer.join().expect("writer thread");
-    let committed = writes.load(Ordering::Relaxed);
-    drop(engine);
-    let _ = std::fs::remove_dir_all(dir);
-    (elapsed, committed)
-}
-
-/// Best of `repeats` storms (fresh engine and directory each time).
-fn best_storm(repeats: u32, arm: Arm, readers: usize, reads: usize) -> (Duration, u64) {
-    let mut best: Option<(Duration, u64)> = None;
-    for _ in 0..repeats.max(1) {
-        let run = run_storm(arm, readers, reads);
-        if best.as_ref().is_none_or(|b| run.0 < b.0) {
-            best = Some(run);
-        }
-    }
-    best.expect("at least one repeat")
+    (elapsed, writes.load(Ordering::Relaxed))
 }
 
 fn main() {
@@ -200,8 +189,9 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     for readers in READERS {
         let total = (readers * reads) as f64;
-        let (lock, lock_writes) = best_storm(scale.repeats, Arm::TableLock, readers, reads);
-        let (mvcc, mvcc_writes) = best_storm(scale.repeats, Arm::Mvcc, readers, reads);
+        let (lock, lock_writes) =
+            best_of(scale.repeats, || run_storm(Arm::TableLock, readers, reads));
+        let (mvcc, mvcc_writes) = best_of(scale.repeats, || run_storm(Arm::Mvcc, readers, reads));
         let lock_tput = total / lock.as_secs_f64();
         let mvcc_tput = total / mvcc.as_secs_f64();
         let speedup = mvcc_tput / lock_tput;
@@ -229,12 +219,23 @@ fn main() {
         });
     }
 
-    let json = render_json(&scale, &cells);
-    let dir = std::env::var("INGOT_RESULTS_DIR")
-        .unwrap_or_else(|_| format!("{}/../../results", env!("CARGO_MANIFEST_DIR")));
-    let path = format!("{dir}/mvcc_hot_row.json");
-    std::fs::write(&path, json).expect("write results JSON");
-    println!("\nwrote {path}");
+    write_results(
+        "mvcc_hot_row.json",
+        "mvcc_hot_row",
+        &scale,
+        &[
+            ("sync_delay_us", Field::Int(SYNC_DELAY_US)),
+            (
+                "model",
+                Field::Text(
+                    "one hot row, N snapshot readers vs. 1 auto-commit \
+                     update writer; table-lock arm emulated with an external FIFO lock \
+                     queue, best-of wall clock per cell",
+                ),
+            ),
+        ],
+        &cells.iter().map(Cell::fields).collect::<Vec<_>>(),
+    );
 
     // The headline claim: snapshot reads never queue behind the writer's
     // commit barrier, so read throughput scales with the session count.
@@ -251,39 +252,4 @@ fn main() {
             "the writer must keep committing under read load"
         );
     }
-}
-
-/// Hand-rolled JSON (the workspace deliberately has no serde dependency).
-fn render_json(scale: &Scale, cells: &[Cell]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"mvcc_hot_row\",\n");
-    out.push_str(&format!("  \"scale\": \"{}\",\n", scale.name));
-    out.push_str(&format!("  \"repeats\": {},\n", scale.repeats));
-    out.push_str(&format!("  \"sync_delay_us\": {SYNC_DELAY_US},\n"));
-    out.push_str(
-        "  \"model\": \"one hot row, N snapshot readers vs. 1 auto-commit \
-         update writer; table-lock arm emulated with an external FIFO lock \
-         queue, best-of wall clock per cell\",\n",
-    );
-    out.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"readers\": {}, \"reads_per_reader\": {}, \
-             \"table_lock_ms\": {:.2}, \"mvcc_ms\": {:.2}, \
-             \"table_lock_reads_per_sec\": {:.1}, \"mvcc_reads_per_sec\": {:.1}, \
-             \"speedup\": {:.3}, \"table_lock_writes\": {}, \"mvcc_writes\": {}}}{}\n",
-            c.readers,
-            c.reads,
-            c.lock_ms,
-            c.mvcc_ms,
-            c.lock_reads_per_sec,
-            c.mvcc_reads_per_sec,
-            c.speedup,
-            c.lock_writes,
-            c.mvcc_writes,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }

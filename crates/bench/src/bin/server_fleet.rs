@@ -6,25 +6,22 @@
 //! its statement once (the shared plan cache makes the second prepare of a
 //! template free), then issues statements back-to-back; a cell measures
 //! the barrier-to-join wall time of the whole fleet. Results go to
-//! `results/server_fleet.json` (override the directory with
-//! `INGOT_RESULTS_DIR`).
+//! `results/server_fleet.json`.
 //!
 //! This is the proof-of-multiplexing experiment for the server: session
 //! state lives in the handler threads and the statement path takes no
 //! server-wide lock, so aggregate throughput must hold (not collapse) as
 //! the fleet grows three orders of magnitude past the core count.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use ingot_bench::{best_of, header, Scale};
+use ingot_bench::{best_of, header, pace, write_results, Field, Fields, Scale, ScratchDir};
 use ingot_client::ClientConnection;
 use ingot_common::{Connection, EngineConfig, SocketSpec, Value};
 use ingot_core::Engine;
 use ingot_server::{Server, ServerConfig};
-use parking_lot::{Condvar, Mutex};
 
 /// Fleet sizes measured, in order.
 const CONN_COUNTS: [usize; 5] = [1, 8, 64, 256, 1000];
@@ -61,31 +58,24 @@ struct Cell {
     tput_vs_1: f64,
 }
 
-static COUNTER: AtomicU64 = AtomicU64::new(0);
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "ingot-server-fleet-{tag}-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-/// Interruptible pause (the workspace bans `std::thread::sleep`).
-fn pace(ms: u64) {
-    let m = Mutex::new(());
-    let cv = Condvar::new();
-    let mut g = m.lock();
-    let _ = cv.wait_for(&mut g, Duration::from_millis(ms));
+impl Cell {
+    fn fields(&self) -> Fields {
+        vec![
+            ("mix", Field::Text(self.mix)),
+            ("connections", Field::Int(self.connections as u64)),
+            ("total_statements", Field::Int(self.total_statements)),
+            ("elapsed_ms", Field::Num(self.elapsed_ms)),
+            ("stmts_per_sec", Field::Num(self.stmts_per_sec)),
+            ("tput_vs_1_conn", Field::Num(self.tput_vs_1)),
+        ]
+    }
 }
 
 fn connect_retry(spec: &SocketSpec, name: &str) -> ClientConnection {
     for _ in 0..5_000 {
         match ClientConnection::connect_with_name(spec, name) {
             Ok(c) => return c,
-            Err(_) => pace(2),
+            Err(_) => pace(Duration::from_millis(2)),
         }
     }
     panic!("server never came up on {spec}");
@@ -118,7 +108,7 @@ fn main() {
         for conns in CONN_COUNTS {
             let per_conn = (total_target / conns as u64).max(4);
             let total = per_conn * conns as u64;
-            let elapsed = best_of(scale.repeats, || run_cell(mix, conns, per_conn));
+            let (elapsed, ()) = best_of(scale.repeats, || (run_cell(mix, conns, per_conn), ()));
             let tput = total as f64 / elapsed.as_secs_f64();
             if conns == 1 {
                 base_tput = tput;
@@ -143,12 +133,23 @@ fn main() {
         }
     }
 
-    let json = render_json(&scale, total_target, &cells);
-    let dir = std::env::var("INGOT_RESULTS_DIR")
-        .unwrap_or_else(|_| format!("{}/../../results", env!("CARGO_MANIFEST_DIR")));
-    let path = format!("{dir}/server_fleet.json");
-    std::fs::write(&path, json).expect("write results JSON");
-    println!("\nwrote {path}");
+    write_results(
+        "server_fleet.json",
+        "server_fleet",
+        &scale,
+        &[
+            ("total_statement_target", Field::Int(total_target)),
+            ("preload_rows", Field::Int(PRELOAD_ROWS as u64)),
+            (
+                "model",
+                Field::Text(
+                    "closed-loop wire clients over a unix socket, \
+                     one thread per connection",
+                ),
+            ),
+        ],
+        &cells.iter().map(Cell::fields).collect::<Vec<_>>(),
+    );
 
     // The multiplexing claim: a 64-connection fleet must not collapse below
     // half of single-connection throughput (thread-per-connection with a
@@ -171,13 +172,12 @@ fn main() {
 /// issuing `per_conn` prepared statements. Returns the barrier-to-join
 /// wall time of the statement phase (connection setup is not measured).
 fn run_cell(mix: Mix, conns: usize, per_conn: u64) -> Duration {
-    let data = temp_dir("data");
-    let sock = temp_dir("sock").join("srv.sock");
-    let spec = SocketSpec::Unix(sock);
+    let dir = ScratchDir::new("fleet");
+    let spec = SocketSpec::Unix(dir.path().join("srv.sock"));
 
     let engine = Engine::builder()
         .config(EngineConfig::monitoring())
-        .path(data.clone())
+        .path(dir.path().join("data"))
         .build()
         .expect("build engine");
     let mut cfg = ServerConfig::new(spec.clone());
@@ -252,38 +252,5 @@ fn run_cell(mix: Mix, conns: usize, per_conn: u64) -> Duration {
         .expect("server thread")
         .expect("server run");
     engine.detach_connections_provider();
-    drop(engine);
-    let _ = std::fs::remove_dir_all(data);
     elapsed
-}
-
-/// Hand-rolled JSON (the workspace deliberately has no serde dependency).
-fn render_json(scale: &Scale, total_target: u64, cells: &[Cell]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"server_fleet\",\n");
-    out.push_str(&format!("  \"scale\": \"{}\",\n", scale.name));
-    out.push_str(&format!("  \"repeats\": {},\n", scale.repeats));
-    out.push_str(&format!("  \"total_statement_target\": {total_target},\n"));
-    out.push_str(&format!("  \"preload_rows\": {PRELOAD_ROWS},\n"));
-    out.push_str(
-        "  \"model\": \"closed-loop wire clients over a unix socket, \
-         one thread per connection\",\n",
-    );
-    out.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mix\": \"{}\", \"connections\": {}, \
-             \"total_statements\": {}, \"elapsed_ms\": {:.2}, \
-             \"stmts_per_sec\": {:.1}, \"tput_vs_1_conn\": {:.3}}}{}\n",
-            c.mix,
-            c.connections,
-            c.total_statements,
-            c.elapsed_ms,
-            c.stmts_per_sec,
-            c.tput_vs_1,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }

@@ -10,15 +10,12 @@
 //! `group` concurrent committers ride one leader's fsync, so throughput
 //! climbs with the writer count. The headline claim checked at the bottom:
 //! **group commit sustains at least 2x the always-fsync throughput from 8
-//! writers up**. Numbers land in `results/wal_group_commit.json` (override
-//! the directory with `INGOT_RESULTS_DIR`).
+//! writers up**. Numbers land in `results/wal_group_commit.json`.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ingot_bench::{header, Scale};
+use ingot_bench::{best_of, header, write_results, Field, Fields, Scale, ScratchDir};
 use ingot_common::{EngineConfig, WalFsyncMode};
 use ingot_core::Engine;
 
@@ -33,8 +30,6 @@ const WRITERS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 /// loaded CI runners.
 const SYNC_DELAY_US: u64 = 500;
 
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
 struct Cell {
     writers: usize,
     commits: usize,
@@ -47,28 +42,40 @@ struct Cell {
     max_group: u64,
 }
 
-fn scratch_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "ingot-walbench-{}-{}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+impl Cell {
+    fn fields(&self) -> Fields {
+        vec![
+            ("writers", Field::Int(self.writers as u64)),
+            ("commits_per_writer", Field::Int(self.commits as u64)),
+            ("always_ms", Field::Num(self.always_ms)),
+            ("group_ms", Field::Num(self.group_ms)),
+            (
+                "always_commits_per_sec",
+                Field::Num(self.always_commits_per_sec),
+            ),
+            (
+                "group_commits_per_sec",
+                Field::Num(self.group_commits_per_sec),
+            ),
+            ("speedup", Field::Num(self.speedup)),
+            ("group_batches", Field::Int(self.group_batches)),
+            ("max_group", Field::Int(self.max_group)),
+        ]
+    }
 }
 
-/// One storm: `writers` threads x `commits` auto-commit inserts, each
-/// writer on its own table. Returns (elapsed, grouped_commits, max_group).
-fn run_storm(mode: WalFsyncMode, writers: usize, commits: usize) -> (Duration, u64, u64) {
-    let dir = scratch_dir();
+/// One storm on a fresh engine and directory: `writers` threads x `commits`
+/// auto-commit inserts, each writer on its own table. Returns (elapsed,
+/// (grouped_commits, max_group)).
+fn run_storm(mode: WalFsyncMode, writers: usize, commits: usize) -> (Duration, (u64, u64)) {
+    let dir = ScratchDir::new("wal");
     let engine = Engine::builder()
         .config(
             EngineConfig::default()
                 .with_wal_fsync_mode(mode)
                 .with_wal_sync_delay_us(SYNC_DELAY_US),
         )
-        .path(dir.clone())
+        .path(dir.path())
         .build()
         .expect("file-backed engine");
     {
@@ -96,26 +103,7 @@ fn run_storm(mode: WalFsyncMode, writers: usize, commits: usize) -> (Duration, u
     }
     let elapsed = start.elapsed();
     let stats = engine.wal_stats();
-    drop(engine);
-    let _ = std::fs::remove_dir_all(dir);
-    (elapsed, stats.grouped_commits, stats.max_group)
-}
-
-/// Best of `repeats` storms (fresh engine and directory each time).
-fn best_storm(
-    repeats: u32,
-    mode: WalFsyncMode,
-    writers: usize,
-    commits: usize,
-) -> (Duration, u64, u64) {
-    let mut best: Option<(Duration, u64, u64)> = None;
-    for _ in 0..repeats.max(1) {
-        let run = run_storm(mode, writers, commits);
-        if best.as_ref().is_none_or(|b| run.0 < b.0) {
-            best = Some(run);
-        }
-    }
-    best.expect("at least one repeat")
+    (elapsed, (stats.grouped_commits, stats.max_group))
 }
 
 fn main() {
@@ -142,9 +130,12 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     for writers in WRITERS {
         let total = (writers * commits) as f64;
-        let (always, _, _) = best_storm(scale.repeats, WalFsyncMode::Always, writers, commits);
-        let (group, batches, max_group) =
-            best_storm(scale.repeats, WalFsyncMode::Group, writers, commits);
+        let (always, _) = best_of(scale.repeats, || {
+            run_storm(WalFsyncMode::Always, writers, commits)
+        });
+        let (group, (batches, max_group)) = best_of(scale.repeats, || {
+            run_storm(WalFsyncMode::Group, writers, commits)
+        });
         let always_tput = total / always.as_secs_f64();
         let group_tput = total / group.as_secs_f64();
         let speedup = group_tput / always_tput;
@@ -172,12 +163,22 @@ fn main() {
         });
     }
 
-    let json = render_json(&scale, &cells);
-    let dir = std::env::var("INGOT_RESULTS_DIR")
-        .unwrap_or_else(|_| format!("{}/../../results", env!("CARGO_MANIFEST_DIR")));
-    let path = format!("{dir}/wal_group_commit.json");
-    std::fs::write(&path, json).expect("write results JSON");
-    println!("\nwrote {path}");
+    write_results(
+        "wal_group_commit.json",
+        "wal_commit",
+        &scale,
+        &[
+            ("sync_delay_us", Field::Int(SYNC_DELAY_US)),
+            (
+                "model",
+                Field::Text(
+                    "per-writer tables, auto-commit single-row inserts, \
+                     best-of wall clock per cell",
+                ),
+            ),
+        ],
+        &cells.iter().map(Cell::fields).collect::<Vec<_>>(),
+    );
 
     // The coordinator must actually batch once there is anyone to batch.
     for c in cells.iter().filter(|c| c.writers >= 8) {
@@ -195,38 +196,4 @@ fn main() {
             c.speedup
         );
     }
-}
-
-/// Hand-rolled JSON (the workspace deliberately has no serde dependency).
-fn render_json(scale: &Scale, cells: &[Cell]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"wal_commit\",\n");
-    out.push_str(&format!("  \"scale\": \"{}\",\n", scale.name));
-    out.push_str(&format!("  \"repeats\": {},\n", scale.repeats));
-    out.push_str(&format!("  \"sync_delay_us\": {SYNC_DELAY_US},\n"));
-    out.push_str(
-        "  \"model\": \"per-writer tables, auto-commit single-row inserts, \
-         best-of wall clock per cell\",\n",
-    );
-    out.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"writers\": {}, \"commits_per_writer\": {}, \
-             \"always_ms\": {:.2}, \"group_ms\": {:.2}, \
-             \"always_commits_per_sec\": {:.1}, \"group_commits_per_sec\": {:.1}, \
-             \"speedup\": {:.3}, \"group_batches\": {}, \"max_group\": {}}}{}\n",
-            c.writers,
-            c.commits,
-            c.always_ms,
-            c.group_ms,
-            c.always_commits_per_sec,
-            c.group_commits_per_sec,
-            c.speedup,
-            c.group_batches,
-            c.max_group,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }

@@ -1,13 +1,16 @@
-//! Shared harness for the experiment binaries (`fig4` … `fig8`) that
-//! regenerate every figure of the paper's evaluation (§V).
+//! Shared harness for the experiment binaries: `fig4` … `fig8` regenerate
+//! the figures of the paper's evaluation (§V); `wal_commit`, `mvcc_hot_row`,
+//! `server_fleet` and `concurrency_scaling` each check one concurrency claim
+//! and record it under `results/` through [`write_results`].
 //!
 //! Scale is controlled by the `INGOT_SCALE` environment variable:
 //! `small` (default; seconds per figure), `medium`, or `large` (closest to
 //! the paper's regime, minutes per figure). Absolute numbers differ from the
 //! paper's 2009 hardware — EXPERIMENTS.md records both and compares shapes.
 
-pub mod concurrency;
-
+use std::fmt;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -102,23 +105,15 @@ impl Setup {
 }
 
 /// A prepared instance: engine with NREF loaded, plus the daemon when the
-/// setup demands one.
+/// setup demands one. Fields drop in order, so the daemon stops before its
+/// workload DB's directory goes.
 pub struct Instance {
     /// The engine.
     pub engine: Arc<Engine>,
     /// Running daemon (Daemon setup only). Held for its lifetime.
     pub daemon: Option<ingot_daemon::DaemonHandle>,
-    /// Temp dir of the workload DB (removed on drop).
-    workdir: Option<std::path::PathBuf>,
-}
-
-impl Drop for Instance {
-    fn drop(&mut self) {
-        self.daemon.take(); // stop before removing files
-        if let Some(dir) = self.workdir.take() {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
+    /// Directory of the workload DB.
+    _workdir: Option<ScratchDir>,
 }
 
 /// Build an instance of `setup` at `scale` with the NREF data loaded and
@@ -164,12 +159,8 @@ pub fn build_instance_with(setup: Setup, scale: &Scale, keyed: bool) -> Instance
     }
 
     let (daemon, workdir) = if setup == Setup::Daemon {
-        let dir = std::env::temp_dir().join(format!(
-            "ingot-bench-{}-{}",
-            std::process::id(),
-            engine.wall_clock().now_nanos()
-        ));
-        let wldb = Arc::new(WorkloadDb::file_backed(&dir, clock).expect("workload DB"));
+        let dir = ScratchDir::new("wldb");
+        let wldb = Arc::new(WorkloadDb::file_backed(dir.path(), clock).expect("workload DB"));
         let daemon = StorageDaemon::new(
             Arc::clone(&engine),
             wldb,
@@ -192,7 +183,7 @@ pub fn build_instance_with(setup: Setup, scale: &Scale, keyed: bool) -> Instance
     Instance {
         engine,
         daemon,
-        workdir,
+        _workdir: workdir,
     }
 }
 
@@ -211,10 +202,116 @@ where
     t0.elapsed()
 }
 
-/// Best-of-`repeats` wall time of `f` ("repeated three times to minimize
-/// local anomalies").
-pub fn best_of<F: FnMut() -> Duration>(repeats: u32, mut f: F) -> Duration {
-    (0..repeats.max(1)).map(|_| f()).min().expect("≥1 repeat")
+/// The fastest of `repeats` runs of `f` ("repeated three times to minimize
+/// local anomalies"), with the counters that run returned beside its wall
+/// time. The first of equally fast runs wins.
+pub fn best_of<T>(repeats: u32, mut f: impl FnMut() -> (Duration, T)) -> (Duration, T) {
+    (0..repeats.max(1))
+        .map(|_| f())
+        .min_by_key(|(elapsed, _)| *elapsed)
+        .expect("≥1 repeat")
+}
+
+/// Wait `d` — client think time, sampling cadence, connect backoff. The
+/// workspace bans `std::thread::sleep` outside pacing; this is the bench's
+/// one pacing site.
+pub fn pace(d: Duration) {
+    // Bench pacing: the pause models a client or a sampler, not a sync point.
+    #[allow(clippy::disallowed_methods)]
+    std::thread::sleep(d);
+}
+
+/// A fresh directory under the system temp dir, removed with everything in
+/// it on drop. Declare it before the engine that writes into it, so that
+/// the engine drops first.
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// `<tmp>/ingot-bench-<tag>-<pid>-<n>`, created empty.
+    pub fn new(tag: &str) -> ScratchDir {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "ingot-bench-{tag}-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        ScratchDir(dir)
+    }
+
+    /// The directory.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// One value in a results file.
+#[derive(Debug, Clone, Copy)]
+pub enum Field {
+    /// A count or a setting, printed as is.
+    Int(u64),
+    /// A measurement, printed with three decimals.
+    Num(f64),
+    /// A label.
+    Text(&'static str),
+}
+
+impl fmt::Display for Field {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Field::Int(n) => write!(f, "{n}"),
+            Field::Num(x) => write!(f, "{x:.3}"),
+            // Debug quoting escapes `"` and `\` as JSON does.
+            Field::Text(s) => write!(f, "{s:?}"),
+        }
+    }
+}
+
+/// One measured cell of a results file, as `(key, value)` pairs in order.
+pub type Fields = Vec<(&'static str, Field)>;
+
+/// The JSON document of `bench` (the workspace has no serde): the run's
+/// scale and repeats, then `params`, then one line per cell.
+pub fn render_results(
+    bench: &str,
+    scale: &Scale,
+    params: &[(&str, Field)],
+    cells: &[Fields],
+) -> String {
+    let mut out = format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"scale\": \"{}\",\n  \"repeats\": {},\n",
+        scale.name, scale.repeats
+    );
+    for (key, value) in params {
+        out += &format!("  \"{key}\": {value},\n");
+    }
+    out += "  \"results\": [\n";
+    for (i, cell) in cells.iter().enumerate() {
+        let fields: Vec<String> = cell.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+        let comma = if i + 1 == cells.len() { "" } else { "," };
+        out += &format!("    {{{}}}{comma}\n", fields.join(", "));
+    }
+    out + "  ]\n}\n"
+}
+
+/// Write [`render_results`] to `results/<file>` at the workspace root.
+pub fn write_results(
+    file: &str,
+    bench: &str,
+    scale: &Scale,
+    params: &[(&str, Field)],
+    cells: &[Fields],
+) {
+    let path = format!("{}/../../results/{file}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(&path, render_results(bench, scale, params, cells)).expect("write results JSON");
+    println!("\nwrote {path}");
 }
 
 /// Pages → mebibytes.
@@ -236,4 +333,72 @@ pub fn header(fig: &str, title: &str, scale: &Scale) {
         scale.repeats
     );
     println!("==========================================================");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn results_file_layout_is_pinned() {
+        let scale = Scale {
+            name: "small",
+            nref: NrefConfig::scaled(0.5),
+            n_simple: 5_000,
+            n_point: 50_000,
+            buffer_pages: 1024,
+            repeats: 2,
+        };
+        let cells: Vec<Fields> = [(1, 0.5), (8, 2.0 / 3.0)]
+            .into_iter()
+            .map(|(n, x)| vec![("writers", Field::Int(n)), ("speedup", Field::Num(x))])
+            .collect();
+        let json = render_results(
+            "demo",
+            &scale,
+            &[
+                ("sync_delay_us", Field::Int(500)),
+                ("model", Field::Text("a \"b\"")),
+            ],
+            &cells,
+        );
+        assert_eq!(
+            json,
+            r#"{
+  "bench": "demo",
+  "scale": "small",
+  "repeats": 2,
+  "sync_delay_us": 500,
+  "model": "a \"b\"",
+  "results": [
+    {"writers": 1, "speedup": 0.500},
+    {"writers": 8, "speedup": 0.667}
+  ]
+}
+"#
+        );
+    }
+
+    #[test]
+    fn best_of_keeps_the_first_fastest_run_with_its_counters() {
+        let times = [30, 10, 20, 10];
+        let mut i = 0;
+        let best = best_of(4, || {
+            i += 1;
+            (Duration::from_millis(times[i - 1]), i)
+        });
+        assert_eq!(best, (Duration::from_millis(10), 2));
+        assert_eq!(best_of(0, || (Duration::ZERO, "once")).1, "once");
+    }
+
+    #[test]
+    fn scratch_dir_is_fresh_and_removed_on_drop() {
+        let (a, b) = (ScratchDir::new("t"), ScratchDir::new("t"));
+        assert_ne!(a.path(), b.path());
+        std::fs::write(a.path().join("f"), b"x").unwrap();
+        let path = a.path().to_path_buf();
+        drop(a);
+        assert!(!path.exists());
+        assert!(b.path().is_dir());
+    }
 }

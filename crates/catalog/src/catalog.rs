@@ -1,5 +1,6 @@
-//! The catalog: object registry plus the central row-mutation path that
-//! keeps heap, clustered tree and every secondary index consistent.
+//! The catalog: object registry, DDL and statistics. The row-mutation path
+//! that keeps heap, clustered tree and every secondary index consistent is
+//! in `mvcc.rs`.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -9,6 +10,7 @@ use ingot_common::{ColumnSet, Error, IndexId, Result, Row, Schema, TableId, Valu
 use ingot_storage::{BTreeFile, BufferPool, HeapFile, RowId};
 
 use crate::histogram::{Histogram, DEFAULT_BUCKETS};
+use crate::mvcc::{VersionChange, WriteAs};
 use crate::stats::{ColumnStats, TableStatistics};
 use crate::table::{IndexEntry, IndexMeta, StorageStructure, TableEntry, TableMeta};
 
@@ -23,10 +25,9 @@ use crate::table::{IndexEntry, IndexMeta, StorageStructure, TableEntry, TableMet
 /// Cloning is cheap: table and index entries sit behind `Arc`s, so a clone
 /// copies only the id/name maps. This is what makes copy-on-write DDL viable.
 ///
-/// The `&self` row mutators assume the caller holds an exclusive logical lock
-/// on the target table (the engine's `LockManager` provides it): constraint
-/// checks are check-then-act and are only correct under single-writer-per-
-/// table discipline.
+/// The `&self` row mutators (`mvcc.rs`) assume the caller serialises writers
+/// per row (the engine's `LockManager` hands out row-exclusive locks on the
+/// chain root): their constraint checks are check-then-act.
 #[derive(Clone)]
 pub struct Catalog {
     pool: Arc<BufferPool>,
@@ -561,142 +562,19 @@ impl Catalog {
         Ok(())
     }
 
-    // ---- row mutation (index-maintaining) -------------------------------------
-    //
-    // These take `&self`: the heap and tree files are internally synchronised,
-    // so row mutation works through any snapshot of the catalog. The caller
-    // must hold the engine-level exclusive table lock — the constraint checks
-    // below are check-then-act and rely on single-writer-per-table discipline.
+    // ---- row mutation ---------------------------------------------------------
 
-    /// Insert a row into `table`, maintaining the clustered tree and all
-    /// secondary indexes. Enforces primary-key uniqueness when a clustered
-    /// tree exists and unique-index constraints always.
+    /// Insert a row into `table` as a version committed before tracked
+    /// history — the bulk-load path (`load_nref`, unit fixtures). Versioned
+    /// DML goes through [`Catalog::insert_row_v`] and its siblings in
+    /// `mvcc.rs`, which this delegates to.
     pub fn insert_row(&self, table: TableId, row: &Row) -> Result<RowId> {
-        let entry = self.table(table)?;
-        let row = entry.meta.schema.check_row(row)?;
-        // Constraint checks before touching storage.
-        if let Some(primary) = &entry.primary {
-            let pk = entry.pk_values(&row);
-            if primary.get(&ingot_storage::encode_key(&pk))?.is_some() {
-                return Err(Error::constraint(format!(
-                    "duplicate primary key in '{}'",
-                    entry.meta.name
-                )));
-            }
-        }
-        for idx in self.indexes_of(table) {
-            if idx.meta.unique && !idx.meta.is_virtual {
-                let vals: Vec<Value> = idx
-                    .meta
-                    .columns
-                    .iter()
-                    .map(|&c| row.get(c).clone())
-                    .collect();
-                if !idx.probe_eq(&vals)?.is_empty() {
-                    return Err(Error::constraint(format!(
-                        "duplicate key in unique index '{}'",
-                        idx.meta.name
-                    )));
-                }
-            }
-        }
-        let entry = self.table(table)?;
-        let rid = entry.heap.insert(&row)?;
-        if let Some(primary) = &entry.primary {
-            let pk = entry.pk_values(&row);
-            primary.insert(&ingot_storage::encode_key(&pk), &rid.pack().to_le_bytes())?;
-        }
-        for idx in self.indexes_of(table) {
-            if idx.meta.is_virtual {
-                continue;
-            }
-            let vals: Vec<Value> = idx
-                .meta
-                .columns
-                .iter()
-                .map(|&c| row.get(c).clone())
-                .collect();
-            let key = IndexEntry::stored_key(&vals, rid);
-            idx.tree
-                .as_ref()
-                .expect("materialised index")
-                .insert(&key, &rid.pack().to_le_bytes())?;
-        }
-        Ok(rid)
-    }
-
-    /// Delete the row at `rid` from `table`, maintaining indexes.
-    pub fn delete_row(&self, table: TableId, rid: RowId) -> Result<()> {
-        let entry = self.table(table)?;
-        let row = entry.heap.get(rid)?;
-        if let Some(primary) = &entry.primary {
-            let pk = entry.pk_values(&row);
-            primary.delete(&ingot_storage::encode_key(&pk))?;
-        }
-        for idx in self.indexes_of(table) {
-            if idx.meta.is_virtual {
-                continue;
-            }
-            let vals: Vec<Value> = idx
-                .meta
-                .columns
-                .iter()
-                .map(|&c| row.get(c).clone())
-                .collect();
-            let key = IndexEntry::stored_key(&vals, rid);
-            idx.tree
-                .as_ref()
-                .expect("materialised index")
-                .delete(&key)?;
-        }
-        entry.heap.delete(rid)
-    }
-
-    /// Replace the row at `rid` with `new_row`, maintaining indexes.
-    /// Returns the (possibly moved) row id.
-    pub fn update_row(&self, table: TableId, rid: RowId, new_row: &Row) -> Result<RowId> {
-        let entry = self.table(table)?;
-        let new_row = entry.meta.schema.check_row(new_row)?;
-        let old_row = entry.heap.get(rid)?;
-        let new_rid = entry.heap.update(rid, &new_row)?;
-        let entry = self.table(table)?;
-        if let Some(primary) = &entry.primary {
-            let old_pk = entry.pk_values(&old_row);
-            let new_pk = entry.pk_values(&new_row);
-            if old_pk != new_pk || new_rid != rid {
-                primary.delete(&ingot_storage::encode_key(&old_pk))?;
-                primary.insert(
-                    &ingot_storage::encode_key(&new_pk),
-                    &new_rid.pack().to_le_bytes(),
-                )?;
-            }
-        }
-        for idx in self.indexes_of(table) {
-            if idx.meta.is_virtual {
-                continue;
-            }
-            let old_vals: Vec<Value> = idx
-                .meta
-                .columns
-                .iter()
-                .map(|&c| old_row.get(c).clone())
-                .collect();
-            let new_vals: Vec<Value> = idx
-                .meta
-                .columns
-                .iter()
-                .map(|&c| new_row.get(c).clone())
-                .collect();
-            if old_vals != new_vals || new_rid != rid {
-                let tree = idx.tree.as_ref().expect("materialised index");
-                tree.delete(&IndexEntry::stored_key(&old_vals, rid))?;
-                tree.insert(
-                    &IndexEntry::stored_key(&new_vals, new_rid),
-                    &new_rid.pack().to_le_bytes(),
-                )?;
-            }
-        }
-        Ok(new_rid)
+        let VersionChange::Insert { new, .. } =
+            self.insert_row_v(table, row, WriteAs::Committed(0))?
+        else {
+            unreachable!("insert_row_v only starts chains");
+        };
+        Ok(new)
     }
 
     // ---- MODIFY (storage-structure rebuild) -----------------------------------
@@ -913,17 +791,14 @@ mod tests {
         let t = c.create_table("people", people_schema(), vec![0]).unwrap();
         let idx = c.create_index("people_age", t, vec![2], false).unwrap();
         let rid = c.insert_row(t, &sample_row(1)).unwrap();
-        assert_eq!(
-            c.index(idx).unwrap().probe_eq(&[Value::Int(1)]).unwrap(),
-            vec![rid]
-        );
-        c.delete_row(t, rid).unwrap();
-        assert!(c
-            .index(idx)
-            .unwrap()
-            .probe_eq(&[Value::Int(1)])
-            .unwrap()
-            .is_empty());
+        let probe = |c: &Catalog| c.index(idx).unwrap().probe_eq(&[Value::Int(1)]).unwrap();
+        assert_eq!(probe(&c), vec![rid]);
+        // A delete only marks the version; older snapshots still reach it
+        // through the index until GC passes the delete's timestamp.
+        c.delete_row_v(t, rid, WriteAs::Committed(1)).unwrap();
+        assert_eq!(probe(&c), vec![rid]);
+        c.gc_table(t, 2).unwrap();
+        assert!(probe(&c).is_empty());
     }
 
     #[test]
@@ -944,17 +819,17 @@ mod tests {
         let rid = c.insert_row(t, &sample_row(1)).unwrap();
         let mut row = sample_row(1);
         row.set(2, Value::Int(99));
-        let new_rid = c.update_row(t, rid, &row).unwrap();
-        assert!(c
-            .index(idx)
-            .unwrap()
-            .probe_eq(&[Value::Int(1)])
-            .unwrap()
-            .is_empty());
-        assert_eq!(
-            c.index(idx).unwrap().probe_eq(&[Value::Int(99)]).unwrap(),
-            vec![new_rid]
-        );
+        let changes = c.update_row_v(t, rid, &row, WriteAs::Committed(1)).unwrap();
+        let [VersionChange::Update { new: new_rid, .. }] = changes[..] else {
+            panic!("expected one update, got {changes:?}");
+        };
+        let probe = |c: &Catalog, age| c.index(idx).unwrap().probe_eq(&[Value::Int(age)]).unwrap();
+        assert_eq!(probe(&c, 99), vec![new_rid]);
+        // The superseded version keeps its entry until GC reclaims it.
+        assert_eq!(probe(&c, 1), vec![rid]);
+        c.gc_table(t, 2).unwrap();
+        assert!(probe(&c, 1).is_empty());
+        assert_eq!(probe(&c, 99), vec![new_rid]);
     }
 
     #[test]

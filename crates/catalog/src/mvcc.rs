@@ -18,8 +18,7 @@
 //!
 //! Callers serialise writers per *row* (the engine's lock manager hands out
 //! row-exclusive locks keyed on the chain root); the constraint checks here
-//! are check-then-act under that discipline, exactly as the table-level
-//! variants were under the old table-exclusive one.
+//! are check-then-act under that discipline.
 
 use ingot_common::mvcc::{is_txn_mark, mark_owner, txn_mark, TS_INF};
 use ingot_common::{Error, Result, Row, TableId, TxnId, Value};
@@ -451,29 +450,22 @@ impl Catalog {
 
     fn index_insert_all(&self, table: TableId, row: &Row, rid: RowId) -> Result<()> {
         for idx in self.indexes_of(table) {
-            if idx.meta.is_virtual {
-                continue;
-            }
+            // A virtual index has no tree to maintain.
+            let Some(tree) = &idx.tree else { continue };
             let vals = col_values(row, &idx.meta.columns);
-            let key = IndexEntry::stored_key(&vals, rid);
-            idx.tree
-                .as_ref()
-                .expect("materialised index")
-                .insert(&key, &rid.pack().to_le_bytes())?;
+            tree.insert(
+                &IndexEntry::stored_key(&vals, rid),
+                &rid.pack().to_le_bytes(),
+            )?;
         }
         Ok(())
     }
 
     fn index_remove_all(&self, table: TableId, row: &Row, rid: RowId) -> Result<()> {
         for idx in self.indexes_of(table) {
-            if idx.meta.is_virtual {
-                continue;
-            }
+            let Some(tree) = &idx.tree else { continue };
             let vals = col_values(row, &idx.meta.columns);
-            idx.tree
-                .as_ref()
-                .expect("materialised index")
-                .delete(&IndexEntry::stored_key(&vals, rid))?;
+            tree.delete(&IndexEntry::stored_key(&vals, rid))?;
         }
         Ok(())
     }

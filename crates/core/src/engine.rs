@@ -16,8 +16,8 @@ use ingot_common::{
 };
 use ingot_executor::{dml::insert_one, execute, DmlObserver, ExecCtx};
 use ingot_planner::{
-    optimize, template_key, BindArtifacts, Binder, BoundStatement, CachedPlan, OptimizerOptions,
-    PlanCache, PlanCacheStats, PlannedStatement,
+    optimize, template_key, AttributeRef, BindArtifacts, Binder, BoundStatement, CachedPlan,
+    Footprint, IndexRef, OptimizerOptions, PlanCache, PlanCacheStats, PlannedStatement, TableRef,
 };
 use ingot_sql::{param_count, parse_statement, ColumnDef, Statement};
 use ingot_storage::{
@@ -36,9 +36,7 @@ use crate::ima::{
     register_concurrency_tables, register_ima_tables, register_monitor_health_table,
     register_plan_cache_table, register_trace_tables, register_wait_tables, register_wal_table,
 };
-use crate::monitor::{
-    AttributeRef, Footprint, IndexRef, Monitor, StatSample, StatementSensor, TableRef,
-};
+use crate::monitor::{Monitor, StatSample, StatementSensor};
 
 /// Concurrent-session counters ("Current sessions, Maximum sessions" in the
 /// Fig 3 statistics table).

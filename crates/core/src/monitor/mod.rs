@@ -24,11 +24,10 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ingot_common::{Cost, EngineConfig, IndexId, MonotonicClock, StmtHash, TableId};
+use ingot_common::{Cost, EngineConfig, IndexId, MonotonicClock, RingBuffer, StmtHash, TableId};
+use ingot_planner::Footprint;
 use parking_lot::Mutex;
 
-pub use ingot_common::RingBuffer;
-pub use ingot_planner::{AttributeRef, Footprint, IndexRef, TableRef};
 pub use records::{
     AttributeUsage, Cells, IndexUsage, Record, RefObject, ReferenceRecord, StatSample,
     StatementInfo, TableUsage, WorkloadRecord,
@@ -427,6 +426,7 @@ impl Monitor {
 mod tests {
     use super::*;
     use ingot_common::{Column, DataType, Schema};
+    use ingot_planner::{AttributeRef, TableRef};
 
     fn monitor(stmt_cap: usize) -> Monitor {
         let cfg = EngineConfig::default().with_statement_capacity(stmt_cap);

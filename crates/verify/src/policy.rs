@@ -39,8 +39,7 @@ pub const DDL_WRITERS: &[(&str, &str)] = &[
 /// wall-clock wrapper itself, the tracing subsystem, the storage daemon and
 /// the benchmark harness. Everything else must route through
 /// `ingot_common::clock` so monitoring overhead stays attributable.
-pub const CLOCK_EXEMPT_CRATES: &[&str] =
-    &["trace", "daemon", "bench", "loom-shim", "criterion-shim"];
+pub const CLOCK_EXEMPT_CRATES: &[&str] = &["trace", "daemon", "bench", "loom-shim"];
 
 /// Files exempt from the clock check by name.
 pub const CLOCK_EXEMPT_FILES: &[&str] = &["crates/common/src/clock.rs"];
