@@ -38,7 +38,7 @@ use std::sync::{Arc, OnceLock};
 use crate::clock::MonotonicClock;
 
 /// Number of wait-event kinds (array sizing for [`WaitCounters`]).
-pub const WAIT_EVENT_COUNT: usize = 11;
+pub const WAIT_EVENT_COUNT: usize = 12;
 
 /// The closed taxonomy of places a session can lose time.
 ///
@@ -53,8 +53,8 @@ pub enum WaitEvent {
     LockWaitX,
     /// Waiting on a WAL fsync durability barrier (the physical sync itself).
     WalFsync,
-    /// Group commit: a follower waiting for the leader's covering fsync, or
-    /// the leader dallying its window for followers to join the batch.
+    /// Group commit: the leader dallying its window for followers to join
+    /// the batch.
     GroupCommitDally,
     /// Buffer-pool miss: waiting for a page read from the disk backend.
     BufferRead,
@@ -76,6 +76,9 @@ pub enum WaitEvent {
     /// A committer waiting in the publish queue for every earlier commit
     /// timestamp to publish, so `commit_seq` advances without gaps.
     CommitPublish,
+    /// Group commit: a follower parked behind a leader's fsync already in
+    /// flight, until a barrier covers its LSN.
+    GroupCommitFollow,
 }
 
 impl WaitEvent {
@@ -92,6 +95,7 @@ impl WaitEvent {
         WaitEvent::VersionChainWalk,
         WaitEvent::TxnQuiesce,
         WaitEvent::CommitPublish,
+        WaitEvent::GroupCommitFollow,
     ];
 
     /// Stable dense index (counter-array slot).
@@ -108,6 +112,7 @@ impl WaitEvent {
             WaitEvent::VersionChainWalk => 8,
             WaitEvent::TxnQuiesce => 9,
             WaitEvent::CommitPublish => 10,
+            WaitEvent::GroupCommitFollow => 11,
         }
     }
 
@@ -131,6 +136,7 @@ impl WaitEvent {
             WaitEvent::VersionChainWalk => "VersionChainWalk",
             WaitEvent::TxnQuiesce => "TxnQuiesce",
             WaitEvent::CommitPublish => "CommitPublish",
+            WaitEvent::GroupCommitFollow => "GroupCommitFollow",
         }
     }
 
@@ -537,6 +543,7 @@ mod tests {
                 "VersionChainWalk",
                 "TxnQuiesce",
                 "CommitPublish",
+                "GroupCommitFollow",
             ]
         );
     }

@@ -967,7 +967,7 @@ impl Engine {
         );
         snap.push(
             "ingot_wal_group_commit_total",
-            "Group-commit batches led and commits that rode one.",
+            "Group-commit leader fsyncs and the commits they acknowledged.",
             MetricKind::Counter,
             vec![
                 Sample::labelled(vec![("kind".into(), "groups".into())], wal.groups as f64),

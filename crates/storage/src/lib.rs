@@ -35,7 +35,8 @@ pub use model::{DiskModel, IoStats};
 pub use page::{Page, PAGE_SIZE};
 pub use recovery::{recover, RecoveryReport};
 pub use wal::{
-    GroupCommit, GroupCommitStats, Lsn, SalvageReport, Wal, WalEntry, WalRecord, WalStats, WAL_FILE,
+    GroupCommit, GroupCommitStats, Lsn, SalvageReport, Wal, WalEntry, WalRecord, WalStats,
+    RESERVE_STEP, WAL_FILE,
 };
 
 use std::sync::Arc;

@@ -32,13 +32,28 @@
 //! power cut eats. After a crash the log is *dead* — every operation fails
 //! until a new `Wal` reopens the directory ("reboot").
 //!
+//! The file sink keeps a *reserved tail*: the file is zero-filled
+//! [`RESERVE_STEP`] bytes at a time ahead of the log's end, and each step is
+//! made durable with one full `sync_all` before any frame lands in it. An
+//! append below the reservation therefore changes neither the file's size
+//! nor its block map — only data — so the commit barrier is `sync_data`
+//! (`fdatasync`), which on such a write is as complete a barrier as
+//! `fsync` while skipping the filesystem journal commit a growing file
+//! costs. Paths that change the size (checkpoint rewrite, salvage and
+//! torn-tail truncation) keep `sync_all`. The zero tail is harmless to
+//! salvage: an all-zero frame header never decodes (its checksum would have
+//! to be `fnv1a64(&[])`, which is not 0), so it ends the valid prefix like
+//! any torn tail, and only its non-zero bytes count as discarded.
+//!
 //! ## Group commit
 //!
 //! [`GroupCommit`] implements the classic leader/follower protocol: the
 //! first committer to find no fsync in flight becomes leader, dallies up to
 //! `group_commit_window` for followers to queue behind it, then issues one
 //! fsync covering every LSN appended so far. Followers block on a condvar
-//! and are released when the batch's fsync completes. Timeouts (never bare
+//! and are released when the batch's fsync completes. The two waits are
+//! booked apart: the leader's dally as `GroupCommitDally`, a follower's
+//! time behind an fsync in flight as `GroupCommitFollow`. Timeouts (never bare
 //! waits) make the protocol live even if a leader errors out: a follower
 //! that wakes to `syncing == false` with its LSN still undurable simply
 //! becomes the next leader.
@@ -82,6 +97,15 @@ const KIND_DDL: u8 = 8;
 
 /// Frame header bytes: `len:u32 + crc:u64`.
 const FRAME_HEADER: usize = 4 + 8;
+
+/// How far the file sink zero-fills ahead of the log's end at a time.
+/// Larger steps buy fewer `sync_all`s at the price of setup time and disk
+/// footprint: every fresh log (and every checkpoint rewrite) pays one step.
+pub const RESERVE_STEP: u64 = 64 * 1024;
+
+/// The zero-fill source for [`RESERVE_STEP`]: static, so reserving costs no
+/// heap and the untouched pages stay shared.
+static ZEROS: [u8; RESERVE_STEP as usize] = [0; RESERVE_STEP as usize];
 
 /// One logical WAL record. Row images are stored pre-encoded (the
 /// [`crate::codec`] row codec) so the log is self-contained at the storage
@@ -331,6 +355,10 @@ struct WalState {
     len: u64,
     /// Bytes known durable (advanced only by fsync).
     synced_len: u64,
+    /// File sink: the file's length — zero-filled past `len`, with that
+    /// size made durable by the step's `sync_all` (`len <= reserved`).
+    /// Unused by the memory sink.
+    reserved: u64,
     /// Next LSN to assign.
     next_lsn: Lsn,
     /// Highest LSN covered by a completed durability barrier.
@@ -340,17 +368,25 @@ struct WalState {
 }
 
 impl WalState {
-    fn write_at_end(&mut self, buf: &[u8]) -> Result<()> {
+    /// Write `buf` at the log's end. On the file sink a write that would
+    /// cross the reservation first reserves the next step(s); that
+    /// `sync_all` is device wait, charged to `waits` as `WalFsync`.
+    fn write_at_end(&mut self, buf: &[u8], waits: Option<&Arc<WaitRegistry>>) -> Result<()> {
+        let end = self.len + buf.len() as u64;
         match &mut self.sink {
             Sink::Memory(v) => {
                 v.truncate(self.len as usize);
                 v.extend_from_slice(buf);
             }
-            Sink::File(file) => file
-                .write_all_at(buf, self.len)
-                .map_err(|e| Error::Io(format!("wal write: {e}")))?,
+            Sink::File(file) => {
+                if end > self.reserved {
+                    self.reserved = reserve(file, self.reserved, end, waits)?;
+                }
+                file.write_all_at(buf, self.len)
+                    .map_err(|e| Error::Io(format!("wal write: {e}")))?
+            }
         }
-        self.len += buf.len() as u64;
+        self.len = end;
         Ok(())
     }
 
@@ -363,6 +399,9 @@ impl WalState {
         }
         self.len = to;
         self.synced_len = self.synced_len.min(to);
+        // Nothing past `to` is reserved any more: the next append zero-fills
+        // from here and makes the new size durable before it writes.
+        self.reserved = to;
         Ok(())
     }
 
@@ -382,6 +421,25 @@ impl WalState {
     }
 }
 
+/// Zero-fill `file` from `from` up to the [`RESERVE_STEP`] boundary at or
+/// past `end`, then make the new size durable. Returns the new reservation.
+fn reserve(file: &File, from: u64, end: u64, waits: Option<&Arc<WaitRegistry>>) -> Result<u64> {
+    let to = end.next_multiple_of(RESERVE_STEP);
+    let mut at = from;
+    while at < to {
+        let zeros = ZEROS
+            .get(..(to - at).min(RESERVE_STEP) as usize)
+            .unwrap_or(&ZEROS);
+        file.write_all_at(zeros, at)
+            .map_err(|e| Error::Io(format!("wal reserve: {e}")))?;
+        at += zeros.len() as u64;
+    }
+    let _wait = WaitGuard::begin(waits, WaitEvent::WalFsync);
+    file.sync_all()
+        .map_err(|e| Error::Io(format!("wal fsync: {e}")))?;
+    Ok(to)
+}
+
 /// What salvage found when the log was opened.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SalvageReport {
@@ -389,7 +447,9 @@ pub struct SalvageReport {
     pub recovered_records: u64,
     /// Bytes of valid prefix kept.
     pub salvaged_bytes: u64,
-    /// Torn-tail bytes discarded (short frame, bad CRC, or LSN regression).
+    /// Torn-tail bytes discarded (short frame, bad CRC, or LSN regression):
+    /// the bytes after the valid prefix up to its last non-zero byte. The
+    /// zero-filled reservation past that is not counted and is kept.
     pub discarded_bytes: u64,
 }
 
@@ -410,11 +470,11 @@ pub struct WalStats {
     pub fsyncs: u64,
     /// Post-checkpoint log truncations completed.
     pub truncations: u64,
-    /// Group-commit batches led.
+    /// Group-commit batches led (one per successful leader fsync).
     pub groups: u64,
-    /// Commits that rode a group-commit batch (sum of batch sizes).
+    /// Commits the coordinator acknowledged (each exactly once).
     pub grouped_commits: u64,
-    /// Largest group-commit batch observed.
+    /// Most committers present when a leader was elected.
     pub max_group: u64,
     /// Records redone by the last replay.
     pub replayed_records: u64,
@@ -504,18 +564,26 @@ impl Wal {
                 .map_err(|e| Error::Io(format!("wal read: {e}")))?;
         }
         let (entries, valid) = Self::scan_valid_prefix(&bytes);
+        let torn_end = bytes
+            .iter()
+            .rposition(|&b| b != 0)
+            .map_or(0, |i| i + 1)
+            .max(valid);
         let salvage = SalvageReport {
             recovered_records: entries.len() as u64,
             salvaged_bytes: valid as u64,
-            discarded_bytes: (bytes.len() - valid) as u64,
+            discarded_bytes: (torn_end - valid) as u64,
         };
-        if valid < bytes.len() {
+        let mut reserved = bytes.len() as u64;
+        if torn_end > valid {
             // Reject the torn tail for good: shrink the file to the valid
-            // prefix so a second crash-and-reopen sees a clean log.
+            // prefix so a second crash-and-reopen sees a clean log, and so
+            // no stale frame survives for later appends to line up with.
             file.set_len(valid as u64)
                 .map_err(|e| Error::Io(format!("wal truncate: {e}")))?;
             file.sync_all()
                 .map_err(|e| Error::Io(format!("wal fsync: {e}")))?;
+            reserved = valid as u64;
         }
         let next_lsn = entries.last().map(|e| e.lsn + 1).unwrap_or(1);
         let low_water = entries
@@ -526,14 +594,16 @@ impl Wal {
                 _ => None,
             })
             .unwrap_or(0);
-        Ok(Self::from_sink(
+        let wal = Self::from_sink(
             Sink::File(Arc::new(file)),
             config,
             entries,
             salvage,
             next_lsn,
             low_water,
-        ))
+        );
+        wal.state.lock().reserved = reserved;
+        Ok(wal)
     }
 
     fn from_sink(
@@ -553,6 +623,7 @@ impl Wal {
                 sink,
                 len,
                 synced_len: len,
+                reserved: 0,
                 next_lsn,
                 // Everything that survived open is on disk, hence durable.
                 durable_lsn: next_lsn - 1,
@@ -574,8 +645,9 @@ impl Wal {
     }
 
     /// Route durability-barrier accounting to `registry` (`WalFsync` for
-    /// the physical sync, `GroupCommitDally` for leader dally + follower
-    /// waits). Called once by the engine during wiring.
+    /// the physical sync, `GroupCommitDally` for leader dally,
+    /// `GroupCommitFollow` for follower waits). Called once by the engine
+    /// during wiring.
     pub fn set_wait_registry(&self, registry: Arc<WaitRegistry>) {
         self.group.set_wait_registry(Arc::clone(&registry));
         self.waits.set(registry);
@@ -736,7 +808,7 @@ impl Wal {
         let (n, effect) = self.observe(FaultOp::WalAppend);
         match effect {
             None => {
-                st.write_at_end(&frame)?;
+                st.write_at_end(&frame, self.waits.get())?;
                 st.next_lsn = lsn + 1;
                 self.counters.appends.fetch_add(1, Ordering::Relaxed);
                 self.counters
@@ -757,7 +829,7 @@ impl Wal {
                 let synced = st.synced_len;
                 let _ = st.truncate(synced);
                 if let Some(prefix) = frame.get(..keep.min(frame.len())) {
-                    let _ = st.write_at_end(prefix);
+                    let _ = st.write_at_end(prefix, self.waits.get());
                     let _ = st.sync_file();
                     st.synced_len = st.len;
                 }
@@ -778,7 +850,8 @@ impl Wal {
     /// Durability barrier: make every record up to (at least) `lsn`
     /// durable. Returns the new durable LSN. One fsync runs at a time;
     /// the state lock is *not* held across the device wait, so appends
-    /// proceed while the platter spins.
+    /// proceed while the platter spins. Every byte below `len` lies inside
+    /// the durable reservation, so syncing data alone is a full barrier.
     pub fn sync_to(&self, lsn: Lsn) -> Result<Lsn> {
         // The whole barrier is fsync wait: queueing behind the in-flight
         // fsync on `sync_lock` and the device time itself both count.
@@ -818,7 +891,7 @@ impl Wal {
         }
         self.spin_delay();
         if let Some(f) = file {
-            f.sync_all()
+            f.sync_data()
                 .map_err(|e| Error::Io(format!("wal fsync: {e}")))?;
         }
         let mut st = self.state.lock();
@@ -884,11 +957,12 @@ impl Wal {
             }
         }
         let frame = WalRecord::Checkpoint { epoch }.encode_frame(checkpoint_lsn);
-        // The rewrite's fsync is device wait like any barrier: charge it,
-        // so checkpoint cost shows up in the wait-event pipeline.
-        let _wait = WaitGuard::begin(self.waits.get(), WaitEvent::WalFsync);
         st.truncate(0)?;
-        st.write_at_end(&frame)?;
+        st.write_at_end(&frame, self.waits.get())?;
+        // The rewrite's fsync is device wait like any barrier: charge it,
+        // so checkpoint cost shows up in the wait-event pipeline. (The
+        // write's own reservation sync charged itself.)
+        let _wait = WaitGuard::begin(self.waits.get(), WaitEvent::WalFsync);
         st.sync_file()?;
         st.synced_len = st.len;
         st.low_water = checkpoint_lsn;
@@ -914,11 +988,13 @@ impl Wal {
 /// Group-commit batch counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GroupCommitStats {
-    /// Batches led (fsyncs issued by a leader on behalf of a group).
+    /// Batches led (one per successful leader fsync).
     pub groups: u64,
-    /// Total commits that rode a batch (sum of batch sizes).
+    /// Commits acknowledged, each counted once at its `Ok` return —
+    /// including those an fsync already in flight covered, so
+    /// `grouped_commits / groups` is the mean commits per fsync.
     pub grouped_commits: u64,
-    /// Largest batch observed.
+    /// Most committers present when a leader was elected.
     pub max_group: u64,
 }
 
@@ -950,8 +1026,8 @@ pub struct GroupCommit {
     groups: AtomicU64,
     grouped: AtomicU64,
     max_group: AtomicU64,
-    /// Wait-event sink (`GroupCommitDally`); unset in loom models and unit
-    /// tests, where every dally guard collapses to a no-op.
+    /// Wait-event sink (`GroupCommitDally` / `GroupCommitFollow`); unset in
+    /// loom models and unit tests, where every guard collapses to a no-op.
     waits: WaitRegistryHandle,
 }
 
@@ -973,7 +1049,7 @@ impl GroupCommit {
         }
     }
 
-    /// Route dally-time accounting to `registry`.
+    /// Route dally- and follower-time accounting to `registry`.
     pub fn set_wait_registry(&self, registry: Arc<WaitRegistry>) {
         self.waits.set(registry);
     }
@@ -995,7 +1071,7 @@ impl GroupCommit {
             if st.syncing {
                 // Follower: the in-flight batch (or the next one) will
                 // cover us. Timed wait so a dead leader cannot strand us.
-                let _dally = WaitGuard::begin(self.waits.get(), WaitEvent::GroupCommitDally);
+                let _follow = WaitGuard::begin(self.waits.get(), WaitEvent::GroupCommitFollow);
                 let _ = self.cv.wait_for(&mut st, self.follower_wait());
                 continue;
             }
@@ -1006,7 +1082,7 @@ impl GroupCommit {
                 let _dally = WaitGuard::begin(self.waits.get(), WaitEvent::GroupCommitDally);
                 let _ = self.cv.wait_for(&mut st, self.window);
             }
-            let batch = st.waiters;
+            self.max_group.fetch_max(st.waiters, Ordering::Relaxed);
             drop(st);
             let outcome = sync();
             st = self.inner.lock();
@@ -1018,8 +1094,6 @@ impl GroupCommit {
                         st.durable = durable;
                     }
                     self.groups.fetch_add(1, Ordering::Relaxed);
-                    self.grouped.fetch_add(batch, Ordering::Relaxed);
-                    self.max_group.fetch_max(batch, Ordering::Relaxed);
                     // Loop: the next check acknowledges us (and any
                     // follower the barrier covered).
                 }
@@ -1028,6 +1102,9 @@ impl GroupCommit {
         };
         st.waiters -= 1;
         drop(st);
+        if res.is_ok() {
+            self.grouped.fetch_add(1, Ordering::Relaxed);
+        }
         res
     }
 
@@ -1371,10 +1448,12 @@ mod tests {
         let s = wal.stats();
         assert_eq!(s.current_lsn, (threads * commits_each) as u64);
         assert_eq!(s.durable_lsn, s.current_lsn);
-        assert!(
-            s.grouped_commits >= (threads * commits_each) as u64,
-            "every commit rides a batch"
+        assert_eq!(
+            s.grouped_commits,
+            (threads * commits_each) as u64,
+            "every acknowledged commit is counted exactly once"
         );
+        assert_eq!(s.groups, s.fsyncs, "every leader fsync is one group");
     }
 
     #[test]
@@ -1410,6 +1489,176 @@ mod tests {
             0,
             "always-mode bypasses the coordinator"
         );
+    }
+
+    fn wal_len(dir: &Path) -> u64 {
+        std::fs::metadata(dir.join(WAL_FILE)).unwrap().len()
+    }
+
+    fn ddl(i: usize, pad: usize) -> WalRecord<'static> {
+        WalRecord::Ddl {
+            sql: format!("create table t{i} (a int) -- {}", "x".repeat(pad)),
+        }
+    }
+
+    #[test]
+    fn zero_header_never_decodes() {
+        assert_ne!(fnv1a64(&[]), 0, "a zero crc cannot match an empty payload");
+        let (entries, valid) = Wal::scan_valid_prefix(&[0u8; FRAME_HEADER]);
+        assert!(entries.is_empty());
+        assert_eq!(valid, 0);
+        // A valid frame followed by a zero tail: the tail ends the prefix.
+        let mut bytes = WalRecord::Begin { txn: TxnId(1) }.encode_frame(1);
+        let frame_len = bytes.len();
+        bytes.resize(frame_len + 4 * FRAME_HEADER, 0);
+        let (entries, valid) = Wal::scan_valid_prefix(&bytes);
+        assert_eq!(entries.len(), 1);
+        assert_eq!(valid, frame_len);
+    }
+
+    #[test]
+    fn clean_reopen_keeps_the_reservation() {
+        let dir = tmpdir("reserve-clean");
+        let records = sample_records();
+        {
+            let wal = Wal::open_in_dir(&dir, &cfg()).unwrap();
+            for r in &records {
+                wal.append(r).unwrap();
+            }
+            wal.sync_all().unwrap();
+        }
+        assert_eq!(wal_len(&dir), RESERVE_STEP, "one zero-filled step");
+        let wal = Wal::open_in_dir(&dir, &cfg()).unwrap();
+        let report = wal.salvage_report();
+        assert_eq!(report.discarded_bytes, 0, "the zero tail is not torn");
+        assert_eq!(report.recovered_records, records.len() as u64);
+        let got: Vec<_> = wal.take_recovered().into_iter().map(|e| e.record).collect();
+        assert_eq!(got, records);
+        assert_eq!(wal_len(&dir), RESERVE_STEP, "open keeps the reservation");
+        // Appending inside the kept reservation does not grow the file.
+        let l = wal.append(&WalRecord::Abort { txn: TxnId(9) }).unwrap();
+        wal.sync_to(l).unwrap();
+        assert_eq!(wal_len(&dir), RESERVE_STEP);
+        drop(wal);
+        let wal = Wal::open_in_dir(&dir, &cfg()).unwrap();
+        assert_eq!(wal.take_recovered().len(), records.len() + 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_frame_in_the_reservation_counts_only_its_non_zero_bytes() {
+        let dir = tmpdir("reserve-torn");
+        let torn = WalRecord::Ddl {
+            sql: "create table torn (a int)".into(),
+        };
+        let keep = 20;
+        let synced;
+        {
+            let wal = Wal::open_in_dir(&dir, &cfg()).unwrap();
+            wal.append(&WalRecord::Begin { txn: TxnId(1) }).unwrap();
+            synced = wal.sync_all().unwrap();
+            wal.set_fault_plan(FaultPlan::new().with_rule(
+                FaultOp::WalAppend,
+                2,
+                2,
+                FaultEffect::Torn(keep),
+            ));
+            assert!(wal.append(&torn).is_err());
+        }
+        // The torn prefix sits inside a fresh zero-filled step.
+        assert_eq!(wal_len(&dir), RESERVE_STEP);
+        let frame = torn.encode_frame(synced + 1);
+        let non_zero = frame[..keep]
+            .iter()
+            .rposition(|&b| b != 0)
+            .map_or(0, |i| i + 1);
+        let wal = Wal::open_in_dir(&dir, &cfg()).unwrap();
+        let report = wal.salvage_report();
+        assert_eq!(report.recovered_records, 1);
+        assert_eq!(report.discarded_bytes, non_zero as u64);
+        assert_eq!(
+            wal_len(&dir),
+            report.salvaged_bytes,
+            "a torn tail is truncated away, reservation and all"
+        );
+        drop(wal);
+        let wal = Wal::open_in_dir(&dir, &cfg()).unwrap();
+        assert_eq!(
+            wal.salvage_report().discarded_bytes,
+            0,
+            "third open is clean"
+        );
+        assert_eq!(wal.take_recovered().len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn appends_across_steps_and_a_checkpoint_reopen_intact() {
+        let dir = tmpdir("reserve-steps");
+        let pad = 3_000;
+        let before = 70; // ~210 KiB: crosses three steps
+        let after = 30; // ~90 KiB past the checkpoint frame
+        let ckpt;
+        {
+            let wal = Wal::open_in_dir(&dir, &cfg()).unwrap();
+            for i in 0..before {
+                wal.append(&ddl(i, pad)).unwrap();
+            }
+            ckpt = wal.sync_all().unwrap();
+            let len = wal_len(&dir);
+            assert!(len >= 3 * RESERVE_STEP, "{len}");
+            assert_eq!(len % RESERVE_STEP, 0, "the file grows in whole steps");
+            wal.truncate_to(ckpt, 4).unwrap();
+            assert_eq!(wal_len(&dir), RESERVE_STEP, "the rewrite reserves again");
+            for i in 0..after {
+                let l = wal.append(&ddl(before + i, pad)).unwrap();
+                wal.commit_barrier(l).unwrap();
+            }
+            assert_eq!(wal_len(&dir) % RESERVE_STEP, 0);
+        }
+        let wal = Wal::open_in_dir(&dir, &cfg()).unwrap();
+        assert_eq!(wal.salvage_report().discarded_bytes, 0);
+        let entries = wal.take_recovered();
+        assert_eq!(entries.len(), 1 + after);
+        assert_eq!(entries[0].lsn, ckpt);
+        assert_eq!(entries[0].record, WalRecord::Checkpoint { epoch: 4 });
+        for (i, e) in entries[1..].iter().enumerate() {
+            assert_eq!(e.lsn, ckpt + 1 + i as Lsn);
+            assert_eq!(e.record, ddl(before + i, pad));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn byte_copy_taken_mid_run_reopens_with_every_synced_record() {
+        let dir = tmpdir("reserve-copy");
+        let copy = tmpdir("reserve-copy-dst");
+        std::fs::create_dir_all(&copy).unwrap();
+        let wal = Wal::open_in_dir(&dir, &cfg()).unwrap();
+        let mut acked = Vec::new();
+        for i in 0..20 {
+            let r = ddl(i, 100);
+            let l = wal.append(&r).unwrap();
+            wal.commit_barrier(l).unwrap();
+            acked.push(r);
+        }
+        // Unsynced frames behind the acknowledged ones, then the copy.
+        for i in 20..25 {
+            wal.append(&ddl(i, 100)).unwrap();
+        }
+        std::fs::copy(dir.join(WAL_FILE), copy.join(WAL_FILE)).unwrap();
+        drop(wal);
+        let reopened = Wal::open_in_dir(&copy, &cfg()).unwrap();
+        let got: Vec<_> = reopened
+            .take_recovered()
+            .into_iter()
+            .map(|e| e.record)
+            .collect();
+        assert!(got.len() >= acked.len());
+        assert_eq!(&got[..acked.len()], &acked[..]);
+        assert_eq!(reopened.salvage_report().discarded_bytes, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&copy).unwrap();
     }
 
     #[test]

@@ -56,7 +56,8 @@ fn contended_sessions_populate_wait_tables() {
             for i in 0..12 {
                 // Single-statement transactions on a shared table: the table
                 // lock serializes writers (LockWaitX), every commit pays the
-                // WAL barrier (WalFsync / GroupCommitDally).
+                // WAL barrier (WalFsync, plus GroupCommitDally /
+                // GroupCommitFollow when commits overlap).
                 let r = s
                     .execute(&format!(
                         "update t set b = {i} where a = {}",
@@ -142,6 +143,63 @@ fn contended_sessions_populate_wait_tables() {
         .execute("select at_ns, session, event from ima$ash")
         .unwrap();
     assert!(!r.rows.is_empty(), "ASH history must be populated");
+}
+
+/// Group commit books its two waits apart: a leader dallying for followers
+/// (`GroupCommitDally`, at most once per fsync it leads) and a follower
+/// parked behind an fsync already in flight (`GroupCommitFollow`). Writers
+/// on disjoint tables overlap their commits, so both must show up.
+#[test]
+fn group_commit_books_leader_dally_and_follower_wait_apart() {
+    let engine = Engine::builder()
+        .config(EngineConfig {
+            wal_sync_delay_us: 500,
+            group_commit_window_us: 200,
+            ..EngineConfig::monitoring()
+        })
+        .build()
+        .unwrap();
+    let writers = 6;
+    {
+        let s = engine.open_session();
+        for w in 0..writers {
+            s.execute(&format!("create table w{w} (a int)")).unwrap();
+        }
+    }
+    let registry = engine.wait_registry().expect("wait subsystem on");
+    let dally_before = registry.counters().count(WaitEvent::GroupCommitDally);
+    let groups_before = engine.wal_stats().groups;
+    let handles: Vec<_> = (0..writers)
+        .map(|w| {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                let s = engine.open_session();
+                for i in 0..20 {
+                    s.execute(&format!("insert into w{w} values ({i})"))
+                        .unwrap();
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let counters = registry.counters();
+    let stats = engine.wal_stats();
+    assert!(
+        counters.count(WaitEvent::GroupCommitFollow) > 0,
+        "overlapping commits must park followers: {stats:?}"
+    );
+    assert!(
+        counters.count(WaitEvent::GroupCommitDally) - dally_before <= stats.groups - groups_before,
+        "only a leader dallies, at most once per fsync it leads: {stats:?}"
+    );
+    let s = engine.open_session();
+    let r = s
+        .execute("select count from ima$wait_events where event = 'GroupCommitFollow'")
+        .unwrap();
+    assert_eq!(r.rows.len(), 1);
+    assert!(r.rows[0].get(0).as_int().unwrap() > 0);
 }
 
 /// The daemon's poll copies wait counters and ASH samples into the workload

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use ingot::common::WalFsyncMode;
 use ingot::prelude::*;
-use ingot::storage::{FaultEffect, FaultOp};
+use ingot::storage::{FaultEffect, FaultOp, RESERVE_STEP, WAL_FILE};
 use proptest::prelude::*;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -351,6 +351,124 @@ fn every_crash_point_preserves_acknowledged_commits() {
         let e = open(&dir, mode);
         assert_eq!(table_ints(&e), MIX_STATE, "{tag}");
     }
+}
+
+fn wal_len(dir: &Path) -> u64 {
+    std::fs::metadata(dir.join(WAL_FILE)).unwrap().len()
+}
+
+/// The log file keeps a zero-filled reservation ahead of its end. A clean
+/// shutdown and reopen is not a torn tail: nothing is discarded, the same
+/// state comes back, and the reservation survives the open.
+#[test]
+fn clean_reopen_keeps_the_reserved_tail() {
+    let dir = scratch_dir("reserve-clean");
+    {
+        let e = open(&dir, WalFsyncMode::Group);
+        seed_mix(&e.open_session());
+    }
+    let len = wal_len(&dir);
+    assert_eq!(len % RESERVE_STEP, 0, "the log grows in whole steps: {len}");
+    let e = open(&dir, WalFsyncMode::Group);
+    assert_eq!(table_ints(&e), MIX_STATE);
+    assert_eq!(e.wal_stats().discarded_bytes, 0, "{:?}", e.wal_stats());
+    assert_eq!(wal_len(&dir), len, "open keeps the reservation");
+}
+
+/// A torn frame lands inside the reservation: salvage counts only its
+/// non-zero bytes (never the zero tail behind it), truncates it away, and a
+/// third open is clean.
+#[test]
+fn torn_frame_in_the_reservation_is_counted_and_truncated() {
+    let dir = scratch_dir("reserve-torn");
+    let keep = 9;
+    {
+        let e = open(&dir, WalFsyncMode::Always);
+        let s = e.open_session();
+        seed_mix(&s);
+        e.wal().set_fault_plan(FaultPlan::new().with_rule(
+            FaultOp::WalAppend,
+            1,
+            u64::MAX,
+            FaultEffect::Torn(keep),
+        ));
+        assert!(s.execute("insert into t values (300, 'torn')").is_err());
+    }
+    assert_eq!(
+        wal_len(&dir) % RESERVE_STEP,
+        0,
+        "the torn prefix sits in a step"
+    );
+    let e = open(&dir, WalFsyncMode::Always);
+    assert_eq!(table_ints(&e), MIX_STATE);
+    let stats = e.wal_stats();
+    assert!(
+        (1..=keep as u64).contains(&stats.discarded_bytes),
+        "only the torn frame's bytes are discarded: {stats:?}"
+    );
+    drop(e);
+    let e = open(&dir, WalFsyncMode::Always);
+    assert_eq!(e.wal_stats().discarded_bytes, 0, "third open is clean");
+    assert_eq!(table_ints(&e), MIX_STATE);
+}
+
+/// Enough log to cross several reservation steps, a checkpoint that
+/// rewrites the log (and reserves again), then more commits: everything
+/// acknowledged reopens intact.
+#[test]
+fn commits_across_reservation_steps_and_a_checkpoint_reopen_intact() {
+    let dir = scratch_dir("reserve-steps");
+    let pad = "p".repeat(1_500);
+    let mut expected = MIX_STATE.to_vec();
+    {
+        let e = open(&dir, WalFsyncMode::Group);
+        let s = e.open_session();
+        seed_mix(&s);
+        for i in 1_000..1_120 {
+            s.execute(&format!("insert into t values ({i}, '{pad}')"))
+                .unwrap();
+            expected.push(i);
+        }
+        assert!(wal_len(&dir) >= 3 * RESERVE_STEP, "{}", wal_len(&dir));
+        e.checkpoint().unwrap();
+        assert_eq!(wal_len(&dir), RESERVE_STEP, "the rewrite starts a new step");
+        for i in 2_000..2_060 {
+            s.execute(&format!("insert into t values ({i}, '{pad}')"))
+                .unwrap();
+            expected.push(i);
+        }
+    }
+    expected.sort_unstable();
+    let e = open(&dir, WalFsyncMode::Group);
+    assert_eq!(e.wal_stats().discarded_bytes, 0);
+    assert_eq!(table_ints(&e), expected);
+}
+
+/// A byte copy of the database directory taken while the engine runs —
+/// unsynced frames of an open transaction, then the zero tail — reopens with
+/// every acknowledged commit and without the unfinished transaction.
+#[test]
+fn byte_copy_taken_mid_run_keeps_every_acknowledged_commit() {
+    let dir = scratch_dir("reserve-copy");
+    let copy = scratch_dir("reserve-copy-dst");
+    let e = open(&dir, WalFsyncMode::Group);
+    let s = e.open_session();
+    seed_mix(&s);
+    let open_txn = e.open_session();
+    open_txn.begin().unwrap();
+    open_txn
+        .execute("insert into t values (400, 'unfinished')")
+        .unwrap();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_file() {
+            std::fs::copy(&path, copy.join(path.file_name().unwrap())).unwrap();
+        }
+    }
+    let copied = open(&copy, WalFsyncMode::Group);
+    assert_eq!(table_ints(&copied), MIX_STATE);
+    assert_eq!(copied.wal_stats().discarded_bytes, 0);
+    drop(open_txn);
 }
 
 /// The WAL's counters are queryable over SQL as `ima$wal` and agree with the
