@@ -29,7 +29,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ingot_common::net::{connect as net_connect, SocketSpec, Stream};
-use ingot_common::wire::{self, Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION};
+use ingot_common::wire::{
+    FrameReader, FrameWriter, Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+};
 use ingot_common::{
     Connection, Error, MonotonicClock, PreparedStatement, Result, StatementResult, Value,
 };
@@ -44,9 +46,35 @@ pub const HEARTBEAT_INTERVAL_MS: u64 = 1_000;
 /// prompt without busy-waiting.
 const HEARTBEAT_TICK_MS: u64 = 200;
 
+/// The connection's stream with its read buffer and reused encode buffer.
+struct Wire {
+    stream: Stream,
+    reader: FrameReader,
+    out: FrameWriter,
+}
+
+impl Wire {
+    fn new(stream: Stream) -> Self {
+        Wire {
+            stream,
+            reader: FrameReader::new(MAX_FRAME_BYTES),
+            out: FrameWriter::new(MAX_FRAME_BYTES),
+        }
+    }
+
+    /// Send `req`, read its response.
+    fn roundtrip(&mut self, req: &Request) -> Result<Response> {
+        self.out.send_request(&mut self.stream, req)?;
+        match self.reader.next_frame(&mut self.stream)? {
+            Some((op, body)) => Response::decode(op, body),
+            None => Err(Error::protocol("server closed the connection")),
+        }
+    }
+}
+
 /// State shared between the caller and the background heartbeat thread.
 struct ConnInner {
-    stream: Mutex<Stream>,
+    wire: Mutex<Wire>,
     /// OS-handle clone for out-of-band shutdown: lets `Drop` unblock a
     /// heartbeat round-trip stuck on a dead server without needing the
     /// stream mutex that round-trip is holding.
@@ -69,9 +97,7 @@ impl ConnInner {
     /// One request/response exchange. The mutex spans the whole exchange,
     /// so caller and heartbeat round-trips never interleave on the stream.
     fn roundtrip(&self, req: &Request) -> Result<Response> {
-        let mut stream = self.stream.lock();
-        wire::write_request(&mut *stream, req)?;
-        let resp = read_response(&mut stream)?;
+        let resp = self.wire.lock().roundtrip(req)?;
         self.touch();
         Ok(resp)
     }
@@ -96,13 +122,12 @@ fn heartbeat_loop(inner: &ConnInner, interval_ns: u64) {
             continue;
         }
         let ping = || -> Result<()> {
-            let mut stream = inner.stream.lock();
+            let mut wire = inner.wire.lock();
             // Closed while we waited for the stream: nothing to do.
             if inner.closed.load(Ordering::Relaxed) {
                 return Ok(());
             }
-            wire::write_request(&mut *stream, &Request::Heartbeat)?;
-            match read_response(&mut stream)? {
+            match wire.roundtrip(&Request::Heartbeat)? {
                 Response::Pong => Ok(()),
                 Response::Err(w) => Err(w.into_error()),
                 other => Err(Error::protocol(format!("expected pong, got {other:?}"))),
@@ -150,20 +175,17 @@ impl ClientConnection {
         name: &str,
         heartbeat_interval_ms: u64,
     ) -> Result<ClientConnection> {
-        let mut stream = net_connect(spec)?;
-        wire::write_request(
-            &mut stream,
-            &Request::Hello {
-                version: PROTOCOL_VERSION,
-                client: name.to_string(),
-            },
-        )?;
-        match read_response(&mut stream)? {
+        let mut wire = Wire::new(net_connect(spec)?);
+        let hello = Request::Hello {
+            version: PROTOCOL_VERSION,
+            client: name.to_string(),
+        };
+        match wire.roundtrip(&hello)? {
             Response::HelloOk { session_id, .. } => {
-                let oob = stream.try_clone().ok();
+                let oob = wire.stream.try_clone().ok();
                 let clock = MonotonicClock::new();
                 let inner = Arc::new(ConnInner {
-                    stream: Mutex::new(stream),
+                    wire: Mutex::new(wire),
                     oob,
                     closed: AtomicBool::new(false),
                     last_traffic_ns: AtomicU64::new(clock.now_nanos()),
@@ -258,9 +280,10 @@ impl Drop for ClientConnection {
             // EOF (and its reaper with neither). Never wait behind a
             // heartbeat round-trip that may itself be stuck on a dead
             // server — fall back to an out-of-band shutdown instead.
-            match self.inner.stream.try_lock() {
-                Some(mut stream) => {
-                    let _ = wire::write_request(&mut *stream, &Request::Close);
+            match self.inner.wire.try_lock() {
+                Some(mut wire) => {
+                    let Wire { stream, out, .. } = &mut *wire;
+                    let _ = out.send_request(stream, &Request::Close);
                     stream.shutdown();
                 }
                 None => {
@@ -274,13 +297,6 @@ impl Drop for ClientConnection {
         if let Some(t) = self.heartbeater.take() {
             let _ = t.join();
         }
-    }
-}
-
-fn read_response(stream: &mut Stream) -> Result<Response> {
-    match wire::read_frame(stream, MAX_FRAME_BYTES)? {
-        Some((op, body)) => Response::decode(op, &body),
-        None => Err(Error::protocol("server closed the connection")),
     }
 }
 

@@ -291,11 +291,11 @@ impl WireError {
 // Body encoding primitives.
 // ---------------------------------------------------------------------------
 
-/// Growable body writer (helpers keep encode arms flat).
-#[derive(Default)]
-struct Body(Vec<u8>);
+/// Appending body writer over a caller's buffer (helpers keep encode arms
+/// flat).
+struct Body<'a>(&'a mut Vec<u8>);
 
-impl Body {
+impl Body<'_> {
     fn u8(&mut self, v: u8) {
         self.0.push(v);
     }
@@ -371,6 +371,10 @@ impl Body {
     }
 }
 
+/// Most elements a decoder reserves for up front on a count read from the
+/// frame; a longer list grows as its elements actually decode.
+const PREALLOC_MAX: usize = 1024;
+
 /// Bounds-checked body reader; truncation surfaces as [`Error::Protocol`].
 struct Cursor<'a> {
     buf: &'a [u8],
@@ -432,11 +436,14 @@ impl<'a> Cursor<'a> {
     fn values(&mut self) -> Result<Vec<Value>> {
         let n = self.u32()? as usize;
         // Guard length against the remaining bytes (1 byte/value minimum)
-        // so a corrupt count cannot drive a huge allocation.
+        // so a corrupt count fails fast, and pre-allocate at most
+        // `PREALLOC_MAX`: a `Value` is ~24× its smallest encoding, so a
+        // claimed count sized from the bytes alone would still let a hostile
+        // frame ask for far more memory than it carries.
         if n > self.buf.len().saturating_sub(self.pos) {
             return Err(Error::protocol("value count exceeds frame"));
         }
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(n.min(PREALLOC_MAX));
         for _ in 0..n {
             out.push(self.value()?);
         }
@@ -447,7 +454,7 @@ impl<'a> Cursor<'a> {
         if ncols > self.buf.len().saturating_sub(self.pos) {
             return Err(Error::protocol("column count exceeds frame"));
         }
-        let mut columns = Vec::with_capacity(ncols);
+        let mut columns = Vec::with_capacity(ncols.min(PREALLOC_MAX));
         for _ in 0..ncols {
             columns.push(self.string()?);
         }
@@ -455,7 +462,7 @@ impl<'a> Cursor<'a> {
         if nrows > self.buf.len().saturating_sub(self.pos) {
             return Err(Error::protocol("row count exceeds frame"));
         }
-        let mut rows = Vec::with_capacity(nrows);
+        let mut rows = Vec::with_capacity(nrows.min(PREALLOC_MAX));
         for _ in 0..nrows {
             rows.push(Row::new(self.values()?));
         }
@@ -589,8 +596,14 @@ pub enum Response {
 impl Request {
     /// Encode as `(opcode, body)`.
     pub fn to_frame(&self) -> (u8, Vec<u8>) {
-        let mut b = Body::default();
-        let op = match self {
+        let mut body = Vec::new();
+        let op = self.encode_body(&mut Body(&mut body));
+        (op, body)
+    }
+
+    /// Append the body to `b` and return the opcode.
+    fn encode_body(&self, b: &mut Body<'_>) -> u8 {
+        match self {
             Request::Hello { version, client } => {
                 b.u16(*version);
                 b.string(client);
@@ -629,8 +642,7 @@ impl Request {
             Request::Heartbeat => 0x0b,
             Request::Close => 0x0c,
             Request::Shutdown => 0x0d,
-        };
-        (op, b.0)
+        }
     }
 
     /// Decode from `(opcode, body)`.
@@ -676,8 +688,14 @@ impl Request {
 impl Response {
     /// Encode as `(opcode, body)`.
     pub fn to_frame(&self) -> (u8, Vec<u8>) {
-        let mut b = Body::default();
-        let op = match self {
+        let mut body = Vec::new();
+        let op = self.encode_body(&mut Body(&mut body));
+        (op, body)
+    }
+
+    /// Append the body to `b` and return the opcode.
+    fn encode_body(&self, b: &mut Body<'_>) -> u8 {
+        match self {
             Response::HelloOk {
                 version,
                 session_id,
@@ -702,8 +720,7 @@ impl Response {
                 0x86
             }
             Response::Goodbye => 0x87,
-        };
-        (op, b.0)
+        }
     }
 
     /// Decode from `(opcode, body)`.
@@ -747,23 +764,38 @@ fn io_err(e: std::io::Error) -> Error {
     }
 }
 
+/// Frame header: the `len:u32le` prefix and the opcode.
+const HEADER: usize = 5;
+
+/// A connection's read and encode buffers start at this size…
+const BUF_START: usize = 8 * 1024;
+
+/// …and drop back to it once a frame that grew them past this is done with,
+/// so a connection that once carried a large result does not keep the memory.
+const BUF_KEEP: usize = 64 * 1024;
+
+/// `len` (opcode + body bytes) as the `u32` prefix, or the refusal when it
+/// is over `max_bytes`.
+fn frame_len(len: u64, max_bytes: u32) -> Result<u32> {
+    if len > u64::from(max_bytes) {
+        return Err(Error::protocol(format!(
+            "frame of {len} bytes exceeds the {max_bytes}-byte cap"
+        )));
+    }
+    Ok(len as u32)
+}
+
 /// Write one `(opcode, body)` frame.
 ///
 /// A body that would not fit under [`MAX_FRAME_BYTES`] is refused *here*,
-/// before any byte hits the stream: the peer's `read_frame` would reject
-/// the oversized length prefix as corruption and kill the connection, and
-/// a body of 4 GiB or more would silently truncate the `u32` prefix and
+/// before any byte hits the stream: the peer's reader would reject the
+/// oversized length prefix as corruption and kill the connection, and a
+/// body of 4 GiB or more would silently truncate the `u32` prefix and
 /// desync the stream. Refusing keeps the connection alive for the caller
 /// to report a clean error instead.
 pub fn write_frame(w: &mut impl Write, opcode: u8, body: &[u8]) -> Result<()> {
-    let len = 1u64 + body.len() as u64;
-    if len > u64::from(MAX_FRAME_BYTES) {
-        return Err(Error::protocol(format!(
-            "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-        )));
-    }
-    let len = len as u32;
-    let mut frame = Vec::with_capacity(5 + body.len());
+    let len = frame_len(1 + body.len() as u64, MAX_FRAME_BYTES)?;
+    let mut frame = Vec::with_capacity(HEADER + body.len());
     frame.extend_from_slice(&len.to_le_bytes());
     frame.push(opcode);
     frame.extend_from_slice(body);
@@ -771,7 +803,7 @@ pub fn write_frame(w: &mut impl Write, opcode: u8, body: &[u8]) -> Result<()> {
     w.flush().map_err(io_err)
 }
 
-/// A failed read inside [`read_frame`]. A timeout is retryable only at a
+/// A failed read inside a frame reader. A timeout is retryable only at a
 /// frame boundary: once any byte of the frame has been consumed, those bytes
 /// are gone from the stream, and a retry would resume parsing from a
 /// desynchronised offset — so a mid-frame timeout is a protocol error that
@@ -788,47 +820,160 @@ fn read_err(e: std::io::Error, mid_frame: bool) -> Error {
 /// retryable [`Error::TransientIo`] — nothing was consumed, so the caller
 /// may simply call again; a timeout after it, mid-frame truncation and an
 /// oversized prefix are all non-retryable [`Error::Protocol`].
+///
+/// Stateless: a one-frame [`FrameReader`] whose buffer starts at the header
+/// and grows to exactly the frame, so it never consumes a byte past it.
 pub fn read_frame(r: &mut impl Read, max_bytes: u32) -> Result<Option<(u8, Vec<u8>)>> {
-    let mut len_buf = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(Error::protocol("connection closed mid frame")),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(read_err(e, got > 0)),
-        }
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len == 0 || len > max_bytes {
-        return Err(Error::protocol(format!("invalid frame length {len}")));
-    }
-    let mut frame = vec![0u8; len as usize];
-    let mut filled = 0usize;
-    while filled < frame.len() {
-        match r.read(&mut frame[filled..]) {
-            Ok(0) => return Err(Error::protocol("connection closed mid frame")),
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(read_err(e, true)),
-        }
-    }
-    let opcode = frame[0];
-    frame.remove(0);
-    Ok(Some((opcode, frame)))
+    let mut one = FrameReader::with_size(HEADER, max_bytes);
+    Ok(one.next_frame(r)?.map(|(op, body)| (op, body.to_vec())))
 }
 
-/// Convenience: encode and write `req`.
-pub fn write_request(w: &mut impl Write, req: &Request) -> Result<()> {
-    let (op, body) = req.to_frame();
-    write_frame(w, op, &body)
+/// A connection's read side: one persistent buffer that each `read` fills
+/// with whatever the stream holds, so a frame that arrives whole costs one
+/// syscall and frames sent back to back are parsed without another.
+///
+/// Contract (the same as [`read_frame`]): `Ok(None)` only on end-of-stream
+/// at a frame boundary; [`Error::TransientIo`] only when no byte of the next
+/// frame is buffered, after which the next call carries on intact;
+/// [`Error::Protocol`] on a timeout or end-of-stream mid frame and on a
+/// length prefix of 0 or over the cap — checked before the buffer grows.
+#[derive(Debug)]
+pub struct FrameReader {
+    /// Storage; `buf.len()` is the capacity reads may fill.
+    buf: Vec<u8>,
+    /// Unconsumed bytes are `buf[start..end]`.
+    start: usize,
+    end: usize,
+    max_bytes: u32,
 }
 
-/// Convenience: encode and write `resp`.
-pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<()> {
-    let (op, body) = resp.to_frame();
-    write_frame(w, op, &body)
+impl FrameReader {
+    /// A reader for frames of at most `max_bytes`, buffer at 8 KiB.
+    pub fn new(max_bytes: u32) -> Self {
+        Self::with_size(BUF_START, max_bytes)
+    }
+
+    fn with_size(size: usize, max_bytes: u32) -> Self {
+        FrameReader {
+            buf: vec![0; size],
+            start: 0,
+            end: 0,
+            max_bytes,
+        }
+    }
+
+    /// The next `(opcode, body)`, the body borrowed from the buffer until
+    /// the next call.
+    pub fn next_frame(&mut self, r: &mut impl Read) -> Result<Option<(u8, &[u8])>> {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+            if self.buf.len() > BUF_KEEP {
+                self.buf.truncate(BUF_START);
+                self.buf.shrink_to_fit();
+            }
+        }
+        loop {
+            let held = &self.buf[self.start..self.end];
+            // Bytes of the current frame needed in the buffer: its prefix,
+            // then the whole frame once the prefix is known.
+            let need = match held.get(..4) {
+                Some(p) => {
+                    let len = u32::from_le_bytes([p[0], p[1], p[2], p[3]]);
+                    if len == 0 || len > self.max_bytes {
+                        return Err(Error::protocol(format!("invalid frame length {len}")));
+                    }
+                    4 + len as usize
+                }
+                None => 4,
+            };
+            if held.len() >= need {
+                let at = self.start;
+                self.start += need;
+                return Ok(Some((self.buf[at + 4], &self.buf[at + HEADER..at + need])));
+            }
+            if self.start + need > self.buf.len() {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+                if need > self.buf.len() {
+                    self.buf.resize(need, 0);
+                }
+            }
+            let mid_frame = self.end > self.start;
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(0) if mid_frame => return Err(Error::protocol("connection closed mid frame")),
+                Ok(0) => return Ok(None),
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(read_err(e, mid_frame)),
+            }
+        }
+    }
+}
+
+/// A connection's write side: one reused buffer in which a frame is
+/// encoded — header reserved, body encoded behind it, length and opcode
+/// patched in — and sent with one `write_all`.
+#[derive(Debug)]
+pub struct FrameWriter {
+    /// The pending frame, header included (empty once sent).
+    buf: Vec<u8>,
+    max_bytes: u32,
+}
+
+impl FrameWriter {
+    /// A writer refusing frames over `max_bytes` (at most
+    /// [`MAX_FRAME_BYTES`]), buffer at 8 KiB.
+    pub fn new(max_bytes: u32) -> Self {
+        FrameWriter {
+            buf: Vec::with_capacity(BUF_START),
+            max_bytes: max_bytes.min(MAX_FRAME_BYTES),
+        }
+    }
+
+    /// Encode `req` as the pending frame; returns its body length.
+    pub fn encode_request(&mut self, req: &Request) -> usize {
+        self.encode(|b| req.encode_body(b))
+    }
+
+    /// Encode `resp` as the pending frame; returns its body length.
+    pub fn encode_response(&mut self, resp: &Response) -> usize {
+        self.encode(|b| resp.encode_body(b))
+    }
+
+    fn encode(&mut self, body: impl FnOnce(&mut Body<'_>) -> u8) -> usize {
+        self.buf.clear();
+        self.buf.extend_from_slice(&[0; HEADER]);
+        let op = body(&mut Body(&mut self.buf));
+        self.buf[4] = op;
+        let len = self.buf.len() - 4;
+        let prefix = u32::try_from(len).unwrap_or(u32::MAX);
+        self.buf[..4].copy_from_slice(&prefix.to_le_bytes());
+        len - 1
+    }
+
+    /// Write the pending frame. One over the cap is refused before any byte
+    /// hits the stream (see [`write_frame`]) and dropped.
+    pub fn send(&mut self, w: &mut impl Write) -> Result<()> {
+        let sent =
+            frame_len(self.buf.len().saturating_sub(4) as u64, self.max_bytes).and_then(|_| {
+                w.write_all(&self.buf)
+                    .and_then(|()| w.flush())
+                    .map_err(io_err)
+            });
+        self.buf.clear();
+        if self.buf.capacity() > BUF_KEEP {
+            self.buf.shrink_to(BUF_START);
+        }
+        sent
+    }
+
+    /// Encode and send `req`.
+    pub fn send_request(&mut self, w: &mut impl Write, req: &Request) -> Result<()> {
+        self.encode_request(req);
+        self.send(w)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1025,11 +1170,21 @@ mod tests {
         ))));
     }
 
+    /// `req` as the bytes of one whole frame.
+    fn frame_of(req: &Request) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        FrameWriter::new(MAX_FRAME_BYTES)
+            .send_request(&mut bytes, req)
+            .unwrap();
+        bytes
+    }
+
     #[test]
     fn stream_io_round_trips_and_reports_eof() {
-        let mut buf = Vec::new();
-        write_request(&mut buf, &Request::Heartbeat).unwrap();
-        write_response(&mut buf, &Response::Pong).unwrap();
+        let mut buf = frame_of(&Request::Heartbeat);
+        let mut out = FrameWriter::new(MAX_FRAME_BYTES);
+        out.encode_response(&Response::Pong);
+        out.send(&mut buf).unwrap();
         let mut r = &buf[..];
         let (op, body) = read_frame(&mut r, MAX_FRAME_BYTES).unwrap().unwrap();
         assert_eq!(Request::decode(op, &body).unwrap(), Request::Heartbeat);
@@ -1069,8 +1224,7 @@ mod tests {
 
     #[test]
     fn read_timeout_is_retryable_only_at_a_frame_boundary() {
-        let mut frame = Vec::new();
-        write_request(&mut frame, &Request::Heartbeat).unwrap();
+        let frame = frame_of(&Request::Heartbeat);
         // Nothing consumed yet: a tick, the caller may retry.
         let mut idle = Stalling([].into());
         assert!(matches!(
@@ -1113,6 +1267,205 @@ mod tests {
         let (op, read_back) = read_frame(&mut r, MAX_FRAME_BYTES).unwrap().unwrap();
         assert_eq!(op, 0x83);
         assert_eq!(read_back.len(), body.len());
+    }
+
+    /// Hands out `bytes` in reads of the scripted sizes (cycled), each cut
+    /// to the caller's buffer.
+    struct Chunked<'a> {
+        bytes: &'a [u8],
+        sizes: &'a [usize],
+        turn: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let want = self.sizes[self.turn % self.sizes.len()];
+            self.turn += 1;
+            let n = want.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Yields the scripted reads in order — `None` is a read timeout — each
+    /// cut to the caller's buffer with the rest kept for the next read; once
+    /// the script is spent, EOF.
+    struct Scripted(std::collections::VecDeque<Option<Vec<u8>>>);
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(std::io::ErrorKind::WouldBlock.into()),
+                Some(Some(mut chunk)) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.0.push_front(Some(chunk.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    fn owned(frame: Option<(u8, &[u8])>) -> Option<(u8, Vec<u8>)> {
+        frame.map(|(op, body)| (op, body.to_vec()))
+    }
+
+    #[test]
+    fn reader_times_out_retryably_only_with_nothing_buffered() {
+        let ping = frame_of(&Request::Heartbeat);
+        let prepare = frame_of(&Request::Prepare {
+            sql: "select v from t where id = $1".into(),
+        });
+        // A whole frame, a stall, the next frame: the stall is a tick and
+        // the frame after it arrives intact.
+        let mut stream = Scripted([Some(ping.clone()), None, Some(prepare.clone())].into());
+        let mut reader = FrameReader::new(MAX_FRAME_BYTES);
+        let (op, body) = reader.next_frame(&mut stream).unwrap().unwrap();
+        assert_eq!(Request::decode(op, body).unwrap(), Request::Heartbeat);
+        assert!(matches!(
+            reader.next_frame(&mut stream),
+            Err(Error::TransientIo(_))
+        ));
+        let (op, body) = reader.next_frame(&mut stream).unwrap().unwrap();
+        assert!(matches!(
+            Request::decode(op, body),
+            Ok(Request::Prepare { .. })
+        ));
+        assert!(reader.next_frame(&mut stream).unwrap().is_none());
+
+        // A frame and part of the next read together, then a stall: the
+        // buffered part makes the stall mid-frame, whether it cut the
+        // prefix or the body.
+        for cut in [2, 4, prepare.len() - 1] {
+            let mut both = ping.clone();
+            both.extend_from_slice(&prepare[..cut]);
+            let mut stream = Scripted([Some(both), None].into());
+            let mut reader = FrameReader::new(MAX_FRAME_BYTES);
+            assert!(reader.next_frame(&mut stream).unwrap().is_some());
+            assert!(
+                matches!(reader.next_frame(&mut stream), Err(Error::Protocol(_))),
+                "cut at {cut}"
+            );
+            // End-of-stream there is corruption too, not a clean EOF.
+            let mut both = ping.clone();
+            both.extend_from_slice(&prepare[..cut]);
+            let mut stream = Scripted([Some(both)].into());
+            let mut reader = FrameReader::new(MAX_FRAME_BYTES);
+            assert!(reader.next_frame(&mut stream).unwrap().is_some());
+            assert!(matches!(
+                reader.next_frame(&mut stream),
+                Err(Error::Protocol(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn oversized_prefix_is_rejected_before_the_buffer_grows() {
+        for (max, len) in [(MAX_FRAME_BYTES, u32::MAX), (1024, 1025), (1024, 0)] {
+            let mut bytes = len.to_le_bytes().to_vec();
+            bytes.push(0x01);
+            let mut reader = FrameReader::new(max);
+            let before = reader.buf.len();
+            assert!(matches!(
+                reader.next_frame(&mut &bytes[..]),
+                Err(Error::Protocol(_))
+            ));
+            assert_eq!(reader.buf.len(), before, "prefix {len} under cap {max}");
+            assert_eq!(reader.buf.capacity(), before);
+        }
+    }
+
+    #[test]
+    fn buffers_drop_back_after_a_large_frame() {
+        let big = Response::Rows(StatementResult {
+            rows: vec![Row::new(vec![Value::Str("x".repeat(1 << 20))])],
+            columns: vec!["pad".into()],
+            ..StatementResult::default()
+        });
+        let mut out = FrameWriter::new(MAX_FRAME_BYTES);
+        let mut bytes = Vec::new();
+        assert!(out.encode_response(&big) > 1 << 20);
+        assert!(out.buf.capacity() > 1 << 20);
+        out.send(&mut bytes).unwrap();
+        assert!(out.buf.capacity() <= BUF_KEEP, "{}", out.buf.capacity());
+        out.encode_response(&Response::Pong);
+        out.send(&mut bytes).unwrap();
+
+        let mut reader = FrameReader::new(MAX_FRAME_BYTES);
+        let mut stream = &bytes[..];
+        let (op, body) = reader.next_frame(&mut stream).unwrap().unwrap();
+        assert_eq!(Response::decode(op, body).unwrap(), big);
+        assert!(reader.buf.len() > 1 << 20);
+        let (op, body) = reader.next_frame(&mut stream).unwrap().unwrap();
+        assert_eq!(Response::decode(op, body).unwrap(), Response::Pong);
+        assert!(
+            reader.buf.capacity() <= BUF_KEEP,
+            "{}",
+            reader.buf.capacity()
+        );
+    }
+
+    #[test]
+    fn writer_refuses_an_over_cap_frame_before_any_byte() {
+        let mut out = FrameWriter::new(64);
+        let mut sink = Vec::new();
+        let body_len = out.encode_request(&Request::Query {
+            sql: "x".repeat(64),
+        });
+        assert_eq!(body_len, 4 + 64);
+        assert!(matches!(out.send(&mut sink), Err(Error::Protocol(_))));
+        assert!(sink.is_empty(), "nothing may hit the stream on refusal");
+        // The refused frame is dropped; the next one goes out alone.
+        out.send_request(&mut sink, &Request::Commit).unwrap();
+        assert_eq!(
+            read_frame(&mut &sink[..], 64).unwrap(),
+            Some((0x08, vec![]))
+        );
+    }
+
+    /// Valid frames of every shape the decoders walk: strings, values,
+    /// counts, rows, errors.
+    fn sample_frames() -> Vec<(u8, Vec<u8>)> {
+        let reqs = [
+            Request::Hello {
+                version: PROTOCOL_VERSION,
+                client: "fuzz".into(),
+            },
+            Request::ExecutePrepared {
+                id: 3,
+                params: vec![
+                    Value::Int(-1),
+                    Value::Str("abc".into()),
+                    Value::Float(0.5),
+                    Value::Bool(true),
+                    Value::Null,
+                ],
+            },
+            Request::Set {
+                name: "trace".into(),
+                value: Value::Str("on".into()),
+            },
+        ];
+        let resps = [
+            Response::Rows(StatementResult {
+                rows: vec![
+                    Row::new(vec![Value::Int(1), Value::Str("a".into())]),
+                    Row::new(vec![Value::Null, Value::Float(2.0)]),
+                ],
+                columns: vec!["id".into(), "v".into()],
+                affected: 2,
+                ..StatementResult::default()
+            }),
+            Response::Err(WireError::from_error(&Error::param_arity(2, 1))),
+        ];
+        reqs.iter()
+            .map(Request::to_frame)
+            .chain(resps.iter().map(Response::to_frame))
+            .collect()
     }
 
     #[test]
@@ -1218,6 +1571,58 @@ mod tests {
             let req = Request::Execute { sql: "select $1".into(), params };
             let (op, body) = req.to_frame();
             prop_assert_eq!(Request::decode(op, &body).unwrap(), req);
+        }
+
+        /// Frames written back to back and read back through any chunking —
+        /// one byte per `read` up to several frames per `read` — come out
+        /// exactly as written, and as `read_frame` reads them.
+        #[test]
+        fn any_chunking_yields_the_frames_written(
+            frames in proptest::collection::vec((any::<u8>(), proptest::collection::vec(any::<u8>(), 0..600)), 0..12),
+            sizes in proptest::collection::vec(1usize..4000, 1..8),
+            big_at in 0usize..16,
+        ) {
+            let mut frames = frames;
+            // Now and then a frame past the reader's starting buffer.
+            if let Some(frame) = frames.get_mut(big_at) {
+                frame.1 = vec![0xab; 20_000];
+            }
+            let mut bytes = Vec::new();
+            for (op, body) in &frames {
+                write_frame(&mut bytes, *op, body).unwrap();
+            }
+            let mut reader = FrameReader::new(MAX_FRAME_BYTES);
+            let mut stream = Chunked { bytes: &bytes, sizes: &sizes, turn: 0 };
+            let mut stateless = Chunked { bytes: &bytes, sizes: &sizes, turn: 0 };
+            for (op, body) in &frames {
+                let got = owned(reader.next_frame(&mut stream).unwrap());
+                prop_assert_eq!(got.as_ref(), Some(&(*op, body.clone())));
+                prop_assert_eq!(read_frame(&mut stateless, MAX_FRAME_BYTES).unwrap(), got);
+            }
+            prop_assert!(reader.next_frame(&mut stream).unwrap().is_none());
+            prop_assert!(read_frame(&mut stateless, MAX_FRAME_BYTES).unwrap().is_none());
+        }
+
+        /// Decoding arbitrary `(opcode, bytes)` and valid frames with bytes
+        /// flipped returns `Ok` or `Err`, never panics.
+        #[test]
+        fn decode_never_panics(
+            op in any::<u8>(),
+            noise in proptest::collection::vec(any::<u8>(), 0..64),
+            which in 0usize..5,
+            flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+        ) {
+            let _ = Request::decode(op, &noise);
+            let _ = Response::decode(op, &noise);
+            let (op, mut body) = sample_frames().swap_remove(which);
+            for (at, x) in flips {
+                if !body.is_empty() {
+                    let at = at % body.len();
+                    body[at] ^= x | 1;
+                }
+            }
+            let _ = Request::decode(op, &body);
+            let _ = Response::decode(op, &body);
         }
     }
 

@@ -38,7 +38,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ingot_common::wire::{self, Request, Response, WireError, PROTOCOL_VERSION};
+use ingot_common::wire::{
+    self, FrameReader, FrameWriter, Request, Response, WireError, PROTOCOL_VERSION,
+};
 use ingot_common::{Error, Result, StatementResult};
 use ingot_core::{Engine, Prepared};
 use ingot_trace::{MetricsSnapshot, ServerStats};
@@ -324,7 +326,7 @@ fn reaper_loop(ctx: &ServerCtx, done: &AtomicBool, heartbeat_ns: u64) {
         for conn in ctx.registry.snapshot() {
             // A connection mid-statement is alive even when silent: the
             // client is waiting for our response, not heartbeating.
-            if *conn.state.lock() == ConnState::Active {
+            if conn.state() == ConnState::Active {
                 continue;
             }
             let last = conn.last_activity_ns.load(Ordering::Relaxed);
@@ -336,67 +338,97 @@ fn reaper_loop(ctx: &ServerCtx, done: &AtomicBool, heartbeat_ns: u64) {
     }
 }
 
+/// A connection's frame buffers: one persistent read buffer and one reused
+/// encode buffer (`wire::FrameReader` / `wire::FrameWriter`).
+struct ConnIo {
+    reader: FrameReader,
+    out: FrameWriter,
+}
+
 /// Full connection lifecycle: handshake, serve, teardown. Teardown always
 /// runs — dropping the engine [`Session`] aborts an open transaction
 /// (charged to `ima$transactions`) and releases its locks, which is exactly
 /// the orphan-reap path.
 fn serve_conn(ctx: &Arc<ServerCtx>, shared: &Arc<ConnShared>, mut stream: Stream) {
-    let _ = handshake_and_serve(ctx, shared, &mut stream);
+    let mut io = ConnIo {
+        reader: FrameReader::new(ctx.max_frame),
+        out: FrameWriter::new(ctx.max_frame),
+    };
+    let _ = handshake_and_serve(ctx, shared, &mut io, &mut stream);
     shared.stream.lock().take();
     ctx.registry.deregister(shared.conn_id);
     ctx.stats.connections_closed.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Read one frame, treating poll timeouts as flag-check ticks. `Ok(None)`
-/// means the connection is over (EOF, kill, or drain while idle).
+/// Read and decode one request, treating poll timeouts as flag-check
+/// ticks. `Ok(None)` means the connection is over (EOF, kill, or drain
+/// while idle). A frame that does not decode is answered with its error
+/// before the error is returned.
 fn read_or_tick(
     ctx: &ServerCtx,
     shared: &ConnShared,
+    io: &mut ConnIo,
     stream: &mut Stream,
     in_txn: impl Fn() -> bool,
-) -> Result<Option<(u8, Vec<u8>)>> {
+) -> Result<Option<Request>> {
     loop {
         if shared.kill.load(Ordering::Relaxed) {
             return Ok(None);
         }
         if ctx.draining.load(Ordering::Relaxed) || ctx.stop.load(Ordering::Relaxed) {
-            *shared.state.lock() = ConnState::Draining;
+            shared.set_state(ConnState::Draining);
             if !in_txn() {
                 // Idle and not mid-transaction: say goodbye and leave. A
                 // connection inside a transaction keeps serving until it
                 // commits/rolls back or the drain deadline kills it.
-                let _ = wire::write_response(stream, &Response::Goodbye);
+                io.out.encode_response(&Response::Goodbye);
+                let _ = io.out.send(stream);
                 return Ok(None);
             }
         }
-        match wire::read_frame(stream, ctx.max_frame) {
-            Ok(frame) => return Ok(frame),
-            // Read timeout with no byte of the next frame consumed: loop to
+        let (op, body) = match io.reader.next_frame(stream) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return Ok(None),
+            // Read timeout with no byte of the next frame buffered: loop to
             // re-check flags. A peer that stalls *mid-frame* past
             // READ_POLL_MS surfaces as `Error::Protocol` instead and is
-            // dropped — `read_frame` never reports a retryable error once
-            // the stream position is inside a frame.
+            // dropped — the reader never reports a retryable error once the
+            // stream position is inside a frame.
             Err(Error::TransientIo(_)) => continue,
             Err(e) => return Err(e),
-        }
+        };
+        ctx.stats.frames_in.fetch_add(1, Ordering::Relaxed);
+        ctx.stats
+            .bytes_in
+            .fetch_add(body.len() as u64, Ordering::Relaxed);
+        shared.touch(ctx.registry.clock().now_nanos());
+        return match Request::decode(op, body) {
+            Ok(req) => Ok(Some(req)),
+            Err(e) => {
+                let _ = send(ctx, io, stream, &Response::Err(WireError::from_error(&e)));
+                Err(e)
+            }
+        };
     }
 }
 
-fn send(ctx: &ServerCtx, stream: &mut Stream, resp: &Response) -> Result<()> {
-    let (mut op, mut body) = resp.to_frame();
+fn send(ctx: &ServerCtx, io: &mut ConnIo, stream: &mut Stream, resp: &Response) -> Result<()> {
+    let mut body_len = io.out.encode_response(resp);
     let mut is_err = matches!(resp, Response::Err(_));
     // A response that does not fit under the frame cap (a giant result set,
     // typically) must not reach the wire: the peer would reject the length
     // prefix as stream corruption and the connection would die. Replace it
     // with a clean, small error frame instead.
-    if 1 + body.len() as u64 > u64::from(ctx.max_frame.min(wire::MAX_FRAME_BYTES)) {
+    let cap = ctx.max_frame.min(wire::MAX_FRAME_BYTES);
+    if 1 + body_len as u64 > u64::from(cap) {
         let e = Error::execution(format!(
-            "response of {} bytes exceeds the {}-byte frame cap; narrow the \
+            "response of {} bytes exceeds the {cap}-byte frame cap; narrow the \
              result set (e.g. with LIMIT)",
-            1 + body.len(),
-            ctx.max_frame.min(wire::MAX_FRAME_BYTES),
+            1 + body_len,
         ));
-        (op, body) = Response::Err(WireError::from_error(&e)).to_frame();
+        body_len = io
+            .out
+            .encode_response(&Response::Err(WireError::from_error(&e)));
         is_err = true;
     }
     if is_err {
@@ -405,20 +437,19 @@ fn send(ctx: &ServerCtx, stream: &mut Stream, resp: &Response) -> Result<()> {
     ctx.stats.frames_out.fetch_add(1, Ordering::Relaxed);
     ctx.stats
         .bytes_out
-        .fetch_add(body.len() as u64, Ordering::Relaxed);
-    wire::write_frame(stream, op, &body)
+        .fetch_add(body_len as u64, Ordering::Relaxed);
+    io.out.send(stream)
 }
 
-/// Execute one statement on behalf of the wire client, with the fleet-view
-/// bookkeeping (state `active`, current statement text) around it.
+/// Execute one statement on behalf of the wire client, showing its text in
+/// the fleet view while it runs (the caller has already set `active`).
 fn run_statement(
     ctx: &ServerCtx,
     shared: &ConnShared,
-    sql: &str,
+    sql: Arc<str>,
     exec: impl FnOnce() -> Result<StatementResult>,
 ) -> Response {
-    *shared.state.lock() = ConnState::Active;
-    *shared.current_sql.lock() = Some(sql.to_string());
+    *shared.current_sql.lock() = Some(sql);
     ctx.stats.statements_served.fetch_add(1, Ordering::Relaxed);
     let result = exec();
     *shared.current_sql.lock() = None;
@@ -438,22 +469,18 @@ fn ok_or_err(result: Result<()>) -> Response {
 fn handshake_and_serve(
     ctx: &Arc<ServerCtx>,
     shared: &Arc<ConnShared>,
+    io: &mut ConnIo,
     stream: &mut Stream,
 ) -> Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(READ_POLL_MS)))?;
 
     // --- handshake: the first frame must be Hello with our exact version.
-    let Some((op, body)) = read_or_tick(ctx, shared, stream, || false)? else {
+    let Some(hello) = read_or_tick(ctx, shared, io, stream, || false)? else {
         return Ok(());
     };
-    ctx.stats.frames_in.fetch_add(1, Ordering::Relaxed);
-    ctx.stats
-        .bytes_in
-        .fetch_add(body.len() as u64, Ordering::Relaxed);
-    let hello = Request::decode(op, &body)?;
     let Request::Hello { version, client } = hello else {
         let e = Error::protocol("first frame must be hello");
-        let _ = send(ctx, stream, &Response::Err(WireError::from_error(&e)));
+        let _ = send(ctx, io, stream, &Response::Err(WireError::from_error(&e)));
         return Err(e);
     };
     if version != PROTOCOL_VERSION {
@@ -461,20 +488,23 @@ fn handshake_and_serve(
             "protocol version mismatch: client speaks {version}, server speaks \
              {PROTOCOL_VERSION}"
         ));
-        let _ = send(ctx, stream, &Response::Err(WireError::from_error(&e)));
+        let _ = send(ctx, io, stream, &Response::Err(WireError::from_error(&e)));
         return Err(e);
     }
-    *shared.client.lock() = client;
+    let _ = shared.client.set(client);
 
     let session = ctx.engine.open_session();
     shared
         .session_id
         .store(session.id().raw(), Ordering::Relaxed);
-    *shared.ash.lock() = session.ash_slot().cloned();
-    *shared.state.lock() = ConnState::Idle;
+    if let Some(slot) = session.ash_slot() {
+        let _ = shared.ash.set(Arc::clone(slot));
+    }
+    shared.set_state(ConnState::Idle);
     shared.touch(ctx.registry.clock().now_nanos());
     send(
         ctx,
+        io,
         stream,
         &Response::HelloOk {
             version: PROTOCOL_VERSION,
@@ -483,31 +513,19 @@ fn handshake_and_serve(
     )?;
 
     // --- serve. Prepared handles borrow `session`, so the map lives in
-    // this same frame (declared after the session: dropped first).
-    let mut prepared: HashMap<u64, Prepared<'_>> = HashMap::new();
+    // this same frame (declared after the session: dropped first). Each
+    // keeps its text as the `Arc` the fleet view shows while it runs.
+    let mut prepared: HashMap<u64, (Prepared<'_>, Arc<str>)> = HashMap::new();
     let mut next_handle: u64 = 1;
 
     loop {
-        let Some((op, body)) = read_or_tick(ctx, shared, stream, || session.in_transaction())?
-        else {
+        let Some(req) = read_or_tick(ctx, shared, io, stream, || session.in_transaction())? else {
             return Ok(());
-        };
-        ctx.stats.frames_in.fetch_add(1, Ordering::Relaxed);
-        ctx.stats
-            .bytes_in
-            .fetch_add(body.len() as u64, Ordering::Relaxed);
-        shared.touch(ctx.registry.clock().now_nanos());
-        let req = match Request::decode(op, &body) {
-            Ok(r) => r,
-            Err(e) => {
-                let _ = send(ctx, stream, &Response::Err(WireError::from_error(&e)));
-                return Err(e);
-            }
         };
         // Every verb — not just statements — runs as `active`, so the reaper
         // never mistakes a commit (or begin/rollback/set) stalled past the
         // heartbeat timeout for an orphan and kills it mid-verb.
-        *shared.state.lock() = ConnState::Active;
+        shared.set_state(ConnState::Active);
         let resp = match req {
             Request::Hello { .. } => {
                 Response::Err(WireError::from_error(&Error::protocol("duplicate hello")))
@@ -517,27 +535,33 @@ fn handshake_and_serve(
                     let id = next_handle;
                     next_handle += 1;
                     let param_count = p.param_count() as u64;
-                    prepared.insert(id, p);
+                    let text = Arc::from(p.text());
+                    prepared.insert(id, (p, text));
                     Response::PreparedOk { id, param_count }
                 }
                 Err(e) => Response::Err(WireError::from_error(&e)),
             },
             Request::ExecutePrepared { id, params } => match prepared.get(&id) {
-                Some(p) => run_statement(ctx, shared, p.text(), || p.execute(&params)),
+                Some((p, text)) => {
+                    run_statement(ctx, shared, Arc::clone(text), || p.execute(&params))
+                }
                 None => Response::Err(WireError::from_error(&Error::execution(format!(
                     "unknown prepared handle {id}"
                 )))),
             },
             Request::Execute { sql, params } => {
+                let text = Arc::from(sql.as_str());
                 if params.is_empty() {
-                    run_statement(ctx, shared, &sql, || session.execute(&sql))
+                    run_statement(ctx, shared, text, || session.execute(&sql))
                 } else {
-                    run_statement(ctx, shared, &sql, || {
+                    run_statement(ctx, shared, text, || {
                         session.prepare(&sql)?.execute(&params)
                     })
                 }
             }
-            Request::Query { sql } => run_statement(ctx, shared, &sql, || session.execute(&sql)),
+            Request::Query { sql } => run_statement(ctx, shared, Arc::from(sql.as_str()), || {
+                session.execute(&sql)
+            }),
             Request::Set { name, value } => {
                 ok_or_err(session.set_option(&name, &value).map(|_| ()))
             }
@@ -553,12 +577,12 @@ fn handshake_and_serve(
                 Response::Pong
             }
             Request::Close => {
-                let _ = send(ctx, stream, &Response::Goodbye);
+                let _ = send(ctx, io, stream, &Response::Goodbye);
                 return Ok(());
             }
             Request::Shutdown => {
                 if shared.via_unix || ctx.allow_remote_shutdown {
-                    let _ = send(ctx, stream, &Response::Goodbye);
+                    let _ = send(ctx, io, stream, &Response::Goodbye);
                     ctx.stop.store(true, Ordering::Relaxed);
                     ctx.pacer.notify();
                     return Ok(());
@@ -587,14 +611,14 @@ fn handshake_and_serve(
         } else {
             shared.txn_since_ns.store(0, Ordering::Relaxed);
         }
-        *shared.state.lock() = if ctx.draining.load(Ordering::Relaxed) {
+        shared.set_state(if ctx.draining.load(Ordering::Relaxed) {
             ConnState::Draining
         } else if in_txn {
             ConnState::IdleInTxn
         } else {
             ConnState::Idle
-        };
-        send(ctx, stream, &resp)?;
+        });
+        send(ctx, io, stream, &resp)?;
     }
 }
 

@@ -2,12 +2,13 @@
 //!
 //! One [`ConnShared`] per live connection, written by the handler thread and
 //! read by the reaper (heartbeat expiry) and the `ima$connections` provider.
-//! Everything the provider reads is either atomic or behind its own short
-//! mutex — a fleet snapshot never blocks the statement path.
+//! Everything the provider reads is atomic, set once, or behind its own
+//! short mutex — a fleet snapshot never blocks the statement path, and a
+//! statement takes one lock (its text, an `Arc` made at prepare) to show.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use ingot_common::{MonotonicClock, Row, Value};
 use ingot_core::ActiveSession;
@@ -17,6 +18,7 @@ use crate::socket::Stream;
 
 /// Lifecycle state reported in `ima$connections.state`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ConnState {
     /// Accepted, `hello` not yet completed.
     Handshake,
@@ -41,6 +43,14 @@ impl ConnState {
             ConnState::Draining => "draining",
         }
     }
+
+    const ALL: [ConnState; 5] = [
+        ConnState::Handshake,
+        ConnState::Idle,
+        ConnState::Active,
+        ConnState::IdleInTxn,
+        ConnState::Draining,
+    ];
 }
 
 /// Per-connection record shared between handler, reaper and IMA provider.
@@ -54,13 +64,14 @@ pub struct ConnShared {
     /// those peers; admin verbs like `Shutdown` trust them by default).
     pub via_unix: bool,
     /// Client self-identification from `hello`.
-    pub client: Mutex<String>,
+    pub client: OnceLock<String>,
     /// Engine session id (0 until the handshake opens the session).
     pub session_id: AtomicU64,
-    /// Current lifecycle state.
-    pub state: Mutex<ConnState>,
+    /// Current lifecycle state, a [`ConnState`] discriminant; see
+    /// [`state`](Self::state) / [`set_state`](Self::set_state).
+    state: AtomicU8,
     /// Statement currently executing (raw text), `None` when idle.
-    pub current_sql: Mutex<Option<String>>,
+    pub current_sql: Mutex<Option<Arc<str>>>,
     /// Last frame observed from the peer, wall-clock nanoseconds.
     pub last_activity_ns: AtomicU64,
     /// When the open explicit transaction began; 0 = no transaction.
@@ -71,10 +82,20 @@ pub struct ConnShared {
     /// OS-handle clone used to shutdown a handler blocked in `read`.
     pub stream: Mutex<Option<Stream>>,
     /// The engine session's ASH slot (wait sink); fills `wait_event`.
-    pub ash: Mutex<Option<Arc<ActiveSession>>>,
+    pub ash: OnceLock<Arc<ActiveSession>>,
 }
 
 impl ConnShared {
+    /// Current lifecycle state.
+    pub fn state(&self) -> ConnState {
+        ConnState::ALL[usize::from(self.state.load(Ordering::Relaxed))]
+    }
+
+    /// Move to `state`.
+    pub fn set_state(&self, state: ConnState) {
+        self.state.store(state as u8, Ordering::Relaxed);
+    }
+
     /// Mark peer traffic now (any frame counts as a heartbeat).
     pub fn touch(&self, now_ns: u64) {
         self.last_activity_ns.store(now_ns, Ordering::Relaxed);
@@ -124,15 +145,15 @@ impl ConnRegistry {
             conn_id: self.next_id.fetch_add(1, Ordering::Relaxed),
             peer,
             via_unix,
-            client: Mutex::new(String::new()),
+            client: OnceLock::new(),
             session_id: AtomicU64::new(0),
-            state: Mutex::new(ConnState::Handshake),
+            state: AtomicU8::new(ConnState::Handshake as u8),
             current_sql: Mutex::new(None),
             last_activity_ns: AtomicU64::new(now),
             txn_since_ns: AtomicU64::new(0),
             kill: AtomicBool::new(false),
             stream: Mutex::new(Some(stream)),
-            ash: Mutex::new(None),
+            ash: OnceLock::new(),
         });
         self.conns
             .lock()
@@ -187,8 +208,7 @@ impl ConnRegistry {
             .map(|c| {
                 let wait = c
                     .ash
-                    .lock()
-                    .as_ref()
+                    .get()
                     .and_then(|slot| slot.waits().current_wait())
                     .map(|(e, _)| Value::Str(e.name().to_string()))
                     .unwrap_or(Value::Null);
@@ -196,7 +216,7 @@ impl ConnRegistry {
                     .current_sql
                     .lock()
                     .as_ref()
-                    .map(|s| Value::Str(s.clone()))
+                    .map(|s| Value::Str(s.to_string()))
                     .unwrap_or(Value::Null);
                 let idle_ms =
                     now.saturating_sub(c.last_activity_ns.load(Ordering::Relaxed)) / 1_000_000;
@@ -209,8 +229,8 @@ impl ConnRegistry {
                 let row = Row::new(vec![
                     Value::Int(c.session_id.load(Ordering::Relaxed) as i64),
                     Value::Str(c.peer.clone()),
-                    Value::Str(c.client.lock().clone()),
-                    Value::Str(c.state.lock().as_str().to_string()),
+                    Value::Str(c.client.get().cloned().unwrap_or_default()),
+                    Value::Str(c.state().as_str().to_string()),
                     stmt,
                     wait,
                     Value::Int(idle_ms as i64),

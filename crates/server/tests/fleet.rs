@@ -8,7 +8,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use ingot_client::ClientConnection;
-use ingot_common::wire::{self, Request, Response};
+use ingot_common::wire::{self, FrameReader, FrameWriter, Request, Response};
 use ingot_common::{Connection, EngineConfig, SocketSpec, Value};
 use ingot_core::Engine;
 use ingot_server::{RunOutcome, Server, ServerConfig, StopHandle};
@@ -243,14 +243,15 @@ fn version_mismatch_is_rejected_with_a_protocol_error() {
             Err(_) => pace(2),
         }
     };
-    wire::write_request(
-        &mut stream,
-        &Request::Hello {
-            version: 9_999,
-            client: "time-traveller".into(),
-        },
-    )
-    .unwrap();
+    FrameWriter::new(wire::MAX_FRAME_BYTES)
+        .send_request(
+            &mut stream,
+            &Request::Hello {
+                version: 9_999,
+                client: "time-traveller".into(),
+            },
+        )
+        .unwrap();
     let (op, body) = wire::read_frame(&mut stream, wire::MAX_FRAME_BYTES)
         .unwrap()
         .expect("server must answer the bad hello");
@@ -266,6 +267,127 @@ fn version_mismatch_is_rejected_with_a_protocol_error() {
         other => panic!("expected an error response, got {other:?}"),
     }
 
+    running.stop.request_stop();
+    assert_eq!(running.join.join().unwrap().unwrap(), RunOutcome::Drained);
+}
+
+#[test]
+fn two_requests_in_one_write_get_both_responses_in_order() {
+    let sock = temp_dir("pipe").join("srv.sock");
+    let spec = SocketSpec::Unix(sock);
+    let engine = Engine::builder()
+        .config(EngineConfig::monitoring())
+        .build()
+        .unwrap();
+    let running = start(&engine, ServerConfig::new(spec.clone()));
+
+    let mut stream = loop {
+        match ingot_common::net::connect(&spec) {
+            Ok(s) => break s,
+            Err(_) => pace(2),
+        }
+    };
+    let mut out = FrameWriter::new(wire::MAX_FRAME_BYTES);
+    let mut reader = FrameReader::new(wire::MAX_FRAME_BYTES);
+    let mut roundtrip = |stream: &mut ingot_common::net::Stream, reqs: &[Request]| {
+        // Every request's frame in one buffer, sent with one write.
+        let mut bytes = Vec::new();
+        for req in reqs {
+            out.send_request(&mut bytes, req).unwrap();
+        }
+        std::io::Write::write_all(stream, &bytes).unwrap();
+        reqs.iter()
+            .map(|_| {
+                let (op, body) = reader.next_frame(stream).unwrap().expect("a response");
+                Response::decode(op, body).unwrap()
+            })
+            .collect::<Vec<_>>()
+    };
+    let hello = Request::Hello {
+        version: wire::PROTOCOL_VERSION,
+        client: "pipeliner".into(),
+    };
+    assert!(matches!(
+        roundtrip(&mut stream, &[hello])[..],
+        [Response::HelloOk { .. }]
+    ));
+    let both = roundtrip(
+        &mut stream,
+        &[
+            Request::Query {
+                sql: "select client from ima$connections".into(),
+            },
+            Request::Heartbeat,
+        ],
+    );
+    match &both[..] {
+        [Response::Rows(r), Response::Pong] => {
+            assert_eq!(r.rows[0].get(0), &Value::Str("pipeliner".into()));
+        }
+        other => panic!("expected rows then pong, got {other:?}"),
+    }
+    let _ = roundtrip(&mut stream, &[Request::Close]);
+
+    running.stop.request_stop();
+    assert_eq!(running.join.join().unwrap().unwrap(), RunOutcome::Drained);
+}
+
+#[test]
+fn statement_blocked_mid_run_shows_active_with_its_prepared_text() {
+    let sock = temp_dir("busy").join("srv.sock");
+    let spec = SocketSpec::Unix(sock);
+    let engine = Engine::builder()
+        .config(EngineConfig::monitoring())
+        .build()
+        .unwrap();
+    let running = start(&engine, ServerConfig::new(spec.clone()));
+
+    let holder = connect_retry(&spec, "holder");
+    holder
+        .execute("create table kv (id int not null primary key, v int)")
+        .unwrap();
+    holder.execute("insert into kv values (1, 10)").unwrap();
+    holder.begin().unwrap();
+    holder.execute("update kv set v = 20 where id = 1").unwrap();
+
+    // `blocked` waits on the holder's row lock inside a prepared update.
+    const TEXT: &str = "update kv set v = $1 where id = 1";
+    let blocked = connect_retry(&spec, "blocked");
+    let waiter = std::thread::spawn(move || {
+        {
+            let upd = blocked.prepare(TEXT).unwrap();
+            let _ = upd.execute(&[Value::Int(30)]);
+        }
+        blocked
+    });
+    let admin = connect_retry(&spec, "admin");
+    let mut seen = None;
+    for _ in 0..500 {
+        let r = admin
+            .query("select state, statement from ima$connections where client = 'blocked'")
+            .unwrap();
+        if let Some(row) = r.rows.first() {
+            if row.get(0) == &Value::Str("active".into()) {
+                seen = Some(row.get(1).clone());
+                break;
+            }
+        }
+        pace(2);
+    }
+    assert_eq!(
+        seen,
+        Some(Value::Str(TEXT.into())),
+        "a statement waiting on a lock shows as active with its prepared text"
+    );
+    holder.commit().unwrap();
+    let blocked = waiter.join().unwrap();
+    let r = admin
+        .query("select state, statement from ima$connections where client = 'blocked'")
+        .unwrap();
+    assert_eq!(r.rows[0].get(0), &Value::Str("idle".into()));
+    assert_eq!(r.rows[0].get(1), &Value::Null);
+
+    drop((blocked, holder, admin));
     running.stop.request_stop();
     assert_eq!(running.join.join().unwrap().unwrap(), RunOutcome::Drained);
 }
