@@ -94,6 +94,19 @@ impl ConnInner {
             .store(self.clock.now_nanos(), Ordering::Relaxed);
     }
 
+    /// Mark the connection closed and wake the heartbeat thread; returns
+    /// whether it was closed already. The flag changes under `hb_mutex`,
+    /// which the heartbeat thread holds from its last look at the flag into
+    /// its wait, so the wake-up cannot fall between the two.
+    fn mark_closed(&self) -> bool {
+        let was_closed = {
+            let _hb = self.hb_mutex.lock();
+            self.closed.swap(true, Ordering::Relaxed)
+        };
+        self.hb_cv.notify_all();
+        was_closed
+    }
+
     /// One request/response exchange. The mutex spans the whole exchange,
     /// so caller and heartbeat round-trips never interleave on the stream.
     fn roundtrip(&self, req: &Request) -> Result<Response> {
@@ -118,6 +131,10 @@ fn heartbeat_loop(inner: &ConnInner, interval_ns: u64) {
         if idle < interval_ns {
             let wait_ms = ((interval_ns - idle) / 1_000_000 + 1).min(HEARTBEAT_TICK_MS);
             let mut g = inner.hb_mutex.lock();
+            // Under the mutex `mark_closed` stores the flag under.
+            if inner.closed.load(Ordering::Relaxed) {
+                return;
+            }
             let _ = inner.hb_cv.wait_for(&mut g, Duration::from_millis(wait_ms));
             continue;
         }
@@ -233,8 +250,7 @@ impl ClientConnection {
     pub fn shutdown_server(&self) -> Result<()> {
         match self.inner.roundtrip(&Request::Shutdown)? {
             Response::Goodbye => {
-                self.inner.closed.store(true, Ordering::Relaxed);
-                self.inner.hb_cv.notify_all();
+                self.inner.mark_closed();
                 Ok(())
             }
             Response::Err(w) => Err(w.into_error()),
@@ -244,8 +260,7 @@ impl ClientConnection {
 
     /// Orderly close. Dropping the connection does this best-effort.
     pub fn close(self) -> Result<()> {
-        self.inner.closed.store(true, Ordering::Relaxed);
-        self.inner.hb_cv.notify_all();
+        self.inner.mark_closed();
         match self.inner.roundtrip(&Request::Close)? {
             Response::Goodbye => Ok(()),
             Response::Err(w) => Err(w.into_error()),
@@ -275,7 +290,7 @@ impl ClientConnection {
 
 impl Drop for ClientConnection {
     fn drop(&mut self) {
-        if !self.inner.closed.swap(true, Ordering::Relaxed) {
+        if !self.inner.mark_closed() {
             // Best-effort orderly close; the server also copes with a bare
             // EOF (and its reaper with neither). Never wait behind a
             // heartbeat round-trip that may itself be stuck on a dead
@@ -293,7 +308,6 @@ impl Drop for ClientConnection {
                 }
             }
         }
-        self.inner.hb_cv.notify_all();
         if let Some(t) = self.heartbeater.take() {
             let _ = t.join();
         }
