@@ -69,8 +69,10 @@ fn arb_ordkey() -> impl Strategy<Value = Value> {
 // The in-place B-Tree against the retired decode/encode write path.
 // ---------------------------------------------------------------------------
 
+/// Where a node's entries must end; its directory follows.
+const NODE_CAPACITY: usize = PAGE_SIZE - 64;
 /// Largest entry (`4 + key + value` bytes) a tree accepts.
-const MAX_ENTRY: usize = PAGE_SIZE - 64 - 16;
+const MAX_ENTRY: usize = NODE_CAPACITY - 16;
 
 struct XorShift(u64);
 
@@ -88,10 +90,10 @@ impl XorShift {
     }
 }
 
-/// Entry-size regimes of the differential stream. Splits cut at the entry
-/// *count* median, so a node mixing tiny and huge entries can produce a half
-/// that fits no page (both trees then fail the insert, but leave different
-/// garbage in the orphaned page); within one regime that cannot happen.
+/// Entry-size regimes of the differential stream. The retired write path
+/// cuts at the entry *count* median, so a node mixing tiny and huge entries
+/// can leave it a half that fits no page; only `Mixed` does that, and it is
+/// checked against the map alone.
 #[derive(Clone, Copy, Debug)]
 enum Regime {
     /// 4–12-byte keys, 0–40-byte values: hundreds of entries per node.
@@ -102,6 +104,9 @@ enum Regime {
     /// 4 000–7 999-byte keys, values up to the entry limit: one entry per
     /// leaf, one or two keys per internal node.
     Giant,
+    /// Narrow keys; values mostly 0–40 bytes, one in eight 3 000 bytes up to
+    /// the entry limit, so tiny and huge entries share leaves.
+    Mixed,
 }
 
 impl Regime {
@@ -111,6 +116,7 @@ impl Regime {
             Regime::Narrow => [400, 400, 1200, 1000],
             Regime::Wide => [150, 150, 450, 400],
             Regime::Giant => [15, 15, 40, 80],
+            Regime::Mixed => [300, 300, 900, 800],
         }
     }
 
@@ -119,7 +125,7 @@ impl Regime {
     fn key(self, id: u32) -> Vec<u8> {
         let h = (id.wrapping_mul(2_654_435_761) >> 7) as usize;
         let len = match self {
-            Regime::Narrow => 4 + h % 9,
+            Regime::Narrow | Regime::Mixed => 4 + h % 9,
             Regime::Wide => 900 + h % 200,
             Regime::Giant => 4000 + h % 4000,
         };
@@ -132,58 +138,128 @@ impl Regime {
         match self {
             Regime::Narrow => 40,
             Regime::Wide => 300,
-            Regime::Giant => MAX_ENTRY - 4 - key.len(),
+            Regime::Giant | Regime::Mixed => MAX_ENTRY - 4 - key.len(),
         }
+    }
+
+    /// The length of a freshly inserted value.
+    fn fresh_len(self, rng: &mut XorShift, key: &[u8]) -> usize {
+        match self {
+            Regime::Mixed if !rng.next().is_multiple_of(8) => rng.between(0, 40),
+            Regime::Mixed => rng.between(3000, self.max_value(key)),
+            _ => rng.between(0, self.max_value(key)),
+        }
+    }
+
+    /// Whether the retired write path builds this regime's trees.
+    fn has_oracle(self) -> bool {
+        !matches!(self, Regime::Mixed)
     }
 }
 
-/// The in-place tree, the retired write path and a map, fed the same ops.
+/// The directory a node's entries call for: the offset of every
+/// ⌈n/32⌉-th entry, starting with the first, zero behind the last sample.
+fn directory_of(page: &[u8]) -> Vec<u8> {
+    let n = u16::from_le_bytes([page[1], page[2]]) as usize;
+    let leaf = page[0] == 1;
+    let mut dir = vec![0u8; PAGE_SIZE - NODE_CAPACITY];
+    let stride = n.div_ceil(32).max(1);
+    let mut off = 16;
+    for i in 0..n {
+        if i % stride == 0 {
+            dir[2 * (i / stride)..][..2].copy_from_slice(&(off as u16).to_le_bytes());
+        }
+        let klen = u16::from_le_bytes([page[off], page[off + 1]]) as usize;
+        off += 2 + klen;
+        off += if leaf {
+            2 + u16::from_le_bytes([page[off], page[off + 1]]) as usize
+        } else {
+            8
+        };
+    }
+    dir
+}
+
+/// The image of each node page of `tree` (page 0 is the meta page).
+fn node_images(tree: &BTreeFile, pool: &BufferPool) -> Vec<Vec<u8>> {
+    (1..tree.pages())
+        .map(|no| {
+            pool.fetch(tree.file_id(), no)
+                .unwrap()
+                .read()
+                .bytes()
+                .to_vec()
+        })
+        .collect()
+}
+
+/// The in-place tree, the retired write path (where it builds the regime's
+/// trees) and a map, fed the same ops.
 struct Trio {
     tree: BTreeFile,
     tree_pool: Arc<BufferPool>,
-    oracle: OracleTree,
-    oracle_pool: Arc<BufferPool>,
+    oracle: Option<(OracleTree, Arc<BufferPool>)>,
     model: BTreeMap<Vec<u8>, Vec<u8>>,
 }
 
 impl Trio {
-    fn new() -> Self {
-        let (tree_pool, oracle_pool) = (pool(), pool());
+    fn new(regime: Regime) -> Self {
+        let tree_pool = pool();
+        let oracle = regime.has_oracle().then(|| {
+            let oracle_pool = pool();
+            let oracle = OracleTree::create(Arc::clone(&oracle_pool)).unwrap();
+            (oracle, oracle_pool)
+        });
         Trio {
             tree: BTreeFile::create(Arc::clone(&tree_pool)).unwrap(),
             tree_pool,
-            oracle: OracleTree::create(Arc::clone(&oracle_pool)).unwrap(),
-            oracle_pool,
+            oracle,
             model: BTreeMap::new(),
         }
     }
 
     fn insert(&mut self, key: &[u8], value: &[u8]) {
         let old = self.tree.insert(key, value).unwrap();
-        assert_eq!(old, self.oracle.insert(key, value).unwrap());
+        if let Some((oracle, _)) = &self.oracle {
+            assert_eq!(old, oracle.insert(key, value).unwrap());
+        }
         assert_eq!(old, self.model.insert(key.to_vec(), value.to_vec()));
     }
 
     fn delete(&mut self, key: &[u8]) {
         let old = self.tree.delete(key).unwrap();
-        assert_eq!(old, self.oracle.delete(key).unwrap());
+        if let Some((oracle, _)) = &self.oracle {
+            assert_eq!(old, oracle.delete(key).unwrap());
+        }
         assert_eq!(old, self.model.remove(key));
     }
 
-    /// Same shape, same bytes: the page images of the two files are equal.
+    /// Same shape, same bytes: the page images of the two files are equal
+    /// up to `NODE_CAPACITY`, and each node's directory is the one its
+    /// entries call for. Without an oracle: every directory is, and the
+    /// tree holds what the map does.
     fn assert_identical(&self) {
-        assert_eq!(self.tree.pages(), self.oracle.pages());
-        assert_eq!(self.tree.height(), self.oracle.height());
-        assert_eq!(self.tree.entry_count(), self.oracle.entry_count());
         assert_eq!(self.tree.entry_count(), self.model.len() as u64);
+        for (i, image) in node_images(&self.tree, &self.tree_pool).iter().enumerate() {
+            assert!(
+                image[NODE_CAPACITY..] == directory_of(image)[..],
+                "page {}'s directory is not its entries'",
+                i + 1
+            );
+        }
+        let Some((oracle, oracle_pool)) = &self.oracle else {
+            let expected: Vec<(Vec<u8>, Vec<u8>)> = self.model.clone().into_iter().collect();
+            assert_eq!(entries_in(&self.tree, None, None), expected);
+            return;
+        };
+        assert_eq!(self.tree.pages(), oracle.pages());
+        assert_eq!(self.tree.height(), oracle.height());
+        assert_eq!(self.tree.entry_count(), oracle.entry_count());
         for page_no in 0..self.tree.pages() {
             let ours = self.tree_pool.fetch(self.tree.file_id(), page_no).unwrap();
-            let theirs = self
-                .oracle_pool
-                .fetch(self.oracle.file_id(), page_no)
-                .unwrap();
+            let theirs = oracle_pool.fetch(oracle.file_id(), page_no).unwrap();
             assert!(
-                ours.read().bytes() == theirs.read().bytes(),
+                ours.read().bytes()[..NODE_CAPACITY] == theirs.read().bytes()[..NODE_CAPACITY],
                 "page {page_no} differs from the decode/encode image"
             );
         }
@@ -197,13 +273,13 @@ fn value_of(rng: &mut XorShift, len: usize) -> Vec<u8> {
 
 fn differential_stream(regime: Regime, seed: u64) {
     let mut rng = XorShift(seed | 1);
-    let mut trio = Trio::new();
+    let mut trio = Trio::new(regime);
     let [ascending, descending, scattered, mixed] = regime.phases();
     let mut live: Vec<u32> = Vec::new();
     let mut dead: Vec<u32> = Vec::new();
     let fresh_insert = |trio: &mut Trio, rng: &mut XorShift, id: u32| {
         let key = regime.key(id);
-        let len = rng.between(0, regime.max_value(&key));
+        let len = regime.fresh_len(rng, &key);
         trio.insert(&key, &value_of(rng, len));
     };
 
@@ -283,7 +359,9 @@ fn differential_stream(regime: Regime, seed: u64) {
                     trio.tree.insert(&key, &too_long),
                     Err(Error::Storage(_))
                 ));
-                assert!(trio.oracle.insert(&key, &too_long).is_err());
+                if let Some((oracle, _)) = &trio.oracle {
+                    assert!(oracle.insert(&key, &too_long).is_err());
+                }
                 if matches!(regime, Regime::Giant) {
                     trio.insert(&key, &too_long[..MAX_ENTRY - 4 - key.len()]);
                     live.push(4_000_000 + i as u32);
@@ -302,6 +380,110 @@ fn differential_stream(regime: Regime, seed: u64) {
     trio.assert_identical();
     let expected: Vec<(Vec<u8>, Vec<u8>)> = trio.model.clone().into_iter().collect();
     assert_eq!(entries_in(&trio.tree, None, None), expected);
+}
+
+type Entries = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// Every answer `tree` gives for keys around the odd keys `1, 3, …, 2n - 1`:
+/// each present and absent key's `get`, and the first two entries of the
+/// range from it.
+fn answers(tree: &BTreeFile, n: u32) -> Vec<(Option<Vec<u8>>, Entries)> {
+    (0..=2 * n + 1)
+        .map(|k| {
+            let key = k.to_be_bytes();
+            let mut range = Vec::new();
+            tree.for_each_in_range(Some(&key), None, |k, v| {
+                if range.len() < 2 {
+                    range.push((k.to_vec(), v.to_vec()));
+                }
+            })
+            .unwrap();
+            (tree.get(&key).unwrap(), range)
+        })
+        .collect()
+}
+
+fn zero_directories(tree: &BTreeFile, pool: &BufferPool) {
+    for no in 1..tree.pages() {
+        let page = pool.fetch(tree.file_id(), no).unwrap();
+        page.write().bytes_mut()[NODE_CAPACITY..].fill(0);
+        pool.mark_dirty(tree.file_id(), no);
+    }
+}
+
+/// A tree of `n` odd keys in a scrambled order — narrow values give leaves
+/// of hundreds of entries, wide ones internal nodes of hundreds — answers
+/// every key alike through its directories and, once they are zeroed,
+/// through walks alone; and as the map does.
+fn directory_vs_walk(n: u32, wide: bool, seed: u64) {
+    let mut rng = XorShift(seed | 1);
+    let pool = pool();
+    let tree = BTreeFile::create(Arc::clone(&pool)).unwrap();
+    let mut ids: Vec<u32> = (0..n).collect();
+    for i in (1..ids.len()).rev() {
+        ids.swap(i, rng.between(0, i));
+    }
+    let mut model = BTreeMap::new();
+    for id in ids {
+        let len = if wide {
+            rng.between(1500, 3000)
+        } else {
+            rng.between(0, 8)
+        };
+        let (key, value) = ((2 * id + 1).to_be_bytes().to_vec(), value_of(&mut rng, len));
+        tree.insert(&key, &value).unwrap();
+        model.insert(key, value);
+    }
+    let with_directories = answers(&tree, n);
+    for (k, (got, range)) in with_directories.iter().enumerate() {
+        let key = (k as u32).to_be_bytes().to_vec();
+        assert_eq!(got.as_ref(), model.get(&key));
+        let want: Vec<_> = model
+            .range(key..)
+            .take(2)
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        assert_eq!(range, &want);
+    }
+    zero_directories(&tree, &pool);
+    assert_eq!(answers(&tree, n), with_directories);
+}
+
+/// Zeroed directories — what a node written before directories existed
+/// holds — read alike, and a node an edit touches gets its directory back,
+/// so its image is again the one its entries call for.
+fn zeroed_directories(seed: u64) {
+    let mut rng = XorShift(seed | 1);
+    let pool = pool();
+    let tree = BTreeFile::create(Arc::clone(&pool)).unwrap();
+    let n = rng.between(300, 3000) as u32;
+    for id in 0..n {
+        let len = rng.between(0, 40);
+        tree.insert(&(2 * id + 1).to_be_bytes(), &value_of(&mut rng, len))
+            .unwrap();
+    }
+    let images = node_images(&tree, &pool);
+    let with_directories = answers(&tree, n);
+    zero_directories(&tree, &pool);
+    assert_eq!(answers(&tree, n), with_directories);
+    // Delete and re-insert every key: each leaf is edited, none splits.
+    for id in 0..n {
+        let key = (2 * id + 1).to_be_bytes();
+        let value = tree.delete(&key).unwrap().unwrap();
+        tree.insert(&key, &value).unwrap();
+    }
+    for (i, (now, image)) in node_images(&tree, &pool).iter().zip(&images).enumerate() {
+        if now[0] == 1 {
+            assert!(now == image, "leaf {} is not its old image", i + 1);
+        } else {
+            assert!(
+                now[NODE_CAPACITY..].iter().all(|&b| b == 0),
+                "internal {} untouched",
+                i + 1
+            );
+        }
+    }
+    assert_eq!(answers(&tree, n), with_directories);
 }
 
 /// Scribble on the counts and lengths of one node of a small tree, then run
@@ -488,6 +670,23 @@ proptest! {
             },
             seed,
         );
+    }
+
+    /// Tiny and huge entries in one node: every split fits its pages, and
+    /// the tree answers as the map does.
+    #[test]
+    fn btree_mixed_sizes_match_model(seed in any::<u64>()) {
+        differential_stream(Regime::Mixed, seed);
+    }
+
+    #[test]
+    fn btree_directory_search_matches_walk(n in 0u32..1500, wide in any::<bool>(), seed in any::<u64>()) {
+        directory_vs_walk(n, wide, seed);
+    }
+
+    #[test]
+    fn btree_zeroed_directories_read_alike_and_edits_restore_them(seed in any::<u64>()) {
+        zeroed_directories(seed);
     }
 
     #[test]
