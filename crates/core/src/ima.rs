@@ -62,7 +62,7 @@ pub fn register_ima_tables(catalog: &mut Catalog, monitor: &Arc<Monitor>) -> Res
 /// `ima$daemon_health` for the in-process side): the monitor's self-cost and
 /// ring state, the tracer's trace ring, and — NULL when the wait subsystem
 /// is off — the ASH sampler's tick and ring counters.
-pub fn register_monitor_health_table(
+pub(crate) fn register_monitor_health_table(
     catalog: &mut Catalog,
     monitor: &Arc<Monitor>,
     tracer: &Arc<Tracer>,
@@ -128,7 +128,7 @@ pub fn register_monitor_health_table(
 /// per-plan-operator aggregates from the span layer) and
 /// `ima$latency_histograms` (log2-bucketed wall-clock latency per statement
 /// hash, with cumulative counts so quantiles are derivable in SQL).
-pub fn register_trace_tables(catalog: &mut Catalog, tracer: &Arc<Tracer>) -> Result<()> {
+pub(crate) fn register_trace_tables(catalog: &mut Catalog, tracer: &Arc<Tracer>) -> Result<()> {
     let t = Arc::clone(tracer);
     catalog.register_virtual_table(
         "ima$operator_stats",
@@ -208,7 +208,10 @@ pub fn register_trace_tables(catalog: &mut Catalog, tracer: &Arc<Tracer>) -> Res
 /// plan cache (hit/miss/eviction/invalidation totals plus live entry count
 /// and capacity), so cache effectiveness is observable over plain SQL like
 /// every other IMA object.
-pub fn register_plan_cache_table(catalog: &mut Catalog, cache: &Arc<PlanCache>) -> Result<()> {
+pub(crate) fn register_plan_cache_table(
+    catalog: &mut Catalog,
+    cache: &Arc<PlanCache>,
+) -> Result<()> {
     let c = Arc::clone(cache);
     catalog.register_virtual_table(
         "ima$plan_cache",
@@ -293,7 +296,7 @@ pub fn register_wal_table(catalog: &mut Catalog, wal: &Arc<Wal>) -> Result<()> {
 /// All read atomics or a short-lived internal mutex — a query over them
 /// never takes table locks, so lock contention itself is observable *during*
 /// the contention, which is the paper's lock-monitoring scenario.
-pub fn register_concurrency_tables(
+pub(crate) fn register_concurrency_tables(
     catalog: &mut Catalog,
     locks: &Arc<LockManager>,
     txns: &Arc<TxnManager>,
@@ -428,7 +431,7 @@ pub fn register_concurrency_tables(
 /// `ima$active_sessions` (live: every session currently mid-statement with
 /// its wait state computed at read time) and `ima$ash` (the bounded sample
 /// history ring).
-pub fn register_wait_tables(
+pub(crate) fn register_wait_tables(
     catalog: &mut Catalog,
     registry: &Arc<WaitRegistry>,
     sampler: &Arc<AshSampler>,
@@ -489,7 +492,7 @@ pub const IMA_CONNECTIONS: &str = "ima$connections";
 /// (text), `state` (text: `idle` / `active` / `idle_in_txn` / `draining`),
 /// `statement` (text, null when idle), `wait_event` (text, null when not
 /// waiting), `idle_ms` (int), `txn_age_ms` (int, -1 outside a transaction).
-pub fn register_connections_table(
+pub(crate) fn register_connections_table(
     catalog: &mut Catalog,
     provider: ingot_catalog::VirtualProvider,
 ) -> Result<()> {

@@ -5,6 +5,6 @@ pub fn sneaky_ddl(catalog: &Shared, locks: &Locks) {
     locks.lock(1);
 }
 
-pub fn execute_inner(catalog: &Shared) {
+pub fn run_ddl(catalog: &Shared) {
     let _guard = catalog.write();
 }

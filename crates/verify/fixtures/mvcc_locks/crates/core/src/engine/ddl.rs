@@ -1,6 +1,6 @@
-//! Golden fixture: MVCC locking discipline.
+//! Golden fixture: MVCC locking discipline, DDL side.
 
-pub fn execute_inner(&self, name: &str) {
+pub fn run_ddl(&self, name: &str) {
     self.with_table_lock_by_name(name, LockMode::Exclusive, |eng| eng.drop(name));
 }
 
@@ -11,12 +11,6 @@ pub fn eager_update(&self, txn: TxnId, id: TableId) {
 pub fn fenced_update(&self, txn: TxnId, id: TableId, root: u64) {
     self.locks.lock(txn, Resource::Table(id), LockMode::Shared);
     self.locks.lock(txn, Resource::Row(id, root), LockMode::Exclusive);
-}
-
-pub fn commit_txn(&self, txn: TxnId) {
-    let lsn = self.wal.append(&WalRecord::Commit { txn, commit_ts });
-    self.wal.commit_barrier(lsn);
-    self.txns.commit(txn);
 }
 
 #[cfg(test)]

@@ -66,7 +66,7 @@ pub(crate) fn is_hot_path(file: &SourceFile) -> bool {
     if file.in_tests_dir {
         return false;
     }
-    if policy::HOT_PATH_FILES.iter().any(|f| file.rel_path == *f) {
+    if policy::covers(policy::HOT_PATH_FILES, &file.rel_path) {
         return true;
     }
     file.crate_name
@@ -413,7 +413,7 @@ pub fn check_wait_events(root: &Path, files: &[SourceFile]) -> Vec<Violation> {
 pub fn check_error_discipline(files: &[SourceFile]) -> Vec<Violation> {
     let mut out = Vec::new();
     for file in files {
-        if !policy::ERROR_DISCIPLINE_FILES.contains(&file.rel_path.as_str()) {
+        if !policy::covers(policy::ERROR_DISCIPLINE_FILES, &file.rel_path) {
             continue;
         }
         let toks = &file.tokens;

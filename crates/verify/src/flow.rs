@@ -380,7 +380,7 @@ fn swallow_scope(file: &SourceFile) -> bool {
     if file.in_tests_dir {
         return false;
     }
-    policy::SWALLOW_FILES.iter().any(|f| file.rel_path == *f)
+    policy::covers(policy::SWALLOW_FILES, &file.rel_path)
         || file
             .crate_name
             .as_deref()

@@ -8,8 +8,15 @@
 /// and direct slice indexing are budgeted (allowlist-only) here.
 pub const HOT_PATH_CRATES: &[&str] = &["storage", "txn", "executor"];
 
-/// Individual hot-path files outside the crates above.
-pub const HOT_PATH_FILES: &[&str] = &["crates/core/src/engine.rs"];
+/// Hot-path files outside the crates above, as path prefixes: an entry
+/// ending in `/` covers every file of that directory.
+pub const HOT_PATH_FILES: &[&str] = &["crates/core/src/engine/"];
+
+/// Does a path-prefix list ([`HOT_PATH_FILES`], [`ERROR_DISCIPLINE_FILES`],
+/// [`SWALLOW_FILES`]) cover the workspace-relative `rel_path`?
+pub fn covers(prefixes: &[&str], rel_path: &str) -> bool {
+    prefixes.iter().any(|p| rel_path.starts_with(p))
+}
 
 /// Crates checked for lock-order discipline (`catalog.write()` reachable
 /// only from the DDL allowlist, no lock acquisition under the DDL guard).
@@ -20,14 +27,16 @@ pub const LOCK_ORDER_CRATES: &[&str] = &["core", "executor", "txn", "daemon", "a
 /// lock *before* the guard (PR 3 discipline) or runs before any session
 /// exists (daemon bootstrap, analyzer apply step).
 pub const DDL_WRITERS: &[(&str, &str)] = &[
-    ("crates/core/src/engine.rs", "execute_inner"),
-    ("crates/core/src/engine.rs", "run_create_table"),
-    ("crates/core/src/engine.rs", "run_create_index"),
-    ("crates/core/src/engine.rs", "add_virtual_index"),
-    ("crates/core/src/engine.rs", "clear_virtual_indexes"),
+    ("crates/core/src/engine/ddl.rs", "run_ddl"),
+    ("crates/core/src/engine/ddl.rs", "run_create_index"),
+    ("crates/core/src/engine/mod.rs", "add_virtual_index"),
+    ("crates/core/src/engine/mod.rs", "clear_virtual_indexes"),
     // Server attach: registers ima$connections once, before the server
     // accepts any connection; holds the DDL guard but never table locks.
-    ("crates/core/src/engine.rs", "attach_connections_provider"),
+    (
+        "crates/core/src/engine/mod.rs",
+        "attach_connections_provider",
+    ),
     // Daemon bootstrap: registers ima$daemon_health before any session runs.
     ("crates/daemon/src/lib.rs", "new"),
     // Analyzer maintenance window: freshens/restores statistics around the
@@ -48,8 +57,9 @@ pub const CLOCK_EXEMPT_FILES: &[&str] = &["crates/common/src/clock.rs"];
 pub const IMA_REGISTRY_FILE: &str = "crates/core/src/ima.rs";
 
 /// Files whose `pub fn`s form the embedding API: their fallible returns
-/// must use `ingot_common::Result`, never `Result<_, String>`.
-pub const ERROR_DISCIPLINE_FILES: &[&str] = &["crates/core/src/engine.rs"];
+/// must use `ingot_common::Result`, never `Result<_, String>`. Path
+/// prefixes, like [`HOT_PATH_FILES`].
+pub const ERROR_DISCIPLINE_FILES: &[&str] = &["crates/core/src/engine/"];
 
 /// Crates scanned for commit-acknowledgement discipline: `txns.commit(…)`
 /// (the point at which a commit becomes visible to other sessions and is
@@ -61,7 +71,7 @@ pub const WAL_ACK_CRATES: &[&str] = &["core", "executor", "txn", "daemon", "anal
 /// single sanctioned path is `Engine::commit_txn`, which appends the
 /// `Commit` record and waits on `commit_barrier` before calling
 /// `txns.commit`.
-pub const WAL_COMMIT_FNS: &[(&str, &str)] = &[("crates/core/src/engine.rs", "commit_txn")];
+pub const WAL_COMMIT_FNS: &[(&str, &str)] = &[("crates/core/src/engine/commit.rs", "commit_txn")];
 
 /// Crates scanned for MVCC locking discipline (check 8): table-exclusive
 /// locks only from DDL, and no commit acknowledgement without
@@ -74,8 +84,8 @@ pub const MVCC_LOCK_CRATES: &[&str] = &["core", "executor", "txn", "daemon", "an
 /// table-X for DDL: queries take no table locks and DML takes only the
 /// shared DDL fence plus row-exclusive chain-root locks.
 pub const TABLE_X_LOCK_FNS: &[(&str, &str)] = &[
-    ("crates/core/src/engine.rs", "execute_inner"),
-    ("crates/core/src/engine.rs", "run_create_index"),
+    ("crates/core/src/engine/ddl.rs", "run_ddl"),
+    ("crates/core/src/engine/ddl.rs", "run_create_index"),
 ];
 
 /// The file declaring the closed wait-event taxonomy (`enum WaitEvent`).
@@ -155,9 +165,9 @@ pub const WAIT_EXEMPT_FNS: &[(&str, &str)] = &[
 /// Crates whose `src/` is scanned for swallowed `Result`s (check 11).
 pub const SWALLOW_CRATES: &[&str] = &["storage", "txn"];
 
-/// Individual files outside the crates above scanned for swallowed
-/// `Result`s.
-pub const SWALLOW_FILES: &[&str] = &["crates/core/src/engine.rs"];
+/// Files outside the crates above scanned for swallowed `Result`s. Path
+/// prefixes, like [`HOT_PATH_FILES`].
+pub const SWALLOW_FILES: &[&str] = &["crates/core/src/engine/"];
 
 /// Callee names whose result may be discarded: condvar wait wrappers return
 /// a guard/timeout pair the caller already holds by other means.
@@ -178,19 +188,14 @@ pub const SWALLOW_EXEMPT_CALLEES: &[&str] = &[
 /// * `recovery.rs write_manifest` — the directory fsync after the manifest
 ///   rename is best-effort: opening a directory for sync is not supported
 ///   on every platform, and the file's own fsync already happened.
-/// * `engine.rs abort_txn_with` appends the Abort WAL record best-effort:
-///   the abort must complete even when the log device is gone, and recovery
-///   treats a missing Abort record identically.
-/// * `engine.rs attach_connections_provider` registers `ima$connections`
-///   once per engine; an attach after a detach finds the table already
-///   registered, and that duplicate error is the expected signal (the
-///   registration closure reads the swapped provider slot either way).
+/// * `engine/commit.rs abort_txn_with` appends the Abort WAL record
+///   best-effort: the abort must complete even when the log device is gone,
+///   and recovery treats a missing Abort record identically.
 pub const SWALLOW_ALLOW: &[(&str, &str)] = &[
     ("crates/storage/src/wal.rs", "append"),
     ("crates/storage/src/wal.rs", "power_cut"),
     ("crates/storage/src/recovery.rs", "write_manifest"),
-    ("crates/core/src/engine.rs", "abort_txn_with"),
-    ("crates/core/src/engine.rs", "attach_connections_provider"),
+    ("crates/core/src/engine/commit.rs", "abort_txn_with"),
 ];
 
 /// The file declaring the workspace `enum Error` (check 13 cross-checks

@@ -49,19 +49,19 @@ fn lock_order_fixture_diagnostics() {
             (
                 s("lock-order"),
                 s("ddl-write"),
-                s("crates/core/src/engine.rs"),
+                s("crates/core/src/engine/ddl.rs"),
                 4,
                 s("sneaky_ddl"),
             ),
             (
                 s("lock-order"),
                 s("lock-under-guard"),
-                s("crates/core/src/engine.rs"),
+                s("crates/core/src/engine/ddl.rs"),
                 5,
                 s("sneaky_ddl"),
             ),
         ],
-        "allowlisted `execute_inner` must not be flagged; `sneaky_ddl` must be"
+        "allowlisted `run_ddl` must not be flagged; `sneaky_ddl` must be"
     );
 }
 
@@ -158,7 +158,7 @@ fn error_type_fixture_diagnostics() {
         vec![(
             s("error-type"),
             s("stringly"),
-            s("crates/core/src/engine.rs"),
+            s("crates/core/src/engine/mod.rs"),
             11,
             s("bad"),
         )],
@@ -176,21 +176,21 @@ fn wal_ack_fixture_diagnostics() {
             (
                 s("wal-ack"),
                 s("ack-before-barrier"),
-                s("crates/core/src/engine.rs"),
+                s("crates/core/src/engine/commit.rs"),
                 9,
                 s("commit_txn"),
             ),
             (
                 s("wal-ack"),
                 s("ack-outside-commit-path"),
-                s("crates/core/src/engine.rs"),
+                s("crates/core/src/engine/commit.rs"),
                 16,
                 s("sneaky_ack"),
             ),
             (
                 s("wal-ack"),
                 s("ack-outside-commit-path"),
-                s("crates/core/src/engine.rs"),
+                s("crates/core/src/engine/commit.rs"),
                 20,
                 s("sneaky_read_only_ack"),
             ),
@@ -215,17 +215,17 @@ fn mvcc_locks_fixture_diagnostics() {
         vec![
             (
                 s("mvcc-locks"),
-                s("table-x-outside-ddl"),
-                s("crates/core/src/engine.rs"),
-                8,
-                s("eager_update"),
+                s("commit-without-validation"),
+                s("crates/core/src/engine/commit.rs"),
+                6,
+                s("commit_txn"),
             ),
             (
                 s("mvcc-locks"),
-                s("commit-without-validation"),
-                s("crates/core/src/engine.rs"),
-                19,
-                s("commit_txn"),
+                s("table-x-outside-ddl"),
+                s("crates/core/src/engine/ddl.rs"),
+                8,
+                s("eager_update"),
             ),
         ],
         "the allowlisted DDL table-X, the shared fence + row-X shape, and \
@@ -278,7 +278,7 @@ fn wal_order_fixture_diagnostics() {
         vec![(
             s("wal-order"),
             s("stamp-before-durable"),
-            s("crates/core/src/engine.rs"),
+            s("crates/core/src/engine/commit.rs"),
             13,
             s("hasty_stamp"),
         )],
@@ -344,14 +344,14 @@ fn stamp_order_fixture_diagnostics() {
             (
                 s("mvcc-stamp-order"),
                 s("stamp-before-reserve"),
-                s("crates/core/src/engine.rs"),
+                s("crates/core/src/engine/commit.rs"),
                 14,
                 s("unreserved_stamp"),
             ),
             (
                 s("mvcc-stamp-order"),
                 s("stamp-after-release"),
-                s("crates/core/src/engine.rs"),
+                s("crates/core/src/engine/commit.rs"),
                 22,
                 s("late_stamp"),
             ),
@@ -359,6 +359,28 @@ fn stamp_order_fixture_diagnostics() {
         "the reserve → barrier → stamp → publish shape in `commit_txn` and \
          the #[cfg(test)] stamp must not be flagged; the unreserved stamp \
          and the post-publish stamp must be"
+    );
+}
+
+/// Checks 2, 5 and 11 cover the whole engine directory, not one file name:
+/// each of the three sites in a file of it is flagged.
+#[test]
+fn engine_modules_fixture_diagnostics() {
+    let r = run("engine_modules");
+    let file = "crates/core/src/engine/session.rs";
+    assert_eq!(
+        summarize(&r),
+        vec![
+            (s("error-type"), s("stringly"), s(file), 5, s("execute")),
+            (s("panic"), s("unwrap"), s(file), 6, s("execute")),
+            (
+                s("swallowed-results"),
+                s("let-underscore"),
+                s(file),
+                7,
+                s("execute"),
+            ),
+        ]
     );
 }
 
@@ -478,6 +500,7 @@ const FIXTURES: &[&str] = &[
     "wait_coverage",
     "swallowed",
     "stamp_order",
+    "engine_modules",
 ];
 
 #[test]
@@ -520,7 +543,7 @@ fn github_annotation_mode_is_parseable() {
         .collect();
     assert_eq!(ann.len(), 1, "{stdout}");
     assert!(
-        ann[0].starts_with("::error file=crates/core/src/engine.rs,line=13::[wal-order/"),
+        ann[0].starts_with("::error file=crates/core/src/engine/commit.rs,line=13::[wal-order/"),
         "{}",
         ann[0]
     );

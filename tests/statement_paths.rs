@@ -477,8 +477,7 @@ struct Run {
 
 fn run(steps: &[Step], cache_capacity: usize, trace: bool) -> Run {
     let engine = Engine::builder()
-        .config(EngineConfig::monitoring())
-        .plan_cache_capacity(cache_capacity)
+        .config(EngineConfig::monitoring().with_plan_cache_capacity(cache_capacity))
         .build()
         .unwrap();
     let a = engine.open_session();
