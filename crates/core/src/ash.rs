@@ -20,7 +20,7 @@
 //! paper's ~2 % overhead envelope.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ingot_common::waits::{SessionWaits, WaitEvent, WaitRegistry, WaitRegistryHandle};
@@ -44,17 +44,36 @@ pub struct CurrentStatement {
 /// Per-session slot in the sampler's registry: the session's wait-accounting
 /// sink plus its current statement, published at statement begin and cleared
 /// at statement end.
+///
+/// Only the session's own thread writes the slot, with plain stores: a
+/// state word that moves at every begin and end (odd while a statement is
+/// published), the statement's hash and start. The template sits behind the
+/// slot's own mutex, paired with its hash, and is swapped only when the hash
+/// changes, so a repeated statement publishes and clears without a lock or
+/// an `Arc` refcount. The sampler reads state, fields, template and state
+/// again, and retries when the state moved in between.
 #[derive(Debug)]
 pub struct ActiveSession {
     waits: Arc<SessionWaits>,
-    current: Mutex<Option<CurrentStatement>>,
+    /// 0 before the first publish; then odd while a statement runs, even
+    /// when idle.
+    state: AtomicU64,
+    hash: AtomicU64,
+    start_ns: AtomicU64,
+    template: Mutex<(StmtHash, Arc<str>)>,
 }
+
+/// Times a reader re-copies a slot that moved under it before skipping it.
+const SLOT_READ_ATTEMPTS: usize = 4;
 
 impl ActiveSession {
     fn new(session_id: u64, registry: Option<Arc<WaitRegistry>>) -> Self {
         ActiveSession {
             waits: Arc::new(SessionWaits::new(session_id, registry)),
-            current: Mutex::new(None),
+            state: AtomicU64::new(0),
+            hash: AtomicU64::new(0),
+            start_ns: AtomicU64::new(0),
+            template: Mutex::new((StmtHash(0), Arc::from(""))),
         }
     }
 
@@ -71,21 +90,59 @@ impl ActiveSession {
 
     /// Publish the statement this session is now executing.
     pub fn begin_statement(&self, hash: StmtHash, template: Arc<str>, start_ns: u64) {
-        *self.current.lock() = Some(CurrentStatement {
-            hash,
-            template,
-            start_ns,
-        });
+        self.publish(hash, &template, start_ns);
+    }
+
+    /// Publish the statement this session is now executing; `template` is
+    /// cloned only when the hash differs from the previous statement's.
+    /// Called by the session's own thread only.
+    pub(crate) fn publish(&self, hash: StmtHash, template: &Arc<str>, start_ns: u64) {
+        let state = self.state.load(Ordering::Relaxed);
+        if state == 0 || self.hash.load(Ordering::Relaxed) != hash.0 {
+            *self.template.lock() = (hash, Arc::clone(template));
+        }
+        // Orders the previous state store before the field stores: a reader
+        // that copies any of them sees the state move past its first read.
+        fence(Ordering::Release);
+        self.hash.store(hash.0, Ordering::Relaxed);
+        self.start_ns.store(start_ns, Ordering::Relaxed);
+        // Odd, and moved even if the previous statement was never cleared.
+        let published = if state & 1 == 1 { state + 2 } else { state + 1 };
+        self.state.store(published, Ordering::Release);
     }
 
     /// Clear the current statement (execution finished).
     pub fn end_statement(&self) {
-        *self.current.lock() = None;
+        let state = self.state.load(Ordering::Relaxed);
+        if state & 1 == 1 {
+            self.state.store(state + 1, Ordering::Release);
+        }
     }
 
-    /// The statement currently executing, if any.
+    /// The statement currently executing, if any. `None` too when the
+    /// session moved on while being read, several times in a row.
     pub fn current_statement(&self) -> Option<CurrentStatement> {
-        self.current.lock().clone()
+        for _ in 0..SLOT_READ_ATTEMPTS {
+            let state = self.state.load(Ordering::Acquire);
+            if state & 1 == 0 {
+                return None;
+            }
+            let hash = StmtHash(self.hash.load(Ordering::Relaxed));
+            let start_ns = self.start_ns.load(Ordering::Relaxed);
+            let (paired, template) = {
+                let t = self.template.lock();
+                (t.0, Arc::clone(&t.1))
+            };
+            fence(Ordering::Acquire);
+            if paired == hash && self.state.load(Ordering::Relaxed) == state {
+                return Some(CurrentStatement {
+                    hash,
+                    template,
+                    start_ns,
+                });
+            }
+        }
+        None
     }
 }
 
@@ -351,6 +408,55 @@ mod tests {
         assert_eq!(s.history().len(), 8);
         assert_eq!(s.ring_capacity(), 8);
         assert_eq!(s.total_recorded(), 99);
+    }
+
+    #[test]
+    fn a_repeated_statement_publishes_without_touching_its_template() {
+        let s = sampler(1, 8);
+        let slot = s.register_session(4);
+        let first: Arc<str> = "select 1".into();
+        let again: Arc<str> = "select 1".into();
+        slot.publish(StmtHash::of("select 1"), &first, 10);
+        slot.end_statement();
+        slot.publish(StmtHash::of("select 1"), &again, 20);
+        assert_eq!(Arc::strong_count(&again), 1, "no clone for a seen hash");
+        let current = slot.current_statement().unwrap();
+        assert!(Arc::ptr_eq(&current.template, &first));
+        assert_eq!(current.start_ns, 20);
+        // A new hash swaps the template in.
+        let other: Arc<str> = "select 2".into();
+        slot.publish(StmtHash::of("select 2"), &other, 30);
+        assert!(Arc::ptr_eq(
+            &slot.current_statement().unwrap().template,
+            &other
+        ));
+        slot.end_statement();
+        assert!(slot.current_statement().is_none());
+    }
+
+    #[test]
+    fn a_reader_never_pairs_a_hash_with_another_statements_template() {
+        let s = sampler(1, 8);
+        let slot = s.register_session(6);
+        let statements: Vec<(StmtHash, Arc<str>)> = ["select 1", "select 2", "select 3"]
+            .into_iter()
+            .map(|t| (StmtHash::of(t), Arc::from(t)))
+            .collect();
+        std::thread::scope(|scope| {
+            let (slot, statements) = (&slot, &statements);
+            scope.spawn(move || {
+                for i in 0..20_000u64 {
+                    let (hash, template) = &statements[(i % 3) as usize];
+                    slot.publish(*hash, template, i);
+                    slot.end_statement();
+                }
+            });
+            for _ in 0..20_000 {
+                if let Some(c) = slot.current_statement() {
+                    assert_eq!(c.hash, StmtHash::of(&c.template), "{c:?}");
+                }
+            }
+        });
     }
 
     #[test]

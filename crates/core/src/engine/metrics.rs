@@ -220,6 +220,19 @@ impl Engine {
                 MetricKind::Counter,
                 vec![Sample::plain(m.statements_recorded() as f64)],
             );
+            let h = m.health();
+            snap.push(
+                "ingot_monitor_workload_lapped_total",
+                "Workload-ring slots a reader skipped because a later lap overwrote them.",
+                MetricKind::Counter,
+                vec![Sample::plain(h.workload_lapped as f64)],
+            );
+            snap.push(
+                "ingot_monitor_first_sight_locks_total",
+                "Statements the monitor recorded under its lock (first sight, text path, re-entry).",
+                MetricKind::Counter,
+                vec![Sample::plain(h.first_sight_locks as f64)],
+            );
         }
         if let Some(t) = &self.tracer {
             snap.push(

@@ -313,14 +313,19 @@ impl Engine {
 
     /// Record one system-wide statistics sample (statistics sensor). Called
     /// by the storage daemon on its poll interval and by the engine itself
-    /// every few statements.
+    /// every 64th statement. Gathering it walks the lock table and reads the
+    /// pool's counters; that and the push are monitoring self-time.
     pub fn sample_statistics(&self) {
         let Some(monitor) = &self.monitor else { return };
+        monitor.sample_statistics(|at_ns| self.gather_statistics(at_ns));
+    }
+
+    fn gather_statistics(&self, at_ns: u64) -> StatSample {
         let locks = self.locks.stats();
         let buf = self.buffer_stats();
         let io = self.io_stats();
-        monitor.record_statistics(StatSample {
-            at_ns: self.wall.now_nanos(),
+        StatSample {
+            at_ns,
             at_sim_secs: self.sim_clock.now_secs(),
             sessions: self.sessions.current(),
             max_sessions: self.sessions.peak(),
@@ -334,7 +339,7 @@ impl Engine {
             physical_reads: io.reads(),
             physical_writes: io.writes,
             statements_executed: self.statements_executed(),
-        });
+        }
     }
 
     // ---- what-if interface (used by the analyzer) ----------------------------

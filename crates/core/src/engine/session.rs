@@ -3,19 +3,17 @@
 //! the monitor's sensors, the tracer and the ASH slot on the way. The whole
 //! tail stays in this one module so it is compiled as one unit.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use ingot_catalog::Catalog;
 use ingot_common::waits::{bind_session, WaitTotal};
 use ingot_common::{
-    Connection, Cost, Error, IndexId, PreparedStatement, Result, Row, SessionId, Snapshot,
-    StmtHash, TableId, TxnId, Value,
+    Connection, Cost, Error, PreparedStatement, Result, Row, SessionId, Snapshot, StmtHash,
+    TableId, TxnId, Value,
 };
 use ingot_executor::{dml::insert_one, execute};
 use ingot_planner::{
-    optimize, template_key, AttributeRef, BindArtifacts, Binder, BoundStatement, CachedPlan,
-    Footprint, IndexRef, OptimizerOptions, PlannedStatement, TableRef,
+    optimize, template_key, Binder, BoundStatement, CachedPlan, OptimizerOptions, PlannedStatement,
 };
 use ingot_sql::{param_count, parse_statement, Statement};
 use ingot_storage::RowId;
@@ -26,7 +24,7 @@ use parking_lot::Mutex;
 use super::commit::WalDmlObserver;
 use super::{Engine, StatementResult};
 use crate::ash::ActiveSession;
-use crate::monitor::StatementSensor;
+use crate::monitor::{KeptCell, StatementSensor};
 
 impl Engine {
     /// Open a session.
@@ -47,6 +45,8 @@ impl Engine {
 /// the monitor's sensor record and, while runtime tracing is on, the stage /
 /// operator span builder. Either may be absent; the helpers are no-ops then.
 struct Probes<'a> {
+    /// The statement's `ima$statements` key (0 when the monitor is off).
+    hash: StmtHash,
     sensor: Option<StatementSensor<'a>>,
     trace: Option<TraceBuilder>,
 }
@@ -86,10 +86,14 @@ struct PlanOrigin {
 /// party that keys on it: monitor sensor, ASH slot, tracer and plan cache.
 struct StmtIdentity {
     /// Hash of the raw text — the key of `ima$statements`. Only observers
-    /// read it, so the bare engine does not compute it.
-    hash: StmtHash,
+    /// read it, so the bare engine does not compute it: a handle hashes at
+    /// prepare, plain text inside the statement's begin region (`None`).
+    hash: Option<StmtHash>,
     /// Whitespace-normalized text — the plan-cache key and the ASH template.
     template: Arc<str>,
+    /// A monitored handle's statement cell, kept after its first execution
+    /// so the next ones record without the monitor lock.
+    kept: Option<KeptCell>,
 }
 
 /// A connection to the engine. Statements auto-commit unless an explicit
@@ -198,27 +202,27 @@ impl Session {
     /// parameters: the same plan-cache probe, sensors and locking as
     /// [`Prepared::execute`], so repeated texts skip parse/bind/optimize.
     pub fn execute(&self, sql: &str) -> Result<StatementResult> {
-        self.execute_with_params(sql, &self.identify(sql), &[])
-    }
-
-    fn identify(&self, sql: &str) -> StmtIdentity {
-        StmtIdentity {
-            hash: match self.engine.monitor {
-                Some(_) => StmtHash::of(sql),
-                None => StmtHash(0),
-            },
+        let id = StmtIdentity {
+            hash: None,
             template: template_key(sql),
-        }
+            kept: None,
+        };
+        self.execute_with_params(sql, &id, &[])
     }
 
     /// Validate `sql` once and return a reusable handle that executes it
     /// with bound parameter values (`$1`… or `?` markers).
     pub fn prepare(&self, sql: &str) -> Result<Prepared<'_>> {
         let stmt = parse_statement(sql)?;
+        let monitored = self.engine.monitor.is_some();
         Ok(Prepared {
             session: self,
             text: sql.to_owned(),
-            identity: self.identify(sql),
+            identity: StmtIdentity {
+                hash: monitored.then(|| StmtHash::of(sql)),
+                template: template_key(sql),
+                kept: monitored.then(KeptCell::default),
+            },
             param_count: param_count(&stmt),
         })
     }
@@ -258,16 +262,42 @@ impl Session {
         id: &StmtIdentity,
         params: &[Value],
     ) -> Result<StatementResult> {
+        let (outcome, executed) = self.run_statement(sql, id, params);
+        // Periodic statistics sampling from within the engine, every 64th
+        // statement by this statement's own count, failed or not.
+        if executed.is_multiple_of(64) {
+            self.engine.sample_statistics();
+        }
+        outcome
+    }
+
+    /// One statement with its observers, and the engine's statement count
+    /// including it.
+    fn run_statement(
+        &self,
+        sql: &str,
+        id: &StmtIdentity,
+        params: &[Value],
+    ) -> (Result<StatementResult>, u64) {
         let engine = &*self.engine;
         // The statement's own start stamp; it also opens the observers'
         // begin region.
         let start_ns = engine.wall.now_nanos();
+        let hash = match (id.hash, &engine.monitor) {
+            (Some(hash), _) => hash,
+            (None, Some(_)) => StmtHash::of(sql),
+            (None, None) => StmtHash(0),
+        };
         let mut probes = Probes {
+            hash,
             // Query-interface sensor: wall-clock start + text hash.
-            sensor: engine
-                .monitor
-                .as_ref()
-                .map(|m| m.begin_statement(id.hash, sql, start_ns)),
+            sensor: engine.monitor.as_ref().map(|m| {
+                let mut sensor = m.begin_statement(hash, sql, start_ns);
+                if let Some(kept) = &id.kept {
+                    sensor.keep_cell_in(kept);
+                }
+                sensor
+            }),
             // Structured tracing: one atomic load when disabled, a
             // stage/span builder when enabled.
             trace: engine
@@ -284,7 +314,7 @@ impl Session {
         let mut wait_before = 0u64;
         let _wait_binding = self.ash.as_ref().map(|slot| {
             wait_before = slot.waits().total_ns();
-            slot.begin_statement(id.hash, Arc::clone(&id.template), start_ns);
+            slot.publish(hash, &id.template, start_ns);
             if let Some(sampler) = &engine.ash {
                 sampler.sample_if_due(start_ns);
             }
@@ -297,7 +327,7 @@ impl Session {
         let io_before = engine.io_stats();
         let outcome = self.execute_inner(sql, id, params, &mut probes);
         let io_pages = engine.io_stats().delta_since(&io_before).total();
-        engine.statements_executed.fetch_add(1, Ordering::Relaxed);
+        let executed = engine.statements_executed.fetch_add(1, Ordering::Relaxed) + 1;
         // The statement's own end stamp. Everything below is observer work,
         // charged to `monitor_ns` as one region that `Monitor::record`
         // closes with its single clock read.
@@ -310,7 +340,7 @@ impl Session {
             slot.end_statement();
         }
 
-        match outcome {
+        let outcome = match outcome {
             Ok(mut result) => {
                 result.actual_cost.io = io_pages as f64;
                 result.wallclock_ns = end_ns - start_ns;
@@ -322,15 +352,11 @@ impl Session {
                 // region, so it lands in this statement's monitor_ns (Fig 5
                 // stays honest).
                 if let (Some(tracer), Some(tb)) = (&engine.tracer, probes.trace.take()) {
-                    tracer.record_statement(tb.finish(id.hash, result.wallclock_ns));
+                    tracer.record_statement(tb.finish(hash, result.wallclock_ns));
                 }
                 if let (Some(monitor), Some(mut s)) = (&engine.monitor, probes.sensor.take()) {
                     s.executed(result.actual_cost.cpu as u64, io_pages);
                     monitor.record(s, end_ns, engine.sim_clock.now_secs());
-                    // Periodic statistics sampling from within the engine.
-                    if engine.statements_executed().is_multiple_of(64) {
-                        engine.sample_statistics();
-                    }
                 }
                 Ok(result)
             }
@@ -346,7 +372,8 @@ impl Session {
                 }
                 Err(e)
             }
-        }
+        };
+        (outcome, executed)
     }
 
     fn execute_inner(
@@ -363,7 +390,7 @@ impl Session {
         if engine.plan_cache.capacity() > 0 {
             let epoch = engine.catalog.read().epoch();
             if let Some(cached) = engine.plan_cache.probe(&id.template, epoch) {
-                return self.run_planned(sql, id, &cached, params, PlanOrigin::default(), probes);
+                return self.run_planned(sql, id, cached, params, PlanOrigin::default(), probes);
             }
         }
         let parse_t0 = self.engine.wall.now_nanos();
@@ -448,12 +475,16 @@ impl Session {
         let io_before = engine.io_stats().total();
         let t0 = engine.wall.now_nanos();
         let planned = optimize(&catalog, &bound, OptimizerOptions::default())?;
-        let opt_ns = engine.wall.now_nanos() - t0;
+        let opt_end = engine.wall.now_nanos();
+        let opt_ns = opt_end - t0;
         let opt_io = engine.io_stats().total().saturating_sub(io_before);
         probes.stage(Stage::Optimize, opt_ns);
-        if engine.monitor.is_some() {
-            let footprint = intern_footprint(&catalog, &artifacts, planned.used_indexes());
-            artifacts.footprint = Some(Arc::new(footprint));
+        if let Some(monitor) = &engine.monitor {
+            // Monitor work, charged to the statement's monitor_ns: once
+            // per template, the footprint and its objects' usage cells.
+            let footprint = monitor.intern_footprint(&catalog, &artifacts, planned.used_indexes());
+            artifacts.footprint = Some(footprint);
+            probes.add_self_time(engine.wall.now_nanos() - opt_end);
         }
         let plan = CachedPlan {
             planned,
@@ -488,7 +519,7 @@ impl Session {
             optimized: Some(optimized),
             analyze: None,
         };
-        self.run_planned(sql, id, &plan, params, origin, probes)
+        self.run_planned(sql, id, plan, params, origin, probes)
     }
 
     /// `EXPLAIN ANALYZE <stmt>`: plan the inner statement (never memoized)
@@ -514,14 +545,14 @@ impl Session {
             optimized: Some(optimized),
             analyze: Some(waits_before),
         };
-        self.run_planned(sql, id, &plan, params, origin, probes)
+        self.run_planned(sql, id, plan, params, origin, probes)
     }
 
     /// The one tail every planned statement runs through — cache hit, miss
     /// or `EXPLAIN ANALYZE`: substitute the bound values, lock the recorded
-    /// footprint, snapshot the catalog, feed the monitor's parse/optimize
-    /// sensors from the bind artifacts, execute, stamp `Stage::Execute` and
-    /// finish the auto-commit transaction.
+    /// footprint, snapshot the catalog, execute, stamp `Stage::Execute`,
+    /// finish the auto-commit transaction and hand the plan to the
+    /// monitor's parse/optimize sensors.
     ///
     /// The catalog snapshot is taken *after* lock acquisition: the schema of
     /// every locked table is stable (DDL takes the same table locks), so the
@@ -533,7 +564,7 @@ impl Session {
         &self,
         sql: &str,
         id: &StmtIdentity,
-        plan: &CachedPlan,
+        plan: Arc<CachedPlan>,
         params: &[Value],
         origin: PlanOrigin,
         probes: &mut Probes,
@@ -559,21 +590,6 @@ impl Session {
                 // auto-commit statement) and replan fresh below. The next
                 // probe of this template drops the stale entry.
                 return Ok(None);
-            }
-
-            // Parse and optimizer sensors, fed once per statement under the
-            // already-held catalog guard: the live numbers go into the cells
-            // of the template's interned footprint, the sensor takes a
-            // reference to it. A cache hit spent nothing in the optimizer.
-            if let Some(s) = probes.sensor.as_mut() {
-                let feed_ns = engine.wall.now_nanos();
-                if let Some(footprint) = &plan.artifacts.footprint {
-                    store_live_numbers(&catalog, footprint);
-                    s.parsed(Arc::clone(footprint));
-                }
-                let (opt_ns, opt_io) = origin.optimized.unwrap_or((0, 0));
-                s.optimized(planned.estimated_cost(), opt_ns, opt_io);
-                s.add_self_time(engine.wall.now_nanos() - feed_ns);
             }
 
             // DML versions are marked with `txn` and observed by its WAL/undo
@@ -626,7 +642,7 @@ impl Session {
             // aggregates directly (keyed by the *outer* statement text, so
             // they join against `ima$statements`).
             if let (None, Some(tracer)) = (&probes.trace, &engine.tracer) {
-                let dt = tracer.record_operators(id.hash, &spans);
+                let dt = tracer.record_operators(probes.hash, &spans);
                 probes.add_self_time(dt);
             }
         } else if let PlannedStatement::Query(q) = planned {
@@ -634,6 +650,16 @@ impl Session {
         }
         if let Some(tb) = probes.trace.as_mut() {
             tb.set_ops(spans);
+        }
+        // Parse and optimizer sensors, once the statement is done with its
+        // plan: the plan itself, moved rather than shared (its interned
+        // footprint names what the statement referenced), and the estimate;
+        // a cache hit spent nothing in the optimizer. A few unstamped
+        // stores, no clock read.
+        if let Some(s) = probes.sensor.as_mut() {
+            let (opt_ns, opt_io) = origin.optimized.unwrap_or((0, 0));
+            s.optimized(result.est_cost, opt_ns, opt_io);
+            s.parsed(plan);
         }
         Ok(result)
     }
@@ -794,77 +820,6 @@ impl PreparedStatement for Prepared<'_> {
 
     fn execute(&self, params: &[Value]) -> Result<StatementResult> {
         Prepared::execute(self, params)
-    }
-}
-
-/// Intern a freshly planned template's reference footprint for the monitor:
-/// ids, names, storage tags and histogram flags of what the binder resolved
-/// plus the indexes the chosen plan uses. All data comes from the
-/// already-held catalog guard ("no further access to the catalogs is
-/// required for the monitoring"); provider-backed tables have no storage to
-/// report and contribute their attributes only.
-fn intern_footprint(catalog: &Catalog, artifacts: &BindArtifacts, used: &[IndexId]) -> Footprint {
-    Footprint {
-        tables: artifacts
-            .tables
-            .iter()
-            .filter_map(|(id, name)| {
-                catalog.table(*id).ok().map(|entry| TableRef {
-                    id: *id,
-                    name: Arc::clone(name),
-                    storage: entry.meta.storage.as_str(),
-                    data_pages: AtomicU64::new(0),
-                    overflow_pages: AtomicU64::new(0),
-                    rows: AtomicU64::new(0),
-                })
-            })
-            .collect(),
-        attributes: artifacts
-            .attributes
-            .iter()
-            .filter_map(|&(table, column)| {
-                let schema = match catalog.table(table) {
-                    Ok(entry) => &entry.meta.schema,
-                    Err(_) => &catalog.virtual_table(table)?.schema,
-                };
-                Some(AttributeRef {
-                    table,
-                    column,
-                    schema: schema.clone(),
-                    has_histogram: artifacts.histograms.contains(&(table, column)),
-                })
-            })
-            .collect(),
-        used_indexes: used
-            .iter()
-            .filter_map(|id| {
-                catalog.index(*id).ok().map(|e| IndexRef {
-                    id: *id,
-                    name: Arc::clone(&e.meta.name),
-                    table: e.meta.table,
-                    pages: AtomicU64::new(0),
-                })
-            })
-            .collect(),
-    }
-}
-
-/// The per-execution half of the parse/optimize sensor feed: the numbers
-/// that move between executions of one template, read off the objects the
-/// statement is about to touch ("logged right at its source").
-fn store_live_numbers(catalog: &Catalog, footprint: &Footprint) {
-    for t in &footprint.tables {
-        if let Ok(entry) = catalog.table(t.id) {
-            let hs = entry.heap.stats();
-            t.data_pages.store(hs.main_pages, Ordering::Relaxed);
-            t.overflow_pages.store(hs.overflow_pages, Ordering::Relaxed);
-            t.rows.store(hs.rows, Ordering::Relaxed);
-        }
-    }
-    for i in &footprint.used_indexes {
-        if let Ok(entry) = catalog.index(i.id) {
-            i.pages.store(entry.pages(), Ordering::Relaxed);
-        }
     }
 }
 

@@ -6,7 +6,8 @@
 //! disk access required to store or read the data." (§IV-A)
 //!
 //! The providers below capture an `Arc<Monitor>`; scanning `ima$workload`
-//! etc. therefore costs one mutex snapshot and zero I/O.
+//! copies its lock-free ring, the other tables cost one snapshot under the
+//! monitor lock, and none does I/O.
 
 use std::sync::Arc;
 
@@ -92,6 +93,8 @@ pub(crate) fn register_monitor_health_table(
             Column::new("ash_samples_taken", DataType::Int),
             Column::new("ash_wrapped", DataType::Int),
             Column::new("trace_wrapped", DataType::Int),
+            Column::new("workload_lapped", DataType::Int),
+            Column::new("first_sight_locks", DataType::Int),
         ]),
         Arc::new(move || {
             let h = m.health();
@@ -118,6 +121,8 @@ pub(crate) fn register_monitor_health_table(
                     v_int(a.total_recorded().saturating_sub(a.ring_capacity() as u64))
                 }),
                 v_int(t.traces_wrapped()),
+                v_int(h.workload_lapped),
+                v_int(h.first_sight_locks),
             ])]
         }),
     )?;

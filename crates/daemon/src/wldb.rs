@@ -558,6 +558,62 @@ mod tests {
     }
 
     #[test]
+    fn cursor_loses_and_repeats_nothing_while_writers_run() {
+        // Four sessions record at once while polls copy the workload ring:
+        // a poll never steps past a record still being written, so every
+        // `(hash, seq)` lands exactly once.
+        const WRITERS: usize = 4;
+        const PER_WRITER: usize = 800; // all of it fits the 4096-slot ring
+        let engine = Engine::builder()
+            .config(EngineConfig::monitoring())
+            .build()
+            .unwrap();
+        let monitor = engine.monitor().unwrap();
+        engine
+            .open_session()
+            .execute("create table t (a int not null primary key, b int)")
+            .unwrap();
+        let db = WorkloadDb::in_memory(engine.sim_clock().clone()).unwrap();
+        let running = std::sync::atomic::AtomicUsize::new(WRITERS);
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let (engine, running) = (&engine, &running);
+                scope.spawn(move || {
+                    let s = engine.open_session();
+                    let insert = s.prepare("insert into t values ($1, $2)").unwrap();
+                    for i in 0..PER_WRITER {
+                        let key = (w * PER_WRITER + i) as i64;
+                        if i % 5 == 0 {
+                            s.execute(&format!("select b from t where a = {key}"))
+                                .unwrap();
+                        } else {
+                            insert.execute(&[Value::Int(key), Value::Int(1)]).unwrap();
+                        }
+                    }
+                    running.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
+                });
+            }
+            let mut polls = 0;
+            while running.load(std::sync::atomic::Ordering::Relaxed) > 0 {
+                db.append_from(monitor, polls).unwrap();
+                polls += 1;
+            }
+        });
+        db.append_from(monitor, u64::MAX >> 2).unwrap();
+        let executions = monitor.statements_recorded();
+        assert_eq!(executions, 1 + (WRITERS * PER_WRITER) as u64);
+        let seqs: HashSet<i64> = db
+            .query("select seq from wl_workload")
+            .unwrap()
+            .iter()
+            .map(|r| r.get(0).as_int().unwrap())
+            .collect();
+        assert_eq!(db.row_count("wl_workload").unwrap(), executions);
+        assert_eq!(seqs, (0..executions as i64).collect::<HashSet<_>>());
+        assert_eq!(monitor.health().workload_lapped, 0);
+    }
+
+    #[test]
     fn schema_is_created() {
         let db = WorkloadDb::in_memory(SimClock::new()).unwrap();
         for t in WL_TABLES {

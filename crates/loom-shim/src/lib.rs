@@ -11,8 +11,9 @@
 //! matter. This is the spirit of loom's bounded "random" strategy: far
 //! weaker than exhaustive DPOR, far stronger than a single lucky schedule.
 //!
-//! API surface: `loom::model`, `loom::thread::{spawn, yield_now}`, and
-//! `loom::sync::{Arc, Mutex, Condvar, RwLock}`. The sync types mirror
+//! API surface: `loom::model`, `loom::thread::{spawn, yield_now}`,
+//! `loom::sync::{Arc, Mutex, Condvar, RwLock}` and
+//! `loom::sync::atomic::{AtomicU64, fence, Ordering}`. The sync types mirror
 //! **parking_lot's** API (not std's poisoning API), because that is what the
 //! production code under test uses — `#[cfg(loom)]` swaps the import and
 //! nothing else changes.
@@ -166,6 +167,71 @@ pub mod sync {
             g
         }
     }
+
+    pub mod atomic {
+        //! `std::sync::atomic` with a perturbation point on both sides of
+        //! every operation, so a protocol built from plain atomics (a
+        //! sequence-stamped slot, a claim counter) is interleaved at each
+        //! step rather than only at lock edges.
+
+        pub use std::sync::atomic::{fence, Ordering};
+
+        /// [`std::sync::atomic::AtomicU64`] with schedule perturbation.
+        #[derive(Debug, Default)]
+        pub struct AtomicU64(std::sync::atomic::AtomicU64);
+
+        /// Run one atomic operation between two perturbation points.
+        fn perturbed<R>(op: impl FnOnce() -> R) -> R {
+            crate::rt::maybe_yield();
+            let r = op();
+            crate::rt::maybe_yield();
+            r
+        }
+
+        impl AtomicU64 {
+            /// A new atomic holding `v`.
+            pub const fn new(v: u64) -> Self {
+                AtomicU64(std::sync::atomic::AtomicU64::new(v))
+            }
+
+            /// Load.
+            pub fn load(&self, order: Ordering) -> u64 {
+                perturbed(|| self.0.load(order))
+            }
+
+            /// Store.
+            pub fn store(&self, v: u64, order: Ordering) {
+                perturbed(|| self.0.store(v, order))
+            }
+
+            /// Add, returning the previous value.
+            pub fn fetch_add(&self, v: u64, order: Ordering) -> u64 {
+                perturbed(|| self.0.fetch_add(v, order))
+            }
+
+            /// Compare-and-exchange.
+            pub fn compare_exchange(
+                &self,
+                current: u64,
+                new: u64,
+                success: Ordering,
+                failure: Ordering,
+            ) -> Result<u64, u64> {
+                perturbed(|| self.0.compare_exchange(current, new, success, failure))
+            }
+
+            /// Compare-and-exchange that may fail spuriously.
+            pub fn compare_exchange_weak(
+                &self,
+                current: u64,
+                new: u64,
+                success: Ordering,
+                failure: Ordering,
+            ) -> Result<u64, u64> {
+                perturbed(|| self.0.compare_exchange_weak(current, new, success, failure))
+            }
+        }
+    }
 }
 
 /// Run `f` under many perturbed schedules (default 64; override with
@@ -218,6 +284,32 @@ mod tests {
                 h.join().unwrap();
             }
             assert_eq!(*m.lock(), 30);
+        });
+    }
+
+    #[test]
+    fn atomic_counter_is_race_free() {
+        use super::sync::atomic::{AtomicU64, Ordering};
+        super::model(|| {
+            let n = Arc::new(AtomicU64::new(0));
+            let hs: Vec<_> = (0..3)
+                .map(|_| {
+                    let n = Arc::clone(&n);
+                    super::thread::spawn(move || {
+                        for _ in 0..10 {
+                            n.fetch_add(1, Ordering::Relaxed);
+                        }
+                    })
+                })
+                .collect();
+            for h in hs {
+                h.join().unwrap();
+            }
+            assert_eq!(n.load(Ordering::Relaxed), 30);
+            assert_eq!(
+                n.compare_exchange(30, 31, Ordering::AcqRel, Ordering::Relaxed),
+                Ok(30)
+            );
         });
     }
 

@@ -13,6 +13,7 @@ use std::sync::Arc;
 use ingot_catalog::Catalog;
 use ingot_common::{Error, IndexId, Result, Row, Schema, TableId, Value};
 use ingot_sql::{Expr, OrderItem, SelectItem, SelectStmt, Statement};
+use ingot_storage::{BTreeFile, HeapFile};
 
 use crate::expr::{AggFunc, AggSpec, PhysExpr};
 
@@ -33,15 +34,19 @@ pub struct BindArtifacts {
     /// interned by a monitored engine once the template is optimized (the
     /// binder leaves it empty). It lives as long as the plan does: a DDL
     /// publish or `CREATE STATISTICS` bumps the schema epoch, the cached
-    /// plan is dropped, and re-planning interns a fresh one.
+    /// plan is dropped, and re-planning interns it again, rewriting the
+    /// names, storage tags and histogram flags the monitor keeps.
     pub footprint: Option<Arc<Footprint>>,
 }
 
-/// A planned template's reference footprint: ids, names and the facts that
-/// only DDL changes, copied out of the catalog once per template, plus one
-/// cell per number that moves between executions. Each execution stores the
-/// live numbers under the catalog guard it already holds and hands the
-/// monitor an `Arc` of this; nothing is copied per statement.
+/// A planned template's reference footprint: the objects the binder
+/// resolved plus the indexes the chosen plan uses, each with the monitor's
+/// usage cell for it and, for a table or index, its storage handle. A
+/// monitored engine interns it once per template; an execution counts
+/// itself in each object's cell and stores the live numbers read off the
+/// handles, and nothing is copied per statement. The handles are the ones
+/// the plan's catalog snapshot resolved: a DDL publish bumps the schema
+/// epoch and the template is planned and interned again.
 #[derive(Debug, Default)]
 pub struct Footprint {
     /// Referenced base tables.
@@ -52,21 +57,53 @@ pub struct Footprint {
     pub used_indexes: Vec<IndexRef>,
 }
 
+impl Footprint {
+    /// The usage cell of every reference, in footprint order (an object
+    /// referenced twice appears twice).
+    pub fn usage_cells(&self) -> impl Iterator<Item = &Arc<UsageCell>> {
+        let tables = self.tables.iter().map(|t| &t.usage);
+        let attributes = self.attributes.iter().map(|a| &a.usage);
+        tables
+            .chain(attributes)
+            .chain(self.used_indexes.iter().map(|i| &i.usage))
+    }
+}
+
+/// The usage numbers of one monitored object (a table, an attribute or an
+/// index), shared by every footprint that references it. The monitor
+/// interns one per object the first time a planned template references it;
+/// each recorded execution counts itself and stores the live numbers, and
+/// the `ima$tables` / `ima$attributes` / `ima$indexes` providers read them.
+#[derive(Debug, Default)]
+pub struct UsageCell {
+    /// Recorded statements that referenced the object.
+    pub frequency: AtomicU64,
+    /// Main data pages (a table) or pages (an index) at the latest
+    /// reference.
+    pub pages: AtomicU64,
+    /// Overflow pages at the latest reference (tables only).
+    pub overflow_pages: AtomicU64,
+    /// Live rows at the latest reference (tables only).
+    pub rows: AtomicU64,
+}
+
 /// One referenced table of a [`Footprint`].
-#[derive(Debug)]
 pub struct TableRef {
     /// Table id.
     pub id: TableId,
-    /// Name.
-    pub name: Arc<str>,
-    /// Storage structure tag.
-    pub storage: &'static str,
-    /// Main pages at the latest execution.
-    pub data_pages: AtomicU64,
-    /// Overflow pages at the latest execution.
-    pub overflow_pages: AtomicU64,
-    /// Live rows at the latest execution.
-    pub rows: AtomicU64,
+    /// The table's usage cell.
+    pub usage: Arc<UsageCell>,
+    /// The table's row store, where its live numbers are read.
+    pub heap: Arc<HeapFile>,
+}
+
+impl std::fmt::Debug for TableRef {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TableRef")
+            .field("id", &self.id)
+            .field("usage", &self.usage)
+            .finish_non_exhaustive()
+    }
 }
 
 /// One referenced attribute of a [`Footprint`].
@@ -76,31 +113,31 @@ pub struct AttributeRef {
     pub table: TableId,
     /// Column position.
     pub column: usize,
-    /// The owning table's schema (shared, not copied): where the column's
-    /// name is, for the one time the monitor needs it.
-    pub schema: Schema,
-    /// Histogram present?
-    pub has_histogram: bool,
-}
-
-impl AttributeRef {
-    /// Column name.
-    pub fn name(&self) -> &str {
-        &self.schema.column(self.column).name
-    }
+    /// The attribute's usage cell.
+    pub usage: Arc<UsageCell>,
 }
 
 /// One used index of a [`Footprint`].
-#[derive(Debug)]
 pub struct IndexRef {
     /// Index id.
     pub id: IndexId,
-    /// Name.
-    pub name: Arc<str>,
     /// Owning table.
     pub table: TableId,
-    /// Pages at the latest execution.
-    pub pages: AtomicU64,
+    /// The index's usage cell.
+    pub usage: Arc<UsageCell>,
+    /// The backing tree (`None` for a virtual index), where its page count
+    /// is read.
+    pub tree: Option<Arc<BTreeFile>>,
+}
+
+impl std::fmt::Debug for IndexRef {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IndexRef")
+            .field("id", &self.id)
+            .field("table", &self.table)
+            .field("usage", &self.usage)
+            .finish_non_exhaustive()
+    }
 }
 
 /// One base table occurrence in `FROM` (aliases make occurrences distinct).

@@ -23,7 +23,7 @@ pub mod physical;
 
 pub use binder::{
     AttributeRef, BindArtifacts, Binder, BoundSelect, BoundStatement, BoundTable, Footprint,
-    IndexRef, InsertRows, TableRef,
+    IndexRef, InsertRows, TableRef, UsageCell,
 };
 pub use cache::{normalize_template, template_key, CachedPlan, PlanCache, PlanCacheStats};
 pub use expr::{AggFunc, AggSpec, PhysExpr};

@@ -40,6 +40,7 @@
 //! directory from the offsets they walked.
 
 use std::cmp::Ordering;
+use std::sync::atomic::{self, AtomicU64};
 use std::sync::Arc;
 
 use ingot_common::{Error, Result};
@@ -438,6 +439,9 @@ pub struct BTreeFile {
     /// (the persisted truth) under the write latch, so a descent fetches no
     /// meta page.
     latch: RwLock<Shape>,
+    /// Pages in the file, refreshed from the backend whenever the tree
+    /// extends it, so [`BTreeFile::pages`] takes no backend lock.
+    pages: AtomicU64,
 }
 
 impl BTreeFile {
@@ -448,6 +452,7 @@ impl BTreeFile {
         debug_assert_eq!(meta_no, 0);
         meta.write().set_u32(0, META_MAGIC);
         let tree = BTreeFile {
+            pages: AtomicU64::new(pool.file_pages(file)),
             pool,
             file,
             latch: RwLock::new(Shape { root: 0, height: 0 }),
@@ -474,6 +479,7 @@ impl BTreeFile {
         };
         drop(meta);
         Ok(BTreeFile {
+            pages: AtomicU64::new(pool.file_pages(file)),
             pool,
             file,
             latch: RwLock::new(shape),
@@ -515,11 +521,15 @@ impl BTreeFile {
 
     /// Pages allocated to the tree (on-disk size).
     pub fn pages(&self) -> u64 {
-        self.pool.file_pages(self.file)
+        self.pages.load(atomic::Ordering::Relaxed)
     }
 
     fn alloc_node(&self, leaf: bool, n: usize, link: u64, entries: &[u8]) -> Result<u64> {
-        let (no, page) = self.pool.allocate(self.file)?;
+        let allocated = self.pool.allocate(self.file);
+        // Counted even when the pool fails after the backend grew.
+        self.pages
+            .fetch_max(self.pool.file_pages(self.file), atomic::Ordering::Relaxed);
+        let (no, page) = allocated?;
         write_node(page.write().bytes_mut(), leaf, n, link, entries)?;
         Ok(no)
     }

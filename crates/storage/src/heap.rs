@@ -190,6 +190,9 @@ pub struct HeapFile {
     main_pages: u64,
     /// Page currently targeted by inserts (fill front-to-back).
     insert_cursor: Mutex<u64>,
+    /// Pages in the file, refreshed from the backend whenever the heap
+    /// extends it, so [`HeapFile::stats`] takes no backend lock.
+    pages: AtomicU64,
     /// Physical record (version) count.
     versions: AtomicU64,
     /// Logical live-row count, maintained by the catalog layer's MVCC
@@ -216,6 +219,7 @@ impl HeapFile {
             pool.mark_dirty(file, no);
         }
         Ok(HeapFile {
+            pages: AtomicU64::new(pool.file_pages(file)),
             pool,
             file,
             main_pages,
@@ -231,8 +235,10 @@ impl HeapFile {
     /// is still open are live; committed timestamps in any header feed
     /// [`HeapFile::max_commit_ts`].
     pub fn open(pool: Arc<BufferPool>, file: FileId, main_pages: u64) -> Result<Self> {
+        let pages = pool.file_pages(file);
         let heap = HeapFile {
-            insert_cursor: Mutex::new(pool.file_pages(file).saturating_sub(1)),
+            insert_cursor: Mutex::new(pages.saturating_sub(1)),
+            pages: AtomicU64::new(pages),
             pool,
             file,
             main_pages,
@@ -268,7 +274,7 @@ impl HeapFile {
 
     /// Occupancy statistics.
     pub fn stats(&self) -> HeapStats {
-        let total = self.pool.file_pages(self.file);
+        let total = self.pages.load(Ordering::Relaxed);
         HeapStats {
             main_pages: self.main_pages,
             overflow_pages: total.saturating_sub(self.main_pages),
@@ -312,7 +318,11 @@ impl HeapFile {
             if page_no + 1 < total {
                 *cursor = page_no + 1;
             } else {
-                let (new_no, new_page) = self.pool.allocate(self.file)?;
+                let allocated = self.pool.allocate(self.file);
+                // Counted even when the pool fails after the backend grew.
+                self.pages
+                    .store(self.pool.file_pages(self.file), Ordering::Relaxed);
+                let (new_no, new_page) = allocated?;
                 drop(new_page);
                 page.write().set_next_page(PageId(new_no));
                 self.pool.mark_dirty(self.file, page_no);

@@ -248,7 +248,8 @@ fn monitor_health_mirrors_daemon_health() {
     let r = s
         .execute(
             "select self_time_ns, sensor_calls, statements_recorded, \
-             statements_len, statements_capacity, workload_wrapped from ima$monitor_health",
+             statements_len, statements_capacity, workload_wrapped, \
+             workload_lapped, first_sight_locks from ima$monitor_health",
         )
         .unwrap();
     assert_eq!(r.rows.len(), 1, "single-row self-observation");
@@ -256,10 +257,16 @@ fn monitor_health_mirrors_daemon_health() {
     assert!(row.get(0).as_int().unwrap() > 0, "self_time_ns");
     assert!(row.get(1).as_int().unwrap() > 0, "sensor_calls");
     // create(2) + organism inserts(10) + protein inserts(200) = 212 records.
-    assert!(row.get(2).as_int().unwrap() >= 212, "statements_recorded");
+    let recorded = row.get(2).as_int().unwrap();
+    assert!(recorded >= 212, "statements_recorded");
     assert!(row.get(3).as_int().unwrap() <= row.get(4).as_int().unwrap());
-    // Default workload capacity (4096) has not wrapped yet.
+    // Default workload capacity (4096) has not wrapped yet, and no reader
+    // has had a slot overwritten under it.
     assert_eq!(row.get(5).as_int(), Some(0));
+    assert_eq!(row.get(6).as_int(), Some(0), "workload_lapped");
+    // Every statement the load ran was text: each one recorded under the
+    // monitor lock.
+    assert_eq!(row.get(7).as_int(), Some(recorded), "first_sight_locks");
 
     // The other observers report on themselves in the same row: the
     // cooperative sampler's ticks so far, and what the ASH and trace rings
