@@ -262,23 +262,6 @@ impl Session {
         id: &StmtIdentity,
         params: &[Value],
     ) -> Result<StatementResult> {
-        let (outcome, executed) = self.run_statement(sql, id, params);
-        // Periodic statistics sampling from within the engine, every 64th
-        // statement by this statement's own count, failed or not.
-        if executed.is_multiple_of(64) {
-            self.engine.sample_statistics();
-        }
-        outcome
-    }
-
-    /// One statement with its observers, and the engine's statement count
-    /// including it.
-    fn run_statement(
-        &self,
-        sql: &str,
-        id: &StmtIdentity,
-        params: &[Value],
-    ) -> (Result<StatementResult>, u64) {
         let engine = &*self.engine;
         // The statement's own start stamp; it also opens the observers'
         // begin region.
@@ -373,7 +356,12 @@ impl Session {
                 Err(e)
             }
         };
-        (outcome, executed)
+        // Periodic statistics sampling from within the engine, every 64th
+        // statement by this statement's own count, failed or not.
+        if executed.is_multiple_of(64) {
+            engine.sample_statistics();
+        }
+        outcome
     }
 
     fn execute_inner(

@@ -457,6 +457,8 @@ impl Monitor {
                     if Arc::strong_count(&gone.cell) > 1 {
                         let evicted = &mut state.evicted;
                         evicted.insert(evict, Arc::downgrade(&gone.cell));
+                        // Forget cells whose handles are gone, at each
+                        // power-of-two size: amortised O(1) per eviction.
                         if evicted.len() >= 64 && evicted.len().is_power_of_two() {
                             evicted.retain(|_, cell| cell.strong_count() > 0);
                         }
