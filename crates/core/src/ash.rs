@@ -88,15 +88,10 @@ impl ActiveSession {
         &self.waits
     }
 
-    /// Publish the statement this session is now executing.
-    pub fn begin_statement(&self, hash: StmtHash, template: Arc<str>, start_ns: u64) {
-        self.publish(hash, &template, start_ns);
-    }
-
     /// Publish the statement this session is now executing; `template` is
     /// cloned only when the hash differs from the previous statement's.
     /// Called by the session's own thread only.
-    pub(crate) fn publish(&self, hash: StmtHash, template: &Arc<str>, start_ns: u64) {
+    pub fn begin_statement(&self, hash: StmtHash, template: &Arc<str>, start_ns: u64) {
         let state = self.state.load(Ordering::Relaxed);
         if state == 0 || self.hash.load(Ordering::Relaxed) != hash.0 {
             *self.template.lock() = (hash, Arc::clone(template));
@@ -358,7 +353,7 @@ mod tests {
         let s = sampler(10, 16);
         s.set_wait_registry(Arc::new(WaitRegistry::new()));
         let slot = s.register_session(5);
-        slot.begin_statement(StmtHash::of("select 1"), "select 1".into(), 1_000);
+        slot.begin_statement(StmtHash::of("select 1"), &"select 1".into(), 1_000);
         s.sample_now(3_000);
         let h = s.history();
         assert_eq!(h.len(), 1);
@@ -384,7 +379,7 @@ mod tests {
     fn cadence_is_rate_limited_and_election_is_single_winner() {
         let s = sampler(100, 1024);
         let slot = s.register_session(1);
-        slot.begin_statement(StmtHash::of("q"), "q".into(), 0);
+        slot.begin_statement(StmtHash::of("q"), &"q".into(), 0);
         let mut taken = 0;
         for now in 0..1_000 {
             if s.sample_if_due(now) {
@@ -401,7 +396,7 @@ mod tests {
     fn ring_stays_bounded() {
         let s = sampler(1, 8);
         let slot = s.register_session(2);
-        slot.begin_statement(StmtHash::of("q"), "q".into(), 0);
+        slot.begin_statement(StmtHash::of("q"), &"q".into(), 0);
         for now in 1..100 {
             s.sample_now(now);
         }
@@ -416,16 +411,16 @@ mod tests {
         let slot = s.register_session(4);
         let first: Arc<str> = "select 1".into();
         let again: Arc<str> = "select 1".into();
-        slot.publish(StmtHash::of("select 1"), &first, 10);
+        slot.begin_statement(StmtHash::of("select 1"), &first, 10);
         slot.end_statement();
-        slot.publish(StmtHash::of("select 1"), &again, 20);
+        slot.begin_statement(StmtHash::of("select 1"), &again, 20);
         assert_eq!(Arc::strong_count(&again), 1, "no clone for a seen hash");
         let current = slot.current_statement().unwrap();
         assert!(Arc::ptr_eq(&current.template, &first));
         assert_eq!(current.start_ns, 20);
         // A new hash swaps the template in.
         let other: Arc<str> = "select 2".into();
-        slot.publish(StmtHash::of("select 2"), &other, 30);
+        slot.begin_statement(StmtHash::of("select 2"), &other, 30);
         assert!(Arc::ptr_eq(
             &slot.current_statement().unwrap().template,
             &other
@@ -447,7 +442,7 @@ mod tests {
             scope.spawn(move || {
                 for i in 0..20_000u64 {
                     let (hash, template) = &statements[(i % 3) as usize];
-                    slot.publish(*hash, template, i);
+                    slot.begin_statement(*hash, template, i);
                     slot.end_statement();
                 }
             });
@@ -463,7 +458,7 @@ mod tests {
     fn deregister_removes_slot() {
         let s = sampler(1, 8);
         let slot = s.register_session(3);
-        slot.begin_statement(StmtHash::of("q"), "q".into(), 0);
+        slot.begin_statement(StmtHash::of("q"), &"q".into(), 0);
         s.deregister_session(3);
         s.sample_now(10);
         assert!(s.history().is_empty());

@@ -297,7 +297,7 @@ impl Session {
         let mut wait_before = 0u64;
         let _wait_binding = self.ash.as_ref().map(|slot| {
             wait_before = slot.waits().total_ns();
-            slot.publish(hash, &id.template, start_ns);
+            slot.begin_statement(hash, &id.template, start_ns);
             if let Some(sampler) = &engine.ash {
                 sampler.sample_if_due(start_ns);
             }

@@ -657,7 +657,7 @@ mod tests {
         engine.sample_statistics();
         let sampler = engine.ash_sampler().unwrap();
         let slot = sampler.register_session(99);
-        slot.begin_statement(ingot_common::StmtHash::of("q"), "q".into(), 0);
+        slot.begin_statement(ingot_common::StmtHash::of("q"), &"q".into(), 0);
         sampler.sample_now(2);
 
         let m = engine.monitor().unwrap();

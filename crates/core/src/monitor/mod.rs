@@ -34,7 +34,7 @@ mod atomic {
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 
 use ingot_catalog::Catalog;
 use ingot_common::{Cost, EngineConfig, IndexId, MonotonicClock, RingBuffer, StmtHash, TableId};
@@ -194,10 +194,6 @@ struct MonitorState {
     statements: HashMap<StmtHash, FiledStatement>,
     /// Insertion order of statement hashes for ring eviction.
     statement_order: VecDeque<StmtHash>,
-    /// Evicted statements whose cell a prepared handle still keeps: the
-    /// statement re-enters with that cell, so the handle's next execution
-    /// finds it live again.
-    evicted: HashMap<StmtHash, Weak<StatementCell>>,
     references: RingBuffer<ReferenceRecord>,
     tables: BTreeMap<TableId, TableEntry>,
     indexes: BTreeMap<IndexId, IndexEntry>,
@@ -272,7 +268,6 @@ impl Monitor {
             state: Mutex::new(MonitorState {
                 statements: HashMap::with_capacity(config.monitor_statement_capacity.min(4096)),
                 statement_order: VecDeque::new(),
-                evicted: HashMap::new(),
                 references: RingBuffer::new(REFERENCE_CAPACITY),
                 tables: BTreeMap::new(),
                 indexes: BTreeMap::new(),
@@ -454,28 +449,17 @@ impl Monitor {
             if let Some(evict) = state.statement_order.pop_front() {
                 if let Some(gone) = state.statements.remove(&evict) {
                     gone.cell.live.store(false, Ordering::Relaxed);
-                    if Arc::strong_count(&gone.cell) > 1 {
-                        let evicted = &mut state.evicted;
-                        evicted.insert(evict, Arc::downgrade(&gone.cell));
-                        // Forget cells whose handles are gone, at each
-                        // power-of-two size: amortised O(1) per eviction.
-                        if evicted.len() >= 64 && evicted.len().is_power_of_two() {
-                            evicted.retain(|_, cell| cell.strong_count() > 0);
-                        }
-                    }
                 }
                 state.statement_evictions += 1;
             }
         }
-        let cell = state
-            .evicted
-            .remove(&sensor.hash)
-            .and_then(|cell| cell.upgrade())
-            .unwrap_or_default();
+        // A handle whose cell was evicted re-enters with that cell, so its
+        // next execution finds it live again.
+        let cell = match sensor.kept {
+            Some(kept) => Arc::clone(kept.0.get_or_init(Arc::default)),
+            None => Arc::default(),
+        };
         cell.enter(sensor.start_ns);
-        if let Some(kept) = sensor.kept {
-            kept.0.get_or_init(|| Arc::clone(&cell));
-        }
         state.statement_order.push_back(sensor.hash);
         state.statements.insert(
             sensor.hash,
@@ -824,22 +808,6 @@ mod tests {
         fx.run_kept("select 0", Some(&handle));
         assert_eq!(fx.m.health().first_sight_locks, locks);
         assert_eq!(fx.m.statements().pop().unwrap().frequency, 2);
-    }
-
-    #[test]
-    fn text_re_entry_revives_the_cell_a_handle_keeps() {
-        let fx = fixture(1);
-        let handle = KeptCell::default();
-        fx.run_kept("select 0", Some(&handle));
-        fx.run("select 1");
-        // The same text re-enters through the text path first; the
-        // handle's cell is the one filed, so the handle stays lock-free.
-        fx.run("select 0");
-        assert!(handle.live().is_some());
-        let locks = fx.m.health().first_sight_locks;
-        fx.run_kept("select 0", Some(&handle));
-        assert_eq!(fx.m.health().first_sight_locks, locks);
-        assert_eq!(fx.m.statements()[0].frequency, 2);
     }
 
     #[test]

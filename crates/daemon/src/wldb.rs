@@ -449,7 +449,7 @@ mod tests {
             .charge(ingot_common::WaitEvent::LockWaitX, 1_000);
         let sampler = engine.ash_sampler().unwrap();
         let slot = sampler.register_session(99);
-        slot.begin_statement(StmtHash::of("select 1"), "select 1".into(), 0);
+        slot.begin_statement(StmtHash::of("select 1"), &"select 1".into(), 0);
         sampler.sample_now(10);
         engine
     }
@@ -653,7 +653,7 @@ mod tests {
         let sampler = engine.ash_sampler().unwrap();
         registry.charge(ingot_common::WaitEvent::LockWaitX, 1_000);
         let slot = sampler.register_session(99);
-        slot.begin_statement(StmtHash::of("select 1"), "select 1".into(), 0);
+        slot.begin_statement(StmtHash::of("select 1"), &"select 1".into(), 0);
         sampler.sample_now(10);
         let db = WorkloadDb::in_memory(engine.sim_clock().clone()).unwrap();
         db.append_waits(&engine, 100).unwrap();
@@ -688,7 +688,7 @@ mod tests {
         let slots: Vec<_> = (1..=3)
             .map(|id| {
                 let slot = sampler.register_session(id);
-                slot.begin_statement(StmtHash::of("select 1"), "select 1".into(), 0);
+                slot.begin_statement(StmtHash::of("select 1"), &"select 1".into(), 0);
                 slot
             })
             .collect();

@@ -312,7 +312,7 @@ proptest! {
     ) {
         let sampler = AshSampler::new(MonotonicClock::new(), interval, 64);
         let slot = sampler.register_session(1);
-        slot.begin_statement(StmtHash::of("q"), "q".into(), 0);
+        slot.begin_statement(StmtHash::of("q"), &"q".into(), 0);
         for k in 1..=ticks {
             sampler.sample_if_due(k * step);
         }
