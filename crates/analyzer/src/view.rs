@@ -10,7 +10,7 @@ use ingot_core::monitor::{
     AttributeUsage, RefObject, ReferenceRecord, StatSample, StatementInfo, TableUsage,
     WorkloadRecord,
 };
-use ingot_core::{AshSample, Engine, Monitor, Record};
+use ingot_core::{AshSample, Copied, Engine, Monitor};
 use ingot_daemon::WorkloadDb;
 
 /// Per-statement aggregate.
@@ -184,7 +184,7 @@ impl Source {
 
 /// Every row of `R`'s workload-DB table in filing order, read back through
 /// the definition that wrote it.
-fn filed<R: Record>(db: &WorkloadDb) -> Result<Vec<R>> {
+fn filed<R: Copied>(db: &WorkloadDb) -> Result<Vec<R>> {
     db.query(&format!("select * from {} order by ts", R::WL))?
         .iter()
         .map(|row| {

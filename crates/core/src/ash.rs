@@ -24,10 +24,10 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ingot_common::waits::{SessionWaits, WaitEvent, WaitRegistry, WaitRegistryHandle};
-use ingot_common::{DataType, MonotonicClock, RingBuffer, StmtHash, Value};
+use ingot_common::{MonotonicClock, RingBuffer, StmtHash};
 use parking_lot::Mutex;
 
-use crate::monitor::records::{filed_text, hash, int, record, text, v_int, Cells, Record};
+use crate::monitor::records::{filed_text, hash, int, record, text, v_int};
 
 /// What a session is currently executing (live state read by the sampler).
 #[derive(Debug, Clone)]

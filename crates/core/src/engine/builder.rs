@@ -17,12 +17,9 @@ use ingot_txn::{LockManager, TxnManager};
 use parking_lot::Mutex;
 
 use super::{Engine, SessionCounters};
-use crate::ash::AshSampler;
-use crate::ima::{
-    register_concurrency_tables, register_ima_tables, register_monitor_health_table,
-    register_plan_cache_table, register_trace_tables, register_wait_tables, register_wal_table,
-};
-use crate::monitor::Monitor;
+use crate::ash::{AshSample, AshSampler};
+use crate::ima::{latency_buckets, provider, serve, transaction_metrics};
+use crate::monitor::{Monitor, Record};
 
 /// Configures and builds an [`Engine`]. Obtained via [`Engine::builder`].
 ///
@@ -223,17 +220,37 @@ impl Engine {
             (None, None)
         };
         if let (Some(m), Some(t)) = (&monitor, &tracer) {
-            register_ima_tables(&mut catalog, m)?;
-            register_monitor_health_table(&mut catalog, m, t, ash.as_ref())?;
-            register_concurrency_tables(&mut catalog, &locks, &txns, &sessions)?;
-            register_plan_cache_table(&mut catalog, &plan_cache)?;
-            register_wal_table(&mut catalog, &wal)?;
-        }
-        if let (Some(registry), Some(sampler)) = (&waits, &ash) {
-            register_wait_tables(&mut catalog, registry, sampler)?;
-        }
-        if let Some(t) = &tracer {
-            register_trace_tables(&mut catalog, t)?;
+            // Every `ima$` table the engine serves itself, in registration
+            // order (table ids follow it).
+            let c = &mut catalog;
+            serve(c, m, Monitor::statements)?;
+            serve(c, m, Monitor::workload)?;
+            serve(c, m, Monitor::references)?;
+            serve(c, m, Monitor::tables)?;
+            serve(c, m, Monitor::indexes)?;
+            serve(c, m, Monitor::attributes)?;
+            serve(c, m, Monitor::statistics)?;
+            let (a, tr) = (ash.clone(), Arc::clone(t));
+            serve(c, m, move |m| {
+                vec![(m.health(), a.clone(), Arc::clone(&tr))]
+            })?;
+            serve(c, &locks, LockManager::snapshot_locks)?;
+            let (tx, lk) = (Arc::clone(&txns), Arc::clone(&locks));
+            serve(c, &sessions, move |s| {
+                vec![(s.current(), s.peak(), tx.active_count(), lk.stats())]
+            })?;
+            serve(c, &txns, transaction_metrics)?;
+            serve(c, &plan_cache, |p| vec![p.stats()])?;
+            serve(c, &wal, |w| vec![(w.mode(), w.stats())])?;
+            if let (Some(registry), Some(sampler)) = (&waits, &ash) {
+                serve(c, registry, WaitRegistry::snapshot)?;
+                let live = Arc::clone(sampler);
+                let rows = provider(move || live.active_snapshot());
+                c.register_virtual_table("ima$active_sessions", AshSample::schema(), rows)?;
+                serve(c, sampler, AshSampler::history)?;
+            }
+            serve(c, t, Tracer::operator_stats)?;
+            serve(c, t, latency_buckets)?;
         }
         Ok(Arc::new(Engine {
             locks,
@@ -253,7 +270,7 @@ impl Engine {
             checkpoint_serial: Mutex::new(()),
             waits,
             ash,
-            conn_provider: Arc::new(Mutex::new(None)),
+            attached: Arc::default(),
         }))
     }
 }

@@ -24,8 +24,8 @@ use ingot_txn::{LockManager, TxnManager};
 use parking_lot::Mutex;
 
 use crate::ash::AshSampler;
-use crate::ima::{register_connections_table, IMA_CONNECTIONS};
-use crate::monitor::{Monitor, StatSample};
+use crate::ima::provider;
+use crate::monitor::{Monitor, Record, StatSample};
 use commit::TxnUndo;
 
 mod builder;
@@ -111,11 +111,9 @@ pub struct Engine {
     waits: Option<Arc<WaitRegistry>>,
     /// The ASH sampler; present exactly when `waits` is.
     ash: Option<Arc<AshSampler>>,
-    /// Swappable row source behind `ima$connections`. The virtual table is
-    /// registered once (first [`Engine::attach_connections_provider`]) with a
-    /// closure reading this slot, so a restarted in-process server re-attaches
-    /// its fresh registry instead of leaving the table serving stale rows.
-    conn_provider: Arc<Mutex<Option<ingot_catalog::VirtualProvider>>>,
+    /// The row sources of the `ima$` tables filled outside the engine, by
+    /// table name (see [`Engine::attach`]).
+    attached: Arc<Mutex<HashMap<&'static str, ingot_catalog::VirtualProvider>>>,
 }
 
 impl Engine {
@@ -161,39 +159,36 @@ impl Engine {
         self.ash.as_ref()
     }
 
-    /// Attach (or replace) the row source behind the `ima$connections`
-    /// virtual table. Called by a server embedding this engine when it
-    /// starts accepting connections; the table itself is registered on the
-    /// first attach — table ids share one space, so registering it at
-    /// construction would renumber every table created afterwards — and
-    /// thereafter reads through a swappable slot, so a server restarted on
-    /// the same engine serves fresh rows rather than a stale captured
-    /// registry. No-op registration on an unmonitored engine (`ima$…`
-    /// tables need the monitor's catalog surface).
-    pub fn attach_connections_provider(
+    /// Serve the `ima$` table of `R` from `rows`, a source outside the
+    /// engine: a storage daemon's `ima$daemon_health`, a server's
+    /// `ima$connections`. The table is registered on the first attach —
+    /// table ids share one space, so registering it at construction would
+    /// renumber every table created afterwards — and reads through a slot
+    /// each later attach replaces, so the latest daemon or a restarted
+    /// server serves its own rows, never a predecessor's.
+    pub fn attach<R: Record>(
         &self,
-        provider: ingot_catalog::VirtualProvider,
+        rows: impl Fn() -> Vec<R> + Send + Sync + 'static,
     ) -> Result<()> {
-        *self.conn_provider.lock() = Some(provider);
-        if self.monitor.is_none() {
-            return Ok(());
-        }
+        self.attached.lock().insert(R::IMA, provider(rows));
         let mut catalog = self.catalog.write();
-        if catalog.resolve_relation(IMA_CONNECTIONS).is_ok() {
+        if catalog.resolve_relation(R::IMA).is_ok() {
             // An earlier attach registered it; swapping the slot was all.
             return Ok(());
         }
-        let slot = Arc::clone(&self.conn_provider);
-        register_connections_table(
-            &mut catalog,
-            Arc::new(move || slot.lock().as_ref().map(|p| p()).unwrap_or_default()),
-        )
+        let slots = Arc::clone(&self.attached);
+        let rows = move || {
+            let source = slots.lock().get(R::IMA).cloned();
+            source.map(|rows| rows()).unwrap_or_default()
+        };
+        catalog.register_virtual_table(R::IMA, R::schema(), Arc::new(rows))?;
+        Ok(())
     }
 
-    /// Detach the `ima$connections` row source: the table stays registered
-    /// but reports an empty fleet until the next attach.
-    pub fn detach_connections_provider(&self) {
-        *self.conn_provider.lock() = None;
+    /// Detach the row source of `R`'s table: the table stays registered but
+    /// serves no row until the next [`attach`](Self::attach).
+    pub fn detach<R: Record>(&self) {
+        self.attached.lock().remove(R::IMA);
     }
 
     /// The shared simulated clock.
@@ -393,7 +388,8 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ingot_common::{Error, Row, StmtHash, Value};
+    use crate::ima::{ConnectionRow, IMA_CONNECTIONS};
+    use ingot_common::{Error, StmtHash, Value};
 
     fn engine() -> Arc<Engine> {
         Engine::builder()
@@ -937,19 +933,19 @@ mod tests {
 
     #[test]
     fn ima_connections_is_registered_once_and_swaps_its_source() {
-        let fleet = |peer: &'static str| -> ingot_catalog::VirtualProvider {
-            Arc::new(move || {
-                vec![Row::new(vec![
-                    Value::Int(1),
-                    Value::Str(peer.into()),
-                    Value::Null,
-                    Value::Str("idle".into()),
-                    Value::Null,
-                    Value::Null,
-                    Value::Int(0),
-                    Value::Int(-1),
-                ])]
-            })
+        let fleet = |peer: &'static str| {
+            move || {
+                vec![ConnectionRow {
+                    session: 1,
+                    peer: peer.into(),
+                    client: String::new(),
+                    state: "idle",
+                    statement: None,
+                    wait_event: None,
+                    idle_ms: 0,
+                    txn_age_ms: -1,
+                }]
+            }
         };
         let e = engine();
         let s = e.open_session();
@@ -957,11 +953,11 @@ mod tests {
             let r = s.execute("select peer from ima$connections").unwrap();
             r.rows.iter().map(|row| row.get(0).clone()).collect()
         };
-        e.attach_connections_provider(fleet("first")).unwrap();
+        e.attach(fleet("first")).unwrap();
         assert_eq!(peers(), [Value::Str("first".into())]);
-        e.detach_connections_provider();
+        e.detach::<ConnectionRow>();
         assert!(peers().is_empty(), "registered, but no fleet attached");
-        e.attach_connections_provider(fleet("second")).unwrap();
+        e.attach(fleet("second")).unwrap();
         assert_eq!(peers(), [Value::Str("second".into())]);
         let tables = e
             .catalog()
@@ -970,13 +966,5 @@ mod tests {
             .filter(|t| &*t.name == IMA_CONNECTIONS)
             .count();
         assert_eq!(tables, 1);
-
-        // An unmonitored engine registers nothing.
-        let bare = engine_with(EngineConfig::original());
-        bare.attach_connections_provider(fleet("ignored")).unwrap();
-        assert!(bare
-            .open_session()
-            .execute("select peer from ima$connections")
-            .is_err());
     }
 }

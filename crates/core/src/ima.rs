@@ -5,519 +5,305 @@
 //! interface. Because IMA objects reside only in main memory, there is no
 //! disk access required to store or read the data." (§IV-A)
 //!
-//! The providers below capture an `Arc<Monitor>`; scanning `ima$workload`
-//! copies its lock-free ring, the other tables cost one snapshot under the
-//! monitor lock, and none does I/O.
+//! Every table is a [`Record`], its columns listed once beside the source
+//! they read: the nine the storage daemon copies are defined with their
+//! records in `monitor::records` and `ash.rs` (`ima$active_sessions` serves
+//! `ima$ash`'s record live), the other ten below. The engine builder serves
+//! eighteen over the subsystems it wires; [`Engine::attach`][crate::Engine::attach]
+//! serves the two filled outside the engine. Scanning `ima$workload` copies
+//! its lock-free ring, the monitor's other tables cost one snapshot under
+//! its lock, and none does I/O.
 
 use std::sync::Arc;
 
-use ingot_catalog::Catalog;
-use ingot_common::waits::{WaitRegistry, WaitTotal};
-use ingot_common::{Column, DataType, Result, Row, Schema, Value};
-use ingot_planner::PlanCache;
-use ingot_storage::Wal;
-use ingot_trace::Tracer;
-use ingot_txn::{AbortCause, LockManager, LockMode, Resource, TxnManager};
+use ingot_catalog::{Catalog, VirtualProvider};
+use ingot_common::waits::WaitTotal;
+use ingot_common::{Result, Row, Schema, StmtHash, Value, WalFsyncMode};
+use ingot_planner::PlanCacheStats;
+use ingot_storage::WalStats;
+use ingot_trace::{OperatorStats, Tracer};
+use ingot_txn::{LockInfo, LockMode, LockStats, Resource};
 
 use crate::ash::{AshSample, AshSampler};
-use crate::engine::SessionCounters;
 use crate::monitor::records::{
-    v_int, AttributeUsage, IndexUsage, Record, ReferenceRecord, StatSample, StatementInfo,
-    TableUsage, WorkloadRecord,
+    record, v_int, AttributeUsage, Copied, IndexUsage, Record, ReferenceRecord, StatSample,
+    StatementInfo, TableUsage, WorkloadRecord,
 };
-use crate::monitor::Monitor;
+use crate::monitor::MonitorHealth;
 
-/// Register `name` as a virtual table of `R` records: the record's schema
-/// over whatever `rows` snapshots at scan time.
-fn register<R: Record>(
-    catalog: &mut Catalog,
-    name: &str,
+/// `rows` as a catalog row source: each record encoded at scan time.
+pub(crate) fn provider<R: Record>(
     rows: impl Fn() -> Vec<R> + Send + Sync + 'static,
-) -> Result<()> {
-    let provider = move || rows().into_iter().map(|r| Row::new(r.encode())).collect();
-    catalog.register_virtual_table(name, R::schema(), Arc::new(provider))?;
-    Ok(())
+) -> VirtualProvider {
+    Arc::new(move || rows().into_iter().map(|r| Row::new(r.encode())).collect())
 }
 
-/// Register the seven Fig 3 `ima$…` virtual tables for `monitor` into
-/// `catalog`.
-pub fn register_ima_tables(catalog: &mut Catalog, monitor: &Arc<Monitor>) -> Result<()> {
-    let m = Arc::clone(monitor);
-    register(catalog, StatementInfo::IMA, move || m.statements())?;
-    let m = Arc::clone(monitor);
-    register(catalog, WorkloadRecord::IMA, move || m.workload())?;
-    let m = Arc::clone(monitor);
-    register(catalog, ReferenceRecord::IMA, move || m.references())?;
-    let m = Arc::clone(monitor);
-    register(catalog, TableUsage::IMA, move || m.tables())?;
-    let m = Arc::clone(monitor);
-    register(catalog, IndexUsage::IMA, move || m.indexes())?;
-    let m = Arc::clone(monitor);
-    register(catalog, AttributeUsage::IMA, move || m.attributes())?;
-    let m = Arc::clone(monitor);
-    register(catalog, StatSample::IMA, move || m.statistics())
-}
-
-/// Register `ima$monitor_health`: a single-row self-observation of the
-/// observers themselves (the "who watches the watchers" table, mirroring
-/// `ima$daemon_health` for the in-process side): the monitor's self-cost and
-/// ring state, the tracer's trace ring, and — NULL when the wait subsystem
-/// is off — the ASH sampler's tick and ring counters.
-pub(crate) fn register_monitor_health_table(
+/// Register `R::IMA` as a virtual table: the record's schema over the
+/// records `rows` reads off `source` at scan time.
+pub(crate) fn serve<S: Send + Sync + 'static, R: Record>(
     catalog: &mut Catalog,
-    monitor: &Arc<Monitor>,
-    tracer: &Arc<Tracer>,
-    sampler: Option<&Arc<AshSampler>>,
+    source: &Arc<S>,
+    rows: impl Fn(&S) -> Vec<R> + Send + Sync + 'static,
 ) -> Result<()> {
-    let m = Arc::clone(monitor);
-    let t = Arc::clone(tracer);
-    let ash = sampler.cloned();
-    catalog.register_virtual_table(
-        "ima$monitor_health",
-        Schema::new(vec![
-            Column::not_null("self_time_ns", DataType::Int),
-            Column::new("sensor_calls", DataType::Int),
-            Column::new("statements_recorded", DataType::Int),
-            Column::new("statements_len", DataType::Int),
-            Column::new("statements_capacity", DataType::Int),
-            Column::new("statement_evictions", DataType::Int),
-            Column::new("workload_len", DataType::Int),
-            Column::new("workload_capacity", DataType::Int),
-            Column::new("workload_wrapped", DataType::Int),
-            Column::new("references_len", DataType::Int),
-            Column::new("references_capacity", DataType::Int),
-            Column::new("references_wrapped", DataType::Int),
-            Column::new("statistics_len", DataType::Int),
-            Column::new("statistics_capacity", DataType::Int),
-            Column::new("statistics_wrapped", DataType::Int),
-            Column::new("ash_samples_taken", DataType::Int),
-            Column::new("ash_wrapped", DataType::Int),
-            Column::new("trace_wrapped", DataType::Int),
-            Column::new("workload_lapped", DataType::Int),
-            Column::new("first_sight_locks", DataType::Int),
-        ]),
-        Arc::new(move || {
-            let h = m.health();
-            vec![Row::new(vec![
-                v_int(h.self_time_ns),
-                v_int(h.sensor_calls),
-                v_int(h.statements_recorded),
-                v_int(h.statements_len as u64),
-                v_int(h.statements_capacity as u64),
-                v_int(h.statement_evictions),
-                v_int(h.workload_len as u64),
-                v_int(h.workload_capacity as u64),
-                v_int(h.workload_total.saturating_sub(h.workload_len as u64)),
-                v_int(h.references_len as u64),
-                v_int(h.references_capacity as u64),
-                v_int(h.references_total.saturating_sub(h.references_len as u64)),
-                v_int(h.statistics_len as u64),
-                v_int(h.statistics_capacity as u64),
-                v_int(h.statistics_total.saturating_sub(h.statistics_len as u64)),
-                ash.as_ref()
-                    .map_or(Value::Null, |a| v_int(a.samples_taken())),
-                // The ring never shrinks, so it holds min(total, capacity).
-                ash.as_ref().map_or(Value::Null, |a| {
-                    v_int(a.total_recorded().saturating_sub(a.ring_capacity() as u64))
-                }),
-                v_int(t.traces_wrapped()),
-                v_int(h.workload_lapped),
-                v_int(h.first_sight_locks),
-            ])]
-        }),
-    )?;
+    let source = Arc::clone(source);
+    catalog.register_virtual_table(R::IMA, R::schema(), provider(move || rows(&source)))?;
     Ok(())
 }
 
-/// Register the tracing exports: `ima$operator_stats` (per-statement,
-/// per-plan-operator aggregates from the span layer) and
-/// `ima$latency_histograms` (log2-bucketed wall-clock latency per statement
-/// hash, with cumulative counts so quantiles are derivable in SQL).
-pub(crate) fn register_trace_tables(catalog: &mut Catalog, tracer: &Arc<Tracer>) -> Result<()> {
-    let t = Arc::clone(tracer);
-    catalog.register_virtual_table(
-        "ima$operator_stats",
-        Schema::new(vec![
-            Column::not_null("hash", DataType::Str),
-            Column::new("op_id", DataType::Int),
-            Column::new("parent_id", DataType::Int),
-            Column::new("depth", DataType::Int),
-            Column::new("op", DataType::Str),
-            Column::new("detail", DataType::Str),
-            Column::new("executions", DataType::Int),
-            Column::new("rows_in", DataType::Int),
-            Column::new("rows_out", DataType::Int),
-            Column::new("tuples", DataType::Int),
-            Column::new("pages", DataType::Int),
-            Column::new("elapsed_ns", DataType::Int),
-            Column::new("est_rows", DataType::Float),
-            Column::new("est_cost", DataType::Float),
-        ]),
-        Arc::new(move || {
-            t.operator_stats()
-                .into_iter()
-                .map(|(hash, o)| {
-                    Row::new(vec![
-                        Value::Str(hash.to_string()),
-                        v_int(u64::from(o.op_id)),
-                        Value::Int(o.parent.map_or(-1, i64::from)),
-                        v_int(u64::from(o.depth)),
-                        Value::Str(o.op),
-                        Value::Str(o.detail),
-                        v_int(o.executions),
-                        v_int(o.rows_in),
-                        v_int(o.rows_out),
-                        v_int(o.tuples),
-                        v_int(o.pages),
-                        v_int(o.elapsed_ns),
-                        Value::Float(o.est_rows),
-                        Value::Float(o.est_cost),
-                    ])
-                })
-                .collect()
-        }),
-    )?;
+/// The observers watched by `ima$monitor_health`: the monitor's health, the
+/// ASH sampler when the wait subsystem is on, and the tracer.
+type ObserverHealth = (MonitorHealth, Option<Arc<AshSampler>>, Arc<Tracer>);
 
-    let t = Arc::clone(tracer);
-    catalog.register_virtual_table(
-        "ima$latency_histograms",
-        Schema::new(vec![
-            Column::not_null("hash", DataType::Str),
-            Column::new("bucket", DataType::Int),
-            Column::new("lo_ns", DataType::Int),
-            Column::new("hi_ns", DataType::Int),
-            Column::new("count", DataType::Int),
-            Column::new("cum_count", DataType::Int),
-        ]),
-        Arc::new(move || {
-            let mut rows = Vec::new();
-            for (hash, hist) in t.histograms() {
-                for (bucket, lo, hi, count, cum) in hist.rows() {
-                    rows.push(Row::new(vec![
-                        Value::Str(hash.to_string()),
-                        v_int(bucket as u64),
-                        v_int(lo),
-                        v_int(hi),
-                        v_int(count),
-                        v_int(cum),
-                    ]));
-                }
-            }
-            rows
-        }),
-    )?;
-    Ok(())
+// A single-row self-observation of the observers themselves (the "who
+// watches the watchers" table, mirroring `ima$daemon_health` for the
+// in-process side): the monitor's self-cost and ring state, the tracer's
+// trace ring, and — NULL when the wait subsystem is off — the ASH
+// sampler's tick and ring counters.
+record!(ObserverHealth, "ima$monitor_health", |(h, ash, t)| {
+    "self_time_ns": Int = v_int(h.self_time_ns),
+    "sensor_calls": Int = v_int(h.sensor_calls),
+    "statements_recorded": Int = v_int(h.statements_recorded),
+    "statements_len": Int = v_int(h.statements_len as u64),
+    "statements_capacity": Int = v_int(h.statements_capacity as u64),
+    "statement_evictions": Int = v_int(h.statement_evictions),
+    "workload_len": Int = v_int(h.workload_len as u64),
+    "workload_capacity": Int = v_int(h.workload_capacity as u64),
+    "workload_wrapped": Int = v_int(h.workload_total.saturating_sub(h.workload_len as u64)),
+    "references_len": Int = v_int(h.references_len as u64),
+    "references_capacity": Int = v_int(h.references_capacity as u64),
+    "references_wrapped": Int = v_int(h.references_total.saturating_sub(h.references_len as u64)),
+    "statistics_len": Int = v_int(h.statistics_len as u64),
+    "statistics_capacity": Int = v_int(h.statistics_capacity as u64),
+    "statistics_wrapped": Int = v_int(h.statistics_total.saturating_sub(h.statistics_len as u64)),
+    "ash_samples_taken": Int = ash.as_ref().map_or(Value::Null, |a| v_int(a.samples_taken())),
+    // The ring never shrinks, so it holds min(total, capacity).
+    "ash_wrapped": Int = ash.as_ref().map_or(Value::Null, |a| {
+        v_int(a.total_recorded().saturating_sub(a.ring_capacity() as u64))
+    }),
+    "trace_wrapped": Int = v_int(t.traces_wrapped()),
+    "workload_lapped": Int = v_int(h.workload_lapped),
+    "first_sight_locks": Int = v_int(h.first_sight_locks),
+});
+
+// One row per granted or queued lock request, live from the lock manager.
+record!(LockInfo, "ima$locks", |i| {
+    "txn": Int = v_int(i.txn.raw()),
+    "table_id": Int not_null = match i.resource {
+        Resource::Table(t) | Resource::Row(t, _) => v_int(t.raw().into()),
+    },
+    "row_id": Int = match i.resource {
+        Resource::Table(_) => Value::Null,
+        Resource::Row(_, row) => v_int(row),
+    },
+    "mode": Str = match i.mode {
+        LockMode::Shared => "S",
+        LockMode::Exclusive => "X",
+    },
+    "state": Str = if i.granted { "granted" } else { "waiting" },
+});
+
+/// Current and peak sessions, active transactions, then the lock counters.
+type SessionCounts = (u64, u64, u64, LockStats);
+
+record!(SessionCounts, "ima$sessions", |(current, peak, active, l)| {
+    "current_sessions": Int = v_int(current),
+    "peak_sessions": Int = v_int(peak),
+    "active_txns": Int = v_int(active),
+    "locks_held": Int = v_int(l.held),
+    "lock_waiting": Int = v_int(l.waiting),
+    "lock_waits_total": Int = v_int(l.waits_total),
+    "deadlocks_total": Int = v_int(l.deadlocks_total),
+    "locks_granted_total": Int = v_int(l.granted_total),
+});
+
+/// A metric of the MVCC authority, the transaction holding a `snapshot_ts`
+/// row (`None` on the others), and the value.
+type TxnMetric = (String, Option<u64>, u64);
+
+record!(TxnMetric, "ima$transactions", |(metric, txn, value)| {
+    "metric": Str = metric,
+    "txn": Int = txn.map_or(Value::Null, v_int),
+    "value": Int = v_int(value),
+});
+
+record!(PlanCacheStats, "ima$plan_cache", |s| {
+    "hits": Int = v_int(s.hits),
+    "misses": Int = v_int(s.misses),
+    "evictions": Int = v_int(s.evictions),
+    "invalidations": Int = v_int(s.invalidations),
+    "entries": Int = v_int(s.entries),
+    "capacity": Int = v_int(s.capacity),
+});
+
+// LSN watermarks, append and fsync totals, group-commit batching, and the
+// salvage/replay tallies of the last crash recovery.
+record!((WalFsyncMode, WalStats), "ima$wal", |(mode, s)| {
+    "fsync_mode": Str = mode.to_string(),
+    "current_lsn": Int = v_int(s.current_lsn),
+    "durable_lsn": Int = v_int(s.durable_lsn),
+    "low_water_lsn": Int = v_int(s.low_water_lsn),
+    "appends": Int = v_int(s.appends),
+    "bytes_written": Int = v_int(s.bytes_written),
+    "fsyncs": Int = v_int(s.fsyncs),
+    "truncations": Int = v_int(s.truncations),
+    "groups": Int = v_int(s.groups),
+    "grouped_commits": Int = v_int(s.grouped_commits),
+    "max_group": Int = v_int(s.max_group),
+    "recovered_records": Int = v_int(s.recovered_records),
+    "replayed_records": Int = v_int(s.replayed_records),
+    "replayed_txns": Int = v_int(s.replayed_txns),
+    "discarded_bytes": Int = v_int(s.discarded_bytes),
+});
+
+// Per-statement, per-plan-operator aggregates from the span layer.
+record!((StmtHash, OperatorStats), "ima$operator_stats", |(hash, o)| {
+    "hash": Str = hash.to_string(),
+    "op_id": Int = v_int(o.op_id.into()),
+    "parent_id": Int = o.parent.map_or(-1, i64::from),
+    "depth": Int = v_int(o.depth.into()),
+    "op": Str = o.op,
+    "detail": Str = o.detail,
+    "executions": Int = v_int(o.executions),
+    "rows_in": Int = v_int(o.rows_in),
+    "rows_out": Int = v_int(o.rows_out),
+    "tuples": Int = v_int(o.tuples),
+    "pages": Int = v_int(o.pages),
+    "elapsed_ns": Int = v_int(o.elapsed_ns),
+    "est_rows": Float = o.est_rows,
+    "est_cost": Float = o.est_cost,
+});
+
+/// A statement hash and one non-empty log2 bucket of its wall-clock latency
+/// histogram, as `LatencyHistogram::rows` gives it: `(bucket, lo_ns, hi_ns,
+/// count, cum_count)`, the cumulative count so quantiles are derivable in SQL.
+type LatencyBucket = (StmtHash, (usize, u64, u64, u64, u64));
+
+record!(LatencyBucket, "ima$latency_histograms", |(hash, (bucket, lo, hi, count, cum))| {
+    "hash": Str = hash.to_string(),
+    "bucket": Int = v_int(bucket as u64),
+    "lo_ns": Int = v_int(lo),
+    "hi_ns": Int = v_int(hi),
+    "count": Int = v_int(count),
+    "cum_count": Int = v_int(cum),
+});
+
+/// `ima$transactions`: the metric rows, then one `snapshot_ts` row per
+/// active snapshot. Chain-shape rows (`chain_*`) refresh on each GC sweep.
+pub(crate) fn transaction_metrics(t: &ingot_txn::TxnManager) -> Vec<TxnMetric> {
+    let mut rows = Vec::new();
+    let mut push = |metric: &str, v: u64| rows.push((metric.to_owned(), None, v));
+    push("commit_seq", t.read_ts());
+    push("active_txns", t.active_count());
+    let mut snaps = t.active_snapshots();
+    push("active_snapshots", snaps.len() as u64);
+    push("gc_watermark", t.gc_watermark());
+    push("committed_total", t.committed_count());
+    push("aborted_total", t.aborted_count());
+    for cause in ingot_txn::AbortCause::ALL {
+        push(
+            &format!("aborts_{}", cause.name()),
+            t.aborts_by_cause(cause),
+        );
+    }
+    push("validation_failures", t.validation_failures());
+    push("undo_failures", t.undo_failures());
+    push("gc_runs", t.gc_runs());
+    push("gc_versions_removed", t.gc_versions_removed());
+    push("gc_last_watermark", t.gc_last_watermark());
+    let (versions, chains, longest) = t.chain_shape();
+    push("chain_versions", versions);
+    push("chain_count", chains);
+    push("chain_longest", longest);
+    snaps.sort_unstable();
+    rows.extend(
+        snaps
+            .into_iter()
+            .map(|(txn, ts)| ("snapshot_ts".to_owned(), Some(txn), ts)),
+    );
+    rows
 }
 
-/// Register `ima$plan_cache`: a single-row counter snapshot of the shared
-/// plan cache (hit/miss/eviction/invalidation totals plus live entry count
-/// and capacity), so cache effectiveness is observable over plain SQL like
-/// every other IMA object.
-pub(crate) fn register_plan_cache_table(
-    catalog: &mut Catalog,
-    cache: &Arc<PlanCache>,
-) -> Result<()> {
-    let c = Arc::clone(cache);
-    catalog.register_virtual_table(
-        "ima$plan_cache",
-        Schema::new(vec![
-            Column::not_null("hits", DataType::Int),
-            Column::new("misses", DataType::Int),
-            Column::new("evictions", DataType::Int),
-            Column::new("invalidations", DataType::Int),
-            Column::new("entries", DataType::Int),
-            Column::new("capacity", DataType::Int),
-        ]),
-        Arc::new(move || {
-            let s = c.stats();
-            vec![Row::new(vec![
-                v_int(s.hits),
-                v_int(s.misses),
-                v_int(s.evictions),
-                v_int(s.invalidations),
-                v_int(s.entries),
-                v_int(s.capacity),
-            ])]
-        }),
-    )?;
-    Ok(())
+/// `ima$latency_histograms`: every non-empty bucket of every statement's
+/// latency histogram.
+pub(crate) fn latency_buckets(t: &Tracer) -> Vec<LatencyBucket> {
+    t.histograms()
+        .into_iter()
+        .flat_map(|(hash, hist)| hist.rows().into_iter().map(move |b| (hash, b)))
+        .collect()
 }
 
-/// Register `ima$wal`: a single-row snapshot of the write-ahead log — LSN
-/// watermarks (appended / durable / truncation low-water), append and fsync
-/// totals, group-commit batching effectiveness, and the salvage/replay
-/// tallies of the last crash recovery. Reads atomics plus one short-lived
-/// internal mutex; querying it never touches the log file.
-pub fn register_wal_table(catalog: &mut Catalog, wal: &Arc<Wal>) -> Result<()> {
-    let w = Arc::clone(wal);
-    catalog.register_virtual_table(
-        "ima$wal",
-        Schema::new(vec![
-            Column::not_null("fsync_mode", DataType::Str),
-            Column::new("current_lsn", DataType::Int),
-            Column::new("durable_lsn", DataType::Int),
-            Column::new("low_water_lsn", DataType::Int),
-            Column::new("appends", DataType::Int),
-            Column::new("bytes_written", DataType::Int),
-            Column::new("fsyncs", DataType::Int),
-            Column::new("truncations", DataType::Int),
-            Column::new("groups", DataType::Int),
-            Column::new("grouped_commits", DataType::Int),
-            Column::new("max_group", DataType::Int),
-            Column::new("recovered_records", DataType::Int),
-            Column::new("replayed_records", DataType::Int),
-            Column::new("replayed_txns", DataType::Int),
-            Column::new("discarded_bytes", DataType::Int),
-        ]),
-        Arc::new(move || {
-            let s = w.stats();
-            vec![Row::new(vec![
-                Value::Str(w.mode().to_string()),
-                v_int(s.current_lsn),
-                v_int(s.durable_lsn),
-                v_int(s.low_water_lsn),
-                v_int(s.appends),
-                v_int(s.bytes_written),
-                v_int(s.fsyncs),
-                v_int(s.truncations),
-                v_int(s.groups),
-                v_int(s.grouped_commits),
-                v_int(s.max_group),
-                v_int(s.recovered_records),
-                v_int(s.replayed_records),
-                v_int(s.replayed_txns),
-                v_int(s.discarded_bytes),
-            ])]
-        }),
-    )?;
-    Ok(())
-}
-
-/// Register the concurrency exports: `ima$locks` (one row per granted or
-/// queued lock request, live from the lock manager), `ima$sessions` (a
-/// single row of session/transaction/lock counters) and `ima$transactions`
-/// (the MVCC authority: commit sequence, active snapshots, abort taxonomy,
-/// first-committer-wins validation failures and version-chain GC counters).
-/// All read atomics or a short-lived internal mutex — a query over them
-/// never takes table locks, so lock contention itself is observable *during*
-/// the contention, which is the paper's lock-monitoring scenario.
-pub(crate) fn register_concurrency_tables(
-    catalog: &mut Catalog,
-    locks: &Arc<LockManager>,
-    txns: &Arc<TxnManager>,
-    sessions: &Arc<SessionCounters>,
-) -> Result<()> {
-    // ima$locks
-    let l = Arc::clone(locks);
-    catalog.register_virtual_table(
-        "ima$locks",
-        Schema::new(vec![
-            Column::not_null("txn", DataType::Int),
-            Column::not_null("table_id", DataType::Int),
-            Column::new("row_id", DataType::Int),
-            Column::new("mode", DataType::Str),
-            Column::new("state", DataType::Str),
-        ]),
-        Arc::new(move || {
-            l.snapshot_locks()
-                .into_iter()
-                .map(|i| {
-                    let (table, row) = match i.resource {
-                        Resource::Table(t) => (t, Value::Null),
-                        Resource::Row(t, r) => (t, Value::Int(r as i64)),
-                    };
-                    Row::new(vec![
-                        Value::Int(i.txn.raw() as i64),
-                        v_int(u64::from(table.raw())),
-                        row,
-                        Value::Str(
-                            match i.mode {
-                                LockMode::Shared => "S",
-                                LockMode::Exclusive => "X",
-                            }
-                            .to_owned(),
-                        ),
-                        Value::Str(if i.granted { "granted" } else { "waiting" }.to_owned()),
-                    ])
-                })
-                .collect()
-        }),
-    )?;
-
-    // ima$sessions
-    let l = Arc::clone(locks);
-    let t = Arc::clone(txns);
-    let s = Arc::clone(sessions);
-    catalog.register_virtual_table(
-        "ima$sessions",
-        Schema::new(vec![
-            Column::not_null("current_sessions", DataType::Int),
-            Column::new("peak_sessions", DataType::Int),
-            Column::new("active_txns", DataType::Int),
-            Column::new("locks_held", DataType::Int),
-            Column::new("lock_waiting", DataType::Int),
-            Column::new("lock_waits_total", DataType::Int),
-            Column::new("deadlocks_total", DataType::Int),
-            Column::new("locks_granted_total", DataType::Int),
-        ]),
-        Arc::new(move || {
-            let ls = l.stats();
-            vec![Row::new(vec![
-                v_int(s.current()),
-                v_int(s.peak()),
-                v_int(t.active_count()),
-                v_int(ls.held),
-                v_int(ls.waiting),
-                v_int(ls.waits_total),
-                v_int(ls.deadlocks_total),
-                v_int(ls.granted_total),
-            ])]
-        }),
-    )?;
-
-    // ima$transactions: metric/value rows, plus one `snapshot_ts` row per
-    // active snapshot (its `txn` column names the holder). Chain-shape rows
-    // (`chain_*`) refresh on each GC sweep.
-    let t = Arc::clone(txns);
-    catalog.register_virtual_table(
-        "ima$transactions",
-        Schema::new(vec![
-            Column::not_null("metric", DataType::Str),
-            Column::new("txn", DataType::Int),
-            Column::new("value", DataType::Int),
-        ]),
-        Arc::new(move || {
-            let mut rows = Vec::new();
-            let mut push = |metric: &str, v: u64| {
-                rows.push(Row::new(vec![
-                    Value::Str(metric.to_owned()),
-                    Value::Null,
-                    v_int(v),
-                ]));
-            };
-            push("commit_seq", t.read_ts());
-            push("active_txns", t.active_count());
-            let mut snaps = t.active_snapshots();
-            push("active_snapshots", snaps.len() as u64);
-            push("gc_watermark", t.gc_watermark());
-            push("committed_total", t.committed_count());
-            push("aborted_total", t.aborted_count());
-            for cause in AbortCause::ALL {
-                push(
-                    &format!("aborts_{}", cause.name()),
-                    t.aborts_by_cause(cause),
-                );
-            }
-            push("validation_failures", t.validation_failures());
-            push("undo_failures", t.undo_failures());
-            push("gc_runs", t.gc_runs());
-            push("gc_versions_removed", t.gc_versions_removed());
-            push("gc_last_watermark", t.gc_last_watermark());
-            let (versions, chains, longest) = t.chain_shape();
-            push("chain_versions", versions);
-            push("chain_count", chains);
-            push("chain_longest", longest);
-            snaps.sort_unstable();
-            for (txn, ts) in snaps {
-                rows.push(Row::new(vec![
-                    Value::Str("snapshot_ts".to_owned()),
-                    v_int(txn),
-                    v_int(ts),
-                ]));
-            }
-            rows
-        }),
-    )?;
-    Ok(())
-}
-
-/// Register the wait-event + ASH virtual tables: `ima$wait_events`
-/// (cumulative counts/ns per event, always all taxonomy rows),
-/// `ima$active_sessions` (live: every session currently mid-statement with
-/// its wait state computed at read time) and `ima$ash` (the bounded sample
-/// history ring).
-pub(crate) fn register_wait_tables(
-    catalog: &mut Catalog,
-    registry: &Arc<WaitRegistry>,
-    sampler: &Arc<AshSampler>,
-) -> Result<()> {
-    let r = Arc::clone(registry);
-    register(catalog, WaitTotal::IMA, move || r.snapshot())?;
-    let s = Arc::clone(sampler);
-    register(catalog, "ima$active_sessions", move || s.active_snapshot())?;
-    let s = Arc::clone(sampler);
-    register(catalog, AshSample::IMA, move || s.history())
-}
-
-/// Name of the storage-daemon health table (registered only while a daemon
-/// is attached to the engine — see [`register_daemon_health_table`]).
+/// Name of the storage-daemon health table, served while a daemon is
+/// attached ([`Engine::attach`][crate::Engine::attach]).
 pub const IMA_DAEMON_HEALTH: &str = "ima$daemon_health";
 
-/// Register `ima$daemon_health` backed by `provider` (one row per snapshot
-/// of the daemon's health-state machine). The schema is defined here so all
-/// IMA shapes live in one place; the storage daemon supplies the provider
-/// because the counters are its own. Provider rows must match:
-/// `state` (text), `polls`, `failed_polls`, `consecutive_failures`,
-/// `retries`, `buffered_snapshots`, `recovered_snapshots`,
-/// `dropped_snapshots` (int), `degraded_since_secs` (int, -1 when healthy)
-/// and `last_error` (text).
-pub fn register_daemon_health_table(
-    catalog: &mut Catalog,
-    provider: ingot_catalog::VirtualProvider,
-) -> Result<()> {
-    catalog.register_virtual_table(IMA_DAEMON_HEALTH, daemon_health_schema(), provider)?;
-    Ok(())
+/// One `ima$daemon_health` row: a storage daemon's health-state machine
+/// and counters, filled in by the daemon that owns them.
+#[derive(Debug, Clone)]
+pub struct DaemonHealthRow {
+    /// `healthy`, `degraded` or `quarantined`.
+    pub state: &'static str,
+    pub polls: u64,
+    pub failed_polls: u64,
+    pub consecutive_failures: u64,
+    pub retries: u64,
+    pub buffered_snapshots: u64,
+    pub recovered_snapshots: u64,
+    pub dropped_snapshots: u64,
+    /// Sim-clock seconds when the daemon left Healthy; -1 while healthy.
+    pub degraded_since_secs: i64,
+    /// The most recent error, empty when none.
+    pub last_error: String,
 }
 
-/// The `ima$daemon_health` row shape.
-pub fn daemon_health_schema() -> Schema {
-    Schema::new(vec![
-        Column::not_null("state", DataType::Str),
-        Column::new("polls", DataType::Int),
-        Column::new("failed_polls", DataType::Int),
-        Column::new("consecutive_failures", DataType::Int),
-        Column::new("retries", DataType::Int),
-        Column::new("buffered_snapshots", DataType::Int),
-        Column::new("recovered_snapshots", DataType::Int),
-        Column::new("dropped_snapshots", DataType::Int),
-        Column::new("degraded_since_secs", DataType::Int),
-        Column::new("last_error", DataType::Str),
-    ])
-}
+record!(DaemonHealthRow, IMA_DAEMON_HEALTH, |h| {
+    "state": Str = h.state,
+    "polls": Int = v_int(h.polls),
+    "failed_polls": Int = v_int(h.failed_polls),
+    "consecutive_failures": Int = v_int(h.consecutive_failures),
+    "retries": Int = v_int(h.retries),
+    "buffered_snapshots": Int = v_int(h.buffered_snapshots),
+    "recovered_snapshots": Int = v_int(h.recovered_snapshots),
+    "dropped_snapshots": Int = v_int(h.dropped_snapshots),
+    "degraded_since_secs": Int = h.degraded_since_secs,
+    "last_error": Str = h.last_error,
+});
 
-/// Name of the wire-connection fleet table (registered on the first
-/// [`Engine::attach_connections_provider`][crate::Engine::attach_connections_provider]
-/// — i.e. only once a server starts serving this engine over a socket).
+/// Name of the wire-connection fleet table, served while a server on a
+/// monitored engine is attached ([`Engine::attach`][crate::Engine::attach]).
 pub const IMA_CONNECTIONS: &str = "ima$connections";
 
-/// Register `ima$connections` backed by `provider` (one row per live wire
-/// connection). The schema is defined here so all IMA shapes live in one
-/// place; `ingot-server` supplies the provider because the registry is its
-/// own. Provider rows must match: `session` (int), `peer` (text), `client`
-/// (text), `state` (text: `idle` / `active` / `idle_in_txn` / `draining`),
-/// `statement` (text, null when idle), `wait_event` (text, null when not
-/// waiting), `idle_ms` (int), `txn_age_ms` (int, -1 outside a transaction).
-pub(crate) fn register_connections_table(
-    catalog: &mut Catalog,
-    provider: ingot_catalog::VirtualProvider,
-) -> Result<()> {
-    catalog.register_virtual_table(IMA_CONNECTIONS, connections_schema(), provider)?;
-    Ok(())
+/// One `ima$connections` row: a live wire connection, filled in by the
+/// server whose registry holds it.
+#[derive(Debug, Clone)]
+pub struct ConnectionRow {
+    /// The engine session (0 until the handshake opens it).
+    pub session: u64,
+    /// Transport peer label.
+    pub peer: String,
+    /// The client's self-identification, empty before `hello`.
+    pub client: String,
+    /// `handshake`, `idle`, `active`, `idle_in_txn` or `draining`.
+    pub state: &'static str,
+    /// The statement executing, `None` when idle.
+    pub statement: Option<String>,
+    /// The wait event the session is inside, `None` when not waiting.
+    pub wait_event: Option<&'static str>,
+    /// Milliseconds since the peer's last frame.
+    pub idle_ms: u64,
+    /// Age of the open explicit transaction; -1 outside one.
+    pub txn_age_ms: i64,
 }
 
-/// The `ima$connections` row shape.
-pub fn connections_schema() -> Schema {
-    Schema::new(vec![
-        Column::not_null("session", DataType::Int),
-        Column::not_null("peer", DataType::Str),
-        Column::new("client", DataType::Str),
-        Column::not_null("state", DataType::Str),
-        Column::new("statement", DataType::Str),
-        Column::new("wait_event", DataType::Str),
-        Column::new("idle_ms", DataType::Int),
-        Column::new("txn_age_ms", DataType::Int),
-    ])
-}
+record!(ConnectionRow, IMA_CONNECTIONS, |c| {
+    "session": Int = v_int(c.session),
+    "peer": Str not_null = c.peer,
+    "client": Str = c.client,
+    "state": Str not_null = c.state,
+    "statement": Str = c.statement.map_or(Value::Null, Value::Str),
+    "wait_event": Str = c.wait_event.map_or(Value::Null, Value::from),
+    "idle_ms": Int = v_int(c.idle_ms),
+    "txn_age_ms": Int = c.txn_age_ms,
+});
 
 /// One [`Record`]'s names and schema as plain data, for code that walks
 /// every copied table without naming the record types.
@@ -530,7 +316,7 @@ pub struct TableShape {
     pub schema: fn() -> Schema,
 }
 
-const fn shape<R: Record>() -> TableShape {
+const fn shape<R: Copied>() -> TableShape {
     TableShape {
         ima: R::IMA,
         wl: R::WL,
@@ -551,14 +337,12 @@ pub const COPIED_TABLES: [TableShape; 9] = [
     shape::<AshSample>(),
 ];
 
-/// The names of all IMA virtual tables, in registration order, under the
-/// *full* monitoring configuration (`monitor_enabled` plus
-/// `wait_events_enabled`). This is the superset used for documentation and
-/// completeness checks; an engine with waits disabled skips the three wait
-/// tables — use [`ima_table_names`] for the set a given configuration
-/// actually registers. (`ima$daemon_health` is registered separately, only
-/// while a storage daemon is attached, and `ima$connections` only once a
-/// server attaches a fleet provider.)
+/// The names of the IMA virtual tables an engine registers, in
+/// registration order, under the *full* monitoring configuration
+/// (`monitor_enabled` plus `wait_events_enabled`; with waits off it skips
+/// `ima$wait_events`, `ima$active_sessions` and `ima$ash`). The two tables
+/// filled outside the engine, [`IMA_DAEMON_HEALTH`] and [`IMA_CONNECTIONS`],
+/// join on their first [`Engine::attach`][crate::Engine::attach].
 pub const IMA_TABLE_NAMES: &[&str] = &[
     "ima$statements",
     "ima$workload",
@@ -568,70 +352,30 @@ pub const IMA_TABLE_NAMES: &[&str] = &[
     "ima$attributes",
     "ima$statistics",
     "ima$monitor_health",
-    "ima$plan_cache",
     "ima$locks",
     "ima$sessions",
     "ima$transactions",
+    "ima$plan_cache",
+    "ima$wal",
     "ima$wait_events",
     "ima$active_sessions",
     "ima$ash",
-    "ima$wal",
     "ima$operator_stats",
     "ima$latency_histograms",
 ];
-
-/// The wait-subsystem subset of [`IMA_TABLE_NAMES`] — present only when
-/// `wait_events_enabled` is on (see [`register_wait_tables`]).
-pub const IMA_WAIT_TABLE_NAMES: &[&str] = &["ima$wait_events", "ima$active_sessions", "ima$ash"];
-
-/// The IMA tables an engine built from `config` actually registers, in
-/// registration order: empty when monitoring is off, and without the
-/// [`IMA_WAIT_TABLE_NAMES`] subset when `wait_events_enabled` is off.
-pub fn ima_table_names(config: &ingot_common::EngineConfig) -> Vec<&'static str> {
-    if !config.monitor_enabled {
-        return Vec::new();
-    }
-    IMA_TABLE_NAMES
-        .iter()
-        .copied()
-        .filter(|name| config.wait_events_enabled || !IMA_WAIT_TABLE_NAMES.contains(name))
-        .collect()
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ingot_common::EngineConfig;
 
-    #[test]
-    fn table_names_follow_config() {
-        let full = EngineConfig::monitoring();
-        assert_eq!(ima_table_names(&full), IMA_TABLE_NAMES);
-
-        let no_waits = EngineConfig {
-            wait_events_enabled: false,
-            ..EngineConfig::monitoring()
-        };
-        let names = ima_table_names(&no_waits);
-        assert_eq!(
-            names.len(),
-            IMA_TABLE_NAMES.len() - IMA_WAIT_TABLE_NAMES.len()
-        );
-        for wait_table in IMA_WAIT_TABLE_NAMES {
-            assert!(IMA_TABLE_NAMES.contains(wait_table));
-            assert!(!names.contains(wait_table));
-        }
-
-        assert!(ima_table_names(&EngineConfig::original()).is_empty());
-    }
-
     /// `decode` inverts `encode`, and every value is of its column's type.
-    fn round_trip<R: Record + Clone>(records: Vec<R>) {
+    fn round_trip<R: Copied + Clone>(records: Vec<R>) {
         assert!(!records.is_empty(), "{} needs a row to test", R::IMA);
         for record in records {
             let row = record.encode();
             let types: Vec<_> = row.iter().map(|v| v.data_type()).collect();
-            let declared: Vec<_> = R::COLUMNS.iter().map(|&(_, ty)| Some(ty)).collect();
+            let declared: Vec<_> = R::COLUMNS.iter().map(|&(_, ty, _)| Some(ty)).collect();
             assert_eq!(types, declared, "{}", R::IMA);
             let mut cells = row.iter();
             let back = R::decode(&mut cells).expect(R::IMA);

@@ -32,10 +32,9 @@ pub mod monitor;
 pub use ash::{ActiveSession, AshSample, AshSampler, CurrentStatement, ON_CPU};
 pub use engine::{Engine, EngineBuilder, Prepared, Session, StatementResult};
 pub use ima::{
-    connections_schema, daemon_health_schema, ima_table_names, register_daemon_health_table,
-    TableShape, COPIED_TABLES, IMA_CONNECTIONS, IMA_DAEMON_HEALTH, IMA_TABLE_NAMES,
-    IMA_WAIT_TABLE_NAMES,
+    ConnectionRow, DaemonHealthRow, TableShape, COPIED_TABLES, IMA_CONNECTIONS, IMA_DAEMON_HEALTH,
+    IMA_TABLE_NAMES,
 };
 pub use ingot_planner::{PlanCache, PlanCacheStats};
 pub use ingot_trace::{MetricsSnapshot, Tracer};
-pub use monitor::{Monitor, MonitorHealth, Record, StatementSensor};
+pub use monitor::{Copied, Monitor, MonitorHealth, Record, StatementSensor};

@@ -44,7 +44,7 @@ use ingot_planner::{
 use parking_lot::Mutex;
 
 pub use records::{
-    AttributeUsage, Cells, IndexUsage, Record, RefObject, ReferenceRecord, StatSample,
+    AttributeUsage, Cells, Copied, IndexUsage, Record, RefObject, ReferenceRecord, StatSample,
     StatementInfo, TableUsage, WorkloadRecord,
 };
 use ring::WorkloadRing;

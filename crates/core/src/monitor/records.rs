@@ -4,73 +4,111 @@
 use ingot_common::waits::{WaitEvent, WaitTotal};
 use ingot_common::{Column, Cost, DataType, IndexId, Schema, StmtHash, TableId, Value};
 
-/// The shape of one monitoring table, defined once beside its record.
+/// The shape of one `ima$` table, defined once beside its record.
 ///
-/// "The workload database … contains the same table schema as the one used
-/// in IMA" (§IV-B) because both sides take it from here: `ima.rs` registers
-/// [`IMA`](Self::IMA) with [`schema`](Self::schema) and encodes provider
-/// rows with [`encode`](Self::encode); the storage daemon creates
-/// [`WL`](Self::WL) as the same columns plus `ts` and appends the same
-/// encoding plus the poll's timestamp; the analyzer reads `wl_` rows back
-/// with [`decode`](Self::decode). Implemented through `record!`, one line
-/// per column.
+/// "Each class of IMA objects can be registered as a virtual table" (§IV-A)
+/// through this one idiom: the engine registers [`IMA`](Self::IMA) with
+/// [`schema`](Self::schema) — its own tables in `engine/builder.rs`, the
+/// two filled outside it through `Engine::attach` — and serves provider
+/// records through [`encode`](Self::encode). Implemented through `record!`,
+/// one line per column.
 pub trait Record: Sized {
     /// The live virtual table serving these records.
     const IMA: &'static str;
-    /// The workload-DB table keeping them.
-    const WL: &'static str;
-    /// Ordered `(name, type)` columns. The first is the key and NOT NULL,
-    /// the rest are nullable.
-    const COLUMNS: &'static [(&'static str, DataType)];
+    /// Ordered `(name, type, not null)` columns. The first column is NOT
+    /// NULL whatever its flag says; the flag marks the others that are.
+    const COLUMNS: &'static [(&'static str, DataType, bool)];
 
     /// One value per column.
     fn encode(self) -> Vec<Value>;
 
-    /// Inverse of [`encode`](Self::encode): reads one value per column off
-    /// `cells` and leaves what follows (the daemon's `ts`) unread. `None`
-    /// when a value is missing or not of the column's type.
-    fn decode(cells: &mut Cells<'_>) -> Option<Self>;
-
     /// The columns as a catalog schema.
     fn schema() -> Schema {
-        let mut columns: Vec<Column> = Self::COLUMNS
-            .iter()
-            .map(|&(name, ty)| Column::new(name, ty))
-            .collect();
-        if let Some(key) = columns.first_mut() {
-            key.nullable = false;
-        }
-        Schema::new(columns)
+        Schema::new(
+            Self::COLUMNS
+                .iter()
+                .enumerate()
+                .map(|(i, &(name, ty, not_null))| Column {
+                    nullable: i > 0 && !not_null,
+                    ..Column::new(name, ty)
+                })
+                .collect(),
+        )
     }
 }
 
-/// A row's values, read left to right by [`Record::decode`].
+/// A [`Record`] the storage daemon copies into the workload database.
+///
+/// "The workload database … contains the same table schema as the one used
+/// in IMA" (§IV-B) because both sides take it from the record: the daemon
+/// creates [`WL`](Self::WL) as the same columns plus `ts` and appends the
+/// same encoding plus the poll's timestamp; the analyzer reads `wl_` rows
+/// back with [`decode`](Self::decode).
+pub trait Copied: Record {
+    /// The workload-DB table keeping them.
+    const WL: &'static str;
+
+    /// Inverse of [`encode`](Record::encode): reads one value per column off
+    /// `cells` and leaves what follows (the daemon's `ts`) unread. `None`
+    /// when a value is missing or not of the column's type.
+    fn decode(cells: &mut Cells<'_>) -> Option<Self>;
+}
+
+/// A row's values, read left to right by [`Copied::decode`].
 pub type Cells<'a> = std::slice::Iter<'a, Value>;
 
 /// Implement [`Record`] for `$rec` from one line per column:
-/// `"column": Type = <value of the record $r> => field: <read off cells $c>`.
-/// A field spanning two columns is read on the first of them.
+/// `"column": Type = <value of the record $r>`, with `not_null` after the
+/// type for a NOT NULL column past the first. The copied form names the
+/// `wl_` table too and implements [`Copied`] from the same lines:
+/// `"column": Type = <value> => field: <read off cells $c>`, a field
+/// spanning two columns read on the first of them.
 macro_rules! record {
-    ($rec:ident, $ima:literal, $wl:literal, |$r:ident, $c:ident| {
+    ($rec:ident, $ima:expr, $wl:literal, |$r:ident, $c:ident| {
         $($col:literal: $ty:ident = $enc:expr $(=> $field:ident: $dec:expr)?,)*
     }) => {
-        impl Record for $rec {
-            const IMA: &'static str = $ima;
-            const WL: &'static str = $wl;
-            const COLUMNS: &'static [(&'static str, DataType)] = &[$(($col, DataType::$ty)),*];
+        $crate::monitor::records::record!($rec, $ima, |$r| { $($col: $ty = $enc,)* });
 
-            fn encode(self) -> Vec<Value> {
+        impl $crate::monitor::records::Copied for $rec {
+            const WL: &'static str = $wl;
+
+            fn decode(
+                $c: &mut $crate::monitor::records::Cells<'_>,
+            ) -> Option<Self> {
+                Some($rec { $($($field: $dec,)?)* })
+            }
+        }
+    };
+    ($rec:ty, $ima:expr, |$r:pat_param| {
+        $($col:literal: $ty:ident $($not_null:ident)? = $enc:expr,)*
+    }) => {
+        impl $crate::monitor::records::Record for $rec {
+            const IMA: &'static str = $ima;
+            const COLUMNS: &'static [(&'static str, ingot_common::DataType, bool)] = &[$((
+                $col,
+                ingot_common::DataType::$ty,
+                $crate::monitor::records::not_null!($($not_null)?),
+            )),*];
+
+            fn encode(self) -> Vec<ingot_common::Value> {
                 let $r = self;
                 vec![$($enc.into()),*]
-            }
-
-            fn decode($c: &mut Cells<'_>) -> Option<Self> {
-                Some($rec { $($($field: $dec,)?)* })
             }
         }
     };
 }
 pub(crate) use record;
+
+/// The NOT NULL flag of a `record!` column.
+macro_rules! not_null {
+    () => {
+        false
+    };
+    (not_null) => {
+        true
+    };
+}
+pub(crate) use not_null;
 
 pub(crate) fn v_int(v: u64) -> Value {
     Value::Int(v as i64)
@@ -142,8 +180,9 @@ pub struct WorkloadRecord {
     pub seq: u64,
     /// Optimiser CPU time (nanoseconds spent planning).
     pub opt_time_ns: u64,
-    /// Optimiser disk I/O (always 0 here: our catalogs are memory-resident,
-    /// kept for schema fidelity).
+    /// Optimiser disk I/O: physical page I/O charged while optimizing
+    /// (statistics and what-if probes read on its behalf); 0 for a plan
+    /// served from the cache.
     pub opt_io: u64,
     /// Execution CPU: tuples processed.
     pub exec_cpu: u64,

@@ -24,7 +24,7 @@
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 
-use ingot_common::{Row, Value};
+use ingot_core::DaemonHealthRow;
 use parking_lot::Mutex;
 
 /// Daemon health states.
@@ -199,21 +199,20 @@ impl DaemonHealth {
         self.last_error.lock().clone()
     }
 
-    /// The `ima$daemon_health` row (see
-    /// `ingot_core::daemon_health_schema` for the column order).
-    pub fn snapshot_row(&self) -> Row {
-        Row::new(vec![
-            Value::Str(self.state().name().to_owned()),
-            Value::Int(self.polls() as i64),
-            Value::Int(self.failed_polls() as i64),
-            Value::Int(self.consecutive_failures() as i64),
-            Value::Int(self.retries() as i64),
-            Value::Int(self.buffered_snapshots() as i64),
-            Value::Int(self.recovered_snapshots() as i64),
-            Value::Int(self.dropped_snapshots() as i64),
-            Value::Int(self.degraded_since_secs.load(Ordering::Relaxed)),
-            Value::Str(self.last_error().unwrap_or_default()),
-        ])
+    /// The `ima$daemon_health` row.
+    pub fn snapshot(&self) -> DaemonHealthRow {
+        DaemonHealthRow {
+            state: self.state().name(),
+            polls: self.polls(),
+            failed_polls: self.failed_polls(),
+            consecutive_failures: self.consecutive_failures(),
+            retries: self.retries(),
+            buffered_snapshots: self.buffered_snapshots(),
+            recovered_snapshots: self.recovered_snapshots(),
+            dropped_snapshots: self.dropped_snapshots(),
+            degraded_since_secs: self.degraded_since_secs.load(Ordering::Relaxed),
+            last_error: self.last_error().unwrap_or_default(),
+        }
     }
 }
 
@@ -228,14 +227,14 @@ mod tests {
         assert_eq!(h.state(), HealthState::Healthy);
         h.set_state(HealthState::Degraded, 100);
         assert_eq!(h.state(), HealthState::Degraded);
-        assert_eq!(h.snapshot_row().get(8), &Value::Int(100));
+        assert_eq!(h.snapshot().degraded_since_secs, 100);
         // Degraded -> Quarantined keeps the original since-timestamp.
         h.set_state(HealthState::Quarantined, 500);
-        assert_eq!(h.snapshot_row().get(8), &Value::Int(100));
+        assert_eq!(h.snapshot().degraded_since_secs, 100);
         // Recovery clears the window, the consecutive count and the error.
         h.record_failure(&Error::transient_io("x"));
         h.set_state(HealthState::Healthy, 900);
-        assert_eq!(h.snapshot_row().get(8), &Value::Int(-1));
+        assert_eq!(h.snapshot().degraded_since_secs, -1);
         assert_eq!(h.consecutive_failures(), 0);
         assert_eq!(h.last_error(), None);
     }

@@ -95,21 +95,16 @@ pub struct StorageDaemon {
 }
 
 impl StorageDaemon {
-    /// Create a daemon for `engine`, writing into `wldb`. Registers the
-    /// `ima$daemon_health` virtual table on `engine`'s catalog so the
-    /// daemon's own health is queryable over SQL like any other IMA data.
+    /// Create a daemon for `engine`, writing into `wldb`. Attaches its
+    /// health counters as the engine's `ima$daemon_health` table, so the
+    /// daemon's own health is queryable over SQL like any other IMA data;
+    /// a later daemon on the same engine takes the table over.
     pub fn new(engine: Arc<Engine>, wldb: Arc<WorkloadDb>, config: DaemonConfig) -> Self {
         let health = Arc::new(DaemonHealth::default());
-        {
-            // A second daemon on the same engine would collide on the table
-            // name; keep the first registration rather than failing.
-            let h = Arc::clone(&health);
-            let mut catalog = engine.catalog().write();
-            let _ = ingot_core::register_daemon_health_table(
-                &mut catalog,
-                Arc::new(move || vec![h.snapshot_row()]),
-            );
-        }
+        let h = Arc::clone(&health);
+        // The catalog refuses only a name already taken, and `attach` checks
+        // that under the same write guard: there is no error to handle.
+        let _ = engine.attach(move || vec![h.snapshot()]);
         StorageDaemon {
             engine,
             wldb,
@@ -439,6 +434,28 @@ mod tests {
         // A second poll with no new work appends nothing to the workload.
         daemon.poll_once().unwrap();
         assert_eq!(wldb.row_count("wl_workload").unwrap(), 3);
+    }
+
+    #[test]
+    fn daemon_health_serves_the_latest_daemon() {
+        let (engine, wldb) = setup();
+        let first = StorageDaemon::new(
+            Arc::clone(&engine),
+            Arc::clone(&wldb),
+            DaemonConfig::default(),
+        );
+        first.health().set_state(HealthState::Quarantined, 0);
+        drop(first);
+        let second = StorageDaemon::new(Arc::clone(&engine), wldb, DaemonConfig::default());
+        second.poll_once().unwrap();
+        let rows = engine
+            .open_session()
+            .execute("select state, polls from ima$daemon_health")
+            .unwrap()
+            .rows;
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].get(0).as_str(), Some("healthy"));
+        assert_eq!(rows[0].get(1).as_int(), Some(1));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use ingot_common::{EngineConfig, Error, Result, Row, SimClock, StmtHash, Value};
-use ingot_core::{Engine, Monitor, Record, Session, TableShape, COPIED_TABLES};
+use ingot_core::{Copied, Engine, Monitor, Session, TableShape, COPIED_TABLES};
 use parking_lot::Mutex;
 
 use crate::growth::GrowthStats;
@@ -93,7 +93,7 @@ impl Batch<'_> {
     }
 
     /// `record` into its `wl_` table: the `ima$` row plus `ts`.
-    fn put<R: Record>(&mut self, record: R) -> Result<()> {
+    fn put<R: Copied>(&mut self, record: R) -> Result<()> {
         self.insert(R::WL, record.encode())
     }
 }

@@ -42,7 +42,7 @@ use ingot_common::wire::{
     self, FrameReader, FrameWriter, Request, Response, WireError, PROTOCOL_VERSION,
 };
 use ingot_common::{Error, Result, StatementResult};
-use ingot_core::{Engine, Prepared};
+use ingot_core::{ConnectionRow, Engine, Prepared};
 use ingot_trace::{MetricsSnapshot, ServerStats};
 use parking_lot::{Condvar, Mutex};
 
@@ -174,8 +174,11 @@ impl Server {
     pub fn bind(engine: Arc<Engine>, config: ServerConfig) -> Result<Server> {
         let listener = socket::bind(&config.socket)?;
         let registry = Arc::new(ConnRegistry::new(*engine.wall_clock()));
-        let rows_src = Arc::clone(&registry);
-        engine.attach_connections_provider(Arc::new(move || rows_src.rows()))?;
+        // An unmonitored engine (the Original setup) lists no fleet.
+        if engine.monitor().is_some() {
+            let fleet = Arc::clone(&registry);
+            engine.attach(move || fleet.connections())?;
+        }
         let ctx = Arc::new(ServerCtx {
             engine,
             registry,
@@ -309,7 +312,7 @@ impl Server {
             let _ = h.join();
         }
         let _ = self.ctx.engine.checkpoint();
-        self.ctx.engine.detach_connections_provider();
+        self.ctx.engine.detach::<ConnectionRow>();
         Ok(outcome)
     }
 }

@@ -10,8 +10,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use ingot_common::{MonotonicClock, Row, Value};
-use ingot_core::ActiveSession;
+use ingot_common::MonotonicClock;
+use ingot_core::{ActiveSession, ConnectionRow};
 use parking_lot::Mutex;
 
 use crate::socket::Stream;
@@ -196,46 +196,34 @@ impl ConnRegistry {
             .saturating_sub(self.last_nonempty_ns.load(Ordering::Relaxed))
     }
 
-    /// The `ima$connections` rows: `session, peer, client, state,
-    /// statement, wait_event, idle_ms, txn_age_ms` (see
-    /// `ingot_core::connections_schema`).
-    pub fn rows(&self) -> Vec<Row> {
+    /// The `ima$connections` rows, in connection order.
+    pub fn connections(&self) -> Vec<ConnectionRow> {
         let now = self.clock.now_nanos();
-        let mut out: Vec<(u64, Row)> = self
+        let mut out: Vec<(u64, ConnectionRow)> = self
             .conns
             .lock()
             .values()
             .map(|c| {
-                let wait = c
-                    .ash
-                    .get()
-                    .and_then(|slot| slot.waits().current_wait())
-                    .map(|(e, _)| Value::Str(e.name().to_string()))
-                    .unwrap_or(Value::Null);
-                let stmt = c
-                    .current_sql
-                    .lock()
-                    .as_ref()
-                    .map(|s| Value::Str(s.to_string()))
-                    .unwrap_or(Value::Null);
-                let idle_ms =
-                    now.saturating_sub(c.last_activity_ns.load(Ordering::Relaxed)) / 1_000_000;
                 let txn_since = c.txn_since_ns.load(Ordering::Relaxed);
-                let txn_age_ms = if txn_since == 0 {
-                    -1
-                } else {
-                    (now.saturating_sub(txn_since) / 1_000_000) as i64
+                let row = ConnectionRow {
+                    session: c.session_id.load(Ordering::Relaxed),
+                    peer: c.peer.clone(),
+                    client: c.client.get().cloned().unwrap_or_default(),
+                    state: c.state().as_str(),
+                    statement: c.current_sql.lock().as_ref().map(|s| s.to_string()),
+                    wait_event: c
+                        .ash
+                        .get()
+                        .and_then(|slot| slot.waits().current_wait())
+                        .map(|(e, _)| e.name()),
+                    idle_ms: now.saturating_sub(c.last_activity_ns.load(Ordering::Relaxed))
+                        / 1_000_000,
+                    txn_age_ms: if txn_since == 0 {
+                        -1
+                    } else {
+                        (now.saturating_sub(txn_since) / 1_000_000) as i64
+                    },
                 };
-                let row = Row::new(vec![
-                    Value::Int(c.session_id.load(Ordering::Relaxed) as i64),
-                    Value::Str(c.peer.clone()),
-                    Value::Str(c.client.get().cloned().unwrap_or_default()),
-                    Value::Str(c.state().as_str().to_string()),
-                    stmt,
-                    wait,
-                    Value::Int(idle_ms as i64),
-                    Value::Int(txn_age_ms),
-                ]);
                 (c.conn_id, row)
             })
             .collect();

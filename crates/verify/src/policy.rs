@@ -24,21 +24,17 @@ pub const LOCK_ORDER_CRATES: &[&str] = &["core", "executor", "txn", "daemon", "a
 
 /// `(file suffix, function)` pairs allowed to open the catalog write guard.
 /// These are the DDL handlers: every one of them acquires its logical table
-/// lock *before* the guard (PR 3 discipline) or runs before any session
-/// exists (daemon bootstrap, analyzer apply step).
+/// lock *before* the guard or takes no table lock at all (engine attach,
+/// analyzer apply step).
 pub const DDL_WRITERS: &[(&str, &str)] = &[
     ("crates/core/src/engine/ddl.rs", "run_ddl"),
     ("crates/core/src/engine/ddl.rs", "run_create_index"),
     ("crates/core/src/engine/mod.rs", "add_virtual_index"),
     ("crates/core/src/engine/mod.rs", "clear_virtual_indexes"),
-    // Server attach: registers ima$connections once, before the server
-    // accepts any connection; holds the DDL guard but never table locks.
-    (
-        "crates/core/src/engine/mod.rs",
-        "attach_connections_provider",
-    ),
-    // Daemon bootstrap: registers ima$daemon_health before any session runs.
-    ("crates/daemon/src/lib.rs", "new"),
+    // Attach: registers an ima$ table filled outside the engine (a daemon's
+    // health, a server's fleet) once; holds the DDL guard but never table
+    // locks.
+    ("crates/core/src/engine/mod.rs", "attach"),
     // Analyzer maintenance window: freshens/restores statistics around the
     // what-if pass; holds the DDL guard but never table locks.
     ("crates/analyzer/src/lib.rs", "analyze"),
@@ -53,7 +49,7 @@ pub const CLOCK_EXEMPT_CRATES: &[&str] = &["trace", "daemon", "bench", "loom-shi
 /// Files exempt from the clock check by name.
 pub const CLOCK_EXEMPT_FILES: &[&str] = &["crates/common/src/clock.rs"];
 
-/// The file registering every `ima$…` virtual table (the IMA registry).
+/// The file naming every `ima$…` virtual table (the IMA registry).
 pub const IMA_REGISTRY_FILE: &str = "crates/core/src/ima.rs";
 
 /// Files whose `pub fn`s form the embedding API: their fallible returns

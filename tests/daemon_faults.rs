@@ -1,7 +1,8 @@
 //! Fault-injection integration tests: the storage daemon's self-healing
 //! behaviour end to end. A scripted transient outage of the workload DB's
 //! disk backend must lose no monitor snapshots once the backend heals
-//! (row-count parity with a no-fault run); permanent failures must
+//! (row-count parity with a no-fault run; `wl_ash` holds exactly the run's
+//! own ASH samples); permanent failures must
 //! quarantine the daemon with a self-alert while rule evaluation keeps
 //! working; a torn flush must be repaired by `WorkloadDb::recover` with
 //! only the unacknowledged tail dropped; and the daemon's health counters
@@ -10,6 +11,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use ingot::common::StmtHash;
 use ingot::daemon::wldb::WL_TABLES;
 use ingot::prelude::*;
 use ingot::storage::PAGE_SIZE;
@@ -79,9 +81,15 @@ fn burst(session: &Session, lo: u64) {
 
 /// Run the shared scenario — one healthy poll, two polls over a burst of
 /// activity (under a scripted transient outage when `outage`), heal, one
-/// catch-up poll — and return the final per-table row counts.
+/// catch-up poll — check that `wl_ash` holds exactly the run's ASH sample
+/// history, and return the final row counts of the other tables.
 fn run_scenario(outage: bool) -> BTreeMap<&'static str, u64> {
     let (engine, session, fb, wldb, daemon) = faulted_setup();
+    // A session held mid-statement and sampled after each burst, so `wl_ash`
+    // has samples to account for whatever the wall clock does.
+    let sampler = engine.ash_sampler().unwrap();
+    let held = sampler.register_session(999);
+    held.begin_statement(StmtHash::of("held"), &"held".into(), 0);
     daemon.poll_once().unwrap();
 
     if outage {
@@ -90,6 +98,7 @@ fn run_scenario(outage: bool) -> BTreeMap<&'static str, u64> {
     for poll in 0..2u64 {
         engine.sim_clock().advance_secs(30);
         burst(&session, 100 + poll * 100);
+        sampler.sample_now(engine.wall_clock().now_nanos());
         let result = daemon.poll_once();
         assert_eq!(result.is_err(), outage, "poll outcome with outage={outage}");
     }
@@ -119,8 +128,33 @@ fn run_scenario(outage: bool) -> BTreeMap<&'static str, u64> {
             "recovery must self-alert: {alerts:?}"
         );
     }
+    // ASH samples fire on the wall clock, so a slower run may hold more of
+    // them: `wl_ash` is checked against this run's own sample history.
+    let mut history: Vec<(u64, u64)> = engine
+        .ash_sampler()
+        .unwrap()
+        .history()
+        .iter()
+        .map(|s| (s.at_ns, s.session_id))
+        .collect();
+    history.sort_unstable();
+    let mut filed: Vec<(u64, u64)> = wldb
+        .query("select at_ns, session from wl_ash")
+        .unwrap()
+        .iter()
+        .map(|r| {
+            let int = |i| r.get(i).as_int().unwrap() as u64;
+            (int(0), int(1))
+        })
+        .collect();
+    filed.sort_unstable();
+    assert_eq!(
+        filed, history,
+        "wl_ash holds every ASH sample exactly once, and nothing else"
+    );
     WL_TABLES
         .iter()
+        .filter(|t| **t != "wl_ash")
         .map(|t| (*t, wldb.row_count(t).unwrap()))
         .collect()
 }
