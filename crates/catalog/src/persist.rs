@@ -1,7 +1,7 @@
 //! Checkpoint schema serialization.
 //!
 //! A checkpoint stores the catalog's *physical* schema — every base table and
-//! index together with the [`FileId`]s of their storage files — as an opaque
+//! index together with the [`FileId`](ingot_storage::FileId)s of their storage files — as an opaque
 //! blob inside the storage manifest (see `ingot-storage`'s recovery module).
 //! On boot, [`crate::Catalog::attach_schema`] decodes the blob and re-attaches
 //! the existing heap and tree files, after which WAL replay only has to redo

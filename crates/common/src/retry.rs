@@ -11,7 +11,7 @@
 //!   ([`RetryPolicy::run_sim`]), so a test that exercises eight retries with
 //!   second-scale backoff completes in microseconds of wall time.
 //!
-//! Only errors classified as transient by [`Error::is_transient`] are
+//! Only errors classified as transient by [`Error::is_transient`](crate::Error::is_transient) are
 //! retried; deterministic failures surface immediately.
 
 use std::time::Duration;

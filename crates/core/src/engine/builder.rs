@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 
 use super::{Engine, SessionCounters};
 use crate::ash::{AshSample, AshSampler};
-use crate::ima::{latency_buckets, provider, serve, transaction_metrics};
+use crate::ima::{latency_buckets, observer_health, provider, serve, transaction_metrics};
 use crate::monitor::{Monitor, Record};
 
 /// Configures and builds an [`Engine`]. Obtained via [`Engine::builder`].
@@ -231,9 +231,7 @@ impl Engine {
             serve(c, m, Monitor::attributes)?;
             serve(c, m, Monitor::statistics)?;
             let (a, tr) = (ash.clone(), Arc::clone(t));
-            serve(c, m, move |m| {
-                vec![(m.health(), a.clone(), Arc::clone(&tr))]
-            })?;
+            serve(c, m, move |m| vec![observer_health(m, &a, &tr)])?;
             serve(c, &locks, LockManager::snapshot_locks)?;
             let (tx, lk) = (Arc::clone(&txns), Arc::clone(&locks));
             serve(c, &sessions, move |s| {

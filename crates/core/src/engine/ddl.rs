@@ -90,7 +90,7 @@ impl Session {
 
     /// `SET name = value`. `trace`/`tracing` flips runtime tracing; other
     /// knobs are accepted and ignored (compatibility with scripts). This is
-    /// the target of both the SQL `SET` statement and the [`Connection`]
+    /// the target of both the SQL `SET` statement and the [`Connection`](ingot_common::Connection)
     /// trait's `set` verb, embedded or over the wire.
     pub fn set_option(&self, name: &str, value: &Value) -> Result<StatementResult> {
         if matches!(name.to_ascii_lowercase().as_str(), "trace" | "tracing") {

@@ -315,7 +315,7 @@ impl Engine {
         monitor.sample_statistics(|at_ns| self.gather_statistics(at_ns));
     }
 
-    fn gather_statistics(&self, at_ns: u64) -> StatSample {
+    pub(super) fn gather_statistics(&self, at_ns: u64) -> StatSample {
         let locks = self.locks.stats();
         let buf = self.buffer_stats();
         let io = self.io_stats();
@@ -332,6 +332,8 @@ impl Engine {
             cache_hits: buf.hits,
             cache_misses: buf.misses,
             physical_reads: io.reads(),
+            seq_reads: io.seq_reads,
+            rand_reads: io.rand_reads,
             physical_writes: io.writes,
             statements_executed: self.statements_executed(),
         }
@@ -915,11 +917,15 @@ mod tests {
         s.execute("select count(*) from protein").unwrap();
         let text = e.metrics_snapshot().render_prometheus();
         assert!(
-            text.contains("# TYPE ingot_statements_executed_total counter"),
+            text.contains("# TYPE ingot_statistics_statements_executed untyped"),
             "{text}"
         );
         assert!(
-            text.contains("ingot_buffer_pool_requests_total{outcome=\"hit\"}"),
+            text.contains("# HELP ingot_statistics_cache_hits ima$statistics.cache_hits"),
+            "{text}"
+        );
+        assert!(
+            text.contains("ingot_transactions_value{metric=\"commit_seq\"}"),
             "{text}"
         );
         assert!(
@@ -927,8 +933,11 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("le=\"+Inf\""), "{text}");
-        assert!(text.contains("ingot_monitor_self_time_ns_total"), "{text}");
-        assert!(text.contains("ingot_trace_enabled 1"), "{text}");
+        assert!(text.contains("ingot_monitor_health_self_time_ns"), "{text}");
+        assert!(
+            text.contains("ingot_monitor_health_trace_enabled 1"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -8,12 +8,17 @@
 //! Every table is a [`Record`], its columns listed once beside the source
 //! they read: the nine the storage daemon copies are defined with their
 //! records in `monitor::records` and `ash.rs` (`ima$active_sessions` serves
-//! `ima$ash`'s record live), the other ten below. The engine builder serves
-//! eighteen over the subsystems it wires; [`Engine::attach`][crate::Engine::attach]
-//! serves the two filled outside the engine. Scanning `ima$workload` copies
+//! `ima$ash`'s record live), the other eleven below. The engine builder
+//! serves eighteen over the subsystems it wires; [`Engine::attach`][crate::Engine::attach]
+//! serves the three filled outside the engine. Scanning `ima$workload` copies
 //! its lock-free ring, the monitor's other tables cost one snapshot under
 //! its lock, and none does I/O.
+//!
+//! The same records are the engine's only other way out: [`export`] renders
+//! them as Prometheus families for `Engine::metrics_snapshot`, so a counter
+//! is named once, as a column.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ingot_catalog::{Catalog, VirtualProvider};
@@ -21,7 +26,7 @@ use ingot_common::waits::WaitTotal;
 use ingot_common::{Result, Row, Schema, StmtHash, Value, WalFsyncMode};
 use ingot_planner::PlanCacheStats;
 use ingot_storage::WalStats;
-use ingot_trace::{OperatorStats, Tracer};
+use ingot_trace::{MetricKind, MetricsSnapshot, OperatorStats, Sample, ServerStats, Tracer};
 use ingot_txn::{LockInfo, LockMode, LockStats, Resource};
 
 use crate::ash::{AshSample, AshSampler};
@@ -29,7 +34,7 @@ use crate::monitor::records::{
     record, v_int, AttributeUsage, Copied, IndexUsage, Record, ReferenceRecord, StatSample,
     StatementInfo, TableUsage, WorkloadRecord,
 };
-use crate::monitor::MonitorHealth;
+use crate::monitor::{Monitor, MonitorHealth};
 
 /// `rows` as a catalog row source: each record encoded at scan time.
 pub(crate) fn provider<R: Record>(
@@ -50,9 +55,51 @@ pub(crate) fn serve<S: Send + Sync + 'static, R: Record>(
     Ok(())
 }
 
+/// Append `rows` to `snap` as Prometheus families, one per numeric column
+/// that holds a value: `ingot_<table>_<column>`, its `# HELP` the
+/// `ima$<table>.<column>` that reads it in SQL. The record does not say
+/// whether a column counts or gauges, so every family is untyped. A row's
+/// text cells label its samples; a `Bool` samples as 0 or 1.
+pub fn export<R: Record>(snap: &mut MetricsSnapshot, rows: Vec<R>) {
+    let mut columns: Vec<Vec<Sample>> = vec![Vec::new(); R::COLUMNS.len()];
+    for cells in rows.into_iter().map(R::encode) {
+        let labels: Vec<(String, String)> = R::COLUMNS
+            .iter()
+            .zip(&cells)
+            .filter_map(|(&(name, ..), cell)| Some((name.to_owned(), cell.as_str()?.to_owned())))
+            .collect();
+        for (samples, cell) in columns.iter_mut().zip(&cells) {
+            let value = match *cell {
+                Value::Int(n) => n as f64,
+                Value::Float(f) => f,
+                Value::Bool(b) => f64::from(u8::from(b)),
+                Value::Null | Value::Str(_) => continue,
+            };
+            samples.push(Sample::labelled(labels.clone(), value));
+        }
+    }
+    let table = R::IMA.trim_start_matches("ima$");
+    for (&(column, ..), samples) in R::COLUMNS.iter().zip(columns) {
+        if !samples.is_empty() {
+            let help = format!("{}.{column}", R::IMA);
+            let name = format!("ingot_{table}_{column}");
+            snap.push(&name, &help, MetricKind::Untyped, samples);
+        }
+    }
+}
+
 /// The observers watched by `ima$monitor_health`: the monitor's health, the
 /// ASH sampler when the wait subsystem is on, and the tracer.
 type ObserverHealth = (MonitorHealth, Option<Arc<AshSampler>>, Arc<Tracer>);
+
+/// The one `ima$monitor_health` row of an engine's observers.
+pub(crate) fn observer_health(
+    monitor: &Monitor,
+    ash: &Option<Arc<AshSampler>>,
+    tracer: &Arc<Tracer>,
+) -> ObserverHealth {
+    (monitor.health(), ash.clone(), Arc::clone(tracer))
+}
 
 // A single-row self-observation of the observers themselves (the "who
 // watches the watchers" table, mirroring `ima$daemon_health` for the
@@ -81,6 +128,9 @@ record!(ObserverHealth, "ima$monitor_health", |(h, ash, t)| {
         v_int(a.total_recorded().saturating_sub(a.ring_capacity() as u64))
     }),
     "trace_wrapped": Int = v_int(t.traces_wrapped()),
+    "trace_enabled": Bool = t.enabled(),
+    "trace_self_time_ns": Int = v_int(t.self_time_ns()),
+    "statements_traced": Int = v_int(t.statements_traced()),
     "workload_lapped": Int = v_int(h.workload_lapped),
     "first_sight_locks": Int = v_int(h.first_sight_locks),
 });
@@ -305,6 +355,29 @@ record!(ConnectionRow, IMA_CONNECTIONS, |c| {
     "txn_age_ms": Int = c.txn_age_ms,
 });
 
+/// Name of the wire-server counter table, served while a server on a
+/// monitored engine is attached ([`Engine::attach`][crate::Engine::attach]).
+pub const IMA_SERVER: &str = "ima$server";
+
+fn load(counter: &AtomicU64) -> Value {
+    v_int(counter.load(Ordering::Relaxed))
+}
+
+// One row: a wire server's traffic since it started, read off the counters
+// its connection handlers charge.
+record!(Arc<ServerStats>, IMA_SERVER, |s| {
+    "connections_opened": Int = load(&s.connections_opened),
+    "connections_closed": Int = load(&s.connections_closed),
+    "connections_reaped": Int = load(&s.connections_reaped),
+    "frames_in": Int = load(&s.frames_in),
+    "frames_out": Int = load(&s.frames_out),
+    "bytes_in": Int = load(&s.bytes_in),
+    "bytes_out": Int = load(&s.bytes_out),
+    "statements_served": Int = load(&s.statements_served),
+    "errors_sent": Int = load(&s.errors_sent),
+    "heartbeats": Int = load(&s.heartbeats),
+});
+
 /// One [`Record`]'s names and schema as plain data, for code that walks
 /// every copied table without naming the record types.
 pub struct TableShape {
@@ -340,9 +413,9 @@ pub const COPIED_TABLES: [TableShape; 9] = [
 /// The names of the IMA virtual tables an engine registers, in
 /// registration order, under the *full* monitoring configuration
 /// (`monitor_enabled` plus `wait_events_enabled`; with waits off it skips
-/// `ima$wait_events`, `ima$active_sessions` and `ima$ash`). The two tables
-/// filled outside the engine, [`IMA_DAEMON_HEALTH`] and [`IMA_CONNECTIONS`],
-/// join on their first [`Engine::attach`][crate::Engine::attach].
+/// `ima$wait_events`, `ima$active_sessions` and `ima$ash`). The three tables
+/// filled outside the engine, [`IMA_DAEMON_HEALTH`], [`IMA_CONNECTIONS`] and
+/// [`IMA_SERVER`], join on their first [`Engine::attach`][crate::Engine::attach].
 pub const IMA_TABLE_NAMES: &[&str] = &[
     "ima$statements",
     "ima$workload",

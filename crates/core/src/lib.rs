@@ -33,7 +33,7 @@ pub use ash::{ActiveSession, AshSample, AshSampler, CurrentStatement, ON_CPU};
 pub use engine::{Engine, EngineBuilder, Prepared, Session, StatementResult};
 pub use ima::{
     ConnectionRow, DaemonHealthRow, TableShape, COPIED_TABLES, IMA_CONNECTIONS, IMA_DAEMON_HEALTH,
-    IMA_TABLE_NAMES,
+    IMA_SERVER, IMA_TABLE_NAMES,
 };
 pub use ingot_planner::{PlanCache, PlanCacheStats};
 pub use ingot_trace::{MetricsSnapshot, Tracer};

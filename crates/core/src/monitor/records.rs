@@ -9,9 +9,10 @@ use ingot_common::{Column, Cost, DataType, IndexId, Schema, StmtHash, TableId, V
 /// "Each class of IMA objects can be registered as a virtual table" (§IV-A)
 /// through this one idiom: the engine registers [`IMA`](Self::IMA) with
 /// [`schema`](Self::schema) — its own tables in `engine/builder.rs`, the
-/// two filled outside it through `Engine::attach` — and serves provider
-/// records through [`encode`](Self::encode). Implemented through `record!`,
-/// one line per column.
+/// three filled outside it through `Engine::attach` — and serves provider
+/// records through [`encode`](Self::encode). `ima::export` renders the same
+/// records as the engine's Prometheus metrics. Implemented through
+/// `record!`, one line per column.
 pub trait Record: Sized {
     /// The live virtual table serving these records.
     const IMA: &'static str;
@@ -367,6 +368,10 @@ pub struct StatSample {
     pub cache_misses: u64,
     /// Physical page reads (cumulative).
     pub physical_reads: u64,
+    /// Of those, reads the I/O model classified as sequential.
+    pub seq_reads: u64,
+    /// Of those, reads classified as random.
+    pub rand_reads: u64,
     /// Physical page writes (cumulative).
     pub physical_writes: u64,
     /// Statements executed so far.
@@ -386,6 +391,8 @@ record!(StatSample, "ima$statistics", "wl_statistics", |s, c| {
     "cache_hits": Int = v_int(s.cache_hits) => cache_hits: int(c)?,
     "cache_misses": Int = v_int(s.cache_misses) => cache_misses: int(c)?,
     "physical_reads": Int = v_int(s.physical_reads) => physical_reads: int(c)?,
+    "seq_reads": Int = v_int(s.seq_reads) => seq_reads: int(c)?,
+    "rand_reads": Int = v_int(s.rand_reads) => rand_reads: int(c)?,
     "physical_writes": Int = v_int(s.physical_writes) => physical_writes: int(c)?,
     "statements_executed": Int = v_int(s.statements_executed) => statements_executed: int(c)?,
 });

@@ -516,7 +516,10 @@ mod tests {
         let n = wldb.row_count("wl_metrics").unwrap();
         assert!(n > 0, "expected metrics rows after a poll");
         let rows = wldb
-            .query("select value from wl_metrics where name = 'ingot_statements_executed_total'")
+            .query(
+                "select value from wl_metrics \
+                 where name = 'ingot_statistics_statements_executed'",
+            )
             .unwrap();
         assert_eq!(rows.len(), 1);
         assert!(rows[0].get(0).as_f64().unwrap() >= 2.0);

@@ -6,10 +6,10 @@
 //! exactly, which is what the actual-cost sensor needs.
 //!
 //! It streams where the rows are many and cheap — out of a base-table scan.
-//! A `SeqScan` runs as one loop ([`crate::scan`]) that tests its filter on
+//! A `SeqScan` runs as one loop (`crate::scan`) that tests its filter on
 //! the encoded bytes and decodes survivors into one reused row; a `Filter`,
 //! `Project` or `Aggregate` directly above it consumes that row inside the
-//! same loop ([`for_each_row`]), so a range aggregate never materialises its
+//! same loop (`for_each_row`), so a range aggregate never materialises its
 //! input. Spans, tuple counts and page counts are those of the operators
 //! run one after the other; elapsed time is not split the same way: the
 //! consumer's per-row work runs inside the `SeqScan`'s span, so that span's

@@ -7,7 +7,7 @@
 //! use: the [`proptest!`] macro, [`strategy::Strategy`] with `prop_map` /
 //! `boxed`, [`Just`](strategy::Just), [`prop_oneof!`], integer / float /
 //! string-pattern strategies, tuple and collection strategies,
-//! [`arbitrary::any`], [`sample::Index`](sample::Index), and the
+//! [`arbitrary::any`], [`sample::Index`], and the
 //! `prop_assert*` macros.
 //!
 //! Differences from the real crate that matter:

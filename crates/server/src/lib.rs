@@ -5,9 +5,9 @@
 //! many clients share; this crate is that daemon. One process embeds one
 //! [`Engine`], accepts wire connections (length-prefixed binary frames, see
 //! `ingot_common::wire`), and multiplexes each connection onto its own
-//! engine [`Session`] — so every wire client rides the shared plan cache,
-//! the MVCC snapshots, the WAL group commit and the full `ima$…` monitoring
-//! surface exactly as an embedded caller would.
+//! engine [`Session`](ingot_core::Session) — so every wire client rides the
+//! shared plan cache, the MVCC snapshots, the WAL group commit and the full
+//! `ima$…` monitoring surface exactly as an embedded caller would.
 //!
 //! Lifecycle:
 //!
@@ -25,8 +25,9 @@
 //!   server, so a drain never loses one.
 //!
 //! The fleet is observable as the `ima$connections` virtual table (peer,
-//! state, current statement, wait event, idle time, transaction age),
-//! attached through the engine's swappable provider slot so an in-process
+//! state, current statement, wait event, idle time, transaction age) and its
+//! traffic as the one-row `ima$server` table ([`ServerStats`]), both
+//! attached through the engine's swappable provider slots so an in-process
 //! restart serves fresh rows.
 
 pub mod registry;
@@ -42,7 +43,7 @@ use ingot_common::wire::{
     self, FrameReader, FrameWriter, Request, Response, WireError, PROTOCOL_VERSION,
 };
 use ingot_common::{Error, Result, StatementResult};
-use ingot_core::{ConnectionRow, Engine, Prepared};
+use ingot_core::{ima, ConnectionRow, Engine, Prepared};
 use ingot_trace::{MetricsSnapshot, ServerStats};
 use parking_lot::{Condvar, Mutex};
 
@@ -169,20 +170,24 @@ pub struct Server {
 
 impl Server {
     /// Bind `config.socket` (with stale-socket recovery) and attach the
-    /// `ima$connections` provider to `engine`. The server does not accept
-    /// until [`run`](Self::run).
+    /// `ima$connections` and `ima$server` providers to `engine`. The server
+    /// does not accept until [`run`](Self::run).
     pub fn bind(engine: Arc<Engine>, config: ServerConfig) -> Result<Server> {
         let listener = socket::bind(&config.socket)?;
         let registry = Arc::new(ConnRegistry::new(*engine.wall_clock()));
-        // An unmonitored engine (the Original setup) lists no fleet.
+        let stats = Arc::new(ServerStats::new());
+        // An unmonitored engine (the Original setup) lists no fleet and no
+        // server row.
         if engine.monitor().is_some() {
             let fleet = Arc::clone(&registry);
             engine.attach(move || fleet.connections())?;
+            let traffic = Arc::clone(&stats);
+            engine.attach(move || vec![Arc::clone(&traffic)])?;
         }
         let ctx = Arc::new(ServerCtx {
             engine,
             registry,
-            stats: Arc::new(ServerStats::new()),
+            stats,
             stop: Arc::new(AtomicBool::new(false)),
             draining: Arc::new(AtomicBool::new(false)),
             pacer: Arc::new(Pacer::new()),
@@ -220,10 +225,10 @@ impl Server {
         }
     }
 
-    /// Engine metrics merged with this server's wire counters.
+    /// Engine metrics followed by this server's `ima$server` row.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.ctx.engine.metrics_snapshot();
-        self.ctx.stats.contribute(&mut snap);
+        ima::export(&mut snap, vec![Arc::clone(&self.ctx.stats)]);
         snap
     }
 
@@ -313,6 +318,7 @@ impl Server {
         }
         let _ = self.ctx.engine.checkpoint();
         self.ctx.engine.detach::<ConnectionRow>();
+        self.ctx.engine.detach::<Arc<ServerStats>>();
         Ok(outcome)
     }
 }
@@ -384,8 +390,7 @@ fn read_or_tick(
                 // Idle and not mid-transaction: say goodbye and leave. A
                 // connection inside a transaction keeps serving until it
                 // commits/rolls back or the drain deadline kills it.
-                io.out.encode_response(&Response::Goodbye);
-                let _ = io.out.send(stream);
+                let _ = send(ctx, io, stream, &Response::Goodbye);
                 return Ok(None);
             }
         }

@@ -594,3 +594,101 @@ fn in_process_restart_serves_fresh_ima_connections_rows() {
     running.stop.request_stop();
     running.join.join().unwrap().unwrap();
 }
+
+#[test]
+fn ima_server_counts_the_statements_served_over_the_wire() {
+    const N: i64 = 6;
+    let sock = temp_dir("served").join("srv.sock");
+    let spec = SocketSpec::Unix(sock);
+    let engine = Engine::builder()
+        .config(EngineConfig::monitoring())
+        .build()
+        .unwrap();
+    let running = start(&engine, ServerConfig::new(spec.clone()));
+    let conn = connect_retry(&spec, "counted");
+    conn.execute("create table t (a int)").unwrap();
+    for i in 1..N {
+        conn.execute(&format!("insert into t values ({i})"))
+            .unwrap();
+    }
+    let r = conn
+        .query("select statements_served, frames_in, connections_opened from ima$server")
+        .unwrap();
+    assert_eq!(r.rows.len(), 1);
+    let served = r.rows[0].get(0).as_int().unwrap();
+    assert!(
+        served >= N,
+        "statements_served = {served} after {N} statements"
+    );
+    assert!(r.rows[0].get(1).as_int().unwrap() >= N);
+    assert!(r.rows[0].get(2).as_int().unwrap() >= 1);
+    drop(conn);
+    running.stop.request_stop();
+    running.join.join().unwrap().unwrap();
+
+    // Drained: the table stays registered but serves no row.
+    let r = engine
+        .open_session()
+        .execute("select count(*) from ima$server")
+        .unwrap();
+    assert_eq!(r.rows[0].get(0).as_int(), Some(0));
+}
+
+#[test]
+fn drain_goodbye_is_counted_like_every_other_frame() {
+    let sock = temp_dir("goodbye").join("srv.sock");
+    let spec = SocketSpec::Unix(sock);
+    let engine = Engine::builder()
+        .config(EngineConfig::monitoring())
+        .build()
+        .unwrap();
+    let server = Server::bind(Arc::clone(&engine), ServerConfig::new(spec.clone())).unwrap();
+    let stats = Arc::clone(server.stats());
+    let stop = server.stop_handle();
+    let join = std::thread::spawn(move || server.run());
+
+    // One idle raw client: hello, then nothing until the drain says goodbye.
+    let mut stream = loop {
+        match ingot_common::net::connect(&spec) {
+            Ok(s) => break s,
+            Err(_) => pace(2),
+        }
+    };
+    FrameWriter::new(wire::MAX_FRAME_BYTES)
+        .send_request(
+            &mut stream,
+            &Request::Hello {
+                version: wire::PROTOCOL_VERSION,
+                client: "idle".into(),
+            },
+        )
+        .unwrap();
+    let mut frames = Vec::new();
+    let (op, body) = wire::read_frame(&mut stream, wire::MAX_FRAME_BYTES)
+        .unwrap()
+        .expect("hello answered");
+    assert!(matches!(
+        Response::decode(op, &body).unwrap(),
+        Response::HelloOk { .. }
+    ));
+    frames.push(body.len() as u64);
+    stop.request_stop();
+    while let Some((op, body)) = wire::read_frame(&mut stream, wire::MAX_FRAME_BYTES).unwrap() {
+        assert!(matches!(
+            Response::decode(op, &body).unwrap(),
+            Response::Goodbye
+        ));
+        frames.push(body.len() as u64);
+    }
+    assert_eq!(join.join().unwrap().unwrap(), RunOutcome::Drained);
+
+    assert_eq!(frames.len(), 2, "hello-ok, then the drain's goodbye");
+    assert_eq!(
+        stats.frames_out.load(Ordering::Relaxed),
+        frames.len() as u64
+    );
+    assert_eq!(
+        stats.bytes_out.load(Ordering::Relaxed),
+        frames.iter().sum::<u64>()
+    );
+}

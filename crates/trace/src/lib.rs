@@ -19,7 +19,9 @@
 //!   the `ima$operator_stats` and `ima$latency_histograms` virtual tables.
 //! * **Metrics export** ([`MetricsSnapshot`]) — Prometheus-text-format
 //!   rendering for the shell's `\metrics` and the daemon's `wl_metrics`
-//!   persistence.
+//!   persistence. The engine fills it from its `ima$` records, one family
+//!   `ingot_<table>_<column>` per numeric column; [`ServerStats`] is the
+//!   wire server's `ima$server` row.
 //!
 //! Tracing is feature-gated at runtime: when the flag is off the statement
 //! path pays one atomic load and nothing else. When on, the tracer's own

@@ -2,23 +2,24 @@
 //!
 //! [`MetricsSnapshot`] is an assembled, point-in-time view of the engine's
 //! counters and histograms, renderable in the Prometheus text exposition
-//! format (`# HELP` / `# TYPE` / samples). The engine builds one on demand;
-//! the shell dumps it with `\metrics` and the daemon flattens it into the
-//! workload database's `wl_metrics` table alongside snapshots.
+//! format (`# HELP` / `# TYPE` / samples). The engine builds one on demand
+//! from its `ima$` records; the shell dumps it with `\metrics` and the
+//! daemon flattens it into the workload database's `wl_metrics` table
+//! alongside snapshots.
 
 /// Metric kind, mirroring the Prometheus `# TYPE` values used here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
-    Counter,
-    Gauge,
+    /// A column of an `ima$` record, which does not say whether it counts
+    /// or gauges.
+    Untyped,
     Histogram,
 }
 
 impl MetricKind {
     fn as_str(self) -> &'static str {
         match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
+            MetricKind::Untyped => "untyped",
             MetricKind::Histogram => "histogram",
         }
     }
@@ -34,14 +35,6 @@ pub struct Sample {
 }
 
 impl Sample {
-    pub fn plain(value: f64) -> Self {
-        Sample {
-            suffix: "",
-            labels: Vec::new(),
-            value,
-        }
-    }
-
     pub fn labelled(labels: Vec<(String, String)>, value: f64) -> Self {
         Sample {
             suffix: "",
@@ -49,6 +42,23 @@ impl Sample {
             value,
         }
     }
+
+    /// The labels as `k="v",...` with values escaped, empty when there are
+    /// none: the inside of the exposition's braces and the `labels` column
+    /// of `wl_metrics`.
+    fn label_text(&self) -> String {
+        self.labels
+            .iter()
+            .map(|(k, v)| format!("{}=\"{}\"", k, escape_label(v)))
+            .collect::<Vec<_>>()
+            .join(",")
+    }
+}
+
+fn escape_label(v: &str) -> String {
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// A named metric with its samples.
@@ -64,12 +74,6 @@ pub struct MetricFamily {
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     pub families: Vec<MetricFamily>,
-}
-
-fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
 }
 
 impl MetricsSnapshot {
@@ -98,12 +102,7 @@ impl MetricsSnapshot {
                 out.push_str(s.suffix);
                 if !s.labels.is_empty() {
                     out.push('{');
-                    for (i, (k, v)) in s.labels.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!("{}=\"{}\"", k, escape_label(v)));
-                    }
+                    out.push_str(&s.label_text());
                     out.push('}');
                 }
                 // Integral values render without a trailing ".0" so counters
@@ -125,13 +124,7 @@ impl MetricsSnapshot {
         let mut rows = Vec::new();
         for fam in &self.families {
             for s in &fam.samples {
-                let labels = s
-                    .labels
-                    .iter()
-                    .map(|(k, v)| format!("{}=\"{}\"", k, escape_label(v)))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                rows.push((format!("{}{}", fam.name, s.suffix), labels, s.value));
+                rows.push((format!("{}{}", fam.name, s.suffix), s.label_text(), s.value));
             }
         }
         rows
@@ -146,26 +139,28 @@ mod tests {
     fn renders_prometheus_text() {
         let mut snap = MetricsSnapshot::new();
         snap.push(
-            "ingot_statements_executed_total",
-            "Statements executed since engine start.",
-            MetricKind::Counter,
-            vec![Sample::plain(42.0)],
+            "ingot_statistics_statements_executed",
+            "ima$statistics.statements_executed",
+            MetricKind::Untyped,
+            vec![Sample::labelled(Vec::new(), 42.0)],
         );
         snap.push(
-            "ingot_buffer_pool_reads_total",
-            "Page reads by kind.",
-            MetricKind::Counter,
+            "ingot_wait_events_count",
+            "ima$wait_events.count",
+            MetricKind::Untyped,
             vec![
-                Sample::labelled(vec![("kind".into(), "seq".into())], 10.0),
-                Sample::labelled(vec![("kind".into(), "rand".into())], 3.0),
+                Sample::labelled(vec![("event".into(), "lock".into())], 10.0),
+                Sample::labelled(vec![("event".into(), "fsync".into())], 3.0),
             ],
         );
         let text = snap.render_prometheus();
-        assert!(text.contains("# HELP ingot_statements_executed_total Statements executed"));
-        assert!(text.contains("# TYPE ingot_statements_executed_total counter"));
-        assert!(text.contains("ingot_statements_executed_total 42\n"));
-        assert!(text.contains("ingot_buffer_pool_reads_total{kind=\"seq\"} 10\n"));
-        assert!(text.contains("ingot_buffer_pool_reads_total{kind=\"rand\"} 3\n"));
+        assert!(text.contains(
+            "# HELP ingot_statistics_statements_executed ima$statistics.statements_executed\n"
+        ));
+        assert!(text.contains("# TYPE ingot_statistics_statements_executed untyped\n"));
+        assert!(text.contains("ingot_statistics_statements_executed 42\n"));
+        assert!(text.contains("ingot_wait_events_count{event=\"lock\"} 10\n"));
+        assert!(text.contains("ingot_wait_events_count{event=\"fsync\"} 3\n"));
     }
 
     #[test]
@@ -199,7 +194,7 @@ mod tests {
         let flat = snap.flatten();
         assert_eq!(flat.len(), 3);
         assert_eq!(flat[0].0, "ingot_statement_latency_ns_bucket");
-        assert!(flat[0].1.contains("le=\"1023\""));
+        assert_eq!(flat[0].1, "hash=\"abc\",le=\"1023\"");
         assert_eq!(flat[1].2, 4000.0);
     }
 
@@ -209,13 +204,17 @@ mod tests {
         snap.push(
             "m",
             "h",
-            MetricKind::Gauge,
+            MetricKind::Untyped,
             vec![Sample::labelled(
-                vec![("q".into(), "say \"hi\"\nthere".into())],
+                vec![("q".into(), "say \"hi\"\\\nthere".into())],
                 1.0,
             )],
         );
         let text = snap.render_prometheus();
-        assert!(text.contains("q=\"say \\\"hi\\\"\\nthere\""));
+        assert!(
+            text.contains("m{q=\"say \\\"hi\\\"\\\\\\nthere\"} 1\n"),
+            "{text}"
+        );
+        assert_eq!(snap.flatten()[0].1, "q=\"say \\\"hi\\\"\\\\\\nthere\"");
     }
 }

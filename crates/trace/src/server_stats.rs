@@ -1,14 +1,13 @@
-//! Wire-server counters exported through [`MetricsSnapshot`].
+//! Wire-server counters, served as the `ima$server` table.
 //!
 //! `ingot-server` charges one [`ServerStats`] per process: connection churn,
 //! frame and byte traffic, statements served and error/reap counts. The
-//! struct lives here (not in the server crate) so the export surface is the
-//! same one the engine's own metrics ride — the server merges these families
-//! into `Engine::metrics_snapshot()` output and serves the union.
+//! struct lives here, below both the engine and the server, so the engine
+//! core can define its `ima$server` record (`ingot_core::ima`) and the
+//! server can attach that record and render it into its
+//! [`MetricsSnapshot`](crate::MetricsSnapshot) like any other `ima$` table.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::metrics::{MetricKind, MetricsSnapshot, Sample};
+use std::sync::atomic::AtomicU64;
 
 /// Monotonic counters describing one server process's wire traffic.
 #[derive(Debug, Default)]
@@ -39,92 +38,5 @@ impl ServerStats {
     /// Fresh zeroed counters.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Append this struct's families to `snap` (used by the server to merge
-    /// wire counters into the engine's own metrics snapshot).
-    pub fn contribute(&self, snap: &mut MetricsSnapshot) {
-        let c = |v: &AtomicU64| vec![Sample::plain(v.load(Ordering::Relaxed) as f64)];
-        snap.push(
-            "ingot_server_connections_opened_total",
-            "Wire connections accepted by the server.",
-            MetricKind::Counter,
-            c(&self.connections_opened),
-        );
-        snap.push(
-            "ingot_server_connections_closed_total",
-            "Wire connections fully torn down.",
-            MetricKind::Counter,
-            c(&self.connections_closed),
-        );
-        snap.push(
-            "ingot_server_connections_reaped_total",
-            "Orphaned wire connections reaped after heartbeat expiry.",
-            MetricKind::Counter,
-            c(&self.connections_reaped),
-        );
-        snap.push(
-            "ingot_server_frames_in_total",
-            "Request frames read from wire clients.",
-            MetricKind::Counter,
-            c(&self.frames_in),
-        );
-        snap.push(
-            "ingot_server_frames_out_total",
-            "Response frames written to wire clients.",
-            MetricKind::Counter,
-            c(&self.frames_out),
-        );
-        snap.push(
-            "ingot_server_bytes_in_total",
-            "Request body bytes read from wire clients.",
-            MetricKind::Counter,
-            c(&self.bytes_in),
-        );
-        snap.push(
-            "ingot_server_bytes_out_total",
-            "Response body bytes written to wire clients.",
-            MetricKind::Counter,
-            c(&self.bytes_out),
-        );
-        snap.push(
-            "ingot_server_statements_served_total",
-            "Statements executed on behalf of wire clients.",
-            MetricKind::Counter,
-            c(&self.statements_served),
-        );
-        snap.push(
-            "ingot_server_errors_sent_total",
-            "Error responses sent to wire clients.",
-            MetricKind::Counter,
-            c(&self.errors_sent),
-        );
-        snap.push(
-            "ingot_server_heartbeats_total",
-            "Heartbeat frames answered.",
-            MetricKind::Counter,
-            c(&self.heartbeats),
-        );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn contribute_exports_every_counter() {
-        let stats = ServerStats::new();
-        stats.frames_in.fetch_add(3, Ordering::Relaxed);
-        stats.statements_served.fetch_add(2, Ordering::Relaxed);
-        let mut snap = MetricsSnapshot::new();
-        stats.contribute(&mut snap);
-        assert_eq!(snap.families.len(), 10);
-        let text = snap.render_prometheus();
-        assert!(text.contains("ingot_server_frames_in_total 3"), "{text}");
-        assert!(
-            text.contains("ingot_server_statements_served_total 2"),
-            "{text}"
-        );
     }
 }

@@ -21,8 +21,9 @@ use ingot_common::waits::{WaitEvent, WaitGuard, WaitRegistry, WaitRegistryHandle
 use ingot_common::{Error, Result, Snapshot, TxnId};
 use parking_lot::{Condvar, Mutex};
 
-/// Why a transaction aborted — the taxonomy behind `ima$transactions` and
-/// the `ingot_txn_aborts_total{cause=…}` metric family.
+/// Why a transaction aborted — the taxonomy behind the `aborts_<cause>`
+/// rows of `ima$transactions` (and so of its metric family,
+/// `ingot_transactions_value{metric="aborts_<cause>"}`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbortCause {
     /// Explicit `ROLLBACK` (or session drop with an open transaction).

@@ -51,7 +51,7 @@
 //!     a version bump plus a ledger entry.
 //!
 //! Checks 1, 6 and 8–12 run on a per-function control-flow graph with a
-//! forward dataflow pass (see [`syntax`], [`cfg`], [`dataflow`],
+//! forward dataflow pass (see [`syntax`], [`cfg`](mod@cfg), [`dataflow`],
 //! [`callgraph`], [`flow`]), which also discharges bounds-checked indexing
 //! for check 2; the remaining checks are token-level (see [`checks`]).
 //!

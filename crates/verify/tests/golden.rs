@@ -573,10 +573,14 @@ fn ima_check_scans_the_whole_registry() {
     let files = ingot_verify::scan::scan_workspace(&workspace_root()).expect("scan workspace");
     let mut expected: Vec<String> = ingot_core::IMA_TABLE_NAMES
         .iter()
-        .chain([&ingot_core::IMA_DAEMON_HEALTH, &ingot_core::IMA_CONNECTIONS])
+        .chain([
+            &ingot_core::IMA_DAEMON_HEALTH,
+            &ingot_core::IMA_CONNECTIONS,
+            &ingot_core::IMA_SERVER,
+        ])
         .map(|name| name.to_string())
         .collect();
     expected.sort();
-    assert_eq!(expected.len(), 20);
+    assert_eq!(expected.len(), 21);
     assert_eq!(ingot_verify::checks::ima_registry(&files), expected);
 }

@@ -1,5 +1,5 @@
 //! What every `ima$` table looks like from SQL, pinned: the column name,
-//! type and nullability of all twenty tables against
+//! type and nullability of all twenty-one tables against
 //! `tests/golden/ima_schemas.txt`, the tables each configuration registers
 //! (in registration order, with a storage daemon and a wire server
 //! attached), and that every row a provider serves fits its table's schema.
@@ -107,7 +107,7 @@ fn ima_schemas_match_the_golden() {
             path.display()
         );
     }
-    assert_eq!(actual.lines().filter(|l| l.starts_with("ima$")).count(), 20);
+    assert_eq!(actual.lines().filter(|l| l.starts_with("ima$")).count(), 21);
 }
 
 #[test]
@@ -121,7 +121,7 @@ fn registered_tables_follow_the_configuration() {
     };
 
     let mut full: Vec<&str> = MONITORED.to_vec();
-    full.extend(["ima$daemon_health", "ima$connections"]);
+    full.extend(["ima$daemon_health", "ima$connections", "ima$server"]);
     assert_eq!(attached_names(EngineConfig::monitoring()), full);
 
     let no_waits: Vec<&str> = full
@@ -135,8 +135,9 @@ fn registered_tables_follow_the_configuration() {
     };
     assert_eq!(attached_names(config), no_waits);
 
-    // The Original setup carries no sensor, so no engine observer and no
-    // connection fleet; the daemon's own health is still listed.
+    // The Original setup carries no sensor, so no engine observer, no
+    // connection fleet and no server row; the daemon's own health is still
+    // listed.
     assert_eq!(
         attached_names(EngineConfig::original()),
         ["ima$daemon_health"]
@@ -194,7 +195,7 @@ fn provider_rows_fit_their_schemas() {
     daemon.poll_once().unwrap();
 
     let tables = virtual_tables(&engine);
-    assert_eq!(tables.len(), 20);
+    assert_eq!(tables.len(), 21);
     for table in &tables {
         let rows = (table.provider)();
         assert!(!rows.is_empty(), "{} served no row", table.name);

@@ -339,11 +339,11 @@ fn metrics_snapshot_covers_engine_monitor_and_tracer() {
     s.execute("select count(*) from protein").unwrap();
     let text = e.metrics_snapshot().render_prometheus();
     for needle in [
-        "# TYPE ingot_statements_executed_total counter",
-        "ingot_buffer_pool_requests_total{outcome=\"hit\"}",
-        "ingot_disk_pages_total{kind=\"write\"}",
-        "ingot_monitor_self_time_ns_total",
-        "ingot_trace_enabled 1",
+        "# TYPE ingot_statistics_statements_executed untyped",
+        "ingot_statistics_cache_hits ",
+        "ingot_statistics_physical_writes ",
+        "ingot_monitor_health_self_time_ns ",
+        "ingot_monitor_health_trace_enabled 1",
         "# TYPE ingot_statement_latency_ns histogram",
         "le=\"+Inf\"",
     ] {
