@@ -40,11 +40,6 @@ impl StmtAgg {
             .to_ascii_lowercase()
             .starts_with("select")
     }
-
-    /// Mean actual total cost per execution.
-    pub fn avg_actual_total(&self) -> f64 {
-        self.actual.total() / self.executions.max(1) as f64
-    }
 }
 
 /// Per-table aggregate (latest snapshot).
@@ -54,7 +49,7 @@ pub struct TableAgg {
     pub id: TableId,
     /// Name.
     pub name: String,
-    /// Reference frequency.
+    /// Reference frequency, summed across engine lives.
     pub frequency: u64,
     /// Storage structure tag.
     pub storage: String,
@@ -88,7 +83,7 @@ pub struct AttrAgg {
     pub column: usize,
     /// Column name.
     pub name: String,
-    /// Reference frequency.
+    /// Reference frequency, summed across engine lives.
     pub frequency: u64,
     /// Histogram present at last reference.
     pub has_histogram: bool,
@@ -109,7 +104,7 @@ pub struct StatPoint {
     pub deadlocks_total: u64,
 }
 
-/// Cumulative time lost to one wait event (system-wide).
+/// Cumulative time lost to one wait event (system-wide, every engine life).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WaitAgg {
     /// Wait-event name (`LockWaitX`, `WalFsync`, …).
@@ -183,15 +178,46 @@ impl Source {
 }
 
 /// Every row of `R`'s workload-DB table in filing order, read back through
-/// the definition that wrote it.
-fn filed<R: Copied>(db: &WorkloadDb) -> Result<Vec<R>> {
+/// the definition that wrote it, with the boot identity filed beside it.
+fn filed<R: Copied>(db: &WorkloadDb) -> Result<Vec<(u64, R)>> {
     db.query(&format!("select * from {} order by ts", R::WL))?
         .iter()
         .map(|row| {
-            R::decode(&mut row.values().iter())
+            let mut cells = row.values().iter();
+            R::decode(&mut cells)
+                .and_then(|record| Some((cells.next()?.as_int()? as u64, record)))
                 .ok_or_else(|| Error::daemon(format!("{} row is not a {} row", R::WL, R::IMA)))
         })
         .collect()
+}
+
+/// [`filed`] without the boot identities.
+fn records<R: Copied>(db: &WorkloadDb) -> Result<Vec<R>> {
+    Ok(filed(db)?.into_iter().map(|(_, record)| record).collect())
+}
+
+/// The cumulative snapshots of `R` filed over several lives of the engine,
+/// as one life: per `key`, the newest row, with `add` folding into it the
+/// newest row of every earlier life — the counters restarted at zero.
+fn across_lives<R: Copied, K: Ord>(
+    db: &WorkloadDb,
+    key: impl Fn(&R) -> K,
+    add: impl Fn(&mut R, &R),
+) -> Result<Vec<R>> {
+    let mut lives: BTreeMap<K, Vec<(u64, R)>> = BTreeMap::new();
+    for (boot, row) in filed(db)? {
+        let newest = lives.entry(key(&row)).or_default();
+        newest.retain(|&(b, _)| b != boot);
+        newest.push((boot, row));
+    }
+    let fold = |mut newest: Vec<(u64, R)>| {
+        let (_, mut row) = newest.pop()?;
+        for (_, earlier) in &newest {
+            add(&mut row, earlier);
+        }
+        Some(row)
+    };
+    Ok(lives.into_values().filter_map(fold).collect())
 }
 
 impl WorkloadView {
@@ -222,14 +248,22 @@ impl WorkloadView {
     /// the paper intends external analyzers to do).
     pub fn from_workload_db(db: &WorkloadDb) -> Result<WorkloadView> {
         Ok(WorkloadView::build(Source {
-            statements: filed(db)?,
-            workload: filed(db)?,
-            references: filed(db)?,
-            tables: filed(db)?,
-            attributes: filed(db)?,
-            statistics: filed(db)?,
-            waits: filed(db)?,
-            ash: filed(db)?,
+            statements: records(db)?,
+            workload: records(db)?,
+            references: records(db)?,
+            tables: across_lives(db, |t: &TableUsage| t.id, |t, e| t.frequency += e.frequency)?,
+            attributes: across_lives(
+                db,
+                |a: &AttributeUsage| (a.table, a.column),
+                |a, e| a.frequency += e.frequency,
+            )?,
+            statistics: records(db)?,
+            waits: across_lives(
+                db,
+                |t: &WaitTotal| t.event.index(),
+                |t, e| (t.count, t.total_ns) = (t.count + e.count, t.total_ns + e.total_ns),
+            )?,
+            ash: records(db)?,
         }))
     }
 

@@ -251,6 +251,6 @@ fn run_cell(mix: Mix, conns: usize, per_conn: u64) -> Duration {
         .join()
         .expect("server thread")
         .expect("server run");
-    engine.detach::<ingot_core::ConnectionRow>();
+    engine.attach::<ingot_core::ConnectionRow>(Vec::new);
     elapsed
 }

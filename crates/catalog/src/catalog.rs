@@ -33,13 +33,17 @@ pub struct Catalog {
     pool: Arc<BufferPool>,
     heap_main_pages: usize,
     tables: HashMap<TableId, Arc<TableEntry>>,
-    table_names: HashMap<String, TableId>,
     indexes: HashMap<IndexId, Arc<IndexEntry>>,
     index_names: HashMap<String, IndexId>,
     virtual_tables: HashMap<TableId, VirtualTableDef>,
-    virtual_names: HashMap<String, TableId>,
+    /// Base and virtual tables by name: one name, one id.
+    table_names: HashMap<String, TableId>,
+    /// Base tables and real indexes count up from 1, virtual tables and
+    /// what-if indexes down from `u32::MAX`, so neither moves a base id; the
+    /// checkpoint records the two upward counters.
     next_table: u32,
     next_index: u32,
+    next_virtual_index: u32,
     /// Schema epoch: bumped every time a modified copy of the catalog is
     /// published through [`crate::shared::SharedCatalog`]. Plan-cache entries
     /// are keyed on it, so any published schema or statistics change
@@ -55,7 +59,8 @@ pub type VirtualProvider = std::sync::Arc<dyn Fn() -> Vec<Row> + Send + Sync>;
 /// queried over standard SQL, with no disk access involved.
 #[derive(Clone)]
 pub struct VirtualTableDef {
-    /// Stable id (shares the table-id space).
+    /// Stable id, from the virtual space: the n-th table registered gets
+    /// `u32::MAX - n`, never a base table's id.
     pub id: TableId,
     /// Lower-cased name (conventionally `ima$…`), shared with the plans
     /// that scan the table.
@@ -73,6 +78,14 @@ fn lower(name: &str) -> Cow<'_, str> {
         Cow::Owned(name.to_ascii_lowercase())
     } else {
         Cow::Borrowed(name)
+    }
+}
+
+/// `Err` naming the first of `columns` not below `len`.
+fn check_columns(what: &str, columns: &[usize], len: usize) -> Result<()> {
+    match columns.iter().find(|&&c| c >= len) {
+        Some(c) => Err(Error::catalog(format!("{what} column {c} out of range"))),
+        None => Ok(()),
     }
 }
 
@@ -96,9 +109,9 @@ impl Catalog {
             indexes: HashMap::new(),
             index_names: HashMap::new(),
             virtual_tables: HashMap::new(),
-            virtual_names: HashMap::new(),
             next_table: 1,
             next_index: 1,
+            next_virtual_index: u32::MAX,
             epoch: 0,
         }
     }
@@ -132,22 +145,18 @@ impl Catalog {
         primary_key: Vec<usize>,
     ) -> Result<TableId> {
         let name = name.to_ascii_lowercase();
-        if self.table_names.contains_key(&name) || self.virtual_names.contains_key(&name) {
+        if self.table_names.contains_key(&name) {
             return Err(Error::catalog(format!("table '{name}' already exists")));
         }
-        for &pk in &primary_key {
-            if pk >= schema.len() {
-                return Err(Error::catalog(format!(
-                    "primary key column {pk} out of range"
-                )));
-            }
-        }
-        let id = TableId(self.next_table);
-        self.next_table += 1;
+        check_columns("primary key", &primary_key, schema.len())?;
         let heap = Arc::new(HeapFile::create(
             Arc::clone(&self.pool),
             self.heap_main_pages,
         )?);
+        // Taken once the heap exists: a failed CREATE burns no id, so WAL
+        // replay, which never sees it, hands out the same ones.
+        let id = TableId(self.next_table);
+        self.next_table += 1;
         let entry = TableEntry {
             meta: TableMeta {
                 id,
@@ -169,17 +178,7 @@ impl Catalog {
     /// the backend — like a real system, space returns on rebuild.)
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
         let id = self.resolve_table(name)?;
-        let index_ids: Vec<IndexId> = self
-            .indexes
-            .values()
-            .filter(|e| e.meta.table == id)
-            .map(|e| e.meta.id)
-            .collect();
-        for iid in index_ids {
-            if let Some(e) = self.indexes.remove(&iid) {
-                self.index_names.remove(&*e.meta.name);
-            }
-        }
+        self.remove_indexes(|i| i.table == id);
         let entry = self.tables.remove(&id).expect("resolved table");
         self.table_names.remove(&*entry.meta.name);
         Ok(())
@@ -190,6 +189,7 @@ impl Catalog {
         self.table_names
             .get(&*lower(name))
             .copied()
+            .filter(|id| self.tables.contains_key(id))
             .ok_or_else(|| Error::binder(format!("unknown table '{name}'")))
     }
 
@@ -202,11 +202,10 @@ impl Catalog {
         provider: VirtualProvider,
     ) -> Result<TableId> {
         let name = name.to_ascii_lowercase();
-        if self.table_names.contains_key(&name) || self.virtual_names.contains_key(&name) {
+        if self.table_names.contains_key(&name) {
             return Err(Error::catalog(format!("table '{name}' already exists")));
         }
-        let id = TableId(self.next_table);
-        self.next_table += 1;
+        let id = TableId(u32::MAX - self.virtual_tables.len() as u32);
         self.virtual_tables.insert(
             id,
             VirtualTableDef {
@@ -216,20 +215,20 @@ impl Catalog {
                 provider,
             },
         );
-        self.virtual_names.insert(name, id);
+        self.table_names.insert(name, id);
         Ok(id)
     }
 
     /// Resolve a name to a base or virtual relation.
     pub fn resolve_relation(&self, name: &str) -> Result<Relation<'_>> {
-        let lower = lower(name);
-        if let Some(id) = self.table_names.get(&*lower) {
-            return Ok(Relation::Base(self.table(*id)?));
-        }
-        if let Some(id) = self.virtual_names.get(&*lower) {
-            return Ok(Relation::Virtual(&self.virtual_tables[id]));
-        }
-        Err(Error::binder(format!("unknown table '{name}'")))
+        let id = self
+            .table_names
+            .get(&*lower(name))
+            .ok_or_else(|| Error::binder(format!("unknown table '{name}'")))?;
+        Ok(match self.tables.get(id) {
+            Some(entry) => Relation::Base(entry),
+            None => Relation::Virtual(&self.virtual_tables[id]),
+        })
     }
 
     /// The virtual-table definition behind `id`, if any.
@@ -285,11 +284,7 @@ impl Catalog {
             return Err(Error::catalog(format!("index '{name}' already exists")));
         }
         let entry = self.table(table)?;
-        for &c in &columns {
-            if c >= entry.meta.schema.len() {
-                return Err(Error::catalog(format!("index column {c} out of range")));
-            }
-        }
+        check_columns("index", &columns, entry.meta.schema.len())?;
         if columns.is_empty() {
             return Err(Error::catalog("index needs at least one column"));
         }
@@ -317,65 +312,54 @@ impl Catalog {
             let key = IndexEntry::stored_key(&vals, rid);
             tree.insert(&key, &rid.pack().to_le_bytes())?;
         }
-        let id = IndexId(self.next_index);
-        self.next_index += 1;
-        let idx = IndexEntry {
-            meta: IndexMeta {
-                id,
-                name: name.as_str().into(),
-                table,
-                columns,
-                unique,
-                is_virtual: false,
-            },
-            tree: Some(Arc::new(tree)),
+        let meta = IndexMeta {
+            id: IndexId(self.next_index),
+            name: name.into(),
+            table,
+            columns,
+            unique,
+            is_virtual: false,
         };
-        self.indexes.insert(id, Arc::new(idx));
-        self.index_names.insert(name, id);
-        Ok(id)
+        self.next_index += 1;
+        Ok(self.add_index(meta, Some(Arc::new(tree))))
     }
 
     /// Register a *virtual* (hypothetical) index: visible to the optimizer's
     /// what-if mode, never materialised, free to create and drop.
     pub fn add_virtual_index(&mut self, table: TableId, columns: Vec<usize>) -> Result<IndexId> {
         let entry = self.table(table)?;
-        for &c in &columns {
-            if c >= entry.meta.schema.len() {
-                return Err(Error::catalog(format!("index column {c} out of range")));
-            }
-        }
-        let id = IndexId(self.next_index);
-        let name = format!("$virtual_{}_{}", entry.meta.name, id.raw());
-        self.next_index += 1;
-        let idx = IndexEntry {
-            meta: IndexMeta {
-                id,
-                name: name.as_str().into(),
-                table,
-                columns,
-                unique: false,
-                is_virtual: true,
-            },
-            tree: None,
+        check_columns("index", &columns, entry.meta.schema.len())?;
+        let id = IndexId(self.next_virtual_index);
+        let meta = IndexMeta {
+            id,
+            name: format!("$virtual_{}_{}", entry.meta.name, id.raw()).into(),
+            table,
+            columns,
+            unique: false,
+            is_virtual: true,
         };
-        self.indexes.insert(id, Arc::new(idx));
-        self.index_names.insert(name, id);
-        Ok(id)
+        self.next_virtual_index -= 1;
+        Ok(self.add_index(meta, None))
+    }
+
+    /// File an index under its id and name.
+    fn add_index(&mut self, meta: IndexMeta, tree: Option<Arc<BTreeFile>>) -> IndexId {
+        let id = meta.id;
+        self.index_names.insert(meta.name.to_string(), id);
+        self.indexes.insert(id, Arc::new(IndexEntry { meta, tree }));
+        id
     }
 
     /// Remove every virtual index (end of a what-if session).
     pub fn clear_virtual_indexes(&mut self) {
-        let ids: Vec<IndexId> = self
-            .indexes
-            .values()
-            .filter(|e| e.meta.is_virtual)
-            .map(|e| e.meta.id)
-            .collect();
-        for id in ids {
-            if let Some(e) = self.indexes.remove(&id) {
-                self.index_names.remove(&*e.meta.name);
-            }
-        }
+        self.remove_indexes(|i| i.is_virtual);
+    }
+
+    /// Remove every index `doomed` picks, names included.
+    fn remove_indexes(&mut self, doomed: impl Fn(&IndexMeta) -> bool) {
+        self.indexes.retain(|_, e| !doomed(&e.meta));
+        let indexes = &self.indexes;
+        self.index_names.retain(|_, id| indexes.contains_key(id));
     }
 
     /// Drop an index by name.
@@ -424,16 +408,19 @@ impl Catalog {
 
     // ---- checkpoint persistence ----------------------------------------------
 
-    /// Serialize every base table and index (including virtual ones, which
-    /// are metadata-only) to a checkpoint schema blob. See
-    /// [`crate::persist`] for the format and the name-not-id rationale.
-    /// Statistics are not captured — they are recomputable.
+    /// Serialize every base table and real index with its id, plus the two
+    /// id counters, to a checkpoint schema blob (see [`crate::persist`]).
+    /// What-if indexes and virtual tables are left out: the first live for
+    /// one analyzer pass, the second are registered again by the engine
+    /// that boots. Statistics are left out too — they are recomputable.
     pub fn dump_schema(&self) -> Vec<u8> {
-        let mut table_entries: Vec<&Arc<TableEntry>> = self.tables.values().collect();
-        table_entries.sort_by_key(|e| e.meta.id);
-        let tables = table_entries
-            .iter()
-            .map(|e| crate::persist::TableDump {
+        use crate::persist::{IndexDump, SchemaDump, TableDump};
+        let name_of = |id| self.tables.get(&id).map(|t| t.meta.name.to_string());
+        let mut tables: Vec<TableDump> = self
+            .tables
+            .values()
+            .map(|e| TableDump {
+                id: e.meta.id,
                 name: e.meta.name.to_string(),
                 schema: e.meta.schema.clone(),
                 primary_key: e.meta.primary_key.clone(),
@@ -443,84 +430,69 @@ impl Catalog {
                 primary_file: e.primary.as_ref().map(|p| p.file_id().raw()),
             })
             .collect();
-        let mut index_entries: Vec<&Arc<IndexEntry>> = self
+        let mut indexes: Vec<IndexDump> = self
             .indexes
             .values()
             .filter(|e| !e.meta.is_virtual)
-            .collect();
-        index_entries.sort_by_key(|e| e.meta.id);
-        let indexes = index_entries
-            .iter()
-            .map(|e| crate::persist::IndexDump {
+            .map(|e| IndexDump {
+                id: e.meta.id,
                 name: e.meta.name.to_string(),
-                table: self
-                    .tables
-                    .get(&e.meta.table)
-                    .map(|t| t.meta.name.to_string())
-                    .unwrap_or_default(),
+                table: name_of(e.meta.table).unwrap_or_default(),
                 columns: e.meta.columns.clone(),
                 unique: e.meta.unique,
                 tree_file: e.tree.as_ref().map(|t| t.file_id().raw()),
             })
             .collect();
-        crate::persist::SchemaDump { tables, indexes }.encode()
+        tables.sort_by_key(|t| t.id);
+        indexes.sort_by_key(|i| i.id);
+        SchemaDump {
+            tables,
+            indexes,
+            next_table: self.next_table,
+            next_index: self.next_index,
+        }
+        .encode()
     }
 
     /// Rebuild catalog contents from a checkpoint schema `blob` by
     /// re-attaching the existing storage files (no data is read beyond the
-    /// heads needed to validate structure). Ids are re-assigned in blob
-    /// (creation) order; names are preserved. Fails on name collisions with
+    /// heads needed to validate structure). Every table and index gets back
+    /// the id the blob records, and the id counters resume where the
+    /// checkpointed catalog left them, so a CREATE redone from the log takes
+    /// the id it took the first time. Fails on name or id collisions with
     /// already-registered objects, leaving partially attached entries in
     /// place — callers attach into a fresh catalog at boot.
     pub fn attach_schema(&mut self, blob: &[u8]) -> Result<()> {
         use ingot_storage::FileId;
         let dump = crate::persist::SchemaDump::decode(blob)?;
-        for t in &dump.tables {
-            if self.table_names.contains_key(&t.name) || self.virtual_names.contains_key(&t.name) {
+        let pool = Arc::clone(&self.pool);
+        let open_tree = |f| BTreeFile::open(Arc::clone(&pool), FileId(f)).map(Arc::new);
+        for t in dump.tables {
+            if self.table_names.contains_key(&t.name) || self.tables.contains_key(&t.id) {
                 return Err(Error::catalog(format!(
                     "attach: table '{}' already exists",
                     t.name
                 )));
             }
-            for &pk in &t.primary_key {
-                if pk >= t.schema.len() {
-                    return Err(Error::catalog(format!(
-                        "attach: primary key column {pk} out of range for '{}'",
-                        t.name
-                    )));
-                }
-            }
-            let heap = Arc::new(HeapFile::open(
-                Arc::clone(&self.pool),
-                FileId(t.heap_file),
-                t.heap_main_pages,
-            )?);
-            let primary = match t.primary_file {
-                Some(f) => Some(Arc::new(BTreeFile::open(
-                    Arc::clone(&self.pool),
-                    FileId(f),
-                )?)),
-                None => None,
-            };
-            let id = TableId(self.next_table);
-            self.next_table += 1;
+            check_columns("attach: primary key", &t.primary_key, t.schema.len())?;
+            let heap = HeapFile::open(Arc::clone(&pool), FileId(t.heap_file), t.heap_main_pages)?;
             let entry = TableEntry {
                 meta: TableMeta {
-                    id,
+                    id: t.id,
                     name: t.name.as_str().into(),
-                    schema: t.schema.clone(),
-                    primary_key: t.primary_key.clone(),
+                    schema: t.schema,
+                    primary_key: t.primary_key,
                     storage: t.storage,
                 },
-                heap,
-                primary,
+                heap: Arc::new(heap),
+                primary: t.primary_file.map(open_tree).transpose()?,
                 stats: None,
             };
-            self.tables.insert(id, Arc::new(entry));
-            self.table_names.insert(t.name.clone(), id);
+            self.tables.insert(t.id, Arc::new(entry));
+            self.table_names.insert(t.name, t.id);
         }
-        for i in &dump.indexes {
-            if self.index_names.contains_key(&i.name) {
+        for i in dump.indexes {
+            if self.index_names.contains_key(&i.name) || self.indexes.contains_key(&i.id) {
                 return Err(Error::catalog(format!(
                     "attach: index '{}' already exists",
                     i.name
@@ -528,37 +500,19 @@ impl Catalog {
             }
             let table = self.resolve_table(&i.table)?;
             let n_cols = self.table(table)?.meta.schema.len();
-            for &c in &i.columns {
-                if c >= n_cols {
-                    return Err(Error::catalog(format!(
-                        "attach: index column {c} out of range for '{}'",
-                        i.name
-                    )));
-                }
-            }
-            let tree = match i.tree_file {
-                Some(f) => Some(Arc::new(BTreeFile::open(
-                    Arc::clone(&self.pool),
-                    FileId(f),
-                )?)),
-                None => None,
+            check_columns("attach: index", &i.columns, n_cols)?;
+            let meta = IndexMeta {
+                id: i.id,
+                name: i.name.into(),
+                table,
+                columns: i.columns,
+                unique: i.unique,
+                is_virtual: i.tree_file.is_none(),
             };
-            let id = IndexId(self.next_index);
-            self.next_index += 1;
-            let idx = IndexEntry {
-                meta: IndexMeta {
-                    id,
-                    name: i.name.as_str().into(),
-                    table,
-                    columns: i.columns.clone(),
-                    unique: i.unique,
-                    is_virtual: i.tree_file.is_none(),
-                },
-                tree,
-            };
-            self.indexes.insert(id, Arc::new(idx));
-            self.index_names.insert(i.name.clone(), id);
+            self.add_index(meta, i.tree_file.map(open_tree).transpose()?);
         }
+        self.next_table = self.next_table.max(dump.next_table);
+        self.next_index = self.next_index.max(dump.next_index);
         Ok(())
     }
 
@@ -879,6 +833,62 @@ mod tests {
         assert_eq!(c.indexes_of(t).len(), 1);
         c.clear_virtual_indexes();
         assert_eq!(c.indexes_of(t).len(), 0);
+    }
+
+    #[test]
+    fn base_ids_ignore_virtual_objects_and_survive_a_dump() {
+        let mut c = catalog();
+        c.register_virtual_table("ima$x", people_schema(), Arc::new(Vec::new))
+            .unwrap();
+        let a = c.create_table("a", people_schema(), vec![0]).unwrap();
+        let what_if = c.add_virtual_index(a, vec![2]).unwrap();
+        let b = c.create_table("b", people_schema(), vec![0]).unwrap();
+        c.drop_table("a").unwrap();
+        let b_age = c.create_index("b_age", b, vec![2], false).unwrap();
+        assert_eq!((a, b, b_age), (TableId(1), TableId(2), IndexId(1)));
+        let ima_x = c.virtual_tables().next().map(|t| t.id);
+        assert_eq!(ima_x, Some(TableId(u32::MAX)));
+        assert_eq!(what_if, IndexId(u32::MAX));
+
+        let mut back = Catalog::new(Arc::clone(c.pool()), 2);
+        back.attach_schema(&c.dump_schema()).unwrap();
+        assert_eq!(back.resolve_table("b").unwrap(), b);
+        assert_eq!(back.index_by_name("b_age").unwrap().meta.id, b_age);
+        // The counters resume: a dropped table's id is not handed out again.
+        let c3 = back.create_table("c", people_schema(), vec![0]).unwrap();
+        let c_age = back.create_index("c_age", c3, vec![2], false).unwrap();
+        assert_eq!((c3, c_age), (TableId(3), IndexId(2)));
+    }
+
+    #[test]
+    fn an_sc1_checkpoint_attaches_with_ids_in_order() {
+        use crate::persist::{tests::encode_sc1, SchemaDump};
+        let mut c = catalog();
+        c.create_table("gone", people_schema(), vec![0]).unwrap();
+        let a = c.create_table("a", people_schema(), vec![0]).unwrap();
+        c.drop_table("gone").unwrap();
+        let b = c.create_table("b", people_schema(), vec![0]).unwrap();
+        for i in 0..30 {
+            c.insert_row(b, &sample_row(i)).unwrap();
+        }
+        c.create_index("b_age", b, vec![2], false).unwrap();
+        c.modify_storage(a, StorageStructure::BTree).unwrap();
+        let sc1 = encode_sc1(&SchemaDump::decode(&c.dump_schema()).unwrap());
+
+        let mut back = Catalog::new(Arc::clone(c.pool()), 2);
+        back.attach_schema(&sc1).unwrap();
+        assert_eq!(back.resolve_table("a").unwrap(), TableId(1));
+        assert_eq!(back.resolve_table("b").unwrap(), TableId(2));
+        let b_age = back.index_by_name("b_age").unwrap();
+        assert_eq!(b_age.meta.id, IndexId(1));
+        assert_eq!(b_age.probe_eq(&[Value::Int(7)]).unwrap().len(), 1);
+        assert_eq!(back.table(TableId(2)).unwrap().heap.row_count(), 30);
+        assert_eq!(
+            back.table(TableId(1)).unwrap().meta.storage,
+            StorageStructure::BTree
+        );
+        let next = back.create_table("c", people_schema(), vec![0]).unwrap();
+        assert_eq!(next, TableId(3));
     }
 
     #[test]

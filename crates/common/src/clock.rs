@@ -11,7 +11,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Instant, UNIX_EPOCH};
 
 /// Wall-clock helper: nanoseconds since an arbitrary process-local epoch.
 #[derive(Debug, Clone, Copy)]
@@ -38,6 +38,15 @@ impl Default for MonotonicClock {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// A boot identity: wall-clock nanoseconds since the Unix epoch, above every
+/// one this process handed out before, so no two engine lives share one.
+pub fn boot_id() -> u64 {
+    static LAST: AtomicU64 = AtomicU64::new(0);
+    let now = UNIX_EPOCH.elapsed().map_or(0, |d| d.as_nanos() as u64);
+    LAST.fetch_max(now, Ordering::Relaxed);
+    LAST.fetch_add(1, Ordering::Relaxed) + 1
 }
 
 /// A shared simulated clock measured in nanoseconds.
@@ -99,5 +108,10 @@ mod tests {
         assert_eq!(c2.now_secs(), 5);
         c2.advance_nanos(1_000_000_000);
         assert_eq!(c.now_secs(), 6);
+    }
+    #[test]
+    fn boot_ids_are_unique_and_rise() {
+        let ids: Vec<u64> = (0..1000).map(|_| boot_id()).collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -1,6 +1,6 @@
 //! Construction: [`EngineBuilder`] picks the storage backing and validates
-//! the configuration, `with_storage` wires the subsystems and registers the
-//! monitored `ima$…` tables, and `build` runs crash recovery.
+//! the configuration, `with_storage` wires the subsystems and registers every
+//! `ima$…` table of the configuration, and `build` runs crash recovery.
 
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
@@ -18,7 +18,9 @@ use parking_lot::Mutex;
 
 use super::{Engine, SessionCounters};
 use crate::ash::{AshSample, AshSampler};
-use crate::ima::{latency_buckets, observer_health, provider, serve, transaction_metrics};
+use crate::ima::{
+    latency_buckets, observer_health, provider, serve, serve_attached, transaction_metrics,
+};
 use crate::monitor::{Monitor, Record};
 
 /// Configures and builds an [`Engine`]. Obtained via [`Engine::builder`].
@@ -176,7 +178,7 @@ impl Engine {
         let mut catalog = Catalog::new(Arc::clone(storage.pool()), config.heap_main_pages);
         // Crash recovery, part 2a: re-attach the schema recorded in the
         // checkpoint manifest so WAL replay (part 2b, in `build`) finds its
-        // tables. Base tables come back before any `ima$…` registration.
+        // tables, under the ids they had.
         if let Some(blob) = storage.checkpoint_meta()? {
             catalog.attach_schema(&blob)?;
         }
@@ -219,10 +221,10 @@ impl Engine {
         } else {
             (None, None)
         };
+        let c = &mut catalog;
         if let (Some(m), Some(t)) = (&monitor, &tracer) {
             // Every `ima$` table the engine serves itself, in registration
-            // order (table ids follow it).
-            let c = &mut catalog;
+            // order (`IMA_TABLE_NAMES`).
             serve(c, m, Monitor::statements)?;
             serve(c, m, Monitor::workload)?;
             serve(c, m, Monitor::references)?;
@@ -250,6 +252,14 @@ impl Engine {
             serve(c, t, Tracer::operator_stats)?;
             serve(c, t, latency_buckets)?;
         }
+        // Then the tables filled outside the engine, empty until attached:
+        // a daemon's on every engine, a server's on a monitored one.
+        let attached = Arc::default();
+        serve_attached::<crate::DaemonHealthRow>(c, &attached)?;
+        if monitor.is_some() {
+            serve_attached::<crate::ConnectionRow>(c, &attached)?;
+            serve_attached::<Arc<ingot_trace::ServerStats>>(c, &attached)?;
+        }
         Ok(Arc::new(Engine {
             locks,
             txns,
@@ -268,7 +278,7 @@ impl Engine {
             checkpoint_serial: Mutex::new(()),
             waits,
             ash,
-            attached: Arc::default(),
+            attached,
         }))
     }
 }

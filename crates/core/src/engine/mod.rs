@@ -24,7 +24,7 @@ use ingot_txn::{LockManager, TxnManager};
 use parking_lot::Mutex;
 
 use crate::ash::AshSampler;
-use crate::ima::provider;
+use crate::ima::{provider, Slots};
 use crate::monitor::{Monitor, Record, StatSample};
 use commit::TxnUndo;
 
@@ -111,9 +111,9 @@ pub struct Engine {
     waits: Option<Arc<WaitRegistry>>,
     /// The ASH sampler; present exactly when `waits` is.
     ash: Option<Arc<AshSampler>>,
-    /// The row sources of the `ima$` tables filled outside the engine, by
-    /// table name (see [`Engine::attach`]).
-    attached: Arc<Mutex<HashMap<&'static str, ingot_catalog::VirtualProvider>>>,
+    /// The row sources of the `ima$` tables filled outside the engine (see
+    /// [`Engine::attach`]).
+    attached: Arc<Slots>,
 }
 
 impl Engine {
@@ -159,36 +159,13 @@ impl Engine {
         self.ash.as_ref()
     }
 
-    /// Serve the `ima$` table of `R` from `rows`, a source outside the
-    /// engine: a storage daemon's `ima$daemon_health`, a server's
-    /// `ima$connections`. The table is registered on the first attach —
-    /// table ids share one space, so registering it at construction would
-    /// renumber every table created afterwards — and reads through a slot
-    /// each later attach replaces, so the latest daemon or a restarted
-    /// server serves its own rows, never a predecessor's.
-    pub fn attach<R: Record>(
-        &self,
-        rows: impl Fn() -> Vec<R> + Send + Sync + 'static,
-    ) -> Result<()> {
+    /// Serve the `ima$` table of `R`, registered at construction, from `rows`,
+    /// a source outside the engine (a daemon's health, a server's fleet). This
+    /// swaps the table's slot and nothing else — no schema change, no dropped
+    /// plan — so the latest source serves; `attach::<R>(Vec::new)` empties it.
+    /// Where the configuration has no such table, none reads it.
+    pub fn attach<R: Record>(&self, rows: impl Fn() -> Vec<R> + Send + Sync + 'static) {
         self.attached.lock().insert(R::IMA, provider(rows));
-        let mut catalog = self.catalog.write();
-        if catalog.resolve_relation(R::IMA).is_ok() {
-            // An earlier attach registered it; swapping the slot was all.
-            return Ok(());
-        }
-        let slots = Arc::clone(&self.attached);
-        let rows = move || {
-            let source = slots.lock().get(R::IMA).cloned();
-            source.map(|rows| rows()).unwrap_or_default()
-        };
-        catalog.register_virtual_table(R::IMA, R::schema(), Arc::new(rows))?;
-        Ok(())
-    }
-
-    /// Detach the row source of `R`'s table: the table stays registered but
-    /// serves no row until the next [`attach`](Self::attach).
-    pub fn detach<R: Record>(&self) {
-        self.attached.lock().remove(R::IMA);
     }
 
     /// The shared simulated clock.
@@ -390,7 +367,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ima::{ConnectionRow, IMA_CONNECTIONS};
+    use crate::ima::ConnectionRow;
     use ingot_common::{Error, StmtHash, Value};
 
     fn engine() -> Arc<Engine> {
@@ -962,17 +939,18 @@ mod tests {
             let r = s.execute("select peer from ima$connections").unwrap();
             r.rows.iter().map(|row| row.get(0).clone()).collect()
         };
-        e.attach(fleet("first")).unwrap();
+        assert!(peers().is_empty(), "registered, but no fleet attached yet");
+        e.attach(fleet("first"));
         assert_eq!(peers(), [Value::Str("first".into())]);
-        e.detach::<ConnectionRow>();
+        e.attach::<ConnectionRow>(Vec::new);
         assert!(peers().is_empty(), "registered, but no fleet attached");
-        e.attach(fleet("second")).unwrap();
+        e.attach(fleet("second"));
         assert_eq!(peers(), [Value::Str("second".into())]);
         let tables = e
             .catalog()
             .read()
             .virtual_tables()
-            .filter(|t| &*t.name == IMA_CONNECTIONS)
+            .filter(|t| &*t.name == "ima$connections")
             .count();
         assert_eq!(tables, 1);
     }

@@ -9,8 +9,9 @@
 //! they read: the nine the storage daemon copies are defined with their
 //! records in `monitor::records` and `ash.rs` (`ima$active_sessions` serves
 //! `ima$ash`'s record live), the other eleven below. The engine builder
-//! serves eighteen over the subsystems it wires; [`Engine::attach`][crate::Engine::attach]
-//! serves the three filled outside the engine. Scanning `ima$workload` copies
+//! registers all of them ([`IMA_TABLE_NAMES`]) at construction: eighteen over
+//! the subsystems it wires, three over slots that [`Engine::attach`][crate::Engine::attach]
+//! fills from outside the engine. Scanning `ima$workload` copies
 //! its lock-free ring, the monitor's other tables cost one snapshot under
 //! its lock, and none does I/O.
 //!
@@ -18,6 +19,7 @@
 //! them as Prometheus families for `Engine::metrics_snapshot`, so a counter
 //! is named once, as a column.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -35,6 +37,7 @@ use crate::monitor::records::{
     StatementInfo, TableUsage, WorkloadRecord,
 };
 use crate::monitor::{Monitor, MonitorHealth};
+use parking_lot::Mutex;
 
 /// `rows` as a catalog row source: each record encoded at scan time.
 pub(crate) fn provider<R: Record>(
@@ -52,6 +55,20 @@ pub(crate) fn serve<S: Send + Sync + 'static, R: Record>(
 ) -> Result<()> {
     let source = Arc::clone(source);
     catalog.register_virtual_table(R::IMA, R::schema(), provider(move || rows(&source)))?;
+    Ok(())
+}
+
+/// The row sources of the `ima$` tables filled outside the engine, by name.
+pub(crate) type Slots = Mutex<HashMap<&'static str, VirtualProvider>>;
+
+/// Register `R::IMA` over its slot in `slots`, empty until a source is attached.
+pub(crate) fn serve_attached<R: Record>(catalog: &mut Catalog, slots: &Arc<Slots>) -> Result<()> {
+    let slots = Arc::clone(slots);
+    let rows = move || {
+        let source = slots.lock().get(R::IMA).cloned();
+        source.map(|rows| rows()).unwrap_or_default()
+    };
+    catalog.register_virtual_table(R::IMA, R::schema(), Arc::new(rows))?;
     Ok(())
 }
 
@@ -282,10 +299,6 @@ pub(crate) fn latency_buckets(t: &Tracer) -> Vec<LatencyBucket> {
         .collect()
 }
 
-/// Name of the storage-daemon health table, served while a daemon is
-/// attached ([`Engine::attach`][crate::Engine::attach]).
-pub const IMA_DAEMON_HEALTH: &str = "ima$daemon_health";
-
 /// One `ima$daemon_health` row: a storage daemon's health-state machine
 /// and counters, filled in by the daemon that owns them.
 #[derive(Debug, Clone)]
@@ -305,7 +318,7 @@ pub struct DaemonHealthRow {
     pub last_error: String,
 }
 
-record!(DaemonHealthRow, IMA_DAEMON_HEALTH, |h| {
+record!(DaemonHealthRow, "ima$daemon_health", |h| {
     "state": Str = h.state,
     "polls": Int = v_int(h.polls),
     "failed_polls": Int = v_int(h.failed_polls),
@@ -317,10 +330,6 @@ record!(DaemonHealthRow, IMA_DAEMON_HEALTH, |h| {
     "degraded_since_secs": Int = h.degraded_since_secs,
     "last_error": Str = h.last_error,
 });
-
-/// Name of the wire-connection fleet table, served while a server on a
-/// monitored engine is attached ([`Engine::attach`][crate::Engine::attach]).
-pub const IMA_CONNECTIONS: &str = "ima$connections";
 
 /// One `ima$connections` row: a live wire connection, filled in by the
 /// server whose registry holds it.
@@ -344,7 +353,7 @@ pub struct ConnectionRow {
     pub txn_age_ms: i64,
 }
 
-record!(ConnectionRow, IMA_CONNECTIONS, |c| {
+record!(ConnectionRow, "ima$connections", |c| {
     "session": Int = v_int(c.session),
     "peer": Str not_null = c.peer,
     "client": Str = c.client,
@@ -355,17 +364,13 @@ record!(ConnectionRow, IMA_CONNECTIONS, |c| {
     "txn_age_ms": Int = c.txn_age_ms,
 });
 
-/// Name of the wire-server counter table, served while a server on a
-/// monitored engine is attached ([`Engine::attach`][crate::Engine::attach]).
-pub const IMA_SERVER: &str = "ima$server";
-
 fn load(counter: &AtomicU64) -> Value {
     v_int(counter.load(Ordering::Relaxed))
 }
 
 // One row: a wire server's traffic since it started, read off the counters
 // its connection handlers charge.
-record!(Arc<ServerStats>, IMA_SERVER, |s| {
+record!(Arc<ServerStats>, "ima$server", |s| {
     "connections_opened": Int = load(&s.connections_opened),
     "connections_closed": Int = load(&s.connections_closed),
     "connections_reaped": Int = load(&s.connections_reaped),
@@ -383,7 +388,8 @@ record!(Arc<ServerStats>, IMA_SERVER, |s| {
 pub struct TableShape {
     /// The live `ima$…` table.
     pub ima: &'static str,
-    /// Its `wl_…` copy in the workload database: the same columns plus `ts`.
+    /// Its `wl_…` copy in the workload database: the same columns plus
+    /// `boot` and `ts`.
     pub wl: &'static str,
     /// The columns both share.
     pub schema: fn() -> Schema,
@@ -410,12 +416,11 @@ pub const COPIED_TABLES: [TableShape; 9] = [
     shape::<AshSample>(),
 ];
 
-/// The names of the IMA virtual tables an engine registers, in
-/// registration order, under the *full* monitoring configuration
-/// (`monitor_enabled` plus `wait_events_enabled`; with waits off it skips
-/// `ima$wait_events`, `ima$active_sessions` and `ima$ash`). The three tables
-/// filled outside the engine, [`IMA_DAEMON_HEALTH`], [`IMA_CONNECTIONS`] and
-/// [`IMA_SERVER`], join on their first [`Engine::attach`][crate::Engine::attach].
+/// The names of the IMA virtual tables an engine registers at construction,
+/// in registration order, under the *full* monitoring configuration
+/// (`monitor_enabled` plus `wait_events_enabled`). With waits off it skips
+/// `ima$wait_events`, `ima$active_sessions` and `ima$ash`; the unmonitored
+/// Original setup registers `ima$daemon_health` alone.
 pub const IMA_TABLE_NAMES: &[&str] = &[
     "ima$statements",
     "ima$workload",
@@ -435,6 +440,9 @@ pub const IMA_TABLE_NAMES: &[&str] = &[
     "ima$ash",
     "ima$operator_stats",
     "ima$latency_histograms",
+    "ima$daemon_health",
+    "ima$connections",
+    "ima$server",
 ];
 
 #[cfg(test)]

@@ -31,10 +31,7 @@ pub mod monitor;
 
 pub use ash::{ActiveSession, AshSample, AshSampler, CurrentStatement, ON_CPU};
 pub use engine::{Engine, EngineBuilder, Prepared, Session, StatementResult};
-pub use ima::{
-    ConnectionRow, DaemonHealthRow, TableShape, COPIED_TABLES, IMA_CONNECTIONS, IMA_DAEMON_HEALTH,
-    IMA_SERVER, IMA_TABLE_NAMES,
-};
+pub use ima::{ConnectionRow, DaemonHealthRow, TableShape, COPIED_TABLES, IMA_TABLE_NAMES};
 pub use ingot_planner::{PlanCache, PlanCacheStats};
 pub use ingot_trace::{MetricsSnapshot, Tracer};
 pub use monitor::{Copied, Monitor, MonitorHealth, Record, StatementSensor};

@@ -257,6 +257,7 @@ pub struct Monitor {
     self_time_ns: AtomicU64,
     /// Statements recorded under the lock (see [`MonitorHealth`]).
     first_sight_locks: AtomicU64,
+    boot: u64,
 }
 
 impl Monitor {
@@ -278,7 +279,14 @@ impl Monitor {
             workload: WorkloadRing::new(WORKLOAD_CAPACITY),
             self_time_ns: AtomicU64::new(0),
             first_sight_locks: AtomicU64::new(0),
+            boot: ingot_common::clock::boot_id(),
         }
+    }
+
+    /// This life's boot identity: every counter the monitor keeps starts at
+    /// zero with it.
+    pub fn boot(&self) -> u64 {
+        self.boot
     }
 
     /// The monitor's clock (shared with the engine's wall-clock sensors).

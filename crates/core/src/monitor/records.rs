@@ -42,9 +42,9 @@ pub trait Record: Sized {
 ///
 /// "The workload database … contains the same table schema as the one used
 /// in IMA" (§IV-B) because both sides take it from the record: the daemon
-/// creates [`WL`](Self::WL) as the same columns plus `ts` and appends the
-/// same encoding plus the poll's timestamp; the analyzer reads `wl_` rows
-/// back with [`decode`](Self::decode).
+/// creates [`WL`](Self::WL) as the same columns plus `boot` and `ts` and
+/// appends the same encoding plus the source's boot identity and the poll's
+/// timestamp; the analyzer reads `wl_` rows back with [`decode`](Self::decode).
 pub trait Copied: Record {
     /// The workload-DB table keeping them.
     const WL: &'static str;

@@ -102,9 +102,7 @@ impl StorageDaemon {
     pub fn new(engine: Arc<Engine>, wldb: Arc<WorkloadDb>, config: DaemonConfig) -> Self {
         let health = Arc::new(DaemonHealth::default());
         let h = Arc::clone(&health);
-        // The catalog refuses only a name already taken, and `attach` checks
-        // that under the same write guard: there is no error to handle.
-        let _ = engine.attach(move || vec![h.snapshot()]);
+        engine.attach(move || vec![h.snapshot()]);
         StorageDaemon {
             engine,
             wldb,
@@ -224,13 +222,13 @@ impl StorageDaemon {
                 let Some(ts) = self.pending.lock().front().copied() else {
                     break;
                 };
-                self.append_with_retry(monitor, ts)?;
+                self.retried(|| self.wldb.append_from(monitor, ts))?;
                 self.pending.lock().pop_front();
                 self.health.record_recovered(1);
                 self.health.set_buffered(self.pending.lock().len() as u64);
             }
         }
-        self.append_with_retry(monitor, now_secs)?;
+        self.retried(|| self.wldb.append_from(monitor, now_secs))?;
         if self.health.state() != HealthState::Healthy {
             self.health.set_state(HealthState::Healthy, now_secs);
             self.alerts.raise(
@@ -242,14 +240,15 @@ impl StorageDaemon {
         Ok(())
     }
 
-    fn append_with_retry(&self, monitor: &Monitor, ts: u64) -> Result<()> {
+    /// `op` under the retry/backoff policy, extra attempts counted as retries.
+    fn retried(&self, mut op: impl FnMut() -> Result<()>) -> Result<()> {
         let mut attempts = 0u64;
         let result = self
             .config
             .retry
             .run_sim(self.engine.sim_clock(), |attempt| {
                 attempts = u64::from(attempt);
-                self.wldb.append_from(monitor, ts)
+                op()
             });
         self.health.record_retries(attempts.saturating_sub(1));
         result
@@ -272,16 +271,7 @@ impl StorageDaemon {
                 .purge_older_than(now_secs.saturating_sub(self.config.retention_secs))?;
         }
         if polls.is_multiple_of(u64::from(self.config.polls_per_flush.max(1))) {
-            let mut attempts = 0u64;
-            let result = self
-                .config
-                .retry
-                .run_sim(self.engine.sim_clock(), |attempt| {
-                    attempts = u64::from(attempt);
-                    self.wldb.flush()
-                });
-            self.health.record_retries(attempts.saturating_sub(1));
-            result?;
+            self.retried(|| self.wldb.flush())?;
         }
         Ok(())
     }

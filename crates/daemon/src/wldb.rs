@@ -33,18 +33,19 @@ pub const WL_TABLES: &[&str] = &{
     names
 };
 
-/// `create table wl_x (…)`: the columns of `ima$x`, then the poll timestamp.
+/// `create table wl_x (…)`: the columns of `ima$x`, then `boot` and `ts`.
 fn create_ddl(shape: &TableShape) -> String {
     let mut ddl = format!("create table {} (", shape.wl);
     for c in (shape.schema)().columns() {
         let not_null = if c.nullable { "" } else { " not null" };
         ddl.push_str(&format!("{} {}{not_null}, ", c.name, c.ty));
     }
-    ddl + "ts int)"
+    ddl + "boot int, ts int)"
 }
 
 /// Append cursor: what has already been copied out of the monitor — with
-/// [`WaitCursor`], the daemon's own part of each copied table beside `ts`.
+/// [`WaitCursor`], the daemon's own part of each copied table beside `boot`
+/// and `ts`.
 ///
 /// Each poll's batch runs inside one workload-DB transaction, so it is
 /// all-or-nothing: a mid-batch failure (I/O fault, crash) rolls the rows
@@ -71,9 +72,20 @@ struct WaitCursor {
     last_wait_ns: u64,
 }
 
+/// The cursor in `slot` if it belongs to the life `boot` of the source
+/// ([`Monitor::boot`]), else a fresh one: sequence numbers, clocks and
+/// counters start over when the source restarts.
+fn of_life<C: Default>(slot: &mut (u64, C), boot: u64) -> &mut C {
+    if slot.0 != boot {
+        *slot = (boot, C::default());
+    }
+    &mut slot.1
+}
+
 /// One open append transaction and what it has written so far.
 struct Batch<'a> {
     session: &'a Session,
+    boot: Value,
     ts: Value,
     rows: u64,
     bytes: u64,
@@ -92,39 +104,32 @@ impl Batch<'_> {
         Ok(())
     }
 
-    /// `record` into its `wl_` table: the `ima$` row plus `ts`.
+    /// `record` into its `wl_` table: the `ima$` row plus `boot` and `ts`.
     fn put<R: Copied>(&mut self, record: R) -> Result<()> {
-        self.insert(R::WL, record.encode())
+        let mut values = record.encode();
+        values.push(self.boot.clone());
+        self.insert(R::WL, values)
     }
 }
 
 /// The workload database. Wraps a dedicated (non-monitored) engine instance.
 pub struct WorkloadDb {
     engine: Arc<Engine>,
-    cursor: Mutex<MonitorCursor>,
-    wait_cursor: Mutex<WaitCursor>,
+    cursor: Mutex<(u64, MonitorCursor)>,
+    wait_cursor: Mutex<(u64, WaitCursor)>,
     growth: GrowthStats,
 }
 
 impl WorkloadDb {
     /// In-memory workload DB (unit tests, simulation-only experiments).
     pub fn in_memory(clock: SimClock) -> Result<Self> {
-        let engine = Engine::builder()
-            .config(Self::default_config())
-            .clock(clock)
-            .build()?;
-        Self::init(engine)
+        Self::init(Self::builder(clock).build()?)
     }
 
     /// File-backed workload DB under `dir` — the production shape: daemon
     /// appends are real disk writes.
     pub fn file_backed(dir: impl Into<std::path::PathBuf>, clock: SimClock) -> Result<Self> {
-        let engine = Engine::builder()
-            .config(Self::default_config())
-            .clock(clock)
-            .path(dir)
-            .build()?;
-        Self::init(engine)
+        Self::init(Self::builder(clock).path(dir).build()?)
     }
 
     /// Workload DB over an arbitrary disk backend — how the fault-injection
@@ -133,12 +138,14 @@ impl WorkloadDb {
         backend: Box<dyn ingot_storage::DiskBackend>,
         clock: SimClock,
     ) -> Result<Self> {
-        let engine = Engine::builder()
+        Self::init(Self::builder(clock).backend(backend).build()?)
+    }
+
+    /// The standard constructors' engine: [`Self::default_config`], `clock`.
+    fn builder(clock: SimClock) -> ingot_core::EngineBuilder {
+        Engine::builder()
             .config(Self::default_config())
             .clock(clock)
-            .backend(backend)
-            .build()?;
-        Self::init(engine)
     }
 
     /// Workload DB inside a caller-built engine (custom configs: tiny
@@ -211,14 +218,16 @@ impl WorkloadDb {
     }
 
     /// Run `fill` as one workload-DB transaction stamping rows with
-    /// `now_secs`. `fill` reads `cursor` and returns the cursor to publish,
-    /// which happens only after the commit: on error the session drops with
+    /// `now_secs`, and copied rows with the source's `boot`. `fill` reads
+    /// `cursor` and returns the cursor to publish, which happens only after
+    /// the commit: on error the session drops with
     /// its transaction open, which aborts it (a failed commit already rolled
     /// back), `cursor` is unchanged and the caller's retry appends the
     /// batch in full.
     fn batch<C>(
         &self,
         cursor: &mut C,
+        boot: u64,
         now_secs: u64,
         fill: impl FnOnce(&mut Batch<'_>, &C) -> Result<C>,
     ) -> Result<()> {
@@ -226,6 +235,7 @@ impl WorkloadDb {
         session.begin()?;
         let mut batch = Batch {
             session: &session,
+            boot: Value::Int(boot as i64),
             ts: Value::Int(now_secs as i64),
             rows: 0,
             bytes: 0,
@@ -244,7 +254,9 @@ impl WorkloadDb {
     /// and a failure anywhere rolls the batch back so the daemon's retry
     /// appends it in full.
     pub fn append_from(&self, monitor: &Monitor, now_secs: u64) -> Result<()> {
-        self.batch(&mut *self.cursor.lock(), now_secs, |batch, cursor| {
+        let boot = monitor.boot();
+        let mut slot = self.cursor.lock();
+        self.batch(of_life(&mut slot, boot), boot, now_secs, |batch, cursor| {
             // Statements whose frequency changed since the last poll. The
             // next cursor keeps only what the monitor still holds, so it is
             // bounded by the statement ring and a statement that was evicted
@@ -316,7 +328,8 @@ impl WorkloadDb {
         snapshot: &ingot_core::MetricsSnapshot,
         now_secs: u64,
     ) -> Result<()> {
-        self.batch(&mut (), now_secs, |batch, _| {
+        // `wl_metrics` has no `boot` column: the batch's goes unused.
+        self.batch(&mut (), 0, now_secs, |batch, _| {
             for (name, labels, value) in snapshot.flatten() {
                 batch.insert(
                     METRICS_TABLE,
@@ -337,7 +350,9 @@ impl WorkloadDb {
         let (Some(registry), Some(sampler)) = (source.wait_registry(), source.ash_sampler()) else {
             return Ok(());
         };
-        let mut cursor = self.wait_cursor.lock();
+        let boot = source.monitor().map_or(0, |m| m.boot());
+        let mut slot = self.wait_cursor.lock();
+        let cursor = of_life(&mut slot, boot);
         // Idle fast path: nothing charged and nothing recorded since the
         // last poll means no transaction at all — an idle engine's polls
         // read one counter total and one ring high-water mark.
@@ -346,7 +361,7 @@ impl WorkloadDb {
         {
             return Ok(());
         }
-        self.batch(&mut *cursor, now_secs, |batch, cursor| {
+        self.batch(cursor, boot, now_secs, |batch, cursor| {
             let mut next = *cursor;
             // Cumulative per-event totals, snapshot-style like wl_tables —
             // but only when some wait has been charged since the last poll,
@@ -466,6 +481,7 @@ mod tests {
                 Ok(Relation::Virtual(live)) => live.schema.columns().to_vec(),
                 _ => panic!("{} is not a registered virtual table", shape.ima),
             };
+            expected.push(Column::new("boot", DataType::Int));
             expected.push(Column::new("ts", DataType::Int));
             match db.engine().catalog().read().resolve_relation(shape.wl) {
                 Ok(Relation::Base(copy)) => {
@@ -488,6 +504,7 @@ mod tests {
             crate::DaemonConfig::default(),
         );
         daemon.poll_once().unwrap();
+        let boot = Value::Int(engine.monitor().unwrap().boot() as i64);
         for shape in &COPIED_TABLES {
             // Through the provider, not a monitored session: the read must
             // not add rows to what it reads.
@@ -506,6 +523,7 @@ mod tests {
                 .map(|row| {
                     let mut values = row.into_values();
                     assert_eq!(values.pop(), Some(Value::Int(0)), "ts closes the row");
+                    assert_eq!(values.pop().as_ref(), Some(&boot), "boot precedes ts");
                     Row::new(values)
                 })
                 .collect();
@@ -539,7 +557,7 @@ mod tests {
             "the references ring must have wrapped for its bound to mean anything"
         );
         {
-            let cursor = db.cursor.lock();
+            let (_, cursor) = &*db.cursor.lock();
             assert!(cursor.stmt_freq.len() <= capacity);
             assert!(cursor.refs_seen.len() <= health.references_capacity);
         }
@@ -611,6 +629,46 @@ mod tests {
         assert_eq!(db.row_count("wl_workload").unwrap(), executions);
         assert_eq!(seqs, (0..executions as i64).collect::<HashSet<_>>());
         assert_eq!(monitor.health().workload_lapped, 0);
+    }
+
+    #[test]
+    fn a_restarted_source_restarts_the_cursors() {
+        // One workload DB outlives its source engine: the second life's
+        // sequence numbers, sample clock and wait totals start below the
+        // first's, and must still be filed.
+        let db = Arc::new(WorkloadDb::in_memory(SimClock::new()).unwrap());
+        let life = |inserts: i64| {
+            let engine = Engine::builder()
+                .config(EngineConfig::monitoring())
+                .build()
+                .unwrap();
+            let daemon = crate::StorageDaemon::new(
+                Arc::clone(&engine),
+                Arc::clone(&db),
+                crate::DaemonConfig::default(),
+            );
+            let s = engine.open_session();
+            s.execute("create table t (a int)").unwrap();
+            for i in 0..inserts {
+                s.execute(&format!("insert into t values ({i})")).unwrap();
+            }
+            engine
+                .wait_registry()
+                .unwrap()
+                .charge(ingot_common::WaitEvent::LockWaitX, 1_000);
+            daemon.poll_once().unwrap();
+        };
+        let counts =
+            || ["wl_workload", "wl_statistics", "wl_waits"].map(|t| db.row_count(t).unwrap());
+        life(200);
+        let [workload, statistics, waits] = counts();
+        assert_eq!([workload, statistics], [201, 4]);
+        life(50);
+        // 51 statements, the poll's statistics sample, the charged wait.
+        let [more_workload, more_statistics, more_waits] = counts();
+        assert_eq!(more_workload, workload + 51);
+        assert_eq!(more_statistics, statistics + 1);
+        assert!(more_waits > waits);
     }
 
     #[test]

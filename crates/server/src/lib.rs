@@ -176,14 +176,10 @@ impl Server {
         let listener = socket::bind(&config.socket)?;
         let registry = Arc::new(ConnRegistry::new(*engine.wall_clock()));
         let stats = Arc::new(ServerStats::new());
-        // An unmonitored engine (the Original setup) lists no fleet and no
-        // server row.
-        if engine.monitor().is_some() {
-            let fleet = Arc::clone(&registry);
-            engine.attach(move || fleet.connections())?;
-            let traffic = Arc::clone(&stats);
-            engine.attach(move || vec![Arc::clone(&traffic)])?;
-        }
+        let fleet = Arc::clone(&registry);
+        engine.attach(move || fleet.connections());
+        let traffic = Arc::clone(&stats);
+        engine.attach(move || vec![Arc::clone(&traffic)]);
         let ctx = Arc::new(ServerCtx {
             engine,
             registry,
@@ -317,8 +313,8 @@ impl Server {
             let _ = h.join();
         }
         let _ = self.ctx.engine.checkpoint();
-        self.ctx.engine.detach::<ConnectionRow>();
-        self.ctx.engine.detach::<Arc<ServerStats>>();
+        self.ctx.engine.attach::<ConnectionRow>(Vec::new);
+        self.ctx.engine.attach::<Arc<ServerStats>>(Vec::new);
         Ok(outcome)
     }
 }
@@ -628,11 +624,4 @@ fn handshake_and_serve(
         });
         send(ctx, io, stream, &resp)?;
     }
-}
-
-/// One-call convenience used by the daemon binary and tests: build an
-/// engine per `opts`, bind, install nothing (signals are the binary's
-/// concern), and return the bound server.
-pub fn serve_engine(engine: Arc<Engine>, config: ServerConfig) -> Result<Server> {
-    Server::bind(engine, config)
 }

@@ -143,7 +143,7 @@ fn fleet_of_64_wire_clients_drains_without_losing_acked_commits() {
     running.stop.request_stop();
     let outcome = running.join.join().unwrap().expect("run");
     assert_eq!(outcome, RunOutcome::Drained);
-    engine.detach::<ingot_core::ConnectionRow>();
+    engine.attach::<ingot_core::ConnectionRow>(Vec::new);
     drop(admin);
     drop(engine);
 
@@ -516,7 +516,7 @@ fn shutdown_over_tcp_is_refused_unless_opted_in() {
     drop(conn);
     stop.request_stop();
     assert_eq!(join.join().unwrap().unwrap(), RunOutcome::Drained);
-    engine.detach::<ingot_core::ConnectionRow>();
+    engine.attach::<ingot_core::ConnectionRow>(Vec::new);
 
     // Opting in restores the old behaviour for trusted networks.
     let mut cfg = ServerConfig::new(SocketSpec::Tcp("127.0.0.1:0".into()));

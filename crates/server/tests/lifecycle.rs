@@ -57,6 +57,16 @@ fn idle_shutdown_then_reconnect_respawns_cleanly() {
     conn.execute("create table t (id int not null primary key)")
         .unwrap();
     conn.execute("insert into t values (1)").unwrap();
+    // The table's id, as the monitor reports it: it must name the same
+    // table after the respawn reopens the data directory.
+    let table_id = |conn: &ClientConnection| {
+        let r = conn
+            .query("select table_id from ima$tables where table_name = 't'")
+            .unwrap();
+        r.rows[0].get(0).as_int()
+    };
+    let id = table_id(&conn);
+    assert!(id.is_some());
     conn.close().unwrap();
 
     // The fleet is empty; the server must exit by itself within the idle
@@ -78,6 +88,7 @@ fn idle_shutdown_then_reconnect_respawns_cleanly() {
     let conn = connect_or_spawn(&spec, &opts).expect("auto-respawn");
     let r = conn.query("select count(*) from t").unwrap();
     assert_eq!(r.rows[0].get(0).as_int(), Some(1));
+    assert_eq!(table_id(&conn), id);
     conn.shutdown_server().expect("orderly shutdown");
 }
 

@@ -109,8 +109,8 @@ static ZEROS: [u8; RESERVE_STEP as usize] = [0; RESERVE_STEP as usize];
 
 /// One logical WAL record. Row images are stored pre-encoded (the
 /// [`crate::codec`] row codec) so the log is self-contained at the storage
-/// layer; tables are named by string because table *ids* may be reassigned
-/// when DDL is replayed — and borrowed where the appender has the name at
+/// layer; tables are named by string, and a replayed CREATE takes its old id
+/// from the checkpoint's counter — borrowed where the appender has the name at
 /// hand (`'a`), owned (`'static`) when decoded from the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord<'a> {

@@ -24,17 +24,13 @@ pub const LOCK_ORDER_CRATES: &[&str] = &["core", "executor", "txn", "daemon", "a
 
 /// `(file suffix, function)` pairs allowed to open the catalog write guard.
 /// These are the DDL handlers: every one of them acquires its logical table
-/// lock *before* the guard or takes no table lock at all (engine attach,
-/// analyzer apply step).
+/// lock *before* the guard or takes no table lock at all (the what-if
+/// interface, the analyzer's maintenance window).
 pub const DDL_WRITERS: &[(&str, &str)] = &[
     ("crates/core/src/engine/ddl.rs", "run_ddl"),
     ("crates/core/src/engine/ddl.rs", "run_create_index"),
     ("crates/core/src/engine/mod.rs", "add_virtual_index"),
     ("crates/core/src/engine/mod.rs", "clear_virtual_indexes"),
-    // Attach: registers an ima$ table filled outside the engine (a daemon's
-    // health, a server's fleet) once; holds the DDL guard but never table
-    // locks.
-    ("crates/core/src/engine/mod.rs", "attach"),
     // Analyzer maintenance window: freshens/restores statistics around the
     // what-if pass; holds the DDL guard but never table locks.
     ("crates/analyzer/src/lib.rs", "analyze"),

@@ -223,3 +223,120 @@ fn analyzer_reads_the_workload_db() {
         .iter()
         .any(|r| matches!(r, Recommendation::ModifyToBTree { table, .. } if table == "t")));
 }
+
+#[test]
+fn ids_and_usage_survive_a_checkpoint_restart_and_a_crash() {
+    // Three lives of one file-backed monitored engine and its file-backed
+    // workload DB: a checkpoint and reopen, then a crash whose schema
+    // change after the checkpoint comes back through WAL replay.
+    let root = std::env::temp_dir().join(format!("ingot-restart-ids-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let clock = SimClock::new();
+    let open = || {
+        let engine = Engine::builder()
+            .config(EngineConfig::monitoring())
+            .clock(clock.clone())
+            .path(root.join("data"))
+            .build()
+            .unwrap();
+        let wldb = Arc::new(WorkloadDb::file_backed(root.join("wldb"), clock.clone()).unwrap());
+        (engine, wldb)
+    };
+    let ids = |engine: &Engine| {
+        let catalog = engine.catalog().read();
+        let tables = catalog
+            .tables()
+            .map(|t| (t.meta.name.to_string(), t.meta.id.raw()));
+        let indexes = catalog
+            .indexes()
+            .map(|i| (i.meta.name.to_string(), i.meta.id.raw()));
+        let mut ids: Vec<(String, u32)> = tables.chain(indexes).collect();
+        ids.sort();
+        ids
+    };
+    // Each table's frequency as the monitor counted it, summed over lives.
+    let mut frequency: std::collections::BTreeMap<String, u64> = Default::default();
+    let mut poll = |engine: &Arc<Engine>, wldb: &Arc<WorkloadDb>| {
+        clock.advance_secs(30);
+        let daemon = StorageDaemon::new(
+            Arc::clone(engine),
+            Arc::clone(wldb),
+            DaemonConfig::default(),
+        );
+        daemon.poll_once().unwrap();
+        for t in engine.monitor().unwrap().tables() {
+            *frequency.entry(t.name).or_default() += t.frequency;
+        }
+    };
+    let touch = |s: &Session, tables: &[&str]| {
+        for t in tables {
+            s.execute(&format!("insert into {t} values (1, 1)"))
+                .unwrap();
+            s.execute(&format!("select k from {t} where v = 1"))
+                .unwrap();
+        }
+    };
+
+    // Life 1: a dropped table and a what-if pass leave gaps and take
+    // nothing from the base ids.
+    let (engine, wldb) = open();
+    let s = engine.open_session();
+    for t in ["a", "b", "c"] {
+        s.execute(&format!("create table {t} (k int, v int)"))
+            .unwrap();
+    }
+    s.execute("drop table a").unwrap();
+    engine.add_virtual_index("b", &["v"]).unwrap();
+    engine
+        .estimate("select k from b where v = 1", true)
+        .unwrap();
+    engine.clear_virtual_indexes();
+    s.execute("create index b_v on b (v)").unwrap();
+    touch(&s, &["b", "c"]);
+    poll(&engine, &wldb);
+    let first = ids(&engine);
+    let expected = |pairs: &[(&str, u32)]| -> Vec<(String, u32)> {
+        pairs.iter().map(|&(n, id)| (n.to_owned(), id)).collect()
+    };
+    assert_eq!(first, expected(&[("b", 2), ("b_v", 1), ("c", 3)]));
+    engine.checkpoint().unwrap();
+    wldb.flush().unwrap();
+    drop((s, engine, wldb));
+
+    // Life 2: reopened from the checkpoint; new objects after it.
+    let (engine, wldb) = open();
+    assert_eq!(ids(&engine), first);
+    let s = engine.open_session();
+    s.execute("create table d (k int, v int)").unwrap();
+    s.execute("create index d_v on d (v)").unwrap();
+    touch(&s, &["b", "c", "d"]);
+    poll(&engine, &wldb);
+    let second = ids(&engine);
+    assert_eq!(
+        second,
+        expected(&[("b", 2), ("b_v", 1), ("c", 3), ("d", 4), ("d_v", 2)])
+    );
+    // A crash: no checkpoint, `d` and `d_v` live only in the log.
+    drop((s, engine, wldb));
+
+    // Life 3: WAL replay re-creates them under their first ids.
+    let (engine, wldb) = open();
+    assert_eq!(ids(&engine), second);
+    touch(&engine.open_session(), &["b", "c", "d"]);
+    poll(&engine, &wldb);
+
+    // One entry per table, under its one id, counting all three lives.
+    let view = WorkloadView::from_workload_db(&wldb).unwrap();
+    let names: Vec<&str> = view.tables.iter().map(|t| t.name.as_str()).collect();
+    assert_eq!(
+        names,
+        frequency.keys().map(String::as_str).collect::<Vec<_>>()
+    );
+    for t in &view.tables {
+        assert!(second.contains(&(t.name.clone(), t.id.raw())), "{t:?}");
+        assert_eq!(t.frequency, frequency[&t.name], "{}", t.name);
+    }
+    assert!(["b", "c", "d"].iter().all(|t| frequency.contains_key(*t)));
+    drop((engine, wldb));
+    std::fs::remove_dir_all(&root).unwrap();
+}

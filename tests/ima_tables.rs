@@ -2,7 +2,8 @@
 //! type and nullability of all twenty-one tables against
 //! `tests/golden/ima_schemas.txt`, the tables each configuration registers
 //! (in registration order, with a storage daemon and a wire server
-//! attached), and that every row a provider serves fits its table's schema.
+//! attached), that attaching them moves no id and no cached plan, and that
+//! every row a provider serves fits its table's schema.
 //!
 //! On a schema mismatch the text this build produced is left in
 //! `$CARGO_TARGET_TMPDIR/ima_schemas.actual.txt` to diff against the golden.
@@ -13,35 +14,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ingot::catalog::VirtualTableDef;
-use ingot::common::StmtHash;
+use ingot::common::{StmtHash, TableId};
+use ingot::core::IMA_TABLE_NAMES;
 use ingot::prelude::*;
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/golden/ima_schemas.txt"
 );
-
-/// Under full monitoring, in registration order.
-const MONITORED: &[&str] = &[
-    "ima$statements",
-    "ima$workload",
-    "ima$references",
-    "ima$tables",
-    "ima$indexes",
-    "ima$attributes",
-    "ima$statistics",
-    "ima$monitor_health",
-    "ima$locks",
-    "ima$sessions",
-    "ima$transactions",
-    "ima$plan_cache",
-    "ima$wal",
-    "ima$wait_events",
-    "ima$active_sessions",
-    "ima$ash",
-    "ima$operator_stats",
-    "ima$latency_histograms",
-];
 
 /// Present only when the wait subsystem is on.
 const WAIT_TABLES: &[&str] = &["ima$wait_events", "ima$active_sessions", "ima$ash"];
@@ -59,23 +39,43 @@ fn socket_dir() -> PathBuf {
     dir
 }
 
-/// An engine of `config` with a storage daemon attached, then a server
-/// bound over a Unix socket in `dir`.
+/// A storage daemon attached to `engine`, then a server bound over a Unix
+/// socket in `dir`.
+fn attach(engine: &Arc<Engine>, dir: &std::path::Path) -> (StorageDaemon, Server) {
+    let wldb = Arc::new(WorkloadDb::in_memory(engine.sim_clock().clone()).unwrap());
+    let daemon = StorageDaemon::new(Arc::clone(engine), wldb, DaemonConfig::default());
+    let spec = SocketSpec::Unix(dir.join("srv.sock"));
+    let server = Server::bind(Arc::clone(engine), ServerConfig::new(spec)).unwrap();
+    (daemon, server)
+}
+
+/// An engine of `config` with a storage daemon and a server attached.
 fn attached(config: EngineConfig, dir: &std::path::Path) -> (Arc<Engine>, StorageDaemon, Server) {
     let engine = Engine::builder().config(config).build().unwrap();
-    let wldb = Arc::new(WorkloadDb::in_memory(engine.sim_clock().clone()).unwrap());
-    let daemon = StorageDaemon::new(Arc::clone(&engine), wldb, DaemonConfig::default());
-    let spec = SocketSpec::Unix(dir.join("srv.sock"));
-    let server = Server::bind(Arc::clone(&engine), ServerConfig::new(spec)).unwrap();
+    let (daemon, server) = attach(&engine, dir);
     (engine, daemon, server)
 }
 
-/// Every virtual table of `engine`, in registration (table-id) order.
+/// Every virtual table of `engine`, in registration order: virtual ids
+/// count down from `u32::MAX`.
 fn virtual_tables(engine: &Engine) -> Vec<VirtualTableDef> {
     let catalog = engine.catalog().read();
     let mut tables: Vec<VirtualTableDef> = catalog.virtual_tables().cloned().collect();
-    tables.sort_by_key(|t| t.id);
+    tables.sort_by_key(|t| std::cmp::Reverse(t.id));
     tables
+}
+
+/// The three configurations: full monitoring, monitoring without the wait
+/// subsystem, and the unmonitored Original setup.
+fn configurations() -> [EngineConfig; 3] {
+    [
+        EngineConfig::monitoring(),
+        EngineConfig {
+            wait_events_enabled: false,
+            ..EngineConfig::monitoring()
+        },
+        EngineConfig::original(),
+    ]
 }
 
 fn names(engine: &Engine) -> Vec<String> {
@@ -120,28 +120,81 @@ fn registered_tables_follow_the_configuration() {
         names
     };
 
-    let mut full: Vec<&str> = MONITORED.to_vec();
-    full.extend(["ima$daemon_health", "ima$connections", "ima$server"]);
-    assert_eq!(attached_names(EngineConfig::monitoring()), full);
+    let [full, no_waits, original] = configurations();
+    assert_eq!(attached_names(full), IMA_TABLE_NAMES);
 
-    let no_waits: Vec<&str> = full
+    let without_waits: Vec<&str> = IMA_TABLE_NAMES
         .iter()
         .copied()
         .filter(|name| !WAIT_TABLES.contains(name))
         .collect();
-    let config = EngineConfig {
-        wait_events_enabled: false,
-        ..EngineConfig::monitoring()
-    };
-    assert_eq!(attached_names(config), no_waits);
+    assert_eq!(attached_names(no_waits), without_waits);
 
     // The Original setup carries no sensor, so no engine observer, no
     // connection fleet and no server row; the daemon's own health is still
     // listed.
-    assert_eq!(
-        attached_names(EngineConfig::original()),
-        ["ima$daemon_health"]
-    );
+    assert_eq!(attached_names(original), ["ima$daemon_health"]);
+}
+
+#[test]
+fn ids_do_not_depend_on_what_attached_first() {
+    // A base table's id, and every virtual table's name and id, in
+    // registration order.
+    let ids = |config: EngineConfig, attach_first: bool| {
+        let dir = socket_dir();
+        let engine = Engine::builder().config(config).build().unwrap();
+        let create = || {
+            engine
+                .open_session()
+                .execute("create table t (a int)")
+                .unwrap()
+        };
+        if !attach_first {
+            create();
+        }
+        let (_daemon, _server) = attach(&engine, &dir);
+        if attach_first {
+            create();
+        }
+        let t = engine.catalog().read().resolve_table("t").unwrap();
+        let tables: Vec<(String, TableId)> = virtual_tables(&engine)
+            .iter()
+            .map(|v| (v.name.to_string(), v.id))
+            .collect();
+        std::fs::remove_dir_all(&dir).ok();
+        (t, tables)
+    };
+    for config in configurations() {
+        let first = ids(config.clone(), true);
+        assert_eq!(first.0, TableId(1));
+        assert_eq!(ids(config, false), first);
+    }
+}
+
+#[test]
+fn attaching_leaves_cached_plans_alone() {
+    let dir = socket_dir();
+    let engine = Engine::builder()
+        .config(EngineConfig::monitoring())
+        .build()
+        .unwrap();
+    let s = engine.open_session();
+    s.execute("create table t (a int not null primary key)")
+        .unwrap();
+    let point = s.prepare("select a from t where a = $1").unwrap();
+    point.execute(&[Value::Int(1)]).unwrap();
+    let invalidations = || {
+        let r = s
+            .execute("select invalidations from ima$plan_cache")
+            .unwrap();
+        r.rows[0].get(0).as_int()
+    };
+    let (epoch, before) = (engine.catalog().read().epoch(), invalidations());
+    let (_daemon, _server) = attach(&engine, &dir);
+    point.execute(&[Value::Int(1)]).unwrap();
+    assert_eq!(engine.catalog().read().epoch(), epoch);
+    assert_eq!(invalidations(), before);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
