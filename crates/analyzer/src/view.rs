@@ -10,7 +10,7 @@ use ingot_core::monitor::{
     AttributeUsage, RefObject, ReferenceRecord, StatSample, StatementInfo, TableUsage,
     WorkloadRecord,
 };
-use ingot_core::{AshSample, Copied, Engine, Monitor};
+use ingot_core::{AshSample, Engine, Monitor, ReadBack};
 use ingot_daemon::WorkloadDb;
 
 /// Per-statement aggregate.
@@ -179,7 +179,7 @@ impl Source {
 
 /// Every row of `R`'s workload-DB table in filing order, read back through
 /// the definition that wrote it, with the boot identity filed beside it.
-fn filed<R: Copied>(db: &WorkloadDb) -> Result<Vec<(u64, R)>> {
+fn filed<R: ReadBack>(db: &WorkloadDb) -> Result<Vec<(u64, R)>> {
     db.query(&format!("select * from {} order by ts", R::WL))?
         .iter()
         .map(|row| {
@@ -192,14 +192,14 @@ fn filed<R: Copied>(db: &WorkloadDb) -> Result<Vec<(u64, R)>> {
 }
 
 /// [`filed`] without the boot identities.
-fn records<R: Copied>(db: &WorkloadDb) -> Result<Vec<R>> {
+fn records<R: ReadBack>(db: &WorkloadDb) -> Result<Vec<R>> {
     Ok(filed(db)?.into_iter().map(|(_, record)| record).collect())
 }
 
 /// The cumulative snapshots of `R` filed over several lives of the engine,
 /// as one life: per `key`, the newest row, with `add` folding into it the
 /// newest row of every earlier life — the counters restarted at zero.
-fn across_lives<R: Copied, K: Ord>(
+fn across_lives<R: ReadBack, K: Ord>(
     db: &WorkloadDb,
     key: impl Fn(&R) -> K,
     add: impl Fn(&mut R, &R),

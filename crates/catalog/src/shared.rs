@@ -71,6 +71,13 @@ impl SharedCatalog {
             _ddl: ddl,
         }
     }
+
+    /// A guard holding schema writers (not readers) off until it drops, and
+    /// the current snapshot, which stays the published schema meanwhile.
+    pub fn freeze(&self) -> (MutexGuard<'_, ()>, Arc<Catalog>) {
+        let ddl = self.ddl.lock();
+        (ddl, self.read())
+    }
 }
 
 /// Exclusive schema-change guard: derefs to [`Catalog`], publishes the

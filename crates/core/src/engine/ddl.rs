@@ -2,11 +2,11 @@
 //! write rows: CREATE/DROP TABLE, CREATE/DROP INDEX, MODIFY, CREATE
 //! STATISTICS, plus `SET` and plain `EXPLAIN`.
 
-use ingot_catalog::StorageStructure;
+use ingot_catalog::{Catalog, StorageStructure};
 use ingot_common::{Column, Error, Result, Row, Schema, Value};
 use ingot_planner::{optimize, Binder, OptimizerOptions, PlannedStatement};
 use ingot_sql::Statement;
-use ingot_storage::WalRecord;
+use ingot_storage::{Lsn, WalRecord};
 use ingot_txn::{LockMode, Resource};
 
 use super::{Engine, Session, StatementResult};
@@ -18,9 +18,14 @@ impl Session {
     /// once it *succeeded* (a failed statement must never replay) and is
     /// made durable before the statement is acknowledged; replay itself
     /// appends nothing.
+    ///
+    /// It is logged under the write guard that applied it ([`change_schema`]),
+    /// so in id order and in or after any checkpoint's schema dump, not
+    /// both. Lock order is catalog → WAL everywhere; the WAL takes no
+    /// catalog lock.
     pub(super) fn run_ddl(&self, sql: &str, stmt: Statement) -> Result<StatementResult> {
         let engine = &*self.engine;
-        match stmt {
+        let lsn = match stmt {
             Statement::CreateTable {
                 name,
                 columns,
@@ -39,11 +44,11 @@ impl Session {
                         .collect(),
                 );
                 let pk = column_indexes(&schema, &primary_key)?;
-                engine.catalog.write().create_table(&name, schema, pk)?;
+                change_schema(engine, sql, |c| c.create_table(&name, schema, pk).map(drop))?
             }
             Statement::DropTable { name } => {
                 self.with_table_lock_by_name(&name, LockMode::Exclusive, |eng| {
-                    eng.catalog.write().drop_table(&name)
+                    change_schema(eng, sql, |c| c.drop_table(&name))
                 })?
             }
             Statement::CreateIndex {
@@ -51,14 +56,18 @@ impl Session {
                 table,
                 columns,
                 unique,
-            } => self.run_create_index(&name, &table, &columns, unique)?,
-            Statement::DropIndex { name } => engine.catalog.write().drop_index(&name)?,
+            } => self.with_table_lock_by_name(&table, LockMode::Exclusive, |eng| {
+                change_schema(eng, sql, |c| {
+                    let id = c.resolve_table(&table)?;
+                    let cols = column_indexes(&c.table(id)?.meta.schema, &columns)?;
+                    c.create_index(&name, id, cols, unique).map(drop)
+                })
+            })?,
+            Statement::DropIndex { name } => change_schema(engine, sql, |c| c.drop_index(&name))?,
             Statement::Modify { table, to } => {
                 let to: StorageStructure = to.parse()?;
                 self.with_table_lock_by_name(&table, LockMode::Exclusive, |eng| {
-                    let mut catalog = eng.catalog.write();
-                    let id = catalog.resolve_table(&table)?;
-                    catalog.modify_storage(id, to)
+                    change_schema(eng, sql, |c| c.modify_storage(c.resolve_table(&table)?, to))
                 })?
             }
             Statement::CreateStatistics { table, columns } => {
@@ -70,18 +79,16 @@ impl Session {
                 // catalog write guard the collection itself holds.
                 self.in_txn(|txn, auto| {
                     let snap = self.statement_snapshot(txn, auto);
-                    let mut catalog = engine.catalog.write();
-                    let id = catalog.resolve_table(&table)?;
-                    let cols = column_indexes(&catalog.table(id)?.meta.schema, &columns)?;
-                    catalog.collect_statistics_snapshot(id, &cols, now_secs, &snap)
+                    change_schema(engine, sql, |c| {
+                        let id = c.resolve_table(&table)?;
+                        let cols = column_indexes(&c.table(id)?.meta.schema, &columns)?;
+                        c.collect_statistics_snapshot(id, &cols, now_secs, &snap)
+                    })
                 })?
             }
             _ => return Err(Error::unsupported("not a schema change")),
-        }
-        if !engine.wal.is_replaying() {
-            let lsn = engine.wal.append(&WalRecord::Ddl {
-                sql: sql.to_owned(),
-            })?;
+        };
+        if let Some(lsn) = lsn {
             engine.wal.commit_barrier(lsn)?;
         }
         engine.plan_cache.invalidate_all();
@@ -155,22 +162,6 @@ impl Session {
         })
     }
 
-    fn run_create_index(
-        &self,
-        name: &str,
-        table: &str,
-        columns: &[String],
-        unique: bool,
-    ) -> Result<()> {
-        self.with_table_lock_by_name(table, LockMode::Exclusive, |eng| {
-            let mut catalog = eng.catalog.write();
-            let id = catalog.resolve_table(table)?;
-            let cols = column_indexes(&catalog.table(id)?.meta.schema, columns)?;
-            catalog.create_index(name, id, cols, unique)?;
-            Ok(())
-        })
-    }
-
     /// Run a closure holding a logical lock on `table`, in the statement's
     /// transaction scope.
     ///
@@ -195,6 +186,22 @@ impl Session {
             f(&self.engine)
         })
     }
+}
+
+/// Apply `change` under the catalog write guard and, before the guard
+/// drops, append the `Ddl` record of `sql` (see [`Session::run_ddl`]).
+/// `None` during replay, which appends nothing.
+fn change_schema(
+    engine: &Engine,
+    sql: &str,
+    change: impl FnOnce(&mut Catalog) -> Result<()>,
+) -> Result<Option<Lsn>> {
+    let mut catalog = engine.catalog.write();
+    change(&mut catalog)?;
+    let ddl = WalRecord::Ddl { sql: sql.into() };
+    (!engine.wal.is_replaying())
+        .then(|| engine.wal.append(&ddl))
+        .transpose()
 }
 
 /// Resolve column `names` to their positions in `schema`.

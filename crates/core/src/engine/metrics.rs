@@ -14,8 +14,8 @@ impl Engine {
     /// `ima$monitor_health` when monitored, one family
     /// `ingot_<table>_<column>` per numeric column; then the per-statement
     /// latency histograms as proper Prometheus histograms. The shell
-    /// renders it with `\metrics`; the storage daemon flattens it into the
-    /// workload DB.
+    /// renders it with `\metrics`; the storage daemon files the same
+    /// records' rows in the workload DB itself.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
         export(

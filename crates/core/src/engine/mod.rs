@@ -225,14 +225,19 @@ impl Engine {
     /// truncation point describe the same instant. A caller holding an open
     /// explicit transaction on the same thread would deadlock the drain and
     /// gets the quiesce timeout error instead.
+    ///
+    /// Schema changes run outside that drain, and each logs under the
+    /// catalog write guard, so schema writers are held off from the cut to
+    /// the truncation: a DDL is either in the dumped schema or logged after
+    /// the truncation.
     pub fn checkpoint(&self) -> Result<u64> {
         let _one_at_a_time = self.checkpoint_serial.lock();
         let _quiesced = self.txns.quiesce(Duration::from_secs(5))?;
+        let (_schema_writers_held_off, catalog) = self.catalog.freeze();
         let epoch = self.storage.checkpoint_epoch() + 1;
         let cut = self.wal.append(&WalRecord::Checkpoint { epoch })?;
         self.wal.sync_to(cut)?;
-        let schema = self.catalog.read().dump_schema();
-        let installed = self.storage.checkpoint(&schema)?;
+        let installed = self.storage.checkpoint(&catalog.dump_schema())?;
         // Everything at or below `cut` is now redundant. A crash inside
         // truncation leaves the full old log, which replay tolerates: the
         // manifest's epoch marks `cut` as the low-water mark.

@@ -6,14 +6,14 @@
 //! disk access required to store or read the data." (§IV-A)
 //!
 //! Every table is a [`Record`], its columns listed once beside the source
-//! they read: the nine the storage daemon copies are defined with their
-//! records in `monitor::records` and `ash.rs` (`ima$active_sessions` serves
-//! `ima$ash`'s record live), the other eleven below. The engine builder
-//! registers all of them ([`IMA_TABLE_NAMES`]) at construction: eighteen over
-//! the subsystems it wires, three over slots that [`Engine::attach`][crate::Engine::attach]
-//! fills from outside the engine. Scanning `ima$workload` copies
-//! its lock-free ring, the monitor's other tables cost one snapshot under
-//! its lock, and none does I/O.
+//! they read: nine in `monitor::records` and `ash.rs` (`ima$active_sessions`
+//! serves `ima$ash`'s record live), eleven below. The fourteen the storage
+//! daemon copies ([`COPIED_TABLES`]) name their `wl_` table on that line.
+//! The engine builder registers all of them ([`IMA_TABLE_NAMES`]) at
+//! construction: eighteen over the subsystems it wires, three over slots
+//! that [`Engine::attach`][crate::Engine::attach] fills from outside the
+//! engine. Scanning `ima$workload` copies its lock-free ring, the monitor's
+//! other tables cost one snapshot under its lock, and none does I/O.
 //!
 //! The same records are the engine's only other way out: [`export`] renders
 //! them as Prometheus families for `Engine::metrics_snapshot`, so a counter
@@ -92,7 +92,12 @@ pub fn export<R: Record>(snap: &mut MetricsSnapshot, rows: Vec<R>) {
                 Value::Bool(b) => f64::from(u8::from(b)),
                 Value::Null | Value::Str(_) => continue,
             };
-            samples.push(Sample::labelled(labels.clone(), value));
+            let labels = labels.clone();
+            samples.push(Sample {
+                suffix: "",
+                labels,
+                value,
+            });
         }
     }
     let table = R::IMA.trim_start_matches("ima$");
@@ -123,7 +128,7 @@ pub(crate) fn observer_health(
 // in-process side): the monitor's self-cost and ring state, the tracer's
 // trace ring, and — NULL when the wait subsystem is off — the ASH
 // sampler's tick and ring counters.
-record!(ObserverHealth, "ima$monitor_health", |(h, ash, t)| {
+record!(ObserverHealth, "ima$monitor_health", "wl_monitor_health", |(h, ash, t)| {
     "self_time_ns": Int = v_int(h.self_time_ns),
     "sensor_calls": Int = v_int(h.sensor_calls),
     "statements_recorded": Int = v_int(h.statements_recorded),
@@ -187,13 +192,13 @@ record!(SessionCounts, "ima$sessions", |(current, peak, active, l)| {
 /// row (`None` on the others), and the value.
 type TxnMetric = (String, Option<u64>, u64);
 
-record!(TxnMetric, "ima$transactions", |(metric, txn, value)| {
+record!(TxnMetric, "ima$transactions", "wl_transactions", |(metric, txn, value)| {
     "metric": Str = metric,
     "txn": Int = txn.map_or(Value::Null, v_int),
     "value": Int = v_int(value),
 });
 
-record!(PlanCacheStats, "ima$plan_cache", |s| {
+record!(PlanCacheStats, "ima$plan_cache", "wl_plan_cache", |s| {
     "hits": Int = v_int(s.hits),
     "misses": Int = v_int(s.misses),
     "evictions": Int = v_int(s.evictions),
@@ -204,7 +209,7 @@ record!(PlanCacheStats, "ima$plan_cache", |s| {
 
 // LSN watermarks, append and fsync totals, group-commit batching, and the
 // salvage/replay tallies of the last crash recovery.
-record!((WalFsyncMode, WalStats), "ima$wal", |(mode, s)| {
+record!((WalFsyncMode, WalStats), "ima$wal", "wl_wal", |(mode, s)| {
     "fsync_mode": Str = mode.to_string(),
     "current_lsn": Int = v_int(s.current_lsn),
     "durable_lsn": Int = v_int(s.durable_lsn),
@@ -240,18 +245,20 @@ record!((StmtHash, OperatorStats), "ima$operator_stats", |(hash, o)| {
     "est_cost": Float = o.est_cost,
 });
 
-/// A statement hash and one non-empty log2 bucket of its wall-clock latency
+/// A statement hash, one non-empty log2 bucket of its wall-clock latency
 /// histogram, as `LatencyHistogram::rows` gives it: `(bucket, lo_ns, hi_ns,
-/// count, cum_count)`, the cumulative count so quantiles are derivable in SQL.
-type LatencyBucket = (StmtHash, (usize, u64, u64, u64, u64));
+/// count, cum_count)`, the cumulative count so quantiles are derivable in SQL;
+/// then the histogram's latency sum, so the mean is too.
+type LatencyBucket = (StmtHash, (usize, u64, u64, u64, u64), u64);
 
-record!(LatencyBucket, "ima$latency_histograms", |(hash, (bucket, lo, hi, count, cum))| {
+record!(LatencyBucket, "ima$latency_histograms", "wl_latency_histograms", |(hash, b, sum)| {
     "hash": Str = hash.to_string(),
-    "bucket": Int = v_int(bucket as u64),
-    "lo_ns": Int = v_int(lo),
-    "hi_ns": Int = v_int(hi),
-    "count": Int = v_int(count),
-    "cum_count": Int = v_int(cum),
+    "bucket": Int = v_int(b.0 as u64),
+    "lo_ns": Int = v_int(b.1),
+    "hi_ns": Int = v_int(b.2),
+    "count": Int = v_int(b.3),
+    "cum_count": Int = v_int(b.4),
+    "sum_ns": Int = v_int(sum),
 });
 
 /// `ima$transactions`: the metric rows, then one `snapshot_ts` row per
@@ -295,7 +302,7 @@ pub(crate) fn transaction_metrics(t: &ingot_txn::TxnManager) -> Vec<TxnMetric> {
 pub(crate) fn latency_buckets(t: &Tracer) -> Vec<LatencyBucket> {
     t.histograms()
         .into_iter()
-        .flat_map(|(hash, hist)| hist.rows().into_iter().map(move |b| (hash, b)))
+        .flat_map(|(hash, h)| h.rows().into_iter().map(move |b| (hash, b, h.sum_ns())))
         .collect()
 }
 
@@ -404,7 +411,7 @@ const fn shape<R: Copied>() -> TableShape {
 }
 
 /// The tables the storage daemon copies into the workload database.
-pub const COPIED_TABLES: [TableShape; 9] = [
+pub const COPIED_TABLES: [TableShape; 14] = [
     shape::<StatementInfo>(),
     shape::<WorkloadRecord>(),
     shape::<ReferenceRecord>(),
@@ -414,6 +421,11 @@ pub const COPIED_TABLES: [TableShape; 9] = [
     shape::<StatSample>(),
     shape::<WaitTotal>(),
     shape::<AshSample>(),
+    shape::<TxnMetric>(),
+    shape::<PlanCacheStats>(),
+    shape::<(WalFsyncMode, WalStats)>(),
+    shape::<ObserverHealth>(),
+    shape::<LatencyBucket>(),
 ];
 
 /// The names of the IMA virtual tables an engine registers at construction,
@@ -447,11 +459,11 @@ pub const IMA_TABLE_NAMES: &[&str] = &[
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::monitor::records::ReadBack;
     use ingot_common::EngineConfig;
 
     /// `decode` inverts `encode`, and every value is of its column's type.
-    fn round_trip<R: Copied + Clone>(records: Vec<R>) {
+    fn round_trip<R: ReadBack + Clone>(records: Vec<R>) {
         assert!(!records.is_empty(), "{} needs a row to test", R::IMA);
         for record in records {
             let row = record.encode();
@@ -490,7 +502,6 @@ mod tests {
         round_trip(m.workload());
         round_trip(m.references());
         round_trip(m.tables());
-        round_trip(m.indexes());
         round_trip(m.attributes());
         round_trip(m.statistics());
         round_trip(engine.wait_registry().unwrap().snapshot());

@@ -34,4 +34,4 @@ pub use engine::{Engine, EngineBuilder, Prepared, Session, StatementResult};
 pub use ima::{ConnectionRow, DaemonHealthRow, TableShape, COPIED_TABLES, IMA_TABLE_NAMES};
 pub use ingot_planner::{PlanCache, PlanCacheStats};
 pub use ingot_trace::{MetricsSnapshot, Tracer};
-pub use monitor::{Copied, Monitor, MonitorHealth, Record, StatementSensor};
+pub use monitor::{Copied, Monitor, MonitorHealth, ReadBack, Record, StatementSensor};

@@ -44,8 +44,8 @@ use ingot_planner::{
 use parking_lot::Mutex;
 
 pub use records::{
-    AttributeUsage, Cells, Copied, IndexUsage, Record, RefObject, ReferenceRecord, StatSample,
-    StatementInfo, TableUsage, WorkloadRecord,
+    AttributeUsage, Cells, Copied, IndexUsage, ReadBack, Record, RefObject, ReferenceRecord,
+    StatSample, StatementInfo, TableUsage, WorkloadRecord,
 };
 use ring::WorkloadRing;
 

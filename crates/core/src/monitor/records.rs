@@ -44,35 +44,37 @@ pub trait Record: Sized {
 /// in IMA" (§IV-B) because both sides take it from the record: the daemon
 /// creates [`WL`](Self::WL) as the same columns plus `boot` and `ts` and
 /// appends the same encoding plus the source's boot identity and the poll's
-/// timestamp; the analyzer reads `wl_` rows back with [`decode`](Self::decode).
+/// timestamp.
 pub trait Copied: Record {
     /// The workload-DB table keeping them.
     const WL: &'static str;
+}
 
+/// A [`Copied`] record the analyzer reads back from its `wl_` rows.
+pub trait ReadBack: Copied {
     /// Inverse of [`encode`](Record::encode): reads one value per column off
-    /// `cells` and leaves what follows (the daemon's `ts`) unread. `None`
-    /// when a value is missing or not of the column's type.
+    /// `cells` and leaves what follows (the daemon's `boot` and `ts`)
+    /// unread. `None` when a value is missing or not of the column's type.
     fn decode(cells: &mut Cells<'_>) -> Option<Self>;
 }
 
-/// A row's values, read left to right by [`Copied::decode`].
+/// A row's values, read left to right by [`ReadBack::decode`].
 pub type Cells<'a> = std::slice::Iter<'a, Value>;
 
 /// Implement [`Record`] for `$rec` from one line per column:
 /// `"column": Type = <value of the record $r>`, with `not_null` after the
-/// type for a NOT NULL column past the first. The copied form names the
-/// `wl_` table too and implements [`Copied`] from the same lines:
+/// type for a NOT NULL column past the first. A `wl_` name after the `ima$`
+/// one implements [`Copied`] too; naming the cells `$c` beside `$r` as well
+/// implements [`ReadBack`] from the same lines:
 /// `"column": Type = <value> => field: <read off cells $c>`, a field
 /// spanning two columns read on the first of them.
 macro_rules! record {
     ($rec:ident, $ima:expr, $wl:literal, |$r:ident, $c:ident| {
         $($col:literal: $ty:ident = $enc:expr $(=> $field:ident: $dec:expr)?,)*
     }) => {
-        $crate::monitor::records::record!($rec, $ima, |$r| { $($col: $ty = $enc,)* });
+        $crate::monitor::records::record!($rec, $ima, $wl, |$r| { $($col: $ty = $enc,)* });
 
-        impl $crate::monitor::records::Copied for $rec {
-            const WL: &'static str = $wl;
-
+        impl $crate::monitor::records::ReadBack for $rec {
             fn decode(
                 $c: &mut $crate::monitor::records::Cells<'_>,
             ) -> Option<Self> {
@@ -80,7 +82,7 @@ macro_rules! record {
             }
         }
     };
-    ($rec:ty, $ima:expr, |$r:pat_param| {
+    ($rec:ty, $ima:expr, $($wl:literal,)? |$r:pat_param| {
         $($col:literal: $ty:ident $($not_null:ident)? = $enc:expr,)*
     }) => {
         impl $crate::monitor::records::Record for $rec {
@@ -96,6 +98,10 @@ macro_rules! record {
                 vec![$($enc.into()),*]
             }
         }
+
+        $(impl $crate::monitor::records::Copied for $rec {
+            const WL: &'static str = $wl;
+        })?
     };
 }
 pub(crate) use record;
@@ -310,12 +316,12 @@ pub struct IndexUsage {
     pub pages: u64,
 }
 
-record!(IndexUsage, "ima$indexes", "wl_indexes", |i, c| {
-    "index_id": Int = v_int(i.id.raw().into()) => id: IndexId(int(c)? as u32),
-    "index_name": Str = i.name => name: text(c)?.to_owned(),
-    "table_id": Int = v_int(i.table.raw().into()) => table: table_id(c)?,
-    "frequency": Int = v_int(i.frequency) => frequency: int(c)?,
-    "pages": Int = v_int(i.pages) => pages: int(c)?,
+record!(IndexUsage, "ima$indexes", "wl_indexes", |i| {
+    "index_id": Int = v_int(i.id.raw().into()),
+    "index_name": Str = i.name,
+    "table_id": Int = v_int(i.table.raw().into()),
+    "frequency": Int = v_int(i.frequency),
+    "pages": Int = v_int(i.pages),
 });
 
 /// Frequency info of a referenced attribute (`attributes` of Fig 3).

@@ -254,14 +254,13 @@ impl StorageDaemon {
         result
     }
 
-    /// Retention purge (at most once per simulated hour), the engine-level
-    /// metrics snapshot, and the periodic durable flush — run only after a
-    /// successful append.
+    /// The engine's counters, retention purge (at most once per simulated
+    /// hour) and the periodic durable flush — run only after a successful
+    /// append.
     fn housekeep(&self, polls: u64, now_secs: u64) -> Result<()> {
-        // Engine gauges/counters/histograms land next to the Fig 3 rows so
-        // time-series queries can correlate them with the workload.
-        self.wldb
-            .append_metrics(&self.engine.metrics_snapshot(), now_secs)?;
+        // Engine counters land next to the Fig 3 rows so time-series
+        // queries can correlate them with the workload.
+        self.wldb.append_counters(&self.engine, now_secs)?;
         // Wait-event counters and new ASH samples ride the same cadence.
         self.wldb.append_waits(&self.engine, now_secs)?;
         let last = self.last_purge_secs.load(Ordering::Relaxed);
@@ -394,7 +393,7 @@ impl Drop for DaemonHandle {
 #[allow(clippy::disallowed_methods)] // tests wait out real daemon intervals
 mod tests {
     use super::*;
-    use ingot_common::EngineConfig;
+    use ingot_common::{EngineConfig, Value};
 
     fn setup() -> (Arc<Engine>, Arc<WorkloadDb>) {
         let engine = Engine::builder()
@@ -492,7 +491,7 @@ mod tests {
     }
 
     #[test]
-    fn poll_appends_metrics_snapshots() {
+    fn poll_files_typed_counters() {
         let (engine, wldb) = setup();
         let s = engine.open_session();
         s.execute("create table t (a int)").unwrap();
@@ -502,20 +501,28 @@ mod tests {
             Arc::clone(&wldb),
             DaemonConfig::default(),
         );
-        daemon.poll_once().unwrap();
-        let n = wldb.row_count("wl_metrics").unwrap();
-        assert!(n > 0, "expected metrics rows after a poll");
+        // Each poll appends a fresh row (time series, not upsert).
+        for polls in 1..=2 {
+            engine.sim_clock().advance_secs(30);
+            daemon.poll_once().unwrap();
+            for table in ["wl_wal", "wl_plan_cache", "wl_monitor_health"] {
+                assert_eq!(wldb.row_count(table).unwrap(), polls, "{table}");
+            }
+        }
         let rows = wldb
-            .query(
-                "select value from wl_metrics \
-                 where name = 'ingot_statistics_statements_executed'",
-            )
+            .query("select fsyncs, ts from wl_wal order by ts")
             .unwrap();
-        assert_eq!(rows.len(), 1);
-        assert!(rows[0].get(0).as_f64().unwrap() >= 2.0);
-        // Each poll appends a fresh snapshot (time series, not upsert).
-        daemon.poll_once().unwrap();
-        assert!(wldb.row_count("wl_metrics").unwrap() > n);
+        let cells: Vec<_> = rows.iter().map(|r| (r.get(0), r.get(1))).collect();
+        assert!(
+            matches!(
+                cells[..],
+                [
+                    (Value::Int(_), Value::Int(30)),
+                    (Value::Int(_), Value::Int(60))
+                ]
+            ),
+            "{cells:?}"
+        );
     }
 
     #[test]

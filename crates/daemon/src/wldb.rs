@@ -9,29 +9,23 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use ingot_catalog::Relation;
 use ingot_common::{EngineConfig, Error, Result, Row, SimClock, StmtHash, Value};
 use ingot_core::{Copied, Engine, Monitor, Session, TableShape, COPIED_TABLES};
 use parking_lot::Mutex;
 
 use crate::growth::GrowthStats;
 
-/// The one workload-DB table with no `ima$` original: flattened engine
-/// metrics, one row per sample per poll.
-const METRICS_TABLE: &str = "wl_metrics";
-const METRICS_DDL: &str =
-    "create table wl_metrics (name text not null, labels text, value float, ts int)";
-
-/// All workload-DB table names: the copy of every [`COPIED_TABLES`] entry,
-/// then `wl_metrics`.
-pub const WL_TABLES: &[&str] = &{
-    let mut names = [METRICS_TABLE; COPIED_TABLES.len() + 1];
-    let mut i = 0;
-    while i < COPIED_TABLES.len() {
-        names[i] = COPIED_TABLES[i].wl;
-        i += 1;
-    }
-    names
-};
+/// The copied tables filed whole, every provider row, on each successful
+/// poll: the engine's counters, which no cursor gates. The cursors of
+/// [`WorkloadDb::append_from`] / [`WorkloadDb::append_waits`] file the rest.
+pub const PER_POLL_TABLES: [&str; 5] = [
+    "wl_transactions",
+    "wl_plan_cache",
+    "wl_wal",
+    "wl_monitor_health",
+    "wl_latency_histograms",
+];
 
 /// `create table wl_x (…)`: the columns of `ima$x`, then `boot` and `ts`.
 fn create_ddl(shape: &TableShape) -> String {
@@ -92,10 +86,12 @@ struct Batch<'a> {
 }
 
 impl Batch<'_> {
-    /// One row into `table` through the engine's locked, WAL-observed insert
-    /// path ([`Session::insert_direct`]) — every append is redo-logged like
-    /// any other DML.
+    /// An `ima$` row into its `wl_` table `table`, `boot` and `ts` appended,
+    /// through the engine's locked, WAL-observed insert path
+    /// ([`Session::insert_direct`]) — every append is redo-logged like any
+    /// other DML.
     fn insert(&mut self, table: &str, mut values: Vec<Value>) -> Result<()> {
+        values.push(self.boot.clone());
         values.push(self.ts.clone());
         let row = Row::new(values);
         self.session.insert_direct(table, &row)?;
@@ -104,11 +100,9 @@ impl Batch<'_> {
         Ok(())
     }
 
-    /// `record` into its `wl_` table: the `ima$` row plus `boot` and `ts`.
+    /// `record` into its `wl_` table.
     fn put<R: Copied>(&mut self, record: R) -> Result<()> {
-        let mut values = record.encode();
-        values.push(self.boot.clone());
-        self.insert(R::WL, values)
+        self.insert(R::WL, record.encode())
     }
 }
 
@@ -188,9 +182,6 @@ impl WorkloadDb {
                 if missing(shape.wl) {
                     session.execute(&create_ddl(shape))?;
                 }
-            }
-            if missing(METRICS_TABLE) {
-                session.execute(METRICS_DDL)?;
             }
         }
         Ok(WorkloadDb {
@@ -317,24 +308,23 @@ impl WorkloadDb {
         })
     }
 
-    /// Append a flattened [`MetricsSnapshot`] — every sample becomes one
-    /// `wl_metrics` row, so engine-level time series (buffer hit rates,
-    /// latency histogram buckets, …) are queryable alongside the Fig 3
-    /// workload tables.
-    ///
-    /// [`MetricsSnapshot`]: ingot_core::MetricsSnapshot
-    pub fn append_metrics(
-        &self,
-        snapshot: &ingot_core::MetricsSnapshot,
-        now_secs: u64,
-    ) -> Result<()> {
-        // `wl_metrics` has no `boot` column: the batch's goes unused.
-        self.batch(&mut (), 0, now_secs, |batch, _| {
-            for (name, labels, value) in snapshot.flatten() {
-                batch.insert(
-                    METRICS_TABLE,
-                    vec![name.into(), labels.into(), value.into()],
-                )?;
+    /// File every row `source` serves in the [`PER_POLL_TABLES`], stamped
+    /// with `now_secs`, as one transaction: the engine's counters as a time
+    /// series beside the Fig 3 tables. The rows are read through the
+    /// tables' providers, so reading them records nothing in the monitor.
+    pub fn append_counters(&self, source: &Engine, now_secs: u64) -> Result<()> {
+        let catalog = source.catalog().read();
+        let boot = source.monitor().map_or(0, |m| m.boot());
+        self.batch(&mut (), boot, now_secs, |batch, _| {
+            for shape in COPIED_TABLES
+                .iter()
+                .filter(|s| PER_POLL_TABLES.contains(&s.wl))
+            {
+                if let Ok(Relation::Virtual(table)) = catalog.resolve_relation(shape.ima) {
+                    for row in (table.provider)() {
+                        batch.insert(shape.wl, row.into_values())?;
+                    }
+                }
             }
             Ok(())
         })
@@ -395,7 +385,7 @@ impl WorkloadDb {
             return Ok(());
         }
         let session = self.session();
-        for table in WL_TABLES {
+        for table in COPIED_TABLES.map(|shape| shape.wl) {
             session.execute(&format!("delete from {table} where ts < {cutoff_secs}"))?;
         }
         Ok(())
@@ -435,17 +425,17 @@ impl WorkloadDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ingot_catalog::Relation;
     use ingot_common::{Column, DataType, EngineConfig};
 
-    /// A monitored engine whose nine copied tables all hold rows: a
-    /// statement that used a secondary index, a charged wait and one ASH
-    /// sample of a session mid-statement.
+    /// A monitored engine whose copied tables all hold rows: a statement
+    /// that used a secondary index, traced statements' latency histograms,
+    /// a charged wait and one ASH sample of a session mid-statement.
     fn engine_with_every_table_filled() -> Arc<Engine> {
         let engine = Engine::builder()
             .config(EngineConfig::monitoring())
             .build()
             .unwrap();
+        engine.set_tracing(true);
         let s = engine.open_session();
         s.execute("create table t (a int, b int)").unwrap();
         s.execute("create index t_b on t (b)").unwrap();
@@ -489,9 +479,7 @@ mod tests {
                 }
                 _ => panic!("{} is not a workload-DB table", shape.wl),
             };
-            assert!(WL_TABLES.contains(&shape.wl));
         }
-        assert_eq!(WL_TABLES.len(), COPIED_TABLES.len() + 1);
     }
 
     #[test]
@@ -674,8 +662,8 @@ mod tests {
     #[test]
     fn schema_is_created() {
         let db = WorkloadDb::in_memory(SimClock::new()).unwrap();
-        for t in WL_TABLES {
-            assert_eq!(db.row_count(t).unwrap(), 0, "{t}");
+        for shape in &COPIED_TABLES {
+            assert_eq!(db.row_count(shape.wl).unwrap(), 0, "{}", shape.wl);
         }
     }
 
@@ -773,20 +761,44 @@ mod tests {
 
     #[test]
     fn purge_respects_cutoff() {
-        let engine = Engine::builder()
-            .config(EngineConfig::monitoring())
-            .build()
+        let engine = engine_with_every_table_filled();
+        let db = Arc::new(WorkloadDb::in_memory(engine.sim_clock().clone()).unwrap());
+        let daemon = crate::StorageDaemon::new(
+            Arc::clone(&engine),
+            Arc::clone(&db),
+            crate::DaemonConfig::default(),
+        );
+        let count = |table: &str, filter: &str| {
+            let rows = db
+                .query(&format!("select count(*) from {table} where {filter}"))
+                .unwrap();
+            rows[0].get(0).as_int().unwrap()
+        };
+        engine.sim_clock().advance_secs(100);
+        daemon.poll_once().unwrap();
+        engine
+            .open_session()
+            .execute("select a from t where b = 7")
             .unwrap();
-        let s = engine.open_session();
-        s.execute("create table t (a int)").unwrap();
-        let db = WorkloadDb::in_memory(engine.sim_clock().clone()).unwrap();
-        db.append_from(engine.monitor().unwrap(), 100).unwrap();
-        s.execute("insert into t values (1)").unwrap();
-        db.append_from(engine.monitor().unwrap(), 900).unwrap();
+        engine.sim_clock().advance_secs(800);
+        daemon.poll_once().unwrap();
+        let kept: Vec<i64> = COPIED_TABLES
+            .iter()
+            .map(|shape| {
+                assert!(
+                    count(shape.wl, "ts < 500") > 0,
+                    "{} has an old row",
+                    shape.wl
+                );
+                count(shape.wl, "ts >= 500")
+            })
+            .collect();
         db.purge_older_than(500).unwrap();
-        let rows = db.query("select ts from wl_workload").unwrap();
-        assert!(!rows.is_empty());
-        assert!(rows.iter().all(|r| r.get(0).as_int().unwrap() >= 500));
+        for (shape, kept) in COPIED_TABLES.iter().zip(kept) {
+            assert_eq!(count(shape.wl, "ts < 500"), 0, "{}", shape.wl);
+            assert_eq!(count(shape.wl, "ts >= 500"), kept, "{}", shape.wl);
+        }
+        assert!(count("wl_workload", "ts >= 500") > 0);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   histograms plus a ring of recent [`StatementTrace`]s, exported through
 //!   the `ima$operator_stats` and `ima$latency_histograms` virtual tables.
 //! * **Metrics export** ([`MetricsSnapshot`]) — Prometheus-text-format
-//!   rendering for the shell's `\metrics` and the daemon's `wl_metrics`
-//!   persistence. The engine fills it from its `ima$` records, one family
+//!   rendering for the shell's `\metrics`. The engine fills it from its
+//!   `ima$` records, one family
 //!   `ingot_<table>_<column>` per numeric column; [`ServerStats`] is the
 //!   wire server's `ima$server` row.
 //!

@@ -3,9 +3,9 @@
 //! [`MetricsSnapshot`] is an assembled, point-in-time view of the engine's
 //! counters and histograms, renderable in the Prometheus text exposition
 //! format (`# HELP` / `# TYPE` / samples). The engine builds one on demand
-//! from its `ima$` records; the shell dumps it with `\metrics` and the
-//! daemon flattens it into the workload database's `wl_metrics` table
-//! alongside snapshots.
+//! from its `ima$` records and the shell dumps it with `\metrics`. The
+//! storage daemon files the same records' rows in the workload database as
+//! typed `wl_` tables, not this rendering of them.
 
 /// Metric kind, mirroring the Prometheus `# TYPE` values used here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,27 +32,6 @@ pub struct Sample {
     pub suffix: &'static str,
     pub labels: Vec<(String, String)>,
     pub value: f64,
-}
-
-impl Sample {
-    pub fn labelled(labels: Vec<(String, String)>, value: f64) -> Self {
-        Sample {
-            suffix: "",
-            labels,
-            value,
-        }
-    }
-
-    /// The labels as `k="v",...` with values escaped, empty when there are
-    /// none: the inside of the exposition's braces and the `labels` column
-    /// of `wl_metrics`.
-    fn label_text(&self) -> String {
-        self.labels
-            .iter()
-            .map(|(k, v)| format!("{}=\"{}\"", k, escape_label(v)))
-            .collect::<Vec<_>>()
-            .join(",")
-    }
 }
 
 fn escape_label(v: &str) -> String {
@@ -101,9 +80,12 @@ impl MetricsSnapshot {
                 out.push_str(&fam.name);
                 out.push_str(s.suffix);
                 if !s.labels.is_empty() {
-                    out.push('{');
-                    out.push_str(&s.label_text());
-                    out.push('}');
+                    let labels: Vec<_> = s
+                        .labels
+                        .iter()
+                        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
+                        .collect();
+                    out.push_str(&format!("{{{}}}", labels.join(",")));
                 }
                 // Integral values render without a trailing ".0" so counters
                 // look like counters.
@@ -116,24 +98,20 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// Flatten into `(name_with_suffix, labels_text, value)` rows for
-    /// relational persistence. Labels render as `k="v",...` without braces,
-    /// empty string when unlabelled.
-    pub fn flatten(&self) -> Vec<(String, String, f64)> {
-        let mut rows = Vec::new();
-        for fam in &self.families {
-            for s in &fam.samples {
-                rows.push((format!("{}{}", fam.name, s.suffix), s.label_text(), s.value));
-            }
-        }
-        rows
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn labelled(labels: Vec<(String, String)>, value: f64) -> Sample {
+        let suffix = "";
+        Sample {
+            suffix,
+            labels,
+            value,
+        }
+    }
 
     #[test]
     fn renders_prometheus_text() {
@@ -142,15 +120,15 @@ mod tests {
             "ingot_statistics_statements_executed",
             "ima$statistics.statements_executed",
             MetricKind::Untyped,
-            vec![Sample::labelled(Vec::new(), 42.0)],
+            vec![labelled(Vec::new(), 42.0)],
         );
         snap.push(
             "ingot_wait_events_count",
             "ima$wait_events.count",
             MetricKind::Untyped,
             vec![
-                Sample::labelled(vec![("event".into(), "lock".into())], 10.0),
-                Sample::labelled(vec![("event".into(), "fsync".into())], 3.0),
+                labelled(vec![("event".into(), "lock".into())], 10.0),
+                labelled(vec![("event".into(), "fsync".into())], 3.0),
             ],
         );
         let text = snap.render_prometheus();
@@ -164,7 +142,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_suffixes_and_flatten() {
+    fn histogram_suffixes() {
         let mut snap = MetricsSnapshot::new();
         snap.push(
             "ingot_statement_latency_ns",
@@ -190,12 +168,8 @@ mod tests {
         );
         let text = snap.render_prometheus();
         assert!(text.contains("ingot_statement_latency_ns_bucket{hash=\"abc\",le=\"1023\"} 5"));
+        assert!(text.contains("ingot_statement_latency_ns_sum{hash=\"abc\"} 4000\n"));
         assert!(text.contains("ingot_statement_latency_ns_count{hash=\"abc\"} 5"));
-        let flat = snap.flatten();
-        assert_eq!(flat.len(), 3);
-        assert_eq!(flat[0].0, "ingot_statement_latency_ns_bucket");
-        assert_eq!(flat[0].1, "hash=\"abc\",le=\"1023\"");
-        assert_eq!(flat[1].2, 4000.0);
     }
 
     #[test]
@@ -205,7 +179,7 @@ mod tests {
             "m",
             "h",
             MetricKind::Untyped,
-            vec![Sample::labelled(
+            vec![labelled(
                 vec![("q".into(), "say \"hi\"\\\nthere".into())],
                 1.0,
             )],
@@ -215,6 +189,5 @@ mod tests {
             text.contains("m{q=\"say \\\"hi\\\"\\\\\\nthere\"} 1\n"),
             "{text}"
         );
-        assert_eq!(snap.flatten()[0].1, "q=\"say \\\"hi\\\"\\\\\\nthere\"");
     }
 }

@@ -5,6 +5,6 @@ pub fn sneaky_ddl(catalog: &Shared, locks: &Locks) {
     locks.lock(1);
 }
 
-pub fn run_ddl(catalog: &Shared) {
+pub fn change_schema(catalog: &Shared) {
     let _guard = catalog.write();
 }

@@ -27,8 +27,7 @@ pub const LOCK_ORDER_CRATES: &[&str] = &["core", "executor", "txn", "daemon", "a
 /// lock *before* the guard or takes no table lock at all (the what-if
 /// interface, the analyzer's maintenance window).
 pub const DDL_WRITERS: &[(&str, &str)] = &[
-    ("crates/core/src/engine/ddl.rs", "run_ddl"),
-    ("crates/core/src/engine/ddl.rs", "run_create_index"),
+    ("crates/core/src/engine/ddl.rs", "change_schema"),
     ("crates/core/src/engine/mod.rs", "add_virtual_index"),
     ("crates/core/src/engine/mod.rs", "clear_virtual_indexes"),
     // Analyzer maintenance window: freshens/restores statistics around the
@@ -75,10 +74,7 @@ pub const MVCC_LOCK_CRATES: &[&str] = &["core", "executor", "txn", "daemon", "an
 /// exclusive `with_table_lock_by_name`). Row-level MVCC (PR 8) reserves
 /// table-X for DDL: queries take no table locks and DML takes only the
 /// shared DDL fence plus row-exclusive chain-root locks.
-pub const TABLE_X_LOCK_FNS: &[(&str, &str)] = &[
-    ("crates/core/src/engine/ddl.rs", "run_ddl"),
-    ("crates/core/src/engine/ddl.rs", "run_create_index"),
-];
+pub const TABLE_X_LOCK_FNS: &[(&str, &str)] = &[("crates/core/src/engine/ddl.rs", "run_ddl")];
 
 /// The file declaring the closed wait-event taxonomy (`enum WaitEvent`).
 /// Every variant must be documented in DESIGN.md and referenced from a test.

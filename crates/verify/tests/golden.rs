@@ -61,7 +61,7 @@ fn lock_order_fixture_diagnostics() {
                 s("sneaky_ddl"),
             ),
         ],
-        "allowlisted `run_ddl` must not be flagged; `sneaky_ddl` must be"
+        "allowlisted `change_schema` must not be flagged; `sneaky_ddl` must be"
     );
 }
 

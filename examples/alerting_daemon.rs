@@ -60,8 +60,9 @@ fn main() -> Result<()> {
 
     let wl = d.wldb();
     println!("\nworkload DB contents:");
-    for table in ingot::daemon::wldb::WL_TABLES {
-        println!("  {table:<16} {:>6} rows", wl.row_count(table)?);
+    for shape in &ingot::core::COPIED_TABLES {
+        let table = shape.wl;
+        println!("  {table:<22} {:>6} rows", wl.row_count(table)?);
     }
     let g = wl.growth();
     println!(

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ingot::daemon::wldb::WL_TABLES;
+use ingot::core::COPIED_TABLES;
 use ingot::prelude::*;
 
 fn engine_with_activity() -> std::sync::Arc<Engine> {
@@ -41,15 +41,18 @@ fn daemon_end_to_end_via_sql() {
     );
     daemon.poll_once().unwrap();
 
-    // All seven Fig 3 tables are populated. Indexes only fill when one was
-    // used; the wait/ASH rollups depend on wall-clock sampling cadence and
+    // All seven Fig 3 tables and the engine's counters are populated.
+    // Indexes only fill when one was used, latency histograms when tracing
+    // is on; the wait/ASH rollups depend on wall-clock sampling cadence and
     // are pinned deterministically in tests/wait_events.rs instead.
-    for t in WL_TABLES {
-        let n = wldb.row_count(t).unwrap();
-        if matches!(*t, "wl_indexes" | "wl_waits" | "wl_ash") {
+    for t in COPIED_TABLES.map(|shape| shape.wl) {
+        if matches!(
+            t,
+            "wl_indexes" | "wl_latency_histograms" | "wl_waits" | "wl_ash"
+        ) {
             continue;
         }
-        assert!(n > 0, "{t} must have rows");
+        assert!(wldb.row_count(t).unwrap() > 0, "{t} must have rows");
     }
     // Statement texts (with their embedded escaped quotes) survived the
     // round trip. The stored text is the raw SQL, so the pattern matches

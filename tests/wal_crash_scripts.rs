@@ -444,6 +444,62 @@ fn commits_across_reservation_steps_and_a_checkpoint_reopen_intact() {
     assert_eq!(table_ints(&e), expected);
 }
 
+/// The `(name, id)` of every base table, in name order.
+fn table_ids(engine: &Engine) -> Vec<(String, u32)> {
+    let catalog = engine.catalog().read();
+    let mut ids: Vec<_> = catalog
+        .tables()
+        .map(|t| (t.meta.name.to_string(), t.meta.id.raw()))
+        .collect();
+    ids.sort();
+    ids
+}
+
+/// Schema changes racing checkpoints: two sessions create tables while a
+/// third thread checkpoints in a loop, then the engine crashes (no final
+/// checkpoint) and reopens through WAL replay. Each `Ddl` record must be
+/// logged in the order its table took its id, and on the same side of a
+/// checkpoint's cut as the schema that checkpoint dumps — else replay
+/// hands out the ids in another order, or re-runs a CREATE the image
+/// already holds and the engine cannot reopen.
+#[test]
+fn ddl_racing_checkpoints_reopens_with_every_id() {
+    const PER_SESSION: usize = 60;
+    let dir = scratch_dir("ddl-vs-checkpoint");
+    let (before, checkpoints) = {
+        let e = open(&dir, WalFsyncMode::Group);
+        let creating = AtomicU64::new(2);
+        let checkpoints = std::thread::scope(|scope| {
+            for session in 0..2 {
+                let (e, creating) = (&e, &creating);
+                scope.spawn(move || {
+                    let s = e.open_session();
+                    for i in 0..PER_SESSION {
+                        s.execute(&format!("create table s{session}_{i} (a int)"))
+                            .unwrap();
+                    }
+                    creating.fetch_sub(1, Ordering::Relaxed);
+                });
+            }
+            let mut checkpoints = 0;
+            while creating.load(Ordering::Relaxed) > 0 {
+                e.checkpoint().unwrap();
+                checkpoints += 1;
+            }
+            checkpoints
+        });
+        (table_ids(&e), checkpoints)
+    };
+    assert_eq!(before.len(), 2 * PER_SESSION);
+    assert!(checkpoints > 1, "the checkpoints must overlap the creates");
+    let e = Engine::builder()
+        .config(EngineConfig::default().with_wal_fsync_mode(WalFsyncMode::Group))
+        .path(&dir)
+        .build()
+        .expect("reopen through WAL replay");
+    assert_eq!(table_ids(&e), before);
+}
+
 /// A byte copy of the database directory taken while the engine runs —
 /// unsynced frames of an open transaction, then the zero tail — reopens with
 /// every acknowledged commit and without the unfinished transaction.
