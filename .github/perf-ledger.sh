@@ -3,10 +3,11 @@
 # against the newest committed BENCH_<n>.json. Fails when `agree` finds an
 # end-to-end cell worse than its bound, when a workload answered wrong or
 # failed a statement, or when watching costs more than the paper's envelope:
-# mon_cost_ratio ≤ 1.15 on point_embedded (the 1m test) and ≤ 1.10 on
-# scan_cold (an expensive statement, ≈ 100 % in Fig 4). The ratios pair the
-# monitored and the bare arm inside each cycle, so those two gates do not
-# depend on the runner's speed; the `agree` cells do. Writes ledger.json and
+# mon_cost_ratio ≤ 1.15 on point_embedded (the 1m test) and on join_adhoc
+# (the 50k test, every text new to the monitor), and ≤ 1.10 on scan_cold (an
+# expensive statement, ≈ 100 % in Fig 4). The ratios pair the monitored and
+# the bare arm inside each cycle, so those three gates do not depend on the
+# runner's speed; the `agree` cells do. Writes ledger.json and
 # ledger.out in the repository root. About two minutes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -22,7 +23,7 @@ bench agree "$baseline" ledger.json || status=1
 python3 - ledger.json <<'EOF' || status=1
 import json, sys
 doc = json.load(open(sys.argv[1]))
-gates = {"point_embedded": 1.15, "scan_cold": 1.10}
+gates = {"point_embedded": 1.15, "join_adhoc": 1.15, "scan_cold": 1.10}
 bad = 0
 for name, w in doc["workloads"].items():
     ratio = w["metrics"]["mon_cost_ratio"]["value"]

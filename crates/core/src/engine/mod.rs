@@ -959,4 +959,96 @@ mod tests {
             .count();
         assert_eq!(tables, 1);
     }
+
+    /// The interned footprint of the plan the plan cache holds for `sql`.
+    fn footprint_of(e: &Engine, sql: &str) -> Arc<ingot_planner::Footprint> {
+        let epoch = e.catalog.read().epoch();
+        let template = ingot_planner::template_key(sql);
+        let plan = e.plan_cache.probe(&template, epoch).expect("planned");
+        plan.artifacts.footprint.clone().expect("monitored")
+    }
+
+    #[test]
+    fn literal_variants_of_one_join_share_one_footprint() {
+        let e = engine();
+        let s = e.open_session();
+        load_demo(&s);
+        s.execute("create table organism (nref_id int not null primary key, taxon int)")
+            .unwrap();
+        let join = |i: usize| {
+            format!(
+                "select p.name, o.taxon from protein p \
+                 join organism o on p.nref_id = o.nref_id where p.nref_id = {i}"
+            )
+        };
+        s.execute(&join(0)).unwrap();
+        let first = footprint_of(&e, &join(0));
+        assert_eq!(first.tables.len(), 2);
+        let m = e.monitor().unwrap();
+        let interned = m.health().intern_locks;
+        for i in 1..1_000 {
+            s.execute(&join(i)).unwrap();
+            assert!(
+                Arc::ptr_eq(&footprint_of(&e, &join(i)), &first),
+                "variant {i}"
+            );
+        }
+        assert_eq!(
+            m.health().intern_locks,
+            interned + 999,
+            "one take per new text"
+        );
+        let other = "select name from protein where len = 3";
+        s.execute(other).unwrap();
+        assert!(!Arc::ptr_eq(&footprint_of(&e, other), &first));
+        // Each held statement lists its own references, off the shared one.
+        let refs = m.references();
+        let hash = StmtHash::of(&join(999));
+        let per_statement = first.usage_cells().count();
+        assert_eq!(
+            refs.iter().filter(|r| r.hash == hash).count(),
+            per_statement
+        );
+    }
+
+    #[test]
+    fn a_schema_change_re_interns_histogram_flags_and_storage() {
+        let e = engine();
+        let s = e.open_session();
+        load_demo(&s);
+        let query = |n: i64| format!("select name from protein where len = {n}");
+        let flag = || {
+            let sql = "select has_histogram from ima$attributes where attr_name = 'len'";
+            s.execute(sql).unwrap().rows[0].get(0).clone()
+        };
+        let storage = || {
+            let sql = "select storage from ima$tables where table_name = 'protein'";
+            s.execute(sql).unwrap().rows[0].get(0).clone()
+        };
+        s.execute(&query(1)).unwrap();
+        let before = footprint_of(&e, &query(1));
+        assert_eq!(flag(), Value::Bool(false));
+        assert_eq!(storage(), Value::Str("HEAP".into()));
+        s.execute("create statistics on protein").unwrap();
+        s.execute(&query(2)).unwrap();
+        assert!(!Arc::ptr_eq(&footprint_of(&e, &query(2)), &before));
+        assert_eq!(flag(), Value::Bool(true));
+        s.execute("modify protein to btree").unwrap();
+        s.execute(&query(3)).unwrap();
+        assert_eq!(storage(), Value::Str("BTREE".into()));
+    }
+
+    #[test]
+    fn a_template_over_ima_tables_hits_on_its_second_variant() {
+        let e = engine();
+        let s = e.open_session();
+        let query = |n: i64| format!("select hash from ima$statements where frequency > {n}");
+        s.execute(&query(0)).unwrap();
+        let first = footprint_of(&e, &query(0));
+        // Provider-backed tables drop out of the footprint, not the shape.
+        assert!(first.tables.is_empty());
+        assert_eq!(first.attributes.len(), 2);
+        s.execute(&query(1)).unwrap();
+        assert!(Arc::ptr_eq(&footprint_of(&e, &query(1)), &first));
+    }
 }

@@ -275,7 +275,7 @@ impl Session {
             hash,
             // Query-interface sensor: wall-clock start + text hash.
             sensor: engine.monitor.as_ref().map(|m| {
-                let mut sensor = m.begin_statement(hash, sql, start_ns);
+                let mut sensor = m.begin_statement(hash, sql, &id.template, start_ns);
                 if let Some(kept) = &id.kept {
                     sensor.keep_cell_in(kept);
                 }

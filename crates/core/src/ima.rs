@@ -139,8 +139,6 @@ record!(ObserverHealth, "ima$monitor_health", "wl_monitor_health", |(h, ash, t)|
     "workload_capacity": Int = v_int(h.workload_capacity as u64),
     "workload_wrapped": Int = v_int(h.workload_total.saturating_sub(h.workload_len as u64)),
     "references_len": Int = v_int(h.references_len as u64),
-    "references_capacity": Int = v_int(h.references_capacity as u64),
-    "references_wrapped": Int = v_int(h.references_total.saturating_sub(h.references_len as u64)),
     "statistics_len": Int = v_int(h.statistics_len as u64),
     "statistics_capacity": Int = v_int(h.statistics_capacity as u64),
     "statistics_wrapped": Int = v_int(h.statistics_total.saturating_sub(h.statistics_len as u64)),
@@ -155,6 +153,7 @@ record!(ObserverHealth, "ima$monitor_health", "wl_monitor_health", |(h, ash, t)|
     "statements_traced": Int = v_int(t.statements_traced()),
     "workload_lapped": Int = v_int(h.workload_lapped),
     "first_sight_locks": Int = v_int(h.first_sight_locks),
+    "intern_locks": Int = v_int(h.intern_locks),
 });
 
 // One row per granted or queued lock request, live from the lock manager.

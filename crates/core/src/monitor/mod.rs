@@ -23,6 +23,10 @@
 //! workload ring. The monitor lock is taken when a template is interned
 //! and when a statement is recorded without a kept cell (first sight, the
 //! text path, re-entry after the statement ring wrapped).
+//! First sight of a new text (the paper's 50k test) does no per-object work
+//! either: texts that bind to the same objects share one interned
+//! footprint, a text that is its template files the template's `Arc`, and
+//! `ima$references` is read off the footprints the held statements keep.
 
 pub mod records;
 mod ring;
@@ -32,6 +36,7 @@ mod atomic {
     pub(super) use std::sync::atomic::{fence, AtomicU64, Ordering};
 }
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -50,12 +55,14 @@ pub use records::{
 use ring::WorkloadRing;
 
 /// The in-flight sensor state of one statement. It borrows the statement
-/// text (copied into the `statements` buffer on first sight only) and holds
-/// the plan it ran, whose interned [`Footprint`] names what it referenced.
+/// text and its template (filed in the `statements` buffer on first sight
+/// only) and holds the plan it ran, whose interned [`Footprint`] names what
+/// it referenced.
 pub struct StatementSensor<'a> {
     start_ns: u64,
     hash: StmtHash,
     text: &'a str,
+    template: &'a Arc<str>,
     /// Where a prepared handle keeps its statement cell.
     kept: Option<&'a KeptCell>,
     plan: Option<Arc<CachedPlan>>,
@@ -90,8 +97,8 @@ impl<'a> StatementSensor<'a> {
         self.plan = Some(plan);
     }
 
-    fn footprint(&self) -> Option<&Footprint> {
-        self.plan.as_ref()?.artifacts.footprint.as_deref()
+    fn footprint(&self) -> Option<&Arc<Footprint>> {
+        self.plan.as_ref()?.artifacts.footprint.as_ref()
     }
 
     /// Optimiser sensor: estimated costs, planning time, and pages read on
@@ -158,12 +165,40 @@ impl KeptCell {
 /// optimizer, execution, result.
 const SENSORS_PER_STATEMENT: u64 = 5;
 
-/// One filed statement: the text and first sight, copied once, and the
+/// One filed statement: the text and first sight, filed once, the
+/// footprint of the plan it first ran (its `ima$references` rows), and the
 /// cell with the numbers that move.
 struct FiledStatement {
-    text: String,
+    /// The template's own `Arc` when the text is its template.
+    text: Arc<str>,
     first_seen_ns: u64,
+    footprint: Option<Arc<Footprint>>,
     cell: Arc<StatementCell>,
+}
+
+/// What an interned footprint is built from: the binder's ordered table
+/// ids and `(table, column)` attributes and the plan's used indexes. Texts
+/// that differ only in a literal have one shape, and under one schema epoch
+/// one shape has one footprint. Provider-backed tables are part of the
+/// shape though not of the footprint.
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+struct Shape {
+    tables: Vec<TableId>,
+    attributes: Vec<(TableId, usize)>,
+    used: Vec<IndexId>,
+}
+
+impl Shape {
+    /// Overwrite with the shape of `artifacts` and `used`, in the capacity
+    /// already held.
+    fn fill(&mut self, artifacts: &BindArtifacts, used: &[IndexId]) {
+        self.tables.clear();
+        self.tables
+            .extend(artifacts.tables.iter().map(|(id, _)| *id));
+        self.attributes.clone_from(&artifacts.attributes);
+        self.used.clear();
+        self.used.extend_from_slice(used);
+    }
 }
 
 /// An interned table: what only DDL changes, plus its usage cell.
@@ -188,13 +223,18 @@ struct IndexEntry {
 }
 
 /// What the monitor lock guards: everything that is filed once (texts,
-/// names, the references ring) and the system-statistics ring.
+/// names, interned footprints) and the system-statistics ring.
 /// Nothing in here changes per execution of a seen statement.
 struct MonitorState {
     statements: HashMap<StmtHash, FiledStatement>,
     /// Insertion order of statement hashes for ring eviction.
     statement_order: VecDeque<StmtHash>,
-    references: RingBuffer<ReferenceRecord>,
+    /// Interned footprints of the schema epoch `shapes_epoch`, at most the
+    /// statement capacity of them.
+    shapes: HashMap<Shape, Arc<Footprint>>,
+    shapes_epoch: u64,
+    /// The shape being looked up, refilled in place.
+    probe: Shape,
     tables: BTreeMap<TableId, TableEntry>,
     indexes: BTreeMap<IndexId, IndexEntry>,
     attributes: BTreeMap<(TableId, usize), AttributeEntry>,
@@ -228,10 +268,11 @@ pub struct MonitorHealth {
     /// statement, every text-path statement, re-entry after the ring
     /// wrapped. A warmed prepared loop leaves it flat.
     pub first_sight_locks: u64,
-    /// References ring: held / capacity / total ever pushed.
+    /// Footprints interned under the monitor lock: one per planned
+    /// template, hit or miss.
+    pub intern_locks: u64,
+    /// `ima$references` rows: the references of the statements held.
     pub references_len: usize,
-    pub references_capacity: usize,
-    pub references_total: u64,
     /// Statistics ring: held / capacity / total ever pushed.
     pub statistics_len: usize,
     pub statistics_capacity: usize,
@@ -240,8 +281,6 @@ pub struct MonitorHealth {
 
 /// Ring-buffer capacity of the per-execution `workload` IMA table.
 const WORKLOAD_CAPACITY: usize = 4096;
-/// Ring-buffer capacity of the `references` IMA table.
-const REFERENCE_CAPACITY: usize = 8192;
 /// Ring-buffer capacity of the `statistics` IMA table (system samples).
 const STATISTICS_CAPACITY: usize = 4096;
 
@@ -257,6 +296,8 @@ pub struct Monitor {
     self_time_ns: AtomicU64,
     /// Statements recorded under the lock (see [`MonitorHealth`]).
     first_sight_locks: AtomicU64,
+    /// Footprints interned under the lock (see [`MonitorHealth`]).
+    intern_locks: AtomicU64,
     boot: u64,
 }
 
@@ -269,7 +310,9 @@ impl Monitor {
             state: Mutex::new(MonitorState {
                 statements: HashMap::with_capacity(config.monitor_statement_capacity.min(4096)),
                 statement_order: VecDeque::new(),
-                references: RingBuffer::new(REFERENCE_CAPACITY),
+                shapes: HashMap::new(),
+                shapes_epoch: 0,
+                probe: Shape::default(),
                 tables: BTreeMap::new(),
                 indexes: BTreeMap::new(),
                 attributes: BTreeMap::new(),
@@ -279,6 +322,7 @@ impl Monitor {
             workload: WorkloadRing::new(WORKLOAD_CAPACITY),
             self_time_ns: AtomicU64::new(0),
             first_sight_locks: AtomicU64::new(0),
+            intern_locks: AtomicU64::new(0),
             boot: ingot_common::clock::boot_id(),
         }
     }
@@ -296,19 +340,22 @@ impl Monitor {
 
     // ---- sensors -----------------------------------------------------------
 
-    /// Query-interface sensor: the statement's identity and its own start
-    /// stamp (read by the engine for the bare statement anyway).
+    /// Query-interface sensor: the statement's identity (hash, text and
+    /// its whitespace-normalized template) and its own start stamp (read by
+    /// the engine for the bare statement anyway).
     #[inline]
     pub fn begin_statement<'a>(
         &self,
         hash: StmtHash,
         text: &'a str,
+        template: &'a Arc<str>,
         start_ns: u64,
     ) -> StatementSensor<'a> {
         StatementSensor {
             start_ns,
             hash,
             text,
+            template,
             kept: None,
             plan: None,
             est: Cost::ZERO,
@@ -322,11 +369,14 @@ impl Monitor {
 
     /// Intern a freshly planned template's reference footprint: one usage
     /// cell per referenced table and attribute and per index the plan uses,
-    /// created the first time any template references the object. Names
-    /// and histogram flags come from the catalog guard the planner already
-    /// holds and are written here, as is the storage tag; a DDL publish
-    /// bumps the schema epoch, so they are rewritten when the template is
-    /// planned again. Provider-backed tables have no storage to report and
+    /// created the first time any template references the object. A
+    /// template of a shape already interned under this schema epoch shares
+    /// that footprint (one `Arc` clone, nothing allocated). Names and
+    /// histogram flags come from the catalog guard the planner already
+    /// holds and are written when a shape is first interned, as is the
+    /// storage tag; a DDL publish bumps the schema epoch, which drops the
+    /// interned shapes, so they are rewritten when the template is planned
+    /// again. Provider-backed tables have no storage to report and
     /// contribute their attributes only.
     pub(crate) fn intern_footprint(
         &self,
@@ -334,8 +384,18 @@ impl Monitor {
         artifacts: &BindArtifacts,
         used: &[IndexId],
     ) -> Arc<Footprint> {
+        self.intern_locks.fetch_add(1, Ordering::Relaxed);
         let mut st = self.state.lock();
         let state = &mut *st;
+        let epoch = catalog.epoch();
+        if state.shapes_epoch != epoch {
+            state.shapes.clear();
+            state.shapes_epoch = epoch;
+        }
+        state.probe.fill(artifacts, used);
+        if let Some(footprint) = state.shapes.get(&state.probe) {
+            return Arc::clone(footprint);
+        }
         let tables = artifacts
             .tables
             .iter()
@@ -397,11 +457,18 @@ impl Monitor {
                 })
             })
             .collect();
-        Arc::new(Footprint {
+        let footprint = Arc::new(Footprint {
             tables,
             attributes,
             used_indexes,
-        })
+        });
+        if state.shapes.len() >= self.statement_capacity {
+            state.shapes.clear();
+        }
+        state
+            .shapes
+            .insert(state.probe.clone(), Arc::clone(&footprint));
+        footprint
     }
 
     /// Result sensor: writes the statement into the monitoring tables.
@@ -440,27 +507,23 @@ impl Monitor {
     }
 
     /// The statements row of a statement recorded without a live kept
-    /// cell: found by hash, or filed (text, references) on first sight or
+    /// cell: found by hash, or filed (text, footprint) on first sight or
     /// re-entry. A prepared handle keeps the cell for its next execution.
     fn record_under_lock(&self, sensor: &StatementSensor<'_>) {
         self.first_sight_locks.fetch_add(1, Ordering::Relaxed);
         let mut st = self.state.lock();
         let state = &mut *st;
-        if let Some(filed) = state.statements.get(&sensor.hash) {
-            filed.cell.seen(sensor.start_ns);
-            if let Some(kept) = sensor.kept {
-                kept.0.get_or_init(|| Arc::clone(&filed.cell));
-            }
-            return;
-        }
-        if state.statement_order.len() == self.statement_capacity {
-            if let Some(evict) = state.statement_order.pop_front() {
-                if let Some(gone) = state.statements.remove(&evict) {
-                    gone.cell.live.store(false, Ordering::Relaxed);
+        let vacant = match state.statements.entry(sensor.hash) {
+            Entry::Occupied(filed) => {
+                let filed = filed.into_mut();
+                filed.cell.seen(sensor.start_ns);
+                if let Some(kept) = sensor.kept {
+                    kept.0.get_or_init(|| Arc::clone(&filed.cell));
                 }
-                state.statement_evictions += 1;
+                return;
             }
-        }
+            Entry::Vacant(vacant) => vacant,
+        };
         // A handle whose cell was evicted re-enters with that cell, so its
         // next execution finds it live again.
         let cell = match sensor.kept {
@@ -468,37 +531,26 @@ impl Monitor {
             None => Arc::default(),
         };
         cell.enter(sensor.start_ns);
-        state.statement_order.push_back(sensor.hash);
-        state.statements.insert(
-            sensor.hash,
-            FiledStatement {
-                text: records::filed_text(sensor.text).to_owned(),
-                first_seen_ns: sensor.start_ns,
-                cell,
-            },
-        );
-        let Some(f) = sensor.footprint() else { return };
-        let reference = |object, object_id, table| ReferenceRecord {
-            hash: sensor.hash,
-            object,
-            object_id,
-            table,
+        let text = records::filed_text(sensor.text);
+        let text = if text == &**sensor.template {
+            Arc::clone(sensor.template)
+        } else {
+            Arc::from(text)
         };
-        for t in &f.tables {
-            let id = u64::from(t.id.raw());
-            state.references.push(reference(RefObject::Table, id, t.id));
-        }
-        for a in &f.attributes {
-            let col = a.column as u64;
-            state
-                .references
-                .push(reference(RefObject::Attribute, col, a.table));
-        }
-        for i in &f.used_indexes {
-            let id = u64::from(i.id.raw());
-            state
-                .references
-                .push(reference(RefObject::Index, id, i.table));
+        vacant.insert(FiledStatement {
+            text,
+            first_seen_ns: sensor.start_ns,
+            footprint: sensor.footprint().cloned(),
+            cell,
+        });
+        state.statement_order.push_back(sensor.hash);
+        if state.statement_order.len() > self.statement_capacity {
+            if let Some(evict) = state.statement_order.pop_front() {
+                if let Some(gone) = state.statements.remove(&evict) {
+                    gone.cell.live.store(false, Ordering::Relaxed);
+                }
+                state.statement_evictions += 1;
+            }
         }
     }
 
@@ -524,7 +576,7 @@ impl Monitor {
                 let filed = st.statements.get(h)?;
                 Some(StatementInfo {
                     hash: *h,
-                    text: filed.text.clone(),
+                    text: filed.text.to_string(),
                     frequency: filed.cell.frequency.load(Ordering::Relaxed),
                     first_seen_ns: filed.first_seen_ns,
                     last_seen_ns: filed.cell.last_seen_ns.load(Ordering::Relaxed),
@@ -539,9 +591,34 @@ impl Monitor {
         self.workload.read()
     }
 
-    /// Snapshot of the `references` buffer.
+    /// The references of the statements held, in statement order: each
+    /// statement's tables, attributes and used indexes, read off the
+    /// footprint of the plan it first ran.
     pub fn references(&self) -> Vec<ReferenceRecord> {
-        self.state.lock().references.iter().cloned().collect()
+        let st = self.state.lock();
+        let mut out = Vec::new();
+        for (hash, f) in held_footprints(&st) {
+            let of = |object, object_id, table| ReferenceRecord {
+                hash,
+                object,
+                object_id,
+                table,
+            };
+            let tables = f
+                .tables
+                .iter()
+                .map(|t| of(RefObject::Table, t.id.raw().into(), t.id));
+            let attributes = f
+                .attributes
+                .iter()
+                .map(|a| of(RefObject::Attribute, a.column as u64, a.table));
+            let indexes = f
+                .used_indexes
+                .iter()
+                .map(|i| of(RefObject::Index, i.id.raw().into(), i.table));
+            out.extend(tables.chain(attributes).chain(indexes));
+        }
+        out
     }
 
     /// Snapshot of table usage, by id: every table a recorded statement
@@ -638,14 +715,23 @@ impl Monitor {
             workload_total: recorded,
             workload_lapped: self.workload.lapped(),
             first_sight_locks: self.first_sight_locks.load(Ordering::Relaxed),
-            references_len: st.references.len(),
-            references_capacity: st.references.capacity(),
-            references_total: st.references.total_pushed(),
+            intern_locks: self.intern_locks.load(Ordering::Relaxed),
+            references_len: held_footprints(&st)
+                .map(|(_, f)| f.usage_cells().count())
+                .sum(),
             statistics_len: st.statistics.len(),
             statistics_capacity: st.statistics.capacity(),
             statistics_total: st.statistics.total_pushed(),
         }
     }
+}
+
+/// The held statements that have a footprint, in statement order.
+fn held_footprints(st: &MonitorState) -> impl Iterator<Item = (StmtHash, &Footprint)> {
+    st.statement_order.iter().filter_map(|h| {
+        let footprint = st.statements.get(h)?.footprint.as_deref()?;
+        Some((*h, footprint))
+    })
 }
 
 /// An interned object's frequency, `None` while no recorded statement has
@@ -727,7 +813,8 @@ mod tests {
         fn run_kept(&self, text: &str, kept: Option<&KeptCell>) {
             let m = &self.m;
             let start_ns = m.clock().now_nanos();
-            let mut s = m.begin_statement(StmtHash::of(text), text, start_ns);
+            let template = Arc::from(text);
+            let mut s = m.begin_statement(StmtHash::of(text), text, &template, start_ns);
             if let Some(kept) = kept {
                 s.keep_cell_in(kept);
             }
@@ -768,7 +855,12 @@ mod tests {
         assert_eq!(h.statements_capacity, 5);
         assert_eq!(h.statement_evictions, 3);
         assert_eq!(h.workload_total, 8);
-        assert_eq!(h.references_len, h.references_total as usize);
+        assert_eq!(
+            h.references_len,
+            5 * 2,
+            "1 table + 1 attribute per held statement"
+        );
+        assert_eq!(fx.m.references().len(), h.references_len);
     }
 
     #[test]
@@ -780,15 +872,18 @@ mod tests {
         fx.run("select 1");
         fx.run("select 2");
         assert!(fx.m.statements().iter().all(|s| s.text != "select 0"));
-        // Back after the wrap: the text is captured again, the frequency
-        // restarts and the references are pushed anew.
+        // Back after the wrap: the text is captured again and the frequency
+        // restarts. Each held statement's references appear once, and none
+        // of an evicted one's.
         fx.run("select 0");
         let stmts = fx.m.statements();
         let back = stmts.last().expect("statements held");
         assert_eq!(back.text, "select 0");
         assert_eq!(back.hash, StmtHash::of("select 0"));
         assert_eq!(back.frequency, 1);
-        assert_eq!(fx.m.references().len(), 4 * refs_per_statement);
+        assert_eq!(fx.m.references().len(), 2 * refs_per_statement);
+        let held: Vec<StmtHash> = stmts.iter().map(|s| s.hash).collect();
+        assert!(fx.m.references().iter().all(|r| held.contains(&r.hash)));
         assert_eq!(fx.m.health().statement_evictions, 2);
     }
 
@@ -810,7 +905,7 @@ mod tests {
         let back = fx.m.statements().pop().expect("statements held");
         assert_eq!(back.text, "select 0");
         assert_eq!(back.frequency, 1);
-        assert_eq!(fx.m.references().len(), 4 * refs_per_statement);
+        assert_eq!(fx.m.references().len(), 2 * refs_per_statement);
         assert_eq!(fx.m.health().statement_evictions, 2);
         let locks = fx.m.health().first_sight_locks;
         fx.run_kept("select 0", Some(&handle));
@@ -879,6 +974,30 @@ mod tests {
         fx.run("select 1");
         assert_eq!(fx.m.tables()[0].frequency, 2);
         assert_eq!(fx.m.attributes()[0].frequency, 2);
+    }
+
+    #[test]
+    fn the_shape_map_never_exceeds_its_bound() {
+        let cfg = EngineConfig::default().with_statement_capacity(4);
+        let storage = StorageEngine::in_memory(&cfg, SimClock::new());
+        let mut catalog = Catalog::new(Arc::clone(storage.pool()), 8);
+        let columns = (0..10).map(|i| Column::new(format!("c{i}"), DataType::Int));
+        let schema = Schema::new(columns.collect());
+        catalog.create_table("t", schema, vec![]).unwrap();
+        let m = Monitor::new(&cfg, MonotonicClock::new());
+        for round in 0..3 {
+            for i in 0..10 {
+                let plan = plan(
+                    &m,
+                    &catalog,
+                    &format!("select c{i} from t where c{i} > {round}"),
+                );
+                let held = m.state.lock().shapes.len();
+                assert!(held <= 4, "{held} shapes held");
+                assert_eq!(plan.artifacts.footprint.unwrap().attributes[0].column, i);
+            }
+        }
+        assert_eq!(m.health().intern_locks, 30);
     }
 
     #[test]

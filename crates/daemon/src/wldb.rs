@@ -10,7 +10,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use ingot_catalog::Relation;
-use ingot_common::{EngineConfig, Error, Result, Row, SimClock, StmtHash, Value};
+use ingot_common::{Column, DataType, EngineConfig, Error, Result, Row, SimClock, StmtHash, Value};
 use ingot_core::{Copied, Engine, Monitor, Session, TableShape, COPIED_TABLES};
 use parking_lot::Mutex;
 
@@ -27,14 +27,38 @@ pub const PER_POLL_TABLES: [&str; 5] = [
     "wl_latency_histograms",
 ];
 
-/// `create table wl_x (…)`: the columns of `ima$x`, then `boot` and `ts`.
-fn create_ddl(shape: &TableShape) -> String {
-    let mut ddl = format!("create table {} (", shape.wl);
-    for c in (shape.schema)().columns() {
-        let not_null = if c.nullable { "" } else { " not null" };
-        ddl.push_str(&format!("{} {}{not_null}, ", c.name, c.ty));
-    }
-    ddl + "boot int, ts int)"
+/// The columns of `wl_x`: those of `ima$x`, then `boot` and `ts`.
+fn wl_columns(shape: &TableShape) -> Vec<Column> {
+    let mut columns = (shape.schema)().columns().to_vec();
+    columns.extend(["boot", "ts"].map(|name| Column::new(name, DataType::Int)));
+    columns
+}
+
+/// One column as DDL declares it.
+fn column_ddl(c: &Column) -> String {
+    let not_null = if c.nullable { "" } else { " not null" };
+    format!("{} {}{not_null}", c.name, c.ty)
+}
+
+/// `create table <table> (…)` over `columns`.
+fn create_ddl(table: &str, columns: &[Column]) -> String {
+    let columns: Vec<String> = columns.iter().map(column_ddl).collect();
+    format!("create table {table} ({})", columns.join(", "))
+}
+
+/// Refuse a `wl_` table that is there with other columns than `want` (a
+/// workload DB written by another build), naming the first that differs.
+fn check_columns(table: &str, found: &[Column], want: &[Column]) -> Result<()> {
+    let Some(i) = (0..found.len().max(want.len())).find(|&i| found.get(i) != want.get(i)) else {
+        return Ok(());
+    };
+    let describe = |c: Option<&Column>| c.map_or_else(|| "absent".to_owned(), column_ddl);
+    Err(Error::daemon(format!(
+        "{table} does not match this build: column {} is {}, expected {}",
+        i + 1,
+        describe(found.get(i)),
+        describe(want.get(i))
+    )))
 }
 
 /// Append cursor: what has already been copied out of the monitor — with
@@ -175,12 +199,21 @@ impl WorkloadDb {
         {
             // After a crash the schema may already be back: the checkpoint
             // manifest carries it and WAL replay redoes any later DDL. Only
-            // the tables still missing are created.
+            // the tables still missing are created; one already there must
+            // have this build's columns, or every append to it would fail.
             let session = engine.open_session();
-            let missing = |table: &str| engine.catalog().read().resolve_table(table).is_err();
             for shape in &COPIED_TABLES {
-                if missing(shape.wl) {
-                    session.execute(&create_ddl(shape))?;
+                let found = {
+                    let catalog = engine.catalog().read();
+                    let id = catalog.resolve_table(shape.wl);
+                    id.and_then(|id| Ok(catalog.table(id)?.meta.schema.clone()))
+                };
+                let want = wl_columns(shape);
+                match found {
+                    Ok(schema) => check_columns(shape.wl, schema.columns(), &want)?,
+                    Err(_) => {
+                        session.execute(&create_ddl(shape.wl, &want))?;
+                    }
                 }
             }
         }
@@ -540,14 +573,18 @@ mod tests {
         }
         db.append_from(monitor, 5 * capacity as u64).unwrap();
         let health = monitor.health();
-        assert!(
-            health.references_total > health.references_capacity as u64,
-            "the references ring must have wrapped for its bound to mean anything"
+        assert!(health.statement_evictions > 0, "the statement ring wrapped");
+        // One table and two attributes per statement, the references of
+        // the statements held.
+        let refs_per_statement = 3;
+        assert_eq!(
+            health.references_len,
+            health.statements_len * refs_per_statement
         );
         {
             let (_, cursor) = &*db.cursor.lock();
             assert!(cursor.stmt_freq.len() <= capacity);
-            assert!(cursor.refs_seen.len() <= health.references_capacity);
+            assert!(cursor.refs_seen.len() <= capacity * refs_per_statement);
         }
         // Pruning the cursor loses and repeats nothing: one row per
         // execution, each `(hash, seq)` once.
@@ -817,6 +854,32 @@ mod tests {
         let g = db.growth();
         assert!(g.rows_appended() > 50);
         assert!(g.bytes_appended() > 1000);
+    }
+
+    #[test]
+    fn a_db_with_a_drifted_table_is_refused_at_open() {
+        let dir = std::env::temp_dir().join(format!("ingot-wldb-drift-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let clock = SimClock::new();
+        let shape = COPIED_TABLES.iter().find(|s| s.wl == "wl_wal").unwrap();
+        let mut columns = wl_columns(shape);
+        let gone = columns.remove(2);
+        {
+            let engine = WorkloadDb::builder(clock.clone())
+                .path(&dir)
+                .build()
+                .unwrap();
+            let ddl = create_ddl("wl_wal", &columns);
+            engine.open_session().execute(&ddl).unwrap();
+        }
+        let err = WorkloadDb::file_backed(&dir, clock).err().expect("refused");
+        let message = err.to_string();
+        assert!(message.contains("wl_wal"), "{message}");
+        assert!(
+            message.contains(&format!("expected {}", column_ddl(&gone))),
+            "{message}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

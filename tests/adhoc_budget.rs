@@ -123,8 +123,11 @@ fn an_unseen_join_text_stays_within_its_allocation_budget() {
     assert!(parse <= 30.0, "parse_statement: {parse:.1}");
     assert!(bind <= 30.0, "Binder::bind: {bind:.1}");
     assert!(optimize <= 50.0, "optimize: {optimize:.1}");
+    // The observers allocate one statement cell per new text: literal
+    // variants share their shape's footprint, and a text that is its
+    // template files the template's `Arc`.
     assert!(
-        watched - unwatched <= 12.0,
+        watched - unwatched <= 2.0,
         "observers: {:.1}",
         watched - unwatched
     );

@@ -7,7 +7,7 @@
 //! counted exactly once: the sums that used to hold because one lock
 //! serialised every record must hold with eight sessions recording at once.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
@@ -245,10 +245,17 @@ fn an_evicted_prepared_statement_re_enters_with_its_text_and_references() {
         .unwrap();
     assert_eq!(back.text, "select b from t where a = $1");
     assert_eq!(back.frequency, 1);
+    // Re-entry lists the statement's references once, and the statements
+    // evicted meanwhile leave none behind.
     assert_eq!(
         m.references().iter().filter(|r| r.hash == hash).count(),
-        2 * refs
+        refs
     );
+    // Read through the accessors: a query of one `ima$` table would be
+    // recorded, and evict a statement, before the query of the other.
+    let held: HashSet<_> = m.statements().iter().map(|st| st.hash).collect();
+    let referencing: HashSet<_> = m.references().iter().map(|r| r.hash).collect();
+    assert!(referencing.is_subset(&held), "{referencing:?} ⊄ {held:?}");
     let locks = m.health().first_sight_locks;
     point.execute(&[Value::Int(4)]).unwrap();
     assert_eq!(m.health().first_sight_locks, locks, "kept again");

@@ -245,11 +245,15 @@ fn monitor_health_mirrors_daemon_health() {
     let e = engine();
     let s = e.open_session();
     load(&s);
+    // The references of the statements held when the query below reads the
+    // row (it is recorded after).
+    let references = e.monitor().unwrap().references().len() as i64;
     let r = s
         .execute(
             "select self_time_ns, sensor_calls, statements_recorded, \
              statements_len, statements_capacity, workload_wrapped, \
-             workload_lapped, first_sight_locks from ima$monitor_health",
+             workload_lapped, first_sight_locks, intern_locks, references_len \
+             from ima$monitor_health",
         )
         .unwrap();
     assert_eq!(r.rows.len(), 1, "single-row self-observation");
@@ -267,6 +271,12 @@ fn monitor_health_mirrors_daemon_health() {
     // Every statement the load ran was text: each one recorded under the
     // monitor lock.
     assert_eq!(row.get(7).as_int(), Some(recorded), "first_sight_locks");
+    // Each insert text and this query were planned, so each interned its
+    // footprint once (a hit for all but the first of a shape); the held
+    // statements list their references.
+    assert_eq!(row.get(8).as_int(), Some(211), "intern_locks");
+    assert!(references > 0);
+    assert_eq!(row.get(9).as_int(), Some(references), "references_len");
 
     // The other observers report on themselves in the same row: the
     // cooperative sampler's ticks so far, and what the ASH and trace rings
