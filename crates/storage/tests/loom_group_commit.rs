@@ -11,10 +11,17 @@
 //!    only after a barrier whose durable watermark covers `lsn` has run.
 //! 2. **No lost wakeups** — every committer terminates, even when a leader's
 //!    barrier fails mid-batch; stranded followers self-elect.
+//!
+//! Both are checked again with committers in a closed loop, where each
+//! leader gathers as many committers as the previous group peaked at, and
+//! with committers that leave, so a leader gathers for followers that never
+//! arrive.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
+use ingot_common::waits::{WaitEvent, WaitRegistry};
+use ingot_common::MonotonicClock;
 use ingot_storage::GroupCommit;
 use loom::sync::Arc;
 use loom::thread;
@@ -53,7 +60,10 @@ impl Device {
 #[test]
 fn no_ack_before_covering_fsync() {
     loom::model(|| {
-        let gc = Arc::new(GroupCommit::new(Duration::from_micros(50)));
+        let gc = Arc::new(GroupCommit::new(
+            Duration::from_micros(50),
+            MonotonicClock::new(),
+        ));
         let dev = Arc::new(Device::new());
         let hs: Vec<_> = (0..WRITERS)
             .map(|_| {
@@ -96,7 +106,10 @@ fn no_ack_before_covering_fsync() {
 #[test]
 fn failed_leader_strands_no_followers() {
     loom::model(|| {
-        let gc = Arc::new(GroupCommit::new(Duration::from_micros(50)));
+        let gc = Arc::new(GroupCommit::new(
+            Duration::from_micros(50),
+            MonotonicClock::new(),
+        ));
         let dev = Arc::new(Device::new());
         let poisoned = Arc::new(AtomicBool::new(true));
         let hs: Vec<_> = (0..WRITERS)
@@ -144,5 +157,108 @@ fn failed_leader_strands_no_followers() {
             outcomes.iter().filter(|ok| **ok).count() >= WRITERS as usize - 1,
             "followers must self-elect after a leader failure"
         );
+    });
+}
+
+/// One commit: append, then wait on the coordinator with the device's
+/// barrier. Asserts the acknowledgement is covered by a barrier that ran.
+fn commit(gc: &GroupCommit, dev: &Arc<Device>) {
+    let lsn = dev.appended.fetch_add(1, Ordering::SeqCst) + 1;
+    let durable = {
+        let dev = Arc::clone(dev);
+        gc.wait_durable(lsn, move || Ok(dev.sync_all())).unwrap()
+    };
+    assert!(durable >= lsn, "ack for {lsn} with watermark {durable}");
+    assert!(
+        dev.synced.load(Ordering::SeqCst) >= lsn,
+        "commit {lsn} acknowledged before a covering barrier"
+    );
+}
+
+/// A coordinator that books its leader's gathering, so a model can tell
+/// whether leaders gathered.
+fn counted() -> (Arc<GroupCommit>, Arc<WaitRegistry>) {
+    let gc = GroupCommit::new(Duration::from_micros(50), MonotonicClock::new());
+    let waits = Arc::new(WaitRegistry::new());
+    gc.set_wait_registry(Arc::clone(&waits));
+    (Arc::new(gc), waits)
+}
+
+/// Invariant 1 with gathering leaders: committers loop, so after the first
+/// group every leader waits for the previous group's peak. No commit is
+/// acknowledged before a barrier covering it, and across the model leaders
+/// did gather.
+#[test]
+fn no_ack_before_covering_fsync_when_the_leader_gathers() {
+    const ROUNDS: u64 = 3;
+    let gathered = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let total = Arc::clone(&gathered);
+    loom::model(move || {
+        let (gc, waits) = counted();
+        let dev = Arc::new(Device::new());
+        let hs: Vec<_> = (0..WRITERS)
+            .map(|_| {
+                let gc = Arc::clone(&gc);
+                let dev = Arc::clone(&dev);
+                thread::spawn(move || {
+                    for _ in 0..ROUNDS {
+                        commit(&gc, &dev);
+                    }
+                })
+            })
+            .collect();
+        for h in hs {
+            h.join().unwrap();
+        }
+        let stats = gc.stats();
+        assert_eq!(stats.grouped_commits, WRITERS * ROUNDS);
+        assert!(stats.groups <= dev.barriers.load(Ordering::SeqCst));
+        assert!(stats.max_group <= WRITERS);
+        total.fetch_add(
+            waits.counters().count(WaitEvent::GroupCommitDally),
+            Ordering::Relaxed,
+        );
+    });
+    assert!(
+        gathered.load(Ordering::Relaxed) > 0,
+        "no leader gathered in any schedule: the model did not exercise the gather"
+    );
+}
+
+/// Invariant 2 with gathering leaders: committer `i` leaves after `i + 1`
+/// commits, so leaders keep waiting for a previous peak that includes
+/// committers who are gone. Each still syncs within its window and strands
+/// nobody. A lone committer after the last group is acknowledged too, and
+/// once its group of one has run, the next lone committer does not gather.
+#[test]
+fn a_leader_whose_followers_never_arrive_still_syncs() {
+    loom::model(|| {
+        let (gc, waits) = counted();
+        let dev = Arc::new(Device::new());
+        let hs: Vec<_> = (0..WRITERS)
+            .map(|i| {
+                let gc = Arc::clone(&gc);
+                let dev = Arc::clone(&dev);
+                thread::spawn(move || {
+                    for _ in 0..=i {
+                        commit(&gc, &dev);
+                    }
+                })
+            })
+            .collect();
+        for h in hs {
+            h.join().unwrap();
+        }
+        commit(&gc, &dev);
+        let gathers = waits.counters().count(WaitEvent::GroupCommitDally);
+        commit(&gc, &dev);
+        assert_eq!(
+            waits.counters().count(WaitEvent::GroupCommitDally),
+            gathers,
+            "after a group of one, a lone committer syncs at once"
+        );
+        let stats = gc.stats();
+        assert_eq!(stats.grouped_commits, WRITERS * (WRITERS + 1) / 2 + 2);
+        assert_eq!(dev.synced.load(Ordering::SeqCst), stats.grouped_commits);
     });
 }

@@ -114,11 +114,13 @@ fn checkpoint_writes_after_inserts() -> u64 {
 fn a_keyed_insert_edits_one_leaf_and_allocates_a_third() {
     tree_insert_allocates_nothing();
 
-    // The parent commit (decode and re-encode of every node on the path)
-    // measured 625.6 allocations per statement on this very loop.
+    // Decoding and re-encoding every node on the path cost 625.6
+    // allocations per statement on this very loop; editing the page in
+    // place, 22.0. Encoding WAL frames straight into the log's reused tail
+    // (no payload and frame `Vec` per record) brought it to 15.05.
     let per_insert = keyed_insert_allocations();
     println!("{per_insert:.1} allocations per prepared keyed insert");
-    assert!(per_insert <= 625.6 / 3.0);
+    assert!(per_insert <= 15.1, "{per_insert:.2} allocations per insert");
 
     // Leaf, tree meta page, heap page. The parent rewrote the root on every
     // insert as well (4).
