@@ -28,9 +28,8 @@
 //! [`crate::wal::Wal::set_fault_plan`]) and combine with the `crash` effect
 //! into the scripted power-cut points the crash suite replays:
 //!
-//! * `wal_append#N=crash` — power cut right after the *N*-th record is
-//!   handed to the OS: everything not yet fsynced is lost
-//!   (`crash_after_wal_append`).
+//! * `wal_append#N=crash` — power cut at the *N*-th append: that record
+//!   and everything not yet fsynced are lost (`crash_after_wal_append`).
 //! * `wal_fsync#N=crash` — power cut mid-fsync: the barrier fails and the
 //!   unsynced tail is lost (`crash_mid_fsync`).
 //! * `wal_append#N=torn:K` — power cut mid-write: the first `K` bytes of
@@ -38,14 +37,21 @@
 //! * `wal_truncate#N=crash` — power cut during post-checkpoint log
 //!   truncation (`crash_during_checkpoint_truncate`).
 //!
-//! After any WAL crash effect fires, the log is *dead*: every later WAL
-//! operation fails until the simulated machine reboots (a new engine reopens
-//! the directory and replays).
+//! On a `wal_*` operation every effect is a power cut, because the log
+//! fails one way: `transient`, `permanent`, `corrupt` and `crash` fail the
+//! operation with a non-retryable error, drop everything not yet fsynced
+//! and leave the log *dead* — every later WAL operation fails until the
+//! simulated machine reboots (a new engine reopens the directory and
+//! replays). `torn:K` on `wal_append` also leaves the first `K` bytes of
+//! the record on the platter; on `wal_fsync` and `wal_truncate` it is a
+//! plain power cut. A plan's `wal_*` indices count from when it is
+//! installed.
 //!
-//! `torn` is meaningful for writes and `corrupt` for reads; either effect on
-//! another operation kind degrades to a transient error so a malformed plan
-//! still fails loudly rather than silently passing. `crash` on a page-level
-//! operation likewise degrades to a transient error.
+//! On page operations, `torn` is meaningful for writes and `corrupt` for
+//! reads; either effect on another operation kind degrades to a transient
+//! error so a malformed plan still fails loudly rather than silently
+//! passing. `crash` on a page-level operation likewise degrades to a
+//! transient error.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -93,17 +99,23 @@ impl FaultOp {
 /// What happens when a rule fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEffect {
-    /// Retryable failure ([`Error::TransientIo`]); the operation is not
-    /// performed but a later retry will succeed (unless covered by a rule).
+    /// On a page operation, a retryable failure ([`Error::TransientIo`]):
+    /// the operation is not performed but a later retry succeeds (unless
+    /// covered by a rule). On a WAL operation, a power cut.
     Transient,
-    /// Permanent failure ([`Error::Io`]); retrying is expected to keep
-    /// failing, so callers should quarantine.
+    /// On a page operation, a permanent failure ([`Error::Io`]): retrying
+    /// is expected to keep failing, so callers should quarantine. On a WAL
+    /// operation, a power cut.
     Permanent,
     /// A torn write: only the first `N` bytes reach the backend, the rest of
     /// the page becomes deterministic garbage — and the call reports
     /// *success*, like a real power-cut write. Detected only by recovery.
+    /// On `wal_append`, a power cut that leaves the first `N` bytes of the
+    /// record on the platter (the append fails); on the other WAL
+    /// operations, a plain power cut.
     Torn(usize),
-    /// Read corruption: the page is returned with seeded bit flips.
+    /// Read corruption: the page is returned with seeded bit flips. On a
+    /// WAL operation, a power cut.
     Corrupt,
     /// Simulated power cut at a WAL operation: the unsynced log tail is
     /// lost, the operation fails, and every later WAL operation keeps
@@ -226,12 +238,6 @@ impl FaultPlan {
         self
     }
 
-    /// Set the garbage seed (builder form).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// The effect covering the `n`-th (1-based) operation of kind `op`.
     pub fn effect_for(&self, op: FaultOp, n: u64) -> Option<FaultEffect> {
         self.rules
@@ -257,12 +263,6 @@ pub struct FaultStats {
     pub allocs: u64,
     /// Total sync/checkpoint calls observed.
     pub syncs: u64,
-    /// Total WAL appends observed (only when the plan guards a WAL).
-    pub wal_appends: u64,
-    /// Total WAL fsyncs observed.
-    pub wal_fsyncs: u64,
-    /// Total WAL truncations observed.
-    pub wal_truncates: u64,
     /// Transient errors injected.
     pub injected_transient: u64,
     /// Permanent errors injected.
@@ -275,26 +275,12 @@ pub struct FaultStats {
     pub injected_crash: u64,
 }
 
-impl FaultStats {
-    /// Total injections of any kind.
-    pub fn injected_total(&self) -> u64 {
-        self.injected_transient
-            + self.injected_permanent
-            + self.injected_torn
-            + self.injected_corrupt
-            + self.injected_crash
-    }
-}
-
 #[derive(Default)]
 struct Counters {
     reads: AtomicU64,
     writes: AtomicU64,
     allocs: AtomicU64,
     syncs: AtomicU64,
-    wal_appends: AtomicU64,
-    wal_fsyncs: AtomicU64,
-    wal_truncates: AtomicU64,
     injected_transient: AtomicU64,
     injected_permanent: AtomicU64,
     injected_torn: AtomicU64,
@@ -340,9 +326,6 @@ impl FaultInjectingBackend {
             writes: self.counters.writes.load(Ordering::Relaxed),
             allocs: self.counters.allocs.load(Ordering::Relaxed),
             syncs: self.counters.syncs.load(Ordering::Relaxed),
-            wal_appends: self.counters.wal_appends.load(Ordering::Relaxed),
-            wal_fsyncs: self.counters.wal_fsyncs.load(Ordering::Relaxed),
-            wal_truncates: self.counters.wal_truncates.load(Ordering::Relaxed),
             injected_transient: self.counters.injected_transient.load(Ordering::Relaxed),
             injected_permanent: self.counters.injected_permanent.load(Ordering::Relaxed),
             injected_torn: self.counters.injected_torn.load(Ordering::Relaxed),
@@ -357,10 +340,10 @@ impl FaultInjectingBackend {
             FaultOp::Read => &self.counters.reads,
             FaultOp::Write => &self.counters.writes,
             FaultOp::Alloc => &self.counters.allocs,
-            FaultOp::Sync => &self.counters.syncs,
-            FaultOp::WalAppend => &self.counters.wal_appends,
-            FaultOp::WalFsync => &self.counters.wal_fsyncs,
-            FaultOp::WalTruncate => &self.counters.wal_truncates,
+            // The WAL counts its own operations; none reaches a page backend.
+            FaultOp::Sync | FaultOp::WalAppend | FaultOp::WalFsync | FaultOp::WalTruncate => {
+                &self.counters.syncs
+            }
         };
         let n = counter.fetch_add(1, Ordering::Relaxed) + 1;
         let effect = self.plan.lock().effect_for(op, n);

@@ -293,63 +293,45 @@ fn mid_commit_crash_discards_the_losers_version_chain_entry() {
 }
 
 /// The full crash-point × fsync-mode matrix over the shared workload mix:
-/// whatever the scripted cut, the statement in flight fails and recovery
-/// reproduces exactly the acknowledged state.
+/// whatever fails — a scripted cut, a torn tail, or a permanent or transient
+/// fsync fault — the statement in flight fails, the log stays dead (so the
+/// next statement fails too and cannot make the failed one durable), and
+/// recovery reproduces exactly the acknowledged state. Each plan faults
+/// only the first matching operation.
 #[test]
 fn every_crash_point_preserves_acknowledged_commits() {
-    let cases = [
-        (
-            "always-append",
-            WalFsyncMode::Always,
-            FaultOp::WalAppend,
-            FaultEffect::Crash,
-        ),
-        (
-            "always-torn",
-            WalFsyncMode::Always,
-            FaultOp::WalAppend,
-            FaultEffect::Torn(7),
-        ),
-        (
-            "always-fsync",
-            WalFsyncMode::Always,
-            FaultOp::WalFsync,
-            FaultEffect::Crash,
-        ),
-        (
-            "group-append",
-            WalFsyncMode::Group,
-            FaultOp::WalAppend,
-            FaultEffect::Crash,
-        ),
-        (
-            "group-torn",
-            WalFsyncMode::Group,
-            FaultOp::WalAppend,
-            FaultEffect::Torn(3),
-        ),
-        (
-            "group-fsync",
-            WalFsyncMode::Group,
-            FaultOp::WalFsync,
-            FaultEffect::Crash,
-        ),
+    let modes = [
+        (WalFsyncMode::Always, "always", 7),
+        (WalFsyncMode::Group, "group", 3),
     ];
-    for (tag, mode, op, effect) in cases {
-        let dir = scratch_dir(tag);
-        {
+    for (mode, m, torn) in modes {
+        for (op, effect, what) in [
+            (FaultOp::WalAppend, FaultEffect::Crash, "append"),
+            (FaultOp::WalAppend, FaultEffect::Torn(torn), "torn"),
+            (FaultOp::WalFsync, FaultEffect::Crash, "fsync"),
+            (FaultOp::WalFsync, FaultEffect::Permanent, "fsync-permanent"),
+            (FaultOp::WalFsync, FaultEffect::Transient, "fsync-transient"),
+        ] {
+            let tag = format!("{m}-{what}");
+            let dir = scratch_dir(&tag);
+            {
+                let e = open(&dir, mode);
+                let s = e.open_session();
+                seed_mix(&s);
+                e.wal()
+                    .set_fault_plan(FaultPlan::new().with_rule(op, 1, 1, effect));
+                assert!(
+                    s.execute("insert into t values (300, 'doomed')").is_err(),
+                    "{tag}: the in-flight statement must fail at the crash point"
+                );
+                assert!(
+                    s.execute("insert into t values (301, 'after')").is_err(),
+                    "{tag}: the log must stay dead after the failure"
+                );
+            }
             let e = open(&dir, mode);
-            let s = e.open_session();
-            seed_mix(&s);
-            e.wal()
-                .set_fault_plan(FaultPlan::new().with_rule(op, 1, u64::MAX, effect));
-            assert!(
-                s.execute("insert into t values (300, 'doomed')").is_err(),
-                "{tag}: the in-flight statement must fail at the crash point"
-            );
+            assert_eq!(table_ints(&e), MIX_STATE, "{tag}");
         }
-        let e = open(&dir, mode);
-        assert_eq!(table_ints(&e), MIX_STATE, "{tag}");
     }
 }
 
