@@ -11,15 +11,17 @@
 //! concurrent committers already share fsyncs there and the throughput
 //! ratio between the modes depends on how many cores overlap them. Under
 //! `group` the coordinator gathers committers behind one leader's fsync.
-//! The claim checked at the bottom is what the coordinator controls: **from
-//! 8 writers up, group commit makes at most 0.5 fsyncs per commit, at a
-//! throughput no lower than always-fsync**. Numbers land in
+//! The claims checked at the bottom are what the coordinator controls:
+//! **from 8 writers up, leaders wait to gather committers, group commit
+//! makes at most 0.5 fsyncs per commit, and over those cells together its
+//! throughput is no lower than always-fsync**. Numbers land in
 //! `results/wal_group_commit.json`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ingot_bench::{best_of, header, write_results, Field, Fields, Scale, ScratchDir};
+use ingot_common::waits::WaitEvent;
 use ingot_common::{EngineConfig, WalFsyncMode};
 use ingot_core::Engine;
 
@@ -43,6 +45,7 @@ struct Cell {
     always_fsyncs_per_commit: f64,
     group_fsyncs_per_commit: f64,
     max_group: u64,
+    group_gathers: u64,
 }
 
 impl Cell {
@@ -70,14 +73,19 @@ impl Cell {
                 Field::Num(self.group_fsyncs_per_commit),
             ),
             ("max_group", Field::Int(self.max_group)),
+            ("group_gathers", Field::Int(self.group_gathers)),
         ]
     }
 }
 
+/// The storm's counters: fsyncs, the largest group, and how often a
+/// group-commit leader waited to gather committers.
+type StormCounts = (u64, u64, u64);
+
 /// One storm on a fresh engine and directory: `writers` threads x `commits`
 /// auto-commit inserts, each writer on its own table. Returns (elapsed,
-/// (fsyncs during the storm, max_group)).
-fn run_storm(mode: WalFsyncMode, writers: usize, commits: usize) -> (Duration, (u64, u64)) {
+/// counters of the storm).
+fn run_storm(mode: WalFsyncMode, writers: usize, commits: usize) -> (Duration, StormCounts) {
     let dir = ScratchDir::new("wal");
     let engine = Engine::builder()
         .config(
@@ -95,7 +103,14 @@ fn run_storm(mode: WalFsyncMode, writers: usize, commits: usize) -> (Duration, (
                 .unwrap();
         }
     }
+    let gathers = || {
+        let registry = engine
+            .wait_registry()
+            .expect("wait events are on by default");
+        registry.counters().count(WaitEvent::GroupCommitDally)
+    };
     let fsyncs_before = engine.wal_stats().fsyncs;
+    let gathers_before = gathers();
     let start = Instant::now();
     let handles: Vec<_> = (0..writers)
         .map(|w| {
@@ -114,7 +129,12 @@ fn run_storm(mode: WalFsyncMode, writers: usize, commits: usize) -> (Duration, (
     }
     let elapsed = start.elapsed();
     let stats = engine.wal_stats();
-    (elapsed, (stats.fsyncs - fsyncs_before, stats.max_group))
+    let counts = (
+        stats.fsyncs - fsyncs_before,
+        stats.max_group,
+        gathers() - gathers_before,
+    );
+    (elapsed, counts)
 }
 
 fn main() {
@@ -142,10 +162,10 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     for writers in WRITERS {
         let total = (writers * commits) as f64;
-        let (always, (always_fsyncs, _)) = best_of(scale.repeats, || {
+        let (always, (always_fsyncs, _, _)) = best_of(scale.repeats, || {
             run_storm(WalFsyncMode::Always, writers, commits)
         });
-        let (group, (group_fsyncs, max_group)) = best_of(scale.repeats, || {
+        let (group, (group_fsyncs, max_group, group_gathers)) = best_of(scale.repeats, || {
             run_storm(WalFsyncMode::Group, writers, commits)
         });
         let always_tput = total / always.as_secs_f64();
@@ -176,6 +196,7 @@ fn main() {
             always_fsyncs_per_commit,
             group_fsyncs_per_commit,
             max_group,
+            group_gathers,
         });
     }
 
@@ -197,12 +218,21 @@ fn main() {
     );
 
     // The coordinator must actually batch once there is anyone to batch.
-    for c in cells.iter().filter(|c| c.writers >= 8) {
+    let batched: Vec<&Cell> = cells.iter().filter(|c| c.writers >= 8).collect();
+    for c in &batched {
         assert!(
             c.max_group >= 2,
             "at {} writers the leader must pick up followers (max batch {})",
             c.writers,
             c.max_group
+        );
+        // Committers that arrive during a barrier form the next group by
+        // themselves, so a leader that never waited would still batch and
+        // match always-fsync: the wait itself is checked.
+        assert!(
+            c.group_gathers > 0,
+            "at {} writers no group-commit leader waited to gather committers",
+            c.writers
         );
         assert!(
             c.group_fsyncs_per_commit <= 0.5,
@@ -211,12 +241,19 @@ fn main() {
             c.writers,
             c.group_fsyncs_per_commit
         );
-        assert!(
-            c.speedup >= 1.0,
-            "group commit must not be slower than always-fsync at {} writers \
-             (got {:.2}x)",
-            c.writers,
-            c.speedup
-        );
     }
+    // Throughput is pooled over those cells: one cell is the best of its
+    // repeats of ~0.1 s of wall time, and its ratio alone swings with
+    // scheduling (0.86-2.08x at 16 and 32 writers on a 2-vCPU box), so a
+    // per-cell check failed about one run in sixteen with the coordinator
+    // working. Both modes run the same commits, so the pooled throughput
+    // ratio is the ratio of the cells' summed wall times.
+    let total_ms = |ms: fn(&Cell) -> f64| batched.iter().map(|c| ms(c)).sum::<f64>();
+    let speedup = total_ms(|c| c.always_ms) / total_ms(|c| c.group_ms);
+    println!("\npooled over 8+ writers: group {speedup:.2}x always-fsync throughput");
+    assert!(
+        speedup >= 1.0,
+        "group commit must not be slower than always-fsync over the cells of \
+         8+ writers (got {speedup:.2}x pooled)"
+    );
 }

@@ -124,11 +124,20 @@ impl BufferPool {
         self.backend.create_file()
     }
 
+    /// Make `key` the most recently used frame. A dirty frame gets no queue
+    /// entry: the pool is no-steal, so the sweep could only pass it over,
+    /// and with more dirty frames than capacity it would pass over every
+    /// one of them on every miss and allocation. [`BufferPool::flush_all`]
+    /// queues the frames it cleans.
     fn touch(inner: &mut PoolInner, key: (FileId, u64)) {
         let gen = inner.next_gen;
         inner.next_gen += 1;
-        if let Some(f) = inner.frames.get_mut(&key) {
-            f.gen = gen;
+        let Some(f) = inner.frames.get_mut(&key) else {
+            return;
+        };
+        f.gen = gen;
+        if f.dirty {
+            return;
         }
         inner.lru.push_back((key, gen));
         // Bound queue garbage: compact when it grows far beyond the frame
@@ -162,14 +171,18 @@ impl BufferPool {
                 if frame.gen != gen {
                     continue; // stale: frame touched more recently
                 }
-                if Arc::strong_count(&frame.page) > 1 || frame.dirty {
-                    // Pinned or dirty: requeue at the back and keep
-                    // scanning. Dirty pages are *never* written back here —
-                    // the pool is strictly no-steal, because redo-only WAL
-                    // replay (crate::wal) assumes no uncommitted page image
-                    // ever reaches the backend outside a checkpoint's
-                    // flush_all. The pool runs over capacity until the next
-                    // flush cleans frames.
+                if frame.dirty {
+                    // Dirtied since it was queued: drop the entry, flush_all
+                    // queues the frame again once it is clean. Dirty pages
+                    // are *never* written back here — the pool is strictly
+                    // no-steal, because redo-only WAL replay (crate::wal)
+                    // assumes no uncommitted page image ever reaches the
+                    // backend outside a checkpoint's flush_all. The pool
+                    // runs over capacity until the next flush cleans frames.
+                    continue;
+                }
+                if Arc::strong_count(&frame.page) > 1 {
+                    // Pinned: requeue at the back and keep scanning.
                     Self::touch(inner, key);
                     continue;
                 }
@@ -248,17 +261,19 @@ impl BufferPool {
         }
     }
 
-    /// Write back every dirty page.
+    /// Write back every dirty page, and queue each cleaned frame for
+    /// eviction again, least recently used first.
     pub fn flush_all(&self) -> Result<()> {
         let mut inner = self.inner.lock();
         // Collect keys first to appease the borrow checker.
-        let dirty: Vec<(FileId, u64)> = inner
+        let mut dirty: Vec<(u64, (FileId, u64))> = inner
             .frames
             .iter()
             .filter(|(_, f)| f.dirty)
-            .map(|(k, _)| *k)
+            .map(|(k, f)| (f.gen, *k))
             .collect();
-        for key in dirty {
+        dirty.sort_unstable();
+        for (_, key) in dirty {
             let Some(frame) = inner.frames.get_mut(&key) else {
                 continue; // frame evicted since the key was collected
             };
@@ -272,6 +287,7 @@ impl BufferPool {
             }
             self.model.record_write();
             frame.dirty = false;
+            Self::touch(&mut inner, key);
         }
         Ok(())
     }
@@ -399,6 +415,33 @@ mod tests {
         p.clear().unwrap();
         let back = p.fetch(f, no0).unwrap();
         assert_eq!(back.read().record(0).unwrap(), b"marker");
+    }
+
+    #[test]
+    fn dirty_frames_stay_out_of_the_eviction_sweep() {
+        let p = pool(8);
+        let f = p.create_file().unwrap();
+        for _ in 0..256 {
+            let (_, pg) = p.allocate(f).unwrap();
+            drop(pg);
+        }
+        // 256 dirty frames in a pool of 8: every allocation sweeps, and the
+        // sweep walks the LRU queue. No dirty frame is on it, so the sweep
+        // walks nothing (requeueing them, the pool walked all 256 on every
+        // allocation and miss).
+        let s = p.stats();
+        assert_eq!((s.resident, s.evictions), (256, 0));
+        assert_eq!(p.inner.lock().lru.len(), 0);
+        // Cleaned, they are queued again, least recently used first, and
+        // the next sweep brings the pool back to capacity.
+        p.flush_all().unwrap();
+        assert_eq!(p.inner.lock().lru.len(), 256);
+        let first = p.inner.lock().lru.front().map(|(key, _)| key.1);
+        assert_eq!(first, Some(0));
+        let (_, pg) = p.allocate(f).unwrap();
+        drop(pg);
+        let s = p.stats();
+        assert_eq!((s.resident, s.evictions), (8, 249));
     }
 
     #[test]

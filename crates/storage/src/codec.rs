@@ -3,7 +3,11 @@
 //! Two encodings live here:
 //!
 //! * **Row codec** — a compact self-describing serialisation of a [`Row`]
-//!   used as the record format of heap pages and as B-Tree payloads.
+//!   used as the record format of heap pages and as B-Tree payloads. It is
+//!   read by one routine, [`RowCells::walk`]: a single tag/length walk over
+//!   the record that hands the [`Cell`] of each wanted column to its caller
+//!   — the decoder, which turns them into [`Value`]s, or a scan, which tests
+//!   them on the bytes and builds its surviving rows from them.
 //! * **Key codec** — a *memcomparable* encoding of key value lists: byte-wise
 //!   `memcmp` order of the encoding equals the SQL sort order of the values.
 //!   B-Tree nodes compare raw bytes only, which keeps comparisons in the hot
@@ -70,23 +74,24 @@ pub fn decode_row_cols(bytes: &[u8], needed: ColumnSet) -> Result<Row> {
     Ok(Row::new(values))
 }
 
-/// [`decode_row_cols`] into a caller-owned vector (cleared first), so a scan
-/// can refill one row per version instead of allocating one.
+/// [`decode_row_cols`] into a caller-owned vector (cleared first), so a
+/// caller can refill one row per record instead of allocating one.
 pub fn decode_row_cols_into(bytes: &[u8], needed: ColumnSet, out: &mut Vec<Value>) -> Result<()> {
     out.clear();
-    let cells = RowCells::new(bytes, needed)?;
-    out.reserve(cells.width());
-    for cell in cells {
-        out.push(cell?.to_value());
-    }
-    Ok(())
+    let record = RowCells::new(bytes)?;
+    out.resize(record.width(), Value::Null);
+    record.walk(needed, |col, cell| {
+        if let Some(value) = out.get_mut(col) {
+            *value = cell.to_value();
+        }
+    })
 }
 
 /// One encoded value, read in place: what the decoder turns into a
 /// [`Value`], and what a scan's byte-level conjuncts compare without one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Cell<'a> {
-    /// NULL, or a column outside the cursor's `needed` set.
+    /// NULL.
     Null,
     /// An integer.
     Int(i64),
@@ -112,79 +117,101 @@ impl Cell<'_> {
     }
 }
 
-/// Steps through an encoded row one column at a time: the codec's one
-/// tag/length routine, which the decoder and the scan's byte tests both read
-/// through — so the two fail on exactly the same records.
-///
-/// A column outside `needed` reads as [`Cell::Null`]; a string there is
-/// stepped over (its length still bounds-checked) without UTF-8 validation.
-/// The first error ends the walk.
-#[derive(Debug, Clone)]
+/// An encoded row whose width has been read, ready for the one walk over
+/// its columns: the codec's one tag/length stepping routine, which the
+/// decoder reads through into values and a scan into the cells it tests and
+/// builds its survivors from — so the two fail on exactly the same records.
+#[derive(Debug, Clone, Copy)]
 pub struct RowCells<'a> {
-    /// The record from the next column on.
+    /// The record from its first column on.
     rest: &'a [u8],
-    col: usize,
     width: usize,
-    needed: ColumnSet,
 }
 
 impl<'a> RowCells<'a> {
-    /// A cursor before the first column of the record `bytes`.
-    #[inline]
-    pub fn new(bytes: &'a [u8], needed: ColumnSet) -> Result<Self> {
-        let mut cells = RowCells {
-            rest: bytes,
-            col: 0,
-            width: 0,
-            needed,
+    /// The record `bytes`, its width read.
+    #[inline(always)]
+    pub fn new(bytes: &'a [u8]) -> Result<Self> {
+        let mut rest = bytes;
+        let Some(width) = take(&mut rest) else {
+            return Err(truncated());
         };
-        cells.width = u16::from_le_bytes(cells.fixed()?) as usize;
-        Ok(cells)
+        Ok(RowCells {
+            rest,
+            width: u16::from_le_bytes(width) as usize,
+        })
     }
 
     /// Columns the record holds.
-    #[inline]
+    #[inline(always)]
     pub fn width(&self) -> usize {
         self.width
     }
 
-    // `fixed`, `step` and `next` are always inlined: the executor's scan
-    // loop steps every column of every row through them, and as calls
-    // across the crate boundary they cost that loop about half its speed.
+    /// Step over every column once, checking each tag and length, and hand
+    /// the cell of each column in `keep` to `kept`, with its position, in
+    /// column order. A string outside `keep` is stepped over (its length
+    /// still bounds-checked) without UTF-8 validation. A truncated record,
+    /// an unknown tag or invalid UTF-8 in a kept string is an error, after
+    /// `kept` has seen the columns before it.
+    //
+    // Always inlined: a scan walks every record of its heap through it, and
+    // as a call across the crate boundary it costs that loop about half its
+    // speed. One loop that hands over only the kept cells is also about
+    // twice as fast as stepping an iterator of `Result<Cell>` per column.
     #[inline(always)]
-    fn fixed<const N: usize>(&mut self) -> Result<[u8; N]> {
-        let (head, rest) = self.rest.split_first_chunk().ok_or_else(truncated)?;
-        self.rest = rest;
-        Ok(*head)
-    }
-
-    #[inline(always)]
-    fn step(&mut self) -> Result<Cell<'a>> {
-        let keep = self.needed.contains(self.col);
-        self.col += 1;
-        let [tag] = self.fixed()?;
-        let cell = match tag {
-            TAG_NULL => Cell::Null,
-            TAG_INT => Cell::Int(i64::from_le_bytes(self.fixed()?)),
-            TAG_FLOAT => Cell::Float(f64::from_le_bytes(self.fixed()?)),
-            TAG_STR => {
-                let len = u32::from_le_bytes(self.fixed()?) as usize;
-                let (raw, rest) = self.rest.split_at_checked(len).ok_or_else(truncated)?;
-                self.rest = rest;
-                if !keep {
-                    return Ok(Cell::Null);
+    pub fn walk(self, keep: ColumnSet, mut kept: impl FnMut(usize, Cell<'a>)) -> Result<()> {
+        let mut rest = self.rest;
+        for col in 0..self.width {
+            let keep = keep.contains(col);
+            let Some([tag]) = take(&mut rest) else {
+                return Err(truncated());
+            };
+            let cell = match tag {
+                TAG_NULL => Cell::Null,
+                TAG_INT => match take(&mut rest) {
+                    Some(b) => Cell::Int(i64::from_le_bytes(b)),
+                    None => return Err(truncated()),
+                },
+                TAG_FLOAT => match take(&mut rest) {
+                    Some(b) => Cell::Float(f64::from_le_bytes(b)),
+                    None => return Err(truncated()),
+                },
+                TAG_STR => {
+                    let Some(len) = take(&mut rest) else {
+                        return Err(truncated());
+                    };
+                    let Some((raw, tail)) = rest.split_at_checked(u32::from_le_bytes(len) as usize)
+                    else {
+                        return Err(truncated());
+                    };
+                    rest = tail;
+                    if !keep {
+                        continue;
+                    }
+                    match std::str::from_utf8(raw) {
+                        Ok(s) => Cell::Str(s),
+                        Err(_) => return Err(invalid_utf8()),
+                    }
                 }
-                Cell::Str(
-                    std::str::from_utf8(raw)
-                        .map_err(|_| Error::storage("invalid utf8 in row record"))?,
-                )
+                TAG_BOOL_FALSE => Cell::Bool(false),
+                TAG_BOOL_TRUE => Cell::Bool(true),
+                t => return Err(unknown_tag(t)),
+            };
+            if keep {
+                kept(col, cell);
             }
-            TAG_BOOL_FALSE => Cell::Bool(false),
-            TAG_BOOL_TRUE => Cell::Bool(true),
-            t => return Err(Error::storage(format!("unknown value tag {t}"))),
-        };
-        Ok(if keep { cell } else { Cell::Null })
+        }
+        Ok(())
     }
+}
+
+/// The next `N` bytes of `rest`, which moves past them.
+#[inline(always)]
+fn take<const N: usize>(rest: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, tail) = rest.split_first_chunk()?;
+    *rest = tail;
+    Some(*head)
 }
 
 #[cold]
@@ -192,20 +219,14 @@ fn truncated() -> Error {
     Error::storage("truncated row record")
 }
 
-impl<'a> Iterator for RowCells<'a> {
-    type Item = Result<Cell<'a>>;
+#[cold]
+fn invalid_utf8() -> Error {
+    Error::storage("invalid utf8 in row record")
+}
 
-    #[inline(always)]
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.col >= self.width {
-            return None;
-        }
-        let cell = self.step();
-        if cell.is_err() {
-            self.col = self.width;
-        }
-        Some(cell)
-    }
+#[cold]
+fn unknown_tag(tag: u8) -> Error {
+    Error::storage(format!("unknown value tag {tag}"))
 }
 
 // ---- memcomparable key codec -------------------------------------------------
