@@ -1,8 +1,9 @@
 //! The index advisor.
 //!
 //! Implements the paper's what-if loop: candidate indexes derived from the
-//! recorded attribute references are registered as *virtual* indexes, and the
-//! engine's own optimizer decides whether a plan would use them — "this fact
+//! recorded attribute references are registered as *virtual* indexes in a
+//! private copy of the schema ([`WhatIf`]), and the engine's own optimizer
+//! decides whether a plan would use them — "this fact
 //! allows us to feed the Ingres optimizer with a number of hypothetical, or
 //! virtual indexes, exploiting its decision about which indexes will
 //! actually be used to find an optimal index set for the workload". Greedy
@@ -10,10 +11,10 @@
 //! estimated saving until no candidate clears the benefit threshold.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use ingot_common::{Result, TableId};
-use ingot_core::Engine;
+use ingot_catalog::WhatIf;
+use ingot_common::{IndexId, Result, TableId};
+use ingot_core::estimate;
 
 use crate::rules::Recommendation;
 use crate::view::WorkloadView;
@@ -50,7 +51,7 @@ pub struct IndexCandidate {
 }
 
 /// Advisor result: recommendations plus the raw chosen candidates (the
-/// report layer re-registers them to draw Fig 6's third bar).
+/// report layer registers them again to draw Fig 6's third bar).
 #[derive(Debug, Clone, Default)]
 pub struct AdvisorOutput {
     /// `CreateIndex` recommendations.
@@ -59,14 +60,13 @@ pub struct AdvisorOutput {
     pub chosen_candidates: Vec<IndexCandidate>,
 }
 
-/// Run the advisor over the recorded workload.
+/// Run the advisor over the recorded workload, costing against copies of
+/// `what_if`.
 pub fn recommend_indexes(
     config: &AdvisorConfig,
-    engine: &Arc<Engine>,
+    what_if: &WhatIf,
     view: &WorkloadView,
 ) -> Result<AdvisorOutput> {
-    engine.clear_virtual_indexes();
-
     // Queries with their execution weights.
     let queries: Vec<(&str, u64)> = view
         .statements
@@ -79,35 +79,34 @@ pub fn recommend_indexes(
     }
 
     // Candidate generation from referenced attributes.
-    let mut candidates = generate_candidates(engine, view);
+    let mut candidates = generate_candidates(what_if, view);
 
     // Baseline cost of each query with only the real indexes.
     let mut current_cost: HashMap<&str, f64> = HashMap::with_capacity(queries.len());
     for (text, _) in &queries {
-        if let Ok(est) = engine.estimate(text, false) {
+        if let Ok(est) = estimate(what_if, text) {
             current_cost.insert(text, est.est.total());
         }
     }
 
+    // The copy with the chosen set registered; each candidate is costed on
+    // a clone of it, registered last.
+    let mut with_chosen = what_if.clone();
     let mut chosen: Vec<IndexCandidate> = Vec::new();
     let mut recommendations = Vec::new();
 
     while chosen.len() < config.max_indexes && !candidates.is_empty() {
         let mut best: Option<(usize, f64, usize)> = None; // (cand idx, benefit, helped)
         for (ci, cand) in candidates.iter().enumerate() {
-            // Register chosen set + this candidate.
-            engine.clear_virtual_indexes();
-            for c in &chosen {
-                register(engine, c)?;
-            }
-            let cand_id = register(engine, cand)?;
+            let mut trial = with_chosen.clone();
+            let cand_id = register(&mut trial, cand)?;
             let mut benefit = 0.0;
             let mut helped = 0usize;
             for (text, weight) in &queries {
                 let Some(&base) = current_cost.get(text) else {
                     continue;
                 };
-                let Ok(est) = engine.estimate(text, true) else {
+                let Ok(est) = estimate(&trial, text) else {
                     continue;
                 };
                 // Only count queries whose chosen plan actually uses the
@@ -137,35 +136,30 @@ pub fn recommend_indexes(
             benefit,
             statements_helped: helped,
         });
+        register(&mut with_chosen, &cand)?;
         chosen.push(cand);
         // Re-baseline costs with the chosen set registered, so the next
         // round measures *marginal* benefit.
-        engine.clear_virtual_indexes();
-        for c in &chosen {
-            register(engine, c)?;
-        }
         for (text, _) in &queries {
-            if let Ok(est) = engine.estimate(text, true) {
+            if let Ok(est) = estimate(&with_chosen, text) {
                 current_cost.insert(text, est.est.total());
             }
         }
     }
 
-    engine.clear_virtual_indexes();
     Ok(AdvisorOutput {
         recommendations,
         chosen_candidates: chosen,
     })
 }
 
-/// Register a candidate as a virtual index.
-pub fn register(engine: &Arc<Engine>, cand: &IndexCandidate) -> Result<ingot_common::IndexId> {
+/// Register a candidate as a virtual index in `what_if`.
+pub fn register(what_if: &mut WhatIf, cand: &IndexCandidate) -> Result<IndexId> {
     let cols: Vec<&str> = cand.column_names.iter().map(String::as_str).collect();
-    engine.add_virtual_index(&cand.table_name, &cols)
+    what_if.add_virtual_index(&cand.table_name, &cols)
 }
 
-fn generate_candidates(engine: &Arc<Engine>, view: &WorkloadView) -> Vec<IndexCandidate> {
-    let catalog = engine.catalog().read();
+fn generate_candidates(catalog: &WhatIf, view: &WorkloadView) -> Vec<IndexCandidate> {
     let mut out = Vec::new();
     for attr in &view.attributes {
         let Ok(entry) = catalog.table(attr.table) else {
@@ -177,11 +171,11 @@ fn generate_candidates(engine: &Arc<Engine>, view: &WorkloadView) -> Vec<IndexCa
         {
             continue;
         }
-        // Skip columns already leading an existing real index.
+        // Skip columns already leading an existing index.
         let covered = catalog
             .indexes_of(attr.table)
             .iter()
-            .any(|idx| !idx.meta.is_virtual && idx.meta.columns.first() == Some(&attr.column));
+            .any(|idx| idx.meta.columns.first() == Some(&attr.column));
         if covered {
             continue;
         }
@@ -199,9 +193,12 @@ fn generate_candidates(engine: &Arc<Engine>, view: &WorkloadView) -> Vec<IndexCa
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::view::WorkloadView;
     use ingot_common::EngineConfig;
+    use ingot_core::Engine;
 
     #[test]
     fn advisor_recommends_selective_index_and_skips_useless_one() {
@@ -229,7 +226,8 @@ mod tests {
         s.execute("select name from protein where grp = 1").unwrap();
 
         let view = WorkloadView::from_monitor(engine.monitor().unwrap());
-        let out = recommend_indexes(&AdvisorConfig::default(), &engine, &view).unwrap();
+        let live = engine.catalog().read();
+        let out = recommend_indexes(&AdvisorConfig::default(), &engine.what_if(), &view).unwrap();
         assert_eq!(out.chosen_candidates.len(), 1, "{:?}", out.recommendations);
         assert_eq!(out.chosen_candidates[0].column_names, vec!["nref_id"]);
         let Recommendation::CreateIndex {
@@ -242,16 +240,10 @@ mod tests {
         };
         assert_eq!(*statements_helped, 10);
         assert!(*benefit > 0.0);
-        // No virtual debris left behind.
-        assert_eq!(
-            engine
-                .catalog()
-                .read()
-                .indexes()
-                .filter(|i| i.meta.is_virtual)
-                .count(),
-            0
-        );
+        // The candidates were costed in a copy: the live schema is the
+        // snapshot it was, with no index at all.
+        assert!(Arc::ptr_eq(&live, &engine.catalog().read()));
+        assert_eq!(live.indexes().count(), 0);
     }
 
     #[test]
@@ -273,7 +265,7 @@ mod tests {
                 .unwrap();
         }
         let view = WorkloadView::from_monitor(engine.monitor().unwrap());
-        let out = recommend_indexes(&AdvisorConfig::default(), &engine, &view).unwrap();
+        let out = recommend_indexes(&AdvisorConfig::default(), &engine.what_if(), &view).unwrap();
         assert!(
             out.chosen_candidates
                 .iter()
@@ -290,7 +282,7 @@ mod tests {
             .build()
             .unwrap();
         let view = WorkloadView::default();
-        let out = recommend_indexes(&AdvisorConfig::default(), &engine, &view).unwrap();
+        let out = recommend_indexes(&AdvisorConfig::default(), &engine.what_if(), &view).unwrap();
         assert!(out.recommendations.is_empty());
     }
 }

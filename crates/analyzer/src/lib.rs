@@ -91,8 +91,10 @@ impl Analyzer {
     }
 
     /// Analyze a workload view against `engine` (whose optimizer performs
-    /// all what-if costing) and produce recommendations plus the report
-    /// diagrams of Figs 6 and 8.
+    /// all what-if costing, on a private copy of its schema) and produce
+    /// recommendations plus the report diagrams of Figs 6 and 8. The live
+    /// engine is left as it was: no schema is published, no cached plan
+    /// dropped.
     pub fn analyze(&self, engine: &Arc<Engine>, view: &WorkloadView) -> Result<AnalysisReport> {
         let mut recommendations = Vec::new();
 
@@ -112,47 +114,28 @@ impl Analyzer {
                 recommendations.push(rec);
             }
         }
-        // The what-if advisor needs trustworthy cardinalities: *temporarily*
-        // freshen statistics on every referenced table that lacks them while
-        // candidates are evaluated (the paper's analyzer likewise "tests
-        // possible new indexes on the DBMS" during its 40 s analysis). The
-        // original state is restored afterwards — analysis itself must not
-        // change the system; the statistics recommendation above is how the
+        // The what-if advisor needs trustworthy cardinalities: freshen
+        // statistics on every referenced table that lacks them — in a
+        // private copy of the schema, as the paper's analyzer "tests possible
+        // new indexes on the DBMS" during its analysis. The live catalog is
+        // never changed; the statistics recommendation above is how the
         // change actually lands.
-        let stats_backup: Vec<_> = {
-            let now = engine.sim_clock().now_secs();
-            let mut catalog = engine.catalog().write();
-            let mut backup = Vec::new();
-            for t in &view.tables {
-                let needs = catalog
-                    .table(t.id)
-                    .map(|e| e.stats.is_none())
-                    .unwrap_or(false);
-                if needs {
-                    backup.push(t.id);
-                    catalog.collect_statistics(t.id, &[], now)?;
-                }
-            }
-            backup
-        };
-        // Index advisor (what-if through the engine's optimizer).
-        let advisor_out = advisor::recommend_indexes(&self.config.advisor, engine, view)?;
-        recommendations.extend(advisor_out.recommendations.clone());
-        // Restore the pre-analysis statistics state so the Fig 6 diagram's
-        // estimate bars share one basis with the recorded estimates.
-        {
-            let mut catalog = engine.catalog().write();
-            for id in stats_backup {
-                if let Ok(entry) = catalog.table_mut(id) {
-                    entry.stats = None;
-                }
+        let snapshot = engine.what_if();
+        let mut fresh = snapshot.clone();
+        let now = engine.sim_clock().now_secs();
+        for t in &view.tables {
+            if fresh.table(t.id).is_ok_and(|e| e.stats.is_none()) {
+                fresh.collect_statistics(t.id, now)?;
             }
         }
+        let advisor_out = advisor::recommend_indexes(&self.config.advisor, &fresh, view)?;
 
-        // Fig 6: cost diagram of the most expensive statements, with the
-        // advisor's chosen virtual indexes registered for the third bar.
+        // Fig 6: cost diagram of the most expensive statements. Its third
+        // bar adds the advisor's chosen indexes to the unfreshened snapshot,
+        // so all three bars share one basis with the recorded estimates.
         let cost_diagram =
-            report::build_cost_diagram(engine, view, &advisor_out.chosen_candidates, 10)?;
+            report::build_cost_diagram(&snapshot, view, &advisor_out.chosen_candidates, 10)?;
+        recommendations.extend(advisor_out.recommendations);
         // Fig 8: locks diagram from the statistics samples.
         let locks_diagram = report::build_locks_diagram(view);
 

@@ -3,10 +3,10 @@
 //! analysis report.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
+use ingot_catalog::WhatIf;
 use ingot_common::Result;
-use ingot_core::Engine;
+use ingot_core::estimate;
 
 use crate::advisor::{register, IndexCandidate};
 use crate::rules::Recommendation;
@@ -158,16 +158,17 @@ fn truncate(s: &str, n: usize) -> String {
 }
 
 /// Build the Fig 6 cost diagram: the `top_n` most expensive query statements
-/// with actual, estimated and estimated-with-virtual-indexes costs.
+/// with actual, estimated and estimated-with-virtual-indexes costs, the last
+/// with `chosen` registered in a copy of `what_if`.
 pub fn build_cost_diagram(
-    engine: &Arc<Engine>,
+    what_if: &WhatIf,
     view: &WorkloadView,
     chosen: &[IndexCandidate],
     top_n: usize,
 ) -> Result<CostDiagram> {
-    engine.clear_virtual_indexes();
+    let mut with_chosen = what_if.clone();
     for c in chosen {
-        register(engine, c)?;
+        register(&mut with_chosen, c)?;
     }
     let mut entries = Vec::new();
     for (i, s) in view
@@ -178,10 +179,7 @@ pub fn build_cost_diagram(
         .enumerate()
     {
         let n = s.executions.max(1) as f64;
-        let with_virtual = engine
-            .estimate(&s.text, true)
-            .map(|e| e.est.total())
-            .unwrap_or(0.0);
+        let with_virtual = estimate(&with_chosen, &s.text).map_or(0.0, |e| e.est.total());
         entries.push(CostDiagramEntry {
             label: format!("Q{}", i + 1),
             text: s.text.clone(),
@@ -190,7 +188,6 @@ pub fn build_cost_diagram(
             estimated_with_virtual: with_virtual,
         });
     }
-    engine.clear_virtual_indexes();
     Ok(CostDiagram { entries })
 }
 

@@ -1,7 +1,7 @@
 //! The rule engine: local, pre-defined rules mapped to recommendations
 //! (level two of the paper's three analysis levels).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ingot_common::{Cost, TableId};
 
@@ -151,7 +151,7 @@ pub fn statistics_rules(config: &AnalyzerConfig, view: &WorkloadView) -> Vec<Rec
         .collect();
 
     // Rule 1: per table, count statements whose estimate diverges.
-    let mut diverging: HashMap<TableId, usize> = HashMap::new();
+    let mut diverging: BTreeMap<TableId, usize> = BTreeMap::new();
     for s in &view.statements {
         if s.actual.total() < config.min_actual_total {
             continue;
@@ -185,7 +185,7 @@ pub fn statistics_rules(config: &AnalyzerConfig, view: &WorkloadView) -> Vec<Rec
     }
 
     // Rule 2: referenced attributes without histograms, grouped per table.
-    let mut missing: HashMap<TableId, Vec<String>> = HashMap::new();
+    let mut missing: BTreeMap<TableId, Vec<String>> = BTreeMap::new();
     for a in &view.attributes {
         if !a.has_histogram {
             missing.entry(a.table).or_default().push(a.name.clone());
@@ -230,7 +230,7 @@ pub fn wait_profile_rules(config: &AnalyzerConfig, view: &WorkloadView) -> Vec<R
         .iter()
         .map(|t| (t.id, t.name.as_str()))
         .collect();
-    let mut profile: HashMap<&str, (u64, u64, &str)> = HashMap::new();
+    let mut profile: BTreeMap<&str, (u64, u64, &str)> = BTreeMap::new();
     for a in &view.ash {
         let entry = profile
             .entry(a.hash.as_str())

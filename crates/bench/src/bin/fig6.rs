@@ -47,16 +47,16 @@ fn main() {
     if improved.is_empty() {
         // Rebuild a wider diagram over every query to find the winners.
         let view_all = view.clone();
+        let what_if = instance.engine.what_if();
         let chosen = ingot_analyzer::advisor::recommend_indexes(
             &analyzer.config.advisor,
-            &instance.engine,
+            &what_if,
             &view_all,
         )
         .expect("advisor")
         .chosen_candidates;
-        all_entries =
-            ingot_analyzer::report::build_cost_diagram(&instance.engine, &view_all, &chosen, 50)
-                .expect("diagram");
+        all_entries = ingot_analyzer::report::build_cost_diagram(&what_if, &view_all, &chosen, 50)
+            .expect("diagram");
         improved = all_entries
             .entries
             .iter()

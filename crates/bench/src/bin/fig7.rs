@@ -54,7 +54,7 @@ fn measure(engine: &std::sync::Arc<Engine>, session: &Session, queries: &[String
     let io_ns = engine.sim_clock().now_nanos() - sim0;
     let phys_reads = engine.io_stats().delta_since(&io0).reads();
     let catalog = engine.catalog().read();
-    let indexes = catalog.indexes().filter(|i| !i.meta.is_virtual).count();
+    let indexes = catalog.indexes().count();
     Outcome {
         wall,
         modelled_ms: (io_ns as f64 + cpu_tuples * CPU_TUPLE_NS) / 1e6,

@@ -38,12 +38,11 @@ pub struct Catalog {
     virtual_tables: HashMap<TableId, VirtualTableDef>,
     /// Base and virtual tables by name: one name, one id.
     table_names: HashMap<String, TableId>,
-    /// Base tables and real indexes count up from 1, virtual tables and
-    /// what-if indexes down from `u32::MAX`, so neither moves a base id; the
-    /// checkpoint records the two upward counters.
+    /// Base tables and real indexes count up from 1, virtual tables down
+    /// from `u32::MAX` (and what-if indexes, in a [`crate::WhatIf`] copy),
+    /// so neither moves a base id; the checkpoint records the two counters.
     next_table: u32,
     next_index: u32,
-    next_virtual_index: u32,
     /// Schema epoch: bumped every time a modified copy of the catalog is
     /// published through [`crate::shared::SharedCatalog`]. Plan-cache entries
     /// are keyed on it, so any published schema or statistics change
@@ -111,7 +110,6 @@ impl Catalog {
             virtual_tables: HashMap::new(),
             next_table: 1,
             next_index: 1,
-            next_virtual_index: u32::MAX,
             epoch: 0,
         }
     }
@@ -178,7 +176,9 @@ impl Catalog {
     /// the backend — like a real system, space returns on rebuild.)
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
         let id = self.resolve_table(name)?;
-        self.remove_indexes(|i| i.table == id);
+        self.indexes.retain(|_, e| e.meta.table != id);
+        let indexes = &self.indexes;
+        self.index_names.retain(|_, i| indexes.contains_key(i));
         let entry = self.tables.remove(&id).expect("resolved table");
         self.table_names.remove(&*entry.meta.name);
         Ok(())
@@ -324,12 +324,17 @@ impl Catalog {
         Ok(self.add_index(meta, Some(Arc::new(tree))))
     }
 
-    /// Register a *virtual* (hypothetical) index: visible to the optimizer's
-    /// what-if mode, never materialised, free to create and drop.
-    pub fn add_virtual_index(&mut self, table: TableId, columns: Vec<usize>) -> Result<IndexId> {
+    /// Register a *virtual* (hypothetical) index under `id`: never
+    /// materialised. Only a [`crate::WhatIf`] copy, which is never
+    /// published, holds one.
+    pub(crate) fn add_virtual_index(
+        &mut self,
+        id: IndexId,
+        table: TableId,
+        columns: Vec<usize>,
+    ) -> Result<()> {
         let entry = self.table(table)?;
         check_columns("index", &columns, entry.meta.schema.len())?;
-        let id = IndexId(self.next_virtual_index);
         let meta = IndexMeta {
             id,
             name: format!("$virtual_{}_{}", entry.meta.name, id.raw()).into(),
@@ -338,8 +343,8 @@ impl Catalog {
             unique: false,
             is_virtual: true,
         };
-        self.next_virtual_index -= 1;
-        Ok(self.add_index(meta, None))
+        self.add_index(meta, None);
+        Ok(())
     }
 
     /// File an index under its id and name.
@@ -348,18 +353,6 @@ impl Catalog {
         self.index_names.insert(meta.name.to_string(), id);
         self.indexes.insert(id, Arc::new(IndexEntry { meta, tree }));
         id
-    }
-
-    /// Remove every virtual index (end of a what-if session).
-    pub fn clear_virtual_indexes(&mut self) {
-        self.remove_indexes(|i| i.is_virtual);
-    }
-
-    /// Remove every index `doomed` picks, names included.
-    fn remove_indexes(&mut self, doomed: impl Fn(&IndexMeta) -> bool) {
-        self.indexes.retain(|_, e| !doomed(&e.meta));
-        let indexes = &self.indexes;
-        self.index_names.retain(|_, id| indexes.contains_key(id));
     }
 
     /// Drop an index by name.
@@ -389,7 +382,7 @@ impl Catalog {
         self.index(*id)
     }
 
-    /// All indexes (including virtual ones) on `table`.
+    /// All indexes on `table` (virtual ones too, in a what-if copy), by id.
     pub fn indexes_of(&self, table: TableId) -> Vec<&IndexEntry> {
         let mut v: Vec<&IndexEntry> = self
             .indexes
@@ -408,11 +401,10 @@ impl Catalog {
 
     // ---- checkpoint persistence ----------------------------------------------
 
-    /// Serialize every base table and real index with its id, plus the two
-    /// id counters, to a checkpoint schema blob (see [`crate::persist`]).
-    /// What-if indexes and virtual tables are left out: the first live for
-    /// one analyzer pass, the second are registered again by the engine
-    /// that boots. Statistics are left out too — they are recomputable.
+    /// Serialize every base table and index with its id, plus the two id
+    /// counters, to a checkpoint schema blob (see [`crate::persist`]).
+    /// Virtual tables are left out: the engine that boots registers them
+    /// again. Statistics are left out too — they are recomputable.
     pub fn dump_schema(&self) -> Vec<u8> {
         use crate::persist::{IndexDump, SchemaDump, TableDump};
         let name_of = |id| self.tables.get(&id).map(|t| t.meta.name.to_string());
@@ -433,7 +425,6 @@ impl Catalog {
         let mut indexes: Vec<IndexDump> = self
             .indexes
             .values()
-            .filter(|e| !e.meta.is_virtual)
             .map(|e| IndexDump {
                 id: e.meta.id,
                 name: e.meta.name.to_string(),
@@ -585,12 +576,7 @@ impl Catalog {
             None
         };
         // Rebuild secondary indexes against the new row ids.
-        let index_ids: Vec<IndexId> = self
-            .indexes_of(table)
-            .iter()
-            .filter(|e| !e.meta.is_virtual)
-            .map(|e| e.meta.id)
-            .collect();
+        let index_ids: Vec<IndexId> = self.indexes_of(table).iter().map(|e| e.meta.id).collect();
         for iid in index_ids {
             let columns = self.indexes[&iid].meta.columns.clone();
             let tree = BTreeFile::create(Arc::clone(&self.pool))?;
@@ -826,12 +812,13 @@ mod tests {
         let mut c = catalog();
         let t = c.create_table("people", people_schema(), vec![0]).unwrap();
         c.insert_row(t, &sample_row(1)).unwrap();
-        let v = c.add_virtual_index(t, vec![2]).unwrap();
-        assert!(c.index(v).unwrap().meta.is_virtual);
-        assert_eq!(c.index(v).unwrap().pages(), 0);
-        assert!(c.index(v).unwrap().probe_eq(&[Value::Int(1)]).is_err());
-        assert_eq!(c.indexes_of(t).len(), 1);
-        c.clear_virtual_indexes();
+        let mut what_if = crate::WhatIf::new(&c);
+        let v = what_if.add_virtual_index("people", &["age"]).unwrap();
+        let idx = what_if.index(v).unwrap();
+        assert!(idx.meta.is_virtual);
+        assert_eq!(idx.pages(), 0);
+        assert!(idx.probe_eq(&[Value::Int(1)]).is_err());
+        assert_eq!(what_if.indexes_of(t).len(), 1);
         assert_eq!(c.indexes_of(t).len(), 0);
     }
 
@@ -841,7 +828,9 @@ mod tests {
         c.register_virtual_table("ima$x", people_schema(), Arc::new(Vec::new))
             .unwrap();
         let a = c.create_table("a", people_schema(), vec![0]).unwrap();
-        let what_if = c.add_virtual_index(a, vec![2]).unwrap();
+        let what_if = crate::WhatIf::new(&c)
+            .add_virtual_index("a", &["age"])
+            .unwrap();
         let b = c.create_table("b", people_schema(), vec![0]).unwrap();
         c.drop_table("a").unwrap();
         let b_age = c.create_index("b_age", b, vec![2], false).unwrap();

@@ -17,6 +17,7 @@ pub mod persist;
 pub mod shared;
 pub mod stats;
 pub mod table;
+pub mod whatif;
 
 pub use catalog::{Catalog, Relation, VirtualProvider, VirtualTableDef};
 pub use histogram::Histogram;
@@ -25,3 +26,4 @@ pub use persist::{IndexDump, SchemaDump, TableDump};
 pub use shared::{CatalogWriteGuard, SharedCatalog};
 pub use stats::{ColumnStats, TableStatistics};
 pub use table::{CheckedRow, IndexEntry, IndexMeta, StorageStructure, TableEntry, TableMeta};
+pub use whatif::WhatIf;

@@ -153,7 +153,7 @@ impl Catalog {
         let entry = self.table(table)?;
         let row = checked.row();
         for idx in self.indexes_of(table) {
-            if idx.meta.unique && !idx.meta.is_virtual {
+            if idx.meta.unique {
                 let vals = col_values(row, &idx.meta.columns);
                 self.check_unique(entry, idx, &vals, None, write.owner())?;
             }
@@ -214,7 +214,7 @@ impl Catalog {
         }
         let root = old_meta.root_for(head);
         for idx in self.indexes_of(table) {
-            if idx.meta.unique && !idx.meta.is_virtual {
+            if idx.meta.unique {
                 let vals = col_values(&new_row, &idx.meta.columns);
                 self.check_unique(entry, idx, &vals, Some(root), write.owner())?;
             }

@@ -254,8 +254,8 @@ pub struct IndexMeta {
     pub columns: Vec<usize>,
     /// Whether duplicate keys are rejected.
     pub unique: bool,
-    /// Hypothetical ("virtual") index: visible to the optimizer's what-if
-    /// mode only, never materialised — after AutoAdmin's what-if indexes.
+    /// Hypothetical ("virtual") index, held only by a [`crate::WhatIf`]
+    /// copy and never materialised — after AutoAdmin's what-if indexes.
     pub is_virtual: bool,
 }
 

@@ -80,6 +80,19 @@ impl Schema {
             .position(|c| c.name.eq_ignore_ascii_case(name))
     }
 
+    /// Positions of the named columns, in order; `Err` naming the first
+    /// unknown one.
+    pub fn indexes_of<S: AsRef<str>>(&self, names: &[S]) -> Result<Vec<usize>> {
+        names
+            .iter()
+            .map(|c| {
+                let c = c.as_ref();
+                self.index_of(c)
+                    .ok_or_else(|| Error::binder(format!("unknown column '{c}'")))
+            })
+            .collect()
+    }
+
     /// The column at `idx`.
     pub fn column(&self, idx: usize) -> &Column {
         &self.columns[idx]

@@ -43,7 +43,7 @@ impl Session {
                         })
                         .collect(),
                 );
-                let pk = column_indexes(&schema, &primary_key)?;
+                let pk = schema.indexes_of(&primary_key)?;
                 change_schema(engine, sql, |c| c.create_table(&name, schema, pk).map(drop))?
             }
             Statement::DropTable { name } => {
@@ -59,7 +59,7 @@ impl Session {
             } => self.with_table_lock_by_name(&table, LockMode::Exclusive, |eng| {
                 change_schema(eng, sql, |c| {
                     let id = c.resolve_table(&table)?;
-                    let cols = column_indexes(&c.table(id)?.meta.schema, &columns)?;
+                    let cols = c.table(id)?.meta.schema.indexes_of(&columns)?;
                     c.create_index(&name, id, cols, unique).map(drop)
                 })
             })?,
@@ -81,7 +81,7 @@ impl Session {
                     let snap = self.statement_snapshot(txn, auto);
                     change_schema(engine, sql, |c| {
                         let id = c.resolve_table(&table)?;
-                        let cols = column_indexes(&c.table(id)?.meta.schema, &columns)?;
+                        let cols = c.table(id)?.meta.schema.indexes_of(&columns)?;
                         c.collect_statistics_snapshot(id, &cols, now_secs, &snap)
                     })
                 })?
@@ -202,17 +202,4 @@ fn change_schema(
     (!engine.wal.is_replaying())
         .then(|| engine.wal.append(&ddl))
         .transpose()
-}
-
-/// Resolve column `names` to their positions in `schema`.
-pub(super) fn column_indexes<S: AsRef<str>>(schema: &Schema, names: &[S]) -> Result<Vec<usize>> {
-    names
-        .iter()
-        .map(|c| {
-            let c = c.as_ref();
-            schema
-                .index_of(c)
-                .ok_or_else(|| Error::binder(format!("unknown column '{c}'")))
-        })
-        .collect()
 }

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ingot_catalog::SharedCatalog;
+use ingot_catalog::{SharedCatalog, WhatIf};
 use ingot_common::waits::WaitRegistry;
 use ingot_common::{
     Cost, EngineConfig, IndexId, MonotonicClock, Result, SessionId, SimClock, TableId, TxnId,
@@ -82,9 +82,6 @@ pub struct EstimateResult {
     pub uses_virtual: bool,
     /// Rendered plan tree.
     pub plan: String,
-    /// Physical pages read while binding and optimizing this estimate
-    /// (catalog statistics, virtual-index what-if probes).
-    pub probe_io: u64,
 }
 
 /// An Ingot engine instance: one database, one buffer pool, optional
@@ -323,50 +320,30 @@ impl Engine {
 
     // ---- what-if interface (used by the analyzer) ----------------------------
 
-    /// Register a virtual (hypothetical) index on `table(columns…)`.
-    ///
-    /// Invalidates the plan cache: registration publishes a new schema epoch
-    /// anyway, but dropping the entries eagerly keeps `estimate(...,
-    /// include_virtual = true)` from ever observing a cached non-virtual plan.
-    pub fn add_virtual_index(&self, table: &str, columns: &[&str]) -> Result<IndexId> {
-        let result = {
-            let mut catalog = self.catalog.write();
-            let id = catalog.resolve_table(table)?;
-            let cols = ddl::column_indexes(&catalog.table(id)?.meta.schema, columns)?;
-            catalog.add_virtual_index(id, cols)
-        };
-        self.plan_cache.invalidate_all();
-        result
+    /// A private copy of the current schema for what-if costing: virtual
+    /// indexes and temporary statistics go into the copy, never into the
+    /// published catalog, so its epoch and the plan cache stay as they are.
+    pub fn what_if(&self) -> WhatIf {
+        WhatIf::new(&self.catalog.read())
     }
+}
 
-    /// Drop all virtual indexes (end of a what-if session). Invalidates the
-    /// plan cache, mirroring [`Engine::add_virtual_index`].
-    pub fn clear_virtual_indexes(&self) {
-        self.catalog.write().clear_virtual_indexes();
-        self.plan_cache.invalidate_all();
-    }
-
-    /// Estimate a statement without executing it, optionally letting virtual
-    /// indexes compete (`include_virtual`). Not recorded by the monitor.
-    pub fn estimate(&self, sql: &str, include_virtual: bool) -> Result<EstimateResult> {
-        let stmt = parse_statement(sql)?;
-        let catalog = self.catalog.read();
-        let io_before = self.storage.io_stats().total();
-        let (bound, _) = Binder::new(&catalog).bind(&stmt)?;
-        let planned = optimize(&catalog, &bound, OptimizerOptions { include_virtual })?;
-        let probe_io = self.storage.io_stats().total().saturating_sub(io_before);
-        let (plan, uses_virtual) = match &planned {
-            PlannedStatement::Query(q) => (q.root.to_string(), q.uses_virtual),
-            other => (format!("{other:?}"), false),
-        };
-        Ok(EstimateResult {
-            est: planned.estimated_cost(),
-            used_indexes: planned.used_indexes().to_vec(),
-            uses_virtual,
-            plan,
-            probe_io,
-        })
-    }
+/// Estimate `sql` against a what-if copy without executing it: every index
+/// of the copy competes, virtual ones included. Not recorded by the monitor.
+pub fn estimate(what_if: &WhatIf, sql: &str) -> Result<EstimateResult> {
+    let stmt = parse_statement(sql)?;
+    let (bound, _) = Binder::new(what_if).bind(&stmt)?;
+    let planned = optimize(what_if, &bound, OptimizerOptions::default())?;
+    let (plan, uses_virtual) = match &planned {
+        PlannedStatement::Query(q) => (q.root.to_string(), q.uses_virtual),
+        other => (format!("{other:?}"), false),
+    };
+    Ok(EstimateResult {
+        est: planned.estimated_cost(),
+        used_indexes: planned.used_indexes().to_vec(),
+        uses_virtual,
+        plan,
+    })
 }
 
 #[cfg(test)]
@@ -523,19 +500,21 @@ mod tests {
         let s = e.open_session();
         load_demo(&s);
         s.execute("create statistics on protein").unwrap();
-        let before = e
-            .estimate("select name from protein where len = 3", true)
-            .unwrap();
+        let sql = "select len from protein where name = 'p3'";
+        let mut what_if = e.what_if();
+        let before = estimate(&what_if, sql).unwrap();
         assert!(!before.uses_virtual);
-        e.add_virtual_index("protein", &["len"]).unwrap();
-        let with_virtual = e
-            .estimate("select name from protein where len = 3", true)
-            .unwrap();
-        // Normal execution still works and ignores the virtual index.
-        let r = s.execute("select name from protein where len = 3").unwrap();
-        assert_eq!(r.rows.len(), 20);
-        e.clear_virtual_indexes();
-        let _ = with_virtual;
+        let v = what_if.add_virtual_index("protein", &["name"]).unwrap();
+        // `name = 'p3'` matches 1 of 200 rows: the hypothetical index wins.
+        let with_virtual = estimate(&what_if, sql).unwrap();
+        assert!(with_virtual.uses_virtual);
+        assert_eq!(with_virtual.used_indexes, vec![v]);
+        assert!(with_virtual.est.cheaper_than(&before.est));
+        // Execution plans against the live catalog, which holds no virtual
+        // index.
+        assert!(e.catalog().read().index(v).is_err());
+        let r = s.execute(sql).unwrap();
+        assert_eq!(r.rows.len(), 1);
     }
 
     #[test]
@@ -693,24 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn opt_io_charges_whatif_probe_reads() {
-        let e = engine();
-        let s = e.open_session();
-        load_demo(&s);
-        s.execute("create statistics on protein").unwrap();
-        // Optimizing against statistics may touch pages; at minimum the field
-        // is plumbed (no longer hardwired to zero for every record).
-        let est = e
-            .estimate("select name from protein where len = 3", true)
-            .unwrap();
-        // probe_io is measured (possibly 0 if all pages are cached) — the
-        // EstimateResult exposes it either way.
-        let _ = est.probe_io;
-        let w = e.monitor().unwrap().workload();
-        assert!(!w.is_empty());
-    }
-
-    #[test]
     fn plan_cache_hits_on_repeated_templates() {
         let e = engine();
         let s = e.open_session();
@@ -838,34 +799,28 @@ mod tests {
     }
 
     #[test]
-    fn virtual_index_changes_invalidate_plan_cache() {
+    fn a_what_if_copy_leaves_the_plan_cache_and_epoch_alone() {
         let e = engine();
         let s = e.open_session();
         load_demo(&s);
-        s.execute("create statistics on protein").unwrap();
         let sql = "select name from protein where len = 3";
         s.execute(sql).unwrap();
-        assert!(e.plan_cache_stats().entries >= 1);
-        e.add_virtual_index("protein", &["name"]).unwrap();
+        let (live, cache) = (e.catalog().read(), e.plan_cache_stats());
+        let mut what_if = e.what_if();
+        let protein = live.resolve_table("protein").unwrap();
+        what_if.collect_statistics(protein, 0).unwrap();
+        what_if.add_virtual_index("protein", &["len"]).unwrap();
+        estimate(&what_if, sql).unwrap();
+        assert!(Arc::ptr_eq(&live, &e.catalog().read()), "nothing published");
+        assert!(live.table(protein).unwrap().stats.is_none());
+        let after = e.plan_cache_stats();
         assert_eq!(
-            e.plan_cache_stats().entries,
-            0,
-            "virtual registration empties the cache"
+            (after.entries, after.invalidations),
+            (cache.entries, cache.invalidations)
         );
-        // The what-if estimate sees the virtual index (never a cached
-        // non-virtual plan): `name = 'p3'` is selective enough (1 of 200
-        // rows) that the hypothetical index must win.
-        let est = e
-            .estimate("select len from protein where name = 'p3'", true)
-            .unwrap();
-        assert!(est.uses_virtual);
-        // …while normal execution replans without it.
-        let r = s.execute(sql).unwrap();
-        assert_eq!(r.rows.len(), 20);
+        // The cached plan still serves the statement.
         s.execute(sql).unwrap();
-        assert!(e.plan_cache_stats().entries >= 1);
-        e.clear_virtual_indexes();
-        assert_eq!(e.plan_cache_stats().entries, 0);
+        assert_eq!(e.plan_cache_stats().hits, cache.hits + 1);
     }
 
     #[test]

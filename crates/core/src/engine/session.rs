@@ -445,8 +445,9 @@ impl Session {
     /// the Bind/Optimize stage spans. Returns the plan in its cacheable form
     /// (template, bind artifacts, lock footprint, the schema epoch of the
     /// snapshot it was optimized under) plus what the optimizer cost:
-    /// planning time and the pages read on its behalf (catalog statistics,
-    /// what-if probes into virtual indexes — the statement's `opt_io`).
+    /// planning time and the pages read on its behalf (the statement's
+    /// `opt_io`). The live catalog holds no virtual index: what-if costing
+    /// plans against its own copy (`Engine::what_if`), outside this path.
     fn bind_and_optimize(
         &self,
         stmt: &Statement,

@@ -30,7 +30,9 @@ pub mod ima;
 pub mod monitor;
 
 pub use ash::{ActiveSession, AshSample, AshSampler, CurrentStatement, ON_CPU};
-pub use engine::{Engine, EngineBuilder, Prepared, Session, StatementResult};
+pub use engine::{
+    estimate, Engine, EngineBuilder, EstimateResult, Prepared, Session, StatementResult,
+};
 pub use ima::{ConnectionRow, DaemonHealthRow, TableShape, COPIED_TABLES, IMA_TABLE_NAMES};
 pub use ingot_planner::{PlanCache, PlanCacheStats};
 pub use ingot_trace::{MetricsSnapshot, Tracer};

@@ -354,7 +354,7 @@ fn lock_constraint_keys(
         mgr.lock(txn, Resource::Row(table, fnv1a64(key)), LockMode::Exclusive)?;
     }
     for idx in catalog.indexes_of(table) {
-        if idx.meta.unique && !idx.meta.is_virtual {
+        if idx.meta.unique {
             let vals: Vec<Value> = idx
                 .meta
                 .columns
@@ -474,9 +474,6 @@ fn target_rows(
         }
         // Path 2: secondary index with a leading-column equality.
         for idx in catalog.indexes_of(table) {
-            if idx.meta.is_virtual {
-                continue;
-            }
             let Some(lead) = idx.meta.columns.first() else {
                 continue;
             };

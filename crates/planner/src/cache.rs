@@ -59,7 +59,7 @@ pub struct PlanCacheStats {
     /// Entries dropped to make room (LRU).
     pub evictions: u64,
     /// Entries dropped as stale: epoch mismatch on probe or explicit
-    /// invalidation (DDL, `CREATE STATISTICS`, virtual-index changes).
+    /// invalidation (DDL, `CREATE STATISTICS`, `MODIFY`).
     pub invalidations: u64,
     /// Live entries.
     pub entries: u64,

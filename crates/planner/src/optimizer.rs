@@ -1,12 +1,13 @@
-//! Plan selection: access paths, join ordering, and the what-if mode.
+//! Plan selection: access paths and join ordering.
 //!
 //! Join ordering is exhaustive left-deep dynamic programming over table
 //! subsets (the NREF workloads join at most a handful of tables). Access
-//! paths compete on the cost model of [`crate::cost`]; when
-//! [`OptimizerOptions::include_virtual`] is set, hypothetical indexes
-//! registered in the catalog compete too — the resulting plan then reports
-//! `uses_virtual` and cannot be executed, but its estimated cost is exactly
-//! what the paper's analyzer uses to value an index recommendation.
+//! paths compete on the cost model of [`crate::cost`]. Every index of the
+//! catalog competes: planned against a what-if copy
+//! ([`ingot_catalog::WhatIf`]), hypothetical indexes do too — the resulting
+//! plan then reports `uses_virtual` and cannot be executed, but its
+//! estimated cost is exactly what the paper's analyzer uses to value an
+//! index recommendation. A published catalog holds no virtual index.
 
 use std::sync::Arc;
 
@@ -23,13 +24,13 @@ use crate::cost::{
 use crate::expr::PhysExpr;
 use crate::physical::{PhysPlan, PlanNode, ProbeSource, ProbeSpec};
 
-/// Optimizer switches.
+/// Optimizer switches: none. What-if costing needs no switch, since it
+/// plans against a what-if copy. The type and [`optimize`]'s parameter
+/// remain only because the benchmark crate links
+/// `optimize(&catalog, &bound, OptimizerOptions::default())`; they go with
+/// the next change to that crate (ROADMAP item 6(f)).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct OptimizerOptions {
-    /// What-if mode: let virtual (hypothetical) indexes compete for access
-    /// paths. Plans that pick one are not executable.
-    pub include_virtual: bool,
-}
+pub struct OptimizerOptions {}
 
 /// A fully planned query.
 #[derive(Debug, Clone)]
@@ -163,12 +164,10 @@ impl PlannedStatement {
 pub fn optimize(
     catalog: &Catalog,
     stmt: &BoundStatement,
-    opts: OptimizerOptions,
+    _: OptimizerOptions,
 ) -> Result<PlannedStatement> {
     match stmt {
-        BoundStatement::Select(s) => {
-            Ok(PlannedStatement::Query(optimize_select(catalog, s, opts)?))
-        }
+        BoundStatement::Select(s) => Ok(PlannedStatement::Query(optimize_select(catalog, s)?)),
         BoundStatement::Insert { table, rows } => Ok(PlannedStatement::Insert {
             table: *table,
             rows: rows.clone(),
@@ -199,11 +198,7 @@ pub fn optimize(
 }
 
 /// Plan a bound SELECT.
-pub fn optimize_select(
-    catalog: &Catalog,
-    s: &BoundSelect,
-    opts: OptimizerOptions,
-) -> Result<PlannedQuery> {
+pub fn optimize_select(catalog: &Catalog, s: &BoundSelect) -> Result<PlannedQuery> {
     let mut node;
     // Global (FROM-order) offset → offset in the join tree's output.
     let mut layout: Vec<usize> = Vec::new();
@@ -221,10 +216,10 @@ pub fn optimize_select(
         // 1. Access-path selection per table.
         let mut rels = Vec::with_capacity(s.tables.len());
         for (i, bt) in s.tables.iter().enumerate() {
-            rels.push(choose_access_path(catalog, s, i, bt, opts)?);
+            rels.push(choose_access_path(catalog, s, i, bt)?);
         }
         // 2. Left-deep DP join ordering.
-        (node, layout) = join_order(catalog, s, rels, opts)?;
+        (node, layout) = join_order(catalog, s, rels)?;
     }
 
     let remap = |e: &PhysExpr| e.remap(&|off| layout.get(off).copied().unwrap_or(off));
@@ -603,7 +598,6 @@ fn choose_access_path(
     s: &BoundSelect,
     i: usize,
     bt: &BoundTable,
-    opts: OptimizerOptions,
 ) -> Result<PlanNode> {
     let local = local_conjuncts(s, i, table_offset(&s.tables, i));
     let width = bt.schema.len();
@@ -659,9 +653,6 @@ fn choose_access_path(
 
     // Candidate 3: secondary-index probes.
     for idx in catalog.indexes_of(bt.table) {
-        if idx.meta.is_virtual && !opts.include_virtual {
-            continue;
-        }
         // Longest equality prefix over the index columns, else a range on
         // the first of them.
         let prefix_len = eq_prefix(&eqs, &idx.meta.columns).count();
@@ -785,7 +776,6 @@ struct JoinKeys {
 struct JoinOrder<'a> {
     catalog: &'a Catalog,
     s: &'a BoundSelect,
-    opts: OptimizerOptions,
     /// Per table: its chosen access path, until the build moves it out.
     rels: Vec<PlanNode>,
     /// Per table: where it starts in the global (FROM-order) layout.
@@ -800,7 +790,6 @@ fn join_order(
     catalog: &Catalog,
     s: &BoundSelect,
     rels: Vec<PlanNode>,
-    opts: OptimizerOptions,
 ) -> Result<(PlanNode, Vec<usize>)> {
     let n = s.tables.len();
     if n > 16 {
@@ -810,7 +799,6 @@ fn join_order(
     let mut dp = JoinOrder {
         catalog,
         s,
-        opts,
         bases: (0..n).map(|i| table_offset(&s.tables, i)).collect(),
         owner: (0..n)
             .flat_map(|i| std::iter::repeat_n(i, s.tables[i].schema.len()))
@@ -976,10 +964,7 @@ impl<'a> JoinOrder<'a> {
         let via = if entry.primary.is_some() && entry.meta.primary_key.first() == Some(&join_col) {
             None
         } else {
-            let serves = |idx: &&IndexEntry| {
-                (!idx.meta.is_virtual || self.opts.include_virtual)
-                    && idx.meta.columns.first() == Some(&join_col)
-            };
+            let serves = |idx: &&IndexEntry| idx.meta.columns.first() == Some(&join_col);
             match self.catalog.indexes_of(table).into_iter().find(serves) {
                 Some(idx) => Some(idx),
                 None => return Ok(None),
@@ -1144,30 +1129,22 @@ mod tests {
         c
     }
 
-    fn plan(c: &Catalog, sql: &str, opts: OptimizerOptions) -> PlannedQuery {
+    fn plan(c: &Catalog, sql: &str) -> PlannedQuery {
         let (bound, _) = Binder::new(c).bind(&parse_statement(sql).unwrap()).unwrap();
         let BoundStatement::Select(s) = bound else {
             panic!()
         };
-        optimize_select(c, &s, opts).unwrap()
+        optimize_select(c, &s).unwrap()
     }
 
     #[test]
     fn selective_eq_uses_index_when_available() {
         let mut c = setup();
-        let q_before = plan(
-            &c,
-            "select name from protein where nref_id = 42",
-            OptimizerOptions::default(),
-        );
+        let q_before = plan(&c, "select name from protein where nref_id = 42");
         assert!(q_before.used_indexes.is_empty());
         let t = c.resolve_table("protein").unwrap();
         c.create_index("protein_id_idx", t, vec![0], false).unwrap();
-        let q_after = plan(
-            &c,
-            "select name from protein where nref_id = 42",
-            OptimizerOptions::default(),
-        );
+        let q_after = plan(&c, "select name from protein where nref_id = 42");
         assert_eq!(q_after.used_indexes.len(), 1);
         assert!(q_after.est.cheaper_than(&q_before.est));
     }
@@ -1179,11 +1156,7 @@ mod tests {
         c.create_index("protein_len_idx", t, vec![2], false)
             .unwrap();
         // len >= 0 matches everything: scan should win.
-        let q = plan(
-            &c,
-            "select name from protein where len >= 0",
-            OptimizerOptions::default(),
-        );
+        let q = plan(&c, "select name from protein where len >= 0");
         assert!(q.used_indexes.is_empty(), "plan: {}", q.root);
     }
 
@@ -1193,7 +1166,6 @@ mod tests {
         let q = plan(
             &c,
             "select p.name, o.taxon_id from protein p join organism o on p.nref_id = o.nref_id",
-            OptimizerOptions::default(),
         );
         let s = q.root.to_string();
         assert!(s.contains("HashJoin"), "plan: {s}");
@@ -1203,23 +1175,13 @@ mod tests {
 
     #[test]
     fn virtual_index_only_in_whatif_mode() {
-        let mut c = setup();
-        let t = c.resolve_table("protein").unwrap();
-        c.add_virtual_index(t, vec![0]).unwrap();
-        let normal = plan(
-            &c,
-            "select name from protein where nref_id = 42",
-            OptimizerOptions::default(),
-        );
+        let c = setup();
+        let mut what_if = ingot_catalog::WhatIf::new(&c);
+        what_if.add_virtual_index("protein", &["nref_id"]).unwrap();
+        let normal = plan(&c, "select name from protein where nref_id = 42");
         assert!(!normal.uses_virtual);
         assert!(normal.used_indexes.is_empty());
-        let whatif = plan(
-            &c,
-            "select name from protein where nref_id = 42",
-            OptimizerOptions {
-                include_virtual: true,
-            },
-        );
+        let whatif = plan(&what_if, "select name from protein where nref_id = 42");
         assert!(whatif.uses_virtual);
         assert_eq!(whatif.used_indexes.len(), 1);
         assert!(whatif.est.cheaper_than(&normal.est));
@@ -1231,11 +1193,7 @@ mod tests {
         let t = c.resolve_table("protein").unwrap();
         c.modify_storage(t, ingot_catalog::StorageStructure::BTree)
             .unwrap();
-        let q = plan(
-            &c,
-            "select name from protein where nref_id = 42",
-            OptimizerOptions::default(),
-        );
+        let q = plan(&c, "select name from protein where nref_id = 42");
         assert!(q.root.to_string().contains("PkLookup"), "plan: {}", q.root);
     }
 
@@ -1247,7 +1205,6 @@ mod tests {
         let q = plan(
             &c,
             "select name from protein where nref_id between 10 and 12",
-            OptimizerOptions::default(),
         );
         assert!(q.root.to_string().contains("IndexScan"), "plan: {}", q.root);
         // A wide range on a low-cardinality column must stay a scan: the
@@ -1256,11 +1213,7 @@ mod tests {
         let t2 = c2.resolve_table("protein").unwrap();
         c2.create_index("protein_len_idx", t2, vec![2], false)
             .unwrap();
-        let q2 = plan(
-            &c2,
-            "select name from protein where len between 3 and 40",
-            OptimizerOptions::default(),
-        );
+        let q2 = plan(&c2, "select name from protein where len between 3 and 40");
         assert!(q2.used_indexes.is_empty(), "plan: {}", q2.root);
     }
 
@@ -1281,7 +1234,6 @@ mod tests {
             "select p.name from protein p \
              join organism o on p.nref_id = o.nref_id \
              join taxonomy t on o.taxon_id = t.taxon_id",
-            OptimizerOptions::default(),
         );
         let s = q.root.to_string();
         assert!(s.contains("protein") && s.contains("organism") && s.contains("taxonomy"));
@@ -1293,22 +1245,14 @@ mod tests {
         let t = c.resolve_table("protein").unwrap();
         c.create_index("protein_id_idx", t, vec![0], false).unwrap();
         // `nref_id = $1` must probe the index exactly like `nref_id = 42`.
-        let q = plan(
-            &c,
-            "select name from protein where nref_id = $1",
-            OptimizerOptions::default(),
-        );
+        let q = plan(&c, "select name from protein where nref_id = $1");
         assert_eq!(q.used_indexes.len(), 1, "plan: {}", q.root);
         // And the same through a clustered primary tree.
         let mut c2 = setup();
         let t2 = c2.resolve_table("protein").unwrap();
         c2.modify_storage(t2, ingot_catalog::StorageStructure::BTree)
             .unwrap();
-        let q2 = plan(
-            &c2,
-            "select name from protein where nref_id = $1",
-            OptimizerOptions::default(),
-        );
+        let q2 = plan(&c2, "select name from protein where nref_id = $1");
         assert!(
             q2.root.to_string().contains("PkLookup"),
             "plan: {}",
@@ -1360,7 +1304,7 @@ mod tests {
     #[test]
     fn base_table_accesses_are_told_which_columns_are_read() {
         let c = setup();
-        let shape = |sql: &str| plan(&c, sql, OptimizerOptions::default()).root.to_string();
+        let shape = |sql: &str| plan(&c, sql).root.to_string();
         // Filter column ∪ projected column; the root asks for all it emits.
         let s = shape("select name from protein where len > 3");
         assert!(
@@ -1384,11 +1328,7 @@ mod tests {
         let s = shape("select distinct len from protein order by len");
         assert!(s.contains("SeqScan on protein [1/3 cols]"), "{s}");
         // Pruning touches no estimate.
-        let q = plan(
-            &c,
-            "select name from protein where len > 3",
-            OptimizerOptions::default(),
-        );
+        let q = plan(&c, "select name from protein where len > 3");
         assert_eq!(q.est, q.root.est_cost);
     }
 
@@ -1398,7 +1338,6 @@ mod tests {
         let q = plan(
             &c,
             "select taxon_id, count(*) from organism group by taxon_id order by 2 desc limit 3",
-            OptimizerOptions::default(),
         );
         let s = q.root.to_string();
         assert!(s.contains("Aggregate") && s.contains("Sort") && s.contains("Limit"));

@@ -22,18 +22,10 @@ pub fn covers(prefixes: &[&str], rel_path: &str) -> bool {
 /// only from the DDL allowlist, no lock acquisition under the DDL guard).
 pub const LOCK_ORDER_CRATES: &[&str] = &["core", "executor", "txn", "daemon", "analyzer"];
 
-/// `(file suffix, function)` pairs allowed to open the catalog write guard.
-/// These are the DDL handlers: every one of them acquires its logical table
-/// lock *before* the guard or takes no table lock at all (the what-if
-/// interface, the analyzer's maintenance window).
-pub const DDL_WRITERS: &[(&str, &str)] = &[
-    ("crates/core/src/engine/ddl.rs", "change_schema"),
-    ("crates/core/src/engine/mod.rs", "add_virtual_index"),
-    ("crates/core/src/engine/mod.rs", "clear_virtual_indexes"),
-    // Analyzer maintenance window: freshens/restores statistics around the
-    // what-if pass; holds the DDL guard but never table locks.
-    ("crates/analyzer/src/lib.rs", "analyze"),
-];
+/// `(file suffix, function)` pairs allowed to open the catalog write guard:
+/// the one DDL handler, which acquires its logical table lock *before* the
+/// guard. What-if costing works on a private copy and publishes nothing.
+pub const DDL_WRITERS: &[(&str, &str)] = &[("crates/core/src/engine/ddl.rs", "change_schema")];
 
 /// Crates that may call `Instant::now` / `SystemTime::now` directly: the
 /// wall-clock wrapper itself, the tracing subsystem, the storage daemon and

@@ -49,6 +49,13 @@ fn lock_order_fixture_diagnostics() {
             (
                 s("lock-order"),
                 s("ddl-write"),
+                s("crates/analyzer/src/lib.rs"),
+                4,
+                s("analyze"),
+            ),
+            (
+                s("lock-order"),
+                s("ddl-write"),
                 s("crates/core/src/engine/ddl.rs"),
                 4,
                 s("sneaky_ddl"),
@@ -61,7 +68,7 @@ fn lock_order_fixture_diagnostics() {
                 s("sneaky_ddl"),
             ),
         ],
-        "allowlisted `change_schema` must not be flagged; `sneaky_ddl` must be"
+        "allowlisted `change_schema` must not be flagged; `sneaky_ddl` and the analyzer's `analyze` must be"
     );
 }
 

@@ -148,6 +148,7 @@ fn whatif_costing_never_materialises_virtual_indexes() {
         session.execute(q).unwrap();
     }
     let pages_before = engine.total_data_pages();
+    let catalog = engine.catalog().read();
     let view = WorkloadView::from_monitor(engine.monitor().unwrap());
     let _ = Analyzer::default().analyze(&engine, &view).unwrap();
     assert_eq!(
@@ -155,14 +156,15 @@ fn whatif_costing_never_materialises_virtual_indexes() {
         pages_before,
         "what-if analysis must not allocate index pages"
     );
-    let catalog = engine.catalog().read();
+    // Candidates and temporary statistics live in a private copy: the
+    // published schema is the snapshot it was, with no virtual index…
+    assert!(std::sync::Arc::ptr_eq(&catalog, &engine.catalog().read()));
     assert_eq!(
         catalog.indexes().filter(|i| i.meta.is_virtual).count(),
         0,
         "no virtual debris"
     );
-    // Nor statistics debris: the analyzer's temporary what-if statistics
-    // must be rolled back (statistics land only via apply()).
+    // …and no statistics (statistics land only via apply()).
     for t in catalog.tables() {
         assert!(
             t.stats.is_none(),
@@ -198,4 +200,63 @@ fn recommendations_apply_through_sql_in_safe_order() {
     // The engine is healthy afterwards.
     let r = session.execute("select count(*) from protein").unwrap();
     assert_eq!(r.rows[0].get(0).as_int().unwrap(), 1500);
+}
+
+/// `tuned_engine` with the 50 analytic queries recorded, and the queries.
+fn recorded_engine() -> (std::sync::Arc<Engine>, Vec<String>) {
+    let (engine, nref) = tuned_engine();
+    let queries = analytic_queries(&nref);
+    let session = engine.open_session();
+    for q in &queries {
+        session.execute(q).unwrap();
+    }
+    (engine, queries)
+}
+
+#[test]
+fn analysing_leaves_the_live_engine_untouched() {
+    let (engine, queries) = recorded_engine();
+    let view = WorkloadView::from_monitor(engine.monitor().unwrap());
+    let intern_locks = || engine.monitor().unwrap().health().intern_locks;
+    let snapshot = engine.catalog().read();
+    let (cache, interned) = (engine.plan_cache_stats(), intern_locks());
+    assert_eq!(cache.entries, queries.len() as u64);
+
+    Analyzer::default().analyze(&engine, &view).unwrap();
+    let session = engine.open_session();
+    for q in &queries {
+        session.execute(q).unwrap();
+    }
+    let after = engine.plan_cache_stats();
+    let seen = (
+        engine.catalog().read().epoch() - snapshot.epoch(),
+        after.invalidations - cache.invalidations,
+        after.hits - cache.hits,
+        after.misses - cache.misses,
+        intern_locks() - interned,
+    );
+    // (epochs advanced, plans invalidated, re-run hits, re-run misses,
+    // footprints interned again)
+    assert_eq!(seen, (0, 0, queries.len() as u64, 0, 0));
+    assert!(std::sync::Arc::ptr_eq(&snapshot, &engine.catalog().read()));
+}
+
+#[test]
+fn concurrent_analyzers_report_alike() {
+    let (engine, _) = recorded_engine();
+    let view = WorkloadView::from_monitor(engine.monitor().unwrap());
+    let analyze = || format!("{:?}", Analyzer::default().analyze(&engine, &view));
+    // Both passes start together, so each runs while the other costs.
+    let start = std::sync::Barrier::new(2);
+    let (a, b) = std::thread::scope(|s| {
+        let racing = || {
+            start.wait();
+            analyze()
+        };
+        let a = s.spawn(racing);
+        let b = s.spawn(racing);
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!(a, b);
+    assert_eq!(a, analyze(), "a lone analyzer reports the same");
 }

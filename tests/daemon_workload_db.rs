@@ -289,11 +289,9 @@ fn ids_and_usage_survive_a_checkpoint_restart_and_a_crash() {
             .unwrap();
     }
     s.execute("drop table a").unwrap();
-    engine.add_virtual_index("b", &["v"]).unwrap();
-    engine
-        .estimate("select k from b where v = 1", true)
-        .unwrap();
-    engine.clear_virtual_indexes();
+    let mut what_if = engine.what_if();
+    what_if.add_virtual_index("b", &["v"]).unwrap();
+    ingot::core::estimate(&what_if, "select k from b where v = 1").unwrap();
     s.execute("create index b_v on b (v)").unwrap();
     touch(&s, &["b", "c"]);
     poll(&engine, &wldb);

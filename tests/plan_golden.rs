@@ -18,6 +18,8 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use ingot::catalog::WhatIf;
+use ingot::core::estimate;
 use ingot::planner::{optimize, Binder, OptimizerOptions, PlannedStatement};
 use ingot::prelude::*;
 use ingot::sql::parse_statement;
@@ -150,17 +152,15 @@ fn fnv(text: &str) -> u64 {
     })
 }
 
-/// Append what the optimizer decides for `sql` to `out`, and check that the
-/// engine's own entry points (`EXPLAIN`, `Engine::estimate`) say the same.
-fn describe(engine: &Arc<Engine>, out: &mut String, sql: &str, include_virtual: bool) {
+/// Append what the optimizer decides for `sql` against `what_if` to `out`,
+/// and check that the engine's own entry points (`estimate`, and `EXPLAIN`
+/// where the copy holds no virtual index) say the same.
+fn describe(engine: &Arc<Engine>, what_if: &WhatIf, out: &mut String, sql: &str) {
     writeln!(out, "-- {sql}").unwrap();
-    let planned = {
-        let catalog = engine.catalog().read();
-        parse_statement(sql).and_then(|stmt| {
-            let (bound, _) = Binder::new(&catalog).bind(&stmt)?;
-            optimize(&catalog, &bound, OptimizerOptions { include_virtual })
-        })
-    };
+    let planned = parse_statement(sql).and_then(|stmt| {
+        let (bound, _) = Binder::new(what_if).bind(&stmt)?;
+        optimize(what_if, &bound, OptimizerOptions::default())
+    });
     let planned = match planned {
         Ok(p) => p,
         Err(e) => {
@@ -171,7 +171,7 @@ fn describe(engine: &Arc<Engine>, out: &mut String, sql: &str, include_virtual: 
     let est = planned.estimated_cost();
     writeln!(out, "est: cpu={:?} io={:?}", est.cpu, est.io).unwrap();
     writeln!(out, "used_indexes: {:?}", planned.used_indexes()).unwrap();
-    let estimate = engine.estimate(sql, include_virtual).unwrap();
+    let estimate = estimate(what_if, sql).unwrap();
     assert_eq!(estimate.est, est, "{sql}");
     assert_eq!(estimate.used_indexes, planned.used_indexes(), "{sql}");
     match &planned {
@@ -184,9 +184,9 @@ fn describe(engine: &Arc<Engine>, out: &mut String, sql: &str, include_virtual: 
             out.push_str(&text);
             assert_eq!(estimate.plan, text, "{sql}");
             assert_eq!(estimate.uses_virtual, q.uses_virtual, "{sql}");
-            // EXPLAIN plans for execution: no virtual indexes, every marker
+            // EXPLAIN plans for execution: on the live catalog, every marker
             // bound.
-            if !include_virtual && !sql.contains('$') {
+            if !what_if.indexes().any(|i| i.meta.is_virtual) && !sql.contains('$') {
                 let explained = engine
                     .open_session()
                     .execute(&format!("explain {sql}"))
@@ -204,10 +204,10 @@ fn describe(engine: &Arc<Engine>, out: &mut String, sql: &str, include_virtual: 
     out.push('\n');
 }
 
-fn section(engine: &Arc<Engine>, title: &str, corpus: &[String], whatif: bool) -> String {
+fn section(engine: &Arc<Engine>, what_if: &WhatIf, title: &str, corpus: &[String]) -> String {
     let mut out = format!("==== {title}\n\n");
     for sql in corpus {
-        describe(engine, &mut out, sql, whatif);
+        describe(engine, what_if, &mut out, sql);
     }
     out
 }
@@ -263,26 +263,20 @@ const VIRTUAL_INDEXES: [(&str, &[&str]); 8] = [
     ("seq_feature", &["nref_id", "position"]),
 ];
 
-/// What the optimizer decides with [`VIRTUAL_INDEXES`] competing. While they
-/// are registered but not competing, every plan is what it was without them.
-fn whatif_section(engine: &Arc<Engine>, title: &str, corpus: &[String], without: &str) -> String {
+/// What the optimizer decides with [`VIRTUAL_INDEXES`] competing, in a
+/// what-if copy of the engine's schema.
+fn whatif_section(engine: &Arc<Engine>, title: &str, corpus: &[String]) -> String {
+    let mut what_if = engine.what_if();
     for (table, columns) in VIRTUAL_INDEXES {
-        engine.add_virtual_index(table, columns).unwrap();
+        what_if.add_virtual_index(table, columns).unwrap();
     }
-    let not_competing = section(engine, title, corpus, false);
-    assert_eq!(
-        not_competing.split_once('\n').unwrap().1,
-        without.split_once('\n').unwrap().1,
-        "a registered virtual index changed an execution plan"
-    );
-    let out = section(engine, &format!("{title}, what-if"), corpus, true);
-    engine.clear_virtual_indexes();
-    out
+    section(engine, &what_if, &format!("{title}, what-if"), corpus)
 }
 
 fn plans() -> String {
     let statement_paths: Vec<String> = STATEMENT_PATHS.iter().map(|s| (*s).to_owned()).collect();
-    let mut out = section(&item_engine(), "statement_paths", &statement_paths, false);
+    let item = item_engine();
+    let mut out = section(&item, &item.what_if(), "statement_paths", &statement_paths);
 
     let engine = Engine::builder()
         .config(EngineConfig::monitoring())
@@ -297,9 +291,8 @@ fn plans() -> String {
     let corpus = nref_corpus(&nref);
     let s = engine.open_session();
     let mut stage = |title: &str| {
-        let plain = section(&engine, title, &corpus, false);
-        out.push_str(&plain);
-        out.push_str(&whatif_section(&engine, title, &corpus, &plain));
+        out.push_str(&section(&engine, &engine.what_if(), title, &corpus));
+        out.push_str(&whatif_section(&engine, title, &corpus));
     };
     stage("nref, heaps");
     for t in NREF_TABLES {
