@@ -56,7 +56,8 @@ pub enum WaitEvent {
     /// Group commit: the leader dallying its window for followers to join
     /// the batch.
     GroupCommitDally,
-    /// Buffer-pool miss: waiting for a page read from the disk backend.
+    /// Buffer-pool miss: waiting for one read call to the disk backend, for
+    /// a `fetch` miss's page or a scan's run of missing pages.
     BufferRead,
     /// Buffer pool at capacity: waiting for the eviction sweep (including
     /// dirty-page write-back) to free a frame.

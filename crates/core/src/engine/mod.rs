@@ -310,6 +310,8 @@ impl Engine {
             active_txns: self.txns.active_count(),
             cache_hits: buf.hits,
             cache_misses: buf.misses,
+            evictions: buf.evictions,
+            resident_pages: buf.resident,
             physical_reads: io.reads(),
             seq_reads: io.seq_reads,
             rand_reads: io.rand_reads,

@@ -372,6 +372,11 @@ pub struct StatSample {
     pub cache_hits: u64,
     /// Buffer-cache misses (cumulative).
     pub cache_misses: u64,
+    /// Pages the buffer pool evicted to make room (cumulative).
+    pub evictions: u64,
+    /// Pages resident in the buffer pool now; above the configured
+    /// capacity when dirty pages (never written back to make room) pile up.
+    pub resident_pages: u64,
     /// Physical page reads (cumulative).
     pub physical_reads: u64,
     /// Of those, reads the I/O model classified as sequential.
@@ -396,6 +401,8 @@ record!(StatSample, "ima$statistics", "wl_statistics", |s, c| {
     "active_txns": Int = v_int(s.active_txns) => active_txns: int(c)?,
     "cache_hits": Int = v_int(s.cache_hits) => cache_hits: int(c)?,
     "cache_misses": Int = v_int(s.cache_misses) => cache_misses: int(c)?,
+    "evictions": Int = v_int(s.evictions) => evictions: int(c)?,
+    "resident_pages": Int = v_int(s.resident_pages) => resident_pages: int(c)?,
     "physical_reads": Int = v_int(s.physical_reads) => physical_reads: int(c)?,
     "seq_reads": Int = v_int(s.seq_reads) => seq_reads: int(c)?,
     "rand_reads": Int = v_int(s.rand_reads) => rand_reads: int(c)?,

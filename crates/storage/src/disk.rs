@@ -8,7 +8,6 @@
 //! paper's "Daemon" setup.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,6 +40,21 @@ pub trait DiskBackend: Send + Sync {
     fn create_file(&self) -> Result<FileId>;
     /// Read page `page_no` of `file` into a [`Page`].
     fn read_page(&self, file: FileId, page_no: u64) -> Result<Page>;
+    /// Read the run of pages `first..first + out.len()` of `file` into
+    /// `out`, one page image each. A run reaching past the end of the file
+    /// is an error. The default reads page by page through
+    /// [`DiskBackend::read_page`], so a backend that counts or faults each
+    /// read (`crate::fault::FaultInjectingBackend`) still sees every page;
+    /// [`FileBackend`] reads the whole run with one positional read.
+    fn read_pages(&self, file: FileId, first: u64, out: &mut [[u8; PAGE_SIZE]]) -> Result<()> {
+        let end = first
+            .checked_add(out.len() as u64)
+            .ok_or_else(|| run_out_of_range(file, first, out.len()))?;
+        for (dst, page_no) in out.iter_mut().zip(first..end) {
+            dst.copy_from_slice(self.read_page(file, page_no)?.bytes());
+        }
+        Ok(())
+    }
     /// Write a page.
     fn write_page(&self, file: FileId, page_no: u64, page: &Page) -> Result<()>;
     /// Append a zeroed page, returning its page number.
@@ -92,6 +106,9 @@ impl<T: DiskBackend + ?Sized> DiskBackend for std::sync::Arc<T> {
     fn read_page(&self, file: FileId, page_no: u64) -> Result<Page> {
         (**self).read_page(file, page_no)
     }
+    fn read_pages(&self, file: FileId, first: u64, out: &mut [[u8; PAGE_SIZE]]) -> Result<()> {
+        (**self).read_pages(file, first, out)
+    }
     fn write_page(&self, file: FileId, page_no: u64, page: &Page) -> Result<()> {
         (**self).write_page(file, page_no, page)
     }
@@ -119,6 +136,13 @@ impl<T: DiskBackend + ?Sized> DiskBackend for std::sync::Arc<T> {
     fn checkpoint_epoch(&self) -> u64 {
         (**self).checkpoint_epoch()
     }
+}
+
+/// The error for a run of `len` pages from `first` that `file` does not hold.
+fn run_out_of_range(file: FileId, first: u64, len: usize) -> Error {
+    Error::storage(format!(
+        "pages {first}..{first}+{len} out of range in {file}"
+    ))
 }
 
 // ---- in-memory backend -------------------------------------------------------
@@ -152,6 +176,22 @@ impl DiskBackend for MemoryBackend {
             .get(page_no as usize)
             .ok_or_else(|| Error::storage(format!("page {page_no} out of range in {file}")))?;
         Ok(Page::from_bytes(**p))
+    }
+
+    /// One lock and no page allocation for the whole run.
+    fn read_pages(&self, file: FileId, first: u64, out: &mut [[u8; PAGE_SIZE]]) -> Result<()> {
+        let files = self.files.lock();
+        let f = files
+            .get(file.0 as usize)
+            .ok_or_else(|| Error::storage(format!("unknown file {file}")))?;
+        let run = usize::try_from(first)
+            .ok()
+            .and_then(|first| f.get(first..first.checked_add(out.len())?))
+            .ok_or_else(|| run_out_of_range(file, first, out.len()))?;
+        for (dst, src) in out.iter_mut().zip(run) {
+            dst.copy_from_slice(&**src);
+        }
+        Ok(())
     }
 
     fn write_page(&self, file: FileId, page_no: u64, page: &Page) -> Result<()> {
@@ -222,13 +262,12 @@ impl FileBackend {
             if !path.exists() {
                 break;
             }
-            let mut handle = OpenOptions::new().read(true).write(true).open(&path)?;
+            let handle = OpenOptions::new().read(true).write(true).open(&path)?;
             let pages = handle.metadata()?.len() / PAGE_SIZE as u64;
             let mut crcs = Vec::with_capacity(pages as usize);
             let mut buf = [0u8; PAGE_SIZE];
-            handle.seek(SeekFrom::Start(0))?;
-            for _ in 0..pages {
-                handle.read_exact(&mut buf)?;
+            for page_no in 0..pages {
+                handle.read_exact_at(&mut buf, page_no * PAGE_SIZE as u64)?;
                 crcs.push(ingot_common::fnv1a64(&buf));
             }
             files.push(FileEntry {
@@ -291,6 +330,24 @@ impl DiskBackend for FileBackend {
         Ok(page)
     }
 
+    fn read_pages(&self, file: FileId, first: u64, out: &mut [[u8; PAGE_SIZE]]) -> Result<()> {
+        let files = self.files.lock();
+        let entry = files
+            .get(file.0 as usize)
+            .ok_or_else(|| Error::storage(format!("unknown file {file}")))?;
+        if first
+            .checked_add(out.len() as u64)
+            .is_none_or(|end| end > entry.pages)
+        {
+            return Err(run_out_of_range(file, first, out.len()));
+        }
+        // One positional read for the whole run, straight into `out`.
+        entry
+            .handle
+            .read_exact_at(out.as_flattened_mut(), first * PAGE_SIZE as u64)?;
+        Ok(())
+    }
+
     fn write_page(&self, file: FileId, page_no: u64, page: &Page) -> Result<()> {
         let mut files = self.files.lock();
         let entry = files
@@ -303,8 +360,7 @@ impl DiskBackend for FileBackend {
         }
         entry
             .handle
-            .seek(SeekFrom::Start(page_no * PAGE_SIZE as u64))?;
-        entry.handle.write_all(page.bytes())?;
+            .write_all_at(page.bytes(), page_no * PAGE_SIZE as u64)?;
         if let Some(crc) = entry.crcs.get_mut(page_no as usize) {
             *crc = ingot_common::fnv1a64(page.bytes());
         }
@@ -319,8 +375,7 @@ impl DiskBackend for FileBackend {
         let page_no = entry.pages;
         entry
             .handle
-            .seek(SeekFrom::Start(page_no * PAGE_SIZE as u64))?;
-        entry.handle.write_all(&[0u8; PAGE_SIZE])?;
+            .write_all_at(&[0u8; PAGE_SIZE], page_no * PAGE_SIZE as u64)?;
         entry.pages += 1;
         entry.crcs.push(ingot_common::fnv1a64(&[0u8; PAGE_SIZE]));
         Ok(page_no)
@@ -436,6 +491,58 @@ mod tests {
         );
         assert_eq!(b.checkpoint(b"").unwrap(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `read_pages` over `backend` against its own page-by-page reads: the
+    /// same bytes for every run of a 13-page file, and an error for any run
+    /// that reaches past the end.
+    fn runs_match_page_reads(backend: &dyn DiskBackend) {
+        let f = backend.create_file().unwrap();
+        for n in 0..13u8 {
+            let no = backend.allocate_page(f).unwrap();
+            let mut page = Page::new();
+            page.insert_record(&[n; 100]).unwrap();
+            page.bytes_mut()[PAGE_SIZE - 1] = n; // the last byte too
+            backend.write_page(f, no, &page).unwrap();
+        }
+        for first in 0..13u64 {
+            for len in 0..=(13 - first) as usize {
+                let mut run = vec![[0xAAu8; PAGE_SIZE]; len];
+                backend.read_pages(f, first, &mut run).unwrap();
+                for (no, bytes) in (first..).zip(&run) {
+                    let page = backend.read_page(f, no).unwrap();
+                    assert!(bytes == page.bytes(), "page {no} of run {first}+{len}");
+                }
+            }
+            let mut past = vec![[0u8; PAGE_SIZE]; (14 - first) as usize];
+            assert!(backend.read_pages(f, first, &mut past).is_err());
+        }
+        let mut one = [[0u8; PAGE_SIZE]];
+        assert!(backend.read_pages(f, u64::MAX, &mut one).is_err());
+        assert!(backend.read_pages(FileId(99), 0, &mut one).is_err());
+    }
+
+    #[test]
+    fn memory_backend_runs_match_page_reads() {
+        runs_match_page_reads(&MemoryBackend::new());
+    }
+
+    #[test]
+    fn file_backend_runs_match_page_reads() {
+        let dir = std::env::temp_dir().join(format!("ingot-runs-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        runs_match_page_reads(&FileBackend::open(dir.clone()).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn default_runs_match_page_reads() {
+        // The fault wrapper keeps the trait's page-by-page `read_pages`.
+        let plain = crate::fault::FaultPlan::new();
+        runs_match_page_reads(&crate::fault::FaultInjectingBackend::new(
+            Box::new(MemoryBackend::new()),
+            plain,
+        ));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use btree_oracle::OracleTree;
 use ingot_common::{ColumnSet, Error, Row, SimClock, Value};
 use ingot_storage::{
     decode_row, decode_row_cols, encode_key, encode_row, BTreeFile, BufferPool, DiskModel, FileId,
-    HeapFile, MemoryBackend, PAGE_SIZE,
+    HeapFile, MemoryBackend, RowId, VersionMeta, PAGE_SIZE, VERSION_HEADER,
 };
 use proptest::prelude::*;
 
@@ -549,6 +549,101 @@ fn corrupt_counts_and_lengths(seed: u64) {
     }
 }
 
+/// Every version in `heap`, as a walk that fetches page after page from
+/// `pool` finds it: address, header and row.
+fn page_walk(pool: &BufferPool, heap: &HeapFile) -> Vec<(RowId, VersionMeta, Row)> {
+    let mut out = Vec::new();
+    for no in 0..pool.file_pages(heap.file_id()) {
+        let page = pool.fetch(heap.file_id(), no).unwrap();
+        let guard = page.read();
+        for (slot, rec) in guard.records() {
+            let mut words = rec.chunks_exact(8).map(|w| {
+                let mut b = [0u8; 8];
+                b.copy_from_slice(w);
+                u64::from_le_bytes(b)
+            });
+            let mut word = || words.next().unwrap();
+            let meta = VersionMeta {
+                begin: word(),
+                end: word(),
+                prev: word(),
+                next: word(),
+                root: word(),
+            };
+            let row = decode_row(rec.get(VERSION_HEADER..).unwrap()).unwrap();
+            out.push((RowId::new(no, slot), meta, row));
+        }
+    }
+    out
+}
+
+/// A heap behind a pool of `capacity` pages after a random history of
+/// inserts, deletes, updates and header rewrites, part of it flushed and
+/// dropped from the pool and the rest left resident and dirty. A scan reads
+/// the heap in runs, resident pages from their frames and the others from
+/// the backend; it must yield exactly the versions a fetch-per-page walk
+/// yields, ask the pool once per page, and evict nothing when the heap
+/// outgrows the pool.
+fn heap_scan_stream(seed: u64, capacity: usize) {
+    let mut rng = XorShift(seed | 1);
+    let pool = Arc::new(BufferPool::new(
+        Box::new(MemoryBackend::new()),
+        DiskModel::new(SimClock::new()),
+        capacity,
+    ));
+    let heap = HeapFile::create(Arc::clone(&pool), rng.between(1, 4)).unwrap();
+    let row = |rng: &mut XorShift, n: usize| {
+        let pad = "x".repeat(rng.between(0, 600));
+        Row::new(vec![Value::Int(n as i64), Value::Str(pad)])
+    };
+    let mut live = Vec::new();
+    let pages = rng.between(2, 40) as u64;
+    while heap.stats().total_pages() < pages {
+        let r = row(&mut rng, live.len());
+        live.push(heap.insert(&r).unwrap());
+    }
+    if !rng.next().is_multiple_of(4) {
+        pool.flush_all().unwrap();
+        pool.clear().unwrap();
+    }
+    for step in 0..rng.between(0, 80) {
+        let pick = rng.between(0, live.len().max(1) - 1);
+        match rng.next() % 4 {
+            0 if !live.is_empty() => heap.delete(live.swap_remove(pick)).unwrap(),
+            1 if !live.is_empty() => {
+                let r = row(&mut rng, step);
+                live[pick] = heap.update(live[pick], &r).unwrap();
+            }
+            2 if !live.is_empty() => {
+                let mut meta = heap.meta(live[pick]).unwrap();
+                meta.end = step as u64 + 1;
+                heap.set_meta(live[pick], meta).unwrap();
+            }
+            _ => {
+                let r = row(&mut rng, step);
+                live.push(heap.insert(&r).unwrap());
+            }
+        }
+    }
+    let file_pages = pool.file_pages(heap.file_id());
+    let scan = |pool: &BufferPool| {
+        let before = pool.stats();
+        let got: Vec<_> = heap.scan_versions().map(|r| r.unwrap()).collect();
+        let after = pool.stats();
+        let asked = after.hits + after.misses - before.hits - before.misses;
+        assert_eq!(asked, file_pages, "one request per page");
+        if file_pages > capacity as u64 {
+            assert_eq!(after.evictions, before.evictions, "the scan evicted");
+        }
+        got
+    };
+    let first = scan(&pool);
+    let walked = page_walk(&pool, &heap);
+    assert_eq!(first, walked);
+    // Again, over what the walk left resident.
+    assert_eq!(scan(&pool), walked);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -692,6 +787,11 @@ proptest! {
     #[test]
     fn btree_corrupt_counts_and_lengths_are_storage_errors(seed in any::<u64>()) {
         corrupt_counts_and_lengths(seed);
+    }
+
+    #[test]
+    fn heap_scan_runs_match_a_page_walk(seed in any::<u64>(), capacity in 8usize..64) {
+        heap_scan_stream(seed, capacity);
     }
 
     #[test]

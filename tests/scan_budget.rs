@@ -2,6 +2,9 @@
 //! per statement, never per page or per row. The scan walks each record
 //! into one cell buffer it reuses and builds survivors into one reused row,
 //! so a statement over a heap four times larger allocates exactly as often.
+//! That holds over a pool that holds the heap and over one the heap
+//! outgrows, where every page is a miss: a run of missed pages is read
+//! straight into the scan's buffer, not into a page of the pool.
 //!
 //! One test function on purpose: the allocation counter is process-wide,
 //! and a second test on another harness thread would be counted too.
@@ -29,7 +32,8 @@ fn protein(i: i64) -> Row {
     ])
 }
 
-/// Grow `protein` to at least `pages` heap pages.
+/// Grow `protein` to at least `pages` heap pages, then checkpoint the pages
+/// clean and drop them from the pool.
 fn load_to(engine: &Engine, next: &mut i64, pages: u64) {
     let catalog = engine.catalog().read();
     let table = catalog.resolve_table("protein").unwrap();
@@ -41,6 +45,9 @@ fn load_to(engine: &Engine, next: &mut i64, pages: u64) {
         catalog.insert_row(table, &protein(*next)).unwrap();
         *next += 1;
     }
+    drop(catalog);
+    engine.checkpoint().unwrap();
+    engine.catalog().read().pool().clear().unwrap();
 }
 
 /// Allocations per prepared `count(*), sum(len) … between` on a warm pool,
@@ -73,27 +80,35 @@ fn allocations_per_scan(engine: &Arc<Engine>) -> (f64, i64) {
 
 #[test]
 fn a_range_aggregate_allocates_per_statement_not_per_row() {
-    let bare = EngineConfig::original().with_wait_events_enabled(false);
-    let engine = Engine::builder().config(bare).build().unwrap();
-    engine
-        .open_session()
-        .execute(
-            "create table protein (nref_id text not null, name text, len int, \
-             mol_weight float, sequence text)",
-        )
-        .unwrap();
-    let mut next = 0;
-    load_to(&engine, &mut next, 16);
-    let (small, small_rows) = allocations_per_scan(&engine);
-    load_to(&engine, &mut next, 64);
-    let (large, large_rows) = allocations_per_scan(&engine);
-    println!(
-        "{small:.2} allocations per statement over 16 pages, {large:.2} over 64 \
-         ({small_rows} and {large_rows} rows counted)"
-    );
-    assert!(
-        large_rows > 3 * small_rows,
-        "the larger heap has more survivors"
-    );
-    assert_eq!(small, large, "a scan allocates per page or per row");
+    // The default pool holds both heaps; an 8-page pool holds neither.
+    for pool_pages in [2_048, 8] {
+        let bare = EngineConfig::original()
+            .with_wait_events_enabled(false)
+            .with_buffer_pool_pages(pool_pages);
+        let engine = Engine::builder().config(bare).build().unwrap();
+        engine
+            .open_session()
+            .execute(
+                "create table protein (nref_id text not null, name text, len int, \
+                 mol_weight float, sequence text)",
+            )
+            .unwrap();
+        let mut next = 0;
+        load_to(&engine, &mut next, 16);
+        let (small, small_rows) = allocations_per_scan(&engine);
+        load_to(&engine, &mut next, 64);
+        let (large, large_rows) = allocations_per_scan(&engine);
+        println!(
+            "pool of {pool_pages} pages: {small:.2} allocations per statement over 16 \
+             pages, {large:.2} over 64 ({small_rows} and {large_rows} rows counted)"
+        );
+        assert!(
+            large_rows > 3 * small_rows,
+            "the larger heap has more survivors"
+        );
+        assert_eq!(
+            small, large,
+            "a scan allocates per page or per row (pool of {pool_pages} pages)"
+        );
+    }
 }

@@ -352,6 +352,8 @@ fn metrics_snapshot_covers_engine_monitor_and_tracer() {
         "# TYPE ingot_statistics_statements_executed untyped",
         "ingot_statistics_cache_hits ",
         "ingot_statistics_physical_writes ",
+        "ingot_statistics_evictions ",
+        "ingot_statistics_resident_pages ",
         "ingot_monitor_health_self_time_ns ",
         "ingot_monitor_health_trace_enabled 1",
         "# TYPE ingot_statement_latency_ns histogram",
