@@ -21,8 +21,8 @@ pub mod hash;
 pub mod ids;
 pub mod mvcc;
 pub mod net;
-pub mod retry;
 pub mod ring;
+pub mod rng;
 pub mod row;
 pub mod value;
 pub mod waits;
@@ -37,13 +37,13 @@ pub use hash::{fnv1a64, StmtHash};
 pub use ids::{AttrId, DatabaseId, IndexId, PageId, SessionId, TableId, TxnId};
 pub use mvcc::Snapshot;
 pub use net::{SocketSpec, Stream};
-pub use retry::{RetryPolicy, SplitMix64};
 pub use ring::RingBuffer;
+pub use rng::SplitMix64;
 pub use row::{Column, ColumnSet, Row, Schema};
 pub use value::{DataType, Value};
 pub use waits::{
-    bind_session, charge_ambient, SessionBinding, SessionWaits, WaitCounters, WaitEvent, WaitGuard,
-    WaitRegistry, WaitRegistryHandle, WaitTotal, WAIT_EVENT_COUNT,
+    bind_session, SessionBinding, SessionWaits, WaitCounters, WaitEvent, WaitGuard, WaitRegistry,
+    WaitRegistryHandle, WaitTotal, WAIT_EVENT_COUNT,
 };
 pub use wire::{
     Request, Response, WireCodeEntry, WireError, MAX_FRAME_BYTES, PROTOCOL_VERSION, WIRE_CODE_TABLE,

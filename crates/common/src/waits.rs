@@ -14,16 +14,16 @@
 //!
 //! The module lives in `ingot-common` (not `ingot-trace`) because the
 //! instrumented wait paths sit *below* the trace crate in the dependency
-//! graph: `common/retry.rs` is in this very crate, and `ingot-txn` /
-//! `ingot-storage` depend only on `ingot-common`. `ingot-trace` re-exports
-//! everything here so observability consumers keep a single import surface.
+//! graph: `ingot-txn` and `ingot-storage` depend only on `ingot-common`.
+//! `ingot-trace` re-exports everything here so observability consumers keep
+//! a single import surface.
 //!
 //! Attribution uses an ambient thread-local binding ([`bind_session`]):
 //! the engine binds the executing session's [`SessionWaits`] (which knows
 //! the engine's registry) for the duration of one statement, and any guard
 //! created further down the stack — the lock manager, the WAL, the buffer
-//! pool, the retry loop — charges that session without threading handles
-//! through every call signature. Code without an engine (unit tests, loom
+//! pool — charges that session without threading handles through every
+//! call signature. Code without an engine (unit tests, loom
 //! models) simply constructs managers with no registry: every guard then
 //! collapses to a no-op.
 //!
@@ -38,7 +38,7 @@ use std::sync::{Arc, OnceLock};
 use crate::clock::MonotonicClock;
 
 /// Number of wait-event kinds (array sizing for [`WaitCounters`]).
-pub const WAIT_EVENT_COUNT: usize = 12;
+pub const WAIT_EVENT_COUNT: usize = 11;
 
 /// The closed taxonomy of places a session can lose time.
 ///
@@ -62,8 +62,6 @@ pub enum WaitEvent {
     /// Buffer pool at capacity: waiting for the eviction sweep (including
     /// dirty-page write-back) to free a frame.
     BufferEvict,
-    /// Sleeping out a retry backoff delay (transient-failure recovery).
-    RetryBackoff,
     /// The storage daemon replaying its catch-up buffer after an outage.
     DaemonCatchup,
     /// MVCC point lookup walking a version chain backwards from the head to
@@ -91,7 +89,6 @@ impl WaitEvent {
         WaitEvent::GroupCommitDally,
         WaitEvent::BufferRead,
         WaitEvent::BufferEvict,
-        WaitEvent::RetryBackoff,
         WaitEvent::DaemonCatchup,
         WaitEvent::VersionChainWalk,
         WaitEvent::TxnQuiesce,
@@ -108,12 +105,11 @@ impl WaitEvent {
             WaitEvent::GroupCommitDally => 3,
             WaitEvent::BufferRead => 4,
             WaitEvent::BufferEvict => 5,
-            WaitEvent::RetryBackoff => 6,
-            WaitEvent::DaemonCatchup => 7,
-            WaitEvent::VersionChainWalk => 8,
-            WaitEvent::TxnQuiesce => 9,
-            WaitEvent::CommitPublish => 10,
-            WaitEvent::GroupCommitFollow => 11,
+            WaitEvent::DaemonCatchup => 6,
+            WaitEvent::VersionChainWalk => 7,
+            WaitEvent::TxnQuiesce => 8,
+            WaitEvent::CommitPublish => 9,
+            WaitEvent::GroupCommitFollow => 10,
         }
     }
 
@@ -132,7 +128,6 @@ impl WaitEvent {
             WaitEvent::GroupCommitDally => "GroupCommitDally",
             WaitEvent::BufferRead => "BufferRead",
             WaitEvent::BufferEvict => "BufferEvict",
-            WaitEvent::RetryBackoff => "RetryBackoff",
             WaitEvent::DaemonCatchup => "DaemonCatchup",
             WaitEvent::VersionChainWalk => "VersionChainWalk",
             WaitEvent::TxnQuiesce => "TxnQuiesce",
@@ -334,7 +329,7 @@ impl SessionWaits {
     /// current-wait state so the owning [`WaitGuard`] can [`restore`]
     /// (Self::restore) it on drop. Returning-and-restoring (rather than
     /// clearing to zero) keeps the ASH view correct if guards ever nest or
-    /// a [`charge_ambient`] fires while an outer guard is active.
+    /// a [`WaitRegistry::charge`] lands while an outer guard is active.
     fn enter(&self, event: WaitEvent, now_ns: u64) -> (usize, u64) {
         let prev = (
             self.current.load(Ordering::Acquire),
@@ -353,10 +348,10 @@ impl SessionWaits {
     }
 
     /// Charge one completed wait. Deliberately does *not* touch the
-    /// current-wait state: a duration-only charge (e.g. the retry loop's
-    /// [`charge_ambient`]) may land while an outer [`WaitGuard`] is still
-    /// active, and clearing `current` here would make the ASH sampler see
-    /// the rest of that outer wait as on-CPU. The guard that set the state
+    /// current-wait state: a duration-only charge ([`WaitRegistry::charge`])
+    /// may land while an outer [`WaitGuard`] is still active, and clearing
+    /// `current` here would make the ASH sampler see the rest of that outer
+    /// wait as on-CPU. The guard that set the state
     /// restores it on drop instead.
     fn record(&self, event: WaitEvent, duration_ns: u64) {
         self.counters.charge(event, duration_ns);
@@ -387,18 +382,6 @@ impl Drop for SessionBinding {
 pub fn bind_session(session: Arc<SessionWaits>) -> SessionBinding {
     SessionBinding {
         prev: AMBIENT.with(|a| a.borrow_mut().replace(session)),
-    }
-}
-
-/// Charge a completed wait of known duration to the thread's ambient
-/// registry and session. A no-op when nothing is bound (code running outside
-/// any engine). This is the non-RAII entry point for waits whose duration is
-/// declared rather than measured — the retry loop charges its backoff delay
-/// here so simulated-clock waits are accounted at their scheduled length.
-pub fn charge_ambient(event: WaitEvent, ns: u64) {
-    let session = AMBIENT.with(|a| a.borrow().clone());
-    if let Some(registry) = session.as_ref().and_then(|s| s.registry.as_ref()) {
-        registry.charge(event, ns);
     }
 }
 
@@ -539,7 +522,6 @@ mod tests {
                 "GroupCommitDally",
                 "BufferRead",
                 "BufferEvict",
-                "RetryBackoff",
                 "DaemonCatchup",
                 "VersionChainWalk",
                 "TxnQuiesce",
@@ -593,27 +575,10 @@ mod tests {
 
     #[test]
     fn unbound_guard_is_a_noop() {
-        let guard = WaitGuard::ambient(WaitEvent::RetryBackoff);
+        let guard = WaitGuard::ambient(WaitEvent::DaemonCatchup);
         assert!(!guard.is_active());
         drop(guard);
         assert!(!WaitGuard::disabled().is_active());
-    }
-
-    #[test]
-    fn charge_ambient_uses_thread_binding() {
-        // Nothing bound: silently dropped.
-        charge_ambient(WaitEvent::RetryBackoff, 1_000);
-        let registry = Arc::new(WaitRegistry::new());
-        let session = Arc::new(SessionWaits::new(3, Some(Arc::clone(&registry))));
-        let bound = bind_session(Arc::clone(&session));
-        charge_ambient(WaitEvent::RetryBackoff, 2_500);
-        drop(bound);
-        // Unbound again after the RAII restore.
-        charge_ambient(WaitEvent::RetryBackoff, 9_999);
-        assert_eq!(registry.counters().count(WaitEvent::RetryBackoff), 1);
-        assert_eq!(registry.counters().nanos(WaitEvent::RetryBackoff), 2_500);
-        assert_eq!(session.counters().nanos(WaitEvent::RetryBackoff), 2_500);
-        assert_eq!(session.total_ns(), 2_500);
     }
 
     #[test]
@@ -629,22 +594,22 @@ mod tests {
 
     #[test]
     fn charge_during_wait_keeps_current_state() {
-        // A duration-only charge landing mid-wait (e.g. charge_ambient from
-        // the retry loop) must not clear the session's current-wait state —
-        // the ASH sampler would otherwise see the rest of the outer wait as
+        // A duration-only charge landing mid-wait (WaitRegistry::charge with
+        // the session bound) must not clear the session's current-wait state
+        // — the ASH sampler would otherwise see the rest of the outer wait as
         // on-CPU (regression: SessionWaits::record stored 0 into current).
         let registry = Arc::new(WaitRegistry::new());
         let session = Arc::new(SessionWaits::new(5, Some(Arc::clone(&registry))));
         let bound = bind_session(Arc::clone(&session));
         {
             let _outer = WaitGuard::begin(Some(&registry), WaitEvent::WalFsync);
-            charge_ambient(WaitEvent::RetryBackoff, 1_000);
+            registry.charge(WaitEvent::DaemonCatchup, 1_000);
             let (event, _since) = session.current_wait().expect("still waiting");
             assert_eq!(event, WaitEvent::WalFsync);
         }
         assert!(session.current_wait().is_none(), "back on CPU");
         drop(bound);
-        assert_eq!(session.counters().count(WaitEvent::RetryBackoff), 1);
+        assert_eq!(session.counters().count(WaitEvent::DaemonCatchup), 1);
         assert_eq!(session.counters().count(WaitEvent::WalFsync), 1);
     }
 
@@ -678,16 +643,20 @@ mod tests {
         let s1 = Arc::new(SessionWaits::new(1, Some(Arc::clone(&r1))));
         let r2 = Arc::new(WaitRegistry::new());
         let s2 = Arc::new(SessionWaits::new(2, Some(Arc::clone(&r2))));
+        // An ambient guard charges the registry of whichever session is
+        // bound when it begins.
         let outer = bind_session(Arc::clone(&s1));
         {
             let _inner = bind_session(Arc::clone(&s2));
-            charge_ambient(WaitEvent::DaemonCatchup, 10);
+            drop(WaitGuard::ambient(WaitEvent::DaemonCatchup));
         }
-        charge_ambient(WaitEvent::DaemonCatchup, 5);
+        drop(WaitGuard::ambient(WaitEvent::BufferRead));
         drop(outer);
-        assert_eq!(r2.counters().nanos(WaitEvent::DaemonCatchup), 10);
-        assert_eq!(r1.counters().nanos(WaitEvent::DaemonCatchup), 5);
-        assert_eq!(s2.counters().nanos(WaitEvent::DaemonCatchup), 10);
-        assert_eq!(s1.counters().nanos(WaitEvent::DaemonCatchup), 5);
+        assert_eq!(r2.counters().count(WaitEvent::DaemonCatchup), 1);
+        assert_eq!(r2.counters().count(WaitEvent::BufferRead), 0);
+        assert_eq!(r1.counters().count(WaitEvent::BufferRead), 1);
+        assert_eq!(r1.counters().count(WaitEvent::DaemonCatchup), 0);
+        assert_eq!(s2.counters().count(WaitEvent::DaemonCatchup), 1);
+        assert_eq!(s1.counters().count(WaitEvent::BufferRead), 1);
     }
 }

@@ -206,8 +206,9 @@ record!(PlanCacheStats, "ima$plan_cache", "wl_plan_cache", |s| {
     "capacity": Int = v_int(s.capacity),
 });
 
-// LSN watermarks, append and fsync totals, group-commit batching, and the
-// salvage/replay tallies of the last crash recovery.
+// LSN watermarks, append and fsync totals, group-commit batching, the
+// salvage/replay tallies of the last crash recovery, and whether a failed
+// operation has killed the log.
 record!((WalFsyncMode, WalStats), "ima$wal", "wl_wal", |(mode, s)| {
     "fsync_mode": Str = mode.to_string(),
     "current_lsn": Int = v_int(s.current_lsn),
@@ -224,6 +225,7 @@ record!((WalFsyncMode, WalStats), "ima$wal", "wl_wal", |(mode, s)| {
     "replayed_records": Int = v_int(s.replayed_records),
     "replayed_txns": Int = v_int(s.replayed_txns),
     "discarded_bytes": Int = v_int(s.discarded_bytes),
+    "dead": Int = i64::from(s.dead),
 });
 
 // Per-statement, per-plan-operator aggregates from the span layer.
@@ -314,7 +316,7 @@ pub struct DaemonHealthRow {
     pub polls: u64,
     pub failed_polls: u64,
     pub consecutive_failures: u64,
-    pub retries: u64,
+    pub reopens: u64,
     pub buffered_snapshots: u64,
     pub recovered_snapshots: u64,
     pub dropped_snapshots: u64,
@@ -329,7 +331,7 @@ record!(DaemonHealthRow, "ima$daemon_health", |h| {
     "polls": Int = v_int(h.polls),
     "failed_polls": Int = v_int(h.failed_polls),
     "consecutive_failures": Int = v_int(h.consecutive_failures),
-    "retries": Int = v_int(h.retries),
+    "reopens": Int = v_int(h.reopens),
     "buffered_snapshots": Int = v_int(h.buffered_snapshots),
     "recovered_snapshots": Int = v_int(h.recovered_snapshots),
     "dropped_snapshots": Int = v_int(h.dropped_snapshots),

@@ -1,24 +1,25 @@
 //! The daemon's health-state machine and its counters.
 //!
 //! ```text
-//!            transient failure            consecutive failures
-//!            (after retries)              >= quarantine_after,
-//!   Healthy ───────────────▶ Degraded ──────────────────────▶ Quarantined
-//!      ▲                        │  ▲                               │
-//!      └────────────────────────┘  └───────────────────────────────┘
-//!        successful poll             permanent I/O error (direct)
-//!  (buffered snapshots replayed)
+//!              failed poll             8 consecutive failed polls
+//!   Healthy ─────────────▶ Degraded ─────────────────────────▶ Quarantined
+//!      ▲                      │                                    ▲
+//!      └──────────────────────┘                                    │
+//!   successful poll: a dead log                  from Healthy or Degraded:
+//!   reopened, buffered snapshots                 a permanent error with
+//!   replayed                                     nothing to reopen
 //! ```
 //!
 //! * **Healthy** — polls append to the workload DB normally.
-//! * **Degraded** — the workload DB is failing transiently; snapshot
-//!   timestamps are buffered (bounded by the catch-up window) and replayed
-//!   in order once a poll succeeds, so a transient outage loses no monitor
-//!   data.
-//! * **Quarantined** — the workload DB failed permanently (or kept failing
-//!   past the threshold); appends stop, snapshots are counted as dropped,
-//!   and a self-alert is raised. Monitoring itself (ring buffers, alert
-//!   evaluation) continues — graceful degradation, not shutdown.
+//! * **Degraded** — a poll failed; snapshot timestamps are buffered
+//!   (bounded by the catch-up window). The next poll reopens the workload
+//!   DB's directory if its log died, then replays the buffer in order, so
+//!   an outage that heals loses no monitor data.
+//! * **Quarantined** — the workload DB failed permanently with no directory
+//!   to reopen (or kept failing past the threshold, reopens included);
+//!   appends stop, snapshots are counted as dropped, and a self-alert is
+//!   raised. Monitoring itself (ring buffers, alert evaluation) continues —
+//!   graceful degradation, not shutdown.
 //!
 //! Counters are exported through the `ima$daemon_health` virtual table.
 
@@ -32,9 +33,9 @@ use parking_lot::Mutex;
 pub enum HealthState {
     /// Appends succeed.
     Healthy,
-    /// Transient failures; buffering snapshots for catch-up.
+    /// A poll failed; buffering snapshots for catch-up.
     Degraded,
-    /// Permanent failure; appends suspended.
+    /// Failed for good; appends suspended.
     Quarantined,
 }
 
@@ -63,7 +64,7 @@ pub struct DaemonHealth {
     polls: AtomicU64,
     failed_polls: AtomicU64,
     consecutive_failures: AtomicU64,
-    retries: AtomicU64,
+    reopens: AtomicU64,
     buffered_snapshots: AtomicU64,
     recovered_snapshots: AtomicU64,
     dropped_snapshots: AtomicU64,
@@ -79,7 +80,7 @@ impl Default for DaemonHealth {
             polls: AtomicU64::new(0),
             failed_polls: AtomicU64::new(0),
             consecutive_failures: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
+            reopens: AtomicU64::new(0),
             buffered_snapshots: AtomicU64::new(0),
             recovered_snapshots: AtomicU64::new(0),
             dropped_snapshots: AtomicU64::new(0),
@@ -133,11 +134,9 @@ impl DaemonHealth {
         self.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Count retry attempts performed by the backoff loop.
-    pub fn record_retries(&self, n: u64) {
-        if n > 0 {
-            self.retries.fetch_add(n, Ordering::Relaxed);
-        }
+    /// Count one reopen of the workload DB after its log died.
+    pub fn record_reopen(&self) {
+        self.reopens.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adjust the buffered-snapshot gauge to `n`.
@@ -174,9 +173,9 @@ impl DaemonHealth {
         self.consecutive_failures.load(Ordering::Relaxed)
     }
 
-    /// Retry attempts performed.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
+    /// Reopens of the workload DB after its log died.
+    pub fn reopens(&self) -> u64 {
+        self.reopens.load(Ordering::Relaxed)
     }
 
     /// Snapshots currently buffered for catch-up.
@@ -206,7 +205,7 @@ impl DaemonHealth {
             polls: self.polls(),
             failed_polls: self.failed_polls(),
             consecutive_failures: self.consecutive_failures(),
-            retries: self.retries(),
+            reopens: self.reopens(),
             buffered_snapshots: self.buffered_snapshots(),
             recovered_snapshots: self.recovered_snapshots(),
             dropped_snapshots: self.dropped_snapshots(),
@@ -246,13 +245,13 @@ mod tests {
         h.record_poll();
         let consec = h.record_failure(&Error::transient_io("blip"));
         assert_eq!(consec, 1);
-        h.record_retries(3);
+        h.record_reopen();
         h.set_buffered(2);
         h.record_recovered(2);
         h.record_dropped(1);
         assert_eq!(h.polls(), 2);
         assert_eq!(h.failed_polls(), 1);
-        assert_eq!(h.retries(), 3);
+        assert_eq!(h.reopens(), 1);
         assert_eq!(h.buffered_snapshots(), 2);
         assert_eq!(h.recovered_snapshots(), 2);
         assert_eq!(h.dropped_snapshots(), 1);

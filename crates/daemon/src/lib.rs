@@ -16,9 +16,10 @@
 //! * An active alerting mechanism evaluates DBA-defined rules on every poll
 //!   ("informs the DBA in case of a defined database event such as reaching
 //!   the maximum number of users on the system").
-//! * The daemon is **self-healing**: workload-DB failures run through a
-//!   `Healthy → Degraded → Quarantined` state machine ([`health`]) with
-//!   retry/backoff, a bounded catch-up buffer for missed snapshots, and
+//! * The daemon is **self-healing**, and it repairs one way: a failed poll
+//!   buffers its snapshot, and the next poll reopens a workload DB whose
+//!   log died, then replays the buffer. Failures run through a
+//!   `Healthy → Degraded → Quarantined` state machine ([`health`]) that
 //!   self-alerts through the same [`alert::AlertState`] DBA rules use. Its
 //!   counters are queryable as the `ima$daemon_health` virtual table.
 
@@ -39,7 +40,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ingot_common::waits::{WaitEvent, WaitGuard};
-use ingot_common::{Error, Result, RetryPolicy};
+use ingot_common::{Error, Result};
 use ingot_core::{Engine, Monitor};
 use parking_lot::Mutex;
 
@@ -53,16 +54,6 @@ pub struct DaemonConfig {
     /// Flush the workload DB to disk after every poll (the paper's "writes
     /// to disk every few minutes" corresponds to flushing every N polls).
     pub polls_per_flush: u32,
-    /// Backoff policy for transient workload-DB failures within one poll
-    /// (waits advance the simulated clock, not the wall clock).
-    pub retry: RetryPolicy,
-    /// How many missed snapshots the daemon buffers while Degraded. When
-    /// the buffer overflows the *oldest* timestamp is dropped (and counted
-    /// in `ima$daemon_health.dropped_snapshots`).
-    pub catchup_window: usize,
-    /// Consecutive failed polls before the daemon quarantines itself.
-    /// Permanent (non-transient) errors quarantine immediately.
-    pub quarantine_after: u32,
 }
 
 impl Default for DaemonConfig {
@@ -71,12 +62,18 @@ impl Default for DaemonConfig {
             interval: Duration::from_secs(30),
             retention_secs: 7 * 24 * 3600,
             polls_per_flush: 4,
-            retry: RetryPolicy::default(),
-            catchup_window: 16,
-            quarantine_after: 8,
         }
     }
 }
+
+/// How many missed snapshots the daemon buffers while Degraded. When the
+/// buffer overflows the *oldest* timestamp is dropped (and counted in
+/// `ima$daemon_health.dropped_snapshots`).
+const CATCHUP_WINDOW: usize = 16;
+
+/// Consecutive failed polls — reopens that fail included — before the
+/// daemon quarantines itself.
+const QUARANTINE_AFTER: u64 = 8;
 
 /// Rule name under which the daemon raises alerts about itself.
 pub const DAEMON_HEALTH_RULE: &str = "daemon_health";
@@ -146,12 +143,13 @@ impl StorageDaemon {
     /// harnesses call this directly; [`StorageDaemon::spawn`] calls it on a
     /// timer.
     ///
-    /// Failures run through the health-state machine: transient errors are
-    /// retried with backoff inside the poll, then (still failing) degrade
-    /// the daemon and buffer the snapshot timestamp for catch-up; permanent
-    /// errors — or [`DaemonConfig::quarantine_after`] consecutive failures —
-    /// quarantine it. Alert rules are evaluated on *every* poll regardless,
-    /// so monitoring degrades gracefully instead of stopping.
+    /// Failures run through the health-state machine: a failed poll
+    /// degrades the daemon and buffers the snapshot timestamp, and the next
+    /// poll reopens the workload DB if its log died, then replays the
+    /// buffer. A permanent error on a workload DB with nothing to reopen —
+    /// or eight consecutive failed polls — quarantines it. Alert rules are
+    /// evaluated on *every* poll regardless, so monitoring degrades
+    /// gracefully instead of stopping.
     pub fn poll_once(&self) -> Result<()> {
         let polls = self.health.record_poll();
         // Statistics sensor fires on the daemon's schedule.
@@ -204,10 +202,17 @@ impl StorageDaemon {
         outcome
     }
 
-    /// Replay buffered snapshots oldest-first, then append the current one,
-    /// each wrapped in the retry/backoff policy. On success the daemon is
+    /// Reopen the workload DB if its log died, replay buffered snapshots
+    /// oldest-first, then append the current one. On success the daemon is
     /// healthy again (with a recovery self-alert if it wasn't).
     fn try_append(&self, monitor: &Monitor, now_secs: u64) -> Result<()> {
+        if self.wldb.engine().wal_stats().dead {
+            // After a failed log operation only recovery can say what is
+            // durable, so the log is never retried: the directory is
+            // reopened and replayed, and the buffer below refiles the rest.
+            self.wldb.reopen()?;
+            self.health.record_reopen();
+        }
         {
             // Replaying buffered snapshots is time the daemon spends catching
             // up instead of monitoring; charge it as DaemonCatchup so a DBA
@@ -222,13 +227,13 @@ impl StorageDaemon {
                 let Some(ts) = self.pending.lock().front().copied() else {
                     break;
                 };
-                self.retried(|| self.wldb.append_from(monitor, ts))?;
+                self.wldb.append_from(monitor, ts)?;
                 self.pending.lock().pop_front();
                 self.health.record_recovered(1);
                 self.health.set_buffered(self.pending.lock().len() as u64);
             }
         }
-        self.retried(|| self.wldb.append_from(monitor, now_secs))?;
+        self.wldb.append_from(monitor, now_secs)?;
         if self.health.state() != HealthState::Healthy {
             self.health.set_state(HealthState::Healthy, now_secs);
             self.alerts.raise(
@@ -238,20 +243,6 @@ impl StorageDaemon {
             );
         }
         Ok(())
-    }
-
-    /// `op` under the retry/backoff policy, extra attempts counted as retries.
-    fn retried(&self, mut op: impl FnMut() -> Result<()>) -> Result<()> {
-        let mut attempts = 0u64;
-        let result = self
-            .config
-            .retry
-            .run_sim(self.engine.sim_clock(), |attempt| {
-                attempts = u64::from(attempt);
-                op()
-            });
-        self.health.record_retries(attempts.saturating_sub(1));
-        result
     }
 
     /// The engine's counters, retention purge (at most once per simulated
@@ -270,7 +261,7 @@ impl StorageDaemon {
                 .purge_older_than(now_secs.saturating_sub(self.config.retention_secs))?;
         }
         if polls.is_multiple_of(u64::from(self.config.polls_per_flush.max(1))) {
-            self.retried(|| self.wldb.flush())?;
+            self.wldb.flush()?;
         }
         Ok(())
     }
@@ -282,28 +273,29 @@ impl StorageDaemon {
         if pending.back().copied() != Some(ts) {
             pending.push_back(ts);
         }
-        let window = self.config.catchup_window.max(1);
-        while pending.len() > window {
+        while pending.len() > CATCHUP_WINDOW {
             pending.pop_front();
             self.health.record_dropped(1);
         }
         self.health.set_buffered(pending.len() as u64);
     }
 
-    /// Record a failed poll and drive the state machine: permanent errors
-    /// quarantine immediately, transient ones degrade and eventually
-    /// quarantine after `quarantine_after` consecutive failures. Each
-    /// transition raises a self-alert on the DBA alert channel.
+    /// Record a failed poll and drive the state machine: a permanent error
+    /// quarantines at once when the workload DB has no directory to reopen;
+    /// any other failure degrades, and [`QUARANTINE_AFTER`] consecutive
+    /// ones quarantine. Each transition raises a self-alert on the DBA
+    /// alert channel.
     fn note_failure(&self, error: &Error, now_secs: u64) {
         let consecutive = self.health.record_failure(error);
-        let threshold = u64::from(self.config.quarantine_after.max(1));
-        if !error.is_transient() || consecutive >= threshold {
+        let stuck = !error.is_transient() && self.wldb.dir().is_none();
+        if stuck || consecutive >= QUARANTINE_AFTER {
             if self.health.state() != HealthState::Quarantined {
                 self.health.set_state(HealthState::Quarantined, now_secs);
+                let why = if stuck { ", nothing to reopen" } else { "" };
                 self.alerts.raise(
                     DAEMON_HEALTH_RULE,
                     format!(
-                        "storage daemon quarantined after {consecutive} consecutive failure(s): {error}"
+                        "storage daemon quarantined after {consecutive} consecutive failure(s){why}: {error}"
                     ),
                     now_secs,
                 );
@@ -333,7 +325,7 @@ impl StorageDaemon {
                 while !stop2.load(Ordering::Relaxed) {
                     // A failed poll must not kill the daemon: the health
                     // machine has recorded it (and alerted); the next
-                    // interval retries or stays quarantined.
+                    // interval repairs and replays, or stays quarantined.
                     let _ = daemon2.poll_once();
                     // Sleep in small slices so stop() is responsive.
                     let mut remaining = interval;

@@ -7,12 +7,13 @@
 //! collected data is most simple and can be done with standard SQL."
 
 use std::collections::{HashMap, HashSet};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use ingot_catalog::Relation;
 use ingot_common::{Column, DataType, EngineConfig, Error, Result, Row, SimClock, StmtHash, Value};
 use ingot_core::{Copied, Engine, Monitor, Session, TableShape, COPIED_TABLES};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use crate::growth::GrowthStats;
 
@@ -67,7 +68,7 @@ fn check_columns(table: &str, found: &[Column], want: &[Column]) -> Result<()> {
 ///
 /// Each poll's batch runs inside one workload-DB transaction, so it is
 /// all-or-nothing: a mid-batch failure (I/O fault, crash) rolls the rows
-/// back, the cursors stay unpublished, and the daemon's retry re-enters
+/// back, the cursors stay unpublished, and the next poll's replay re-enters
 /// [`WorkloadDb::append_from`] to append the whole batch again — no
 /// duplicates, no gaps.
 #[derive(Default)]
@@ -132,7 +133,11 @@ impl Batch<'_> {
 
 /// The workload database. Wraps a dedicated (non-monitored) engine instance.
 pub struct WorkloadDb {
-    engine: Arc<Engine>,
+    /// The live engine; [`WorkloadDb::reopen`] swaps in its successor.
+    engine: RwLock<Arc<Engine>>,
+    /// The directory of a file-backed DB: what [`WorkloadDb::reopen`]
+    /// reopens. `None` when there is nothing to reopen.
+    dir: Option<PathBuf>,
     cursor: Mutex<(u64, MonitorCursor)>,
     wait_cursor: Mutex<(u64, WaitCursor)>,
     growth: GrowthStats,
@@ -141,13 +146,15 @@ pub struct WorkloadDb {
 impl WorkloadDb {
     /// In-memory workload DB (unit tests, simulation-only experiments).
     pub fn in_memory(clock: SimClock) -> Result<Self> {
-        Self::init(Self::builder(clock).build()?)
+        Self::init(Self::builder(clock).build()?, None)
     }
 
     /// File-backed workload DB under `dir` — the production shape: daemon
-    /// appends are real disk writes.
-    pub fn file_backed(dir: impl Into<std::path::PathBuf>, clock: SimClock) -> Result<Self> {
-        Self::init(Self::builder(clock).path(dir).build()?)
+    /// appends are real disk writes, and a dead log is repaired by
+    /// [`WorkloadDb::reopen`].
+    pub fn file_backed(dir: impl Into<PathBuf>, clock: SimClock) -> Result<Self> {
+        let dir = dir.into();
+        Self::init(Self::builder(clock).path(&dir).build()?, Some(dir))
     }
 
     /// Workload DB over an arbitrary disk backend — how the fault-injection
@@ -156,7 +163,7 @@ impl WorkloadDb {
         backend: Box<dyn ingot_storage::DiskBackend>,
         clock: SimClock,
     ) -> Result<Self> {
-        Self::init(Self::builder(clock).backend(backend).build()?)
+        Self::init(Self::builder(clock).backend(backend).build()?, None)
     }
 
     /// The standard constructors' engine: [`Self::default_config`], `clock`.
@@ -170,7 +177,7 @@ impl WorkloadDb {
     /// buffer pools, single-page heap extents). The engine should not be
     /// monitored — the workload DB is the *store*, not a workload source.
     pub fn with_engine(engine: Arc<Engine>) -> Result<Self> {
-        Self::init(engine)
+        Self::init(engine, None)
     }
 
     /// The engine configuration the standard constructors use: the workload
@@ -191,49 +198,85 @@ impl WorkloadDb {
     /// are dropped. [`WorkloadDb::file_backed`] already runs this (plus WAL
     /// replay of committed appends) when it reopens a directory; calling it
     /// directly is useful for inspecting the page-level damage report.
-    pub fn recover(dir: impl AsRef<std::path::Path>) -> Result<ingot_storage::RecoveryReport> {
+    pub fn recover(dir: impl AsRef<Path>) -> Result<ingot_storage::RecoveryReport> {
         ingot_storage::recover(dir.as_ref())
     }
 
-    fn init(engine: Arc<Engine>) -> Result<Self> {
-        {
-            // After a crash the schema may already be back: the checkpoint
-            // manifest carries it and WAL replay redoes any later DDL. Only
-            // the tables still missing are created; one already there must
-            // have this build's columns, or every append to it would fail.
-            let session = engine.open_session();
-            for shape in &COPIED_TABLES {
-                let found = {
-                    let catalog = engine.catalog().read();
-                    let id = catalog.resolve_table(shape.wl);
-                    id.and_then(|id| Ok(catalog.table(id)?.meta.schema.clone()))
-                };
-                let want = wl_columns(shape);
-                match found {
-                    Ok(schema) => check_columns(shape.wl, schema.columns(), &want)?,
-                    Err(_) => {
-                        session.execute(&create_ddl(shape.wl, &want))?;
-                    }
-                }
-            }
-        }
+    fn init(engine: Arc<Engine>, dir: Option<PathBuf>) -> Result<Self> {
+        Self::create_tables(&engine)?;
         Ok(WorkloadDb {
-            engine,
+            engine: RwLock::new(engine),
+            dir,
             cursor: Mutex::default(),
             wait_cursor: Mutex::default(),
             growth: GrowthStats::default(),
         })
     }
 
+    /// Create the `wl_` tables `engine` lacks. After a crash the schema may
+    /// already be back: the checkpoint manifest carries it and WAL replay
+    /// redoes any later DDL. A table already there must have this build's
+    /// columns, or every append to it would fail.
+    fn create_tables(engine: &Arc<Engine>) -> Result<()> {
+        let session = engine.open_session();
+        for shape in &COPIED_TABLES {
+            let found = {
+                let catalog = engine.catalog().read();
+                let id = catalog.resolve_table(shape.wl);
+                id.and_then(|id| Ok(catalog.table(id)?.meta.schema.clone()))
+            };
+            let want = wl_columns(shape);
+            match found {
+                Ok(schema) => check_columns(shape.wl, schema.columns(), &want)?,
+                Err(_) => {
+                    session.execute(&create_ddl(shape.wl, &want))?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Reopen the directory of a file-backed workload DB whose log died
+    /// (`ima$wal.dead`): recovery repairs the pages to the last checkpoint
+    /// and replays the WAL, which brings back every acknowledged append,
+    /// the tables are checked as at open, and the new engine takes the
+    /// slot. Errs, changing nothing, when there is no directory to reopen.
+    ///
+    /// The old engine may still be referenced — a session, an `Arc` from
+    /// [`WorkloadDb::engine`] — and that is safe because a dead engine
+    /// writes nothing to the directory: its log refuses every operation,
+    /// [`Engine::checkpoint`] starts with a WAL append and so fails before
+    /// it writes a page, and no part of an engine flushes when dropped.
+    /// It also rests on the daemon being the workload DB's only writer: an
+    /// insert on the old engine would still allocate a page in a data file
+    /// before its WAL append fails.
+    pub fn reopen(&self) -> Result<()> {
+        let Some(dir) = &self.dir else {
+            return Err(Error::daemon("the workload DB has no directory to reopen"));
+        };
+        let clock = self.engine().sim_clock().clone();
+        let engine = Self::builder(clock).path(dir).build()?;
+        Self::create_tables(&engine)?;
+        *self.engine.write() = engine;
+        Ok(())
+    }
+
+    /// The directory of a file-backed workload DB; `None` when there is
+    /// nothing to [`reopen`](WorkloadDb::reopen).
+    pub(crate) fn dir(&self) -> Option<&Path> {
+        self.dir.as_deref()
+    }
+
     /// The engine holding the workload DB (SQL access for analyzers:
-    /// `wldb.session().execute("select … from wl_workload …")`).
-    pub fn engine(&self) -> &Arc<Engine> {
-        &self.engine
+    /// `wldb.session().execute("select … from wl_workload …")`). After a
+    /// [`reopen`](WorkloadDb::reopen) this is the new engine.
+    pub fn engine(&self) -> Arc<Engine> {
+        Arc::clone(&self.engine.read())
     }
 
     /// Open a SQL session on the workload DB.
     pub fn session(&self) -> Session {
-        self.engine.open_session()
+        self.engine().open_session()
     }
 
     /// Growth accounting (reproduces the §V-A "28 MB per hour" analysis).
@@ -246,7 +289,7 @@ impl WorkloadDb {
     /// `cursor` and returns the cursor to publish, which happens only after
     /// the commit: on error the session drops with
     /// its transaction open, which aborts it (a failed commit already rolled
-    /// back), `cursor` is unchanged and the caller's retry appends the
+    /// back), `cursor` is unchanged and the next poll's replay appends the
     /// batch in full.
     fn batch<C>(
         &self,
@@ -255,7 +298,7 @@ impl WorkloadDb {
         now_secs: u64,
         fill: impl FnOnce(&mut Batch<'_>, &C) -> Result<C>,
     ) -> Result<()> {
-        let session = self.engine.open_session();
+        let session = self.session();
         session.begin()?;
         let mut batch = Batch {
             session: &session,
@@ -267,15 +310,18 @@ impl WorkloadDb {
         let next = fill(&mut batch, cursor)?;
         session.commit()?;
         *cursor = next;
-        self.growth
-            .record_append(batch.rows, batch.bytes, self.engine.sim_clock().now_secs());
+        self.growth.record_append(
+            batch.rows,
+            batch.bytes,
+            session.engine().sim_clock().now_secs(),
+        );
         Ok(())
     }
 
     /// Copy everything new in `monitor` into the workload DB, stamping rows
     /// with `now_secs` (simulated seconds). The whole batch runs in one
     /// transaction: all rows ride a single WAL durability barrier at commit,
-    /// and a failure anywhere rolls the batch back so the daemon's retry
+    /// and a failure anywhere rolls the batch back so the next poll's replay
     /// appends it in full.
     pub fn append_from(&self, monitor: &Monitor, now_secs: u64) -> Result<()> {
         let boot = monitor.boot();
@@ -446,12 +492,12 @@ impl WorkloadDb {
     /// the moment [`WorkloadDb::append_from`] returns (the WAL barrier);
     /// this bounds the log's length and replay time.
     pub fn flush(&self) -> Result<()> {
-        self.engine.checkpoint().map(|_| ())
+        self.engine().checkpoint().map(|_| ())
     }
 
     /// Total pages of the workload DB (its on-disk size).
     pub fn total_pages(&self) -> u64 {
-        self.engine.total_data_pages()
+        self.engine().total_data_pages()
     }
 }
 

@@ -41,8 +41,8 @@ pub mod prelude {
     pub use ingot_analyzer::{Analyzer, AnalyzerConfig, Recommendation, WorkloadView};
     pub use ingot_client::{connect_or_spawn, ClientConnection, SpawnOptions};
     pub use ingot_common::{
-        Connection, Cost, EngineConfig, Error, PreparedStatement, Result, RetryPolicy, Row,
-        SimClock, SocketSpec, Value,
+        Connection, Cost, EngineConfig, Error, PreparedStatement, Result, Row, SimClock,
+        SocketSpec, Value,
     };
     pub use ingot_core::{
         Engine, EngineBuilder, MetricsSnapshot, Monitor, PlanCacheStats, Prepared, Session,

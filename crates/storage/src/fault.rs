@@ -5,8 +5,8 @@
 //! I/O errors, torn (partial) page writes and read corruption, each targeted
 //! at the *n*-th operation of a kind. Plans are fully deterministic — the
 //! same plan over the same operation sequence injects the same faults — so
-//! robustness tests (daemon retry/backoff, workload-DB recovery) are exact
-//! and replayable.
+//! robustness tests (the daemon's buffer → reopen → replay, workload-DB
+//! recovery) are exact and replayable.
 //!
 //! ## Fault-plan grammar
 //!
@@ -55,8 +55,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ingot_common::retry::SplitMix64;
-use ingot_common::{Error, Result};
+use ingot_common::{Error, Result, SplitMix64};
 use parking_lot::Mutex;
 
 use crate::disk::{DiskBackend, FileId};

@@ -510,6 +510,9 @@ pub struct WalStats {
     pub recovered_records: u64,
     /// Torn-tail bytes discarded when the log was opened.
     pub discarded_bytes: u64,
+    /// A failed operation killed the log: every later one fails until the
+    /// directory is reopened.
+    pub dead: bool,
 }
 
 #[derive(Default)]
@@ -796,6 +799,7 @@ impl Wal {
             replayed_txns: self.counters.replayed_txns.load(Ordering::Relaxed),
             recovered_records: self.salvage.recovered_records,
             discarded_bytes: self.salvage.discarded_bytes,
+            dead: self.is_crashed(),
         }
     }
 

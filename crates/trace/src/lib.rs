@@ -30,7 +30,7 @@
 //!
 //! * **Wait events** ([`WaitEvent`], [`WaitGuard`], [`WaitRegistry`]) — the
 //!   closed taxonomy of time *lost* (lock queues, fsync barriers, buffer
-//!   I/O, retry backoff) feeding `ima$wait_events` and the ASH sampler. The
+//!   I/O, daemon catch-up) feeding `ima$wait_events` and the ASH sampler. The
 //!   types live in `ingot_common::waits` because the instrumented wait
 //!   paths sit below this crate in the dependency graph; they are
 //!   re-exported here so observability consumers have one import surface.
@@ -50,6 +50,6 @@ pub use span::{
 pub use tracer::{OperatorStats, TraceBuilder, TraceConfig, Tracer};
 
 pub use ingot_common::waits::{
-    bind_session, charge_ambient, SessionBinding, SessionWaits, WaitCounters, WaitEvent, WaitGuard,
-    WaitRegistry, WaitRegistryHandle, WaitTotal, WAIT_EVENT_COUNT,
+    bind_session, SessionBinding, SessionWaits, WaitCounters, WaitEvent, WaitGuard, WaitRegistry,
+    WaitRegistryHandle, WaitTotal, WAIT_EVENT_COUNT,
 };

@@ -26,7 +26,7 @@
 //! 7. **waits** — every `WaitEvent` taxonomy variant is documented in
 //!    DESIGN.md and referenced by a test, and wait guards are constructed
 //!    only inside the instrumented modules (lock queue, WAL, buffer pool,
-//!    retry, daemon catch-up).
+//!    daemon catch-up).
 //! 8. **mvcc-locks** — table-exclusive locks only from the DDL allowlist
 //!    (row-level MVCC: DML takes the shared fence plus row locks, queries
 //!    take none), and the engine commit path never acknowledges a commit

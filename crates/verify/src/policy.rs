@@ -74,14 +74,12 @@ pub const WAIT_EVENTS_FILE: &str = "crates/common/src/waits.rs";
 
 /// Files allowed to construct wait guards (`WaitGuard::begin` /
 /// `WaitGuard::ambient`) outside test code. These are the instrumented
-/// choke points: the taxonomy itself, retry backoff, the lock queue, the
-/// transaction gates (quiesce / commit publish), the WAL barriers, the
-/// buffer pool, and the daemon's catch-up loop. Guards
-/// anywhere else would charge wait time the DESIGN.md taxonomy does not
-/// account for.
+/// choke points: the taxonomy itself, the lock queue, the transaction gates
+/// (quiesce / commit publish), the WAL barriers, the buffer pool, and the
+/// daemon's catch-up loop. Guards anywhere else would charge wait time the
+/// DESIGN.md taxonomy does not account for.
 pub const WAIT_GUARD_FILES: &[&str] = &[
     "crates/common/src/waits.rs",
-    "crates/common/src/retry.rs",
     "crates/txn/src/lock.rs",
     "crates/txn/src/lib.rs",
     "crates/storage/src/wal.rs",
@@ -97,7 +95,6 @@ pub const WAIT_GUARD_FILES: &[&str] = &[
 /// instrumented choke points as [`WAIT_GUARD_FILES`] plus the transaction
 /// manager, whose gates (admission, quiescence, commit publish) also park.
 pub const WAIT_COVERAGE_FILES: &[&str] = &[
-    "crates/common/src/retry.rs",
     "crates/txn/src/lock.rs",
     "crates/txn/src/lib.rs",
     "crates/storage/src/wal.rs",
@@ -124,9 +121,6 @@ pub const BLOCKING_CALLS: &[&str] = &[
 
 /// `(file suffix, function)` pairs exempt from wait-coverage. Each entry
 /// needs a rationale:
-/// * `retry.rs run` charges the *declared* backoff via `charge_ambient`
-///   (under `run_sim` the wait advances a simulated clock, so a wall-clock
-///   guard would record ~0) — instrumented, just not guard-shaped.
 /// * `wal.rs open_in_dir` runs once at startup before any session exists;
 ///   its torn-tail truncation fsync cannot be attributed to a session.
 /// * `wal.rs sync_file` is the raw device-sync helper: the real barrier
@@ -136,7 +130,6 @@ pub const BLOCKING_CALLS: &[&str] = &[
 /// * `daemon lib.rs spawn` is the monitor's pacing sleep — the daemon
 ///   wakes on a wall-clock interval by design; it is idle, not waiting.
 pub const WAIT_EXEMPT_FNS: &[(&str, &str)] = &[
-    ("crates/common/src/retry.rs", "run"),
     ("crates/storage/src/wal.rs", "open_in_dir"),
     ("crates/storage/src/wal.rs", "sync_file"),
     ("crates/daemon/src/lib.rs", "spawn"),

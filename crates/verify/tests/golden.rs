@@ -573,6 +573,72 @@ fn real_workspace_is_clean() {
     assert!(stdout.contains("workspace clean"), "{stdout}");
 }
 
+/// Every path a policy table names exists, and every `(file, fn)` pair
+/// names a non-test `fn` defined in that file. Unlike the panic allowlist,
+/// these tables have no stale-entry report, so an entry left behind when
+/// its code goes would otherwise pass unnoticed.
+#[test]
+fn policy_tables_name_what_exists() {
+    use ingot_verify::policy::*;
+    let root = workspace_root();
+    let files = ingot_verify::scan::scan_workspace(&root).expect("scan workspace");
+    let mut missing = Vec::new();
+    let crates = [
+        HOT_PATH_CRATES,
+        LOCK_ORDER_CRATES,
+        CLOCK_EXEMPT_CRATES,
+        WAL_ACK_CRATES,
+        MVCC_LOCK_CRATES,
+        SWALLOW_CRATES,
+    ];
+    for name in crates.concat() {
+        if !root.join("crates").join(name).join("src").is_dir() {
+            missing.push(format!("crate {name}"));
+        }
+    }
+    let paths = [
+        HOT_PATH_FILES,
+        CLOCK_EXEMPT_FILES,
+        ERROR_DISCIPLINE_FILES,
+        WAIT_GUARD_FILES,
+        WAIT_COVERAGE_FILES,
+        SWALLOW_FILES,
+        &[
+            IMA_REGISTRY_FILE,
+            WAIT_EVENTS_FILE,
+            WIRE_ERROR_FILE,
+            WIRE_PROTOCOL_FILE,
+            WIRE_LEDGER_FILE,
+        ],
+    ];
+    for path in paths.concat() {
+        if !root.join(path).exists() {
+            missing.push(path.to_string());
+        }
+    }
+    let pairs = [
+        DDL_WRITERS,
+        WAL_COMMIT_FNS,
+        TABLE_X_LOCK_FNS,
+        WAIT_EXEMPT_FNS,
+        SWALLOW_ALLOW,
+    ];
+    for (path, func) in pairs.concat() {
+        let defined = files
+            .iter()
+            .filter(|f| f.rel_path == path)
+            .flat_map(|f| ingot_verify::syntax::parse_file(&f.tokens))
+            .any(|def| def.name == func && !def.in_test);
+        if !defined {
+            missing.push(format!("{path}: fn {func}"));
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "policy entries naming nothing: {missing:?}"
+    );
+}
+
 /// Check 4 finds the registry by scanning literals; if they moved out of the
 /// scanned file it would pass with nothing to check.
 #[test]

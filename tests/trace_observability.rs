@@ -356,6 +356,7 @@ fn metrics_snapshot_covers_engine_monitor_and_tracer() {
         "ingot_statistics_resident_pages ",
         "ingot_monitor_health_self_time_ns ",
         "ingot_monitor_health_trace_enabled 1",
+        "ingot_wal_dead{fsync_mode=\"group\"} 0",
         "# TYPE ingot_statement_latency_ns histogram",
         "le=\"+Inf\"",
     ] {
