@@ -4,7 +4,7 @@
 
 use ingot_catalog::{Catalog, StorageStructure};
 use ingot_common::{Column, Error, Result, Row, Schema, Value};
-use ingot_planner::{optimize, Binder, OptimizerOptions, PlannedStatement};
+use ingot_planner::{optimize, Binder, OptimizerOptions};
 use ingot_sql::Statement;
 use ingot_storage::{Lsn, WalRecord};
 use ingot_txn::{LockMode, Resource};
@@ -118,39 +118,7 @@ impl Session {
         let catalog = engine.catalog.read();
         let (bound, _) = Binder::new(&catalog).bind(inner)?;
         let planned = optimize(&catalog, &bound, OptimizerOptions::default())?;
-        let text = match &planned {
-            PlannedStatement::Query(q) => q.root.to_string(),
-            PlannedStatement::Insert { table, rows, est } => {
-                let name = catalog.table(*table).map(|e| e.meta.name.clone())?;
-                format!(
-                    "Insert into {name}  ({} row(s), est {est})
-",
-                    rows.len()
-                )
-            }
-            PlannedStatement::Update {
-                table,
-                sets,
-                filter,
-                est,
-            } => {
-                let name = catalog.table(*table).map(|e| e.meta.name.clone())?;
-                format!(
-                    "Update {name} [{} column(s){}]  (est {est})
-",
-                    sets.len(),
-                    if filter.is_some() { ", filtered" } else { "" }
-                )
-            }
-            PlannedStatement::Delete { table, filter, est } => {
-                let name = catalog.table(*table).map(|e| e.meta.name.clone())?;
-                format!(
-                    "Delete from {name}{}  (est {est})
-",
-                    if filter.is_some() { " [filtered]" } else { "" }
-                )
-            }
-        };
+        let text = planned.explain(&catalog)?;
         Ok(StatementResult {
             rows: text
                 .lines()

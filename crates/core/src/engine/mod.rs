@@ -14,9 +14,7 @@ use ingot_common::waits::WaitRegistry;
 use ingot_common::{
     Cost, EngineConfig, IndexId, MonotonicClock, Result, SessionId, SimClock, TableId, TxnId,
 };
-use ingot_planner::{
-    optimize, Binder, OptimizerOptions, PlanCache, PlanCacheStats, PlannedStatement,
-};
+use ingot_planner::{optimize, Binder, OptimizerOptions, PlanCache, PlanCacheStats};
 use ingot_sql::parse_statement;
 use ingot_storage::{BufferStats, IoStats, StorageEngine, Wal, WalRecord, WalStats};
 use ingot_trace::Tracer;
@@ -336,15 +334,11 @@ pub fn estimate(what_if: &WhatIf, sql: &str) -> Result<EstimateResult> {
     let stmt = parse_statement(sql)?;
     let (bound, _) = Binder::new(what_if).bind(&stmt)?;
     let planned = optimize(what_if, &bound, OptimizerOptions::default())?;
-    let (plan, uses_virtual) = match &planned {
-        PlannedStatement::Query(q) => (q.root.to_string(), q.uses_virtual),
-        other => (format!("{other:?}"), false),
-    };
     Ok(EstimateResult {
         est: planned.estimated_cost(),
         used_indexes: planned.used_indexes().to_vec(),
-        uses_virtual,
-        plan,
+        uses_virtual: planned.uses_virtual(what_if),
+        plan: planned.explain(what_if)?,
     })
 }
 

@@ -717,9 +717,10 @@ impl Session {
 fn lock_spec(bound: &BoundStatement) -> Vec<(TableId, bool)> {
     match bound {
         BoundStatement::Select(_) => Vec::new(),
-        BoundStatement::Insert { table, .. }
-        | BoundStatement::Update { table, .. }
-        | BoundStatement::Delete { table, .. } => vec![(*table, false)],
+        BoundStatement::Insert { table, .. } => vec![(*table, false)],
+        BoundStatement::Update { target, .. } | BoundStatement::Delete { target, .. } => {
+            vec![(target.table, false)]
+        }
     }
 }
 

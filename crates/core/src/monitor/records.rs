@@ -310,7 +310,8 @@ pub struct IndexUsage {
     pub name: String,
     /// Owning table.
     pub table: TableId,
-    /// Times the optimizer *used* this index in a chosen plan.
+    /// Recorded statements — queries and the target search of `UPDATE` and
+    /// `DELETE` alike — whose chosen plan probes this index.
     pub frequency: u64,
     /// Pages at last reference.
     pub pages: u64,

@@ -1,9 +1,11 @@
 //! DML execution: INSERT, UPDATE, DELETE, plus the top-level statement
 //! dispatcher.
 //!
-//! UPDATE/DELETE resolve their target rows through the cheapest access path
-//! available — clustered primary-key lookup, a secondary-index probe, or a
-//! full scan — mirroring how the optimizer chooses paths for queries.
+//! UPDATE and DELETE find their target rows through the access path the
+//! optimizer planned for them — the `SeqScan`, `PkLookup` or `IndexScan` a
+//! `SELECT` with the same WHERE takes — run by the same access loop that
+//! serves queries (`crate::scan::access`). Every target is collected before
+//! the first write, so no write feeds the scan that finds the rows.
 //!
 //! Writes are MVCC row-level (PR 8): target resolution reads the statement's
 //! snapshot, then each target's version chain is locked at its *root* (a
@@ -16,16 +18,14 @@
 
 use ingot_catalog::{Catalog, CheckedRow, TableEntry, VersionChange, WriteAs};
 use ingot_common::mvcc::{is_txn_mark, mark_owner, TS_INF};
-use ingot_common::{
-    fnv1a64, ColumnSet, Error, MonotonicClock, Result, Row, Snapshot, TableId, TxnId, Value,
-};
-use ingot_planner::{InsertRows, PhysExpr, PlannedStatement};
-use ingot_sql::BinOp;
+use ingot_common::{fnv1a64, Error, MonotonicClock, Result, Row, Snapshot, TableId, TxnId, Value};
+use ingot_planner::{InsertRows, PhysExpr, PhysPlan, PlanNode, PlannedStatement};
 use ingot_storage::RowId;
-use ingot_trace::OperatorSpan;
+use ingot_trace::{OperatorSpan, SpanCollector};
 use ingot_txn::{LockManager, LockMode, Resource};
 
-use crate::exec::{run_query, QueryResult};
+use crate::exec::{in_span, run_query, QueryResult};
+use crate::scan::access;
 
 /// The outcome of executing any statement.
 #[derive(Debug, Clone, Default)]
@@ -158,15 +158,15 @@ impl DmlObserver for NoopObserver {
 /// context's write mode and reports each mutation to its observer.
 ///
 /// With `ctx.trace` set, queries return a full per-operator span tree and
-/// writing DML one synthetic span covering the whole statement (the write
-/// paths have no operator tree to decompose); otherwise the span vector is
-/// empty.
+/// writing DML one span covering the whole statement, above the span of the
+/// access path that found an UPDATE's or DELETE's rows; otherwise the span
+/// vector is empty.
 pub fn execute(
     catalog: &Catalog,
     planned: &PlannedStatement,
     ctx: &ExecCtx<'_>,
 ) -> Result<(ExecOutcome, Vec<OperatorSpan>)> {
-    let (op, table) = match planned {
+    let (op, table, est_rows, est_cost) = match planned {
         PlannedStatement::Query(q) => {
             let (QueryResult { rows, tuples }, spans) =
                 run_query(catalog, &q.root, &ctx.snap, ctx.trace)?;
@@ -177,48 +177,41 @@ pub fn execute(
             };
             return Ok((outcome, spans));
         }
-        PlannedStatement::Insert { table, .. } => ("Insert", *table),
-        PlannedStatement::Update { table, .. } => ("Update", *table),
-        PlannedStatement::Delete { table, .. } => ("Delete", *table),
+        PlannedStatement::Insert { table, rows, est } => ("Insert", table, rows.len() as f64, est),
+        PlannedStatement::Update { table, access, .. } => {
+            ("Update", table, access.est_rows, &access.est_cost)
+        }
+        PlannedStatement::Delete { table, access } => {
+            ("Delete", table, access.est_rows, &access.est_cost)
+        }
     };
-    let Some(clock) = ctx.trace else {
-        return Ok((execute_dml(catalog, planned, ctx)?, Vec::new()));
+    let Some(mut collector) = ctx.trace.map(SpanCollector::new) else {
+        return Ok((execute_dml(catalog, planned, ctx, None)?, Vec::new()));
     };
-    let detail = match catalog.table(table) {
+    let detail = match catalog.table(*table) {
         Ok(entry) => format!(" on {}", entry.meta.name),
         Err(_) => String::new(),
     };
-    let est = planned.estimated_cost();
     let io_before = catalog.pool().io_stats().total();
-    let start_ns = clock.now_nanos();
-    let outcome = execute_dml(catalog, planned, ctx)?;
-    let elapsed_ns = clock.now_nanos().saturating_sub(start_ns);
+    let frame = collector.enter(op, detail, est_rows, est_cost.total());
+    let outcome = execute_dml(catalog, planned, ctx, Some(&mut collector))?;
     let pages = catalog.pool().io_stats().total().saturating_sub(io_before);
-    let span = OperatorSpan {
-        op_id: 0,
-        parent: None,
-        depth: 0,
-        op: op.to_string(),
-        detail,
-        est_rows: est.cpu,
-        est_cost: est.total(),
-        rows_in: 0,
-        rows_out: outcome.affected,
-        tuples: outcome.tuples,
-        pages,
-        elapsed_ns,
-    };
-    Ok((outcome, vec![span]))
+    collector.exit(frame, outcome.affected, outcome.tuples, pages);
+    Ok((outcome, collector.finish()))
 }
 
-/// The writing statements: INSERT, UPDATE, DELETE.
+/// The writing statements: INSERT, UPDATE, DELETE. `trace` receives the
+/// span of the access path that finds an UPDATE's or DELETE's rows.
 fn execute_dml(
     catalog: &Catalog,
     planned: &PlannedStatement,
     ctx: &ExecCtx<'_>,
+    trace: Option<&mut SpanCollector>,
 ) -> Result<ExecOutcome> {
-    match planned {
-        PlannedStatement::Query(_) => Err(Error::execution("execute_dml given a query plan")),
+    let (table, access, sets) = match planned {
+        PlannedStatement::Query(_) => {
+            return Err(Error::execution("execute_dml given a query plan"))
+        }
         PlannedStatement::Insert { table, rows, .. } => {
             let mut n = 0u64;
             match rows {
@@ -242,74 +235,99 @@ fn execute_dml(
                     }
                 }
             }
-            Ok(ExecOutcome {
+            return Ok(ExecOutcome {
                 rows: Vec::new(),
                 affected: n,
                 tuples: n,
-            })
+            });
         }
         PlannedStatement::Update {
             table,
             sets,
-            filter,
-            ..
-        } => {
-            let entry = catalog.table(*table)?;
-            let (targets, scanned) = target_rows(catalog, *table, filter.as_ref(), &ctx.snap)?;
-            let mut affected = 0u64;
-            for (rid, row) in targets {
-                let Some((head, head_row)) =
-                    resolve_for_write(entry, *table, rid, row, filter.as_ref(), ctx)?
-                else {
-                    continue;
-                };
-                let mut new_row = head_row.clone();
-                for (col, expr) in sets {
-                    new_row.set(*col, expr.eval(&head_row)?);
-                }
-                lock_constraint_keys(catalog, *table, &entry.check_row(&new_row)?, ctx)?;
-                let changes = catalog.update_row_v(*table, head, &new_row, ctx.write)?;
-                let new_rid = changes
-                    .iter()
-                    .rev()
-                    .find_map(|c| match c {
-                        VersionChange::Update { new, .. } | VersionChange::Insert { new, .. } => {
-                            Some(*new)
-                        }
-                        VersionChange::Delete { .. } => None,
-                    })
-                    .unwrap_or(head);
-                ctx.observer
-                    .on_update(*table, head, new_rid, &head_row, &new_row, &changes)?;
-                affected += 1;
+            access,
+        } => (*table, access, Some(sets)),
+        PlannedStatement::Delete { table, access } => (*table, access, None),
+    };
+    let entry = catalog.table(table)?;
+    let mut tuples = 0u64;
+    let targets = targets(catalog, access, &ctx.snap, &mut tuples, trace)?;
+    let mut affected = 0u64;
+    for (rid, row) in targets {
+        let Some((head, head_row)) = resolve_for_write(entry, table, rid, row, access, ctx)? else {
+            continue;
+        };
+        match sets {
+            Some(sets) => update_one(catalog, entry, head, head_row, sets, ctx)?,
+            None => {
+                let change = catalog.delete_row_v(table, head, ctx.write)?;
+                ctx.observer.on_delete(table, head, &head_row, &change)?;
             }
-            Ok(ExecOutcome {
-                rows: Vec::new(),
-                affected,
-                tuples: scanned,
-            })
         }
-        PlannedStatement::Delete { table, filter, .. } => {
-            let entry = catalog.table(*table)?;
-            let (targets, scanned) = target_rows(catalog, *table, filter.as_ref(), &ctx.snap)?;
-            let mut affected = 0u64;
-            for (rid, row) in targets {
-                let Some((head, head_row)) =
-                    resolve_for_write(entry, *table, rid, row, filter.as_ref(), ctx)?
-                else {
-                    continue;
-                };
-                let change = catalog.delete_row_v(*table, head, ctx.write)?;
-                ctx.observer.on_delete(*table, head, &head_row, &change)?;
-                affected += 1;
-            }
-            Ok(ExecOutcome {
-                rows: Vec::new(),
-                affected,
-                tuples: scanned,
-            })
-        }
+        affected += 1;
     }
+    Ok(ExecOutcome {
+        rows: Vec::new(),
+        affected,
+        tuples,
+    })
+}
+
+/// Supersede the chain head `head` (holding `head_row`) of `entry` by the
+/// row `sets` makes of it.
+fn update_one(
+    catalog: &Catalog,
+    entry: &TableEntry,
+    head: RowId,
+    head_row: Row,
+    sets: &[(usize, PhysExpr)],
+    ctx: &ExecCtx<'_>,
+) -> Result<()> {
+    let table = entry.meta.id;
+    let mut new_row = head_row.clone();
+    for (col, expr) in sets {
+        new_row.set(*col, expr.eval(&head_row)?);
+    }
+    lock_constraint_keys(catalog, table, &entry.check_row(&new_row)?, ctx)?;
+    let changes = catalog.update_row_v(table, head, &new_row, ctx.write)?;
+    let new_rid = changes
+        .iter()
+        .rev()
+        .find_map(|c| match c {
+            VersionChange::Update { new, .. } | VersionChange::Insert { new, .. } => Some(*new),
+            VersionChange::Delete { .. } => None,
+        })
+        .unwrap_or(head);
+    ctx.observer
+        .on_update(table, head, new_rid, &head_row, &new_row, &changes)
+}
+
+/// The `(RowId, Row)` targets of an UPDATE or DELETE: every row its planned
+/// `access` path finds under `snap`, in that node's span when tracing. All
+/// are collected before the first write, so no write feeds the scan. The
+/// row ids are *visible version* ids; [`resolve_for_write`] maps them to
+/// chain heads under the row lock.
+fn targets(
+    catalog: &Catalog,
+    access_path: &PlanNode,
+    snap: &Snapshot,
+    tuples: &mut u64,
+    trace: Option<&mut SpanCollector>,
+) -> Result<Vec<(RowId, Row)>> {
+    let mut out = Vec::new();
+    in_span(
+        catalog,
+        access_path,
+        tuples,
+        trace,
+        |tuples, _| {
+            access(catalog, access_path, snap, tuples, |rid, row| {
+                out.push((rid, std::mem::take(row)));
+                Ok(())
+            })
+        },
+        |&n| n,
+    )?;
+    Ok(out)
 }
 
 /// Insert one row through the full MVCC write path: the schema check (once:
@@ -376,13 +394,15 @@ fn lock_constraint_keys(
 /// Lock a target's chain root and re-resolve the write position at the
 /// chain head. Returns `None` when the target should be skipped (vanished
 /// or no longer matching under retargeting), the head `(RowId, Row)` to
-/// supersede otherwise.
+/// supersede otherwise. A retargeted head is re-checked against the filter
+/// of the `access` node that found the target, which holds every conjunct
+/// of the statement's WHERE.
 fn resolve_for_write(
     entry: &TableEntry,
     table: TableId,
     visible: RowId,
     visible_row: Row,
-    filter: Option<&PhysExpr>,
+    access: &PlanNode,
     ctx: &ExecCtx<'_>,
 ) -> Result<Option<(RowId, Row)>> {
     let meta = entry.heap.meta(visible)?;
@@ -428,114 +448,18 @@ fn resolve_for_write(
         )));
     }
     let (_, head_row) = entry.heap.get_version(head)?;
-    if let Some(f) = filter {
-        if !f.eval_predicate(&head_row)? {
-            return Ok(None);
-        }
+    let (PhysPlan::SeqScan { filter, .. }
+    | PhysPlan::IndexScan { filter, .. }
+    | PhysPlan::PkLookup { filter, .. }) = &access.op
+    else {
+        return Err(Error::execution(
+            "a write's rows come from a base-table access",
+        ));
+    };
+    match filter {
+        Some(f) if !f.eval_predicate(&head_row)? => Ok(None),
+        _ => Ok(Some((head, head_row))),
     }
-    Ok(Some((head, head_row)))
-}
-
-/// Resolve the `(RowId, Row)` targets of an UPDATE/DELETE under `snap`,
-/// returning also the number of tuples inspected. The returned row ids are
-/// *visible version* ids; [`resolve_for_write`] maps them to chain heads
-/// under the row lock.
-fn target_rows(
-    catalog: &Catalog,
-    table: TableId,
-    filter: Option<&PhysExpr>,
-    snap: &Snapshot,
-) -> Result<(Vec<(RowId, Row)>, u64)> {
-    let entry = catalog.table(table)?;
-    let mut scanned = 0u64;
-
-    if let Some(f) = filter {
-        let eqs = equalities(f);
-        // Path 1: full primary key on a BTree table.
-        if entry.primary.is_some() && !entry.meta.primary_key.is_empty() {
-            let key: Vec<Value> = entry
-                .meta
-                .primary_key
-                .iter()
-                .filter_map(|c| eqs.iter().find(|(col, _)| col == c).map(|(_, v)| v.clone()))
-                .collect();
-            if key.len() == entry.meta.primary_key.len() {
-                let mut out = Vec::new();
-                if let Some(head) = entry.pk_lookup(&key)? {
-                    scanned += 1;
-                    if let Some((rid, row)) = entry.fetch_visible(head, snap, ColumnSet::all())? {
-                        if f.eval_predicate(&row)? {
-                            out.push((rid, row));
-                        }
-                    }
-                }
-                return Ok((out, scanned));
-            }
-        }
-        // Path 2: secondary index with a leading-column equality.
-        for idx in catalog.indexes_of(table) {
-            let Some(lead) = idx.meta.columns.first() else {
-                continue;
-            };
-            if let Some((_, v)) = eqs.iter().find(|(c, _)| c == lead) {
-                let rids = idx.probe_eq(std::slice::from_ref(v))?;
-                let mut out = Vec::new();
-                for rid in rids {
-                    scanned += 1;
-                    if let Some(row) = entry.version_visible(rid, snap, ColumnSet::all())? {
-                        if f.eval_predicate(&row)? {
-                            out.push((rid, row));
-                        }
-                    }
-                }
-                return Ok((out, scanned));
-            }
-        }
-    }
-
-    // Path 3: full scan.
-    let mut out = Vec::new();
-    for item in entry.scan_visible(snap, ColumnSet::all()) {
-        let (rid, _, row) = item?;
-        scanned += 1;
-        let keep = match filter {
-            Some(f) => f.eval_predicate(&row)?,
-            None => true,
-        };
-        if keep {
-            out.push((rid, row));
-        }
-    }
-    Ok((out, scanned))
-}
-
-/// Extract `(column, literal)` equality pairs from a conjunctive filter.
-fn equalities(f: &PhysExpr) -> Vec<(usize, Value)> {
-    let mut out = Vec::new();
-    fn walk(e: &PhysExpr, out: &mut Vec<(usize, Value)>) {
-        match e {
-            PhysExpr::Binary {
-                op: BinOp::And,
-                left,
-                right,
-            } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            PhysExpr::Binary {
-                op: BinOp::Eq,
-                left,
-                right,
-            } => match (&**left, &**right) {
-                (PhysExpr::Col(c), PhysExpr::Literal(v))
-                | (PhysExpr::Literal(v), PhysExpr::Col(c)) => out.push((*c, v.clone())),
-                _ => {}
-            },
-            _ => {}
-        }
-    }
-    walk(f, &mut out);
-    out
 }
 
 #[cfg(test)]
@@ -583,16 +507,19 @@ mod tests {
         assert_eq!(out.affected, 1);
         let r = exec(&mut c, "select v from t where id = 2");
         assert_eq!(r.rows[0].get(0), &Value::Int(25));
-        // Traced, the same write reports one synthetic span and no other
-        // difference in outcome.
+        // Traced, the same write reports its span above its access path's
+        // and no other difference in outcome.
         let traced = ExecCtx {
             trace: Some(MonotonicClock::new()),
             ..ExecCtx::direct()
         };
         let (out, spans) = execute(&c, &plan(&c, "delete from t where v > 20"), &traced).unwrap();
         assert_eq!(out.affected, 2); // 25 and 30
-        assert_eq!(spans.len(), 1);
-        assert_eq!((spans[0].op.as_str(), spans[0].rows_out), ("Delete", 2));
+        let shape: Vec<_> = spans
+            .iter()
+            .map(|s| (s.op.as_str(), s.parent, s.rows_out, s.tuples))
+            .collect();
+        assert_eq!(shape, [("Delete", None, 2, 0), ("SeqScan", Some(0), 2, 3)]);
         let r = exec(&mut c, "select count(*) from t");
         assert_eq!(r.rows[0].get(0), &Value::Int(1));
     }
@@ -613,11 +540,22 @@ mod tests {
     #[test]
     fn delete_via_secondary_index() {
         let mut c = setup();
-        for i in 0..100 {
-            exec(&mut c, &format!("insert into t values ({i}, {})", i % 10));
-        }
         let t = c.resolve_table("t").unwrap();
-        c.create_index("t_v", t, vec![1], false).unwrap();
+        // Enough heap pages that ten random fetches beat reading them all.
+        for i in 0..6000 {
+            c.insert_row(t, &Row::new(vec![Value::Int(i), Value::Int(i % 600)]))
+                .unwrap();
+        }
+        let t_v = c.create_index("t_v", t, vec![1], false).unwrap();
+        // With statistics the optimizer prices `v = 3` at ten rows, and
+        // probes the index.
+        c.collect_statistics(t, &[], 0).unwrap();
+        let planned = plan(&c, "delete from t where v = 3");
+        let PlannedStatement::Delete { access, .. } = &planned else {
+            panic!("{planned:?}")
+        };
+        assert_eq!(access.op_name(), "IndexScan");
+        assert_eq!(planned.used_indexes(), [t_v]);
         let out = exec(&mut c, "delete from t where v = 3");
         assert_eq!(out.affected, 10);
         assert!(out.tuples <= 10, "index path must not scan the table");

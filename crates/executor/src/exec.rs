@@ -5,25 +5,26 @@
 //! keeps the code obviously correct; the per-tuple work is still counted
 //! exactly, which is what the actual-cost sensor needs.
 //!
-//! It streams where the rows are many and cheap — out of a base-table scan.
-//! A `SeqScan` runs as one loop (`crate::scan`) that tests its filter on
-//! the encoded bytes and decodes survivors into one reused row; a `Filter`,
-//! `Project` or `Aggregate` directly above it consumes that row inside the
-//! same loop (`for_each_row`), so a range aggregate never materialises its
-//! input. Spans, tuple counts and page counts are those of the operators
-//! run one after the other; elapsed time is not split the same way: the
-//! consumer's per-row work runs inside the `SeqScan`'s span, so that span's
-//! time includes it (the consumer's inclusive time is unchanged).
+//! It streams where the rows are many and cheap — out of a base table. A
+//! `SeqScan`, `IndexScan` or `PkLookup` runs as one access loop
+//! (`crate::scan::access`; a `SeqScan` tests its filter on the encoded
+//! bytes and decodes survivors into one reused row); a `Filter`, `Project`
+//! or `Aggregate` directly above it consumes each row inside the same loop
+//! (`for_each_row`), so a range aggregate never materialises its input.
+//! Spans, tuple counts and page counts are those of the operators run one
+//! after the other; elapsed time is not split the same way: the consumer's
+//! per-row work runs inside the access node's span, so that span's time
+//! includes it (the consumer's inclusive time is unchanged).
 
 use std::collections::HashMap;
 
 use ingot_catalog::Catalog;
 use ingot_common::{Error, MonotonicClock, Result, Row, Snapshot, Value};
-use ingot_planner::{PhysPlan, PlanNode, ProbeSource, ProbeSpec};
+use ingot_planner::{PhysPlan, PlanNode, ProbeSource};
 use ingot_trace::{OperatorSpan, SpanCollector};
 
 use crate::aggregate::Aggregator;
-use crate::scan::seq_scan;
+use crate::scan::access;
 
 /// The result of a query plan.
 #[derive(Debug, Clone, Default)]
@@ -95,7 +96,7 @@ fn run(
 /// tracing; `rows_out` reads the node's output row count off the result.
 /// The span's tuple and page counts are measured inclusively (subtree
 /// totals); `SpanCollector::finish` converts tuples to exclusive self-work.
-fn in_span<T>(
+pub(crate) fn in_span<T>(
     catalog: &Catalog,
     node: &PlanNode,
     tuples: &mut u64,
@@ -122,9 +123,9 @@ fn in_span<T>(
 
 /// Run `input` and hand each of its rows to `each` (which may take it),
 /// pushing onto `out` the rows `each` returns; returns how many rows it
-/// handed. A `SeqScan` input runs in the same loop as `each`, through one
-/// reused row; any other input is materialised first, and `out` is sized to
-/// it at the first row kept, as the materialising arms sized theirs.
+/// handed. A base-table access input runs in the same loop as `each`; any
+/// other input is materialised first, and `out` is sized to it at the first
+/// row kept, as the materialising arms sized theirs.
 fn for_each_row(
     catalog: &Catalog,
     input: &PlanNode,
@@ -134,15 +135,10 @@ fn for_each_row(
     out: &mut Vec<Row>,
     mut each: impl FnMut(&mut Row) -> Result<Option<Row>>,
 ) -> Result<u64> {
-    if let PhysPlan::SeqScan {
-        table,
-        filter,
-        needed,
-        ..
-    } = &input.op
+    if let PhysPlan::SeqScan { .. } | PhysPlan::IndexScan { .. } | PhysPlan::PkLookup { .. } =
+        &input.op
     {
-        let entry = catalog.table(*table)?;
-        let each = |row: &mut Row| {
+        let each = |_, row: &mut Row| {
             if let Some(kept) = each(row)? {
                 out.push(kept);
             }
@@ -153,7 +149,7 @@ fn for_each_row(
             input,
             tuples,
             trace,
-            |tuples, _| seq_scan(entry, filter.as_ref(), *needed, snap, tuples, each),
+            |tuples, _| access(catalog, input, snap, tuples, each),
             |&survivors| survivors,
         );
     }
@@ -192,86 +188,12 @@ fn run_node(
             Ok(out)
         }
 
-        PhysPlan::SeqScan {
-            table,
-            filter,
-            needed,
-            ..
-        } => {
-            let entry = catalog.table(*table)?;
+        PhysPlan::SeqScan { .. } | PhysPlan::IndexScan { .. } | PhysPlan::PkLookup { .. } => {
             let mut out = Vec::new();
-            seq_scan(entry, filter.as_ref(), *needed, snap, tuples, |row| {
+            access(catalog, node, snap, tuples, |_, row| {
                 out.push(std::mem::take(row));
                 Ok(())
             })?;
-            Ok(out)
-        }
-
-        PhysPlan::IndexScan {
-            table,
-            index,
-            probe,
-            filter,
-            needed,
-            ..
-        } => {
-            let entry = catalog.table(*table)?;
-            let idx = catalog.index(*index)?;
-            // Probe keys are row-free expressions (literals after parameter
-            // substitution); evaluate them against the empty row.
-            let empty = Row::default();
-            let rids = match probe {
-                ProbeSpec::Eq(keys) => {
-                    let values: Vec<Value> =
-                        keys.iter().map(|e| e.eval(&empty)).collect::<Result<_>>()?;
-                    idx.probe_eq(&values)?
-                }
-                ProbeSpec::Range { lo, hi } => {
-                    let lo = lo.as_ref().map(|e| e.eval(&empty)).transpose()?;
-                    let hi = hi.as_ref().map(|e| e.eval(&empty)).transpose()?;
-                    idx.probe_range(lo.as_ref(), hi.as_ref())?
-                }
-            };
-            // Secondary indexes hold one entry per version: each rid is an
-            // exact physical version, filtered for visibility with no walk.
-            let mut out = Vec::with_capacity(rids.len());
-            for rid in rids {
-                *tuples += 1;
-                if let Some(row) = entry.version_visible(rid, snap, *needed)? {
-                    if eval_filter(filter, &row)? {
-                        out.push(row);
-                    }
-                }
-            }
-            Ok(out)
-        }
-
-        PhysPlan::PkLookup {
-            table,
-            key,
-            filter,
-            needed,
-            ..
-        } => {
-            let entry = catalog.table(*table)?;
-            let empty = Row::default();
-            let key: Vec<Value> = key.iter().map(|e| e.eval(&empty)).collect::<Result<_>>()?;
-            let rids = if key.len() == entry.meta.primary_key.len() {
-                entry.pk_lookup(&key)?.into_iter().collect()
-            } else {
-                entry.pk_prefix_probe(&key)?
-            };
-            // The clustered tree points at chain heads; resolve each to the
-            // version visible under the snapshot.
-            let mut out = Vec::with_capacity(rids.len());
-            for rid in rids {
-                *tuples += 1;
-                if let Some((_, row)) = entry.fetch_visible(rid, snap, *needed)? {
-                    if eval_filter(filter, &row)? {
-                        out.push(row);
-                    }
-                }
-            }
             Ok(out)
         }
 

@@ -1,4 +1,10 @@
-//! The base-table scan loop and the conjuncts it tests on encoded bytes.
+//! The base-table access loop and the conjuncts a scan tests on encoded
+//! bytes.
+//!
+//! Every read of a base table's rows, by a query or by the target search of
+//! an UPDATE or DELETE, runs through [`access`]: the plan's `SeqScan`,
+//! `IndexScan` or `PkLookup` node hands each visible row that passes its
+//! filter, with the id of its visible version, to a consumer.
 //!
 //! A `SeqScan` is one loop over the heap cursor
 //! ([`HeapScan::next_record`](ingot_storage::heap::HeapScan::next_record)).
@@ -30,34 +36,125 @@
 
 use std::ops::{Bound, RangeBounds};
 
-use ingot_catalog::TableEntry;
-use ingot_common::{ColumnSet, Result, Row, Snapshot, Value};
-use ingot_planner::PhysExpr;
+use ingot_catalog::{Catalog, TableEntry};
+use ingot_common::{ColumnSet, Error, Result, Row, Snapshot, Value};
+use ingot_planner::{PhysExpr, PhysPlan, PlanNode, ProbeSpec};
 use ingot_sql::BinOp;
-use ingot_storage::{Cell, RowCells};
+use ingot_storage::{Cell, RowCells, RowId};
+
+/// Run the base-table access `node` (`SeqScan`, `IndexScan` or `PkLookup`)
+/// under `snap`, handing every visible row that passes the node's filter to
+/// `each` with the id of its visible version (`each` may take the row).
+/// Every version read counts one tuple, kept or not. Returns the number of
+/// rows handed over.
+pub(crate) fn access(
+    catalog: &Catalog,
+    node: &PlanNode,
+    snap: &Snapshot,
+    tuples: &mut u64,
+    mut each: impl FnMut(RowId, &mut Row) -> Result<()>,
+) -> Result<u64> {
+    let (PhysPlan::SeqScan {
+        table,
+        filter,
+        needed,
+        ..
+    }
+    | PhysPlan::IndexScan {
+        table,
+        filter,
+        needed,
+        ..
+    }
+    | PhysPlan::PkLookup {
+        table,
+        filter,
+        needed,
+        ..
+    }) = &node.op
+    else {
+        let op = node.op_name();
+        return Err(Error::execution(format!("{op} is no base-table access")));
+    };
+    let entry = catalog.table(*table)?;
+    // Probe keys are row-free expressions (literals after parameter
+    // substitution); evaluate them against the empty row.
+    let empty = Row::default();
+    let eval = |e: &PhysExpr| e.eval(&empty);
+    let (rids, heads) = match &node.op {
+        PhysPlan::IndexScan { index, probe, .. } => {
+            let idx = catalog.index(*index)?;
+            let rids = match probe {
+                ProbeSpec::Eq(keys) => {
+                    idx.probe_eq(&keys.iter().map(eval).collect::<Result<Vec<_>>>()?)?
+                }
+                ProbeSpec::Range { lo, hi } => {
+                    let lo = lo.as_ref().map(eval).transpose()?;
+                    let hi = hi.as_ref().map(eval).transpose()?;
+                    idx.probe_range(lo.as_ref(), hi.as_ref())?
+                }
+            };
+            (rids, false)
+        }
+        PhysPlan::PkLookup { key, .. } => {
+            let key = key.iter().map(eval).collect::<Result<Vec<_>>>()?;
+            let rids = if key.len() == entry.meta.primary_key.len() {
+                entry.pk_lookup(&key)?.into_iter().collect()
+            } else {
+                entry.pk_prefix_probe(&key)?
+            };
+            (rids, true)
+        }
+        _ => return seq_scan(entry, filter.as_ref(), *needed, snap, tuples, each),
+    };
+    let mut kept = 0;
+    for rid in rids {
+        *tuples += 1;
+        // The clustered tree points at chain heads, resolved to the version
+        // the snapshot sees; a secondary index holds one entry per version,
+        // each an exact physical version filtered with no walk.
+        let visible = match heads {
+            true => entry.fetch_visible(rid, snap, *needed)?,
+            false => entry
+                .version_visible(rid, snap, *needed)?
+                .map(|row| (rid, row)),
+        };
+        let Some((rid, mut row)) = visible else {
+            continue;
+        };
+        if filter
+            .as_ref()
+            .map_or(Ok(true), |f| f.eval_predicate(&row))?
+        {
+            kept += 1;
+            each(rid, &mut row)?;
+        }
+    }
+    Ok(kept)
+}
 
 /// Run one `SeqScan` over `entry` under `snap`, handing every row that
-/// passes `filter` to `each` in the reused row (`each` may take it). Every
-/// visible version counts one tuple, rejected or not. Returns the number of
-/// rows handed over.
-pub(crate) fn seq_scan(
+/// passes `filter` to `each` in the reused row (`each` may take it), with
+/// its version's id. Every visible version counts one tuple, rejected or
+/// not. Returns the number of rows handed over.
+fn seq_scan(
     entry: &TableEntry,
     filter: Option<&PhysExpr>,
     needed: ColumnSet,
     snap: &Snapshot,
     tuples: &mut u64,
-    mut each: impl FnMut(&mut Row) -> Result<()>,
+    mut each: impl FnMut(RowId, &mut Row) -> Result<()>,
 ) -> Result<u64> {
     let mut filter = ScanFilter::new(filter, needed);
     let mut scan = entry.scan_visible(snap, needed);
     let mut row = Row::default();
     let mut survivors = 0;
     while let Some(item) = scan.next_record() {
-        let (_, _, bytes) = item?;
+        let (rid, _, bytes) = item?;
         *tuples += 1;
         if filter.admit(bytes, &mut row)? {
             survivors += 1;
-            each(&mut row)?;
+            each(rid, &mut row)?;
         }
     }
     Ok(survivors)

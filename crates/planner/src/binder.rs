@@ -235,21 +235,21 @@ pub enum BoundStatement {
         /// Row payload (constant or parameterised).
         rows: InsertRows,
     },
-    /// UPDATE; `sets` and `filter` are over the table's own layout.
+    /// UPDATE; `sets` and `conjuncts` are over the table's own layout.
     Update {
         /// Target table.
-        table: TableId,
+        target: BoundTable,
         /// `(column position, new-value expression)`.
         sets: Vec<(usize, PhysExpr)>,
-        /// Row filter.
-        filter: Option<PhysExpr>,
+        /// The WHERE clause's conjuncts, bound as a one-table SELECT's.
+        conjuncts: Vec<Conjunct>,
     },
-    /// DELETE; `filter` is over the table's own layout.
+    /// DELETE; `conjuncts` are over the table's own layout.
     Delete {
         /// Target table.
-        table: TableId,
-        /// Row filter.
-        filter: Option<PhysExpr>,
+        target: BoundTable,
+        /// The WHERE clause's conjuncts, bound as a one-table SELECT's.
+        conjuncts: Vec<Conjunct>,
     },
 }
 
@@ -333,16 +333,8 @@ impl<'a> Binder<'a> {
         }
 
         // 2. Conjuncts from JOIN ON and WHERE.
-        let mut conjuncts = Vec::new();
         let join_preds = s.from.iter().flat_map(|t| &t.joins).map(|j| &j.on);
-        for pred in join_preds.chain(&s.filter) {
-            self.bind_conjuncts(pred, &tables, &mut conjuncts)?;
-        }
-        // Transitive closure over equalities: `a.x = b.y AND a.x = 5`
-        // implies `b.y = 5`, which turns the inner side of a join into a
-        // keyed probe (Ingres' optimizer performs the same constant
-        // propagation).
-        saturate_equalities(&mut conjuncts, &tables);
+        let conjuncts = self.bind_where(join_preds.chain(&s.filter), &tables)?;
 
         // 3. Aggregate detection.
         let has_agg = !s.group_by.is_empty()
@@ -578,6 +570,23 @@ impl<'a> Binder<'a> {
             }
         }
         Ok(())
+    }
+
+    /// Bind each AND-ed factor of `preds` as a conjunct of its own, then
+    /// close them over equalities: `a.x = b.y AND a.x = 5` implies `b.y =
+    /// 5`, which turns the inner side of a join into a keyed probe (Ingres'
+    /// optimizer performs the same constant propagation).
+    fn bind_where<'e>(
+        &mut self,
+        preds: impl IntoIterator<Item = &'e Expr>,
+        tables: &[BoundTable],
+    ) -> Result<Vec<Conjunct>> {
+        let mut conjuncts = Vec::new();
+        for pred in preds {
+            self.bind_conjuncts(pred, tables, &mut conjuncts)?;
+        }
+        saturate_equalities(&mut conjuncts, tables);
+        Ok(conjuncts)
     }
 
     /// Bind each AND-ed factor of `e` as a conjunct of its own.
@@ -845,50 +854,48 @@ impl<'a> Binder<'a> {
         Ok(BoundStatement::Insert { table: id, rows })
     }
 
+    /// Resolve the base table an UPDATE or DELETE writes.
+    fn bind_target(&mut self, table: &str) -> Result<BoundTable> {
+        let id = self.catalog.resolve_table(table)?;
+        let entry = self.catalog.table(id)?;
+        self.note_table(id, &entry.meta.name);
+        Ok(BoundTable {
+            table: id,
+            alias: entry.meta.name.to_string(),
+            schema: entry.meta.schema.clone(),
+            is_virtual: false,
+        })
+    }
+
     fn bind_update(
         &mut self,
         table: &str,
         sets: &[(String, Expr)],
         filter: Option<&Expr>,
     ) -> Result<BoundStatement> {
-        let id = self.catalog.resolve_table(table)?;
-        let entry = self.catalog.table(id)?;
-        self.note_table(id, &entry.meta.name);
-        let bt = [BoundTable {
-            table: id,
-            alias: entry.meta.name.to_string(),
-            schema: entry.meta.schema.clone(),
-            is_virtual: false,
-        }];
+        let target = self.bind_target(table)?;
+        let tables = std::slice::from_ref(&target);
         let mut bound_sets = Vec::with_capacity(sets.len());
         for (col, e) in sets {
-            let pos = bt[0]
+            let pos = target
                 .schema
                 .index_of(col)
                 .ok_or_else(|| Error::binder(format!("unknown column '{col}'")))?;
-            self.note_attribute(id, pos);
-            bound_sets.push((pos, self.bind_expr(e, &bt)?));
+            self.note_attribute(target.table, pos);
+            bound_sets.push((pos, self.bind_expr(e, tables)?));
         }
-        let filter = filter.map(|f| self.bind_expr(f, &bt)).transpose()?;
+        let conjuncts = self.bind_where(filter, tables)?;
         Ok(BoundStatement::Update {
-            table: id,
+            target,
             sets: bound_sets,
-            filter,
+            conjuncts,
         })
     }
 
     fn bind_delete(&mut self, table: &str, filter: Option<&Expr>) -> Result<BoundStatement> {
-        let id = self.catalog.resolve_table(table)?;
-        let entry = self.catalog.table(id)?;
-        self.note_table(id, &entry.meta.name);
-        let bt = [BoundTable {
-            table: id,
-            alias: entry.meta.name.to_string(),
-            schema: entry.meta.schema.clone(),
-            is_virtual: false,
-        }];
-        let filter = filter.map(|f| self.bind_expr(f, &bt)).transpose()?;
-        Ok(BoundStatement::Delete { table: id, filter })
+        let target = self.bind_target(table)?;
+        let conjuncts = self.bind_where(filter, std::slice::from_ref(&target))?;
+        Ok(BoundStatement::Delete { target, conjuncts })
     }
 }
 
@@ -1262,16 +1269,29 @@ mod tests {
     fn update_delete_binding() {
         let c = test_catalog();
         let (b, _) = bind(&c, "update protein set len = len + 1 where nref_id = 'NF1'");
-        let BoundStatement::Update { sets, filter, .. } = b else {
+        let BoundStatement::Update {
+            sets, conjuncts, ..
+        } = b
+        else {
             panic!()
         };
         assert_eq!(sets[0].0, 2);
-        assert!(filter.is_some());
-        let (b, _) = bind(&c, "delete from protein");
-        let BoundStatement::Delete { filter, .. } = b else {
+        assert_eq!(conjuncts.len(), 1);
+        // The WHERE clause splits into conjuncts as a SELECT's does, closed
+        // over equalities the same way.
+        let (b, _) = bind(
+            &c,
+            "delete from protein where name = nref_id and nref_id = 'NF1'",
+        );
+        let BoundStatement::Delete { conjuncts, .. } = b else {
             panic!()
         };
-        assert!(filter.is_none());
+        assert_eq!(conjuncts.len(), 3);
+        let (b, _) = bind(&c, "delete from protein");
+        let BoundStatement::Delete { conjuncts, .. } = b else {
+            panic!()
+        };
+        assert!(conjuncts.is_empty());
     }
 
     #[test]

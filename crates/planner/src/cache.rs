@@ -334,9 +334,9 @@ mod tests {
 
     fn plan(epoch: u64) -> CachedPlan {
         CachedPlan {
-            planned: PlannedStatement::Delete {
+            planned: PlannedStatement::Insert {
                 table: TableId(1),
-                filter: None,
+                rows: crate::InsertRows::Const(Vec::new()),
                 est: Cost::ZERO,
             },
             artifacts: BindArtifacts::default(),

@@ -7,7 +7,9 @@
 //! ([`ingot_catalog::WhatIf`]), hypothetical indexes do too — the resulting
 //! plan then reports `uses_virtual` and cannot be executed, but its
 //! estimated cost is exactly what the paper's analyzer uses to value an
-//! index recommendation. A published catalog holds no virtual index.
+//! index recommendation. A published catalog holds no virtual index. An
+//! UPDATE or DELETE is planned as the access path to its one table that a
+//! SELECT with the same WHERE gets.
 
 use std::sync::Arc;
 
@@ -15,7 +17,7 @@ use ingot_catalog::{Catalog, IndexEntry, TableEntry};
 use ingot_common::{ColumnSet, Cost, Error, IndexId, Result, TableId, Value};
 use ingot_sql::BinOp;
 
-use crate::binder::{table_offset, BoundSelect, BoundStatement, BoundTable, InsertRows};
+use crate::binder::{table_offset, BoundSelect, BoundStatement, BoundTable, Conjunct, InsertRows};
 use crate::cost::{
     between_selectivity, column_ndv, comparison_selectivity, conjunct_selectivity,
     equi_join_cardinality, flip, index_probe_cost, pk_lookup_cost, seq_scan_cost,
@@ -41,8 +43,6 @@ pub struct PlannedQuery {
     pub output_names: Vec<String>,
     /// Indexes the plan probes (the "used indexes" sensor value).
     pub used_indexes: Vec<IndexId>,
-    /// True when a virtual index was chosen (what-if mode only).
-    pub uses_virtual: bool,
     /// Estimated total cost (root's cumulative cost).
     pub est: Cost,
 }
@@ -71,19 +71,17 @@ pub enum PlannedStatement {
         table: TableId,
         /// Assignments `(column, expression over the table layout)`.
         sets: Vec<(usize, PhysExpr)>,
-        /// Row filter over the table layout.
-        filter: Option<PhysExpr>,
-        /// Estimated cost.
-        est: Cost,
+        /// How the target rows are found: the access path a `SELECT` with
+        /// the same WHERE takes, reading every column, its filter holding
+        /// every conjunct. Its cost is the statement's estimate.
+        access: PlanNode,
     },
     /// DELETE.
     Delete {
         /// Target table.
         table: TableId,
-        /// Row filter over the table layout.
-        filter: Option<PhysExpr>,
-        /// Estimated cost.
-        est: Cost,
+        /// How the target rows are found, as for `Update`.
+        access: PlanNode,
     },
 }
 
@@ -92,33 +90,72 @@ impl PlannedStatement {
     pub fn estimated_cost(&self) -> Cost {
         match self {
             PlannedStatement::Query(q) => q.est,
-            PlannedStatement::Insert { est, .. }
-            | PlannedStatement::Update { est, .. }
-            | PlannedStatement::Delete { est, .. } => *est,
+            PlannedStatement::Insert { est, .. } => *est,
+            PlannedStatement::Update { access, .. } | PlannedStatement::Delete { access, .. } => {
+                access.est_cost
+            }
         }
     }
 
-    /// Indexes used (queries only).
+    /// Indexes the chosen plan probes (the "used indexes" sensor value).
     pub fn used_indexes(&self) -> &[IndexId] {
         match self {
             PlannedStatement::Query(q) => &q.used_indexes,
-            _ => &[],
+            PlannedStatement::Update { access, .. } | PlannedStatement::Delete { access, .. } => {
+                match &access.op {
+                    PhysPlan::IndexScan { index, .. } => std::slice::from_ref(index),
+                    _ => &[],
+                }
+            }
+            PlannedStatement::Insert { .. } => &[],
         }
+    }
+
+    /// True when the plan probes a virtual index, which only a what-if copy
+    /// of `catalog` holds: such a plan is costed, never executed.
+    pub fn uses_virtual(&self, catalog: &Catalog) -> bool {
+        let is_virtual = |id: &IndexId| catalog.index(*id).is_ok_and(|e| e.meta.is_virtual);
+        self.used_indexes().iter().any(is_virtual)
+    }
+
+    /// The plan as `EXPLAIN` and what-if estimates print it: a query's
+    /// operator tree; an UPDATE or DELETE as one header line over the
+    /// access path that finds its rows.
+    pub fn explain(&self, catalog: &Catalog) -> Result<String> {
+        let (header, access) = match self {
+            PlannedStatement::Query(q) => return Ok(q.root.to_string()),
+            PlannedStatement::Insert { table, rows, est } => {
+                let name = &catalog.table(*table)?.meta.name;
+                return Ok(format!(
+                    "Insert into {name}  ({} row(s), est {est})\n",
+                    rows.len()
+                ));
+            }
+            PlannedStatement::Update {
+                table,
+                sets,
+                access,
+            } => {
+                let name = &catalog.table(*table)?.meta.name;
+                (format!("Update {name} [{} column(s)]", sets.len()), access)
+            }
+            PlannedStatement::Delete { table, access } => {
+                let name = &catalog.table(*table)?.meta.name;
+                (format!("Delete from {name}"), access)
+            }
+        };
+        Ok(format!("{header}\n  {access}"))
     }
 
     /// Clone the statement with every parameter marker replaced by its bound
     /// value. This is the execute-time half of a prepared statement: the
     /// cached template stays untouched, the returned copy is executable.
     pub fn substitute_params(&self, params: &[Value]) -> Result<PlannedStatement> {
-        let sub_opt = |e: &Option<PhysExpr>| -> Result<Option<PhysExpr>> {
-            e.as_ref().map(|e| e.substitute(params)).transpose()
-        };
         Ok(match self {
             PlannedStatement::Query(q) => PlannedStatement::Query(PlannedQuery {
                 root: q.root.substitute_params(params)?,
                 output_names: q.output_names.clone(),
                 used_indexes: q.used_indexes.clone(),
-                uses_virtual: q.uses_virtual,
                 est: q.est,
             }),
             PlannedStatement::Insert { table, rows, est } => PlannedStatement::Insert {
@@ -140,21 +177,18 @@ impl PlannedStatement {
             PlannedStatement::Update {
                 table,
                 sets,
-                filter,
-                est,
+                access,
             } => PlannedStatement::Update {
                 table: *table,
                 sets: sets
                     .iter()
                     .map(|(c, e)| Ok((*c, e.substitute(params)?)))
                     .collect::<Result<_>>()?,
-                filter: sub_opt(filter)?,
-                est: *est,
+                access: access.substitute_params(params)?,
             },
-            PlannedStatement::Delete { table, filter, est } => PlannedStatement::Delete {
+            PlannedStatement::Delete { table, access } => PlannedStatement::Delete {
                 table: *table,
-                filter: sub_opt(filter)?,
-                est: *est,
+                access: access.substitute_params(params)?,
             },
         })
     }
@@ -174,27 +208,24 @@ pub fn optimize(
             est: Cost::new(rows.len() as f64, rows.len() as f64 / 40.0 + 1.0),
         }),
         BoundStatement::Update {
-            table,
+            target,
             sets,
-            filter,
-        } => {
-            let entry = catalog.table(*table)?;
-            Ok(PlannedStatement::Update {
-                table: *table,
-                sets: sets.clone(),
-                filter: filter.clone(),
-                est: seq_scan_cost(entry),
-            })
-        }
-        BoundStatement::Delete { table, filter } => {
-            let entry = catalog.table(*table)?;
-            Ok(PlannedStatement::Delete {
-                table: *table,
-                filter: filter.clone(),
-                est: seq_scan_cost(entry),
-            })
-        }
+            conjuncts,
+        } => Ok(PlannedStatement::Update {
+            table: target.table,
+            sets: sets.clone(),
+            access: choose_access_path(catalog, target, conjunct_exprs(conjuncts))?,
+        }),
+        BoundStatement::Delete { target, conjuncts } => Ok(PlannedStatement::Delete {
+            table: target.table,
+            access: choose_access_path(catalog, target, conjunct_exprs(conjuncts))?,
+        }),
     }
+}
+
+/// A one-table statement's conjuncts, already over the table's own layout.
+fn conjunct_exprs(conjuncts: &[Conjunct]) -> Vec<PhysExpr> {
+    conjuncts.iter().map(|c| c.expr.clone()).collect()
 }
 
 /// Plan a bound SELECT.
@@ -216,7 +247,8 @@ pub fn optimize_select(catalog: &Catalog, s: &BoundSelect) -> Result<PlannedQuer
         // 1. Access-path selection per table.
         let mut rels = Vec::with_capacity(s.tables.len());
         for (i, bt) in s.tables.iter().enumerate() {
-            rels.push(choose_access_path(catalog, s, i, bt)?);
+            let local = local_conjuncts(s, i, table_offset(&s.tables, i));
+            rels.push(choose_access_path(catalog, bt, local)?);
         }
         // 2. Left-deep DP join ordering.
         (node, layout) = join_order(catalog, s, rels)?;
@@ -315,12 +347,6 @@ pub fn optimize_select(catalog: &Catalog, s: &BoundSelect) -> Result<PlannedQuer
 
     let mut used_indexes = Vec::new();
     node.collect_indexes(&mut used_indexes);
-    let uses_virtual = used_indexes.iter().any(|id| {
-        catalog
-            .index(*id)
-            .map(|e| e.meta.is_virtual)
-            .unwrap_or(false)
-    });
     Ok(PlannedQuery {
         output_names: s
             .projections
@@ -331,7 +357,6 @@ pub fn optimize_select(catalog: &Catalog, s: &BoundSelect) -> Result<PlannedQuer
         est: node.est_cost,
         root: node,
         used_indexes,
-        uses_virtual,
     })
 }
 
@@ -593,13 +618,13 @@ fn probe_keys(eqs: &[(usize, &PhysExpr)], prefix: &[usize]) -> Vec<PhysExpr> {
     eq_prefix(eqs, prefix).map(|(_, v)| v.clone()).collect()
 }
 
+/// The cheapest way to read `bt` under its own conjuncts `local` (over the
+/// table's layout), built as a plan node whose filter holds all of them.
 fn choose_access_path(
     catalog: &Catalog,
-    s: &BoundSelect,
-    i: usize,
     bt: &BoundTable,
+    local: Vec<PhysExpr>,
 ) -> Result<PlanNode> {
-    let local = local_conjuncts(s, i, table_offset(&s.tables, i));
     let width = bt.schema.len();
     if bt.is_virtual {
         // IMA virtual table: memory-only scan, unknown but small cardinality.
@@ -1178,13 +1203,16 @@ mod tests {
         let c = setup();
         let mut what_if = ingot_catalog::WhatIf::new(&c);
         what_if.add_virtual_index("protein", &["nref_id"]).unwrap();
-        let normal = plan(&c, "select name from protein where nref_id = 42");
-        assert!(!normal.uses_virtual);
-        assert!(normal.used_indexes.is_empty());
-        let whatif = plan(&what_if, "select name from protein where nref_id = 42");
-        assert!(whatif.uses_virtual);
-        assert_eq!(whatif.used_indexes.len(), 1);
-        assert!(whatif.est.cheaper_than(&normal.est));
+        let sql = "select name from protein where nref_id = 42";
+        let normal = PlannedStatement::Query(plan(&c, sql));
+        assert!(!normal.uses_virtual(&c));
+        assert!(normal.used_indexes().is_empty());
+        let whatif = PlannedStatement::Query(plan(&what_if, sql));
+        assert!(whatif.uses_virtual(&what_if));
+        assert_eq!(whatif.used_indexes().len(), 1);
+        assert!(whatif
+            .estimated_cost()
+            .cheaper_than(&normal.estimated_cost()));
     }
 
     #[test]
