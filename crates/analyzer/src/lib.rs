@@ -104,7 +104,7 @@ impl Analyzer {
         recommendations.extend(rules::overflow_rule(&self.config, view));
         // Rules 4 + 5: wait profiles (BufferRead-dominated statements,
         // WalFsync-dominated write-heavy intervals).
-        let wait_recs = rules::wait_profile_rules(&self.config, view);
+        let wait_recs = rules::wait_profile_rules(&self.config, view, engine.wal().mode());
         for rec in wait_recs {
             // Rule 3 may already restructure the same table; keep one.
             let duplicate = matches!(&rec, Recommendation::RestructureForReads { table, .. }

@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use ingot_common::{Cost, TableId};
+use ingot_common::{Cost, TableId, WalFsyncMode};
 
 use crate::view::WorkloadView;
 use crate::AnalyzerConfig;
@@ -218,10 +218,14 @@ pub fn statistics_rules(config: &AnalyzerConfig, view: &WorkloadView) -> Vec<Rec
 /// * Rule 4 — a statement whose ASH profile is dominated by `BufferRead`
 ///   is losing its time to physical page reads; its heap tables should be
 ///   restructured to B-Tree (keyed access instead of scans).
-/// * Rule 5 — when `WalFsync` dominates the system's wait profile and the
-///   workload is write-heavy, commits should share fsyncs (group commit /
-///   wider dally window).
-pub fn wait_profile_rules(config: &AnalyzerConfig, view: &WorkloadView) -> Vec<Recommendation> {
+/// * Rule 5 — when `WalFsync` dominates the system's wait profile, the
+///   workload is write-heavy and each commit fsyncs alone (`wal_mode` is
+///   `always`), commits should share fsyncs (group commit, the default).
+pub fn wait_profile_rules(
+    config: &AnalyzerConfig,
+    view: &WorkloadView,
+    wal_mode: WalFsyncMode,
+) -> Vec<Recommendation> {
     let mut out = Vec::new();
 
     // Rule 4: per-template BufferRead dominance.
@@ -289,7 +293,8 @@ pub fn wait_profile_rules(config: &AnalyzerConfig, view: &WorkloadView) -> Vec<R
     if total_wait_ns >= config.wait_min_total_ns && executions > 0 {
         let wal_pct = wal_ns as f64 / total_wait_ns as f64;
         let write_fraction = writes as f64 / executions as f64;
-        if wal_pct >= config.wait_dominance_threshold
+        if wal_mode == WalFsyncMode::Always
+            && wal_pct >= config.wait_dominance_threshold
             && write_fraction >= config.write_heavy_fraction
         {
             out.push(Recommendation::TuneWalFsync {
@@ -411,7 +416,7 @@ mod tests {
             ],
             ..Default::default()
         };
-        let recs = wait_profile_rules(&cfg, &view);
+        let recs = wait_profile_rules(&cfg, &view, WalFsyncMode::Always);
         assert_eq!(recs.len(), 1, "recs: {recs:?}");
         let Recommendation::RestructureForReads {
             table,
@@ -429,10 +434,10 @@ mod tests {
         // Below the dominance threshold or the sample floor: silent.
         let mut quiet = view.clone();
         quiet.ash = vec![ash("h1", "q", "BufferRead", 4), ash("h1", "q", "OnCpu", 36)];
-        assert!(wait_profile_rules(&cfg, &quiet).is_empty());
+        assert!(wait_profile_rules(&cfg, &quiet, WalFsyncMode::Always).is_empty());
         quiet.ash = vec![ash("h1", "q", "BufferRead", 5)];
         assert!(
-            wait_profile_rules(&cfg, &quiet).is_empty(),
+            wait_profile_rules(&cfg, &quiet, WalFsyncMode::Always).is_empty(),
             "too few samples"
         );
     }
@@ -465,7 +470,7 @@ mod tests {
             ],
             ..Default::default()
         };
-        let recs = wait_profile_rules(&cfg, &view);
+        let recs = wait_profile_rules(&cfg, &view, WalFsyncMode::Always);
         assert_eq!(recs.len(), 1, "recs: {recs:?}");
         let Recommendation::TuneWalFsync {
             wal_fsync_pct,
@@ -484,13 +489,18 @@ mod tests {
             text: "select * from t".into(),
             ..writes
         }];
-        assert!(wait_profile_rules(&cfg, &reads).is_empty());
+        assert!(wait_profile_rules(&cfg, &reads, WalFsyncMode::Always).is_empty());
         // Tiny absolute wait time: below the noise floor.
         let mut tiny = view.clone();
         for w in &mut tiny.waits {
             w.total_ns /= 100;
         }
-        assert!(wait_profile_rules(&cfg, &tiny).is_empty());
+        assert!(wait_profile_rules(&cfg, &tiny, WalFsyncMode::Always).is_empty());
+        // A log that already groups its commits, or never syncs, is not
+        // told to group them.
+        for mode in [WalFsyncMode::Group, WalFsyncMode::Off] {
+            assert!(wait_profile_rules(&cfg, &view, mode).is_empty(), "{mode}");
+        }
     }
 
     #[test]

@@ -674,8 +674,15 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::KeyProbe;
     use ingot_common::{Column, DataType, EngineConfig, SimClock};
     use ingot_storage::StorageEngine;
+
+    /// The chain head the primary tree holds for key `k`.
+    fn pk_head(entry: &TableEntry, k: i64) -> Option<RowId> {
+        let heads = entry.probe_primary(KeyProbe::Eq(&[Value::Int(k)])).unwrap();
+        heads.first().copied()
+    }
 
     fn catalog() -> Catalog {
         let cfg = EngineConfig::default();
@@ -717,7 +724,11 @@ mod tests {
             c.insert_row(t, &sample_row(i)).unwrap();
         }
         let idx = c.create_index("people_age", t, vec![2], false).unwrap();
-        let rids = c.index(idx).unwrap().probe_eq(&[Value::Int(7)]).unwrap();
+        let rids = c
+            .index(idx)
+            .unwrap()
+            .probe(KeyProbe::Eq(&[Value::Int(7)]))
+            .unwrap();
         assert_eq!(rids.len(), 4); // 7, 57, 107, 157
         for rid in rids {
             let row = c.table(t).unwrap().heap.get(rid).unwrap();
@@ -731,7 +742,12 @@ mod tests {
         let t = c.create_table("people", people_schema(), vec![0]).unwrap();
         let idx = c.create_index("people_age", t, vec![2], false).unwrap();
         let rid = c.insert_row(t, &sample_row(1)).unwrap();
-        let probe = |c: &Catalog| c.index(idx).unwrap().probe_eq(&[Value::Int(1)]).unwrap();
+        let probe = |c: &Catalog| {
+            c.index(idx)
+                .unwrap()
+                .probe(KeyProbe::Eq(&[Value::Int(1)]))
+                .unwrap()
+        };
         assert_eq!(probe(&c), vec![rid]);
         // A delete only marks the version; older snapshots still reach it
         // through the index until GC passes the delete's timestamp.
@@ -763,7 +779,12 @@ mod tests {
         let [VersionChange::Update { new: new_rid, .. }] = changes[..] else {
             panic!("expected one update, got {changes:?}");
         };
-        let probe = |c: &Catalog, age| c.index(idx).unwrap().probe_eq(&[Value::Int(age)]).unwrap();
+        let probe = |c: &Catalog, age| {
+            c.index(idx)
+                .unwrap()
+                .probe(KeyProbe::Eq(&[Value::Int(age)]))
+                .unwrap()
+        };
         assert_eq!(probe(&c, 99), vec![new_rid]);
         // The superseded version keeps its entry until GC reclaims it.
         assert_eq!(probe(&c, 1), vec![rid]);
@@ -785,9 +806,9 @@ mod tests {
         assert_eq!(entry.meta.storage, StorageStructure::BTree);
         assert!(entry.heap.stats().overflow_pages == 0);
         assert_eq!(entry.heap.row_count(), 2000);
-        let rid = entry.pk_lookup(&[Value::Int(1234)]).unwrap().unwrap();
+        let rid = pk_head(entry, 1234).unwrap();
         assert_eq!(entry.heap.get(rid).unwrap(), sample_row(1234));
-        assert!(entry.pk_lookup(&[Value::Int(99999)]).unwrap().is_none());
+        assert!(pk_head(entry, 99999).is_none());
     }
 
     #[test]
@@ -799,7 +820,11 @@ mod tests {
         }
         let idx = c.create_index("people_age", t, vec![2], false).unwrap();
         c.modify_storage(t, StorageStructure::BTree).unwrap();
-        let rids = c.index(idx).unwrap().probe_eq(&[Value::Int(3)]).unwrap();
+        let rids = c
+            .index(idx)
+            .unwrap()
+            .probe(KeyProbe::Eq(&[Value::Int(3)]))
+            .unwrap();
         assert_eq!(rids.len(), 20);
         for rid in rids {
             let row = c.table(t).unwrap().heap.get(rid).unwrap();
@@ -817,7 +842,7 @@ mod tests {
         let idx = what_if.index(v).unwrap();
         assert!(idx.meta.is_virtual);
         assert_eq!(idx.pages(), 0);
-        assert!(idx.probe_eq(&[Value::Int(1)]).is_err());
+        assert!(idx.probe(KeyProbe::Eq(&[Value::Int(1)])).is_err());
         assert_eq!(what_if.indexes_of(t).len(), 1);
         assert_eq!(c.indexes_of(t).len(), 0);
     }
@@ -870,7 +895,10 @@ mod tests {
         assert_eq!(back.resolve_table("b").unwrap(), TableId(2));
         let b_age = back.index_by_name("b_age").unwrap();
         assert_eq!(b_age.meta.id, IndexId(1));
-        assert_eq!(b_age.probe_eq(&[Value::Int(7)]).unwrap().len(), 1);
+        assert_eq!(
+            b_age.probe(KeyProbe::Eq(&[Value::Int(7)])).unwrap().len(),
+            1
+        );
         assert_eq!(back.table(TableId(2)).unwrap().heap.row_count(), 30);
         assert_eq!(
             back.table(TableId(1)).unwrap().meta.storage,
@@ -906,9 +934,36 @@ mod tests {
         let rids = c
             .index(idx)
             .unwrap()
-            .probe_range(Some(&Value::Int(10)), Some(&Value::Int(19)))
+            .probe(KeyProbe::Range(
+                Some(&Value::Int(10)),
+                Some(&Value::Int(19)),
+            ))
             .unwrap();
         assert_eq!(rids.len(), 10);
+        // The clustered primary tree takes the same probes: a range on its
+        // key, a key prefix walked, a full key looked up.
+        c.modify_storage(t, StorageStructure::BTree).unwrap();
+        let entry = c.table(t).unwrap();
+        let ids = |rids: Vec<RowId>| -> Vec<Value> {
+            let rows = rids.into_iter().map(|rid| entry.heap.get(rid).unwrap());
+            rows.map(|row| row.get(0).clone()).collect()
+        };
+        let (lo, hi) = (Value::Int(95), Value::Int(97));
+        let range = entry.probe_primary(KeyProbe::Range(Some(&lo), Some(&hi)));
+        assert_eq!(ids(range.unwrap()), [95, 96, 97].map(Value::Int));
+        let open = entry.probe_primary(KeyProbe::Range(Some(&lo), None));
+        assert_eq!(
+            ids(open.unwrap()),
+            (95..100).map(Value::Int).collect::<Vec<_>>()
+        );
+        let below = entry.probe_primary(KeyProbe::Range(None, Some(&Value::Int(1))));
+        assert_eq!(ids(below.unwrap()), [0, 1].map(Value::Int));
+        let point = entry.probe_primary(KeyProbe::Eq(&[Value::Int(42)]));
+        assert_eq!(ids(point.unwrap()), [Value::Int(42)]);
+        assert!(entry
+            .probe_primary(KeyProbe::Eq(&[Value::Int(420)]))
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -25,5 +25,7 @@ pub use mvcc::{VersionChange, WriteAs};
 pub use persist::{IndexDump, SchemaDump, TableDump};
 pub use shared::{CatalogWriteGuard, SharedCatalog};
 pub use stats::{ColumnStats, TableStatistics};
-pub use table::{CheckedRow, IndexEntry, IndexMeta, StorageStructure, TableEntry, TableMeta};
+pub use table::{
+    CheckedRow, IndexEntry, IndexMeta, KeyProbe, StorageStructure, TableEntry, TableMeta,
+};
 pub use whatif::WhatIf;

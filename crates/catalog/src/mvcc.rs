@@ -25,7 +25,7 @@ use ingot_common::{Error, Result, Row, TableId, TxnId, Value};
 use ingot_storage::{RowId, VersionMeta};
 
 use crate::catalog::Catalog;
-use crate::table::{CheckedRow, IndexEntry, TableEntry};
+use crate::table::{CheckedRow, IndexEntry, KeyProbe, TableEntry};
 
 /// How a version write is stamped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -433,7 +433,7 @@ impl Catalog {
         own_root: Option<u64>,
         writer: Option<TxnId>,
     ) -> Result<()> {
-        for rid in idx.probe_eq(vals)? {
+        for rid in idx.probe(KeyProbe::Eq(vals))? {
             let meta = entry.heap.meta(rid)?;
             if own_root.is_some_and(|r| meta.root_for(rid) == r) {
                 continue;
@@ -479,6 +479,12 @@ mod tests {
     use ingot_common::{Column, ColumnSet, DataType, EngineConfig, Schema, SimClock, Snapshot};
     use ingot_storage::StorageEngine;
     use std::sync::Arc;
+
+    /// The chain head the primary tree holds for key `k`.
+    fn pk_head(entry: &TableEntry, k: i64) -> Option<RowId> {
+        let heads = entry.probe_primary(KeyProbe::Eq(&[Value::Int(k)])).unwrap();
+        heads.first().copied()
+    }
 
     fn catalog() -> Catalog {
         let cfg = EngineConfig::default();
@@ -576,7 +582,7 @@ mod tests {
         let mut c = catalog();
         let t = btree_table(&mut c, 3);
         let entry = c.table(t).unwrap();
-        let head = entry.pk_lookup(&[Value::Int(1)]).unwrap().unwrap();
+        let head = pk_head(entry, 1).unwrap();
         let txn = TxnId(9);
         let changes = c
             .update_row_v(t, head, &row(1, 777), WriteAs::Txn(txn))
@@ -585,7 +591,7 @@ mod tests {
 
         // Another session's snapshot still sees the old version.
         let entry = c.table(t).unwrap();
-        let new_head = entry.pk_lookup(&[Value::Int(1)]).unwrap().unwrap();
+        let new_head = pk_head(entry, 1).unwrap();
         let (_, seen) = entry
             .fetch_visible(new_head, &snap_at(5), ColumnSet::all())
             .unwrap()
@@ -623,18 +629,13 @@ mod tests {
         let versions_before = entry.heap.version_count();
         let rows_before = entry.heap.row_count();
 
-        let head = entry.pk_lookup(&[Value::Int(0)]).unwrap().unwrap();
+        let head = pk_head(entry, 0).unwrap();
         let mut changes = Vec::new();
         changes.extend(
             c.update_row_v(t, head, &row(0, 1), WriteAs::Txn(txn))
                 .unwrap(),
         );
-        let head1 = c
-            .table(t)
-            .unwrap()
-            .pk_lookup(&[Value::Int(1)])
-            .unwrap()
-            .unwrap();
+        let head1 = pk_head(c.table(t).unwrap(), 1).unwrap();
         changes.push(c.delete_row_v(t, head1, WriteAs::Txn(txn)).unwrap());
         changes.push(c.insert_row_v(t, &row(5, 50), WriteAs::Txn(txn)).unwrap());
 
@@ -644,13 +645,13 @@ mod tests {
         let entry = c.table(t).unwrap();
         assert_eq!(entry.heap.version_count(), versions_before);
         assert_eq!(entry.heap.row_count(), rows_before);
-        let head = entry.pk_lookup(&[Value::Int(0)]).unwrap().unwrap();
+        let head = pk_head(entry, 0).unwrap();
         let (_, r) = entry
             .fetch_visible(head, &Snapshot::latest(), ColumnSet::all())
             .unwrap()
             .unwrap();
         assert_eq!(r, row(0, 0));
-        assert!(entry.pk_lookup(&[Value::Int(5)]).unwrap().is_none());
+        assert!(pk_head(entry, 5).is_none());
     }
 
     #[test]
@@ -663,12 +664,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, Error::Constraint(_)));
         // Delete commits at 3; the key is reusable afterwards.
-        let head = c
-            .table(t)
-            .unwrap()
-            .pk_lookup(&[Value::Int(0)])
-            .unwrap()
-            .unwrap();
+        let head = pk_head(c.table(t).unwrap(), 0).unwrap();
         c.delete_row_v(t, head, WriteAs::Committed(3)).unwrap();
         let change = c
             .insert_row_v(t, &row(0, 9), WriteAs::Committed(4))
@@ -681,7 +677,7 @@ mod tests {
             }
         ));
         let entry = c.table(t).unwrap();
-        let head = entry.pk_lookup(&[Value::Int(0)]).unwrap().unwrap();
+        let head = pk_head(entry, 0).unwrap();
         let (_, r) = entry
             .fetch_visible(head, &snap_at(4), ColumnSet::all())
             .unwrap()
@@ -693,12 +689,7 @@ mod tests {
     fn gc_reclaims_versions_below_watermark_only() {
         let mut c = catalog();
         let t = btree_table(&mut c, 2);
-        let head = c
-            .table(t)
-            .unwrap()
-            .pk_lookup(&[Value::Int(0)])
-            .unwrap()
-            .unwrap();
+        let head = pk_head(c.table(t).unwrap(), 0).unwrap();
         // Three committed supersessions at ts 1, 2, 3.
         let mut h = head;
         for (i, ts) in [(1i64, 1u64), (2, 2), (3, 3)] {
@@ -735,7 +726,7 @@ mod tests {
         c.delete_row_v(t, h, WriteAs::Committed(5)).unwrap();
         c.gc_table(t, 10).unwrap();
         let entry = c.table(t).unwrap();
-        assert!(entry.pk_lookup(&[Value::Int(0)]).unwrap().is_none());
+        assert!(pk_head(entry, 0).is_none());
         assert_eq!(entry.heap.row_count(), 1); // row id 1 untouched
     }
 
@@ -743,12 +734,7 @@ mod tests {
     fn pk_change_splits_into_delete_and_insert() {
         let mut c = catalog();
         let t = btree_table(&mut c, 2);
-        let head = c
-            .table(t)
-            .unwrap()
-            .pk_lookup(&[Value::Int(0)])
-            .unwrap()
-            .unwrap();
+        let head = pk_head(c.table(t).unwrap(), 0).unwrap();
         let changes = c
             .update_row_v(t, head, &row(7, 70), WriteAs::Committed(2))
             .unwrap();
@@ -756,14 +742,14 @@ mod tests {
         assert!(matches!(changes[0], VersionChange::Delete { .. }));
         assert!(matches!(changes[1], VersionChange::Insert { .. }));
         let entry = c.table(t).unwrap();
-        let head7 = entry.pk_lookup(&[Value::Int(7)]).unwrap().unwrap();
+        let head7 = pk_head(entry, 7).unwrap();
         let (_, r) = entry
             .fetch_visible(head7, &snap_at(2), ColumnSet::all())
             .unwrap()
             .unwrap();
         assert_eq!(r, row(7, 70));
         // The old key still resolves for older snapshots.
-        let head0 = entry.pk_lookup(&[Value::Int(0)]).unwrap().unwrap();
+        let head0 = pk_head(entry, 0).unwrap();
         let (_, old) = entry
             .fetch_visible(head0, &snap_at(1), ColumnSet::all())
             .unwrap()

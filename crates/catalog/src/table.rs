@@ -130,36 +130,22 @@ impl TableEntry {
             .collect()
     }
 
-    /// Point lookup through the clustered primary tree (BTree storage only).
-    pub fn pk_lookup(&self, key: &[Value]) -> Result<Option<RowId>> {
-        let Some(primary) = &self.primary else {
-            return Err(Error::storage(format!(
-                "table '{}' has no primary structure",
-                self.meta.name
-            )));
+    /// Row ids of the clustered primary tree's entries that `probe` selects:
+    /// version-chain heads, in key order. A full key names at most one
+    /// entry and is looked up; any other probe walks the tree
+    /// ([`KeyProbe::walk`]).
+    pub fn probe_primary(&self, probe: KeyProbe<'_>) -> Result<Vec<RowId>> {
+        let Some(tree) = &self.primary else {
+            let what = format!("table '{}' has no primary structure", self.meta.name);
+            return Err(Error::storage(what));
         };
-        let encoded = ingot_storage::encode_key(key);
-        Ok(primary
-            .get(&encoded)?
-            .map(|v| RowId::unpack(u64::from_le_bytes(v.try_into().unwrap()))))
-    }
-
-    /// All row ids whose primary key starts with `prefix` (clustered-tree
-    /// prefix probe; `prefix` may cover only the leading key columns).
-    pub fn pk_prefix_probe(&self, prefix: &[Value]) -> Result<Vec<RowId>> {
-        let Some(primary) = &self.primary else {
-            return Err(Error::storage(format!(
-                "table '{}' has no primary structure",
-                self.meta.name
-            )));
-        };
-        let lo = ingot_storage::encode_key(prefix);
-        let hi = prefix_upper_bound(&lo);
-        let mut out = Vec::new();
-        primary.for_each_in_range(Some(&lo), Some(&hi), |_, v| {
-            out.push(RowId::unpack(u64::from_le_bytes(v.try_into().unwrap())));
-        })?;
-        Ok(out)
+        match probe {
+            KeyProbe::Eq(key) if key.len() == self.meta.primary_key.len() => {
+                let found = tree.get(&ingot_storage::encode_key(key))?;
+                Ok(found.iter().map(|v| row_id(v)).collect())
+            }
+            _ => probe.walk(tree),
+        }
     }
 
     /// Resolve a version-chain head to the version visible under `snap`,
@@ -232,13 +218,54 @@ impl TableEntry {
     }
 }
 
-/// Inclusive upper bound covering every key that extends `prefix`: encoded
-/// value bytes never start with 0xFF, so nine 0xFF bytes outrank any suffix.
-fn prefix_upper_bound(prefix: &[u8]) -> Vec<u8> {
+/// Which entries of a B-Tree a probe reads, by the values of the tree's
+/// leading key columns. The same for the clustered primary tree, whose key
+/// is the primary key, and for a secondary index, whose key is its columns
+/// followed by the row id.
+#[derive(Debug, Clone, Copy)]
+pub enum KeyProbe<'v> {
+    /// Equality on a prefix of the key columns.
+    Eq(&'v [Value]),
+    /// `[lo, hi]` on the first key column, either bound optional.
+    Range(Option<&'v Value>, Option<&'v Value>),
+}
+
+impl KeyProbe<'_> {
+    /// The one probe walk: the row id stored with every entry of `tree` the
+    /// probe selects, in key order. Collected before any is fetched, so no
+    /// heap page is read under the tree's latches.
+    pub fn walk(self, tree: &BTreeFile) -> Result<Vec<RowId>> {
+        let (lo, hi) = match self {
+            KeyProbe::Eq(values) => {
+                let lo = ingot_storage::encode_key(values);
+                let hi = past_extensions(&lo);
+                (Some(lo), Some(hi))
+            }
+            KeyProbe::Range(lo, hi) => {
+                let key = |v: &Value| ingot_storage::encode_key(std::slice::from_ref(v));
+                (lo.map(key), hi.map(|v| past_extensions(&key(v))))
+            }
+        };
+        let mut out = Vec::new();
+        tree.for_each_in_range(lo.as_deref(), hi.as_deref(), |_, v| out.push(row_id(v)))?;
+        Ok(out)
+    }
+}
+
+/// Inclusive upper bound of every key that extends `prefix` (by further key
+/// columns or an index entry's row-id suffix): encoded value bytes never
+/// start with 0xFF, so nine 0xFF bytes outrank any suffix.
+fn past_extensions(prefix: &[u8]) -> Vec<u8> {
     let mut hi = Vec::with_capacity(prefix.len() + 9);
     hi.extend_from_slice(prefix);
     hi.extend_from_slice(&[0xFF; 9]);
     hi
+}
+
+/// The row id a tree entry's value holds.
+fn row_id(value: &[u8]) -> RowId {
+    let packed = value.try_into().expect("tree values are packed row ids");
+    RowId::unpack(u64::from_le_bytes(packed))
 }
 
 /// Metadata of a secondary index.
@@ -277,41 +304,14 @@ impl IndexEntry {
         k
     }
 
-    /// All row ids whose indexed columns equal `values`.
-    pub fn probe_eq(&self, values: &[Value]) -> Result<Vec<RowId>> {
-        let tree = self
-            .tree
-            .as_ref()
-            .ok_or_else(|| Error::catalog(format!("index '{}' is virtual", self.meta.name)))?;
-        let lo = ingot_storage::encode_key(values);
-        let hi = prefix_upper_bound(&lo);
-        let mut out = Vec::new();
-        tree.for_each_in_range(Some(&lo), Some(&hi), |_, v| {
-            out.push(RowId::unpack(u64::from_le_bytes(v.try_into().unwrap())));
-        })?;
-        Ok(out)
-    }
-
-    /// All row ids whose first indexed column lies in `[lo, hi]` (either
-    /// bound optional).
-    pub fn probe_range(&self, lo: Option<&Value>, hi: Option<&Value>) -> Result<Vec<RowId>> {
-        let tree = self
-            .tree
-            .as_ref()
-            .ok_or_else(|| Error::catalog(format!("index '{}' is virtual", self.meta.name)))?;
-        let lo_key = lo.map(|v| ingot_storage::encode_key(std::slice::from_ref(v)));
-        let hi_key = hi.map(|v| {
-            let mut k = ingot_storage::encode_key(std::slice::from_ref(v));
-            // Include every entry sharing the bound prefix (composite keys
-            // and the row-id suffix extend beyond it).
-            k.extend_from_slice(&[0xFF; 9]);
-            k
-        });
-        let mut out = Vec::new();
-        tree.for_each_in_range(lo_key.as_deref(), hi_key.as_deref(), |_, v| {
-            out.push(RowId::unpack(u64::from_le_bytes(v.try_into().unwrap())));
-        })?;
-        Ok(out)
+    /// Row ids of the entries `probe` selects: exact versions, in key
+    /// order. A virtual index has no tree to probe.
+    pub fn probe(&self, probe: KeyProbe<'_>) -> Result<Vec<RowId>> {
+        let Some(tree) = &self.tree else {
+            let name = &self.meta.name;
+            return Err(Error::catalog(format!("index '{name}' is virtual")));
+        };
+        probe.walk(tree)
     }
 
     /// Pages used by the index (0 for virtual).

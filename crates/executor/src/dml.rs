@@ -2,8 +2,8 @@
 //! dispatcher.
 //!
 //! UPDATE and DELETE find their target rows through the access path the
-//! optimizer planned for them — the `SeqScan`, `PkLookup` or `IndexScan` a
-//! `SELECT` with the same WHERE takes — run by the same access loop that
+//! optimizer planned for them — the `SeqScan` or `IndexScan` a `SELECT`
+//! with the same WHERE takes — run by the same access loop that
 //! serves queries (`crate::scan::access`). Every target is collected before
 //! the first write, so no write feeds the scan that finds the rows.
 //!
@@ -448,10 +448,7 @@ fn resolve_for_write(
         )));
     }
     let (_, head_row) = entry.heap.get_version(head)?;
-    let (PhysPlan::SeqScan { filter, .. }
-    | PhysPlan::IndexScan { filter, .. }
-    | PhysPlan::PkLookup { filter, .. }) = &access.op
-    else {
+    let (PhysPlan::SeqScan { filter, .. } | PhysPlan::IndexScan { filter, .. }) = &access.op else {
         return Err(Error::execution(
             "a write's rows come from a base-table access",
         ));

@@ -6,25 +6,27 @@
 //! exactly, which is what the actual-cost sensor needs.
 //!
 //! It streams where the rows are many and cheap — out of a base table. A
-//! `SeqScan`, `IndexScan` or `PkLookup` runs as one access loop
-//! (`crate::scan::access`; a `SeqScan` tests its filter on the encoded
-//! bytes and decodes survivors into one reused row); a `Filter`, `Project`
-//! or `Aggregate` directly above it consumes each row inside the same loop
-//! (`for_each_row`), so a range aggregate never materialises its input.
-//! Spans, tuple counts and page counts are those of the operators run one
-//! after the other; elapsed time is not split the same way: the consumer's
-//! per-row work runs inside the access node's span, so that span's time
-//! includes it (the consumer's inclusive time is unchanged).
+//! `SeqScan` or `IndexScan` runs as one access loop (`crate::scan::access`;
+//! a `SeqScan` tests its filter on the encoded bytes and decodes survivors
+//! into one reused row; an `IndexScan`, like each probe of a `ProbeJoin`,
+//! runs the one probe-then-fetch loop `crate::scan::probe_fetch`); a
+//! `Filter`, `Project` or `Aggregate` directly above it consumes each row
+//! inside the same loop (`for_each_row`), so a range aggregate never
+//! materialises its input. Spans, tuple counts and page counts are those of
+//! the operators run one after the other; elapsed time is not split the
+//! same way: the consumer's per-row work runs inside the access node's
+//! span, so that span's time includes it (the consumer's inclusive time is
+//! unchanged).
 
 use std::collections::HashMap;
 
-use ingot_catalog::Catalog;
+use ingot_catalog::{Catalog, KeyProbe};
 use ingot_common::{Error, MonotonicClock, Result, Row, Snapshot, Value};
-use ingot_planner::{PhysPlan, PlanNode, ProbeSource};
+use ingot_planner::{PhysPlan, PlanNode};
 use ingot_trace::{OperatorSpan, SpanCollector};
 
 use crate::aggregate::Aggregator;
-use crate::scan::access;
+use crate::scan::{access, probe_fetch};
 
 /// The result of a query plan.
 #[derive(Debug, Clone, Default)]
@@ -135,9 +137,7 @@ fn for_each_row(
     out: &mut Vec<Row>,
     mut each: impl FnMut(&mut Row) -> Result<Option<Row>>,
 ) -> Result<u64> {
-    if let PhysPlan::SeqScan { .. } | PhysPlan::IndexScan { .. } | PhysPlan::PkLookup { .. } =
-        &input.op
-    {
+    if let PhysPlan::SeqScan { .. } | PhysPlan::IndexScan { .. } = &input.op {
         let each = |_, row: &mut Row| {
             if let Some(kept) = each(row)? {
                 out.push(kept);
@@ -188,7 +188,7 @@ fn run_node(
             Ok(out)
         }
 
-        PhysPlan::SeqScan { .. } | PhysPlan::IndexScan { .. } | PhysPlan::PkLookup { .. } => {
+        PhysPlan::SeqScan { .. } | PhysPlan::IndexScan { .. } => {
             let mut out = Vec::new();
             access(catalog, node, snap, tuples, |_, row| {
                 out.push(std::mem::take(row));
@@ -214,30 +214,14 @@ fn run_node(
                 if key.is_null() {
                     continue; // NULL keys never join
                 }
-                match source {
-                    ProbeSource::PrimaryTree => {
-                        for rid in entry.pk_prefix_probe(std::slice::from_ref(&key))? {
-                            *tuples += 1;
-                            if let Some((_, rrow)) = entry.fetch_visible(rid, snap, *needed)? {
-                                let joined = lrow.concat(&rrow);
-                                if eval_filter(filter, &joined)? {
-                                    out.push(joined);
-                                }
-                            }
-                        }
+                let probe = KeyProbe::Eq(std::slice::from_ref(&key));
+                *tuples += probe_fetch(catalog, entry, source, probe, snap, *needed, |_, rrow| {
+                    let joined = lrow.concat(&rrow);
+                    if eval_filter(filter, &joined)? {
+                        out.push(joined);
                     }
-                    ProbeSource::Index(id, _) => {
-                        for rid in catalog.index(*id)?.probe_eq(std::slice::from_ref(&key))? {
-                            *tuples += 1;
-                            if let Some(rrow) = entry.version_visible(rid, snap, *needed)? {
-                                let joined = lrow.concat(&rrow);
-                                if eval_filter(filter, &joined)? {
-                                    out.push(joined);
-                                }
-                            }
-                        }
-                    }
-                }
+                    Ok(())
+                })?;
             }
             Ok(out)
         }
@@ -391,7 +375,7 @@ fn run_node(
     }
 }
 
-fn eval_filter(filter: &Option<ingot_planner::PhysExpr>, row: &Row) -> Result<bool> {
+pub(crate) fn eval_filter(filter: &Option<ingot_planner::PhysExpr>, row: &Row) -> Result<bool> {
     match filter {
         Some(f) => f.eval_predicate(row),
         None => Ok(true),
@@ -593,6 +577,64 @@ mod tests {
         c.collect_statistics(t, &[], 0).unwrap();
         let via_index = query(&c, sql);
         assert_eq!(seq.rows, via_index.rows);
+    }
+
+    #[test]
+    fn clustered_ranges_read_only_their_rows() {
+        use ingot_catalog::StorageStructure;
+        use ingot_common::{ColumnSet, Cost};
+        use ingot_planner::{PhysExpr, ProbeSource, ProbeSpec};
+        use ingot_sql::BinOp;
+
+        let mut c = setup();
+        let t = c.resolve_table("protein").unwrap();
+        c.modify_storage(t, StorageStructure::BTree).unwrap();
+        let lit = |v: i64| PhysExpr::Literal(Value::Int(v));
+        let binary = |op, left, right| PhysExpr::Binary {
+            op,
+            left: Box::new(left),
+            right: Box::new(right),
+        };
+        let node = |op| PlanNode {
+            op,
+            est_rows: 1.0,
+            est_cost: Cost::ZERO,
+        };
+        let snap = Snapshot::latest();
+        for (lo, hi, n) in [
+            (Some(495), None, 5),
+            (None, Some(2), 3),
+            (Some(10), Some(14), 5),
+        ] {
+            let bounds = [(lo, BinOp::Ge), (hi, BinOp::Le)].into_iter();
+            let filter = bounds
+                .filter_map(|(v, op)| Some(binary(op, PhysExpr::Col(0), lit(v?))))
+                .reduce(|a, b| binary(BinOp::And, a, b));
+            let range = node(PhysPlan::IndexScan {
+                table: t,
+                table_name: "protein".into(),
+                source: ProbeSource::PrimaryTree,
+                width: 3,
+                probe: ProbeSpec::Range {
+                    lo: lo.map(lit),
+                    hi: hi.map(lit),
+                },
+                filter: filter.clone(),
+                needed: ColumnSet::all(),
+            });
+            let scan = node(PhysPlan::SeqScan {
+                table: t,
+                table_name: "protein".into(),
+                width: 3,
+                filter,
+                needed: ColumnSet::all(),
+            });
+            let got = execute_plan_snapshot(&c, &range, &snap).unwrap();
+            let want = execute_plan_snapshot(&c, &scan, &snap).unwrap();
+            assert_eq!(got.rows, want.rows, "{lo:?}..{hi:?}");
+            // One tuple per entry in the range, none beyond it.
+            assert_eq!((got.rows.len(), got.tuples), (n, n as u64));
+        }
     }
 
     #[test]

@@ -2,9 +2,14 @@
 //! bytes.
 //!
 //! Every read of a base table's rows, by a query or by the target search of
-//! an UPDATE or DELETE, runs through [`access`]: the plan's `SeqScan`,
-//! `IndexScan` or `PkLookup` node hands each visible row that passes its
-//! filter, with the id of its visible version, to a consumer.
+//! an UPDATE or DELETE, runs through [`access`]: the plan's `SeqScan` or
+//! `IndexScan` node hands each visible row that passes its filter, with the
+//! id of its visible version, to a consumer.
+//!
+//! An `IndexScan` probes the table's clustered primary tree or a secondary
+//! index through [`probe_fetch`], the loop a `ProbeJoin` runs once per
+//! outer row: the catalog collects the probe's row ids ([`KeyProbe`]), then
+//! each is fetched.
 //!
 //! A `SeqScan` is one loop over the heap cursor
 //! ([`HeapScan::next_record`](ingot_storage::heap::HeapScan::next_record)).
@@ -36,17 +41,19 @@
 
 use std::ops::{Bound, RangeBounds};
 
-use ingot_catalog::{Catalog, TableEntry};
+use ingot_catalog::{Catalog, KeyProbe, TableEntry};
 use ingot_common::{ColumnSet, Error, Result, Row, Snapshot, Value};
-use ingot_planner::{PhysExpr, PhysPlan, PlanNode, ProbeSpec};
+use ingot_planner::{PhysExpr, PhysPlan, PlanNode, ProbeSource, ProbeSpec};
 use ingot_sql::BinOp;
 use ingot_storage::{Cell, RowCells, RowId};
 
-/// Run the base-table access `node` (`SeqScan`, `IndexScan` or `PkLookup`)
-/// under `snap`, handing every visible row that passes the node's filter to
-/// `each` with the id of its visible version (`each` may take the row).
-/// Every version read counts one tuple, kept or not. Returns the number of
-/// rows handed over.
+use crate::exec::eval_filter;
+
+/// Run the base-table access `node` (`SeqScan` or `IndexScan`) under `snap`,
+/// handing every visible row that passes the node's filter to `each` with
+/// the id of its visible version (`each` may take the row). Every version
+/// read counts one tuple, kept or not. Returns the number of rows handed
+/// over.
 pub(crate) fn access(
     catalog: &Catalog,
     node: &PlanNode,
@@ -65,72 +72,76 @@ pub(crate) fn access(
         filter,
         needed,
         ..
-    }
-    | PhysPlan::PkLookup {
-        table,
-        filter,
-        needed,
-        ..
     }) = &node.op
     else {
         let op = node.op_name();
         return Err(Error::execution(format!("{op} is no base-table access")));
     };
     let entry = catalog.table(*table)?;
+    let PhysPlan::IndexScan { source, probe, .. } = &node.op else {
+        return seq_scan(entry, filter.as_ref(), *needed, snap, tuples, each);
+    };
     // Probe keys are row-free expressions (literals after parameter
     // substitution); evaluate them against the empty row.
     let empty = Row::default();
     let eval = |e: &PhysExpr| e.eval(&empty);
-    let (rids, heads) = match &node.op {
-        PhysPlan::IndexScan { index, probe, .. } => {
-            let idx = catalog.index(*index)?;
-            let rids = match probe {
-                ProbeSpec::Eq(keys) => {
-                    idx.probe_eq(&keys.iter().map(eval).collect::<Result<Vec<_>>>()?)?
-                }
-                ProbeSpec::Range { lo, hi } => {
-                    let lo = lo.as_ref().map(eval).transpose()?;
-                    let hi = hi.as_ref().map(eval).transpose()?;
-                    idx.probe_range(lo.as_ref(), hi.as_ref())?
-                }
-            };
-            (rids, false)
+    let (keys, lo, hi);
+    let probe = match probe {
+        ProbeSpec::Eq(exprs) => {
+            keys = exprs.iter().map(eval).collect::<Result<Vec<_>>>()?;
+            KeyProbe::Eq(&keys)
         }
-        PhysPlan::PkLookup { key, .. } => {
-            let key = key.iter().map(eval).collect::<Result<Vec<_>>>()?;
-            let rids = if key.len() == entry.meta.primary_key.len() {
-                entry.pk_lookup(&key)?.into_iter().collect()
-            } else {
-                entry.pk_prefix_probe(&key)?
-            };
-            (rids, true)
+        ProbeSpec::Range { lo: l, hi: h } => {
+            lo = l.as_ref().map(eval).transpose()?;
+            hi = h.as_ref().map(eval).transpose()?;
+            KeyProbe::Range(lo.as_ref(), hi.as_ref())
         }
-        _ => return seq_scan(entry, filter.as_ref(), *needed, snap, tuples, each),
     };
     let mut kept = 0;
-    for rid in rids {
-        *tuples += 1;
-        // The clustered tree points at chain heads, resolved to the version
-        // the snapshot sees; a secondary index holds one entry per version,
-        // each an exact physical version filtered with no walk.
-        let visible = match heads {
-            true => entry.fetch_visible(rid, snap, *needed)?,
-            false => entry
-                .version_visible(rid, snap, *needed)?
-                .map(|row| (rid, row)),
-        };
-        let Some((rid, mut row)) = visible else {
-            continue;
-        };
-        if filter
-            .as_ref()
-            .map_or(Ok(true), |f| f.eval_predicate(&row))?
-        {
+    let keep = |rid, mut row: Row| {
+        if eval_filter(filter, &row)? {
             kept += 1;
             each(rid, &mut row)?;
         }
-    }
+        Ok(())
+    };
+    *tuples += probe_fetch(catalog, entry, source, probe, snap, *needed, keep)?;
     Ok(kept)
+}
+
+/// The probe-then-fetch loop of an `IndexScan`, and of each outer row of a
+/// `ProbeJoin`: probe `entry`'s tree `source`, then hand each version
+/// visible under `snap`, with its `needed` columns and its id, to `each`.
+/// Returns the number of entries read, visible or not (one tuple each).
+pub(crate) fn probe_fetch(
+    catalog: &Catalog,
+    entry: &TableEntry,
+    source: &ProbeSource,
+    probe: KeyProbe<'_>,
+    snap: &Snapshot,
+    needed: ColumnSet,
+    mut each: impl FnMut(RowId, Row) -> Result<()>,
+) -> Result<u64> {
+    // The one difference the storage format makes: the clustered tree
+    // points at chain heads, resolved to the version the snapshot sees; a
+    // secondary index holds one entry per version, each an exact physical
+    // version filtered with no walk.
+    let (rids, heads) = match source {
+        ProbeSource::PrimaryTree => (entry.probe_primary(probe)?, true),
+        ProbeSource::Index(id, _) => (catalog.index(*id)?.probe(probe)?, false),
+    };
+    for &rid in &rids {
+        let visible = match heads {
+            true => entry.fetch_visible(rid, snap, needed)?,
+            false => entry
+                .version_visible(rid, snap, needed)?
+                .map(|row| (rid, row)),
+        };
+        if let Some((rid, row)) = visible {
+            each(rid, row)?;
+        }
+    }
+    Ok(rids.len() as u64)
 }
 
 /// Run one `SeqScan` over `entry` under `snap`, handing every row that

@@ -2,8 +2,11 @@
 //!
 //! Join ordering is exhaustive left-deep dynamic programming over table
 //! subsets (the NREF workloads join at most a handful of tables). Access
-//! paths compete on the cost model of [`crate::cost`]. Every index of the
-//! catalog competes: planned against a what-if copy
+//! paths compete on the cost model of [`crate::cost`]: a full scan, and a
+//! probe of each keyed structure of the table — its clustered primary tree
+//! (BTree storage), then every index — by an equality prefix of its key
+//! or a range on its first column. Every index of the catalog competes:
+//! planned against a what-if copy
 //! ([`ingot_catalog::WhatIf`]), hypothetical indexes do too — the resulting
 //! plan then reports `uses_virtual` and cannot be executed, but its
 //! estimated cost is exactly what the paper's analyzer uses to value an
@@ -103,7 +106,9 @@ impl PlannedStatement {
             PlannedStatement::Query(q) => &q.used_indexes,
             PlannedStatement::Update { access, .. } | PlannedStatement::Delete { access, .. } => {
                 match &access.op {
-                    PhysPlan::IndexScan { index, .. } => std::slice::from_ref(index),
+                    PhysPlan::IndexScan { source, .. } => {
+                        source.index().map_or(&[], std::slice::from_ref)
+                    }
                     _ => &[],
                 }
             }
@@ -372,9 +377,7 @@ fn prune_columns(node: &mut PlanNode, required: ColumnSet) {
     let mut req = required;
     match &mut node.op {
         PhysPlan::DualScan | PhysPlan::VirtualScan { .. } => {}
-        PhysPlan::SeqScan { filter, needed, .. }
-        | PhysPlan::IndexScan { filter, needed, .. }
-        | PhysPlan::PkLookup { filter, needed, .. } => {
+        PhysPlan::SeqScan { filter, needed, .. } | PhysPlan::IndexScan { filter, needed, .. } => {
             filter.iter().for_each(|f| add(&mut req, f));
             *needed = req;
         }
@@ -597,19 +600,55 @@ fn local_conjuncts(s: &BoundSelect, i: usize, base: usize) -> Vec<PhysExpr> {
         .collect()
 }
 
-/// One way to read a base table, costed but not built: the candidates are
-/// compared as numbers and only the winner becomes a plan node.
-enum Access<'a> {
-    SeqScan,
-    /// Clustered probe on this many leading primary-key columns.
-    PkLookup(usize),
-    Index(&'a IndexEntry, Probe<'a>),
+/// A B-Tree a probe can descend on one table: its clustered primary tree or
+/// one of its secondary indexes.
+#[derive(Clone, Copy)]
+enum Keyed<'a> {
+    /// The clustered primary tree, keyed by these columns.
+    Primary(&'a [usize]),
+    /// A secondary index.
+    Index(&'a IndexEntry),
 }
 
+impl<'a> Keyed<'a> {
+    /// The table's keyed structures in the order they compete: the primary
+    /// tree, then the indexes by id. The indexes are listed only when asked
+    /// for.
+    fn of(catalog: &'a Catalog, entry: &'a TableEntry) -> impl Iterator<Item = Keyed<'a>> {
+        let primary = entry.primary.as_ref();
+        let primary = primary.map(|_| Keyed::Primary(&entry.meta.primary_key));
+        let indexes = std::iter::once_with(|| catalog.indexes_of(entry.meta.id));
+        primary
+            .into_iter()
+            .chain(indexes.flatten().map(Keyed::Index))
+    }
+
+    fn columns(self) -> &'a [usize] {
+        match self {
+            Keyed::Primary(columns) => columns,
+            Keyed::Index(idx) => &idx.meta.columns,
+        }
+    }
+
+    fn is_virtual(self) -> bool {
+        matches!(self, Keyed::Index(idx) if idx.meta.is_virtual)
+    }
+
+    fn source(self) -> ProbeSource {
+        match self {
+            Keyed::Primary(_) => ProbeSource::PrimaryTree,
+            Keyed::Index(idx) => ProbeSource::Index(idx.meta.id, Arc::clone(&idx.meta.name)),
+        }
+    }
+}
+
+/// How a probe of a keyed structure bounds its key, before its keys are
+/// copied out of the conjuncts.
+#[derive(Clone, Copy)]
 enum Probe<'a> {
-    /// Equality on this many leading index columns.
+    /// Equality on this many leading key columns.
     Eq(usize),
-    /// `[lo, hi]` on the first index column.
+    /// `[lo, hi]` on the first key column.
     Range(Option<&'a PhysExpr>, Option<&'a PhysExpr>),
 }
 
@@ -620,6 +659,12 @@ fn probe_keys(eqs: &[(usize, &PhysExpr)], prefix: &[usize]) -> Vec<PhysExpr> {
 
 /// The cheapest way to read `bt` under its own conjuncts `local` (over the
 /// table's layout), built as a plan node whose filter holds all of them.
+///
+/// A full scan competes with a probe of each keyed structure
+/// ([`Keyed::of`]): the longest equality prefix over its key columns, else
+/// a range on the first of them. A full primary key is priced as the point
+/// lookup it is (one row); every other probe as an index probe over the
+/// rows its key bounds.
 fn choose_access_path(
     catalog: &Catalog,
     bt: &BoundTable,
@@ -652,40 +697,16 @@ fn choose_access_path(
     let out_rows = (card * sel).max(1.0);
     let eqs = extract_eq(&local);
 
-    // Candidate 1: sequential scan.
-    let mut best = (seq_scan_cost(entry), out_rows, Access::SeqScan);
-    let mut best_virtual = false;
-
-    // Candidate 2: clustered primary-key probe (full key or any leading
-    // prefix of it — the tree serves both).
-    let pk = &entry.meta.primary_key;
-    let key_len = eq_prefix(&eqs, pk).count();
-    if entry.primary.is_some() && key_len > 0 {
-        let (cost, rows) = if key_len == pk.len() {
-            (pk_lookup_cost(entry), 1.0)
-        } else {
-            let matching = (card * eq_selectivity(entry, eq_prefix(&eqs, pk))).max(1.0);
-            (index_probe_cost(entry, matching), matching)
-        };
-        if cost.cheaper_than(&best.0) {
-            best = (
-                cost,
-                (rows * sel).max(1.0).min(rows),
-                Access::PkLookup(key_len),
-            );
-        }
-    }
-
-    // Candidate 3: secondary-index probes.
-    for idx in catalog.indexes_of(bt.table) {
-        // Longest equality prefix over the index columns, else a range on
-        // the first of them.
-        let prefix_len = eq_prefix(&eqs, &idx.meta.columns).count();
+    // The winner so far: its cost, rows and probe (`None`: the full scan).
+    let mut best: (Cost, f64, Option<(Keyed, Probe)>) = (seq_scan_cost(entry), out_rows, None);
+    for keyed in Keyed::of(catalog, entry) {
+        let columns = keyed.columns();
+        let prefix_len = eq_prefix(&eqs, columns).count();
         let (probe, probe_sel) = if prefix_len > 0 {
-            let prefix = eq_prefix(&eqs, &idx.meta.columns);
+            let prefix = eq_prefix(&eqs, columns);
             (Probe::Eq(prefix_len), eq_selectivity(entry, prefix))
         } else {
-            let first = idx.meta.columns[0];
+            let first = columns[0];
             let (lo, hi) = extract_range(&local, first);
             let probe_sel = match (lo, hi) {
                 (None, None) => continue,
@@ -694,60 +715,59 @@ fn choose_access_path(
             };
             (Probe::Range(lo, hi), probe_sel)
         };
-        let cost = index_probe_cost(entry, (card * probe_sel).max(1.0));
+        let matching = (card * probe_sel).max(1.0);
+        let (cost, rows) = match (keyed, probe) {
+            (Keyed::Primary(_), Probe::Eq(n)) if n == columns.len() => (pk_lookup_cost(entry), 1.0),
+            // A clustered key prefix expects the rows it matches, narrowed
+            // by the conjuncts.
+            (Keyed::Primary(_), Probe::Eq(_)) => (
+                index_probe_cost(entry, matching),
+                (matching * sel).max(1.0).min(matching),
+            ),
+            _ => (index_probe_cost(entry, matching), out_rows),
+        };
+        let best_virtual = best.2.is_some_and(|(k, _)| k.is_virtual());
         let better = cost.cheaper_than(&best.0)
             // Tie-break: prefer a real index over a virtual one.
-            || (cost == best.0 && best_virtual && !idx.meta.is_virtual);
+            || (cost == best.0 && best_virtual && !keyed.is_virtual());
         if better {
-            best_virtual = idx.meta.is_virtual;
-            best = (cost, out_rows, Access::Index(idx, probe));
+            best = (cost, rows, Some((keyed, probe)));
         }
     }
 
     // Build the winner. Its probe keys are copied out of the conjuncts; the
     // conjuncts themselves then move into the filter.
-    let (est_cost, est_rows, access) = best;
-    let (table, table_name) = (bt.table, Arc::clone(&entry.meta.name));
-    let needed = ColumnSet::all();
-    let mut op = match access {
-        Access::SeqScan => PhysPlan::SeqScan {
-            table,
-            table_name,
-            width,
-            filter: None,
-            needed,
-        },
-        Access::PkLookup(n) => PhysPlan::PkLookup {
-            table,
-            table_name,
-            width,
-            key: probe_keys(&eqs, &pk[..n]),
-            filter: None,
-            needed,
-        },
-        Access::Index(idx, probe) => PhysPlan::IndexScan {
-            table,
-            table_name,
-            index: idx.meta.id,
-            index_name: Arc::clone(&idx.meta.name),
-            width,
-            probe: match probe {
-                Probe::Eq(n) => ProbeSpec::Eq(probe_keys(&eqs, &idx.meta.columns[..n])),
-                Probe::Range(lo, hi) => ProbeSpec::Range {
-                    lo: lo.cloned(),
-                    hi: hi.cloned(),
-                },
+    let (est_cost, est_rows, probe) = best;
+    let probe = probe.map(|(keyed, probe)| {
+        let spec = match probe {
+            Probe::Eq(n) => ProbeSpec::Eq(probe_keys(&eqs, &keyed.columns()[..n])),
+            Probe::Range(lo, hi) => ProbeSpec::Range {
+                lo: lo.cloned(),
+                hi: hi.cloned(),
             },
-            filter: None,
+        };
+        (keyed.source(), spec)
+    });
+    let (table, table_name) = (bt.table, Arc::clone(&entry.meta.name));
+    let (filter, needed) = (combine(local), ColumnSet::all());
+    let op = match probe {
+        None => PhysPlan::SeqScan {
+            table,
+            table_name,
+            width,
+            filter,
+            needed,
+        },
+        Some((source, probe)) => PhysPlan::IndexScan {
+            table,
+            table_name,
+            source,
+            width,
+            probe,
+            filter,
             needed,
         },
     };
-    if let PhysPlan::SeqScan { filter, .. }
-    | PhysPlan::PkLookup { filter, .. }
-    | PhysPlan::IndexScan { filter, .. } = &mut op
-    {
-        *filter = combine(local);
-    }
     Ok(PlanNode {
         op,
         est_rows,
@@ -768,9 +788,8 @@ fn combine(conjuncts: Vec<PhysExpr>) -> Option<PhysExpr> {
 enum JoinMethod<'a> {
     Hash,
     NestedLoop,
-    /// Index nested loop through the inner table's clustered tree (`None`)
-    /// or a secondary index.
-    Probe(Option<&'a IndexEntry>),
+    /// Index nested loop through one of the inner table's keyed structures.
+    Probe(Keyed<'a>),
 }
 
 /// The cheapest known way to produce one subset of the FROM tables, as
@@ -976,24 +995,18 @@ impl<'a> JoinOrder<'a> {
     }
 
     /// Cost probing table `j` once per row of `outer` on `join_col`: through
-    /// the clustered tree or the first index leading with the join column.
-    /// `None` when no keyed structure serves it.
+    /// the first of its keyed structures ([`Keyed::of`]) whose key leads with
+    /// the join column. `None` when none does.
     fn probe_join(
         &self,
         outer: DpState<'a>,
         j: usize,
         join_col: usize,
-    ) -> Result<Option<(Cost, Option<&'a IndexEntry>)>> {
-        let table = self.s.tables[j].table;
-        let entry = self.catalog.table(table)?;
-        let via = if entry.primary.is_some() && entry.meta.primary_key.first() == Some(&join_col) {
-            None
-        } else {
-            let serves = |idx: &&IndexEntry| idx.meta.columns.first() == Some(&join_col);
-            match self.catalog.indexes_of(table).into_iter().find(serves) {
-                Some(idx) => Some(idx),
-                None => return Ok(None),
-            }
+    ) -> Result<Option<(Cost, Keyed<'a>)>> {
+        let entry = self.catalog.table(self.s.tables[j].table)?;
+        let serves = |keyed: &Keyed| keyed.columns().first() == Some(&join_col);
+        let Some(via) = Keyed::of(self.catalog, entry).find(serves) else {
+            return Ok(None);
         };
         // Cost: per outer row, one tree descent plus one heap fetch per match.
         let card_j = table_cardinality(entry);
@@ -1076,10 +1089,7 @@ impl<'a> JoinOrder<'a> {
                     width: self.s.tables[j].schema.len(),
                     // `left_keys` already holds outer-layout offsets.
                     left_key: left_keys[0],
-                    source: match via {
-                        None => ProbeSource::PrimaryTree,
-                        Some(idx) => ProbeSource::Index(idx.meta.id, Arc::clone(&idx.meta.name)),
-                    },
+                    source: via.source(),
                     filter: combine(parts),
                     needed: ColumnSet::all(),
                 }
@@ -1223,6 +1233,30 @@ mod tests {
             .unwrap();
         let q = plan(&c, "select name from protein where nref_id = 42");
         assert!(q.root.to_string().contains("PkLookup"), "plan: {}", q.root);
+    }
+
+    #[test]
+    fn key_range_on_btree_table_probes_the_primary_tree() {
+        let mut c = setup();
+        let t = c.resolve_table("protein").unwrap();
+        c.modify_storage(t, ingot_catalog::StorageStructure::BTree)
+            .unwrap();
+        let sql = "select name from protein where nref_id between 10 and 12";
+        let q = plan(&c, sql);
+        let s = q.root.to_string();
+        assert!(s.contains("PkLookup on protein range"), "plan: {s}");
+        assert!(q.used_indexes.is_empty());
+        // Priced as the index probe it is: the same estimate as an index on
+        // the key column, which then loses the tie to the earlier candidate.
+        c.create_index("protein_id_idx", t, vec![0], false).unwrap();
+        let q2 = plan(&c, sql);
+        assert_eq!((q2.est, q2.root.to_string()), (q.est, s));
+        // A wide range still reads the heap.
+        let q3 = plan(
+            &c,
+            "select name from protein where nref_id between 10 and 7000",
+        );
+        assert!(q3.root.to_string().contains("SeqScan"), "plan: {}", q3.root);
     }
 
     #[test]

@@ -7,17 +7,17 @@ use ingot_common::{ColumnSet, Cost, IndexId, Result, TableId, Value};
 
 use crate::expr::{AggSpec, PhysExpr};
 
-/// How an index scan locates its entries.
+/// Which entries of a B-Tree a probe reads.
 ///
 /// Probe keys are row-free expressions — literals in ad-hoc plans, possibly
 /// [`PhysExpr::Param`] markers in cached plan templates. The executor
 /// evaluates them against an empty row after parameter substitution, so a
-/// prepared point query keeps its index/PK access path across executions.
+/// prepared point query keeps its keyed access path across executions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProbeSpec {
-    /// Equality on a prefix of the index columns.
+    /// Equality on a prefix of the tree's key columns.
     Eq(Vec<PhysExpr>),
-    /// Range on the first index column (inclusive bounds).
+    /// Range on the first key column (inclusive bounds).
     Range {
         /// Lower bound.
         lo: Option<PhysExpr>,
@@ -26,13 +26,27 @@ pub enum ProbeSpec {
     },
 }
 
-/// How a [`PhysPlan::ProbeJoin`] reaches the inner table.
+/// The B-Tree a probe descends to reach a table's rows. Each entry holds a
+/// row id: in the primary tree the head of the row's version chain, in a
+/// secondary index one exact version.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProbeSource {
-    /// Clustered primary tree, key prefix = the join column.
+    /// The table's clustered primary tree (BTree storage), keyed by the
+    /// primary key.
     PrimaryTree,
-    /// A secondary index whose leading column is the join column.
+    /// A secondary index, keyed by its columns.
     Index(IndexId, Arc<str>),
+}
+
+impl ProbeSource {
+    /// The secondary index probed; `None` for the primary tree, which the
+    /// index-usage sensors do not count.
+    pub(crate) fn index(&self) -> Option<&IndexId> {
+        match self {
+            ProbeSource::PrimaryTree => None,
+            ProbeSource::Index(id, _) => Some(id),
+        }
+    }
 }
 
 /// A plan operator with its children.
@@ -65,38 +79,21 @@ pub enum PhysPlan {
         /// as `Null` placeholders (see `optimizer::prune_columns`).
         needed: ColumnSet,
     },
-    /// Secondary-index probe followed by heap fetches.
+    /// A probe of one of the table's B-Trees followed by heap fetches. Shown
+    /// as `PkLookup` through the clustered primary tree, `IndexScan` through
+    /// a secondary index.
     IndexScan {
         /// Base table.
         table: TableId,
         /// For display.
         table_name: Arc<str>,
-        /// The probing index.
-        index: IndexId,
-        /// For display.
-        index_name: Arc<str>,
+        /// The probed tree.
+        source: ProbeSource,
         /// Row width.
         width: usize,
         /// Probe specification.
         probe: ProbeSpec,
         /// Residual predicate over the table's own layout.
-        filter: Option<PhysExpr>,
-        /// Columns read, as for [`PhysPlan::SeqScan`].
-        needed: ColumnSet,
-    },
-    /// Clustered primary-key lookup (BTree storage structure).
-    PkLookup {
-        /// Base table.
-        table: TableId,
-        /// For display.
-        table_name: Arc<str>,
-        /// Row width.
-        width: usize,
-        /// Primary-key expressions (row-free; see [`ProbeSpec`]): the full
-        /// key (unique lookup) or a leading prefix of it (clustered range
-        /// probe).
-        key: Vec<PhysExpr>,
-        /// Residual predicate.
         filter: Option<PhysExpr>,
         /// Columns read, as for [`PhysPlan::SeqScan`].
         needed: ColumnSet,
@@ -221,8 +218,7 @@ impl PlanNode {
             PhysPlan::DualScan => 0,
             PhysPlan::SeqScan { width, .. }
             | PhysPlan::VirtualScan { width, .. }
-            | PhysPlan::IndexScan { width, .. }
-            | PhysPlan::PkLookup { width, .. } => *width,
+            | PhysPlan::IndexScan { width, .. } => *width,
             PhysPlan::NestedLoopJoin { left, right, .. }
             | PhysPlan::HashJoin { left, right, .. } => left.width() + right.width(),
             PhysPlan::ProbeJoin { left, width, .. } => left.width() + width,
@@ -242,8 +238,11 @@ impl PlanNode {
             PhysPlan::DualScan => "Dual",
             PhysPlan::VirtualScan { .. } => "VirtualScan",
             PhysPlan::SeqScan { .. } => "SeqScan",
+            PhysPlan::IndexScan {
+                source: ProbeSource::PrimaryTree,
+                ..
+            } => "PkLookup",
             PhysPlan::IndexScan { .. } => "IndexScan",
-            PhysPlan::PkLookup { .. } => "PkLookup",
             PhysPlan::ProbeJoin { .. } => "ProbeJoin",
             PhysPlan::NestedLoopJoin { .. } => "NestedLoopJoin",
             PhysPlan::HashJoin { .. } => "HashJoin",
@@ -279,27 +278,23 @@ impl PlanNode {
             ),
             PhysPlan::IndexScan {
                 table_name,
-                index_name,
+                source,
                 width,
                 probe,
                 needed,
                 ..
             } => {
-                let p = match probe {
-                    ProbeSpec::Eq(v) => format!("eq({})", v.len()),
-                    ProbeSpec::Range { .. } => "range".to_owned(),
+                let via = match source {
+                    ProbeSource::PrimaryTree => String::new(),
+                    ProbeSource::Index(_, name) => format!(" via {name}"),
                 };
-                format!(
-                    " on {table_name} via {index_name} {p}{}",
-                    cols_read(*needed, *width)
-                )
+                let p = match (source, probe) {
+                    (ProbeSource::PrimaryTree, ProbeSpec::Eq(_)) => String::new(),
+                    (_, ProbeSpec::Eq(v)) => format!(" eq({})", v.len()),
+                    (_, ProbeSpec::Range { .. }) => " range".to_owned(),
+                };
+                format!(" on {table_name}{via}{p}{}", cols_read(*needed, *width))
             }
-            PhysPlan::PkLookup {
-                table_name,
-                width,
-                needed,
-                ..
-            } => format!(" on {table_name}{}", cols_read(*needed, *width)),
             PhysPlan::ProbeJoin {
                 table_name,
                 width,
@@ -337,8 +332,7 @@ impl PlanNode {
             PhysPlan::DualScan
             | PhysPlan::VirtualScan { .. }
             | PhysPlan::SeqScan { .. }
-            | PhysPlan::IndexScan { .. }
-            | PhysPlan::PkLookup { .. } => {}
+            | PhysPlan::IndexScan { .. } => {}
             PhysPlan::ProbeJoin { left, .. } => {
                 left.fmt_rec(f, indent + 1)?;
             }
@@ -362,20 +356,14 @@ impl PlanNode {
     /// Collect the indexes the plan uses (for the optimizer sensor).
     pub fn collect_indexes(&self, out: &mut Vec<IndexId>) {
         match &self.op {
-            PhysPlan::IndexScan { index, .. } if !out.contains(index) => {
-                out.push(*index);
-            }
+            PhysPlan::IndexScan { source, .. } => add_index(source, out),
             PhysPlan::NestedLoopJoin { left, right, .. }
             | PhysPlan::HashJoin { left, right, .. } => {
                 left.collect_indexes(out);
                 right.collect_indexes(out);
             }
             PhysPlan::ProbeJoin { left, source, .. } => {
-                if let ProbeSource::Index(id, _) = source {
-                    if !out.contains(id) {
-                        out.push(*id);
-                    }
-                }
+                add_index(source, out);
                 left.collect_indexes(out);
             }
             PhysPlan::Filter { input, .. }
@@ -426,8 +414,7 @@ impl PlanNode {
             PhysPlan::IndexScan {
                 table,
                 table_name,
-                index,
-                index_name,
+                source,
                 width,
                 probe,
                 filter,
@@ -435,8 +422,7 @@ impl PlanNode {
             } => PhysPlan::IndexScan {
                 table: *table,
                 table_name: table_name.clone(),
-                index: *index,
-                index_name: index_name.clone(),
+                source: source.clone(),
                 width: *width,
                 probe: match probe {
                     ProbeSpec::Eq(keys) => {
@@ -447,21 +433,6 @@ impl PlanNode {
                         hi: sub_opt(hi)?,
                     },
                 },
-                filter: sub_opt(filter)?,
-                needed: *needed,
-            },
-            PhysPlan::PkLookup {
-                table,
-                table_name,
-                width,
-                key,
-                filter,
-                needed,
-            } => PhysPlan::PkLookup {
-                table: *table,
-                table_name: table_name.clone(),
-                width: *width,
-                key: key.iter().map(sub).collect::<Result<_>>()?,
                 filter: sub_opt(filter)?,
                 needed: *needed,
             },
@@ -555,6 +526,15 @@ impl PlanNode {
     }
 }
 
+/// Note the secondary index `source` probes, once.
+fn add_index(source: &ProbeSource, out: &mut Vec<IndexId>) {
+    if let Some(id) = source.index() {
+        if !out.contains(id) {
+            out.push(*id);
+        }
+    }
+}
+
 impl fmt::Display for PlanNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.fmt_rec(f, 0)
@@ -624,13 +604,47 @@ mod tests {
     }
 
     #[test]
+    fn probe_nodes_are_named_by_their_tree() {
+        let probe = |source, probe| PlanNode {
+            op: PhysPlan::IndexScan {
+                table: TableId(1),
+                table_name: "t".into(),
+                source,
+                width: 2,
+                probe,
+                filter: None,
+                needed: ColumnSet::all(),
+            },
+            est_rows: 1.0,
+            est_cost: Cost::ZERO,
+        };
+        let eq = || ProbeSpec::Eq(vec![PhysExpr::Literal(Value::Int(1))]);
+        let range = || ProbeSpec::Range { lo: None, hi: None };
+        let index = || ProbeSource::Index(IndexId(7), "i".into());
+        for (node, want) in [
+            (probe(ProbeSource::PrimaryTree, eq()), "PkLookup on t"),
+            (
+                probe(ProbeSource::PrimaryTree, range()),
+                "PkLookup on t range",
+            ),
+            (probe(index(), eq()), "IndexScan on t via i eq(1)"),
+            (probe(index(), range()), "IndexScan on t via i range"),
+        ] {
+            assert_eq!(format!("{}{}", node.op_name(), node.op_detail()), want);
+        }
+        // The primary tree is no index to the usage sensors.
+        let mut out = Vec::new();
+        probe(ProbeSource::PrimaryTree, eq()).collect_indexes(&mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
     fn collect_indexes_dedups() {
         let scan = PlanNode {
             op: PhysPlan::IndexScan {
                 table: TableId(1),
                 table_name: "t".into(),
-                index: IndexId(7),
-                index_name: "i".into(),
+                source: ProbeSource::Index(IndexId(7), "i".into()),
                 width: 1,
                 probe: ProbeSpec::Eq(vec![PhysExpr::Literal(Value::Int(1))]),
                 filter: None,
@@ -658,11 +672,15 @@ mod tests {
         let templ = PlanNode {
             op: PhysPlan::Filter {
                 input: Box::new(PlanNode {
-                    op: PhysPlan::PkLookup {
+                    op: PhysPlan::IndexScan {
                         table: TableId(1),
                         table_name: "t".into(),
+                        source: ProbeSource::PrimaryTree,
                         width: 2,
-                        key: vec![PhysExpr::Param(0)],
+                        probe: ProbeSpec::Range {
+                            lo: Some(PhysExpr::Param(0)),
+                            hi: None,
+                        },
                         filter: None,
                         needed: ColumnSet::all(),
                     },
@@ -684,8 +702,9 @@ mod tests {
         match &bound.op {
             PhysPlan::Filter { input, pred } => {
                 match &input.op {
-                    PhysPlan::PkLookup { key, .. } => {
-                        assert_eq!(key, &vec![PhysExpr::Literal(Value::Int(42))]);
+                    PhysPlan::IndexScan { probe, .. } => {
+                        let lo = Some(PhysExpr::Literal(Value::Int(42)));
+                        assert_eq!(probe, &ProbeSpec::Range { lo, hi: None });
                     }
                     other => panic!("unexpected input op {other:?}"),
                 }

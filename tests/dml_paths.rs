@@ -13,7 +13,9 @@
 //! `IndexScan` — serves a write.
 //!
 //! Beside it: an UPDATE planned as an index range increments each matching
-//! row once; a prepared UPDATE planned as a `PkLookup` is planned again
+//! row once; an UPDATE and a DELETE over a key range of a B-Tree table
+//! probe its clustered tree and read only the range's rows, using no
+//! index; a prepared UPDATE planned as a `PkLookup` is planned again
 //! once `modify t to heap` removes that path; what-if estimates, `EXPLAIN
 //! ANALYZE` and `ima$indexes` report the path a write took.
 
@@ -276,4 +278,49 @@ fn index_frequency_counts_the_writes_that_probe_it() {
         assert_eq!(affected, 1);
     }
     assert_eq!(frequency(&s), before + N);
+}
+
+/// The number that follows `label` in `line`.
+fn number_after(line: &str, label: &str) -> u64 {
+    let at = line
+        .find(label)
+        .unwrap_or_else(|| panic!("no {label} in {line}"))
+        + label.len();
+    let digits: String = line[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().unwrap()
+}
+
+#[test]
+fn writes_through_a_clustered_range_read_only_their_rows() {
+    let (engine, s) = engine(Shape::BTreeIndexed, true);
+    let frequencies = |s: &Session| {
+        let rows = s.execute("select index_name, frequency from ima$indexes");
+        rows.unwrap().rows
+    };
+    let range = "id between 100 and 104";
+    let n = scalar(&s, &format!("select count(*) from t where {range}")) as u64;
+    assert_eq!(n, 5);
+    for write in [
+        format!("update t set w = w + 1 where {range}"),
+        format!("delete from t where {range}"),
+    ] {
+        let before = frequencies(&s);
+        let rows = s.execute(&format!("explain analyze {write}")).unwrap().rows;
+        let text: Vec<&str> = rows.iter().map(|r| r.get(0).as_str().unwrap()).collect();
+        assert_eq!(number_after(text[2], "processed, "), n, "{text:#?}");
+        // The access span read the range's entries, not the table.
+        assert_eq!(number_after(text[1], "tuples="), n, "{text:#?}");
+        assert!(text[1].starts_with("  PkLookup on t range"), "{text:#?}");
+        let est = estimate(&engine.what_if(), &write).unwrap();
+        assert_eq!(est.used_indexes, []);
+        assert_eq!(frequencies(&s), before, "{write}");
+    }
+    assert_eq!(
+        scalar(&s, &format!("select count(*) from t where {range}")),
+        0
+    );
+    assert_eq!(scalar(&s, "select count(*) from t"), ROWS - 5);
 }

@@ -3,11 +3,20 @@
 //! estimated cost, used indexes, `uses_virtual`, output column names and a
 //! digest of the whole plan tree (filters, probe keys, key order) — is
 //! compared byte for byte with `tests/golden/plans.txt`. Tie-breaks and
-//! candidate order are part of it. Its query rows have not moved since
-//! before the planner started costing candidates without building them; its
-//! UPDATE and DELETE rows moved when those statements started taking the
-//! access path a `SELECT` with their WHERE takes (their estimate, used
-//! indexes and tree digest are that path's).
+//! candidate order are part of it. Its UPDATE and DELETE rows moved when
+//! those statements started taking the access path a `SELECT` with their
+//! WHERE takes (their estimate, used indexes and tree digest are that
+//! path's). Query rows moved once since the planner started costing
+//! candidates without building them: when the clustered primary tree became
+//! one more keyed structure, probed for key ranges too. Five analytic
+//! joins (`… where p.nref_id between 'NF…' and 'NF…' order by …`) in the
+//! keyed sections now reach `protein` as `PkLookup on protein range` (cost
+//! 1 / 7): in place of `SeqScan on protein` (600 / 12) without indexes,
+//! and in place of an equally priced `IndexScan` on `protein(nref_id)`
+//! (`ref_protein_id`, or its virtual twin in a what-if section), which the
+//! earlier candidate wins on a tie. And every `tree:` digest of a row whose
+//! plan holds an `IndexScan` or `PkLookup` node moved, as that node's
+//! `Debug` now names its tree as a `ProbeSource`.
 //!
 //! On a mismatch the text this build produced is left in
 //! `$CARGO_TARGET_TMPDIR/plans.actual.txt` to diff against the golden. To

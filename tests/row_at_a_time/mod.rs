@@ -4,17 +4,22 @@
 //! into a fresh row and evaluates its filter on it, `Filter` and `Aggregate`
 //! run over the collected vectors, and the hash aggregate keys even a global
 //! group. The arms are the parent commit's, minus span collection, reading
-//! the scan cursor's current item shape.
+//! the scan cursor's current item shape. Its probes (`IndexScan`, whichever
+//! tree it names, and `ProbeJoin`) walk the B-Trees with their own key
+//! bounds through `BTreeFile::{get, for_each_in_range}`, not through the
+//! catalog's probe walk or the executor's probe loop they are checked
+//! against.
 //!
 //! `tests/statement_paths.rs` runs every query of its stream through this
 //! and through the fused executor: rows, tuples and page reads must agree.
 
 use std::collections::{HashMap, HashSet};
 
-use ingot::catalog::Catalog;
-use ingot::common::{Error, Result, Row, Snapshot, Value};
+use ingot::catalog::{Catalog, TableEntry};
+use ingot::common::{ColumnSet, Error, Result, Row, Snapshot, Value};
 use ingot::executor::exec::normalize_key;
 use ingot::planner::{AggFunc, AggSpec, PhysExpr, PhysPlan, PlanNode, ProbeSource, ProbeSpec};
+use ingot::storage::{encode_key, RowId};
 
 /// Execute `plan` under `snap`: its rows and the tuples it processed.
 pub fn execute(catalog: &Catalog, plan: &PlanNode, snap: &Snapshot) -> Result<(Vec<Row>, u64)> {
@@ -66,67 +71,31 @@ fn run_node(
 
         PhysPlan::IndexScan {
             table,
-            index,
+            source,
             probe,
             filter,
             needed,
             ..
         } => {
             let entry = catalog.table(*table)?;
-            let idx = catalog.index(*index)?;
             // Probe keys are row-free expressions (literals after parameter
             // substitution); evaluate them against the empty row.
             let empty = Row::default();
-            let rids = match probe {
+            let eval = |e: &Option<PhysExpr>| e.as_ref().map(|e| e.eval(&empty)).transpose();
+            let (lo, hi) = match probe {
                 ProbeSpec::Eq(keys) => {
                     let values: Vec<Value> =
                         keys.iter().map(|e| e.eval(&empty)).collect::<Result<_>>()?;
-                    idx.probe_eq(&values)?
+                    (Some(values.clone()), Some(values))
                 }
                 ProbeSpec::Range { lo, hi } => {
-                    let lo = lo.as_ref().map(|e| e.eval(&empty)).transpose()?;
-                    let hi = hi.as_ref().map(|e| e.eval(&empty)).transpose()?;
-                    idx.probe_range(lo.as_ref(), hi.as_ref())?
+                    (eval(lo)?.map(|v| vec![v]), eval(hi)?.map(|v| vec![v]))
                 }
             };
-            // Secondary indexes hold one entry per version: each rid is an
-            // exact physical version, filtered for visibility with no walk.
-            let mut out = Vec::with_capacity(rids.len());
-            for rid in rids {
-                *tuples += 1;
-                if let Some(row) = entry.version_visible(rid, snap, *needed)? {
-                    if eval_filter(filter, &row)? {
-                        out.push(row);
-                    }
-                }
-            }
-            Ok(out)
-        }
-
-        PhysPlan::PkLookup {
-            table,
-            key,
-            filter,
-            needed,
-            ..
-        } => {
-            let entry = catalog.table(*table)?;
-            let empty = Row::default();
-            let key: Vec<Value> = key.iter().map(|e| e.eval(&empty)).collect::<Result<_>>()?;
-            let rids = if key.len() == entry.meta.primary_key.len() {
-                entry.pk_lookup(&key)?.into_iter().collect()
-            } else {
-                entry.pk_prefix_probe(&key)?
-            };
-            // The clustered tree points at chain heads; resolve each to the
-            // version visible under the snapshot.
-            let mut out = Vec::with_capacity(rids.len());
-            for rid in rids {
-                *tuples += 1;
-                if let Some((_, row)) = entry.fetch_visible(rid, snap, *needed)? {
-                    if eval_filter(filter, &row)? {
-                        out.push(row);
-                    }
+            let mut out = Vec::new();
+            for row in probe_fetch(catalog, entry, source, lo, hi, snap, *needed, tuples)? {
+                if eval_filter(filter, &row)? {
+                    out.push(row);
                 }
             }
             Ok(out)
@@ -149,28 +118,20 @@ fn run_node(
                 if key.is_null() {
                     continue; // NULL keys never join
                 }
-                match source {
-                    ProbeSource::PrimaryTree => {
-                        for rid in entry.pk_prefix_probe(std::slice::from_ref(&key))? {
-                            *tuples += 1;
-                            if let Some((_, rrow)) = entry.fetch_visible(rid, snap, *needed)? {
-                                let joined = lrow.concat(&rrow);
-                                if eval_filter(filter, &joined)? {
-                                    out.push(joined);
-                                }
-                            }
-                        }
-                    }
-                    ProbeSource::Index(id, _) => {
-                        for rid in catalog.index(*id)?.probe_eq(std::slice::from_ref(&key))? {
-                            *tuples += 1;
-                            if let Some(rrow) = entry.version_visible(rid, snap, *needed)? {
-                                let joined = lrow.concat(&rrow);
-                                if eval_filter(filter, &joined)? {
-                                    out.push(joined);
-                                }
-                            }
-                        }
+                let key = Some(vec![key]);
+                for rrow in probe_fetch(
+                    catalog,
+                    entry,
+                    source,
+                    key.clone(),
+                    key,
+                    snap,
+                    *needed,
+                    tuples,
+                )? {
+                    let joined = lrow.concat(&rrow);
+                    if eval_filter(filter, &joined)? {
+                        out.push(joined);
                     }
                 }
             }
@@ -321,6 +282,57 @@ fn run_node(
             Ok(rows[start..end].to_vec())
         }
     }
+}
+
+/// The visible versions of `entry` whose keys in `source` lie between the
+/// key prefixes `lo` and `hi` (inclusive, each covering every key it is a
+/// prefix of; `None` unbounded). A full primary key is
+/// looked up; every other probe walks the tree's leaves. A primary-tree
+/// entry is a version chain's head, resolved to the version `snap` sees; a
+/// secondary-index entry is one exact version. One tuple per entry.
+#[allow(clippy::too_many_arguments)]
+fn probe_fetch(
+    catalog: &Catalog,
+    entry: &TableEntry,
+    source: &ProbeSource,
+    lo: Option<Vec<Value>>,
+    hi: Option<Vec<Value>>,
+    snap: &Snapshot,
+    needed: ColumnSet,
+    tuples: &mut u64,
+) -> Result<Vec<Row>> {
+    let (tree, heads) = match source {
+        ProbeSource::PrimaryTree => (entry.primary.clone(), true),
+        ProbeSource::Index(id, _) => (catalog.index(*id)?.tree.clone(), false),
+    };
+    let tree = tree.ok_or_else(|| Error::execution("probe of a missing tree"))?;
+    let point =
+        heads && lo == hi && lo.as_ref().map(Vec::len) == Some(entry.meta.primary_key.len());
+    let rid = |v: &[u8]| RowId::unpack(u64::from_le_bytes(v.try_into().unwrap()));
+    let mut rids = Vec::new();
+    if point {
+        let key = encode_key(lo.as_deref().unwrap_or_default());
+        rids.extend(tree.get(&key)?.as_deref().map(rid));
+    } else {
+        let lo = lo.map(|v| encode_key(&v));
+        let hi = hi.map(|v| {
+            let mut k = encode_key(&v);
+            k.extend_from_slice(&[0xFF; 9]);
+            k
+        });
+        tree.for_each_in_range(lo.as_deref(), hi.as_deref(), |_, v| rids.push(rid(v)))?;
+    }
+    let mut out = Vec::with_capacity(rids.len());
+    for rid in rids {
+        *tuples += 1;
+        let visible = if heads {
+            entry.fetch_visible(rid, snap, needed)?.map(|(_, row)| row)
+        } else {
+            entry.version_visible(rid, snap, needed)?
+        };
+        out.extend(visible);
+    }
+    Ok(out)
 }
 
 fn eval_filter(filter: &Option<PhysExpr>, row: &Row) -> Result<bool> {

@@ -32,6 +32,10 @@ use rand::{Rng, SeedableRng};
 
 const SEED: u64 = 2009;
 const ITEMS: i64 = 120;
+/// Rows of `event`, a B-Tree table whose rows are wide enough (a 600-byte
+/// note) that a range of a few keys, a few random fetches, is priced below
+/// reading its heap.
+const EVENTS: i64 = 400;
 const GROUPS: i64 = 8;
 
 /// One step of the stream. `a` is the session under test; `b` is a second
@@ -68,6 +72,9 @@ const POINT_SPACED: &str = "select name,  qty\n from item where id = $1";
 const RANGE: &str = "select id, qty from item where id >= $1 and id < $2";
 const BY_GROUP: &str = "select id from item where grp = $1";
 const GROUP_LABEL: &str = "select label from grp where grp = $1";
+/// A key range on the B-Tree `event` with both bounds unknown at plan time:
+/// priced at the default `between` selectivity, so it reads the heap.
+const EVENT_RANGE: &str = "select id, kind from event where id >= $1 and id < $2";
 const RESTOCK: &str = "update item set qty = qty + $1 where id = $2";
 
 fn stream() -> Vec<Step> {
@@ -94,6 +101,18 @@ fn stream() -> Vec<Step> {
     steps.push(Sql("modify grp to btree".into()));
     steps.push(Sql("create index item_name on item (name)".into()));
     steps.push(Sql("create statistics on item".into()));
+    steps.push(Sql(
+        "create table event (id int not null primary key, kind int, note text)".into(),
+    ));
+    let note = "n".repeat(600);
+    for first in (0..EVENTS).step_by(20) {
+        let rows: Vec<String> = (first..first + 20)
+            .map(|id| format!("({id}, {}, '{note}{id}')", id % 3))
+            .collect();
+        steps.push(Sql(format!("insert into event values {}", rows.join(", "))));
+    }
+    steps.push(Sql("modify event to btree".into()));
+    steps.push(Sql("create statistics on event".into()));
 
     // Reads: every shape, prepared and textual, each template several times
     // so the cached engines serve most of them from a hit.
@@ -119,7 +138,42 @@ fn stream() -> Vec<Step> {
         steps.push(Sql(
             "select grp, count(*), sum(qty) from item group by grp order by grp".into(),
         ));
+        // Key ranges on the clustered tree: `between` with literal bounds,
+        // which the model prices below the heap; parameter and one-sided
+        // bounds, which it prices at its default range selectivities, so
+        // they read the heap.
+        let at = lo * 3;
+        steps.push(Sql(format!(
+            "select id, note from event where id between {at} and {}",
+            at + 4
+        )));
+        steps.push(Prepared(
+            EVENT_RANGE,
+            vec![Value::Int(at), Value::Int(at + 6)],
+        ));
+        steps.push(Sql(format!(
+            "select count(*), sum(kind) from event where id >= {}",
+            EVENTS - 1 - id % 5
+        )));
+        steps.push(Sql(format!(
+            "select id from event where id < {}",
+            1 + id % 4
+        )));
     }
+    // Writes through the clustered range, then ranges over the version
+    // chains they leave (the older snapshot walks back along them). The
+    // reads' shapes are new here: no template priced before the writes grew
+    // the heap runs again.
+    steps.push(Sql(
+        "update event set kind = kind + 10 where id between 100 and 104".into(),
+    ));
+    steps.push(Sql("delete from event where id between 397 and 399".into()));
+    steps.push(Sql(
+        "select id, kind from event where id between 99 and 105 order by id".into(),
+    ));
+    steps.push(Sql(
+        "select count(*), sum(kind) from event where id between 394 and 399".into(),
+    ));
     steps.push(Sql(
         "explain analyze select i.name, g.label from item i join grp g on i.grp = g.grp \
          where g.grp = 3"
@@ -306,9 +360,9 @@ fn predicate_query(rng: &mut SmallRng) -> String {
 fn unprune(node: &mut PlanNode) {
     match &mut node.op {
         PhysPlan::DualScan | PhysPlan::VirtualScan { .. } => {}
-        PhysPlan::SeqScan { needed, .. }
-        | PhysPlan::IndexScan { needed, .. }
-        | PhysPlan::PkLookup { needed, .. } => *needed = ColumnSet::all(),
+        PhysPlan::SeqScan { needed, .. } | PhysPlan::IndexScan { needed, .. } => {
+            *needed = ColumnSet::all()
+        }
         PhysPlan::ProbeJoin { left, needed, .. } => {
             *needed = ColumnSet::all();
             unprune(left);
@@ -326,14 +380,22 @@ fn unprune(node: &mut PlanNode) {
     }
 }
 
+/// What [`plans_agree`] saw of a query's plan.
+#[derive(Default)]
+struct Seen {
+    /// The plan reads fewer columns than its tables have.
+    pruned: bool,
+    /// The plan probes a clustered primary tree for a key range.
+    clustered_range: bool,
+}
+
 /// Pruned ≡ unpruned ≡ row-at-a-time. Plans `sql` the way the engine does
 /// and, when it is a query, executes the optimizer's plan, its unpruned
 /// clone and the plan on the row-at-a-time oracle, under the latest
-/// snapshot and under one a few commits older. Returns whether the optimizer
-/// pruned anything.
-fn plans_agree(engine: &Engine, sql: &str, params: &[Value]) -> bool {
+/// snapshot and under one a few commits older.
+fn plans_agree(engine: &Engine, sql: &str, params: &[Value]) -> Seen {
     let Ok(stmt @ Statement::Select(_)) = parse_statement(sql) else {
-        return false;
+        return Seen::default();
     };
     let catalog = engine.catalog().read();
     let planned = Binder::new(&catalog)
@@ -342,7 +404,7 @@ fn plans_agree(engine: &Engine, sql: &str, params: &[Value]) -> bool {
         .and_then(|planned| planned.substitute_params(params));
     // Binder and arity errors are the main oracle's business.
     let Ok(PlannedStatement::Query(q)) = planned else {
-        return false;
+        return Seen::default();
     };
     let mut full = q.root.clone();
     unprune(&mut full);
@@ -367,7 +429,13 @@ fn plans_agree(engine: &Engine, sql: &str, params: &[Value]) -> bool {
         let oracle = measured(&|| row_at_a_time::execute(&catalog, &q.root, &snap));
         assert_eq!(want, oracle, "fused vs row-at-a-time: {sql}\n{}", q.root);
     }
-    q.root.to_string() != full.to_string()
+    let text = q.root.to_string();
+    Seen {
+        pruned: text != full.to_string(),
+        clustered_range: text
+            .lines()
+            .any(|l| l.trim_start().starts_with("PkLookup on") && l.contains(" range")),
+    }
 }
 
 /// `EXPLAIN ANALYZE` text with the run-dependent parts (pages touched,
@@ -473,6 +541,8 @@ struct Run {
     traced_statements: u64,
     /// Queries whose plan reads fewer columns than its tables have.
     pruned_plans: usize,
+    /// Queries planned with a key range on a clustered primary tree.
+    clustered_ranges: usize,
 }
 
 fn run(steps: &[Step], cache_capacity: usize, trace: bool) -> Run {
@@ -492,16 +562,20 @@ fn run(steps: &[Step], cache_capacity: usize, trace: bool) -> Run {
     a.execute(switch).unwrap();
 
     let unit = |r: Result<()>| outcome(r.map(|()| StatementResult::default()), false);
-    let mut pruned_plans = 0;
+    let (mut pruned_plans, mut clustered_ranges) = (0, 0);
+    let mut count = |seen: Seen| {
+        pruned_plans += usize::from(seen.pruned);
+        clustered_ranges += usize::from(seen.clustered_range);
+    };
     let outcomes = steps
         .iter()
         .map(|step| match step {
             Step::Sql(sql) => {
-                pruned_plans += usize::from(plans_agree(&engine, sql, &[]));
+                count(plans_agree(&engine, sql, &[]));
                 outcome(a.execute(sql), sql.starts_with("explain"))
             }
             Step::Prepared(sql, params) => {
-                pruned_plans += usize::from(plans_agree(&engine, sql, params));
+                count(plans_agree(&engine, sql, params));
                 outcome(a.prepare(sql).and_then(|p| p.execute(params)), false)
             }
             Step::OtherSession(sql) => outcome(b.execute(sql), false),
@@ -542,6 +616,7 @@ fn run(steps: &[Step], cache_capacity: usize, trace: bool) -> Run {
         cache_hits: engine.plan_cache_stats().hits,
         traced_statements,
         pruned_plans,
+        clustered_ranges,
     }
 }
 
@@ -583,6 +658,9 @@ fn every_statement_path_agrees() {
         "some statement must use an index"
     );
     assert!(reference.pruned_plans > 300, "{}", reference.pruned_plans);
+    // The literal `between` of every read round and the two reads after
+    // the writes probe `event`'s clustered tree for a key range.
+    assert_eq!(reference.clustered_ranges, 40 + 2);
     // Every generated predicate binds and runs; some select rows, some none.
     let generated: Vec<&Outcome> = steps
         .iter()
@@ -614,6 +692,10 @@ fn every_statement_path_agrees() {
         assert_eq!(other.cache_hits > 0, capacity > 0, "{label}");
         assert_eq!(other.traced_statements > 0, trace, "{label}");
         assert_eq!(other.pruned_plans, reference.pruned_plans, "{label}");
+        assert_eq!(
+            other.clustered_ranges, reference.clustered_ranges,
+            "{label}"
+        );
         for (i, (want, got)) in reference.outcomes.iter().zip(&other.outcomes).enumerate() {
             assert_eq!(want, got, "{label}: step {i} {:?}", steps[i]);
         }

@@ -298,6 +298,55 @@ fn walfsync_dominated_interval_draws_recommendation() {
     assert!(text.contains("WalFsync"), "explain output:\n{text}");
 }
 
+/// The same write-heavy interval, dominated by WalFsync as above, on a log
+/// that already groups its commits draws no fsync recommendation: `group`,
+/// the default, is what it would set.
+#[test]
+fn a_grouping_log_is_not_told_to_group_commits() {
+    let engine = Engine::builder()
+        .config(EngineConfig {
+            wal_fsync_mode: WalFsyncMode::Group,
+            wal_sync_delay_us: 500,
+            ..EngineConfig::monitoring()
+        })
+        .build()
+        .unwrap();
+    assert_eq!(engine.wal().mode(), WalFsyncMode::Group);
+    let s = engine.open_session();
+    s.execute("create table orders (id int, total int)")
+        .unwrap();
+    for i in 0..30 {
+        s.execute(&format!("insert into orders values ({i}, {})", i * 10))
+            .unwrap();
+    }
+
+    // The premise: the interval would fire the rule in `always` mode.
+    let view = WorkloadView::from_engine(&engine);
+    let cfg = AnalyzerConfig::default();
+    let total_ns: u64 = view.waits.iter().map(|w| w.total_ns).sum();
+    let fsync_ns: u64 = view
+        .waits
+        .iter()
+        .filter(|w| w.event == "WalFsync")
+        .map(|w| w.total_ns)
+        .sum();
+    assert!(total_ns >= cfg.wait_min_total_ns, "waits: {:?}", view.waits);
+    assert!(
+        fsync_ns as f64 >= cfg.wait_dominance_threshold * total_ns as f64,
+        "waits: {:?}",
+        view.waits
+    );
+    let report = Analyzer::new(cfg).analyze(&engine, &view).unwrap();
+    assert!(
+        !report
+            .recommendations
+            .iter()
+            .any(|r| matches!(r, Recommendation::TuneWalFsync { .. })),
+        "{:?}",
+        report.recommendations
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
