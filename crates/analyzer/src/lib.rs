@@ -52,12 +52,6 @@ pub struct AnalyzerConfig {
     /// Minimum ASH samples a statement needs before its profile is judged
     /// (fewer samples are noise).
     pub wait_min_samples: u64,
-    /// Minimum total waited nanoseconds before the system-wide WalFsync
-    /// rule considers the interval at all.
-    pub wait_min_total_ns: u64,
-    /// Fraction of executions that must be writes for the interval to count
-    /// as write-heavy.
-    pub write_heavy_fraction: f64,
     /// Index-advisor settings.
     pub advisor: AdvisorConfig,
 }
@@ -70,8 +64,6 @@ impl Default for AnalyzerConfig {
             overflow_threshold: 0.1,
             wait_dominance_threshold: 0.5,
             wait_min_samples: 10,
-            wait_min_total_ns: 1_000_000,
-            write_heavy_fraction: 0.5,
             advisor: AdvisorConfig::default(),
         }
     }
@@ -102,9 +94,8 @@ impl Analyzer {
         recommendations.extend(rules::statistics_rules(&self.config, view));
         // Rule 3: overflow pages.
         recommendations.extend(rules::overflow_rule(&self.config, view));
-        // Rules 4 + 5: wait profiles (BufferRead-dominated statements,
-        // WalFsync-dominated write-heavy intervals).
-        let wait_recs = rules::wait_profile_rules(&self.config, view, engine.wal().mode());
+        // Rule 4: BufferRead-dominated wait profiles.
+        let wait_recs = rules::wait_profile_rules(&self.config, view);
         for rec in wait_recs {
             // Rule 3 may already restructure the same table; keep one.
             let duplicate = matches!(&rec, Recommendation::RestructureForReads { table, .. }
@@ -156,7 +147,6 @@ impl Analyzer {
             Recommendation::ModifyToBTree { .. } => 1,
             Recommendation::RestructureForReads { .. } => 1,
             Recommendation::CreateIndex { .. } => 2,
-            Recommendation::TuneWalFsync { .. } => 3,
         });
         let mut executed = Vec::new();
         for rec in sorted {

@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use ingot_common::{Cost, TableId, WalFsyncMode};
+use ingot_common::{Cost, TableId};
 
 use crate::view::WorkloadView;
 use crate::AnalyzerConfig;
@@ -51,14 +51,6 @@ pub enum Recommendation {
         /// Fraction of the template's ASH samples spent in `BufferRead`.
         buffer_read_pct: f64,
     },
-    /// Amortise WAL fsyncs (group commit / wider dally window) because
-    /// `WalFsync` dominates the wait profile of a write-heavy interval.
-    TuneWalFsync {
-        /// Fraction of all waited nanoseconds charged to `WalFsync`.
-        wal_fsync_pct: f64,
-        /// Fraction of recorded executions that were writes.
-        write_fraction: f64,
-    },
 }
 
 impl Recommendation {
@@ -81,7 +73,6 @@ impl Recommendation {
             Recommendation::RestructureForReads { table, .. } => {
                 format!("modify {table} to btree")
             }
-            Recommendation::TuneWalFsync { .. } => "set wal_fsync_mode = group".to_owned(),
         }
     }
 
@@ -127,15 +118,6 @@ impl Recommendation {
                 "Statement '{template}' spends {:.0} % of its sampled time in BufferRead \
                  waits: modify '{table}' to B-Tree (or index it) so access is keyed",
                 buffer_read_pct * 100.0
-            ),
-            Recommendation::TuneWalFsync {
-                wal_fsync_pct,
-                write_fraction,
-            } => format!(
-                "WalFsync is {:.0} % of all waited time in a write-heavy interval \
-                 ({:.0} % writes): enable group commit or widen the dally window",
-                wal_fsync_pct * 100.0,
-                write_fraction * 100.0
             ),
         }
     }
@@ -212,20 +194,11 @@ pub fn statistics_rules(config: &AnalyzerConfig, view: &WorkloadView) -> Vec<Rec
     out
 }
 
-/// Rules 4 & 5: wait-profile rules over the ASH aggregates and the
-/// system-wide wait totals.
-///
-/// * Rule 4 — a statement whose ASH profile is dominated by `BufferRead`
-///   is losing its time to physical page reads; its heap tables should be
-///   restructured to B-Tree (keyed access instead of scans).
-/// * Rule 5 — when `WalFsync` dominates the system's wait profile, the
-///   workload is write-heavy and each commit fsyncs alone (`wal_mode` is
-///   `always`), commits should share fsyncs (group commit, the default).
-pub fn wait_profile_rules(
-    config: &AnalyzerConfig,
-    view: &WorkloadView,
-    wal_mode: WalFsyncMode,
-) -> Vec<Recommendation> {
+/// Rule 4: the wait-profile rule over the ASH aggregates. A statement whose
+/// ASH profile is dominated by `BufferRead` is losing its time to physical
+/// page reads; its heap tables should be restructured to B-Tree (keyed
+/// access instead of scans).
+pub fn wait_profile_rules(config: &AnalyzerConfig, view: &WorkloadView) -> Vec<Recommendation> {
     let mut out = Vec::new();
 
     // Rule 4: per-template BufferRead dominance.
@@ -275,34 +248,6 @@ pub fn wait_profile_rules(
         }
     }
 
-    // Rule 5: system-wide WalFsync dominance on a write-heavy workload.
-    let total_wait_ns: u64 = view.waits.iter().map(|w| w.total_ns).sum();
-    let wal_ns: u64 = view
-        .waits
-        .iter()
-        .filter(|w| w.event == "WalFsync")
-        .map(|w| w.total_ns)
-        .sum();
-    let executions: u64 = view.statements.iter().map(|s| s.executions).sum();
-    let writes: u64 = view
-        .statements
-        .iter()
-        .filter(|s| !s.is_query())
-        .map(|s| s.executions)
-        .sum();
-    if total_wait_ns >= config.wait_min_total_ns && executions > 0 {
-        let wal_pct = wal_ns as f64 / total_wait_ns as f64;
-        let write_fraction = writes as f64 / executions as f64;
-        if wal_mode == WalFsyncMode::Always
-            && wal_pct >= config.wait_dominance_threshold
-            && write_fraction >= config.write_heavy_fraction
-        {
-            out.push(Recommendation::TuneWalFsync {
-                wal_fsync_pct: wal_pct,
-                write_fraction,
-            });
-        }
-    }
     out
 }
 
@@ -321,7 +266,7 @@ pub fn overflow_rule(config: &AnalyzerConfig, view: &WorkloadView) -> Vec<Recomm
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::view::{AshAgg, AttrAgg, StmtAgg, TableAgg, WaitAgg};
+    use crate::view::{AshAgg, AttrAgg, StmtAgg, TableAgg};
 
     fn table(id: u32, name: &str, storage: &str, data: u64, overflow: u64) -> TableAgg {
         TableAgg {
@@ -416,7 +361,7 @@ mod tests {
             ],
             ..Default::default()
         };
-        let recs = wait_profile_rules(&cfg, &view, WalFsyncMode::Always);
+        let recs = wait_profile_rules(&cfg, &view);
         assert_eq!(recs.len(), 1, "recs: {recs:?}");
         let Recommendation::RestructureForReads {
             table,
@@ -434,73 +379,12 @@ mod tests {
         // Below the dominance threshold or the sample floor: silent.
         let mut quiet = view.clone();
         quiet.ash = vec![ash("h1", "q", "BufferRead", 4), ash("h1", "q", "OnCpu", 36)];
-        assert!(wait_profile_rules(&cfg, &quiet, WalFsyncMode::Always).is_empty());
+        assert!(wait_profile_rules(&cfg, &quiet).is_empty());
         quiet.ash = vec![ash("h1", "q", "BufferRead", 5)];
         assert!(
-            wait_profile_rules(&cfg, &quiet, WalFsyncMode::Always).is_empty(),
+            wait_profile_rules(&cfg, &quiet).is_empty(),
             "too few samples"
         );
-    }
-
-    #[test]
-    fn wal_fsync_dominance_needs_write_heavy_interval() {
-        let cfg = AnalyzerConfig::default();
-        let writes = StmtAgg {
-            hash: "w".into(),
-            text: "insert into t values (1)".into(),
-            executions: 100,
-            actual: Cost::cpu(100.0),
-            est: Cost::cpu(100.0),
-            wallclock_ns: 0,
-            tables: vec![TableId(1)],
-        };
-        let view = WorkloadView {
-            statements: vec![writes.clone()],
-            waits: vec![
-                WaitAgg {
-                    event: "WalFsync".into(),
-                    count: 100,
-                    total_ns: 9_000_000,
-                },
-                WaitAgg {
-                    event: "LockWaitX".into(),
-                    count: 3,
-                    total_ns: 1_000_000,
-                },
-            ],
-            ..Default::default()
-        };
-        let recs = wait_profile_rules(&cfg, &view, WalFsyncMode::Always);
-        assert_eq!(recs.len(), 1, "recs: {recs:?}");
-        let Recommendation::TuneWalFsync {
-            wal_fsync_pct,
-            write_fraction,
-        } = &recs[0]
-        else {
-            panic!("expected TuneWalFsync, got {recs:?}");
-        };
-        assert!((wal_fsync_pct - 0.9).abs() < 1e-9);
-        assert!((write_fraction - 1.0).abs() < 1e-9);
-        assert_eq!(recs[0].to_sql(), "set wal_fsync_mode = group");
-
-        // Read-heavy interval: the same wait profile stays silent.
-        let mut reads = view.clone();
-        reads.statements = vec![StmtAgg {
-            text: "select * from t".into(),
-            ..writes
-        }];
-        assert!(wait_profile_rules(&cfg, &reads, WalFsyncMode::Always).is_empty());
-        // Tiny absolute wait time: below the noise floor.
-        let mut tiny = view.clone();
-        for w in &mut tiny.waits {
-            w.total_ns /= 100;
-        }
-        assert!(wait_profile_rules(&cfg, &tiny, WalFsyncMode::Always).is_empty());
-        // A log that already groups its commits, or never syncs, is not
-        // told to group them.
-        for mode in [WalFsyncMode::Group, WalFsyncMode::Off] {
-            assert!(wait_profile_rules(&cfg, &view, mode).is_empty(), "{mode}");
-        }
     }
 
     #[test]

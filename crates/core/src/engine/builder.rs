@@ -113,13 +113,12 @@ impl EngineBuilder {
         }
         let clock = self.clock.unwrap_or_default();
         let (storage, wal) = if let Some(dir) = self.path {
-            // Crash recovery, part 1: restore the page files to the last
-            // durable checkpoint (recovery manifest), then open the WAL,
-            // salvaging its valid prefix and truncating any torn tail.
-            // Part 2 — replaying committed transactions on top of the
-            // checkpoint image — runs below, once an engine exists to
-            // re-execute replayed DDL.
-            ingot_storage::recover(&dir)?;
+            // Crash recovery, part 1: open the WAL, salvaging its valid
+            // prefix and truncating any torn tail; opening the page store
+            // finishes the last checkpoint it staged and cuts each file to
+            // its checkpointed length. Part 2 — replaying committed
+            // transactions on top of the checkpoint image — runs below,
+            // once an engine exists to re-execute replayed DDL.
             let wal = Wal::open_in_dir(&dir, &self.config)?;
             (
                 StorageEngine::file_backed(dir, &self.config, clock.clone())?,

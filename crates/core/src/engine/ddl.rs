@@ -95,20 +95,24 @@ impl Session {
         Ok(StatementResult::default())
     }
 
-    /// `SET name = value`. `trace`/`tracing` flips runtime tracing; other
-    /// knobs are accepted and ignored (compatibility with scripts). This is
-    /// the target of both the SQL `SET` statement and the [`Connection`](ingot_common::Connection)
-    /// trait's `set` verb, embedded or over the wire.
+    /// `SET name = value`. `trace`/`tracing` flips runtime tracing, the one
+    /// setting a running engine can change; any other name is refused with
+    /// [`Error::unsupported`]. This is the target of both the SQL `SET`
+    /// statement and the [`Connection`](ingot_common::Connection) trait's
+    /// `set` verb, embedded or over the wire.
     pub fn set_option(&self, name: &str, value: &Value) -> Result<StatementResult> {
-        if matches!(name.to_ascii_lowercase().as_str(), "trace" | "tracing") {
-            let on = match value {
-                Value::Bool(b) => *b,
-                Value::Int(i) => *i != 0,
-                Value::Str(s) => matches!(s.to_ascii_lowercase().as_str(), "on" | "true" | "1"),
-                _ => return Err(Error::execution("SET trace expects a boolean")),
-            };
-            self.engine.set_tracing(on);
+        if !matches!(name.to_ascii_lowercase().as_str(), "trace" | "tracing") {
+            return Err(Error::unsupported(format!(
+                "SET {name}: unknown setting (only `trace` can be set on a running engine)"
+            )));
         }
+        let on = match value {
+            Value::Bool(b) => *b,
+            Value::Int(i) => *i != 0,
+            Value::Str(s) => matches!(s.to_ascii_lowercase().as_str(), "on" | "true" | "1"),
+            _ => return Err(Error::execution("SET trace expects a boolean")),
+        };
+        self.engine.set_tracing(on);
         Ok(StatementResult::default())
     }
 

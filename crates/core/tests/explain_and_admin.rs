@@ -1,6 +1,6 @@
 //! EXPLAIN rendering and administrative statement behaviour.
 
-use ingot_common::EngineConfig;
+use ingot_common::{EngineConfig, Error};
 use ingot_core::Engine;
 
 fn engine() -> std::sync::Arc<Engine> {
@@ -69,12 +69,17 @@ fn explain_does_not_execute() {
 }
 
 #[test]
-fn set_statements_are_accepted() {
+fn set_of_an_unknown_name_is_refused() {
     let e = engine();
     let s = e.open_session();
-    // SET parses and is accepted (session knobs are currently advisory).
-    s.execute("set monitor_resolution = 100").unwrap();
-    s.execute("set lock_timeout = 'long'").unwrap();
+    // A name the engine cannot change at run time is an error, not a
+    // silent no-op.
+    for sql in ["set monitor_resolution = 100", "set lock_timeout = 'long'"] {
+        let err = s.execute(sql).unwrap_err();
+        assert!(matches!(err, Error::Unsupported(_)), "{sql}: {err}");
+    }
+    s.execute("set trace = on").unwrap();
+    s.execute("set trace = off").unwrap();
 }
 
 #[test]

@@ -192,16 +192,6 @@ impl WorkloadDb {
         }
     }
 
-    /// Inspect and repair a file-backed workload DB directory after a
-    /// crash: pages past the last durable checkpoint whose checksums do not
-    /// match (torn writes) are truncated away, and partial trailing pages
-    /// are dropped. [`WorkloadDb::file_backed`] already runs this (plus WAL
-    /// replay of committed appends) when it reopens a directory; calling it
-    /// directly is useful for inspecting the page-level damage report.
-    pub fn recover(dir: impl AsRef<Path>) -> Result<ingot_storage::RecoveryReport> {
-        ingot_storage::recover(dir.as_ref())
-    }
-
     fn init(engine: Arc<Engine>, dir: Option<PathBuf>) -> Result<Self> {
         Self::create_tables(&engine)?;
         Ok(WorkloadDb {
@@ -486,9 +476,9 @@ impl WorkloadDb {
         Ok(self.session().execute(sql)?.rows)
     }
 
-    /// Durably checkpoint the workload DB — fsync of every data file plus
-    /// the recovery manifest (page checksums + epoch + schema snapshot) and
-    /// WAL truncation to the new cut. Committed appends are already durable
+    /// Durably checkpoint the workload DB — the dirty pages staged in the
+    /// recovery manifest (with the epoch and schema snapshot), written in
+    /// place and synced, then WAL truncation to the new cut. Committed appends are already durable
     /// the moment [`WorkloadDb::append_from`] returns (the WAL barrier);
     /// this bounds the log's length and replay time.
     pub fn flush(&self) -> Result<()> {

@@ -52,6 +52,6 @@ pub mod prelude {
         Alert, AlertRule, DaemonConfig, DaemonHealth, HealthState, StorageDaemon, WorkloadDb,
     };
     pub use ingot_server::{Server, ServerConfig};
-    pub use ingot_storage::{FaultInjectingBackend, FaultPlan, MemoryBackend, RecoveryReport};
+    pub use ingot_storage::{FaultInjectingBackend, FaultPlan, MemoryBackend};
     pub use ingot_workload::{analytic_queries, load_nref, NrefConfig};
 }

@@ -555,8 +555,8 @@ impl Parser {
             Token::Keyword("TRUE") => Value::Bool(true),
             Token::Keyword("FALSE") => Value::Bool(false),
             Token::Ident(s) => Value::Str(s),
-            // Bare words that happen to be SQL keywords (`group`, `order`)
-            // are legal knob values, as in `set wal_fsync_mode = group`.
+            // Bare words that happen to be SQL keywords (`on`, `group`)
+            // are legal values, as in `set trace = on`.
             Token::Keyword(k) => Value::Str(k.to_ascii_lowercase()),
             other => return Err(Error::parse(format!("bad SET value {other:?}"))),
         };

@@ -33,7 +33,6 @@ pub use fault::{FaultEffect, FaultInjectingBackend, FaultOp, FaultPlan, FaultRul
 pub use heap::{HeapFile, HeapStats, RowId, VersionMeta, VERSION_HEADER};
 pub use model::{DiskModel, IoStats};
 pub use page::{Page, PAGE_SIZE};
-pub use recovery::{recover, RecoveryReport};
 pub use wal::{
     GroupCommit, GroupCommitStats, Lsn, SalvageReport, Wal, WalEntry, WalRecord, WalStats,
     RESERVE_STEP, WAL_FILE,
@@ -108,21 +107,10 @@ impl StorageEngine {
         self.pool.stats()
     }
 
-    /// Flush all dirty pages to the backend.
-    pub fn flush(&self) -> Result<()> {
-        self.pool.flush_all()
-    }
-
-    /// Fsync the backend's files (no-op in memory).
-    pub fn sync(&self) -> Result<()> {
-        self.pool.sync()
-    }
-
-    /// Flush every dirty page, then durably checkpoint the backend together
-    /// with opaque engine `meta` bytes. Returns the new checkpoint epoch (0
-    /// for backends without one).
+    /// Durably checkpoint every dirty page together with opaque engine
+    /// `meta` bytes. Returns the new checkpoint epoch (0 for backends
+    /// without one).
     pub fn checkpoint(&self, meta: &[u8]) -> Result<u64> {
-        self.pool.flush_all()?;
         self.pool.checkpoint(meta)
     }
 

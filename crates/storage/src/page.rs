@@ -68,8 +68,7 @@ impl Page {
     // range are ignored. In-range offsets are guaranteed by construction at
     // every call site (header constants, slot offsets below the slot array
     // bound); the checked forms exist so a *corrupt* page read from disk can
-    // never panic the engine — it decodes as empty instead and is caught by
-    // the recovery checksums.
+    // never panic the engine — it decodes as empty instead.
 
     /// Read a `u16` at `off` (0 when out of range).
     #[inline]

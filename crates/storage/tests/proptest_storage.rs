@@ -603,7 +603,6 @@ fn heap_scan_stream(seed: u64, capacity: usize) {
         live.push(heap.insert(&r).unwrap());
     }
     if !rng.next().is_multiple_of(4) {
-        pool.flush_all().unwrap();
         pool.clear().unwrap();
     }
     for step in 0..rng.between(0, 80) {

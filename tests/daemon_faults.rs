@@ -8,9 +8,12 @@
 //! registry's totals). That holds for page faults on an in-memory store and
 //! for every WAL fault on a file-backed one; the same WAL faults on a
 //! store with nothing to reopen quarantine the daemon with a self-alert
-//! while rule evaluation keeps working. A torn flush must be repaired by
-//! `WorkloadDb::recover` with only the unacknowledged tail dropped, and the
-//! daemon's health counters and the log's death must be queryable over SQL.
+//! while rule evaluation keeps working. Reopening a workload DB cuts a torn
+//! append back to the last checkpoint and finishes a flush a power cut
+//! interrupted, and the daemon's health counters and the log's death must
+//! be queryable over SQL.
+
+mod checkpoint_cut;
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -21,6 +24,8 @@ use ingot::core::COPIED_TABLES;
 use ingot::daemon::wldb::PER_POLL_TABLES;
 use ingot::prelude::*;
 use ingot::storage::PAGE_SIZE;
+
+use checkpoint_cut::{pages_and_manifest, Cut, Point};
 
 /// The three WAL operations a fault can hit, and the two effects that, on
 /// the log, are both a power cut.
@@ -441,7 +446,7 @@ fn torn_flush_recovery_truncates_only_the_tail() {
         }
         let wldb = WorkloadDb::file_backed(&dir, engine.sim_clock().clone()).unwrap();
         wldb.append_from(engine.monitor().unwrap(), 0).unwrap();
-        // Durable checkpoint: fsync + page-checksum manifest.
+        // Durable checkpoint: the pages and the manifest.
         wldb.flush().unwrap();
     }
 
@@ -463,22 +468,28 @@ fn torn_flush_recovery_truncates_only_the_tail() {
         f.write_all(&vec![0xAB; PAGE_SIZE + PAGE_SIZE / 2]).unwrap();
     }
 
-    let report = WorkloadDb::recover(&dir).unwrap();
-    assert!(report.manifest_found && report.manifest_valid);
-    assert!(report.torn_pages >= 1, "{report}");
-    assert!(report.pages_truncated >= 1, "{report}");
-    assert!(report.rows_salvaged > 0, "{report}");
-    assert_eq!(
-        std::fs::metadata(&victim).unwrap().len(),
-        clean_len,
-        "recovery must restore exactly the checkpointed length"
-    );
+    // Reopening the workload DB repairs the directory.
+    let filed = {
+        let wldb = WorkloadDb::file_backed(&dir, SimClock::new()).unwrap();
+        assert_eq!(
+            std::fs::metadata(&victim).unwrap().len(),
+            clean_len,
+            "recovery must restore exactly the checkpointed length"
+        );
+        wldb.row_count("wl_workload").unwrap()
+    };
+    assert!(filed > 0);
 
     // Recovery is idempotent: a second pass finds nothing to repair.
-    let again = WorkloadDb::recover(&dir).unwrap();
-    assert_eq!(again.torn_pages, 0, "{again}");
-    assert_eq!(again.pages_truncated, 0, "{again}");
-    assert_eq!(again.rows_salvaged, report.rows_salvaged);
+    let repaired = pages_and_manifest(&dir);
+    {
+        let wldb = WorkloadDb::file_backed(&dir, SimClock::new()).unwrap();
+        assert_eq!(wldb.row_count("wl_workload").unwrap(), filed);
+    }
+    assert!(
+        pages_and_manifest(&dir) == repaired,
+        "a second pass changed the pages or the manifest"
+    );
 
     // The daemon resumes on the repaired directory.
     let engine = Engine::builder()
@@ -497,6 +508,56 @@ fn torn_flush_recovery_truncates_only_the_tail() {
     assert_eq!(daemon.health().state(), HealthState::Healthy);
     assert!(wldb.row_count("wl_workload").unwrap() > 0);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Every row of every copied `wl_` table of `wldb`, sorted per table.
+fn filed_rows(wldb: &WorkloadDb) -> BTreeMap<&'static str, Vec<Row>> {
+    COPIED_TABLES
+        .iter()
+        .map(|shape| {
+            let mut rows = wldb.query(&format!("select * from {}", shape.wl)).unwrap();
+            rows.sort();
+            (shape.wl, rows)
+        })
+        .collect()
+}
+
+/// A power cut inside `WorkloadDb::flush`: the checkpoint's page images
+/// are staged and half of them written in place. Reopening finishes the
+/// checkpoint, and every row filed before the flush is there —
+/// `wl_workload`'s and every other copied table's.
+#[test]
+fn a_power_cut_inside_flush_keeps_every_filed_row() {
+    let scratch = |tag: &str| {
+        let dir = std::env::temp_dir().join(format!("ingot-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let (dir, crashed) = (scratch("flush-cut"), scratch("flush-cut-state"));
+    let (engine, s) = monitored();
+    let monitor = engine.monitor().unwrap();
+    let (cut, filed) = {
+        let wldb = WorkloadDb::file_backed(&dir, engine.sim_clock().clone()).unwrap();
+        wldb.append_from(monitor, 0).unwrap();
+        wldb.flush().unwrap();
+        for i in 0..50 {
+            s.execute(&format!("select b from t where a = {i}"))
+                .unwrap();
+        }
+        wldb.append_from(monitor, 1).unwrap();
+        let filed = filed_rows(&wldb);
+        assert!(!filed["wl_workload"].is_empty());
+        (Cut::run(&dir, &wldb.engine(), || wldb.flush()), filed)
+    };
+    let written = cut.written().len();
+    assert!(written >= 2, "the flush writes {written} pages");
+    std::fs::create_dir_all(&crashed).unwrap();
+    cut.crash_state(&crashed, Point::Applying(written / 2));
+    let wldb = WorkloadDb::file_backed(&crashed, engine.sim_clock().clone()).unwrap();
+    assert_eq!(filed_rows(&wldb), filed);
+    drop(wldb);
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&crashed).unwrap();
 }
 
 #[test]

@@ -12,7 +12,6 @@
 
 use std::sync::Arc;
 
-use ingot::analyzer::Recommendation;
 use ingot::common::waits::{WaitEvent, WAIT_EVENT_COUNT};
 use ingot::common::{MonotonicClock, StmtHash, WalFsyncMode};
 use ingot::core::AshSampler;
@@ -247,11 +246,10 @@ fn daemon_rolls_waits_into_workload_db() {
     assert_eq!(wldb.row_count("wl_ash").unwrap(), ash_before);
 }
 
-/// A write-heavy interval dominated by WalFsync waits draws the analyzer's
-/// fsync-amortisation recommendation, citing the observed percentages — and
+/// An always-fsync log books its commits' fsyncs as `WalFsync` waits, and
 /// EXPLAIN ANALYZE surfaces the same waits inline.
 #[test]
-fn walfsync_dominated_interval_draws_recommendation() {
+fn explain_analyze_shows_walfsync_waits_inline() {
     let engine = Engine::builder()
         .config(EngineConfig {
             wal_fsync_mode: WalFsyncMode::Always,
@@ -274,17 +272,7 @@ fn walfsync_dominated_interval_draws_recommendation() {
         "waits: {:?}",
         view.waits
     );
-    let report = Analyzer::default().analyze(&engine, &view).unwrap();
-    let tune = report
-        .recommendations
-        .iter()
-        .find(|r| matches!(r, Recommendation::TuneWalFsync { .. }))
-        .expect("WalFsync dominance must draw a tuning recommendation");
-    assert!(tune.describe().contains('%'), "{}", tune.describe());
-    // The recommendation's SQL is harmlessly executable.
-    s.execute(&tune.to_sql()).unwrap();
 
-    // EXPLAIN ANALYZE reports the same waits inline.
     let r = s
         .execute("explain analyze insert into orders values (999, 0)")
         .unwrap();
@@ -296,55 +284,6 @@ fn walfsync_dominated_interval_draws_recommendation() {
         .join("\n");
     assert!(text.contains("Waits:"), "explain output:\n{text}");
     assert!(text.contains("WalFsync"), "explain output:\n{text}");
-}
-
-/// The same write-heavy interval, dominated by WalFsync as above, on a log
-/// that already groups its commits draws no fsync recommendation: `group`,
-/// the default, is what it would set.
-#[test]
-fn a_grouping_log_is_not_told_to_group_commits() {
-    let engine = Engine::builder()
-        .config(EngineConfig {
-            wal_fsync_mode: WalFsyncMode::Group,
-            wal_sync_delay_us: 500,
-            ..EngineConfig::monitoring()
-        })
-        .build()
-        .unwrap();
-    assert_eq!(engine.wal().mode(), WalFsyncMode::Group);
-    let s = engine.open_session();
-    s.execute("create table orders (id int, total int)")
-        .unwrap();
-    for i in 0..30 {
-        s.execute(&format!("insert into orders values ({i}, {})", i * 10))
-            .unwrap();
-    }
-
-    // The premise: the interval would fire the rule in `always` mode.
-    let view = WorkloadView::from_engine(&engine);
-    let cfg = AnalyzerConfig::default();
-    let total_ns: u64 = view.waits.iter().map(|w| w.total_ns).sum();
-    let fsync_ns: u64 = view
-        .waits
-        .iter()
-        .filter(|w| w.event == "WalFsync")
-        .map(|w| w.total_ns)
-        .sum();
-    assert!(total_ns >= cfg.wait_min_total_ns, "waits: {:?}", view.waits);
-    assert!(
-        fsync_ns as f64 >= cfg.wait_dominance_threshold * total_ns as f64,
-        "waits: {:?}",
-        view.waits
-    );
-    let report = Analyzer::new(cfg).analyze(&engine, &view).unwrap();
-    assert!(
-        !report
-            .recommendations
-            .iter()
-            .any(|r| matches!(r, Recommendation::TuneWalFsync { .. })),
-        "{:?}",
-        report.recommendations
-    );
 }
 
 proptest! {
