@@ -8,16 +8,28 @@
 //! (monitoring) and ~17 % (daemon) for the 1m test, because the constant
 //! per-statement sensor cost dominates only when statements are sub-second.
 //!
-//! All three instances are built up front and the repeats are *interleaved*
-//! (Original, Monitoring, Daemon, Original, …) so slow periods of a shared
-//! machine hit every setup equally; the best run per setup is reported
-//! ("repeated three times to minimize local anomalies"). Also prints the
+//! All three instances are built up front and measured in [`CYCLES`]
+//! paired cycles: in each cycle every setup runs each test once, back to
+//! back, in an order that rotates per cycle (O·M·D, M·D·O, D·O·M, …), so a
+//! slow spell of a shared machine hits the runs it is compared with and no
+//! setup always runs first. Each cell is the median over the cycles of
+//! that cycle's ratio to Original, with its quartiles. Also prints the
 //! §V-A in-text numbers: per-sensor-call cost and workload-DB growth.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use ingot_bench::{build_instance, header, run_statements, Instance, Scale, Setup};
+use ingot_bench::{build_instance, header, quartiles, run_statements, Instance, Scale, Setup};
 use ingot_workload::{analytic_queries, point_select_statements, simple_join_statements};
+
+/// Paired cycles, at every scale.
+const CYCLES: usize = 10;
+
+/// The three tests with the paper's Monitoring and Daemon values.
+const TESTS: [(&str, &str, &str); 3] = [
+    ("50", "≤ 101", "≤ 101"),
+    ("50k", "≤ 101", "≤ 101"),
+    ("1m", "≈ 111", "≈ 117"),
+];
 
 fn main() {
     let scale = Scale::from_env();
@@ -35,27 +47,37 @@ fn main() {
     let sessions: Vec<_> = instances.iter().map(|i| i.engine.open_session()).collect();
     let daemon_start = Instant::now();
 
-    let tests: [&str; 3] = ["50", "50k", "1m"];
-    // results[test][setup] = best duration
-    let mut results = vec![[Duration::MAX; 3]; tests.len()];
     let queries = analytic_queries(&scale.nref);
-
-    for rep in 0..scale.repeats.max(1) {
-        for (si, session) in sessions.iter().enumerate() {
-            let t = run_statements(session, &queries);
-            results[0][si] = results[0][si].min(t);
-            let t = run_statements(session, simple_join_statements(&scale.nref, scale.n_simple));
-            results[1][si] = results[1][si].min(t);
-            let t = run_statements(session, point_select_statements(&scale.nref, scale.n_point));
-            results[2][si] = results[2][si].min(t);
-            eprintln!(
-                "   rep {rep} {}: 50={:?} 50k={:?} 1m={:?}",
-                Setup::ALL[si].label(),
-                results[0][si],
-                results[1][si],
-                results[2][si]
-            );
+    let run = |si: usize, ti: usize| {
+        let session = &sessions[si];
+        match ti {
+            0 => run_statements(session, &queries),
+            1 => run_statements(session, simple_join_statements(&scale.nref, scale.n_simple)),
+            _ => run_statements(session, point_select_statements(&scale.nref, scale.n_point)),
         }
+        .as_secs_f64()
+    };
+    // secs[test][setup][cycle]
+    let mut secs = vec![vec![Vec::new(); 3]; TESTS.len()];
+    for cycle in 0..CYCLES {
+        for (ti, per_setup) in secs.iter_mut().enumerate() {
+            for k in 0..3 {
+                let si = (cycle + k) % 3;
+                per_setup[si].push(run(si, ti));
+            }
+        }
+        eprintln!(
+            "   cycle {cycle}: {}",
+            TESTS
+                .iter()
+                .zip(&secs)
+                .map(|((name, ..), t)| format!(
+                    "{name}={:.3}/{:.3}/{:.3}s",
+                    t[0][cycle], t[1][cycle], t[2][cycle]
+                ))
+                .collect::<Vec<_>>()
+                .join(" ")
+        );
     }
 
     // §V-A in-text numbers from the Monitoring instance.
@@ -101,23 +123,30 @@ fn main() {
         );
     }
 
-    println!("\nFigure 4 — relative runtime (Original = 100 %):\n");
     println!(
-        "{:<6} {:>14} {:>14} {:>14}",
-        "test", "Original", "Monitoring", "Daemon"
+        "\nFigure 4 — relative runtime (Original = 100 %), median [q1–q3] of \
+         {CYCLES} paired cycles:\n"
     );
-    for (ti, name) in tests.iter().enumerate() {
-        let base = results[ti][0].as_secs_f64().max(1e-9);
+    println!(
+        "{:<6} {:>10}   {:<36} Daemon",
+        "test", "Original", "Monitoring"
+    );
+    for ((name, paper_m, paper_d), t) in TESTS.iter().zip(&secs) {
+        let cell = |si: usize, paper: &str| {
+            let ratios: Vec<f64> = t[si].iter().zip(&t[0]).map(|(x, o)| x / o).collect();
+            let [q1, med, q3] = quartiles(&ratios).map(|r| 100.0 * r);
+            format!("{med:5.1} % [{q1:5.1}–{q3:5.1}] paper {paper} %")
+        };
         println!(
-            "{:<6} {:>12.1} % {:>12.1} % {:>12.1} %   ({:.3}s / {:.3}s / {:.3}s)",
+            "{:<6} {:>9.3}s   {:<36} {}",
             name,
-            100.0,
-            100.0 * results[ti][1].as_secs_f64() / base,
-            100.0 * results[ti][2].as_secs_f64() / base,
-            results[ti][0].as_secs_f64(),
-            results[ti][1].as_secs_f64(),
-            results[ti][2].as_secs_f64(),
+            quartiles(&t[0])[1],
+            cell(1, paper_m),
+            cell(2, paper_d)
         );
     }
-    println!("\npaper shape: 50/50k ≈ 100–101 %, 1m ≈ 111 % (Monitoring) and ≈ 117 % (Daemon)");
+    println!(
+        "\nOriginal: median seconds per run. A cell is the median of the \
+         per-cycle ratios to Original, not a ratio of medians."
+    );
 }

@@ -145,7 +145,11 @@ fn main() {
         &scale,
     );
     let commits = ((scale.n_simple / 100).max(30)) as usize;
-    println!("simulated barrier: {SYNC_DELAY_US} us per fsync, {commits} commits per writer\n");
+    println!(
+        "simulated barrier: {SYNC_DELAY_US} us per fsync, {commits} commits per writer, \
+         best of {} runs per cell\n",
+        scale.repeats
+    );
     println!(
         "{:<8} {:>10} {:>10} {:>12} {:>12} {:>9} {:>9} {:>9} {:>8}",
         "writers",

@@ -1,7 +1,8 @@
 //! Shared harness for the experiment binaries: `fig4` … `fig8` regenerate
-//! the figures of the paper's evaluation (§V); `wal_commit`, `mvcc_hot_row`,
-//! `server_fleet` and `concurrency_scaling` each check one concurrency claim
-//! and record it under `results/` through [`write_results`].
+//! the figures of the paper's evaluation (§V), with the deterministic
+//! §V-B experiments behind Figs 6 and 7 in [`tuning`]; `wal_commit` checks
+//! the group-commit claim and records it under `results/` through
+//! [`write_results`].
 //!
 //! Scale is controlled by the `INGOT_SCALE` environment variable:
 //! `small` (default; seconds per figure), `medium`, or `large` (closest to
@@ -19,6 +20,8 @@ use ingot_core::{Engine, Session};
 use ingot_daemon::{DaemonConfig, StorageDaemon, WorkloadDb};
 use ingot_workload::{load_nref, NrefConfig};
 
+pub mod tuning;
+
 /// Experiment sizing.
 #[derive(Debug, Clone)]
 pub struct Scale {
@@ -32,24 +35,14 @@ pub struct Scale {
     pub n_point: u64,
     /// Buffer-pool pages (kept below the data size, as in the paper).
     pub buffer_pages: usize,
-    /// Repetitions per measurement ("all tests were repeated three times").
+    /// Repetitions of each `wal_commit` cell, of which [`best_of`] keeps
+    /// the fastest.
     pub repeats: u32,
 }
 
 impl Scale {
-    /// Resolve from `INGOT_SCALE` (small | medium | large), with
-    /// `INGOT_REPEATS` optionally overriding the repeat count.
+    /// Resolve from `INGOT_SCALE` (small | medium | large).
     pub fn from_env() -> Scale {
-        let mut scale = Self::from_scale_name();
-        if let Ok(r) = std::env::var("INGOT_REPEATS") {
-            if let Ok(r) = r.parse::<u32>() {
-                scale.repeats = r.max(1);
-            }
-        }
-        scale
-    }
-
-    fn from_scale_name() -> Scale {
         match std::env::var("INGOT_SCALE").as_deref() {
             Ok("large") => Scale {
                 name: "large",
@@ -93,15 +86,6 @@ pub enum Setup {
 impl Setup {
     /// All three, in paper order.
     pub const ALL: [Setup; 3] = [Setup::Original, Setup::Monitoring, Setup::Daemon];
-
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Setup::Original => "Original",
-            Setup::Monitoring => "Monitoring",
-            Setup::Daemon => "Daemon",
-        }
-    }
 }
 
 /// A prepared instance: engine with NREF loaded, plus the daemon when the
@@ -210,6 +194,19 @@ pub fn best_of<T>(repeats: u32, mut f: impl FnMut() -> (Duration, T)) -> (Durati
         .map(|_| f())
         .min_by_key(|(elapsed, _)| *elapsed)
         .expect("≥1 repeat")
+}
+
+/// The quartiles `[q1, median, q3]` of `xs`, each interpolated linearly
+/// between the two nearest order statistics.
+pub fn quartiles(xs: &[f64]) -> [f64; 3] {
+    assert!(!xs.is_empty(), "quartiles of nothing");
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|q| {
+        let at = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (sorted[at.floor() as usize], sorted[at.ceil() as usize]);
+        lo + (hi - lo) * at.fract()
+    })
 }
 
 /// Wait `d` — client think time, sampling cadence, connect backoff. The
@@ -324,13 +321,8 @@ pub fn header(fig: &str, title: &str, scale: &Scale) {
     println!("==========================================================");
     println!("{fig}: {title}");
     println!(
-        "scale={} (proteins={}, simple={}, point={}, buffer={}p, repeats={})",
-        scale.name,
-        scale.nref.proteins,
-        scale.n_simple,
-        scale.n_point,
-        scale.buffer_pages,
-        scale.repeats
+        "scale={} (proteins={}, simple={}, point={}, buffer={}p)",
+        scale.name, scale.nref.proteins, scale.n_simple, scale.n_point, scale.buffer_pages
     );
     println!("==========================================================");
 }
@@ -389,6 +381,13 @@ mod tests {
         });
         assert_eq!(best, (Duration::from_millis(10), 2));
         assert_eq!(best_of(0, || (Duration::ZERO, "once")).1, "once");
+    }
+
+    #[test]
+    fn quartiles_interpolate_between_order_statistics() {
+        assert_eq!(quartiles(&[7.0]), [7.0; 3]);
+        assert_eq!(quartiles(&[4.0, 1.0, 3.0, 2.0, 5.0]), [2.0, 3.0, 4.0]);
+        assert_eq!(quartiles(&[1.0, 2.0, 3.0, 4.0]), [1.75, 2.5, 3.25]);
     }
 
     #[test]

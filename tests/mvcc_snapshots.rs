@@ -1,5 +1,7 @@
 //! Row-level MVCC integration: snapshot reads that never block writers,
-//! first-committer-wins, `ima$transactions`, and version-chain GC.
+//! a commit parked in its WAL barrier that holds up no reader and no writer
+//! of another row, first-committer-wins, `ima$transactions`, and
+//! version-chain GC.
 
 // Real-time pacing: sleeps coordinate contending sessions — the sanctioned
 // exception to the workspace sleep ban.
@@ -7,7 +9,9 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+use ingot::common::WalFsyncMode;
 use ingot::prelude::*;
 
 fn engine() -> Arc<Engine> {
@@ -60,6 +64,91 @@ fn snapshot_readers_never_block_writers() {
     s1.commit().unwrap();
     let r = s2.execute("select v from t where id = 1").unwrap();
     assert_eq!(r.rows[0].get(0).as_int(), Some(20), "post-commit value");
+}
+
+/// Whether `ima$active_sessions` shows an `update hot …` statement inside
+/// its WAL barrier.
+fn update_in_wal_fsync(observer: &Session) -> bool {
+    let r = observer
+        .execute("select statement, event from ima$active_sessions")
+        .unwrap();
+    r.rows.iter().any(|row| {
+        row.get(0)
+            .as_str()
+            .is_some_and(|t| t.starts_with("update hot"))
+            && row.get(1).as_str() == Some("WalFsync")
+    })
+}
+
+/// An auto-commit update parked for 300 ms inside its commit barrier holds
+/// nothing that a reader of its row, or a writer of another row of its
+/// table, waits for: both finish while it is still parked, with no lock
+/// wait at all, and the reader sees the value from before the commit. A
+/// table lock held across the commit, or any engine-wide statement lock,
+/// makes them queue behind the barrier and fails this.
+#[test]
+fn a_commit_parked_in_its_barrier_holds_up_no_reader_and_no_other_row() {
+    let e = Engine::builder()
+        .config(EngineConfig {
+            wal_fsync_mode: WalFsyncMode::Always,
+            wal_sync_delay_us: 300_000,
+            lock_timeout_ms: 400,
+            ..EngineConfig::monitoring()
+        })
+        .build()
+        .unwrap();
+    let setup = e.open_session();
+    setup
+        .execute("create table hot (id int not null primary key, v int)")
+        .unwrap();
+    setup
+        .execute("insert into hot values (1, 0), (2, 0)")
+        .unwrap();
+
+    let writer = {
+        let e = Arc::clone(&e);
+        std::thread::spawn(move || {
+            e.open_session()
+                .execute("update hot set v = 1 where id = 1")
+                .map(|r| r.affected)
+        })
+    };
+    let observer = e.open_session();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !update_in_wal_fsync(&observer) {
+        assert!(
+            !writer.is_finished() && Instant::now() < deadline,
+            "the writer was never seen inside its commit barrier"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let waits_before = e.locks().stats().waits_total;
+    let reader = e.open_session();
+    for _ in 0..5 {
+        let r = reader.execute("select v from hot where id = 1").unwrap();
+        assert_eq!(r.rows[0].get(0).as_int(), Some(0), "pre-commit value");
+    }
+    let other = e.open_session();
+    other.begin().unwrap();
+    let r = other.execute("update hot set v = 2 where id = 2").unwrap();
+    assert_eq!(r.affected, 1);
+    assert_eq!(
+        e.locks().stats().waits_total,
+        waits_before,
+        "neither the reader nor the other row's writer waited on a lock"
+    );
+    assert!(
+        update_in_wal_fsync(&observer),
+        "both finished while the writer was still inside its barrier"
+    );
+
+    assert_eq!(writer.join().unwrap().unwrap(), 1);
+    let r = reader.execute("select v from hot where id = 1").unwrap();
+    assert_eq!(r.rows[0].get(0).as_int(), Some(1), "post-commit value");
+    other.commit().unwrap();
+    let r = reader.execute("select v from hot where id = 2").unwrap();
+    assert_eq!(r.rows[0].get(0).as_int(), Some(2));
 }
 
 #[test]
